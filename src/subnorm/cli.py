@@ -353,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_dual)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--corpus", default="default",
-                   help="corpus name (only 'default' is built in)")
     p.add_argument("--carriers", help="override corpus carriers (comma-separated)")
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--max-n", type=int, default=4,
@@ -371,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "corpus", "default") != "default":
-        print(f"unknown corpus {args.corpus!r}", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except SubnormError as exc:

@@ -103,11 +103,3 @@ class ParseError(SubnormError):
 
 class InputFormatError(SubnormError):
     """Malformed JSON/structure input."""
-
-
-class CoverageGap(SubnormError):
-    """A verification check was never exercised by the configured corpus."""
-
-    def __init__(self, names):
-        self.names = list(names)
-        super().__init__("checks never exercised: " + ", ".join(self.names))

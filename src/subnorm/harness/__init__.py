@@ -1,6 +1,6 @@
 """Verification harness: corpora, check catalog, runner, extremality."""
 
-from .carriers import builtin_carrier, carrier_names, load_carrier
+from .carriers import carrier_names, load_carrier
 from .catalog import CATALOG, CHECKS_BY_NAME, CheckSpec
 from .generate import (
     GenConfig,
@@ -23,7 +23,7 @@ from .run import (
 
 __all__ = [
     "CATALOG", "CHECKS_BY_NAME", "CheckSpec", "GenConfig", "CarrierContext",
-    "Instance", "builtin_carrier", "carrier_names", "closure_generated",
+    "Instance", "carrier_names", "closure_generated",
     "corpus_stream", "default_config", "enumerate_relations", "load_carrier",
     "exit_code_for", "random_relations", "replay_counterexample",
     "run_suite", "strip_timing", "verify_check", "verify_prop41",

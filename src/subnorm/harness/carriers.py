@@ -43,7 +43,6 @@ _BUILDERS = {
     "chain4": lambda: _chain(4),
     "chain5": lambda: _chain(5),
     "b4": lambda: _boolean(2),
-    "diamond": lambda: _boolean(2),  # the four-element diamond shape
     "b8": lambda: _boolean(3),
     "fdl2": _fdl2,
 }
@@ -51,16 +50,6 @@ _BUILDERS = {
 
 def carrier_names() -> list[str]:
     return sorted(_BUILDERS)
-
-
-@lru_cache(maxsize=None)
-def builtin_carrier(name: str) -> FinLattice:
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise InputFormatError(
-            f"unknown carrier {name!r}; built-ins: {', '.join(carrier_names())}"
-        ) from None
 
 
 @lru_cache(maxsize=None)

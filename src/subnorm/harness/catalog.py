@@ -16,10 +16,14 @@ a configuration error rather than a pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from operator import attrgetter
 from typing import Callable, Optional
 
 from ..duality import RelCondition
 from ..order import bits, is_down_directed, is_up_directed, mask_of
+from ..slanted import _monotone_on_base, parse_inequality, term_variables
 from ..subordination import Property as P
 from .maximality import verify_prop41
 
@@ -50,10 +54,6 @@ def _flags(*props):
     return lambda inst: all(inst.flag(q) is True for q in props)
 
 
-def _flag_value(prop):
-    return lambda inst: inst.flag(prop) is True
-
-
 def _needs_lattice(inst) -> bool:
     return inst.lat is not None
 
@@ -76,56 +76,108 @@ def _needs_distributive(inst) -> bool:
 
 # ---- operator-side predicates -------------------------------------------
 
-def _dia_monotone(inst) -> bool:
-    leq, up = inst.delta.leq, inst.poset.up
-    dia = inst.dia
-    return all(leq(dia[a], dia[b]) for a in range(inst.n) for b in bits(up[a]))
+def _monotone(*operators):
+    """The named base operators (``"dia"``, ``"box"``) are monotone."""
+    return lambda inst: all(_monotone_on_base(inst.sa, getattr(inst, op))
+                            for op in operators)
 
 
-def _box_monotone(inst) -> bool:
-    leq, up = inst.delta.leq, inst.poset.up
-    box = inst.box
-    return all(leq(box[a], box[b]) for a in range(inst.n) for b in bits(up[a]))
+# Operator inequalities are written as the paper states them and compiled
+# once.  A modal-free subterm (variables, T, F, &, |, ~) is evaluated in
+# the carrier; <>, [] and ~ applied to a modal-free subterm read the base
+# dia, box and negation tables; only an operator applied to a term that
+# already contains an operator reads sigma, pi or the lifted negation.
+# The base reading needs no extension, so the inclusion characterisations
+# stay meaningful on non-monotone instances, where sigma/pi are undefined.
+
+# operator -> (table read on carrier elements, table read on completion elements)
+_UNARY = {"dia": ("dia", "sigma"), "box": ("box", "pi"),
+          "not": ("lat.neg", "ctx.neg_delta")}
 
 
-def _dia_additive(inst) -> bool:
-    # <>(a v b) <= <>a v <>b
-    d, lat, dd = inst.delta, inst.lat, inst.dia
-    return all(d.leq(dd[lat.join[a][b]], d.join[dd[a]][dd[b]])
-               for a in range(inst.n) for b in range(inst.n))
+@lru_cache(maxsize=None)
+def _columns(n: int, k: int) -> tuple[tuple, ...]:
+    """Per-variable columns of all ``n^k`` assignments in lexicographic
+    order; without variables, one column holding the empty assignment."""
+    xs = tuple(product(range(n), repeat=k))
+    return tuple(zip(*xs)) or (xs,)
 
 
-def _box_multiplicative(inst) -> bool:
-    # []a ^ []b <= [](a ^ b)
-    d, lat, bb = inst.delta, inst.lat, inst.box
-    return all(d.leq(d.meet[bb[a]][bb[b]], bb[lat.meet[a][b]])
-               for a in range(inst.n) for b in range(inst.n))
+def _mapped(table: str, values):
+    read = attrgetter(table)
+
+    def mapped(inst, cols):
+        tab = read(inst)
+        return [tab[v] for v in values(inst, cols)]
+
+    return mapped
 
 
-def _dia_grounded(inst) -> bool:
-    return inst.delta.leq(inst.dia[inst.lat.bot], inst.embed[inst.lat.bot])
+def _lifted(values, base: bool):
+    return _mapped("embed", values) if base else values
 
 
-def _box_capped(inst) -> bool:
-    return inst.delta.leq(inst.embed[inst.lat.top], inst.box[inst.lat.top])
+def _compile_term(t, names: list[str]):
+    """``(values, base)``: ``values(inst, cols)`` lists the term's value
+    under each assignment of the columns, as carrier elements when
+    ``base`` and as completion elements otherwise."""
+    kind = t[0]
+    if kind == "var":
+        i = names.index(t[1])
+        return (lambda inst, cols: cols[i]), True
+    if kind in ("top", "bot"):
+        return (lambda inst, cols: [getattr(inst.lat, kind)] * len(cols[0])), True
+    if kind in ("and", "or"):
+        (left, lb), (right, rb) = (_compile_term(s, names) for s in t[1:])
+        base = lb and rb
+        if not base:
+            left, right = _lifted(left, lb), _lifted(right, rb)
+        read = attrgetter(("lat." if base else "delta.")
+                          + ("meet" if kind == "and" else "join"))
+
+        def binary(inst, cols):
+            op = read(inst)
+            return [op[u][v] for u, v in zip(left(inst, cols), right(inst, cols))]
+
+        return binary, base
+    inner, inner_base = _compile_term(t[1], names)
+    table = _UNARY[kind][0 if inner_base else 1]
+    return _mapped(table, inner), inner_base and kind == "not"
 
 
-def _slanted_monotone(inst) -> bool:
-    return _dia_monotone(inst) and _box_monotone(inst)
+@lru_cache(maxsize=None)
+def _compile_inequality(text: str):
+    ineq = parse_inequality(text)
+    names = sorted(set(term_variables(ineq.lhs)) | set(term_variables(ineq.rhs)))
+    lhs, rhs = (_lifted(*_compile_term(t, names)) for t in (ineq.lhs, ineq.rhs))
+
+    def holds(inst) -> bool:
+        cols = _columns(inst.n, len(names))
+        up = inst.delta.poset.up
+        return all(up[u] >> v & 1 for u, v in zip(lhs(inst, cols), rhs(inst, cols)))
+
+    return holds
 
 
-def _slanted_regular(inst) -> bool:
-    d, lat = inst.delta, inst.lat
-    dd, bb = inst.dia, inst.box
-    return all(dd[lat.join[a][b]] == d.join[dd[a]][dd[b]]
-               and bb[lat.meet[a][b]] == d.meet[bb[a]][bb[b]]
-               for a in range(inst.n) for b in range(inst.n))
+class Inequalities:
+    """Conjunction of operator inequalities, each valid when it holds
+    under every assignment of carrier elements to its variables."""
+
+    def __init__(self, *texts: str):
+        self.texts = texts
+        self._checks = tuple(_compile_inequality(t) for t in texts)
+
+    def __call__(self, inst) -> bool:
+        return all(check(inst) for check in self._checks)
 
 
-def _slanted_normal(inst) -> bool:
-    return (_slanted_regular(inst)
-            and inst.dia[inst.lat.bot] == inst.delta.bot
-            and inst.box[inst.lat.top] == inst.delta.top)
+_DIA_ADDITIVE = Inequalities("<>(a | b) <= <>a | <>b")
+_BOX_MULTIPLICATIVE = Inequalities("[]a & []b <= [](a & b)")
+_DIA_GROUNDED = Inequalities("<>F <= F")
+_BOX_CAPPED = Inequalities("T <= []T")
+_REGULAR = Inequalities(*_DIA_ADDITIVE.texts, "<>a | <>b <= <>(a | b)",
+                        *_BOX_MULTIPLICATIVE.texts, "[](a & b) <= []a & []b")
+_NORMAL = Inequalities(*_REGULAR.texts, *_DIA_GROUNDED.texts, *_BOX_CAPPED.texts)
 
 
 # ---- laws quantified inside one instance ---------------------------------
@@ -267,112 +319,16 @@ def _law_box_closed_bound_reflects(inst) -> bool:
     return True
 
 
-# ---- inequality sides of the characterization results --------------------
-
-def _ineq_dia_inflationary(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    return all(d.leq(embed[a], inst.dia[a]) for a in range(inst.n))
-
-
-def _ineq_box_deflationary(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    return all(d.leq(inst.box[a], embed[a]) for a in range(inst.n))
-
-
-def _ineq_dia_deflationary(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    return all(d.leq(inst.dia[a], embed[a]) for a in range(inst.n))
-
-
-def _ineq_dia_expanding(inst) -> bool:
-    # <>a <= <><>a
-    d = inst.delta
-    return all(d.leq(inst.dia[a], inst.sigma[inst.dia[a]]) for a in range(inst.n))
-
-
-def _ineq_dia_collapsing(inst) -> bool:
-    # <><>a <= <>a
-    d = inst.delta
-    return all(d.leq(inst.sigma[inst.dia[a]], inst.dia[a]) for a in range(inst.n))
-
-
-def _ineq_dia_contraction(inst) -> bool:
-    # <>a <= <>(a ^ <>a)
-    d, embed = inst.delta, inst.embed
-    return all(d.leq(inst.dia[a], inst.sigma[d.meet[embed[a]][inst.dia[a]]])
-               for a in range(inst.n))
-
-
-def _ineq_dia_meet_distribution(inst) -> bool:
-    # <>(<>a ^ <>b) <= <>(a ^ b)
-    d, lat = inst.delta, inst.lat
-    return all(d.leq(inst.sigma[d.meet[inst.dia[a]][inst.dia[b]]],
-                     inst.dia[lat.meet[a][b]])
-               for a in range(inst.n) for b in range(inst.n))
-
-
-def _ineq_neg_dia_is_box(inst) -> bool:
-    # ~<>a = []~a
-    neg = inst.ctx.neg_delta
-    return all(neg[inst.dia[a]] == inst.box[inst.lat.neg[a]]
-               for a in range(inst.n))
-
-
-def _ineq_dia_neg_is_neg_box(inst) -> bool:
-    # <>~a = ~[]a
-    neg = inst.ctx.neg_delta
-    return all(inst.dia[inst.lat.neg[a]] == neg[inst.box[a]]
-               for a in range(inst.n))
-
-
-def _ineq_box_join_absorption(inst) -> bool:
-    # [](a v []b) <= []a v []b
-    d, embed = inst.delta, inst.embed
-    return all(d.leq(inst.pi[d.join[embed[a]][inst.box[b]]],
-                     d.join[inst.box[a]][inst.box[b]])
-               for a in range(inst.n) for b in range(inst.n))
-
-
-def _ineq_box_join_coabsorption(inst) -> bool:
-    # []a v []b <= [](a v []b)
-    d, embed = inst.delta, inst.embed
-    return all(d.leq(d.join[inst.box[a]][inst.box[b]],
-                     inst.pi[d.join[embed[a]][inst.box[b]]])
-               for a in range(inst.n) for b in range(inst.n))
-
-
-def _ineq_box_join_distribution(inst) -> bool:
-    # [](a v b) <= []([]a v []b)
-    d, lat = inst.delta, inst.lat
-    return all(d.leq(inst.box[lat.join[a][b]],
-                     inst.pi[d.join[inst.box[a]][inst.box[b]]])
-               for a in range(inst.n) for b in range(inst.n))
-
-
 # ---- dual-space sides -----------------------------------------------------
 
-def _rel_cond(cond: RelCondition):
+def _rel_cond(*conds: RelCondition):
     from ..duality import check_relational
-
-    def run(inst) -> bool:
-        return check_relational(inst.space, cond)[0]
-
-    return run
+    return lambda inst: all(check_relational(inst.space, c)[0] for c in conds)
 
 
 def _law_spaces_isomorphic(inst) -> bool:
     from ..duality import spaces_isomorphic
     return spaces_isomorphic(inst.space, inst.space_pf)[0]
-
-
-def _s9_both(inst) -> bool:
-    return inst.flag(P.S9_FWD) is True and inst.flag(P.S9_BWD) is True
-
-
-def _s9_rel_both(inst) -> bool:
-    from ..duality import check_relational
-    return (check_relational(inst.space, RelCondition.S9_FWD_REL)[0]
-            and check_relational(inst.space, RelCondition.S9_BWD_REL)[0])
 
 
 def _prop41_law(i: int):
@@ -448,10 +404,6 @@ def _neg_pi_pre(inst) -> bool:
     return rep is not None and rep.antitone and rep.right_self_adjoint
 
 
-def _directed_pre(inst) -> bool:
-    return inst.flag(P.DD) is True and inst.flag(P.UD) is True
-
-
 def _bidirected_pre(inst) -> bool:
     """Conjunction of the diamond-directed (WO+DD) and box-directed
     (SI+UD) classes, plus seriality both ways.  The transfer
@@ -478,78 +430,78 @@ CATALOG: tuple[CheckSpec, ...] = (
     # -- directedness from the binary rules ------------------------------
     CheckSpec("or-implies-updirected", "OR forces UD on lattice carriers",
               "implies", precondition=_needs_lattice,
-              lhs=_flag_value(P.OR), rhs=_flag_value(P.UD)),
+              lhs=_flags(P.OR), rhs=_flags(P.UD)),
     CheckSpec("and-implies-downdirected", "AND forces DD on lattice carriers",
               "implies", precondition=_needs_lattice,
-              lhs=_flag_value(P.AND), rhs=_flag_value(P.DD)),
+              lhs=_flags(P.AND), rhs=_flags(P.DD)),
     CheckSpec("updirected-iff-or-under-si", "under SI, UD and OR coincide",
               "iff", precondition=_flags(P.SI),
-              lhs=_flag_value(P.UD), rhs=_flag_value(P.OR)),
+              lhs=_flags(P.UD), rhs=_flags(P.OR)),
     CheckSpec("downdirected-iff-and-under-wo", "under WO, DD and AND coincide",
               "iff", precondition=_flags(P.WO),
-              lhs=_flag_value(P.DD), rhs=_flag_value(P.AND)),
+              lhs=_flags(P.DD), rhs=_flags(P.AND)),
     # -- rules force operator laws ---------------------------------------
     CheckSpec("si-makes-diamond-monotone", "SI makes the diamond monotone",
-              "implies", lhs=_flag_value(P.SI), rhs=_dia_monotone),
+              "implies", lhs=_flags(P.SI), rhs=_monotone("dia")),
     CheckSpec("and-makes-box-multiplicative-dl",
               "on distributive carriers, SI+AND force []a ^ []b <= [](a ^ b)",
               "implies", precondition=_needs_distributive,
-              lhs=_flags(P.SI, P.AND), rhs=_box_multiplicative),
+              lhs=_flags(P.SI, P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("and-makes-box-multiplicative-ud",
               "SI+UD+AND force []a ^ []b <= [](a ^ b)",
               "implies", precondition=_needs_lattice,
-              lhs=_flags(P.SI, P.UD, P.AND), rhs=_box_multiplicative),
+              lhs=_flags(P.SI, P.UD, P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("wo-makes-box-monotone", "WO makes the box monotone",
-              "implies", lhs=_flag_value(P.WO), rhs=_box_monotone),
+              "implies", lhs=_flags(P.WO), rhs=_monotone("box")),
     CheckSpec("or-makes-diamond-additive-dl",
               "on distributive carriers, WO+OR force <>(a v b) <= <>a v <>b",
               "implies", precondition=_needs_distributive,
-              lhs=_flags(P.WO, P.OR), rhs=_dia_additive),
+              lhs=_flags(P.WO, P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("or-makes-diamond-additive-dd",
               "WO+DD+OR force <>(a v b) <= <>a v <>b",
               "implies", precondition=_needs_lattice,
-              lhs=_flags(P.WO, P.DD, P.OR), rhs=_dia_additive),
+              lhs=_flags(P.WO, P.DD, P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("bot-rule-grounds-diamond", "the bottom rule forces <>F <= F",
               "implies", precondition=_needs_lattice,
-              lhs=_flag_value(P.BOT), rhs=_dia_grounded),
+              lhs=_flags(P.BOT), rhs=_DIA_GROUNDED),
     CheckSpec("top-rule-caps-box", "the top rule forces T <= []T",
               "implies", precondition=_needs_lattice,
-              lhs=_flag_value(P.TOP), rhs=_box_capped),
+              lhs=_flags(P.TOP), rhs=_BOX_CAPPED),
     # -- converses under directedness ------------------------------------
     CheckSpec("si-iff-diamond-monotone", "under WO+DD, SI = diamond monotone",
               "iff", precondition=_and(_flags(P.WO, P.DD), _dia_serial),
-              lhs=_flag_value(P.SI), rhs=_dia_monotone),
+              lhs=_flags(P.SI), rhs=_monotone("dia")),
     CheckSpec("or-iff-diamond-additive",
               "under WO+DD, OR = diamond join-subadditivity",
               "iff", precondition=_and(_flags(P.WO, P.DD), _dia_serial),
-              lhs=_flag_value(P.OR), rhs=_dia_additive),
+              lhs=_flags(P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("bot-iff-diamond-grounded", "under WO+DD, the bottom rule = <>F <= F",
               "iff", precondition=_and(_flags(P.WO, P.DD), _dia_serial),
-              lhs=_flag_value(P.BOT), rhs=_dia_grounded),
+              lhs=_flags(P.BOT), rhs=_DIA_GROUNDED),
     CheckSpec("wo-iff-box-monotone", "under SI+UD, WO = box monotone",
               "iff", precondition=_and(_flags(P.SI, P.UD), _box_serial),
-              lhs=_flag_value(P.WO), rhs=_box_monotone),
+              lhs=_flags(P.WO), rhs=_monotone("box")),
     CheckSpec("and-iff-box-multiplicative",
               "under SI+UD, AND = box meet-submultiplicativity",
               "iff", precondition=_and(_flags(P.SI, P.UD), _box_serial),
-              lhs=_flag_value(P.AND), rhs=_box_multiplicative),
+              lhs=_flags(P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("top-iff-box-capped", "under SI+UD, the top rule = T <= []T",
               "iff", precondition=_and(_flags(P.SI, P.UD), _box_serial),
-              lhs=_flag_value(P.TOP), rhs=_box_capped),
+              lhs=_flags(P.TOP), rhs=_BOX_CAPPED),
     # -- transfer of the named classes -----------------------------------
     CheckSpec("monotone-transfer",
               "on bidirected instances, SI+WO = both operators monotone",
               "iff", precondition=_bidirected_pre,
-              lhs=_flags(P.SI, P.WO), rhs=_slanted_monotone),
+              lhs=_flags(P.SI, P.WO), rhs=_monotone("dia", "box")),
     CheckSpec("regular-transfer",
               "on bidirected instances, the regular rule set = regular operators",
               "iff", precondition=_bidirected_pre,
-              lhs=_flags(P.SI, P.WO, P.OR, P.AND), rhs=_slanted_regular),
+              lhs=_flags(P.SI, P.WO, P.OR, P.AND), rhs=_REGULAR),
     CheckSpec("normality-transfer",
               "on bidirected instances, the full rule set = normal operators",
               "iff", precondition=_bidirected_pre,
               lhs=_flags(P.SI, P.WO, P.OR, P.AND, P.BOT, P.TOP),
-              rhs=_slanted_normal),
+              rhs=_NORMAL),
     # -- directed families through the operators -------------------------
     CheckSpec("directed-image-directed",
               "under SI+DD+WO, images of down-directed sets are down-directed",
@@ -594,60 +546,60 @@ CATALOG: tuple[CheckSpec, ...] = (
     # -- order/relation characterizations --------------------------------
     CheckSpec("rel-below-order-iff-inflationary-diamond",
               "rel inside the order = a <= <>a",
-              "iff", lhs=_flag_value(P.PREC_IN_LEQ), rhs=_ineq_dia_inflationary),
+              "iff", lhs=_flags(P.PREC_IN_LEQ), rhs=Inequalities("a <= <>a")),
     CheckSpec("rel-below-order-iff-deflationary-box",
               "rel inside the order = []a <= a",
-              "iff", lhs=_flag_value(P.PREC_IN_LEQ), rhs=_ineq_box_deflationary),
+              "iff", lhs=_flags(P.PREC_IN_LEQ), rhs=Inequalities("[]a <= a")),
     CheckSpec("order-below-rel-iff-deflationary-diamond",
               "under WO+DD, order inside rel = <>a <= a",
               "iff", precondition=_and(_flags(P.WO, P.DD), _dia_serial),
-              lhs=_flag_value(P.LEQ_IN_PREC), rhs=_ineq_dia_deflationary),
+              lhs=_flags(P.LEQ_IN_PREC), rhs=Inequalities("<>a <= a")),
     CheckSpec("t-iff-diamond-expanding",
               "under WO+DD+SI, transitivity of rel = <>a <= <><>a",
               "iff", precondition=_and(_flags(P.WO, P.DD, P.SI), _dia_serial),
-              lhs=_flag_value(P.T), rhs=_ineq_dia_expanding),
+              lhs=_flags(P.T), rhs=Inequalities("<>a <= <><>a")),
     CheckSpec("d-iff-diamond-collapsing",
               "under WO+DD+SI, density of rel = <><>a <= <>a",
               "iff", precondition=_and(_flags(P.WO, P.DD, P.SI), _dia_serial),
-              lhs=_flag_value(P.D), rhs=_ineq_dia_collapsing),
+              lhs=_flags(P.D), rhs=Inequalities("<><>a <= <>a")),
     CheckSpec("ct-iff-diamond-contraction",
               "under WO+DD+SI, the contraction rule = <>a <= <>(a ^ <>a)",
               "iff",
               precondition=lambda inst: (_flags(P.WO, P.DD, P.SI)(inst)
                                          and _needs_lattice(inst)
                                          and inst.dia_serial),
-              lhs=_flag_value(P.CT), rhs=_ineq_dia_contraction),
+              lhs=_flags(P.CT), rhs=Inequalities("<>a <= <>(a & <>a)")),
     CheckSpec("sl2-iff-diamond-meet-distribution",
               "under WO+DD+SI, SL2 = <>(<>a ^ <>b) <= <>(a ^ b)",
               "iff",
               precondition=lambda inst: (_flags(P.WO, P.DD, P.SI)(inst)
                                          and _needs_lattice(inst)
                                          and inst.dia_serial),
-              lhs=_flag_value(P.SL2), rhs=_ineq_dia_meet_distribution),
+              lhs=_flags(P.SL2), rhs=Inequalities("<>(<>a & <>b) <= <>(a & b)")),
     CheckSpec("ct-implies-t-under-si", "under SI, contraction forces transitivity",
               "implies", precondition=lambda inst: (_flags(P.SI)(inst)
                                                     and _needs_lattice(inst)),
-              lhs=_flag_value(P.CT), rhs=_flag_value(P.T)),
+              lhs=_flags(P.CT), rhs=_flags(P.T)),
     CheckSpec("s6-iff-negated-diamond-is-box",
               "on directed involutive carriers, S6 = (~<>a is []~a)",
               "iff", precondition=_s6_pre,
-              lhs=_flag_value(P.S6), rhs=_ineq_neg_dia_is_box),
+              lhs=_flags(P.S6), rhs=Inequalities("~<>a <= []~a", "[]~a <= ~<>a")),
     CheckSpec("s6-iff-diamond-neg-is-neg-box",
               "on directed involutive carriers, S6 = (<>~a is ~[]a)",
               "iff", precondition=_s6_pre,
-              lhs=_flag_value(P.S6), rhs=_ineq_dia_neg_is_neg_box),
+              lhs=_flags(P.S6), rhs=Inequalities("<>~a <= ~[]a", "~[]a <= <>~a")),
     CheckSpec("s9fwd-iff-box-join-absorption",
               "under SI+UD+WO, forward S9 = [](a v []b) <= []a v []b",
               "iff", precondition=_and(_flags(P.SI, P.UD, P.WO), _box_serial),
-              lhs=_flag_value(P.S9_FWD), rhs=_ineq_box_join_absorption),
+              lhs=_flags(P.S9_FWD), rhs=Inequalities("[](a | []b) <= []a | []b")),
     CheckSpec("s9bwd-iff-box-join-coabsorption",
               "under SI+UD+WO, backward S9 = []a v []b <= [](a v []b)",
               "iff", precondition=_and(_flags(P.SI, P.UD, P.WO), _box_serial),
-              lhs=_flag_value(P.S9_BWD), rhs=_ineq_box_join_coabsorption),
+              lhs=_flags(P.S9_BWD), rhs=Inequalities("[]a | []b <= [](a | []b)")),
     CheckSpec("sl1-iff-box-join-distribution",
               "under SI+UD+WO, SL1 = [](a v b) <= []([]a v []b)",
               "iff", precondition=_and(_flags(P.SI, P.UD, P.WO), _box_serial),
-              lhs=_flag_value(P.SL1), rhs=_ineq_box_join_distribution),
+              lhs=_flags(P.SL1), rhs=Inequalities("[](a | b) <= []([]a | []b)")),
     # -- closure extremality ----------------------------------------------
     CheckSpec("closure1-extremal", "system-1 operators are extremal",
               "law", precondition=_prop41_pre, law=_prop41_law(1)),
@@ -664,35 +616,36 @@ CATALOG: tuple[CheckSpec, ...] = (
     CheckSpec("rel-below-order-iff-space-reflexive",
               "rel inside the order = reflexive dual relation",
               "iff", precondition=_subordination_pre,
-              lhs=_flag_value(P.PREC_IN_LEQ), rhs=_rel_cond(RelCondition.REFLEXIVE)),
+              lhs=_flags(P.PREC_IN_LEQ), rhs=_rel_cond(RelCondition.REFLEXIVE)),
     CheckSpec("d-iff-space-transitive",
               "density of rel = transitive dual relation",
               "iff", precondition=_subordination_pre,
-              lhs=_flag_value(P.D), rhs=_rel_cond(RelCondition.TRANSITIVE)),
+              lhs=_flags(P.D), rhs=_rel_cond(RelCondition.TRANSITIVE)),
     CheckSpec("t-iff-space-dense",
               "transitivity of rel = dense dual relation",
               "iff", precondition=_subordination_pre,
-              lhs=_flag_value(P.T), rhs=_rel_cond(RelCondition.DENSE)),
+              lhs=_flags(P.T), rhs=_rel_cond(RelCondition.DENSE)),
     CheckSpec("properness-matches-space",
               "nonvanishing box below nonzero elements = proper dual relation",
               "iff", precondition=_subordination_pre,
-              lhs=_flag_value(P.PROPER), rhs=_rel_cond(RelCondition.PROPER_REL)),
+              lhs=_flags(P.PROPER), rhs=_rel_cond(RelCondition.PROPER_REL)),
     CheckSpec("ct-relational-correspondence",
               "contraction rule = its dual-space condition",
               "iff", precondition=_subordination_pre,
-              lhs=_flag_value(P.CT), rhs=_rel_cond(RelCondition.CT_REL)),
+              lhs=_flags(P.CT), rhs=_rel_cond(RelCondition.CT_REL)),
     CheckSpec("s9-relational-correspondence",
               "S9 = its dual-space condition",
               "iff", precondition=_subordination_pre,
-              lhs=_s9_both, rhs=_s9_rel_both),
+              lhs=_flags(P.S9_FWD, P.S9_BWD),
+              rhs=_rel_cond(RelCondition.S9_FWD_REL, RelCondition.S9_BWD_REL)),
     CheckSpec("sl1-relational-correspondence",
               "SL1 = its dual-space condition",
               "iff", precondition=_subordination_pre,
-              lhs=_flag_value(P.SL1), rhs=_rel_cond(RelCondition.SL1_REL)),
+              lhs=_flags(P.SL1), rhs=_rel_cond(RelCondition.SL1_REL)),
     CheckSpec("sl2-relational-correspondence",
               "SL2 = its dual-space condition",
               "iff", precondition=_subordination_pre,
-              lhs=_flag_value(P.SL2), rhs=_rel_cond(RelCondition.SL2_REL)),
+              lhs=_flags(P.SL2), rhs=_rel_cond(RelCondition.SL2_REL)),
     # -- carrier-level negation lifting -----------------------------------
     CheckSpec("sigma-negation-extension-laws",
               "the sigma lifting of a left-adjoint negation keeps its laws",

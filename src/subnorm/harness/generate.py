@@ -40,13 +40,6 @@ def relation_from_int(n: int, packed: int) -> SubordRel:
     return SubordRel(n, [(packed >> (a * n)) & full for a in range(n)])
 
 
-def relation_to_int(rel: SubordRel) -> int:
-    packed = 0
-    for a, row in enumerate(rel.rows):
-        packed |= row << (a * rel.n)
-    return packed
-
-
 def enumerate_relations(carrier: FinLattice,
                         filter_props: Iterable[Property] = (),
                         ) -> Iterator[ProtoSubAlg]:

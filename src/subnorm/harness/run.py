@@ -20,7 +20,7 @@ import time
 from typing import Iterable, Optional
 
 from ..completion import dm_completion
-from ..errors import CoverageGap, InputFormatError, MissingStructure
+from ..errors import InputFormatError, MissingStructure
 from ..order import FinLattice, check_negation_laws
 from ..slanted import build_slanted, pi_extension, sigma_extension
 from ..subordination import (
@@ -284,12 +284,6 @@ def strip_timing(report: dict) -> dict:
     out = dict(report)
     out.pop("timing", None)
     return out
-
-
-def raise_on_coverage_gap(report: dict) -> None:
-    gaps = report["summary"]["coverage_gaps"]
-    if gaps:
-        raise CoverageGap(gaps)
 
 
 def replay_counterexample(ce: dict) -> dict:

@@ -79,20 +79,6 @@ class FinPoset:
             out |= self.up[x]
         return out
 
-    def down_closure(self, mask: int) -> int:
-        out = 0
-        for x in bits(mask):
-            out |= self.down[x]
-        return out
-
-    def minimal_of(self, mask: int) -> int:
-        """Bitmask of minimal elements within ``mask``."""
-        out = 0
-        for x in bits(mask):
-            if self.down[x] & mask == 1 << x:
-                out |= 1 << x
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FinPoset) and self.up == other.up
 

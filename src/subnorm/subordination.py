@@ -8,10 +8,12 @@ named-class classifier, and least-fixpoint closure under the Horn rules,
 including the four standard rule systems used to close normative
 systems.
 
-Property checks are exact quantifier sweeps over the finite carrier.  On
-small carriers (``n <= 10``) per-carrier lookup tables over all ``2^n``
-row masks make the sweeps cheap enough to run over every one of the
-``2^(n*n)`` relations of an enumeration.
+Each property is one exact quantifier sweep over the finite carrier that
+returns its lexicographically first counterexample, or None.  On small
+carriers (``n <= 10``) per-carrier lookup tables over all ``2^n`` row
+masks decide WO, AND, OR, DD and UD without a sweep, which makes them
+cheap enough to run over every one of the ``2^(n*n)`` relations of an
+enumeration; the sweep then runs only to find the witness of a failure.
 """
 
 from __future__ import annotations
@@ -202,29 +204,21 @@ def _carrier_tables(S: ProtoSubAlg) -> Optional[dict]:
             rest = m & (m - 1)
             upclose[m] = upclose[rest] | p.up[low]
             downclose[m] = downclose[rest] | p.down[low]
-            dd[m] = all(p.down[a] & p.down[b] & m
-                        for a in bits(m) for b in bits(m))
-            ud[m] = all(p.up[a] & p.up[b] & m
-                        for a in bits(m) for b in bits(m))
+            dd[m] = is_down_directed(m, p)
+            ud[m] = is_up_directed(m, p)
         tables = {"upclose": upclose, "downclose": downclose, "dd": dd, "ud": ud}
         lat = S.lattice
         if lat is not None:
-            meetclose = [0] * size
-            joinclose = [0] * size
-            for m in range(1, size):
-                low = (m & -m).bit_length() - 1
-                rest = meetclose[m & (m - 1)]
-                acc = rest | 1 << low
-                for y in bits(rest):
-                    acc |= 1 << lat.meet[low][y]
-                meetclose[m] = acc
-                rest = joinclose[m & (m - 1)]
-                acc = rest | 1 << low
-                for y in bits(rest):
-                    acc |= 1 << lat.join[low][y]
-                joinclose[m] = acc
-            tables["meetclose"] = meetclose
-            tables["joinclose"] = joinclose
+            for key, op in (("meetclose", lat.meet), ("joinclose", lat.join)):
+                closed = [0] * size
+                for m in range(1, size):
+                    low = (m & -m).bit_length() - 1
+                    rest = closed[m & (m - 1)]
+                    acc = rest | 1 << low
+                    for y in bits(rest):
+                        acc |= 1 << op[low][y]
+                    closed[m] = acc
+                tables[key] = closed
         p._tables = tables
     return p._tables
 
@@ -252,199 +246,89 @@ def _require(S: ProtoSubAlg, prop: Property) -> None:
 
 
 # ---------------------------------------------------------------------------
-# property evaluation (no witness)
+# property evaluation
 # ---------------------------------------------------------------------------
+
+def _table_verdict(S: ProtoSubAlg, prop: Property) -> Optional[bool]:
+    """Exact verdict of WO, AND, OR, DD or UD read off the per-carrier
+    tables over all ``2^n`` row masks; None for the other properties and
+    on carriers without tables."""
+    t = _carrier_tables(S)
+    if t is None:
+        return None
+    if prop is Property.WO:
+        uc = t["upclose"]
+        return all(uc[r] == r for r in S.rows)
+    if prop is Property.AND and "meetclose" in t:
+        mc = t["meetclose"]
+        return all(mc[r] == r for r in S.rows)
+    if prop is Property.OR and "joinclose" in t:
+        jc = t["joinclose"]
+        return all(jc[c] == c for c in S.cols)
+    if prop is Property.DD:
+        dd = t["dd"]
+        return all(dd[r] for r in S.rows)
+    if prop is Property.UD:
+        ud = t["ud"]
+        return all(ud[c] for c in S.cols)
+    return None
+
 
 def property_holds(S: ProtoSubAlg, prop: Property) -> bool:
     """Exact truth of the quantified condition; raises MissingStructure
     when the carrier lacks what the property mentions."""
     _require(S, prop)
-    p = S.poset
-    rows = S.rows
-    n = S.n
-    t = _carrier_tables(S)
-    lat = S.lattice
-
-    if prop is Property.BOT:
-        bot, _ = _bounds(S)
-        return bool(rows[bot] >> bot & 1)
-    if prop is Property.TOP:
-        _, top = _bounds(S)
-        return bool(rows[top] >> top & 1)
-    if prop is Property.SI:
-        return all(rows[b] & ~rows[a] == 0
-                   for a in range(n) for b in bits(p.up[a]))
-    if prop is Property.WO:
-        if t:
-            uc = t["upclose"]
-            return all(uc[rows[a]] == rows[a] for a in range(n))
-        return all(p.up_closure(rows[a]) == rows[a] for a in range(n))
-    if prop is Property.AND:
-        mc = t.get("meetclose") if t else None
-        if mc:
-            return all(mc[rows[a]] == rows[a] for a in range(n))
-        return all(rows[a] >> lat.meet[x][y] & 1
-                   for a in range(n) for x in bits(rows[a]) for y in bits(rows[a]))
-    if prop is Property.OR:
-        cols = S.cols
-        jc = t.get("joinclose") if t else None
-        if jc:
-            return all(jc[cols[x]] == cols[x] for x in range(n))
-        return all(cols[x] >> lat.join[a][b] & 1
-                   for x in range(n) for a in bits(cols[x]) for b in bits(cols[x]))
-    if prop is Property.D:
-        for a in range(n):
-            reach = 0
-            for b in bits(rows[a]):
-                reach |= rows[b]
-            if rows[a] & ~reach:
-                return False
-        return True
-    if prop is Property.T:
-        return all(rows[b] & ~rows[a] == 0
-                   for a in range(n) for b in bits(rows[a]))
-    if prop is Property.CT:
-        meet = lat.meet
-        return all(rows[meet[a][b]] & ~rows[a] == 0
-                   for a in range(n) for b in bits(rows[a]))
-    if prop is Property.DD:
-        if t:
-            dd = t["dd"]
-            return all(dd[rows[a]] for a in range(n))
-        return all(is_down_directed(rows[a], p) for a in range(n))
-    if prop is Property.UD:
-        cols = S.cols
-        if t:
-            ud = t["ud"]
-            return all(ud[cols[x]] for x in range(n))
-        return all(is_up_directed(cols[x], p) for x in range(n))
-    if prop is Property.S6:
-        neg = lat.neg
-        return all(rows[neg[b]] >> neg[a] & 1
-                   for a in range(n) for b in bits(rows[a]))
-    if prop is Property.S9_FWD or prop is Property.S9_BWD:
-        return _s9_direction(S, forward=prop is Property.S9_FWD) is None
-    if prop is Property.SL1:
-        return _sl1_violation(S) is None
-    if prop is Property.SL2:
-        return _sl2_violation(S) is None
-    if prop is Property.PREC_IN_LEQ:
-        return all(rows[a] & ~p.up[a] == 0 for a in range(n))
-    if prop is Property.LEQ_IN_PREC:
-        return all(p.up[a] & ~rows[a] == 0 for a in range(n))
-    if prop is Property.PROPER:
-        bot, _ = _bounds(S)
-        cols = S.cols
-        return all(a == bot or cols[a] & ~(1 << bot)
-                   for a in range(n))
-    raise AssertionError(prop)
+    verdict = _table_verdict(S, prop)
+    return _sweep(S, prop) is None if verdict is None else verdict
 
 
-def _s9_direction(S: ProtoSubAlg, forward: bool) -> Optional[tuple]:
-    """First (x, a, b) violating the requested direction of S9, else None.
-
-    S9 relates, for all x, a, b:
-      (L)  some c with  c prec b  and  x prec a v c
-      (R)  some a', b' with  a' prec a,  b' prec b,  x <= a' v b'.
-    Forward demands L => R, backward R => L.
-    """
-    lat = S.lattice
-    join = lat.join
-    rows, cols = S.rows, S.cols
-    p = S.poset
-    n = S.n
-    for a in range(n):
-        for b in range(n):
-            rmask = 0
-            for ap in bits(cols[a]):
-                for bp in bits(cols[b]):
-                    rmask |= 1 << join[ap][bp]
-            joins_ac = [join[a][c] for c in bits(cols[b])]
-            for x in range(n):
-                left = any(rows[x] >> j & 1 for j in joins_ac)
-                right = bool(rmask & p.up[x])
-                if forward and left and not right:
-                    return (x, a, b)
-                if not forward and right and not left:
-                    return (x, a, b)
-    return None
+def check_property(S: ProtoSubAlg, prop: Property) -> tuple[bool, Optional[tuple]]:
+    """Evaluate one property; on failure also return the first
+    counterexample tuple in index order."""
+    _require(S, prop)
+    if _table_verdict(S, prop):
+        return True, None
+    witness = _sweep(S, prop)
+    return witness is None, witness
 
 
-def _sl1_violation(S: ProtoSubAlg) -> Optional[tuple]:
-    """First (a, b, c) with a prec b v c but no b' prec b, c' prec c
-    with a prec b' v c'."""
-    lat = S.lattice
-    join = lat.join
-    rows, cols = S.rows, S.cols
-    n = S.n
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if not rows[a] >> join[b][c] & 1:
-                    continue
-                if not any(rows[a] >> join[bp][cp] & 1
-                           for bp in bits(cols[b]) for cp in bits(cols[c])):
-                    return (a, b, c)
-    return None
-
-
-def _sl2_violation(S: ProtoSubAlg) -> Optional[tuple]:
-    """First (b, c, a) with b ^ c prec a but no b prec b', c prec c'
-    with b' ^ c' prec a.
-
-    The witnesses come from the direct images (the order-dual of SL1's
-    inverse-image witnesses); that is the reading under which SL2 is
-    equivalent to the diamond inequality <>(<>a & <>b) <= <>(a & b) on
-    directed carriers, verified exhaustively by the test suite.
-    """
-    lat = S.lattice
-    meet = lat.meet
-    rows = S.rows
-    n = S.n
-    for b in range(n):
-        for c in range(n):
-            for a in bits(rows[meet[b][c]]):
-                if not any(rows[meet[bp][cp]] >> a & 1
-                           for bp in bits(rows[b]) for cp in bits(rows[c])):
-                    return (b, c, a)
-    return None
-
-
-def _witness(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
+def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
     """Lexicographically first counterexample tuple, in the property's
     stated variable order; None when the property holds."""
     p = S.poset
     rows = S.rows
     n = S.n
     lat = S.lattice
-    if prop in (Property.BOT, Property.TOP):
-        return ()
-    if prop is Property.SI:
+    if prop is Property.BOT or prop is Property.TOP:
+        bot, top = _bounds(S)
+        e = bot if prop is Property.BOT else top
+        return None if rows[e] >> e & 1 else ()
+    elif prop is Property.SI:
         for a in range(n):
             for b in bits(p.up[a]):
                 bad = rows[b] & ~rows[a]
                 if bad:
                     return (a, b, next(bits(bad)))
-    if prop is Property.WO:
+    elif prop is Property.WO:
         for b in range(n):
             for x in bits(rows[b]):
                 bad = p.up[x] & ~rows[b]
                 if bad:
                     return (b, x, next(bits(bad)))
-    if prop is Property.AND:
+    elif prop is Property.AND:
         for a in range(n):
             for x in bits(rows[a]):
                 for y in bits(rows[a]):
                     if not rows[a] >> lat.meet[x][y] & 1:
                         return (a, x, y)
-    if prop is Property.OR:
+    elif prop is Property.OR:
         cols = S.cols
         for x in range(n):
             for a in bits(cols[x]):
                 for b in bits(cols[x]):
                     if not cols[x] >> lat.join[a][b] & 1:
                         return (a, b, x)
-    if prop is Property.D:
+    elif prop is Property.D:
         for a in range(n):
             reach = 0
             for b in bits(rows[a]):
@@ -452,71 +336,99 @@ def _witness(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
             bad = rows[a] & ~reach
             if bad:
                 return (a, next(bits(bad)))
-    if prop is Property.T:
+    elif prop is Property.T:
         for a in range(n):
             for b in bits(rows[a]):
                 bad = rows[b] & ~rows[a]
                 if bad:
                     return (a, b, next(bits(bad)))
-    if prop is Property.CT:
+    elif prop is Property.CT:
         for a in range(n):
             for b in bits(rows[a]):
                 bad = rows[lat.meet[a][b]] & ~rows[a]
                 if bad:
                     return (a, b, next(bits(bad)))
-    if prop is Property.DD:
+    elif prop is Property.DD:
         for a in range(n):
             for x1 in bits(rows[a]):
                 for x2 in bits(rows[a]):
                     if not p.down[x1] & p.down[x2] & rows[a]:
                         return (a, x1, x2)
-    if prop is Property.UD:
+    elif prop is Property.UD:
         cols = S.cols
         for x in range(n):
             for a1 in bits(cols[x]):
                 for a2 in bits(cols[x]):
                     if not p.up[a1] & p.up[a2] & cols[x]:
                         return (a1, a2, x)
-    if prop is Property.S6:
+    elif prop is Property.S6:
         neg = lat.neg
         for a in range(n):
             for b in bits(rows[a]):
                 if not rows[neg[b]] >> neg[a] & 1:
                     return (a, b)
-    if prop is Property.S9_FWD:
-        return _s9_direction(S, forward=True)
-    if prop is Property.S9_BWD:
-        return _s9_direction(S, forward=False)
-    if prop is Property.SL1:
-        return _sl1_violation(S)
-    if prop is Property.SL2:
-        return _sl2_violation(S)
-    if prop is Property.PREC_IN_LEQ:
+    elif prop is Property.S9_FWD or prop is Property.S9_BWD:
+        # S9 relates, for all x, a, b:
+        #   (L)  some c with  c prec b  and  x prec a v c
+        #   (R)  some a', b' with  a' prec a,  b' prec b,  x <= a' v b'.
+        # Forward demands L => R, backward R => L; the witness is (x, a, b).
+        forward = prop is Property.S9_FWD
+        join, cols = lat.join, S.cols
+        for a in range(n):
+            for b in range(n):
+                rmask = 0
+                for ap in bits(cols[a]):
+                    for bp in bits(cols[b]):
+                        rmask |= 1 << join[ap][bp]
+                joins_ac = [join[a][c] for c in bits(cols[b])]
+                for x in range(n):
+                    left = any(rows[x] >> j & 1 for j in joins_ac)
+                    right = bool(rmask & p.up[x])
+                    if (left and not right) if forward else (right and not left):
+                        return (x, a, b)
+    elif prop is Property.SL1:
+        # (a, b, c) with a prec b v c but no b' prec b, c' prec c with
+        # a prec b' v c'
+        join, cols = lat.join, S.cols
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if not rows[a] >> join[b][c] & 1:
+                        continue
+                    if not any(rows[a] >> join[bp][cp] & 1
+                               for bp in bits(cols[b]) for cp in bits(cols[c])):
+                        return (a, b, c)
+    elif prop is Property.SL2:
+        # (b, c, a) with b ^ c prec a but no b prec b', c prec c' with
+        # b' ^ c' prec a.  The witnesses come from the direct images (the
+        # order-dual of SL1's inverse-image witnesses); that is the
+        # reading under which SL2 is equivalent to the diamond inequality
+        # <>(<>a & <>b) <= <>(a & b) on directed carriers, verified
+        # exhaustively by the test suite.
+        meet = lat.meet
+        for b in range(n):
+            for c in range(n):
+                for a in bits(rows[meet[b][c]]):
+                    if not any(rows[meet[bp][cp]] >> a & 1
+                               for bp in bits(rows[b]) for cp in bits(rows[c])):
+                        return (b, c, a)
+    elif prop is Property.PREC_IN_LEQ:
         for a in range(n):
             bad = rows[a] & ~p.up[a]
             if bad:
                 return (a, next(bits(bad)))
-    if prop is Property.LEQ_IN_PREC:
+    elif prop is Property.LEQ_IN_PREC:
         for a in range(n):
             bad = p.up[a] & ~rows[a]
             if bad:
                 return (a, next(bits(bad)))
-    if prop is Property.PROPER:
+    elif prop is Property.PROPER:
         bot, _ = _bounds(S)
         cols = S.cols
         for a in range(n):
             if a != bot and not cols[a] & ~(1 << bot):
                 return (a,)
     return None
-
-
-def check_property(S: ProtoSubAlg, prop: Property) -> tuple[bool, Optional[tuple]]:
-    """Evaluate one property; on failure also return the first
-    counterexample tuple in index order."""
-    ok = property_holds(S, prop)
-    if ok:
-        return True, None
-    return False, _witness(S, prop)
 
 
 # ---------------------------------------------------------------------------

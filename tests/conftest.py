@@ -1,38 +1,38 @@
 import pytest
 
-from subnorm.harness.carriers import builtin_carrier
+from subnorm.harness.carriers import load_carrier
 from subnorm.order import poset_from_hasse, validate_poset
 from subnorm.subordination import ProtoSubAlg
 
 
 @pytest.fixture(scope="session")
 def b4():
-    return builtin_carrier("b4")
+    return load_carrier("b4")
 
 
 @pytest.fixture(scope="session")
 def b8():
-    return builtin_carrier("b8")
+    return load_carrier("b8")
 
 
 @pytest.fixture(scope="session")
 def chain2():
-    return builtin_carrier("chain2")
+    return load_carrier("chain2")
 
 
 @pytest.fixture(scope="session")
 def chain3():
-    return builtin_carrier("chain3")
+    return load_carrier("chain3")
 
 
 @pytest.fixture(scope="session")
 def chain4():
-    return builtin_carrier("chain4")
+    return load_carrier("chain4")
 
 
 @pytest.fixture(scope="session")
 def fdl2():
-    return builtin_carrier("fdl2")
+    return load_carrier("fdl2")
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from subnorm.completion import (
     verify_dense,
 )
 from subnorm.errors import PosetLawViolation
-from subnorm.harness import GenConfig, builtin_carrier, run_suite, strip_timing
+from subnorm.harness import GenConfig, load_carrier, run_suite, strip_timing
 from subnorm.iologic import (
     Norm,
     NormativeSystem,
@@ -174,7 +174,7 @@ def test_a6_completion_dense_compact():
         assert verify_dense(c) and verify_compact(c)
 
     for name in ("chain2", "chain3", "chain4", "b4", "b8", "fdl2"):
-        lat = builtin_carrier(name)
+        lat = load_carrier(name)
         c = dm_completion(lat.poset)  # generic path, not the lattice shortcut
         assert c.delta.n == lat.n
         assert len(set(c.embed)) == lat.n
@@ -190,8 +190,8 @@ def test_a7_negation_lifting_laws():
     transfer for both liftings on the Boolean carriers and the
     two-antichain with its swap negation."""
     t0 = time.time()
-    cases = [(builtin_carrier("b4").poset, builtin_carrier("b4").neg),
-             (builtin_carrier("b8").poset, builtin_carrier("b8").neg),
+    cases = [(load_carrier("b4").poset, load_carrier("b4").neg),
+             (load_carrier("b8").poset, load_carrier("b8").neg),
              (validate_poset([[1, 0], [0, 1]], ["x", "y"]), (1, 0))]
     for base, neg in cases:
         c = dm_completion(base)

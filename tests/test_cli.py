@@ -214,8 +214,11 @@ class TestVerifyCmd:
         assert code == 0 and payload["status"] == "pass"
 
     def test_unknown_corpus(self, capsys, files):
-        code, _ = run(capsys, "verify", "--corpus", "nope")
-        assert code == 2
+        # --corpus is not an option: argparse rejects it as a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--corpus", "nope"])
+        capsys.readouterr()
+        assert exc.value.code == 2
 
     def test_unknown_check(self, capsys, files):
         code, _ = run(capsys, "verify", "--carriers", "chain2",

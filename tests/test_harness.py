@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from subnorm.errors import InputFormatError, MissingStructure, TooLarge
+from subnorm.errors import InputFormatError, MissingStructure, NotMonotone, TooLarge
 from subnorm.harness import (
     CATALOG,
     CHECKS_BY_NAME,
@@ -22,6 +22,7 @@ from subnorm.harness import (
     verify_check,
     verify_prop41,
 )
+from subnorm.harness.catalog import Inequalities
 from subnorm.harness.generate import SUBORDINATION_RULES
 from subnorm.harness.maximality import (
     box_minimality_failure,
@@ -105,36 +106,39 @@ class TestVerifyCheck:
                          law=lambda i: False)
         assert verify_check(spec, inst) == ("fail", {"law": False})
 
-    def test_iff_rhs_matches_inequality_evaluator(self, b4):
-        # the hand-rolled catalog sides agree with the generic validity
-        # route on instances where the sigma/pi extensions are defined
-        ctx = CarrierContext("b4", b4)
-        checks = [
-            ("t-iff-diamond-expanding", "<>p <= <><>p"),
-            ("d-iff-diamond-collapsing", "<><>p <= <>p"),
-            ("ct-iff-diamond-contraction", "<>p <= <>(p & <>p)"),
-            ("sl2-iff-diamond-meet-distribution", "<>(<>p & <>q) <= <>(p & q)"),
-            ("s9fwd-iff-box-join-absorption", "[](p | []q) <= []p | []q"),
-            ("sl1-iff-box-join-distribution", "[](p | q) <= []([]p | []q)"),
-        ]
+    def test_iff_rhs_matches_inequality_evaluator(self, b4, fdl2):
+        # every compiled catalog inequality agrees with the generic
+        # sigma/pi validity route wherever the extensions are defined;
+        # the S6 equalities are compared as both directions, with the
+        # sigma lifting of the negation
+        specs = [s for s in CATALOG if isinstance(s.rhs, Inequalities)]
+        assert len(specs) == 24
+        exercised = {spec.name: 0 for spec in specs}
         rng = random.Random(23)
-        exercised = 0
-        for _ in range(60):
-            seed = [(rng.randrange(4), rng.randrange(4))
-                    for _ in range(rng.randrange(3))]
-            raw = ProtoSubAlg.from_pairs(b4, seed)
-            for S in (close(raw, SUBORDINATION_RULES),
-                      close(raw, {P.BOT, P.TOP, P.SI, P.WO, P.AND, P.CT})):
-                inst = Instance(ctx, S)
-                for name, text in checks:
-                    spec = CHECKS_BY_NAME[name]
-                    if not spec.precondition(inst):
-                        continue
-                    exercised += 1
-                    want = valid(build_slanted(S, ctx.ext),
-                                 parse_inequality(text))[0]
-                    assert spec.rhs(inst) == want, (name, S.prec.pairs())
-        assert exercised > 100
+        for lat in (b4, fdl2):
+            ctx = CarrierContext("test", lat)
+            n = lat.n
+            for _ in range(40):
+                seed = [(rng.randrange(n), rng.randrange(n))
+                        for _ in range(rng.randrange(3))]
+                raw = ProtoSubAlg.from_pairs(lat, seed)
+                for S in (raw, close(raw, {P.SI, P.WO}),
+                          close(raw, SUBORDINATION_RULES),
+                          close(raw, {P.BOT, P.TOP, P.SI, P.WO, P.AND, P.CT})):
+                    inst = Instance(ctx, S)
+                    sa = build_slanted(S, ctx.ext)
+                    for spec in specs:
+                        if not spec.precondition(inst):
+                            continue
+                        try:
+                            want = [valid(sa, parse_inequality(text),
+                                          neg_mode="sigma")[0]
+                                    for text in spec.rhs.texts]
+                        except NotMonotone:
+                            continue
+                        exercised[spec.name] += 1
+                        assert spec.rhs(inst) == all(want), (spec.name, S.prec.pairs())
+        assert min(exercised.values()) >= 20, exercised
 
 
 class TestProp41:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -57,7 +58,9 @@ class TestCheckProperty:
     def test_against_oracle_exhaustive_chain2(self, prop, chain2):
         for packed in range(1 << 4):
             S = ProtoSubAlg(chain2, relation_from_int(2, packed))
-            assert property_holds(S, P[prop]) == PROPERTY_ORACLES[prop](S), packed
+            want = PROPERTY_ORACLES[prop](S)
+            assert property_holds(S, P[prop]) == want, packed
+            assert check_property(S, P[prop])[0] == want, packed
 
     @pytest.mark.parametrize("prop", sorted(PROPERTY_ORACLES, key=str))
     def test_against_oracle_sampled_b4(self, prop, b4):
@@ -65,7 +68,9 @@ class TestCheckProperty:
         for _ in range(120):
             packed = rng.randrange(1 << 16)
             S = ProtoSubAlg(b4, relation_from_int(4, packed))
-            assert property_holds(S, P[prop]) == PROPERTY_ORACLES[prop](S), packed
+            want = PROPERTY_ORACLES[prop](S)
+            assert property_holds(S, P[prop]) == want, packed
+            assert check_property(S, P[prop])[0] == want, packed
 
     def test_witness_is_none_iff_holds(self, b4):
         rng = random.Random(5)
@@ -190,6 +195,26 @@ class TestClose:
                 assert (tuple(_close_filterform(S, SYSTEM_RULES[i]))
                         == close(S, SYSTEM_RULES[i]).rows)
 
+    def test_filterform_matches_generic_on_small_lattices(self, b4, fdl2, b8):
+        # the filter-form closure against the generic fixpoint, for every
+        # closable rule set containing WO and AND
+        from subnorm.subordination import _close_filterform
+        optional = sorted(CLOSABLE_RULES - {P.WO, P.AND}, key=lambda q: q.value)
+        rulesets = [frozenset({P.WO, P.AND, *extra})
+                    for k in range(len(optional) + 1)
+                    for extra in itertools.combinations(optional, k)]
+        assert len(rulesets) == 64
+        rng = random.Random(14)
+        for lat in (b4, fdl2, b8):
+            n = lat.n
+            for _ in range(40):
+                pairs = [(rng.randrange(n), rng.randrange(n))
+                         for _ in range(rng.randrange(2 * n))]
+                S = ProtoSubAlg.from_pairs(lat, pairs)
+                for rules in rulesets:
+                    assert (tuple(_close_filterform(S, rules))
+                            == close(S, rules).rows), (n, pairs, rules)
+
     def test_terminates_within_pair_bound(self, b4):
         # worst case: a single seed pair expanded by the full rule set
         S = ProtoSubAlg.from_pairs(b4, [(2, 1)])
@@ -209,8 +234,8 @@ class TestJson:
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 16 - 1), st.integers(0, 2 ** 16 - 1))
 def test_close_monotone_hypothesis(a, b):
-    from subnorm.harness.carriers import builtin_carrier
-    b4 = builtin_carrier("b4")
+    from subnorm.harness.carriers import load_carrier
+    b4 = load_carrier("b4")
     S1 = ProtoSubAlg(b4, relation_from_int(4, a & b))
     S2 = ProtoSubAlg(b4, relation_from_int(4, a))
     c1 = close(S1, SYSTEM_RULES[1])
