@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..errors import TooLarge
+from ..errors import InputFormatError, TooLarge
 from ..order import FinLattice
 from ..subordination import (
     Property,
@@ -114,6 +114,12 @@ class GenConfig:
     densities: tuple[float, ...] = (0.1, 0.3, 0.5)
     include_closures: bool = True
     max_n: int = 4
+
+    def __post_init__(self):
+        for name in ("samples", "max_n"):
+            if getattr(self, name) < 0:
+                raise InputFormatError(
+                    f"{name} must be non-negative, got {getattr(self, name)}")
 
     def describe(self) -> dict:
         return {

@@ -131,35 +131,6 @@ def pi_extension(sa: SlantedAlg) -> tuple[int, ...]:
         for u in range(delta.n))
 
 
-@dataclass(frozen=True)
-class SlantedFlags:
-    monotone: bool
-    regular: bool
-    normal: bool
-    tense: bool
-
-
-def classify_slanted(sa: SlantedAlg) -> SlantedFlags:
-    """Exhaustive check of the defining equations over base pairs."""
-    monotone = _monotone_on_base(sa, sa.dia) and _monotone_on_base(sa, sa.box)
-    lat = sa.source.lattice
-    delta = sa.delta
-    regular = normal = False
-    if lat is not None:
-        n = lat.n
-        regular = all(
-            sa.dia[lat.join[a][b]] == delta.join[sa.dia[a]][sa.dia[b]]
-            and sa.box[lat.meet[a][b]] == delta.meet[sa.box[a]][sa.box[b]]
-            for a in range(n) for b in range(n))
-        normal = (regular and sa.dia[lat.bot] == delta.bot
-                  and sa.box[lat.top] == delta.top)
-    embed = sa.ext.embed
-    tense = all(
-        delta.leq(sa.dia[a], embed[b]) == delta.leq(embed[a], sa.box[b])
-        for a in range(sa.n) for b in range(sa.n))
-    return SlantedFlags(monotone, regular, normal, tense)
-
-
 # ---------------------------------------------------------------------------
 # modal terms
 #

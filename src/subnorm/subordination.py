@@ -21,7 +21,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InputFormatError, MissingStructure
+from .errors import InputFormatError, MissingStructure, NotALattice, NotBounded
 from .order import (
     FinLattice,
     FinPoset,
@@ -490,10 +490,11 @@ def is_subordination_algebra(S: ProtoSubAlg) -> bool:
 def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     """Smallest extension of the relation satisfying every given rule.
 
-    The one-step consequence operator of each rule is applied until the
-    joint fixpoint; every added pair is forced by some rule instance, so
-    the result is the least rules-closed superset.  Extensive, monotone
-    and idempotent by construction.
+    On every lattice carrier, a rule set containing WO and AND is closed
+    in filter form (``_close_filterform``); any other rule set runs the
+    generic fixpoint (``_close_fixpoint``), which tests keep as the
+    reference for the filter form.  Extensive, monotone and idempotent
+    by construction.
     """
     ruleset = frozenset(rules)
     bad = ruleset - CLOSABLE_RULES
@@ -506,11 +507,18 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     if ruleset & {P.BOT, P.TOP}:
         _bounds(S)
 
+    if lat is not None and {P.WO, P.AND} <= ruleset:
+        return S.with_rows(_close_filterform(S, ruleset))
+    return S.with_rows(_close_fixpoint(S, ruleset))
+
+
+def _close_fixpoint(S: ProtoSubAlg, ruleset: frozenset) -> list[int]:
+    """Generic closure: the one-step consequence operator of each rule is
+    applied until the joint fixpoint.  Every added pair is forced by some
+    rule instance, so the result is the least rules-closed superset."""
+    lat = S.lattice
     n = S.n
     p = S.poset
-    if n > _TABLE_CAP and lat is not None and {P.WO, P.AND} <= ruleset:
-        return S.with_rows(_close_filterform(S, ruleset))
-
     rows = list(S.rows)
     if P.BOT in ruleset:
         bot, _ = _bounds(S)
@@ -566,11 +574,11 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
             break
     else:
         raise AssertionError("closure failed to converge within the pair bound")
-    return S.with_rows(rows)
+    return rows
 
 
 def _close_filterform(S: ProtoSubAlg, ruleset: frozenset) -> list[int]:
-    """Closure for rule sets containing WO and AND on large lattices.
+    """Closure for rule sets containing WO and AND on a lattice.
 
     Rows of any {WO, AND}-closed relation are filters, i.e. up-sets of
     their minimum, so the whole relation is tracked as the vector of row
@@ -596,12 +604,13 @@ def _close_filterform(S: ProtoSubAlg, ruleset: frozenset) -> list[int]:
     if P.TOP in ruleset:
         d[lat.top] = merge(d[lat.top], lat.top)
 
-    order = sorted(range(n), key=lambda a: -bin(p.up[a]).count("1"))
     changed = True
     while changed:
         changed = False
         if P.SI in ruleset:
-            for a in order:  # upper elements first: one sweep reaches the SI fixpoint
+            # every element above a is read, so one sweep in any order
+            # reaches the SI fixpoint
+            for a in range(n):
                 acc = d[a]
                 for b in bits(p.up[a] ^ (1 << a)):
                     if d[b] is not None:
@@ -678,7 +687,7 @@ def subalg_from_json(obj: dict, base_dir: Optional[str] = None) -> ProtoSubAlg:
         raise InputFormatError('"algebra" must be an object or a file path')
     try:
         carrier: Carrier = lattice_from_json(alg)
-    except Exception:
+    except (NotALattice, NotBounded):
         carrier, _ = poset_from_json(alg)
     pairs = [tuple(x) for x in obj["prec"]]
     return ProtoSubAlg.from_pairs(carrier, pairs)

@@ -225,6 +225,13 @@ class TestVerifyCmd:
                       "--checks", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("option", ["--samples", "--max-n"])
+    def test_negative_count_is_input_error(self, capsys, option):
+        code = main(["verify", "--carriers", "chain2", option, "-3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "non-negative" in err
+
 
 def files_sub_json(files):
     algebra = json.load(open(files["algebra"]))

@@ -22,14 +22,27 @@ from subnorm.harness import (
     verify_check,
     verify_prop41,
 )
+from subnorm.harness import maximality
+from subnorm.harness.carriers import load_carrier
 from subnorm.harness.catalog import Inequalities
-from subnorm.harness.generate import SUBORDINATION_RULES
+from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
 from subnorm.harness.maximality import (
     box_minimality_failure,
     diamond_maximality_failure,
+    extremal_from_tables,
+    verify_by_enumeration,
 )
+from subnorm.order import FinLattice, FinPoset, bits
 from subnorm.slanted import build_slanted, parse_inequality, valid
-from subnorm.subordination import Property, ProtoSubAlg, close, is_subordination_algebra
+from subnorm.subordination import (
+    Property,
+    ProtoSubAlg,
+    SubordRel,
+    close,
+    close_i,
+    is_subordination_algebra,
+    property_holds,
+)
 from conftest import leq_relation
 
 P = Property
@@ -37,6 +50,36 @@ P = Property
 
 def make_instance(lat, pairs, name="test"):
     return Instance(CarrierContext(name, lat), ProtoSubAlg.from_pairs(lat, pairs))
+
+
+def fresh_copy(lat):
+    """The same lattice on a new poset object, so with empty per-carrier
+    tables that a planted closure cannot leave behind for other tests."""
+    p = lat.poset
+    return FinLattice(FinPoset(p.up, p.labels), lat.meet, lat.join, lat.bot,
+                      lat.top, lat.is_distributive, lat.is_boolean, lat.neg)
+
+
+def directed_sample(lat, count, seed):
+    """``count`` distinct seeded random relations that are DD and UD."""
+    n = lat.n
+    rng = random.Random(seed)
+    seen, out = set(), []
+    while len(out) < count:
+        packed = rng.randrange(1 << n * n)
+        if packed in seen:
+            continue
+        seen.add(packed)
+        S = ProtoSubAlg(lat, relation_from_int(n, packed))
+        if property_holds(S, P.DD) and property_holds(S, P.UD):
+            out.append(S)
+    return out
+
+
+def all_relations(lat):
+    n = lat.n
+    return [ProtoSubAlg(lat, relation_from_int(n, packed))
+            for packed in range(1 << n * n)]
 
 
 class TestGeneration:
@@ -176,6 +219,148 @@ class TestProp41:
         raised[0] = 2  # a smaller qualifying map exists below this one
         bad = box_minimality_failure(b4, sa.box, raised)
         assert bad is not None
+
+    @pytest.mark.parametrize("name, sample", [
+        ("chain2", None), ("chain3", None), ("chain4", 2000), ("b4", 2000)])
+    def test_tables_match_enumeration(self, name, sample):
+        # every relation on a chain is directed; the larger carriers get
+        # a seeded sample of directed relations
+        lat = load_carrier(name)
+        rels = (all_relations(lat) if sample is None
+                else directed_sample(lat, sample, seed=41))
+        for S in rels:
+            for i in (1, 2, 3, 4):
+                want = verify_by_enumeration(S, i)
+                assert extremal_from_tables(S, i) == want[0], (S, i)
+                assert verify_prop41(S, i) == want, (S, i)
+
+    def test_tables_match_enumeration_on_planted_closures(self, chain4, b4,
+                                                          monkeypatch):
+        # A planted system-i closure makes the extremality claim fail on
+        # some instances and hold on others; the table verdict must follow
+        # the enumeration either way, for system i and for the other
+        # systems checked after it on the same tables.  Toggling any pair
+        # moves both operators; dropping a pair above a row's minimum keeps
+        # the diamond and moves only the box (systems 1 and 2).  A planted
+        # closure is not a function of the diamond, so each relation gets
+        # fresh tables.
+        rng = random.Random(5)
+        outcomes = {(mode, ok): 0 for mode in ("toggle", "drop") for ok in (True, False)}
+        for base in (chain4, b4):
+            n = base.n
+            for S in directed_sample(base, 150, seed=43):
+                for mode in ("toggle", "drop"):
+                    i = rng.randrange(1, 5) if mode == "toggle" else rng.choice((1, 2))
+                    rows = list(close_i(S, i).rows)
+                    a = rng.randrange(n)
+                    if mode == "toggle":
+                        x = rng.randrange(n)
+                    else:
+                        above = rows[a] & ~(1 << base.meet_all(rows[a]))
+                        if not above:
+                            continue
+                        x = rng.choice(list(bits(above)))
+                    rows[a] ^= 1 << x
+
+                    def planted(T, j, i=i, rows=rows):
+                        return T.with_rows(rows) if j == i else close_i(T, j)
+
+                    monkeypatch.setattr(maximality, "close_i", planted)
+                    T = ProtoSubAlg(fresh_copy(base), S.prec)
+                    for j in (i, *(j for j in (1, 2, 3, 4) if j != i)):
+                        want = verify_by_enumeration(T, j)[0]
+                        assert extremal_from_tables(T, j) == want, (S, i, j, mode, a, x)
+                    outcomes[mode, verify_by_enumeration(T, i)[0]] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    @pytest.mark.parametrize("law", ["_diamond_qualifies", "_box_qualifies"])
+    def test_tables_match_enumeration_under_loosened_laws(self, chain4, b4, law,
+                                                          monkeypatch):
+        # with every monotone map counted as qualifying on one side, the
+        # closure operators stop being extremal on many instances, which
+        # no planted closure can reach on the box side (a box above the
+        # minimal one needs a lower diamond); the table verdict must still
+        # follow the enumeration
+        monkeypatch.setattr(maximality, law, lambda lat, f, *i: True)
+        outcomes = {True: 0, False: 0}
+        for base in (chain4, b4):
+            for S in directed_sample(base, 100, seed=45):
+                T = ProtoSubAlg(fresh_copy(base), S.prec)
+                for i in (1, 2, 3, 4):
+                    want = verify_by_enumeration(T, i)[0]
+                    assert extremal_from_tables(T, i) == want, (S, i)
+                    outcomes[want] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_box_bound_matches_enumeration(self, chain4, b4):
+        # the memoised meet of the qualifying maps above a box, against the
+        # search: a qualifying map above the box lies below that meet iff
+        # the search finds no smaller qualifying map
+        outcomes = {True: 0, False: 0}
+        for lat in (chain4, b4):
+            for S in directed_sample(lat, 60, seed=44):
+                tables = maximality._extremality_tables(S)
+                box = build_slanted(S).box
+                bound = tables.box_bound(tuple(box))
+                for h in tables.qualifying("box"):
+                    if all(lat.leq(x, y) for x, y in zip(box, h)):
+                        minimal = box_minimality_failure(lat, box, h) is None
+                        assert all(lat.leq(x, y) for x, y in zip(h, bound)) == minimal
+                        outcomes[minimal] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_planted_failure_same_witness_both_paths(self, b4, monkeypatch):
+        from subnorm.completion import dm_completion
+        lat = fresh_copy(b4)
+        S = leq_relation(lat)
+
+        def lowered(T, j):
+            # the closure diamond at top drops to the atom 1, as in
+            # test_injected_fault_yields_witness_map
+            rows = list(close_i(T, j).rows)
+            rows[3] |= lat.poset.up[1]
+            return T.with_rows(rows)
+
+        monkeypatch.setattr(maximality, "close_i", lowered)
+        assert extremal_from_tables(S, 1) is False
+        ok, witness = verify_prop41(S, 1)
+        assert (ok, witness) == verify_by_enumeration(S, 1)
+        sa = build_slanted(S, dm_completion(lat))
+        want = diamond_maximality_failure(lat, sa.dia, [0, 1, 2, 1], 1)
+        assert ok is False and witness == want
+
+    @pytest.mark.parametrize("name, sample", [
+        ("chain3", None), ("b4", 300), ("fdl2", 300)])
+    def test_closure_determined_by_diamond(self, name, sample):
+        # the lemma the per-diamond memo rests on: relations with the
+        # same diamond (meet of each row, top for an empty row) have the
+        # same close_i rows
+        lat = load_carrier(name)
+        n = lat.n
+        if sample is None:
+            groups = {}
+            for S in all_relations(lat):
+                dia = tuple(lat.meet_all(r) for r in S.rows)
+                groups.setdefault(dia, []).append(S)
+            assert len(groups) == 27
+        else:
+            # pair each sampled relation with relations of the same
+            # diamond: singleton rows of the meet, and rows grown by
+            # random elements above the meet
+            rng = random.Random(47)
+            groups = {}
+            for _ in range(sample):
+                rows = [rng.randrange(1 << n) for _ in range(n)]
+                dia = tuple(lat.meet_all(r) for r in rows)
+                grown = [r | (rng.randrange(1 << n) & lat.poset.up[d])
+                         for r, d in zip(rows, dia)]
+                groups[tuple(rows)] = [
+                    ProtoSubAlg(lat, SubordRel(n, v))
+                    for v in (rows, [1 << d for d in dia], grown)]
+        for members in groups.values():
+            for i in (1, 2, 3, 4):
+                closed = {close_i(S, i).rows for S in members}
+                assert len(closed) == 1, (members[0], i)
 
 
 class TestRunSuite:

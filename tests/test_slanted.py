@@ -12,7 +12,6 @@ from subnorm.slanted import (
     Inequality,
     box,
     build_slanted,
-    classify_slanted,
     dia,
     evaluate,
     format_term,
@@ -27,6 +26,8 @@ from subnorm.slanted import (
     var,
 )
 from subnorm.subordination import ProtoSubAlg
+from subnorm.harness import CarrierContext, Instance
+from subnorm.harness.catalog import _NORMAL, _REGULAR, _monotone
 from subnorm.harness.generate import relation_from_int
 from conftest import leq_relation
 
@@ -102,18 +103,28 @@ class TestExtensions:
 
 
 class TestClassifySlanted:
+    # the operator laws as the catalog states them, on b4 instances
+
+    @staticmethod
+    def laws(S):
+        inst = Instance(CarrierContext("b4", S.lattice), S)
+        return (_monotone("dia", "box")(inst), _REGULAR(inst), _NORMAL(inst))
+
     def test_leq_all_flags(self, b4_leq):
-        flags = classify_slanted(build_slanted(b4_leq))
-        assert (flags.monotone, flags.regular, flags.normal, flags.tense) == \
-            (True, True, True, True)
+        assert self.laws(b4_leq) == (True, True, True)
+        # tense: <>a <= b iff a <= []b
+        sa = build_slanted(b4_leq)
+        d, embed = sa.delta, sa.ext.embed
+        assert all(d.leq(sa.dia[a], embed[b]) == d.leq(embed[a], sa.box[b])
+                   for a in range(4) for b in range(4))
 
     def test_empty_not_normal(self, b4):
-        flags = classify_slanted(build_slanted(ProtoSubAlg.from_pairs(b4, [])))
-        assert flags.monotone and not flags.normal
+        monotone, _, normal = self.laws(ProtoSubAlg.from_pairs(b4, []))
+        assert monotone and not normal
 
     def test_full_normal(self, b4):
         S = ProtoSubAlg.from_pairs(b4, [(a, b) for a in range(4) for b in range(4)])
-        assert classify_slanted(build_slanted(S)).normal
+        assert self.laws(S)[2]
 
 
 class TestParser:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnorm.errors import InputFormatError, MissingStructure
-from subnorm.order import free_boolean_algebra
+from subnorm.order import free_boolean_algebra, poset_from_hasse, to_lattice
 from subnorm.subordination import (
     CLASS_TABLE,
     CLOSABLE_RULES,
@@ -14,6 +14,7 @@ from subnorm.subordination import (
     Property,
     ProtoSubAlg,
     SubordRel,
+    _close_fixpoint,
     check_property,
     classify,
     close,
@@ -184,7 +185,6 @@ class TestClose:
             assert got == want, pairs
 
     def test_filterform_matches_generic_on_free_ba(self):
-        from subnorm.subordination import _close_filterform
         lat, _ = free_boolean_algebra(2)
         rng = random.Random(1)
         for _ in range(25):
@@ -192,28 +192,32 @@ class TestClose:
                      for _ in range(rng.randrange(4))]
             S = ProtoSubAlg.from_pairs(lat, pairs)
             for i in (1, 2, 3, 4):
-                assert (tuple(_close_filterform(S, SYSTEM_RULES[i]))
-                        == close(S, SYSTEM_RULES[i]).rows)
+                assert (close_i(S, i).rows
+                        == tuple(_close_fixpoint(S, SYSTEM_RULES[i])))
 
     def test_filterform_matches_generic_on_small_lattices(self, b4, fdl2, b8):
-        # the filter-form closure against the generic fixpoint, for every
-        # closable rule set containing WO and AND
-        from subnorm.subordination import _close_filterform
+        # close() takes the filter form for every closable rule set
+        # containing WO and AND; the generic fixpoint is the reference,
+        # on distributive carriers and on the non-distributive N5 and M3
         optional = sorted(CLOSABLE_RULES - {P.WO, P.AND}, key=lambda q: q.value)
         rulesets = [frozenset({P.WO, P.AND, *extra})
                     for k in range(len(optional) + 1)
                     for extra in itertools.combinations(optional, k)]
         assert len(rulesets) == 64
+        n5 = to_lattice(poset_from_hasse(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]))
+        m3 = to_lattice(poset_from_hasse(5, [(0, 1), (0, 2), (0, 3),
+                                             (1, 4), (2, 4), (3, 4)]))
+        assert not n5.is_distributive and not m3.is_distributive
         rng = random.Random(14)
-        for lat in (b4, fdl2, b8):
+        for lat in (b4, fdl2, b8, n5, m3):
             n = lat.n
             for _ in range(40):
                 pairs = [(rng.randrange(n), rng.randrange(n))
                          for _ in range(rng.randrange(2 * n))]
                 S = ProtoSubAlg.from_pairs(lat, pairs)
                 for rules in rulesets:
-                    assert (tuple(_close_filterform(S, rules))
-                            == close(S, rules).rows), (n, pairs, rules)
+                    assert (close(S, rules).rows
+                            == tuple(_close_fixpoint(S, rules))), (n, pairs, rules)
 
     def test_terminates_within_pair_bound(self, b4):
         # worst case: a single seed pair expanded by the full rule set
@@ -229,6 +233,19 @@ class TestJson:
     def test_bad_pairs_rejected(self, b4):
         with pytest.raises(InputFormatError):
             SubordRel.from_pairs(4, [(0, 7)])
+
+    @pytest.mark.parametrize("hasse", [
+        # bowtie 0 < a, b < c, d < 1: bounded, a and b have no join
+        [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 5], [4, 5]],
+        # V: z < x, y has no top
+        [[0, 1], [0, 2]],
+    ])
+    def test_non_lattice_loads_as_poset(self, hasse):
+        n = 1 + max(j for _, j in hasse)
+        S = subalg_from_json({"algebra": {"hasse": hasse}, "prec": [[0, 1]]})
+        assert S.lattice is None
+        assert S.poset == poset_from_hasse(n, hasse)
+        assert S.prec.pairs() == [(0, 1)]
 
 
 @settings(max_examples=50, deadline=None)
