@@ -41,8 +41,8 @@ from .duality import (
     build_space_primefilters,
     check_relational,
 )
-from .errors import SubnormError
-from .order import lattice_to_json, poset_from_json
+from .errors import InputFormatError, SubnormError
+from .order import lattice_to_json, load_json, poset_from_json
 from .harness import (
     GenConfig,
     exit_code_for,
@@ -62,25 +62,28 @@ from .subordination import (
 )
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _load_subalg(args) -> ProtoSubAlg:
     if args.input:
-        obj = _load_json(args.input)
+        obj = load_json(args.input)
         return subalg_from_json(obj, base_dir=os.path.dirname(os.path.abspath(args.input)))
     if not args.algebra:
         raise SubnormError("need --input or --algebra (+ --prec)")
-    alg_obj = _load_json(args.algebra)
+    alg_obj = load_json(args.algebra)
     pairs = []
     if args.prec:
-        prec_obj = _load_json(args.prec)
-        if isinstance(prec_obj, dict):
-            prec_obj = prec_obj.get("prec", [])
-        pairs = [tuple(p) for p in prec_obj]
+        pairs = load_json(args.prec)
+        if isinstance(pairs, dict):
+            pairs = pairs.get("prec", [])
     return subalg_from_json({"algebra": alg_obj, "prec": pairs})
+
+
+def _load_norms(path: str) -> iologic.NormativeSystem:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    return iologic.NormativeSystem.parse(text)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -153,7 +156,7 @@ def _parse_query(text: str) -> tuple:
 
 
 def _cmd_derive(args) -> int:
-    N = iologic.NormativeSystem.parse(open(args.norms, encoding="utf-8").read())
+    N = _load_norms(args.norms)
     query = _parse_query(args.query)
     holds = iologic.derive(N, args.system, query)
     _emit(args, {"holds": holds, "system": args.system, "query": args.query},
@@ -162,7 +165,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_out(args) -> int:
-    N = iologic.NormativeSystem.parse(open(args.norms, encoding="utf-8").read())
+    N = _load_norms(args.norms)
     gamma = [iologic.parse_formula(part) for part in args.gamma.split(",") if part.strip()]
     head = iologic.parse_formula(args.head)
     fn = iologic.modal_output if args.modal else iologic.out
@@ -192,7 +195,7 @@ def _cmd_slanted(args) -> int:
 
 
 def _cmd_completion(args) -> int:
-    obj = _load_json(args.poset)
+    obj = load_json(args.poset)
     p, _neg = poset_from_json(obj)
     c = dm_completion(p)
     payload = lattice_to_json(c.delta)
@@ -247,7 +250,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.replay:
-        verdict = replay_counterexample(_load_json(args.replay))
+        verdict = replay_counterexample(load_json(args.replay))
         _emit(args, verdict, [f"{verdict['check']}: {verdict['status']}"])
         return 0 if verdict["status"] == "pass" else 1
     carriers = None

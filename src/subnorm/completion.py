@@ -12,6 +12,14 @@ every nonempty up-directed subset a maximum, so nonempty directed meets
 and joins never leave the image.  The degenerate empty family is treated
 separately where it matters (an empty meet is the lattice top, an empty
 join its bottom).
+
+Stated here once: the meet or join of an embedded base subset
+(``CanonicalExtension.meet_of_base``/``join_of_base``) and the two-step
+sigma/pi lifting of a map from the base (``lift_map``), which extends
+the diamond and box (``slanted.sigma_extension``/``pi_extension``) and
+the negation (``extend_negation_sigma``/``extend_negation_pi``) alike.
+``verify_dense``/``verify_compact`` read the directed subsets off the
+base's ``order.subset_tables``.
 """
 
 from __future__ import annotations
@@ -19,9 +27,15 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from .errors import NegationLawsFail, TooLarge
-from .order import FinLattice, FinPoset, bits, mask_of, to_lattice
-
-_SCAN_CAP = 10  # exhaustive subset scans stop making sense beyond this
+from .order import (
+    FinLattice,
+    FinPoset,
+    bits,
+    mask_of,
+    negation_law_failure,
+    subset_tables,
+    to_lattice,
+)
 
 
 class CanonicalExtension:
@@ -41,9 +55,17 @@ class CanonicalExtension:
         self.closed = closed
         self.open = open
 
-    @property
-    def image(self) -> int:
-        return mask_of(self.embed)
+    def meet_of_base(self, base_mask: int) -> int:
+        """Meet in ``delta`` of the embedded base subset; the empty meet
+        is the top."""
+        embed = self.embed
+        return self.delta.meet_all(mask_of(embed[x] for x in bits(base_mask)))
+
+    def join_of_base(self, base_mask: int) -> int:
+        """Join in ``delta`` of the embedded base subset; the empty join
+        is the bottom."""
+        embed = self.embed
+        return self.delta.join_all(mask_of(embed[x] for x in bits(base_mask)))
 
     def __repr__(self) -> str:
         return f"CanonicalExtension(base_n={self.base.n}, delta_n={self.delta.n})"
@@ -104,27 +126,10 @@ def dm_completion(p: Union[FinPoset, FinLattice]) -> CanonicalExtension:
 
 def _directed_subsets(c: CanonicalExtension, down: bool) -> list[int]:
     """Nonempty (down|up)-directed subsets of the base, as base bitmasks."""
-    p = c.base
-    if p.n > _SCAN_CAP:
-        raise TooLarge(f"subset scan over {p.n} base elements")
-    out = []
-    for mask in range(1, 1 << p.n):
-        members = list(bits(mask))
-        if down:
-            ok = all(p.down[a] & p.down[b] & mask for a in members for b in members)
-        else:
-            ok = all(p.up[a] & p.up[b] & mask for a in members for b in members)
-        if ok:
-            out.append(mask)
-    return out
-
-
-def _meet_of_base(c: CanonicalExtension, base_mask: int) -> int:
-    return c.delta.meet_all(mask_of(c.embed[x] for x in bits(base_mask)))
-
-
-def _join_of_base(c: CanonicalExtension, base_mask: int) -> int:
-    return c.delta.join_all(mask_of(c.embed[x] for x in bits(base_mask)))
+    tables = subset_tables(c.base)
+    if tables is None:
+        raise TooLarge(f"subset scan over {c.base.n} base elements")
+    return tables["down_directed" if down else "up_directed"]
 
 
 def verify_dense(c: CanonicalExtension) -> bool:
@@ -132,14 +137,11 @@ def verify_dense(c: CanonicalExtension) -> bool:
     and a meet of open elements, with closed/open themselves recomputed
     from directed subsets of the image."""
     delta = c.delta
-    closed = mask_of(_meet_of_base(c, f) for f in _directed_subsets(c, down=True))
-    opened = mask_of(_join_of_base(c, i) for i in _directed_subsets(c, down=False))
-    for u in range(delta.n):
-        below = mask_of(k for k in bits(closed) if delta.leq(k, u))
-        above = mask_of(o for o in bits(opened) if delta.leq(u, o))
-        if delta.join_all(below) != u or delta.meet_all(above) != u:
-            return False
-    return True
+    closed = mask_of(c.meet_of_base(f) for f in _directed_subsets(c, down=True))
+    opened = mask_of(c.join_of_base(i) for i in _directed_subsets(c, down=False))
+    down, up = delta.poset.down, delta.poset.up
+    return all(delta.join_all(closed & down[u]) == u
+               and delta.meet_all(opened & up[u]) == u for u in range(delta.n))
 
 
 def verify_compact(c: CanonicalExtension) -> bool:
@@ -149,69 +151,57 @@ def verify_compact(c: CanonicalExtension) -> bool:
     p = c.base
     downs = _directed_subsets(c, down=True)
     ups = _directed_subsets(c, down=False)
-    meets = {f: _meet_of_base(c, f) for f in downs}
-    joins = {i: _join_of_base(c, i) for i in ups}
-    for f in downs:
-        for i in ups:
-            if not c.delta.leq(meets[f], joins[i]):
-                continue
-            if not any(p.up[a] & i for a in bits(f)):
-                return False
-    return True
+    meets = {f: c.meet_of_base(f) for f in downs}
+    joins = {i: c.join_of_base(i) for i in ups}
+    return all(any(p.up[a] & i for a in bits(f))
+               for f in downs for i in ups if c.delta.leq(meets[f], joins[i]))
 
 
-def _require_neg_laws(p: FinPoset, neg: Sequence[int], side: str) -> None:
-    n = p.n
-    for a in range(n):
-        for b in bits(p.up[a]):
-            if not p.leq(neg[b], neg[a]):
-                raise NegationLawsFail("antitone", (a, b))
-    if side == "sigma":
-        for a in range(n):
-            for b in range(n):
-                if p.leq(neg[a], b) != p.leq(neg[b], a):
-                    raise NegationLawsFail("left-self-adjunction", (a, b))
-    else:
-        for a in range(n):
-            for b in range(n):
-                if p.leq(a, neg[b]) != p.leq(b, neg[a]):
-                    raise NegationLawsFail("right-self-adjunction", (a, b))
+def lift_map(c: CanonicalExtension, values: Sequence[int], approximants: int,
+             from_below: bool, sigma: bool) -> tuple[int, ...]:
+    """Extend ``a -> values[a]`` (base elements to ``delta`` elements) to
+    all of ``delta`` through the closed or open ``approximants``.
+
+    Step one gives each approximant ``x`` the meet (``sigma``) or join
+    (pi) of ``values[a]`` over the base elements with ``x <= a`` when
+    ``from_below``, ``a <= x`` otherwise.  Step two gives each element
+    ``u`` the join (``sigma``) or meet (pi) of the step-one values over
+    the approximants ``x <= u`` when ``from_below``, ``u <= x`` otherwise.
+    A monotone map is lifted from below through closed elements under
+    sigma and from above through open ones under pi; an antitone map the
+    other way round.
+    """
+    delta, embed = c.delta, c.embed
+    up, down = delta.poset.up, delta.poset.down
+    far, near = (up, down) if from_below else (down, up)
+    first, second = ((delta.meet_all, delta.join_all) if sigma
+                     else (delta.join_all, delta.meet_all))
+    on = {x: first(mask_of(values[a] for a in range(c.base.n)
+                           if far[x] >> embed[a] & 1))
+          for x in bits(approximants)}
+    return tuple(second(mask_of(on[x] for x in bits(approximants & near[u])))
+                 for u in range(delta.n))
+
+
+def _require_neg_laws(p: FinPoset, neg: Sequence[int], adjunction: str) -> None:
+    for law in ("antitone", adjunction):
+        witness = negation_law_failure(p, neg, law)
+        if witness is not None:
+            raise NegationLawsFail(law, witness)
 
 
 def extend_negation_sigma(c: CanonicalExtension, neg: Sequence[int]) -> tuple[int, ...]:
-    """Lift an antitone, left-self-adjoint negation to the whole completion.
-
-    Two steps: on open elements take the meet of negated approximants
-    from below, then extend to arbitrary elements by joining over the
-    opens above.  On a lattice base this collapses to the original table.
-    """
-    _require_neg_laws(c.base, neg, "sigma")
-    delta, embed = c.delta, c.embed
-    on_open = {}
-    for o in bits(c.open):
-        approx = mask_of(embed[neg[a]] for a in range(c.base.n)
-                         if delta.leq(embed[a], o))
-        on_open[o] = delta.meet_all(approx)
-    table = []
-    for u in range(delta.n):
-        table.append(delta.join_all(mask_of(
-            on_open[o] for o in bits(c.open) if delta.leq(u, o))))
-    return tuple(table)
+    """Lift an antitone, left-self-adjoint negation to the whole completion
+    from above, through the open elements; on a lattice base this is the
+    original table."""
+    _require_neg_laws(c.base, neg, "left-self-adjunction")
+    return lift_map(c, [c.embed[x] for x in neg], c.open,
+                    from_below=False, sigma=True)
 
 
 def extend_negation_pi(c: CanonicalExtension, neg: Sequence[int]) -> tuple[int, ...]:
-    """Dual lifting for antitone, right-self-adjoint negations: joins of
-    negated approximants on closed elements, then meets over the closeds
-    below."""
-    _require_neg_laws(c.base, neg, "pi")
-    delta, embed = c.delta, c.embed
-    on_closed = {}
-    for k in bits(c.closed):
-        approx = mask_of(embed[neg[a]] for a in range(c.base.n)
-                         if delta.leq(k, embed[a]))
-        on_closed[k] = delta.join_all(approx)
-    table = []
-    for u in range(delta.n):
-        table.append(delta.meet_all(mask_of(
-            on_closed[k] for k in bits(c.closed) if delta.leq(k, u))))
-    return tuple(table)
+    """Dual lifting for antitone, right-self-adjoint negations, from below
+    through the closed elements."""
+    _require_neg_laws(c.base, neg, "right-self-adjunction")
+    return lift_map(c, [c.embed[x] for x in neg], c.closed,
+                    from_below=True, sigma=False)

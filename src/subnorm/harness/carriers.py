@@ -11,7 +11,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..errors import InputFormatError
-from ..order import FinLattice, poset_from_hasse, to_lattice
+from ..order import (
+    FinLattice,
+    lattice_from_json,
+    load_json,
+    poset_from_hasse,
+    to_lattice,
+)
 
 
 def _chain(n: int) -> FinLattice:
@@ -58,11 +64,7 @@ def load_carrier(name: str) -> FinLattice:
     if name in _BUILDERS:
         return _BUILDERS[name]()
     if name.endswith(".json"):
-        import json
-
-        from ..order import lattice_from_json
-        with open(name, "r", encoding="utf-8") as fh:
-            return lattice_from_json(json.load(fh))
+        return lattice_from_json(load_json(name))
     raise InputFormatError(
         f"unknown carrier {name!r}; built-ins: {', '.join(carrier_names())} "
         "(or pass an algebra JSON path)")

@@ -21,9 +21,10 @@ from itertools import product
 from operator import attrgetter
 from typing import Callable, Optional
 
+from ..completion import extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
-from ..order import bits, is_down_directed, is_up_directed, mask_of
-from ..slanted import _monotone_on_base, parse_inequality, term_variables
+from ..order import bits, is_monotone, negation_law_failure, subset_tables
+from ..slanted import parse_inequality, term_variables
 from ..subordination import Property as P
 from .maximality import verify_prop41
 
@@ -78,8 +79,8 @@ def _needs_distributive(inst) -> bool:
 
 def _monotone(*operators):
     """The named base operators (``"dia"``, ``"box"``) are monotone."""
-    return lambda inst: all(_monotone_on_base(inst.sa, getattr(inst, op))
-                            for op in operators)
+    return lambda inst: all(
+        is_monotone(getattr(inst, op), inst.poset, inst.delta.poset) for op in operators)
 
 
 # Operator inequalities are written as the paper states them and compiled
@@ -205,66 +206,43 @@ def _small_enough_for_subsets(inst) -> bool:
     return inst.n <= _SUBSET_SCAN_CAP
 
 
-def _down_directed_subsets(inst):
-    p = inst.poset
-    for m in range(1, 1 << inst.n):
-        if is_down_directed(m, p):
-            yield m
-
-
-def _up_directed_subsets(inst):
-    p = inst.poset
-    for m in range(1, 1 << inst.n):
-        if is_up_directed(m, p):
-            yield m
-
-
-def _image_of(inst, members: int) -> int:
+def _union(rows, members: int) -> int:
+    """Union of the given rows (the image of ``members`` when ``rows`` are
+    the relation's rows, its preimage when they are its columns)."""
     acc = 0
     for a in bits(members):
-        acc |= inst.S.rows[a]
-    return acc
-
-
-def _preimage_of(inst, members: int) -> int:
-    acc = 0
-    for x in bits(members):
-        acc |= inst.S.cols[x]
+        acc |= rows[a]
     return acc
 
 
 def _law_directed_image(inst) -> bool:
-    p = inst.poset
-    return all(is_down_directed(_image_of(inst, m), p)
-               for m in _down_directed_subsets(inst))
+    t = subset_tables(inst.poset)
+    dd = t["dd"]
+    return all(dd[_union(inst.S.rows, m)] for m in t["down_directed"])
 
 
 def _law_codirected_preimage(inst) -> bool:
-    p = inst.poset
-    return all(is_up_directed(_preimage_of(inst, m), p)
-               for m in _up_directed_subsets(inst))
+    t = subset_tables(inst.poset)
+    ud = t["ud"]
+    return all(ud[_union(inst.S.cols, m)] for m in t["up_directed"])
 
 
 def _law_dia_of_meet(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    closed_eff = inst.ctx.ext.closed | 1 << d.top
-    for m in _down_directed_subsets(inst):
-        k = d.meet_all(mask_of(embed[a] for a in bits(m)))
-        image = _image_of(inst, m)
-        want = d.meet_all(mask_of(embed[c] for c in bits(image)))
-        if inst.sigma[k] != want or not closed_eff >> want & 1:
+    ext = inst.ctx.ext
+    closed_eff = ext.closed | 1 << ext.delta.top
+    for m in subset_tables(inst.poset)["down_directed"]:
+        want = ext.meet_of_base(_union(inst.S.rows, m))
+        if inst.sigma[ext.meet_of_base(m)] != want or not closed_eff >> want & 1:
             return False
     return True
 
 
 def _law_box_of_join(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    open_eff = inst.ctx.ext.open | 1 << d.bot
-    for m in _up_directed_subsets(inst):
-        o = d.join_all(mask_of(embed[a] for a in bits(m)))
-        pre = _preimage_of(inst, m)
-        want = d.join_all(mask_of(embed[c] for c in bits(pre)))
-        if inst.pi[o] != want or not open_eff >> want & 1:
+    ext = inst.ctx.ext
+    open_eff = ext.open | 1 << ext.delta.bot
+    for m in subset_tables(inst.poset)["up_directed"]:
+        want = ext.join_of_base(_union(inst.S.cols, m))
+        if inst.pi[ext.join_of_base(m)] != want or not open_eff >> want & 1:
             return False
     return True
 
@@ -358,50 +336,28 @@ def _s6_pre(inst) -> bool:
 
 # ---- carrier-scoped: negation lifting laws --------------------------------
 
-def _neg_sigma_laws(inst) -> bool:
-    from ..completion import extend_negation_sigma
-    ctx = inst.ctx
-    lat, d = ctx.lat, ctx.delta
-    table = extend_negation_sigma(ctx.ext, lat.neg)
-    n, dn = lat.n, d.n
-    antitone = all(d.leq(table[v], table[u])
-                   for u in range(dn) for v in bits(d.poset.up[u]))
-    adjoint = all(d.leq(table[u], v) == d.leq(table[v], u)
-                  for u in range(dn) for v in range(dn))
-    ok = antitone and adjoint
-    if all(lat.leq(a, lat.neg[lat.neg[a]]) for a in range(n)):
-        ok = ok and all(d.leq(u, table[table[u]]) for u in range(dn))
-    if all(lat.neg[lat.neg[a]] == a for a in range(n)):
-        ok = ok and all(table[table[u]] == u for u in range(dn))
-    return ok
+def _neg_lifting(lift, adjunction: str) -> dict:
+    """Precondition and law of a negation-lifting check: on a carrier
+    whose negation is antitone and satisfies ``adjunction``, the lifted
+    table is antitone and satisfies ``adjunction`` too, and is involutive
+    when the carrier's negation is.  (Under either adjunction ``~~`` is
+    deflationary or inflationary on both sides, so involution is the only
+    further law to carry over.)"""
+    laws = ("antitone", adjunction)
 
+    def holds(p, neg, names) -> bool:
+        return all(negation_law_failure(p, neg, name) is None for name in names)
 
-def _neg_pi_laws(inst) -> bool:
-    from ..completion import extend_negation_pi
-    ctx = inst.ctx
-    lat, d = ctx.lat, ctx.delta
-    table = extend_negation_pi(ctx.ext, lat.neg)
-    n, dn = lat.n, d.n
-    antitone = all(d.leq(table[v], table[u])
-                   for u in range(dn) for v in bits(d.poset.up[u]))
-    adjoint = all(d.leq(u, table[v]) == d.leq(v, table[u])
-                  for u in range(dn) for v in range(dn))
-    ok = antitone and adjoint
-    if all(lat.leq(lat.neg[lat.neg[a]], a) for a in range(n)):
-        ok = ok and all(d.leq(table[table[u]], u) for u in range(dn))
-    if all(lat.neg[lat.neg[a]] == a for a in range(n)):
-        ok = ok and all(table[table[u]] == u for u in range(dn))
-    return ok
+    def precondition(inst) -> bool:
+        lat = inst.ctx.lat
+        return lat.neg is not None and holds(lat.poset, lat.neg, laws)
 
+    def law(inst) -> bool:
+        ctx = inst.ctx
+        involutive = ("involutive",) if ctx.neg_report.involutive else ()
+        return holds(ctx.delta.poset, lift(ctx.ext, ctx.lat.neg), laws + involutive)
 
-def _neg_sigma_pre(inst) -> bool:
-    rep = inst.ctx.neg_report
-    return rep is not None and rep.antitone and rep.left_self_adjoint
-
-
-def _neg_pi_pre(inst) -> bool:
-    rep = inst.ctx.neg_report
-    return rep is not None and rep.antitone and rep.right_self_adjoint
+    return {"precondition": precondition, "law": law}
 
 
 def _bidirected_pre(inst) -> bool:
@@ -649,12 +605,12 @@ CATALOG: tuple[CheckSpec, ...] = (
     # -- carrier-level negation lifting -----------------------------------
     CheckSpec("sigma-negation-extension-laws",
               "the sigma lifting of a left-adjoint negation keeps its laws",
-              "law", scope="carrier", precondition=_neg_sigma_pre,
-              law=_neg_sigma_laws),
+              "law", scope="carrier",
+              **_neg_lifting(extend_negation_sigma, "left-self-adjunction")),
     CheckSpec("pi-negation-extension-laws",
               "the pi lifting of a right-adjoint negation keeps its laws",
-              "law", scope="carrier", precondition=_neg_pi_pre,
-              law=_neg_pi_laws),
+              "law", scope="carrier",
+              **_neg_lifting(extend_negation_pi, "right-self-adjunction")),
 )
 
 CHECKS_BY_NAME = {spec.name: spec for spec in CATALOG}

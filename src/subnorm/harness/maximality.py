@@ -11,11 +11,12 @@ Tables.  "Every qualifying map below ``dia`` lies below ``dia_i``" says
 the same as "the pointwise join of the qualifying maps below ``dia``
 lies below ``dia_i``"; dually for the box, with the pointwise meet of
 the qualifying maps above ``box``.  Each carrier (at most four elements,
-so at most ``n^n`` maps) keeps, in its ``FinPoset._tables``, the
-qualifying maps of each system listed once, and reads ``dia`` and
+so at most ``n^n`` maps) keeps, next to its ``order.subset_tables``,
+the qualifying maps of each system listed once, and reads ``dia`` and
 ``box`` off two ``2^n`` tables (the meet of each down-directed row mask,
-the join of each up-directed column mask); a mask that is not directed
-reads None, so directedness costs no second sweep.
+the join of each up-directed column mask, built from the carrier's
+``dd``/``ud`` tables); a mask that is not directed reads None, so
+directedness costs no second sweep.
 
 Lemma.  Every system contains TOP and SI, so after the first SI step of
 the filter-form closure every row minimum is defined and the closure
@@ -45,15 +46,9 @@ from typing import Iterator, Optional, Sequence
 
 from ..completion import dm_completion
 from ..errors import MissingStructure, TooLarge
-from ..order import FinLattice, bits
+from ..order import FinLattice, bits, is_monotone, subset_tables
 from ..slanted import build_slanted
-from ..subordination import (
-    ProtoSubAlg,
-    Property,
-    _carrier_tables,
-    close_i,
-    property_holds,
-)
+from ..subordination import ProtoSubAlg, Property, close_i, property_holds
 
 _N_CAP = 4
 
@@ -88,11 +83,6 @@ def _dominated_maps(lat: FinLattice, bound: Sequence[int],
     return rec(0)
 
 
-def _is_monotone(lat: FinLattice, f: Sequence[int]) -> bool:
-    p = lat.poset
-    return all(lat.leq(f[a], f[b]) for a in range(lat.n) for b in bits(p.up[a]))
-
-
 def _pointwise_leq(lat: FinLattice, f: Sequence[int], g: Sequence[int]) -> bool:
     up = lat.poset.up
     return all(up[x] >> y & 1 for x, y in zip(f, g))
@@ -125,7 +115,8 @@ def diamond_maximality_failure(lat: FinLattice, dia: Sequence[int],
     if not all(lat.leq(dia_i[a], dia[a]) for a in range(lat.n)):
         return {"side": "diamond", "reason": "closure map not dominated",
                 "map": list(dia_i)}
-    if not (_is_monotone(lat, dia_i) and _diamond_qualifies(lat, dia_i, i)):
+    p = lat.poset
+    if not (is_monotone(dia_i, p, p) and _diamond_qualifies(lat, dia_i, i)):
         return {"side": "diamond", "reason": "closure map fails its own laws",
                 "map": list(dia_i)}
     for f in _dominated_maps(lat, dia, below=True):
@@ -142,7 +133,8 @@ def box_minimality_failure(lat: FinLattice, box: Sequence[int],
     if not all(lat.leq(box[a], box_i[a]) for a in range(lat.n)):
         return {"side": "box", "reason": "closure map not dominating",
                 "map": list(box_i)}
-    if not (_is_monotone(lat, box_i) and _box_qualifies(lat, box_i)):
+    p = lat.poset
+    if not (is_monotone(box_i, p, p) and _box_qualifies(lat, box_i)):
         return {"side": "box", "reason": "closure map fails its own laws",
                 "map": list(box_i)}
     for g in _dominated_maps(lat, box, below=False):
@@ -200,11 +192,12 @@ class _ExtremalityTables:
             for f in self.qualifying(i):
                 if _pointwise_leq(lat, f, dia):
                     largest = [join[x][y] for x, y in zip(largest, f)]
-            ok = (_pointwise_leq(lat, dia_i, dia) and _is_monotone(lat, dia_i)
+            p = lat.poset
+            ok = (_pointwise_leq(lat, dia_i, dia) and is_monotone(dia_i, p, p)
                   and _diamond_qualifies(lat, dia_i, i)
                   and _pointwise_leq(lat, largest, dia_i))
             if i in (1, 2):
-                ok = ok and _is_monotone(lat, box_i) and _box_qualifies(lat, box_i)
+                ok = ok and is_monotone(box_i, p, p) and _box_qualifies(lat, box_i)
             got = self._closures[(i, dia)] = (box_i, ok)
         return got
 
@@ -223,7 +216,7 @@ class _ExtremalityTables:
 
 
 def _extremality_tables(S: ProtoSubAlg) -> _ExtremalityTables:
-    tables = _carrier_tables(S)
+    tables = subset_tables(S.poset)
     got = tables.get("extremality")
     if got is None:
         got = tables["extremality"] = _ExtremalityTables(

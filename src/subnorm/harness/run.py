@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Optional
 
-from ..completion import dm_completion
+from ..completion import dm_completion, extend_negation_sigma
 from ..errors import InputFormatError, MissingStructure
 from ..order import FinLattice, check_negation_laws
 from ..slanted import build_slanted, pi_extension, sigma_extension
@@ -52,7 +52,6 @@ class CarrierContext:
         self.neg_delta = None
         if (self.neg_report is not None and self.neg_report.antitone
                 and self.neg_report.left_self_adjoint):
-            from ..completion import extend_negation_sigma
             self.neg_delta = extend_negation_sigma(self.ext, lat.neg)
 
 

@@ -7,12 +7,19 @@ what makes exhaustive enumeration over all ``2^(n*n)`` relations on a
 carrier practical.  Subsets of the carrier are plain ``int`` bitmasks
 throughout the package.
 
+Two order-theoretic facts are stated here once for the whole package:
+directedness of a subset (``is_down_directed``/``is_up_directed``, read
+by everyone else off the per-carrier ``subset_tables``) and the four
+negation laws (``negation_law_failure``, one witness-returning check per
+law).
+
 All structures are immutable after construction and safe to share
 between workers.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -62,16 +69,13 @@ class FinPoset:
                 down[b] |= 1 << a
         self.down = tuple(down)
         self.labels = tuple(labels) if labels is not None else None
-        self._tables = None  # lazy per-carrier lookup tables, see subordination
+        self._tables = None  # lazy per-carrier lookup tables, see subset_tables
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
-
-    def matrix(self) -> list[list[bool]]:
-        return [[self.leq(a, b) for b in range(self.n)] for a in range(self.n)]
 
     def up_closure(self, mask: int) -> int:
         out = 0
@@ -96,10 +100,11 @@ def validate_poset(matrix: Sequence[Sequence[object]],
     Raises :class:`PosetLawViolation` naming the first offending pair or
     triple in index order.
     """
+    if not (isinstance(matrix, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) and len(row) == len(matrix)
+            and all(x in (0, 1) for x in row) for row in matrix)):
+        raise InputFormatError("order matrix must be a square list of 0/1 rows")
     n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise InputFormatError("order matrix must be square")
     up = [mask_of(b for b in range(n) if matrix[a][b]) for a in range(n)]
     for a in range(n):
         if not up[a] >> a & 1:
@@ -319,6 +324,12 @@ def prime_filters(L: FinLattice) -> list[int]:
     return out
 
 
+def is_monotone(f: Sequence[int], dom: FinPoset, cod: FinPoset) -> bool:
+    """``a <= b`` in ``dom`` forces ``f[a] <= f[b]`` in ``cod``."""
+    up = cod.up
+    return all(up[f[a]] >> f[b] & 1 for a in range(dom.n) for b in bits(dom.up[a]))
+
+
 def is_down_directed(mask: int, p: FinPoset) -> bool:
     """Every pair in the subset has a lower bound inside the subset.
 
@@ -335,32 +346,83 @@ def is_up_directed(mask: int, p: FinPoset) -> bool:
                for a in members for b in members) if members else True
 
 
+_TABLE_CAP = 10  # tables over all 2^n subsets stop being cheap beyond this
+
+
+def subset_tables(p: FinPoset) -> Optional[dict]:
+    """Lookup tables over all ``2^n`` subset masks of a small carrier
+    (``n <= 10``), built on first use and kept in ``p._tables``; None on
+    larger carriers.
+
+    ``upclose[m]`` is the up-closure of ``m``, ``dd[m]``/``ud[m]`` say
+    whether ``m`` is down-/up-directed, and ``down_directed``/
+    ``up_directed`` list the nonempty directed masks in ascending order.
+    Other modules keep their own per-carrier tables in the same dict.
+    """
+    if p.n > _TABLE_CAP:
+        return None
+    if p._tables is None:
+        size = 1 << p.n
+        dd = [is_down_directed(m, p) for m in range(size)]
+        ud = [is_up_directed(m, p) for m in range(size)]
+        p._tables = {
+            "upclose": [p.up_closure(m) for m in range(size)], "dd": dd, "ud": ud,
+            "down_directed": [m for m in range(1, size) if dd[m]],
+            "up_directed": [m for m in range(1, size) if ud[m]],
+        }
+    return p._tables
+
+
 @dataclass(frozen=True)
 class NegationReport:
-    """Independent verdicts for the four negation laws."""
+    """Verdicts of the four negation laws, in ``NEGATION_LAWS`` order."""
 
     antitone: bool
     involutive: bool
-    left_self_adjoint: bool   # ~a <= b  iff  ~b <= a
-    right_self_adjoint: bool  # a <= ~b  iff  b <= ~a
+    left_self_adjoint: bool
+    right_self_adjoint: bool
 
     def all_laws(self) -> bool:
         return (self.antitone and self.involutive
                 and self.left_self_adjoint and self.right_self_adjoint)
 
 
+NEGATION_LAWS = ("antitone", "involutive",
+                 "left-self-adjunction", "right-self-adjunction")
+
+
+def negation_law_failure(p: FinPoset, neg: Sequence[int],
+                         law: str) -> Optional[tuple]:
+    """First instance, in index order, at which ``neg`` breaks ``law``
+    on ``p``; None when the law holds.
+
+    ``antitone``: ``a <= b`` forces ``~b <= ~a``, witness ``(a, b)``;
+    ``involutive``: ``~~a = a``, witness ``(a,)``;
+    ``left-self-adjunction``: ``~a <= b`` iff ``~b <= a``, witness ``(a, b)``;
+    ``right-self-adjunction``: ``a <= ~b`` iff ``b <= ~a``, witness ``(a, b)``.
+    """
+    n, leq = p.n, p.leq
+    if law == "antitone":
+        bad = ((a, b) for a in range(n) for b in bits(p.up[a])
+               if not leq(neg[b], neg[a]))
+    elif law == "involutive":
+        bad = ((a,) for a in range(n) if neg[neg[a]] != a)
+    elif law == "left-self-adjunction":
+        bad = ((a, b) for a in range(n) for b in range(n)
+               if leq(neg[a], b) != leq(neg[b], a))
+    elif law == "right-self-adjunction":
+        bad = ((a, b) for a in range(n) for b in range(n)
+               if leq(a, neg[b]) != leq(b, neg[a]))
+    else:
+        raise ValueError(f"unknown negation law {law!r}")
+    return next(bad, None)
+
+
 def check_negation_laws(L: FinLattice, neg: Sequence[int]) -> NegationReport:
-    n, p = L.n, L.poset
-    if len(neg) != n:
+    if len(neg) != L.n:
         raise InputFormatError("negation table must be total")
-    antitone = all(p.leq(neg[b], neg[a])
-                   for a in range(n) for b in bits(p.up[a]))
-    involutive = all(neg[neg[a]] == a for a in range(n))
-    left = all(p.leq(neg[a], b) == p.leq(neg[b], a)
-               for a in range(n) for b in range(n))
-    right = all(p.leq(a, neg[b]) == p.leq(b, neg[a])
-                for a in range(n) for b in range(n))
-    return NegationReport(antitone, involutive, left, right)
+    return NegationReport(*(negation_law_failure(L.poset, neg, law) is None
+                            for law in NEGATION_LAWS))
 
 
 _FREE_BA_CAP = 3
@@ -411,16 +473,38 @@ def free_boolean_algebra(k: int) -> tuple[FinLattice, tuple[int, ...]]:
 # optional "neg" table.  Indices refer to positions in "elements".
 # ---------------------------------------------------------------------------
 
+def load_json(path: str):
+    """Parse a JSON file; a file that is not UTF-8 JSON is an
+    InputFormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise InputFormatError(f"{path} is not JSON: {exc}") from None
+
+
+def index_pairs(obj, key: str) -> list[tuple[int, int]]:
+    """The ``[i, j]`` integer pairs listed under ``key``."""
+    if not isinstance(obj, (list, tuple)):
+        raise InputFormatError(f'"{key}" must be a list of [i, j] pairs')
+    for x in obj:
+        if not (isinstance(x, (list, tuple)) and len(x) == 2
+                and all(type(i) is int for i in x)):
+            raise InputFormatError(f'"{key}" entry {x!r} is not a pair of integers')
+    return [(i, j) for i, j in obj]
+
+
 def poset_from_json(obj: dict) -> tuple[FinPoset, Optional[tuple[int, ...]]]:
     if not isinstance(obj, dict):
         raise InputFormatError("algebra JSON must be an object")
     labels = obj.get("elements")
-    if labels is not None and not isinstance(labels, list):
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
         raise InputFormatError('"elements" must be a list of names')
     if "leq" in obj:
         p = validate_poset(obj["leq"], labels)
     elif "hasse" in obj:
-        pairs = [tuple(x) for x in obj["hasse"]]
+        pairs = index_pairs(obj["hasse"], "hasse")
         if labels is not None:
             n = len(labels)
         else:
@@ -428,11 +512,15 @@ def poset_from_json(obj: dict) -> tuple[FinPoset, Optional[tuple[int, ...]]]:
         p = poset_from_hasse(n, pairs, labels)
     else:
         raise InputFormatError('algebra JSON needs "leq" or "hasse"')
+    if labels is not None and len(labels) != p.n:
+        raise InputFormatError(f'"elements" names {len(labels)} elements, '
+                               f'the order has {p.n}')
     neg = obj.get("neg")
     if neg is not None:
-        if len(neg) != p.n or not all(0 <= x < p.n for x in neg):
+        if not (isinstance(neg, list) and len(neg) == p.n
+                and all(type(x) is int and 0 <= x < p.n for x in neg)):
             raise InputFormatError('"neg" must map every element index')
-        neg = tuple(int(x) for x in neg)
+        neg = tuple(neg)
     return p, neg
 
 

@@ -27,6 +27,7 @@ from .completion import (
     dm_completion,
     extend_negation_pi,
     extend_negation_sigma,
+    lift_map,
 )
 from .errors import (
     InputFormatError,
@@ -35,7 +36,7 @@ from .errors import (
     ParseError,
     UnboundVariable,
 )
-from .order import FinLattice, bits, mask_of
+from .order import FinLattice, is_monotone
 from .subordination import ProtoSubAlg
 
 
@@ -76,59 +77,34 @@ def build_slanted(S: ProtoSubAlg,
     """
     if ext is None:
         ext = dm_completion(S.carrier)
-    delta, embed = ext.delta, ext.embed
-    rows, cols = S.rows, S.cols
-    dia = [delta.meet_all(mask_of(embed[x] for x in bits(rows[a])))
-           for a in range(S.n)]
-    box = [delta.join_all(mask_of(embed[x] for x in bits(cols[a])))
-           for a in range(S.n)]
-    closed_eff = ext.closed | 1 << delta.top
-    open_eff = ext.open | 1 << delta.bot
+    dia = [ext.meet_of_base(r) for r in S.rows]
+    box = [ext.join_of_base(c) for c in S.cols]
+    closed_eff = ext.closed | 1 << ext.delta.top
+    open_eff = ext.open | 1 << ext.delta.bot
     proper_dia = all(closed_eff >> v & 1 for v in dia)
     proper_box = all(open_eff >> v & 1 for v in box)
     return SlantedAlg(S, ext, dia, box, proper_dia, proper_box)
 
 
-def _monotone_on_base(sa: SlantedAlg, table: Sequence[int]) -> bool:
-    p = sa.source.poset
-    delta = sa.delta
-    return all(delta.leq(table[a], table[b])
-               for a in range(p.n) for b in bits(p.up[a]))
-
-
 def sigma_extension(sa: SlantedAlg) -> tuple[int, ...]:
     """Total diamond on the completion: meets of diamonds from above on
-    closed elements, then joins over closed elements from below."""
-    if not _monotone_on_base(sa, sa.dia):
+    closed elements (the top included, as the empty meet), then joins
+    over closed elements from below."""
+    if not is_monotone(sa.dia, sa.source.poset, sa.delta.poset):
         raise NotMonotone("sigma extension needs a monotone diamond")
-    ext, delta = sa.ext, sa.delta
-    closed_eff = ext.closed | 1 << delta.top
-    on_closed = {}
-    for k in bits(closed_eff):
-        approx = mask_of(sa.dia[a] for a in range(sa.n)
-                         if delta.leq(k, ext.embed[a]))
-        on_closed[k] = delta.meet_all(approx)
-    return tuple(
-        delta.join_all(mask_of(on_closed[k] for k in bits(closed_eff)
-                               if delta.leq(k, u)))
-        for u in range(delta.n))
+    ext = sa.ext
+    return lift_map(ext, sa.dia, ext.closed | 1 << ext.delta.top,
+                    from_below=True, sigma=True)
 
 
 def pi_extension(sa: SlantedAlg) -> tuple[int, ...]:
-    """Total box on the completion, dual to the sigma extension."""
-    if not _monotone_on_base(sa, sa.box):
+    """Total box on the completion, dual to the sigma extension (the
+    bottom included among the open elements, as the empty join)."""
+    if not is_monotone(sa.box, sa.source.poset, sa.delta.poset):
         raise NotMonotone("pi extension needs a monotone box")
-    ext, delta = sa.ext, sa.delta
-    open_eff = ext.open | 1 << delta.bot
-    on_open = {}
-    for o in bits(open_eff):
-        approx = mask_of(sa.box[a] for a in range(sa.n)
-                         if delta.leq(ext.embed[a], o))
-        on_open[o] = delta.join_all(approx)
-    return tuple(
-        delta.meet_all(mask_of(on_open[o] for o in bits(open_eff)
-                               if delta.leq(u, o)))
-        for u in range(delta.n))
+    ext = sa.ext
+    return lift_map(ext, sa.box, ext.open | 1 << ext.delta.bot,
+                    from_below=False, sigma=False)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ carriers (``n <= 10``) per-carrier lookup tables over all ``2^n`` row
 masks decide WO, AND, OR, DD and UD without a sweep, which makes them
 cheap enough to run over every one of the ``2^(n*n)`` relations of an
 enumeration; the sweep then runs only to find the witness of a failure.
+The up-closure and directedness tables are the carrier's
+``order.subset_tables``; the meet- and join-closure tables that decide
+AND and OR are added to the same dict here.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from .order import (
     FinLattice,
     FinPoset,
     bits,
-    is_down_directed,
-    is_up_directed,
+    index_pairs,
     lattice_from_json,
     lattice_to_json,
+    load_json,
     poset_from_json,
     poset_to_json,
+    subset_tables,
 )
 
 Carrier = Union[FinPoset, FinLattice]
@@ -78,8 +82,6 @@ SYSTEM_RULES = {
 _NEEDS_LATTICE = {Property.AND, Property.OR, Property.CT,
                   Property.S9_FWD, Property.S9_BWD, Property.SL1, Property.SL2}
 _NEEDS_BOUNDS = {Property.BOT, Property.TOP, Property.PROPER}
-
-_TABLE_CAP = 10
 
 
 class SubordRel:
@@ -189,38 +191,23 @@ class ProtoSubAlg:
 # ---------------------------------------------------------------------------
 
 def _carrier_tables(S: ProtoSubAlg) -> Optional[dict]:
-    p = S.poset
-    if p.n > _TABLE_CAP:
-        return None
-    if p._tables is None:
-        n = p.n
-        size = 1 << n
-        upclose = [0] * size
-        downclose = [0] * size
-        dd = [True] * size
-        ud = [True] * size
-        for m in range(1, size):
-            low = (m & -m).bit_length() - 1
-            rest = m & (m - 1)
-            upclose[m] = upclose[rest] | p.up[low]
-            downclose[m] = downclose[rest] | p.down[low]
-            dd[m] = is_down_directed(m, p)
-            ud[m] = is_up_directed(m, p)
-        tables = {"upclose": upclose, "downclose": downclose, "dd": dd, "ud": ud}
-        lat = S.lattice
-        if lat is not None:
-            for key, op in (("meetclose", lat.meet), ("joinclose", lat.join)):
-                closed = [0] * size
-                for m in range(1, size):
-                    low = (m & -m).bit_length() - 1
-                    rest = closed[m & (m - 1)]
-                    acc = rest | 1 << low
-                    for y in bits(rest):
-                        acc |= 1 << op[low][y]
-                    closed[m] = acc
-                tables[key] = closed
-        p._tables = tables
-    return p._tables
+    """The carrier's subset tables, with the meet- and join-closure of
+    every mask added on a lattice carrier."""
+    tables = subset_tables(S.poset)
+    lat = S.lattice
+    if tables is not None and lat is not None and "meetclose" not in tables:
+        size = 1 << lat.n
+        for key, op in (("meetclose", lat.meet), ("joinclose", lat.join)):
+            closed = [0] * size
+            for m in range(1, size):
+                low = (m & -m).bit_length() - 1
+                rest = closed[m & (m - 1)]
+                acc = rest | 1 << low
+                for y in bits(rest):
+                    acc |= 1 << op[low][y]
+                closed[m] = acc
+            tables[key] = closed
+    return tables
 
 
 def _bounds(S: ProtoSubAlg) -> tuple[int, int]:
@@ -259,10 +246,10 @@ def _table_verdict(S: ProtoSubAlg, prop: Property) -> Optional[bool]:
     if prop is Property.WO:
         uc = t["upclose"]
         return all(uc[r] == r for r in S.rows)
-    if prop is Property.AND and "meetclose" in t:
+    if prop is Property.AND and S.lattice is not None:
         mc = t["meetclose"]
         return all(mc[r] == r for r in S.rows)
-    if prop is Property.OR and "joinclose" in t:
+    if prop is Property.OR and S.lattice is not None:
         jc = t["joinclose"]
         return all(jc[c] == c for c in S.cols)
     if prop is Property.DD:
@@ -672,25 +659,21 @@ def close_i(S: ProtoSubAlg, i: int) -> ProtoSubAlg:
 # ---------------------------------------------------------------------------
 
 def subalg_from_json(obj: dict, base_dir: Optional[str] = None) -> ProtoSubAlg:
-    import json
     import os
 
     if not isinstance(obj, dict) or "prec" not in obj:
         raise InputFormatError('subordination JSON needs "algebra" and "prec"')
     alg = obj.get("algebra")
     if isinstance(alg, str):
-        path = alg if os.path.isabs(alg) or base_dir is None \
-            else os.path.join(base_dir, alg)
-        with open(path, "r", encoding="utf-8") as fh:
-            alg = json.load(fh)
+        alg = load_json(alg if os.path.isabs(alg) or base_dir is None
+                        else os.path.join(base_dir, alg))
     if not isinstance(alg, dict):
         raise InputFormatError('"algebra" must be an object or a file path')
     try:
         carrier: Carrier = lattice_from_json(alg)
     except (NotALattice, NotBounded):
         carrier, _ = poset_from_json(alg)
-    pairs = [tuple(x) for x in obj["prec"]]
-    return ProtoSubAlg.from_pairs(carrier, pairs)
+    return ProtoSubAlg.from_pairs(carrier, index_pairs(obj["prec"], "prec"))
 
 
 def subalg_to_json(S: ProtoSubAlg) -> dict:

@@ -74,6 +74,94 @@ def cuts_oracle(p: FinPoset) -> set[frozenset]:
     return out
 
 
+class CutCompletion:
+    """The completion of a poset by cuts, from the definitions.
+
+    Elements are the cuts of ``cuts_oracle`` as frozensets of base
+    elements, ordered by inclusion; a meet is an intersection (the empty
+    meet is the whole carrier), a join the cut generated by a union.
+    Closed elements are the meets of nonempty down-directed sets of
+    embedded base elements, open elements the joins of nonempty
+    up-directed ones.
+    """
+
+    def __init__(self, p: FinPoset):
+        carrier = range(p.n)
+        self.p = p
+        self.cuts = cuts_oracle(p)
+        self.embed = [frozenset(x for x in carrier if p.leq(x, a)) for a in carrier]
+        self.top = frozenset(carrier)
+        self.bot = self.join([])
+
+        def directed(D, below):
+            return all(any(below(z, x) and below(z, y) for z in D)
+                       for x in D for y in D)
+
+        down = [D for D in subsets(carrier) if D and directed(D, p.leq)]
+        up = [D for D in subsets(carrier)
+              if D and directed(D, lambda z, x: p.leq(x, z))]
+        self.closed = {self.meet([self.embed[a] for a in D]) for D in down}
+        self.open = {self.join([self.embed[a] for a in D]) for D in up}
+
+    def meet(self, family) -> frozenset:
+        out = set(self.top)
+        for cut in family:
+            out &= cut
+        return frozenset(out)
+
+    def join(self, family) -> frozenset:
+        union = set().union(*family)
+        carrier = range(self.p.n)
+        uppers = [y for y in carrier if all(self.p.leq(x, y) for x in union)]
+        return frozenset(x for x in carrier if all(self.p.leq(x, y) for y in uppers))
+
+
+def sigma_oracle(C: CutCompletion, f: list) -> dict:
+    """Sigma extension of a monotone map ``f`` (base element -> cut): on a
+    closed element ``k`` (or the top, the empty meet) the meet of ``f(a)``
+    over ``k <= a``, elsewhere the join over the closed elements below."""
+    K = C.closed | {C.top}
+    at = {k: C.meet([f[a] for a in range(C.p.n) if k <= C.embed[a]]) for k in K}
+    return {u: C.join([at[k] for k in K if k <= u]) for u in C.cuts}
+
+
+def pi_oracle(C: CutCompletion, g: list) -> dict:
+    """Pi extension of a monotone map ``g``: on an open element ``o`` (or
+    the bottom, the empty join) the join of ``g(a)`` over ``a <= o``,
+    elsewhere the meet over the open elements above."""
+    O = C.open | {C.bot}
+    at = {o: C.join([g[a] for a in range(C.p.n) if C.embed[a] <= o]) for o in O}
+    return {u: C.meet([at[o] for o in O if u <= o]) for u in C.cuts}
+
+
+def neg_sigma_oracle(C: CutCompletion, neg) -> dict:
+    """Sigma lifting of an antitone negation: on an open element ``o`` the
+    meet of ``~a`` over ``a <= o``, elsewhere the join over the open
+    elements above."""
+    at = {o: C.meet([C.embed[neg[a]] for a in range(C.p.n) if C.embed[a] <= o])
+          for o in C.open}
+    return {u: C.join([at[o] for o in C.open if u <= o]) for u in C.cuts}
+
+
+def neg_pi_oracle(C: CutCompletion, neg) -> dict:
+    """Pi lifting of an antitone negation: on a closed element ``k`` the
+    join of ``~a`` over ``k <= a``, elsewhere the meet over the closed
+    elements below."""
+    at = {k: C.join([C.embed[neg[a]] for a in range(C.p.n) if k <= C.embed[a]])
+          for k in C.closed}
+    return {u: C.meet([at[k] for k in C.closed if k <= u]) for u in C.cuts}
+
+
+def negation_liftable_oracle(p: FinPoset, neg, side: str) -> bool:
+    """Antitone, and left- (sigma) or right-self-adjoint (pi)."""
+    pairs = [(a, b) for a in range(p.n) for b in range(p.n)]
+    if any(p.leq(a, b) and not p.leq(neg[b], neg[a]) for a, b in pairs):
+        return False
+    if side == "sigma":
+        return all(p.leq(neg[a], b) == p.leq(neg[b], a) for a, b in pairs)
+    return all(p.leq(a, neg[b]) == p.leq(b, neg[a]) for a, b in pairs)
+
+
 def closure_oracle(carrier: FinLattice, pairs: set, rule_names: set) -> set:
     """Least rules-closed superset, by intersecting all closed supersets
     over the full 2^(n*n) relation space."""

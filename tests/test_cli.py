@@ -242,3 +242,63 @@ def test_missing_file_is_input_error(capsys):
     code = main(["check", "--algebra", "/nonexistent.json", "--props", "SI"])
     capsys.readouterr()
     assert code == 2
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--input", "{bad}", "--props", "SI"],
+        ["check", "--algebra", "{algebra}", "--prec", "{bad}", "--props", "SI"],
+        ["check", "--input", "{sub_bad_algebra}", "--props", "SI"],
+        ["slanted", "--input", "{bad}", "--ineq", "p <= <>p"],
+        ["verify", "--replay", "{bad}"],
+        ["verify", "--carriers", "{bad}"],
+        ["completion", "--poset", "{bad}"],
+        ["derive", "--system", "1", "--norms", "{binary}", "--query", "p |~ q"],
+        ["out", "--system", "1", "--norms", "{binary}", "--gamma", "p", "--head", "q"],
+    ], ids=["check-input", "check-prec", "check-algebra-path", "slanted-input",
+            "verify-replay", "verify-carriers", "completion-poset", "derive-norms",
+            "out-norms"])
+    def test_unreadable_file_is_input_error(self, capsys, files, tmp_path, argv):
+        (tmp_path / "bad.json").write_text('{"prec": [[0, 1]')
+        (tmp_path / "binary.ion").write_bytes(b"p |~ q\xff\xfe\n")
+        (tmp_path / "sub_bad_algebra.json").write_text(
+            json.dumps({"algebra": "bad.json", "prec": []}))
+        paths = {"bad": tmp_path / "bad.json", "binary": tmp_path / "binary.ion",
+                 "sub_bad_algebra": tmp_path / "sub_bad_algebra.json",
+                 "algebra": files["algebra"]}
+        code, err = run_err(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, payload", [
+        ("check", {"algebra": "b4.json", "prec": 5}),
+        ("check", {"algebra": "b4.json", "prec": [[0.0, 1]]}),
+        ("check", {"algebra": "b4.json", "prec": [[0, 1, 2]]}),
+        ("check", {"algebra": "b4.json", "prec": [["0", "1"]]}),
+        ("check", {"algebra": {"hasse": [[0, 1], [1]]}, "prec": []}),
+        ("check-prec", 5),
+        ("check-prec", [[0, 1.5]]),
+        ("completion", {"elements": ["x"], "leq": [[1, 0], [0, 1]]}),
+        ("completion", {"elements": ["x", 2], "leq": [[1, 0], [0, 1]]}),
+        ("completion", {"leq": [1, 2]}),
+        ("completion", {"elements": ["a", "b"], "leq": [[1, "0"], [0, 1]]}),
+    ], ids=["prec-not-list", "float-pair", "three-element-pair", "string-pair",
+            "one-element-hasse-pair", "prec-file-not-list", "prec-file-float-pair",
+            "fewer-elements-than-rows", "non-string-element", "leq-row-not-list",
+            "string-leq-entry"])
+    def test_malformed_pairs_and_labels_are_input_errors(self, capsys, files,
+                                                         command, payload):
+        path = files["dir"] / "malformed.json"
+        path.write_text(json.dumps(payload))
+        argv = {"check": ["check", "--input", str(path), "--props", "SI"],
+                "check-prec": ["check", "--algebra", files["algebra"],
+                               "--prec", str(path), "--props", "SI"],
+                "completion": ["completion", "--poset", str(path)]}[command]
+        code, err = run_err(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from subnorm.completion import (
@@ -8,9 +11,19 @@ from subnorm.completion import (
     verify_compact,
     verify_dense,
 )
-from subnorm.errors import NegationLawsFail, PosetLawViolation
+from subnorm.errors import NegationLawsFail, NotALattice, PosetLawViolation
 from subnorm.order import mask_of, poset_from_hasse, to_lattice, validate_poset
-from oracles import cuts_oracle
+from subnorm.slanted import build_slanted, pi_extension, sigma_extension
+from subnorm.subordination import Property, ProtoSubAlg, SubordRel, close
+from oracles import (
+    CutCompletion,
+    cuts_oracle,
+    neg_pi_oracle,
+    neg_sigma_oracle,
+    negation_liftable_oracle,
+    pi_oracle,
+    sigma_oracle,
+)
 
 
 def delta_order_iso(c, lat):
@@ -165,3 +178,52 @@ class TestNegationExtension:
         for base, neg in ((b4, b4.neg), (antichain2, (1, 0))):
             c = dm_completion(base)
             assert extend_negation_sigma(c, neg) == extend_negation_pi(c, neg)
+
+
+class TestLiftingOracle:
+    """All four liftings against the set-based oracle on every labelled
+    poset with at most four elements, non-lattices included."""
+
+    def test_liftings_match_oracle_on_small_posets(self):
+        rng = random.Random(5)
+        seen = {"non-lattice": 0, "sigma": 0, "pi": 0, "neg-sigma": 0, "neg-pi": 0}
+        for n in range(1, 5):
+            for p in all_posets_of_size(n):
+                try:
+                    carrier = to_lattice(p)
+                except NotALattice:
+                    carrier = p
+                    seen["non-lattice"] += 1
+                c = dm_completion(carrier)
+                C = CutCompletion(p)
+                cut = [frozenset(x for x in range(n) if c.delta.leq(c.embed[x], u))
+                       for u in range(c.delta.n)]
+                assert len(set(cut)) == c.delta.n and set(cut) == C.cuts
+
+                def as_cuts(table):
+                    return {cut[u]: cut[v] for u, v in enumerate(table)}
+
+                for _ in range(4):
+                    rows = [mask_of(b for b in range(n) if rng.random() < 0.3)
+                            for _ in range(n)]
+                    S = close(ProtoSubAlg(carrier, SubordRel(n, rows)),
+                              {Property.SI, Property.WO})
+                    sa = build_slanted(S, c)
+                    assert as_cuts(sigma_extension(sa)) == sigma_oracle(
+                        C, [cut[v] for v in sa.dia]), (p.up, S)
+                    assert as_cuts(pi_extension(sa)) == pi_oracle(
+                        C, [cut[v] for v in sa.box]), (p.up, S)
+                    seen["sigma"] += 1
+                    seen["pi"] += 1
+                for neg in product(range(n), repeat=n):
+                    for side, lift, oracle in (
+                            ("sigma", extend_negation_sigma, neg_sigma_oracle),
+                            ("pi", extend_negation_pi, neg_pi_oracle)):
+                        if negation_liftable_oracle(p, neg, side):
+                            assert as_cuts(lift(c, neg)) == oracle(C, neg), (p.up, neg)
+                            seen["neg-" + side] += 1
+                        else:
+                            with pytest.raises(NegationLawsFail):
+                                lift(c, neg)
+        assert seen["non-lattice"] >= 100
+        assert min(seen.values()) >= 100, seen
