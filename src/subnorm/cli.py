@@ -49,7 +49,6 @@ from .harness import (
     replay_counterexample,
     run_suite,
 )
-from .harness.catalog import CHECKS_BY_NAME
 from .subordination import (
     Property,
     ProtoSubAlg,
@@ -265,11 +264,8 @@ def _cmd_verify(args) -> int:
         max_n=args.max_n,
     )
     checks = None
-    if args.checks:
+    if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        for name in checks:
-            if name not in CHECKS_BY_NAME:
-                raise SubnormError(f"unknown check {name!r}")
     report = run_suite(cfg, check_names=checks)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -217,83 +217,77 @@ def _union(rows, members: int) -> int:
 
 def _law_directed_image(inst) -> bool:
     t = subset_tables(inst.poset)
-    dd = t["dd"]
-    return all(dd[_union(inst.S.rows, m)] for m in t["down_directed"])
+    dd, image = t["dd"], inst.image
+    return all(dd[image[m]] for m in t["down_directed"])
 
 
 def _law_codirected_preimage(inst) -> bool:
     t = subset_tables(inst.poset)
-    ud = t["ud"]
-    return all(ud[_union(inst.S.cols, m)] for m in t["up_directed"])
+    ud, preimage = t["ud"], inst.preimage
+    return all(ud[preimage[m]] for m in t["up_directed"])
 
 
 def _law_dia_of_meet(inst) -> bool:
-    ext = inst.ctx.ext
+    ext, image, sigma = inst.ctx.ext, inst.image, inst.sigma
     closed_eff = ext.closed | 1 << ext.delta.top
     for m in subset_tables(inst.poset)["down_directed"]:
-        want = ext.meet_of_base(_union(inst.S.rows, m))
-        if inst.sigma[ext.meet_of_base(m)] != want or not closed_eff >> want & 1:
+        want = ext.meet_of_base(image[m])
+        if sigma[ext.meet_of_base(m)] != want or not closed_eff >> want & 1:
             return False
     return True
 
 
 def _law_box_of_join(inst) -> bool:
-    ext = inst.ctx.ext
+    ext, preimage, pi = inst.ctx.ext, inst.preimage, inst.pi
     open_eff = ext.open | 1 << ext.delta.bot
     for m in subset_tables(inst.poset)["up_directed"]:
-        want = ext.join_of_base(_union(inst.S.cols, m))
-        if inst.pi[ext.join_of_base(m)] != want or not open_eff >> want & 1:
+        want = ext.join_of_base(preimage[m])
+        if pi[ext.join_of_base(m)] != want or not open_eff >> want & 1:
             return False
     return True
 
 
+# The bound-reflection laws ask for a rel-pair (a, b) with a above a
+# closed k and b below an open o.  The heads reached from above k are the
+# union of the rows of the base elements above k, the tails reaching
+# below o the union of the columns of those below o, so each law is one
+# mask test per (k, b), (k, o) or (o, a) family.
+
 def _law_dia_bound_reflects(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    for k in bits(inst.ctx.ext.closed):
-        sk = inst.sigma[k]
-        for b in range(inst.n):
-            if d.leq(sk, embed[b]):
-                if not any(d.leq(k, embed[a]) and inst.S.prec.has(a, b)
-                           for a in range(inst.n)):
-                    return False
-    return True
+    # <>k <= b forces b into the heads reached from above k
+    ctx, rows, sigma = inst.ctx, inst.S.rows, inst.sigma
+    above = ctx.base_above
+    return all(not above[sigma[k]] & ~_union(rows, above[k])
+               for k in bits(ctx.ext.closed))
 
 
 def _law_dia_open_bound_reflects(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    for k in bits(inst.ctx.ext.closed):
-        sk = inst.sigma[k]
-        for o in bits(inst.ctx.ext.open):
-            if d.leq(sk, o):
-                if not any(d.leq(k, embed[a]) and d.leq(embed[b], o)
-                           and inst.S.prec.has(a, b)
-                           for a in range(inst.n) for b in range(inst.n)):
-                    return False
+    # <>k <= o forces a head reached from above k below o
+    ctx, rows, sigma = inst.ctx, inst.S.rows, inst.sigma
+    above, below, up = ctx.base_above, ctx.base_below, ctx.delta.poset.up
+    for k in bits(ctx.ext.closed):
+        reach = _union(rows, above[k])
+        if any(not reach & below[o] for o in bits(ctx.ext.open & up[sigma[k]])):
+            return False
     return True
 
 
 def _law_box_bound_reflects(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    for o in bits(inst.ctx.ext.open):
-        po = inst.pi[o]
-        for a in range(inst.n):
-            if d.leq(embed[a], po):
-                if not any(d.leq(embed[b], o) and inst.S.prec.has(a, b)
-                           for b in range(inst.n)):
-                    return False
-    return True
+    # a <= []o forces a into the tails reaching below o
+    ctx, cols, pi = inst.ctx, inst.S.cols, inst.pi
+    below = ctx.base_below
+    return all(not below[pi[o]] & ~_union(cols, below[o])
+               for o in bits(ctx.ext.open))
 
 
 def _law_box_closed_bound_reflects(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    for o in bits(inst.ctx.ext.open):
-        po = inst.pi[o]
-        for k in bits(inst.ctx.ext.closed):
-            if d.leq(k, po):
-                if not any(d.leq(k, embed[a]) and d.leq(embed[b], o)
-                           and inst.S.prec.has(a, b)
-                           for a in range(inst.n) for b in range(inst.n)):
-                    return False
+    # k <= []o forces a tail reaching below o above k
+    ctx, cols, pi = inst.ctx, inst.S.cols, inst.pi
+    above, below, down = ctx.base_above, ctx.base_below, ctx.delta.poset.down
+    for o in bits(ctx.ext.open):
+        reach = _union(cols, below[o])
+        if any(not reach & above[k] for k in bits(ctx.ext.closed & down[pi[o]])):
+            return False
     return True
 
 

@@ -7,7 +7,10 @@ is a plain JSON-ready dict: per-check tested/pass/skip counts, up to a
 bounded number of fully serialized counterexamples (replayable through
 ``replay_counterexample`` or the command line), and a summary.  All
 wall-clock measurements live under the separate ``timing`` key so two
-runs with the same configuration agree byte-for-byte everywhere else.
+runs with the same configuration agree byte-for-byte everywhere else:
+``timing.checks`` holds the seconds spent in each check's own body,
+``timing.layers`` the seconds and build count of each lazily built
+per-instance artefact (``LAYERS``), whichever check asked for it first.
 
 Checks are pure, so instances could be fanned out to workers with the
 report aggregation as the only synchronization point; the runner stays
@@ -17,16 +20,15 @@ sequential to keep counterexample order canonical without a sort pass.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..completion import dm_completion, extend_negation_sigma
 from ..errors import InputFormatError, MissingStructure
-from ..order import FinLattice, check_negation_laws
+from ..order import FinLattice, check_negation_laws, mask_of
 from ..slanted import build_slanted, pi_extension, sigma_extension
 from ..subordination import (
     Property,
     ProtoSubAlg,
-    is_subordination_algebra,
     property_holds,
     subalg_from_json,
     subalg_to_json,
@@ -37,9 +39,37 @@ from .generate import GenConfig, corpus_stream, default_config
 
 _MAX_STORED_COUNTEREXAMPLES = 10
 
+#: the lazily built per-instance artefacts timed under ``timing.layers``
+LAYERS = ("flags", "sa", "sigma", "pi", "space", "space_pf", "image", "preimage")
+
+
+class LayerClock:
+    """Seconds and build counts of the per-instance artefacts of one
+    carrier.  A build's arguments are evaluated before its clock starts,
+    so builds never nest and ``spent`` is the total time inside builds."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(LAYERS, 0.0)
+        self.builds = dict.fromkeys(LAYERS, 0)
+        self.spent = 0.0
+
+    def build(self, layer: str, fn: Callable, *args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            dt = time.perf_counter() - t0
+            self.seconds[layer] += dt
+            self.builds[layer] += 1
+            self.spent += dt
+
 
 class CarrierContext:
-    """Per-carrier caches shared by every instance on that carrier."""
+    """Per-carrier caches shared by every instance on that carrier.
+
+    ``base_above[u]``/``base_below[u]`` are the base elements whose
+    embedding lies above/below the completion element ``u``, as base
+    masks."""
 
     def __init__(self, name: str, lat: FinLattice):
         self.name = name
@@ -47,6 +77,12 @@ class CarrierContext:
         self.ext = dm_completion(lat)
         self.delta = self.ext.delta
         self.embed = self.ext.embed
+        self.clock = LayerClock()
+        up, down = self.delta.poset.up, self.delta.poset.down
+        self.base_above = tuple(mask_of(a for a, e in enumerate(self.embed) if up[u] >> e & 1)
+                                for u in range(self.delta.n))
+        self.base_below = tuple(mask_of(a for a, e in enumerate(self.embed) if down[u] >> e & 1)
+                                for u in range(self.delta.n))
         self.neg_report = (check_negation_laws(lat, lat.neg)
                            if lat.neg is not None else None)
         self.neg_delta = None
@@ -55,11 +91,29 @@ class CarrierContext:
             self.neg_delta = extend_negation_sigma(self.ext, lat.neg)
 
 
+def _unions(rows) -> list[int]:
+    """``table[m]`` is the union of ``rows[a]`` over the members ``a`` of
+    ``m``, for all ``2^n`` masks: one OR per mask."""
+    table = [0]
+    for r in rows:
+        table += [m | r for m in table]
+    return table
+
+
 class Instance:
-    """One relation on a carrier, with lazily cached derived data."""
+    """One relation on a carrier, with lazily cached derived data.
+
+    Each artefact is built on first use through the carrier's
+    ``LayerClock``: the property flags, the operators ``sa`` (with
+    ``dia``/``box``), their ``sigma``/``pi`` extensions, the two dual
+    spaces, and the ``image``/``preimage`` tables, which give the union
+    of the rows/columns of every one of the ``2^n`` subset masks (read
+    by the directed-family checks, on carriers small enough for subset
+    tables).
+    """
 
     __slots__ = ("ctx", "S", "_flags", "_sa", "_sigma", "_pi",
-                 "_space", "_space_pf", "_subord")
+                 "_space", "_space_pf", "_image", "_preimage")
 
     def __init__(self, ctx: CarrierContext, S: ProtoSubAlg):
         self.ctx = ctx
@@ -70,7 +124,8 @@ class Instance:
         self._pi = None
         self._space = None
         self._space_pf = None
-        self._subord = None
+        self._image = None
+        self._preimage = None
 
     @property
     def n(self) -> int:
@@ -95,17 +150,14 @@ class Instance:
     def flag(self, prop: Property) -> Optional[bool]:
         got = self._flags.get(prop, _UNSET)
         if got is _UNSET:
-            try:
-                got = property_holds(self.S, prop)
-            except MissingStructure:
-                got = None
+            got = self.ctx.clock.build("flags", _flag, self.S, prop)
             self._flags[prop] = got
         return got
 
     @property
     def sa(self):
         if self._sa is None:
-            self._sa = build_slanted(self.S, self.ctx.ext)
+            self._sa = self.ctx.clock.build("sa", build_slanted, self.S, self.ctx.ext)
         return self._sa
 
     @property
@@ -119,20 +171,31 @@ class Instance:
     @property
     def sigma(self):
         if self._sigma is None:
-            self._sigma = sigma_extension(self.sa)
+            self._sigma = self.ctx.clock.build("sigma", sigma_extension, self.sa)
         return self._sigma
 
     @property
     def pi(self):
         if self._pi is None:
-            self._pi = pi_extension(self.sa)
+            self._pi = self.ctx.clock.build("pi", pi_extension, self.sa)
         return self._pi
 
     @property
+    def image(self) -> list[int]:
+        if self._image is None:
+            self._image = self.ctx.clock.build("image", _unions, self.S.rows)
+        return self._image
+
+    @property
+    def preimage(self) -> list[int]:
+        if self._preimage is None:
+            self._preimage = self.ctx.clock.build("preimage", _unions, self.S.cols)
+        return self._preimage
+
+    @property
     def is_subordination(self) -> bool:
-        if self._subord is None:
-            self._subord = is_subordination_algebra(self.S)
-        return self._subord
+        """The six subordination rules hold (read off the flags)."""
+        return all(self.flag(q) is True for q in _SUBORDINATION_PROPS)
 
     @property
     def dia_serial(self) -> bool:
@@ -148,18 +211,28 @@ class Instance:
     def space(self):
         if self._space is None:
             from ..duality import build_space_jirr
-            self._space = build_space_jirr(self.S)
+            self._space = self.ctx.clock.build("space", build_space_jirr, self.S)
         return self._space
 
     @property
     def space_pf(self):
         if self._space_pf is None:
             from ..duality import build_space_primefilters
-            self._space_pf = build_space_primefilters(self.S)
+            self._space_pf = self.ctx.clock.build(
+                "space_pf", build_space_primefilters, self.S)
         return self._space_pf
 
 
 _UNSET = object()
+_SUBORDINATION_PROPS = (Property.BOT, Property.TOP, Property.SI,
+                        Property.WO, Property.AND, Property.OR)
+
+
+def _flag(S: ProtoSubAlg, prop: Property) -> Optional[bool]:
+    try:
+        return property_holds(S, prop)
+    except MissingStructure:
+        return None
 
 
 def verify_check(spec: CheckSpec, inst: Instance) -> tuple[str, Optional[dict]]:
@@ -190,6 +263,8 @@ def _select_checks(names: Optional[Iterable[str]]) -> list[CheckSpec]:
         if name not in CHECKS_BY_NAME:
             raise InputFormatError(f"unknown check {name!r}")
         out.append(CHECKS_BY_NAME[name])
+    if not out:
+        raise InputFormatError("no checks selected")
     return out
 
 
@@ -232,6 +307,10 @@ def run_suite(cfg: Optional[GenConfig] = None,
 
     gaps = sorted(name for name, st in stats.items() if st["tested"] == 0)
     n_counter = sum(st["counterexample_count"] for st in stats.values())
+    layers = {name: {"builds": sum(c.clock.builds[name] for c in contexts.values()),
+                     "seconds": round(sum(c.clock.seconds[name]
+                                          for c in contexts.values()), 6)}
+              for name in LAYERS}
     report = {
         "config": cfg.describe(),
         "checks": {name: stats[name] for name in sorted(stats)},
@@ -243,6 +322,7 @@ def run_suite(cfg: Optional[GenConfig] = None,
         },
         "timing": {
             "checks": {name: round(timing[name], 6) for name in sorted(timing)},
+            "layers": {name: layers[name] for name in sorted(layers)},
             "total": round(time.perf_counter() - t_start, 6),
         },
     }
@@ -252,9 +332,10 @@ def run_suite(cfg: Optional[GenConfig] = None,
 def _run_one(spec: CheckSpec, inst: Instance, stats: dict, timing: dict,
              carrier_name: str) -> None:
     st = stats[spec.name]
-    t0 = time.perf_counter()
+    clock = inst.ctx.clock
+    t0, built = time.perf_counter(), clock.spent
     status, detail = verify_check(spec, inst)
-    timing[spec.name] += time.perf_counter() - t0
+    timing[spec.name] += time.perf_counter() - t0 - (clock.spent - built)
     if status == "skip":
         st["skips"] += 1
         return

@@ -281,7 +281,8 @@ def check_property(S: ProtoSubAlg, prop: Property) -> tuple[bool, Optional[tuple
 
 def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
     """Lexicographically first counterexample tuple, in the property's
-    stated variable order; None when the property holds."""
+    stated variable order; None when the property holds.  (S9 states its
+    witness as ``(x, a, b)`` and is swept over ``a``, ``b``, then ``x``.)"""
     p = S.poset
     rows = S.rows
     n = S.n
@@ -358,47 +359,69 @@ def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
         # S9 relates, for all x, a, b:
         #   (L)  some c with  c prec b  and  x prec a v c
         #   (R)  some a', b' with  a' prec a,  b' prec b,  x <= a' v b'.
-        # Forward demands L => R, backward R => L; the witness is (x, a, b).
+        # Forward demands L => R, backward R => L.  Per (a, b) both sides
+        # are point sets: L is the union of the columns of a v c over
+        # c prec b, R the down-closure of the joins a' v b'.  The witness
+        # is (x, a, b) with the least x of the first (a, b) that fails.
         forward = prop is Property.S9_FWD
-        join, cols = lat.join, S.cols
+        join, cols, down = lat.join, S.cols, p.down
         for a in range(n):
+            join_a, pre_a = join[a], list(bits(cols[a]))
             for b in range(n):
-                rmask = 0
-                for ap in bits(cols[a]):
-                    for bp in bits(cols[b]):
-                        rmask |= 1 << join[ap][bp]
-                joins_ac = [join[a][c] for c in bits(cols[b])]
-                for x in range(n):
-                    left = any(rows[x] >> j & 1 for j in joins_ac)
-                    right = bool(rmask & p.up[x])
-                    if (left and not right) if forward else (right and not left):
-                        return (x, a, b)
+                left = right = 0
+                for c in bits(cols[b]):
+                    left |= cols[join_a[c]]
+                    for ap in pre_a:
+                        right |= down[join[ap][c]]
+                bad = left & ~right if forward else right & ~left
+                if bad:
+                    return (next(bits(bad)), a, b)
     elif prop is Property.SL1:
         # (a, b, c) with a prec b v c but no b' prec b, c' prec c with
-        # a prec b' v c'
+        # a prec b' v c'.  Per (b, c) the joins b' v c' form one mask.
+        # Only an a below the best witness so far can improve it, so
+        # each (b, c) tests just those predecessors of b v c.
         join, cols = lat.join, S.cols
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if not rows[a] >> join[b][c] & 1:
-                        continue
-                    if not any(rows[a] >> join[bp][cp] & 1
-                               for bp in bits(cols[b]) for cp in bits(cols[c])):
-                        return (a, b, c)
+        first, below = None, (1 << n) - 1
+        for b in range(n):
+            pre_b = list(bits(cols[b]))
+            for c in range(n):
+                candidates = cols[join[b][c]] & below
+                if not candidates:
+                    continue
+                joins = 0
+                for cp in bits(cols[c]):
+                    for bp in pre_b:
+                        joins |= 1 << join[bp][cp]
+                reach = 0
+                for j in bits(joins):
+                    reach |= cols[j]
+                bad = candidates & ~reach
+                if bad:
+                    a = next(bits(bad))
+                    first, below = (a, b, c), (1 << a) - 1
+                    if not below:
+                        return first
+        return first
     elif prop is Property.SL2:
         # (b, c, a) with b ^ c prec a but no b prec b', c prec c' with
         # b' ^ c' prec a.  The witnesses come from the direct images (the
         # order-dual of SL1's inverse-image witnesses); that is the
         # reading under which SL2 is equivalent to the diamond inequality
         # <>(<>a & <>b) <= <>(a & b) on directed carriers, verified
-        # exhaustively by the test suite.
+        # exhaustively by the test suite.  Per (b, c) the heads reached
+        # from the meets b' ^ c' form one mask.
         meet = lat.meet
         for b in range(n):
+            post_b = list(bits(rows[b]))
             for c in range(n):
-                for a in bits(rows[meet[b][c]]):
-                    if not any(rows[meet[bp][cp]] >> a & 1
-                               for bp in bits(rows[b]) for cp in bits(rows[c])):
-                        return (b, c, a)
+                reach = 0
+                for cp in bits(rows[c]):
+                    for bp in post_b:
+                        reach |= rows[meet[bp][cp]]
+                bad = rows[meet[b][c]] & ~reach
+                if bad:
+                    return (b, c, next(bits(bad)))
     elif prop is Property.PREC_IN_LEQ:
         for a in range(n):
             bad = rows[a] & ~p.up[a]

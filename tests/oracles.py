@@ -354,6 +354,61 @@ def _sl2(S):
     return True
 
 
+def _pred_succ(S):
+    rel = _rel(S)
+    pred = [{a for a in range(S.n) if (a, b) in rel} for b in range(S.n)]
+    succ = [{b for b in range(S.n) if (a, b) in rel} for a in range(S.n)]
+    return rel, pred, succ
+
+
+def s9_witness_oracle(S, forward: bool):
+    """First (x, a, b) at which forward (L => R) or backward (R => L) S9
+    fails, taking a, b, x in that order (the order of the sweep; the
+    tuple lists x first, as the rule states it); None when it holds.
+    L: some c with c prec b and x prec a v c.  R: some a' prec a,
+    b' prec b with x <= a' v b'."""
+    rel, pred, _ = _pred_succ(S)
+    lat, n = S.carrier, S.n
+    for a, b, x in product(range(n), repeat=3):
+        left = any((x, lat.join[a][c]) in rel for c in pred[b])
+        right = any(lat.leq(x, lat.join[ap][bp]) for ap in pred[a] for bp in pred[b])
+        if (left and not right) if forward else (right and not left):
+            return (x, a, b)
+    return None
+
+
+def sl1_witness_oracle(S):
+    """First (a, b, c) with a prec b v c but no b' prec b, c' prec c with
+    a prec b' v c'; None when SL1 holds."""
+    rel, pred, _ = _pred_succ(S)
+    lat, n = S.carrier, S.n
+    for a, b, c in product(range(n), repeat=3):
+        if (a, lat.join[b][c]) in rel and not any(
+                (a, lat.join[bp][cp]) in rel for bp in pred[b] for cp in pred[c]):
+            return (a, b, c)
+    return None
+
+
+def sl2_witness_oracle(S):
+    """First (b, c, a) with b ^ c prec a but no b prec b', c prec c' with
+    b' ^ c' prec a (direct-image witnesses); None when SL2 holds."""
+    rel, _, succ = _pred_succ(S)
+    lat, n = S.carrier, S.n
+    for b, c, a in product(range(n), repeat=3):
+        if (lat.meet[b][c], a) in rel and not any(
+                (lat.meet[bp][cp], a) in rel for bp in succ[b] for cp in succ[c]):
+            return (b, c, a)
+    return None
+
+
+WITNESS_ORACLES = {
+    "S9_FWD": lambda S: s9_witness_oracle(S, forward=True),
+    "S9_BWD": lambda S: s9_witness_oracle(S, forward=False),
+    "SL1": sl1_witness_oracle,
+    "SL2": sl2_witness_oracle,
+}
+
+
 @_orc("PREC_IN_LEQ")
 def _pil(S):
     rel, lat = _rel(S), S.carrier
@@ -402,3 +457,141 @@ def eval_formula_oracle(f, valuation: dict) -> bool:
     if kind == "imp":
         return (not eval_formula_oracle(f[1], valuation)) or eval_formula_oracle(f[2], valuation)
     raise AssertionError(f)
+
+
+# ---- catalog laws, one pair at a time ----------------------------------
+#
+# The per-pair statements of the catalog's directed-family and
+# bound-reflection laws.  They read the instance's sigma/pi tables (so a
+# test may plant them) and compute directed subsets, embedded meets and
+# joins and images from the definitions.
+
+def is_down_directed_oracle(p: FinPoset, mask: int) -> bool:
+    D = list(bits(mask))
+    return all(any(p.leq(z, x) and p.leq(z, y) for z in D) for x in D for y in D)
+
+
+def is_up_directed_oracle(p: FinPoset, mask: int) -> bool:
+    D = list(bits(mask))
+    return all(any(p.leq(x, z) and p.leq(y, z) for z in D) for x in D for y in D)
+
+
+_DIRECTED = {}
+
+
+def _directed_masks(p: FinPoset, down: bool) -> list[int]:
+    key = (tuple(p.up), down)
+    if key not in _DIRECTED:
+        directed = is_down_directed_oracle if down else is_up_directed_oracle
+        _DIRECTED[key] = [m for m in range(1, 1 << p.n) if directed(p, m)]
+    return _DIRECTED[key]
+
+
+def _image_of(rows, members: int) -> int:
+    acc = 0
+    for a in bits(members):
+        acc |= rows[a]
+    return acc
+
+
+def _meet_of_base(ext, m: int) -> int:
+    return ext.delta.meet_all(sum(1 << ext.embed[x] for x in bits(m)))
+
+
+def _join_of_base(ext, m: int) -> int:
+    return ext.delta.join_all(sum(1 << ext.embed[x] for x in bits(m)))
+
+
+def law_directed_image_oracle(inst) -> bool:
+    p = inst.poset
+    return all(is_down_directed_oracle(p, _image_of(inst.S.rows, m))
+               for m in _directed_masks(p, down=True))
+
+
+def law_codirected_preimage_oracle(inst) -> bool:
+    p = inst.poset
+    return all(is_up_directed_oracle(p, _image_of(inst.S.cols, m))
+               for m in _directed_masks(p, down=False))
+
+
+def law_dia_of_meet_oracle(inst) -> bool:
+    ext = inst.ctx.ext
+    closed_eff = ext.closed | 1 << ext.delta.top
+    for m in _directed_masks(inst.poset, down=True):
+        want = _meet_of_base(ext, _image_of(inst.S.rows, m))
+        if inst.sigma[_meet_of_base(ext, m)] != want or not closed_eff >> want & 1:
+            return False
+    return True
+
+
+def law_box_of_join_oracle(inst) -> bool:
+    ext = inst.ctx.ext
+    open_eff = ext.open | 1 << ext.delta.bot
+    for m in _directed_masks(inst.poset, down=False):
+        want = _join_of_base(ext, _image_of(inst.S.cols, m))
+        if inst.pi[_join_of_base(ext, m)] != want or not open_eff >> want & 1:
+            return False
+    return True
+
+
+def law_dia_bound_reflects_oracle(inst) -> bool:
+    d, embed = inst.delta, inst.embed
+    for k in bits(inst.ctx.ext.closed):
+        sk = inst.sigma[k]
+        for b in range(inst.n):
+            if d.leq(sk, embed[b]):
+                if not any(d.leq(k, embed[a]) and inst.S.prec.has(a, b)
+                           for a in range(inst.n)):
+                    return False
+    return True
+
+
+def law_dia_open_bound_reflects_oracle(inst) -> bool:
+    d, embed = inst.delta, inst.embed
+    for k in bits(inst.ctx.ext.closed):
+        sk = inst.sigma[k]
+        for o in bits(inst.ctx.ext.open):
+            if d.leq(sk, o):
+                if not any(d.leq(k, embed[a]) and d.leq(embed[b], o)
+                           and inst.S.prec.has(a, b)
+                           for a in range(inst.n) for b in range(inst.n)):
+                    return False
+    return True
+
+
+def law_box_bound_reflects_oracle(inst) -> bool:
+    d, embed = inst.delta, inst.embed
+    for o in bits(inst.ctx.ext.open):
+        po = inst.pi[o]
+        for a in range(inst.n):
+            if d.leq(embed[a], po):
+                if not any(d.leq(embed[b], o) and inst.S.prec.has(a, b)
+                           for b in range(inst.n)):
+                    return False
+    return True
+
+
+def law_box_closed_bound_reflects_oracle(inst) -> bool:
+    d, embed = inst.delta, inst.embed
+    for o in bits(inst.ctx.ext.open):
+        po = inst.pi[o]
+        for k in bits(inst.ctx.ext.closed):
+            if d.leq(k, po):
+                if not any(d.leq(k, embed[a]) and d.leq(embed[b], o)
+                           and inst.S.prec.has(a, b)
+                           for a in range(inst.n) for b in range(inst.n)):
+                    return False
+    return True
+
+
+#: catalog check name -> (oracle, which planted table it reads)
+LAW_ORACLES = {
+    "directed-image-directed": (law_directed_image_oracle, None),
+    "codirected-preimage-directed": (law_codirected_preimage_oracle, None),
+    "diamond-of-meet": (law_dia_of_meet_oracle, "sigma"),
+    "box-of-join": (law_box_of_join_oracle, "pi"),
+    "diamond-bound-reflects": (law_dia_bound_reflects_oracle, "sigma"),
+    "diamond-open-bound-reflects": (law_dia_open_bound_reflects_oracle, "sigma"),
+    "box-bound-reflects": (law_box_bound_reflects_oracle, "pi"),
+    "box-closed-bound-reflects": (law_box_closed_bound_reflects_oracle, "pi"),
+}

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from subnorm.cli import main
+from subnorm.errors import InputFormatError
+from subnorm.harness import GenConfig, run_suite
 from subnorm.order import lattice_from_json
 from subnorm.subordination import subalg_from_json
 
@@ -224,6 +226,17 @@ class TestVerifyCmd:
         code, _ = run(capsys, "verify", "--carriers", "chain2",
                       "--checks", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_empty_check_list_is_input_error(self, capsys, checks):
+        code = main(["verify", "--carriers", "chain2", "--checks", checks])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "no checks selected" in err
+
+    def test_run_suite_rejects_empty_check_list(self):
+        with pytest.raises(InputFormatError):
+            run_suite(GenConfig(carriers=("chain2",)), check_names=[])
 
     @pytest.mark.parametrize("option", ["--samples", "--max-n"])
     def test_negative_count_is_input_error(self, capsys, option):

@@ -12,7 +12,13 @@ from subnorm.completion import (
     verify_dense,
 )
 from subnorm.errors import NegationLawsFail, NotALattice, PosetLawViolation
-from subnorm.order import mask_of, poset_from_hasse, to_lattice, validate_poset
+from subnorm.order import (
+    free_boolean_algebra,
+    mask_of,
+    poset_from_hasse,
+    to_lattice,
+    validate_poset,
+)
 from subnorm.slanted import build_slanted, pi_extension, sigma_extension
 from subnorm.subordination import Property, ProtoSubAlg, SubordRel, close
 from oracles import (
@@ -73,6 +79,26 @@ class TestDmCompletion:
     def test_closed_open_equal_image(self, v_poset):
         c = dm_completion(v_poset)
         assert c.closed == c.open == mask_of(c.embed)
+
+    def test_memoised_meets_and_joins(self, v_poset, b8):
+        """Memoised values equal the meet/join of the embedded subset,
+        asked twice in shuffled order; the memo holds 2^n entries and is
+        absent on bases with more than ten elements."""
+        bowtie = poset_from_hasse(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3),
+                                      (2, 4), (3, 5), (4, 5)])
+        big, _ = free_boolean_algebra(2)  # 16 elements
+        for base in (v_poset, bowtie, b8, big):
+            c = dm_completion(base)
+            size, rng = 1 << c.base.n, random.Random(c.base.n)
+            masks = [rng.randrange(size) for _ in range(300)]
+            for m in masks + masks[::-1]:
+                embedded = mask_of(c.embed[x] for x in range(c.base.n) if m >> x & 1)
+                assert c.meet_of_base(m) == c.delta.meet_all(embedded)
+                assert c.join_of_base(m) == c.delta.join_all(embedded)
+            if c.base.n <= 10:
+                assert len(c._meets) == len(c._joins) == size
+            else:
+                assert c._meets is None and c._joins is None
 
 
 def all_posets_of_size(n):

@@ -1,5 +1,6 @@
 import json
 import random
+import zlib
 
 import pytest
 
@@ -23,6 +24,7 @@ from subnorm.harness import (
     verify_prop41,
 )
 from subnorm.harness import maximality
+from subnorm.harness.run import LAYERS
 from subnorm.harness.carriers import load_carrier
 from subnorm.harness.catalog import Inequalities
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
@@ -44,6 +46,7 @@ from subnorm.subordination import (
     property_holds,
 )
 from conftest import leq_relation
+from oracles import LAW_ORACLES
 
 P = Property
 
@@ -363,6 +366,48 @@ class TestProp41:
                 assert len(closed) == 1, (members[0], i)
 
 
+class TestLawOracles:
+    """The directed-family and bound-reflection laws against their
+    per-pair statements, on relations, their SI/WO closures and their
+    subordination closures, with the true sigma/pi tables, the true
+    tables with one value moved, and random tables planted."""
+
+    @staticmethod
+    def planted_tables(inst, table, rng):
+        if table is None:
+            return [None]
+        size = inst.delta.n
+        out = [tuple(rng.randrange(size) for _ in range(size))]
+        try:
+            true = getattr(inst, table)
+        except NotMonotone:
+            return out
+        moved = list(true)
+        moved[rng.randrange(size)] = rng.randrange(size)
+        return out + [true, tuple(moved)]
+
+    @pytest.mark.parametrize("name", sorted(LAW_ORACLES))
+    def test_law_matches_oracle(self, name, chain4, b4, fdl2, b8):
+        oracle, table = LAW_ORACLES[name]
+        law = CHECKS_BY_NAME[name].law
+        rng = random.Random(zlib.crc32(name.encode()))
+        outcomes = {}
+        for lat, count in ((chain4, 32), (b4, 32), (fdl2, 20), (b8, 12)):
+            ctx = CarrierContext("test", lat)
+            rels = random_relations(lat, count, seed=rng.randrange(1 << 16))
+            rels += [close(S, rules) for S in rels
+                     for rules in ({P.SI, P.WO}, SUBORDINATION_RULES)]
+            for S in rels:
+                for planted in self.planted_tables(Instance(ctx, S), table, rng):
+                    inst = Instance(ctx, S)
+                    if table is not None:
+                        setattr(inst, "_" + table, planted)
+                    got = law(inst)
+                    assert got == oracle(inst), (name, S, planted)
+                    outcomes[got] = outcomes.get(got, 0) + 1
+        assert outcomes.get(True, 0) >= 10 and outcomes.get(False, 0) >= 10, outcomes
+
+
 class TestRunSuite:
     def test_small_corpus_green(self):
         report = run_suite(GenConfig(carriers=("chain2",), seed=7))
@@ -388,6 +433,19 @@ class TestRunSuite:
         assert strip_timing(a) == strip_timing(b)
         assert json.dumps(strip_timing(a), sort_keys=True) == \
             json.dumps(strip_timing(b), sort_keys=True)
+
+    def test_layer_timing(self):
+        report = run_suite(GenConfig(carriers=("chain2", "fdl2"), samples=6, seed=7))
+        timing, instances = report["timing"], report["summary"]["instances"]
+        layers = timing["layers"]
+        assert list(layers) == sorted(LAYERS)
+        # every artefact is built, and at most once per instance (flags
+        # once per property)
+        assert all(0 < layers[k]["builds"] <= instances for k in LAYERS if k != "flags")
+        assert 0 < layers["flags"]["builds"] <= instances * len(P)
+        spent = (sum(timing["checks"].values())
+                 + sum(entry["seconds"] for entry in layers.values()))
+        assert spent <= timing["total"]
 
     def test_seed_changes_random_corpus(self):
         r7 = run_suite(GenConfig(carriers=("b8",), samples=4, seed=7))

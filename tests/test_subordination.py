@@ -1,5 +1,6 @@
 import itertools
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,12 @@ from subnorm.subordination import (
     subalg_from_json,
     subalg_to_json,
 )
-from subnorm.harness.generate import relation_from_int
-from oracles import PROPERTY_ORACLES, closure_oracle
+from subnorm.harness.generate import (
+    SUBORDINATION_RULES,
+    random_relations,
+    relation_from_int,
+)
+from oracles import PROPERTY_ORACLES, WITNESS_ORACLES, closure_oracle
 
 P = Property
 
@@ -65,7 +70,7 @@ class TestCheckProperty:
 
     @pytest.mark.parametrize("prop", sorted(PROPERTY_ORACLES, key=str))
     def test_against_oracle_sampled_b4(self, prop, b4):
-        rng = random.Random(hash(prop) & 0xFFFF)
+        rng = random.Random(zlib.crc32(prop.encode()))
         for _ in range(120):
             packed = rng.randrange(1 << 16)
             S = ProtoSubAlg(b4, relation_from_int(4, packed))
@@ -80,6 +85,21 @@ class TestCheckProperty:
             for prop in P:
                 holds, witness = check_property(S, prop)
                 assert holds == (witness is None)
+
+
+def test_sweep_witnesses_match_oracles(b4, fdl2, b8):
+    """S9, SL1 and SL2 return the oracle's first witness, on seeded random
+    relations and their closures under the six subordination rules."""
+    for lat, count in ((b4, 120), (fdl2, 80), (b8, 40)):
+        outcomes = {prop: set() for prop in WITNESS_ORACLES}
+        rels = random_relations(lat, count, seed=lat.n,
+                                densities=(0.1, 0.3, 0.5, 0.7))
+        for S in rels + [close(S, SUBORDINATION_RULES) for S in rels]:
+            for prop, oracle in WITNESS_ORACLES.items():
+                want = oracle(S)
+                assert check_property(S, P[prop]) == (want is None, want), (prop, S)
+                outcomes[prop].add(want is None)
+        assert all(seen == {True, False} for seen in outcomes.values()), (lat, outcomes)
 
 
 class TestClassify:
