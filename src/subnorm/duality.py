@@ -92,8 +92,14 @@ def build_space_jirr(S: ProtoSubAlg) -> SubordinationSpace:
     ``j`` reaches ``i`` iff ``i <= diamond(j)`` there."""
     _require_subordination_lattice(S)
     sa = build_slanted(S)
-    delta = sa.delta
-    sigma = sigma_extension(sa)
+    return space_from_jirr(sa.delta, sigma_extension(sa))
+
+
+def space_from_jirr(delta: FinLattice, sigma) -> SubordinationSpace:
+    """The join-irreducible space from the completion ``delta`` and the
+    sigma extension of the diamond, for a relation already known to be a
+    subordination on a distributive lattice (``build_space_jirr``
+    checks that first)."""
     pts = sorted(bits(join_irreducibles(delta)))
     m = len(pts)
     order = [mask_of(j for j in range(m) if delta.leq(pts[i], pts[j]))
@@ -107,7 +113,13 @@ def build_space_jirr(S: ProtoSubAlg) -> SubordinationSpace:
 def build_space_primefilters(S: ProtoSubAlg) -> SubordinationSpace:
     """Points: prime filters of the carrier, ordered by reverse inclusion;
     ``P`` reaches ``Q`` iff the direct image of ``P`` is inside ``Q``."""
-    lat = _require_subordination_lattice(S)
+    return space_from_primefilters(_require_subordination_lattice(S), S.rows)
+
+
+def space_from_primefilters(lat: FinLattice, rows) -> SubordinationSpace:
+    """The prime-filter space from the carrier and the relation's rows,
+    for a relation already known to be a subordination on a distributive
+    lattice (``build_space_primefilters`` checks that first)."""
     filters = prime_filters(lat)
     m = len(filters)
     order = [mask_of(j for j in range(m) if filters[j] & ~filters[i] == 0)
@@ -116,7 +128,7 @@ def build_space_primefilters(S: ProtoSubAlg) -> SubordinationSpace:
     for f in filters:
         img = 0
         for a in bits(f):
-            img |= S.rows[a]
+            img |= rows[a]
         images.append(img)
     R = [mask_of(j for j in range(m) if images[i] & ~filters[j] == 0)
          for i in range(m)]

@@ -10,7 +10,10 @@ are claimed only where they hold under the entry's preconditions.
 Checks are evaluated per instance by ``verify_check`` (in ``run``),
 which gates on the precondition first: instances failing it are
 *skipped*, and the runner treats a check that skips the whole corpus as
-a configuration error rather than a pass.
+a configuration error rather than a pass.  Every precondition is a
+``Flags`` conjunction built by ``_flags``, so checks stating the same
+precondition share one object and the runner decides it once per
+instance for all of them.
 """
 
 from __future__ import annotations
@@ -26,9 +29,50 @@ from ..duality import RelCondition
 from ..order import bits, is_monotone, negation_law_failure, subset_tables
 from ..slanted import parse_inequality, term_variables
 from ..subordination import Property as P
-from .maximality import verify_prop41
+from .maximality import _N_CAP, verify_prop41
 
 _SUBSET_SCAN_CAP = 8
+
+
+#: the property of each flag bit: bit ``i`` of a flag mask (the layout of
+#: ``Instance.has_flags``) stands for ``FLAG_PROPERTIES[i]``
+FLAG_PROPERTIES = tuple(P)
+_POSITION = {q: i for i, q in enumerate(FLAG_PROPERTIES)}
+
+
+def flag_mask(*props) -> int:
+    """The properties as a flag mask."""
+    return sum(1 << _POSITION[q] for q in set(props))
+
+
+class Flags:
+    """A conjunction: every guard holds, then every flag in ``mask`` is
+    True.  Guards are cheap predicates of the carrier or the relation
+    and run first, so a failing guard computes no flag.  Built only by
+    ``_flags``, so equal conjunctions are one object; the runner groups
+    the checks sharing a precondition by that object and decides it
+    once per instance."""
+
+    __slots__ = ("mask", "guards")
+
+    def __init__(self, mask: int, guards: tuple):
+        self.mask = mask
+        self.guards = guards
+
+    def __call__(self, inst) -> bool:
+        for guard in self.guards:
+            if not guard(inst):
+                return False
+        return inst.has_flags(self.mask)
+
+
+def _flags(*props, guards=()) -> Flags:
+    return _interned(flag_mask(*props), guards)
+
+
+@lru_cache(maxsize=None)
+def _interned(mask: int, guards: tuple) -> Flags:
+    return Flags(mask, guards)
 
 
 @dataclass(frozen=True)
@@ -44,19 +88,35 @@ class CheckSpec:
     name: str
     doc: str
     mode: str
-    precondition: Callable = lambda inst: True
+    precondition: Callable = _flags()
     lhs: Optional[Callable] = None
     rhs: Optional[Callable] = None
     law: Optional[Callable] = None
     scope: str = "relation"
 
 
-def _flags(*props):
-    return lambda inst: all(inst.flag(q) is True for q in props)
-
+# ---- guards: cheap tests of the carrier, then of the relation ------------
 
 def _needs_lattice(inst) -> bool:
     return inst.lat is not None
+
+
+def _needs_distributive(inst) -> bool:
+    return inst.lat is not None and inst.lat.is_distributive
+
+
+def _small_enough_for_subsets(inst) -> bool:
+    return inst.n <= _SUBSET_SCAN_CAP
+
+
+def _small_enough_for_maps(inst) -> bool:
+    return inst.n <= _N_CAP
+
+
+def _involutive_adjoint_negation(inst) -> bool:
+    rep = inst.ctx.neg_report
+    return (rep is not None and rep.antitone and rep.involutive
+            and (rep.left_self_adjoint or rep.right_self_adjoint))
 
 
 def _dia_serial(inst) -> bool:
@@ -65,14 +125,6 @@ def _dia_serial(inst) -> bool:
 
 def _box_serial(inst) -> bool:
     return inst.box_serial
-
-
-def _and(*preds):
-    return lambda inst: all(p(inst) for p in preds)
-
-
-def _needs_distributive(inst) -> bool:
-    return inst.lat is not None and inst.lat.is_distributive
 
 
 # ---- operator-side predicates -------------------------------------------
@@ -202,10 +254,6 @@ def _law_box_detects(inst) -> bool:
                for a in range(inst.n) for b in range(inst.n))
 
 
-def _small_enough_for_subsets(inst) -> bool:
-    return inst.n <= _SUBSET_SCAN_CAP
-
-
 def _union(rows, members: int) -> int:
     """Union of the given rows (the image of ``members`` when ``rows`` are
     the relation's rows, its preimage when they are its columns)."""
@@ -310,24 +358,6 @@ def _prop41_law(i: int):
     return run
 
 
-def _prop41_pre(inst) -> bool:
-    return (inst.n <= 4 and _needs_distributive(inst)
-            and inst.flag(P.DD) is True and inst.flag(P.UD) is True)
-
-
-def _subordination_pre(inst) -> bool:
-    return (_needs_distributive(inst) and inst.is_subordination)
-
-
-def _s6_pre(inst) -> bool:
-    # the equivalence leans on both detection laws, so it needs the
-    # full bidirected package, not bare DD+UD
-    rep = inst.ctx.neg_report
-    return (_bidirected_pre(inst)
-            and rep is not None and rep.antitone and rep.involutive
-            and (rep.left_self_adjoint or rep.right_self_adjoint))
-
-
 # ---- carrier-scoped: negation lifting laws --------------------------------
 
 def _neg_lifting(lift, adjunction: str) -> dict:
@@ -351,17 +381,27 @@ def _neg_lifting(lift, adjunction: str) -> dict:
         involutive = ("involutive",) if ctx.neg_report.involutive else ()
         return holds(ctx.delta.poset, lift(ctx.ext, ctx.lat.neg), laws + involutive)
 
-    return {"precondition": precondition, "law": law}
+    return {"precondition": _flags(guards=(precondition,)), "law": law}
 
 
-def _bidirected_pre(inst) -> bool:
-    """Conjunction of the diamond-directed (WO+DD) and box-directed
-    (SI+UD) classes, plus seriality both ways.  The transfer
-    equivalences fail under bare DD+UD: the identity relation on the
-    two-chain is directed and serial with both operators monotone, yet
-    satisfies neither SI nor WO."""
-    return (_flags(P.WO, P.DD, P.SI, P.UD)(inst)
-            and inst.dia_serial and inst.box_serial)
+# ---- preconditions shared by several checks ------------------------------
+
+_DIA_DIRECTED = _flags(P.WO, P.DD, guards=(_dia_serial,))
+_BOX_DIRECTED = _flags(P.SI, P.UD, guards=(_box_serial,))
+_DIA_CLASS = _flags(P.SI, P.DD, P.WO, guards=(_dia_serial,))
+_BOX_CLASS = _flags(P.SI, P.UD, P.WO, guards=(_box_serial,))
+# Conjunction of the diamond-directed (WO+DD) and box-directed (SI+UD)
+# classes, plus seriality both ways.  The transfer equivalences fail
+# under bare DD+UD: the identity relation on the two-chain is directed
+# and serial with both operators monotone, yet satisfies neither SI nor WO.
+_BIDIRECTED = _flags(P.WO, P.DD, P.SI, P.UD, guards=(_dia_serial, _box_serial))
+# the S6 equivalences lean on both detection laws, so they need the full
+# bidirected package, not bare DD+UD
+_S6_PRE = _flags(P.WO, P.DD, P.SI, P.UD,
+                 guards=(_involutive_adjoint_negation, _dia_serial, _box_serial))
+_PROP41_PRE = _flags(P.DD, P.UD, guards=(_small_enough_for_maps, _needs_distributive))
+_SUBORDINATION_PRE = _flags(P.BOT, P.TOP, P.SI, P.WO, P.AND, P.OR,
+                            guards=(_needs_distributive,))
 
 
 CATALOG: tuple[CheckSpec, ...] = (
@@ -371,18 +411,18 @@ CATALOG: tuple[CheckSpec, ...] = (
               "law", law=_law_rel_bounds),
     CheckSpec("diamond-detects-rel",
               "under WO+DD, <>a <= b exactly when a rel b",
-              "law", precondition=_and(_flags(P.WO, P.DD), _dia_serial),
+              "law", precondition=_DIA_DIRECTED,
               law=_law_dia_detects),
     CheckSpec("box-detects-rel",
               "under SI+UD, a <= []b exactly when a rel b",
-              "law", precondition=_and(_flags(P.SI, P.UD), _box_serial),
+              "law", precondition=_BOX_DIRECTED,
               law=_law_box_detects),
     # -- directedness from the binary rules ------------------------------
     CheckSpec("or-implies-updirected", "OR forces UD on lattice carriers",
-              "implies", precondition=_needs_lattice,
+              "implies", precondition=_flags(guards=(_needs_lattice,)),
               lhs=_flags(P.OR), rhs=_flags(P.UD)),
     CheckSpec("and-implies-downdirected", "AND forces DD on lattice carriers",
-              "implies", precondition=_needs_lattice,
+              "implies", precondition=_flags(guards=(_needs_lattice,)),
               lhs=_flags(P.AND), rhs=_flags(P.DD)),
     CheckSpec("updirected-iff-or-under-si", "under SI, UD and OR coincide",
               "iff", precondition=_flags(P.SI),
@@ -395,103 +435,99 @@ CATALOG: tuple[CheckSpec, ...] = (
               "implies", lhs=_flags(P.SI), rhs=_monotone("dia")),
     CheckSpec("and-makes-box-multiplicative-dl",
               "on distributive carriers, SI+AND force []a ^ []b <= [](a ^ b)",
-              "implies", precondition=_needs_distributive,
+              "implies", precondition=_flags(guards=(_needs_distributive,)),
               lhs=_flags(P.SI, P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("and-makes-box-multiplicative-ud",
               "SI+UD+AND force []a ^ []b <= [](a ^ b)",
-              "implies", precondition=_needs_lattice,
+              "implies", precondition=_flags(guards=(_needs_lattice,)),
               lhs=_flags(P.SI, P.UD, P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("wo-makes-box-monotone", "WO makes the box monotone",
               "implies", lhs=_flags(P.WO), rhs=_monotone("box")),
     CheckSpec("or-makes-diamond-additive-dl",
               "on distributive carriers, WO+OR force <>(a v b) <= <>a v <>b",
-              "implies", precondition=_needs_distributive,
+              "implies", precondition=_flags(guards=(_needs_distributive,)),
               lhs=_flags(P.WO, P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("or-makes-diamond-additive-dd",
               "WO+DD+OR force <>(a v b) <= <>a v <>b",
-              "implies", precondition=_needs_lattice,
+              "implies", precondition=_flags(guards=(_needs_lattice,)),
               lhs=_flags(P.WO, P.DD, P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("bot-rule-grounds-diamond", "the bottom rule forces <>F <= F",
-              "implies", precondition=_needs_lattice,
+              "implies", precondition=_flags(guards=(_needs_lattice,)),
               lhs=_flags(P.BOT), rhs=_DIA_GROUNDED),
     CheckSpec("top-rule-caps-box", "the top rule forces T <= []T",
-              "implies", precondition=_needs_lattice,
+              "implies", precondition=_flags(guards=(_needs_lattice,)),
               lhs=_flags(P.TOP), rhs=_BOX_CAPPED),
     # -- converses under directedness ------------------------------------
     CheckSpec("si-iff-diamond-monotone", "under WO+DD, SI = diamond monotone",
-              "iff", precondition=_and(_flags(P.WO, P.DD), _dia_serial),
+              "iff", precondition=_DIA_DIRECTED,
               lhs=_flags(P.SI), rhs=_monotone("dia")),
     CheckSpec("or-iff-diamond-additive",
               "under WO+DD, OR = diamond join-subadditivity",
-              "iff", precondition=_and(_flags(P.WO, P.DD), _dia_serial),
+              "iff", precondition=_DIA_DIRECTED,
               lhs=_flags(P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("bot-iff-diamond-grounded", "under WO+DD, the bottom rule = <>F <= F",
-              "iff", precondition=_and(_flags(P.WO, P.DD), _dia_serial),
+              "iff", precondition=_DIA_DIRECTED,
               lhs=_flags(P.BOT), rhs=_DIA_GROUNDED),
     CheckSpec("wo-iff-box-monotone", "under SI+UD, WO = box monotone",
-              "iff", precondition=_and(_flags(P.SI, P.UD), _box_serial),
+              "iff", precondition=_BOX_DIRECTED,
               lhs=_flags(P.WO), rhs=_monotone("box")),
     CheckSpec("and-iff-box-multiplicative",
               "under SI+UD, AND = box meet-submultiplicativity",
-              "iff", precondition=_and(_flags(P.SI, P.UD), _box_serial),
+              "iff", precondition=_BOX_DIRECTED,
               lhs=_flags(P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("top-iff-box-capped", "under SI+UD, the top rule = T <= []T",
-              "iff", precondition=_and(_flags(P.SI, P.UD), _box_serial),
+              "iff", precondition=_BOX_DIRECTED,
               lhs=_flags(P.TOP), rhs=_BOX_CAPPED),
     # -- transfer of the named classes -----------------------------------
     CheckSpec("monotone-transfer",
               "on bidirected instances, SI+WO = both operators monotone",
-              "iff", precondition=_bidirected_pre,
+              "iff", precondition=_BIDIRECTED,
               lhs=_flags(P.SI, P.WO), rhs=_monotone("dia", "box")),
     CheckSpec("regular-transfer",
               "on bidirected instances, the regular rule set = regular operators",
-              "iff", precondition=_bidirected_pre,
+              "iff", precondition=_BIDIRECTED,
               lhs=_flags(P.SI, P.WO, P.OR, P.AND), rhs=_REGULAR),
     CheckSpec("normality-transfer",
               "on bidirected instances, the full rule set = normal operators",
-              "iff", precondition=_bidirected_pre,
+              "iff", precondition=_BIDIRECTED,
               lhs=_flags(P.SI, P.WO, P.OR, P.AND, P.BOT, P.TOP),
               rhs=_NORMAL),
     # -- directed families through the operators -------------------------
     CheckSpec("directed-image-directed",
               "under SI+DD+WO, images of down-directed sets are down-directed",
               "law",
-              precondition=lambda inst: (_flags(P.SI, P.DD, P.WO)(inst)
-                                         and _small_enough_for_subsets(inst)),
+              precondition=_flags(P.SI, P.DD, P.WO, guards=(_small_enough_for_subsets,)),
               law=_law_directed_image),
     CheckSpec("diamond-of-meet",
               "under SI+DD+WO, <> of a directed meet is the meet over the image",
               "law",
-              precondition=lambda inst: (_flags(P.SI, P.DD, P.WO)(inst)
-                                         and _small_enough_for_subsets(inst)),
+              precondition=_flags(P.SI, P.DD, P.WO, guards=(_small_enough_for_subsets,)),
               law=_law_dia_of_meet),
     CheckSpec("diamond-bound-reflects",
               "under SI+DD+WO, <>k <= b reveals a rel-pair above k",
-              "law", precondition=_and(_flags(P.SI, P.DD, P.WO), _dia_serial),
+              "law", precondition=_DIA_CLASS,
               law=_law_dia_bound_reflects),
     CheckSpec("diamond-open-bound-reflects",
               "under SI+DD+WO, <>k <= o reveals a rel-pair across k, o",
-              "law", precondition=_and(_flags(P.SI, P.DD, P.WO), _dia_serial),
+              "law", precondition=_DIA_CLASS,
               law=_law_dia_open_bound_reflects),
     CheckSpec("codirected-preimage-directed",
               "under WO+UD+SI, preimages of up-directed sets are up-directed",
               "law",
-              precondition=lambda inst: (_flags(P.WO, P.UD, P.SI)(inst)
-                                         and _small_enough_for_subsets(inst)),
+              precondition=_flags(P.WO, P.UD, P.SI, guards=(_small_enough_for_subsets,)),
               law=_law_codirected_preimage),
     CheckSpec("box-of-join",
               "under WO+UD+SI, [] of a directed join is the join over the preimage",
               "law",
-              precondition=lambda inst: (_flags(P.WO, P.UD, P.SI)(inst)
-                                         and _small_enough_for_subsets(inst)),
+              precondition=_flags(P.WO, P.UD, P.SI, guards=(_small_enough_for_subsets,)),
               law=_law_box_of_join),
     CheckSpec("box-bound-reflects",
               "under WO+UD+SI, a <= []o reveals a rel-pair below o",
-              "law", precondition=_and(_flags(P.WO, P.UD, P.SI), _box_serial),
+              "law", precondition=_BOX_CLASS,
               law=_law_box_bound_reflects),
     CheckSpec("box-closed-bound-reflects",
               "under WO+UD+SI, k <= []o reveals a rel-pair across k, o",
-              "law", precondition=_and(_flags(P.WO, P.UD, P.SI), _box_serial),
+              "law", precondition=_BOX_CLASS,
               law=_law_box_closed_bound_reflects),
     # -- order/relation characterizations --------------------------------
     CheckSpec("rel-below-order-iff-inflationary-diamond",
@@ -502,99 +538,94 @@ CATALOG: tuple[CheckSpec, ...] = (
               "iff", lhs=_flags(P.PREC_IN_LEQ), rhs=Inequalities("[]a <= a")),
     CheckSpec("order-below-rel-iff-deflationary-diamond",
               "under WO+DD, order inside rel = <>a <= a",
-              "iff", precondition=_and(_flags(P.WO, P.DD), _dia_serial),
+              "iff", precondition=_DIA_DIRECTED,
               lhs=_flags(P.LEQ_IN_PREC), rhs=Inequalities("<>a <= a")),
     CheckSpec("t-iff-diamond-expanding",
               "under WO+DD+SI, transitivity of rel = <>a <= <><>a",
-              "iff", precondition=_and(_flags(P.WO, P.DD, P.SI), _dia_serial),
+              "iff", precondition=_DIA_CLASS,
               lhs=_flags(P.T), rhs=Inequalities("<>a <= <><>a")),
     CheckSpec("d-iff-diamond-collapsing",
               "under WO+DD+SI, density of rel = <><>a <= <>a",
-              "iff", precondition=_and(_flags(P.WO, P.DD, P.SI), _dia_serial),
+              "iff", precondition=_DIA_CLASS,
               lhs=_flags(P.D), rhs=Inequalities("<><>a <= <>a")),
     CheckSpec("ct-iff-diamond-contraction",
               "under WO+DD+SI, the contraction rule = <>a <= <>(a ^ <>a)",
               "iff",
-              precondition=lambda inst: (_flags(P.WO, P.DD, P.SI)(inst)
-                                         and _needs_lattice(inst)
-                                         and inst.dia_serial),
+              precondition=_flags(P.WO, P.DD, P.SI, guards=(_needs_lattice, _dia_serial)),
               lhs=_flags(P.CT), rhs=Inequalities("<>a <= <>(a & <>a)")),
     CheckSpec("sl2-iff-diamond-meet-distribution",
               "under WO+DD+SI, SL2 = <>(<>a ^ <>b) <= <>(a ^ b)",
               "iff",
-              precondition=lambda inst: (_flags(P.WO, P.DD, P.SI)(inst)
-                                         and _needs_lattice(inst)
-                                         and inst.dia_serial),
+              precondition=_flags(P.WO, P.DD, P.SI, guards=(_needs_lattice, _dia_serial)),
               lhs=_flags(P.SL2), rhs=Inequalities("<>(<>a & <>b) <= <>(a & b)")),
     CheckSpec("ct-implies-t-under-si", "under SI, contraction forces transitivity",
-              "implies", precondition=lambda inst: (_flags(P.SI)(inst)
-                                                    and _needs_lattice(inst)),
+              "implies", precondition=_flags(P.SI, guards=(_needs_lattice,)),
               lhs=_flags(P.CT), rhs=_flags(P.T)),
     CheckSpec("s6-iff-negated-diamond-is-box",
               "on directed involutive carriers, S6 = (~<>a is []~a)",
-              "iff", precondition=_s6_pre,
+              "iff", precondition=_S6_PRE,
               lhs=_flags(P.S6), rhs=Inequalities("~<>a <= []~a", "[]~a <= ~<>a")),
     CheckSpec("s6-iff-diamond-neg-is-neg-box",
               "on directed involutive carriers, S6 = (<>~a is ~[]a)",
-              "iff", precondition=_s6_pre,
+              "iff", precondition=_S6_PRE,
               lhs=_flags(P.S6), rhs=Inequalities("<>~a <= ~[]a", "~[]a <= <>~a")),
     CheckSpec("s9fwd-iff-box-join-absorption",
               "under SI+UD+WO, forward S9 = [](a v []b) <= []a v []b",
-              "iff", precondition=_and(_flags(P.SI, P.UD, P.WO), _box_serial),
+              "iff", precondition=_BOX_CLASS,
               lhs=_flags(P.S9_FWD), rhs=Inequalities("[](a | []b) <= []a | []b")),
     CheckSpec("s9bwd-iff-box-join-coabsorption",
               "under SI+UD+WO, backward S9 = []a v []b <= [](a v []b)",
-              "iff", precondition=_and(_flags(P.SI, P.UD, P.WO), _box_serial),
+              "iff", precondition=_BOX_CLASS,
               lhs=_flags(P.S9_BWD), rhs=Inequalities("[]a | []b <= [](a | []b)")),
     CheckSpec("sl1-iff-box-join-distribution",
               "under SI+UD+WO, SL1 = [](a v b) <= []([]a v []b)",
-              "iff", precondition=_and(_flags(P.SI, P.UD, P.WO), _box_serial),
+              "iff", precondition=_BOX_CLASS,
               lhs=_flags(P.SL1), rhs=Inequalities("[](a | b) <= []([]a | []b)")),
     # -- closure extremality ----------------------------------------------
     CheckSpec("closure1-extremal", "system-1 operators are extremal",
-              "law", precondition=_prop41_pre, law=_prop41_law(1)),
+              "law", precondition=_PROP41_PRE, law=_prop41_law(1)),
     CheckSpec("closure2-extremal", "system-2 operators are extremal",
-              "law", precondition=_prop41_pre, law=_prop41_law(2)),
+              "law", precondition=_PROP41_PRE, law=_prop41_law(2)),
     CheckSpec("closure3-extremal", "system-3 diamond is extremal",
-              "law", precondition=_prop41_pre, law=_prop41_law(3)),
+              "law", precondition=_PROP41_PRE, law=_prop41_law(3)),
     CheckSpec("closure4-extremal", "system-4 diamond is extremal",
-              "law", precondition=_prop41_pre, law=_prop41_law(4)),
+              "law", precondition=_PROP41_PRE, law=_prop41_law(4)),
     # -- dual spaces -------------------------------------------------------
     CheckSpec("two-space-constructions-isomorphic",
               "irreducible-point and prime-filter spaces are isomorphic",
-              "law", precondition=_subordination_pre, law=_law_spaces_isomorphic),
+              "law", precondition=_SUBORDINATION_PRE, law=_law_spaces_isomorphic),
     CheckSpec("rel-below-order-iff-space-reflexive",
               "rel inside the order = reflexive dual relation",
-              "iff", precondition=_subordination_pre,
+              "iff", precondition=_SUBORDINATION_PRE,
               lhs=_flags(P.PREC_IN_LEQ), rhs=_rel_cond(RelCondition.REFLEXIVE)),
     CheckSpec("d-iff-space-transitive",
               "density of rel = transitive dual relation",
-              "iff", precondition=_subordination_pre,
+              "iff", precondition=_SUBORDINATION_PRE,
               lhs=_flags(P.D), rhs=_rel_cond(RelCondition.TRANSITIVE)),
     CheckSpec("t-iff-space-dense",
               "transitivity of rel = dense dual relation",
-              "iff", precondition=_subordination_pre,
+              "iff", precondition=_SUBORDINATION_PRE,
               lhs=_flags(P.T), rhs=_rel_cond(RelCondition.DENSE)),
     CheckSpec("properness-matches-space",
               "nonvanishing box below nonzero elements = proper dual relation",
-              "iff", precondition=_subordination_pre,
+              "iff", precondition=_SUBORDINATION_PRE,
               lhs=_flags(P.PROPER), rhs=_rel_cond(RelCondition.PROPER_REL)),
     CheckSpec("ct-relational-correspondence",
               "contraction rule = its dual-space condition",
-              "iff", precondition=_subordination_pre,
+              "iff", precondition=_SUBORDINATION_PRE,
               lhs=_flags(P.CT), rhs=_rel_cond(RelCondition.CT_REL)),
     CheckSpec("s9-relational-correspondence",
               "S9 = its dual-space condition",
-              "iff", precondition=_subordination_pre,
+              "iff", precondition=_SUBORDINATION_PRE,
               lhs=_flags(P.S9_FWD, P.S9_BWD),
               rhs=_rel_cond(RelCondition.S9_FWD_REL, RelCondition.S9_BWD_REL)),
     CheckSpec("sl1-relational-correspondence",
               "SL1 = its dual-space condition",
-              "iff", precondition=_subordination_pre,
+              "iff", precondition=_SUBORDINATION_PRE,
               lhs=_flags(P.SL1), rhs=_rel_cond(RelCondition.SL1_REL)),
     CheckSpec("sl2-relational-correspondence",
               "SL2 = its dual-space condition",
-              "iff", precondition=_subordination_pre,
+              "iff", precondition=_SUBORDINATION_PRE,
               lhs=_flags(P.SL2), rhs=_rel_cond(RelCondition.SL2_REL)),
     # -- carrier-level negation lifting -----------------------------------
     CheckSpec("sigma-negation-extension-laws",

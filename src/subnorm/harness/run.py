@@ -8,9 +8,17 @@ bounded number of fully serialized counterexamples (replayable through
 ``replay_counterexample`` or the command line), and a summary.  All
 wall-clock measurements live under the separate ``timing`` key so two
 runs with the same configuration agree byte-for-byte everywhere else:
-``timing.checks`` holds the seconds spent in each check's own body,
+``timing.checks`` holds the seconds spent in each check's own body
+(only instances meeting the precondition evaluate a body),
 ``timing.layers`` the seconds and build count of each lazily built
 per-instance artefact (``LAYERS``), whichever check asked for it first.
+
+The checks are grouped by their precondition, an interned object shared
+by every check stating the same conjunction of guards and flags.  Each
+group's precondition is decided once per instance (per carrier for the
+carrier-scoped checks); a miss counts one skip for every check in the
+group without evaluating any, a hit evaluates each through
+``verify_check``.
 
 Checks are pure, so instances could be fanned out to workers with the
 report aggregation as the only synchronization point; the runner stays
@@ -23,6 +31,7 @@ import time
 from typing import Callable, Iterable, Optional
 
 from ..completion import dm_completion, extend_negation_sigma
+from ..duality import space_from_jirr, space_from_primefilters
 from ..errors import InputFormatError, MissingStructure
 from ..order import FinLattice, check_negation_laws, mask_of
 from ..slanted import build_slanted, pi_extension, sigma_extension
@@ -34,7 +43,7 @@ from ..subordination import (
     subalg_to_json,
 )
 from .carriers import load_carrier
-from .catalog import CATALOG, CHECKS_BY_NAME, CheckSpec
+from .catalog import CATALOG, CHECKS_BY_NAME, FLAG_PROPERTIES, CheckSpec, flag_mask
 from .generate import GenConfig, corpus_stream, default_config
 
 _MAX_STORED_COUNTEREXAMPLES = 10
@@ -69,7 +78,9 @@ class CarrierContext:
 
     ``base_above[u]``/``base_below[u]`` are the base elements whose
     embedding lies above/below the completion element ``u``, as base
-    masks."""
+    masks.  ``missing`` holds the flags (as ``flag_mask`` bits) whose
+    property needs structure the carrier lacks, learned as instances
+    compute them."""
 
     def __init__(self, name: str, lat: FinLattice):
         self.name = name
@@ -78,6 +89,7 @@ class CarrierContext:
         self.delta = self.ext.delta
         self.embed = self.ext.embed
         self.clock = LayerClock()
+        self.missing = 0
         up, down = self.delta.poset.up, self.delta.poset.down
         self.base_above = tuple(mask_of(a for a, e in enumerate(self.embed) if up[u] >> e & 1)
                                 for u in range(self.delta.n))
@@ -104,21 +116,23 @@ class Instance:
     """One relation on a carrier, with lazily cached derived data.
 
     Each artefact is built on first use through the carrier's
-    ``LayerClock``: the property flags, the operators ``sa`` (with
-    ``dia``/``box``), their ``sigma``/``pi`` extensions, the two dual
-    spaces, and the ``image``/``preimage`` tables, which give the union
-    of the rows/columns of every one of the ``2^n`` subset masks (read
-    by the directed-family checks, on carriers small enough for subset
-    tables).
+    ``LayerClock``: the property flags (two ``flag_mask`` bitmasks: the
+    flags computed so far, and those of them that are True), the
+    operators ``sa`` (with ``dia``/``box``), their ``sigma``/``pi``
+    extensions, the two dual spaces, and the ``image``/``preimage``
+    tables, which give the union of the rows/columns of every one of the
+    ``2^n`` subset masks (read by the directed-family checks, on carriers
+    small enough for subset tables).
     """
 
-    __slots__ = ("ctx", "S", "_flags", "_sa", "_sigma", "_pi",
+    __slots__ = ("ctx", "S", "_known", "_true", "_sa", "_sigma", "_pi",
                  "_space", "_space_pf", "_image", "_preimage")
 
     def __init__(self, ctx: CarrierContext, S: ProtoSubAlg):
         self.ctx = ctx
         self.S = S
-        self._flags: dict = {}
+        self._known = 0
+        self._true = 0
         self._sa = None
         self._sigma = None
         self._pi = None
@@ -148,11 +162,37 @@ class Instance:
         return self.ctx.embed
 
     def flag(self, prop: Property) -> Optional[bool]:
-        got = self._flags.get(prop, _UNSET)
-        if got is _UNSET:
-            got = self.ctx.clock.build("flags", _flag, self.S, prop)
-            self._flags[prop] = got
-        return got
+        """The property's truth; None when the carrier lacks the
+        structure it mentions."""
+        bit = flag_mask(prop)
+        if not self._known & bit:
+            self._compute(bit)
+        if self._true & bit:
+            return True
+        return None if self.ctx.missing & bit else False
+
+    def has_flags(self, mask: int) -> bool:
+        """Every flag in ``mask`` is True.  Flags not yet known are
+        computed in bit order, stopping at the first that is not."""
+        if mask & self._known & ~self._true:
+            return False
+        todo = mask & ~self._known
+        while todo:
+            bit = todo & -todo
+            if not self._compute(bit):
+                return False
+            todo ^= bit
+        return True
+
+    def _compute(self, bit: int) -> bool:
+        prop = FLAG_PROPERTIES[bit.bit_length() - 1]
+        got = self.ctx.clock.build("flags", _flag, self.S, prop)
+        self._known |= bit
+        if got:
+            self._true |= bit
+        elif got is None:
+            self.ctx.missing |= bit
+        return bool(got)
 
     @property
     def sa(self):
@@ -193,11 +233,6 @@ class Instance:
         return self._preimage
 
     @property
-    def is_subordination(self) -> bool:
-        """The six subordination rules hold (read off the flags)."""
-        return all(self.flag(q) is True for q in _SUBORDINATION_PROPS)
-
-    @property
     def dia_serial(self) -> bool:
         """Every element has a successor (no vacuous diamond values)."""
         return all(self.S.rows)
@@ -207,25 +242,22 @@ class Instance:
         """Every element has a predecessor (no vacuous box values)."""
         return all(self.S.cols)
 
+    # The dual spaces are read only by checks whose precondition makes
+    # the relation a subordination on a distributive lattice, so they are
+    # built from the instance's artefacts without checking that again.
     @property
     def space(self):
         if self._space is None:
-            from ..duality import build_space_jirr
-            self._space = self.ctx.clock.build("space", build_space_jirr, self.S)
+            self._space = self.ctx.clock.build(
+                "space", space_from_jirr, self.delta, self.sigma)
         return self._space
 
     @property
     def space_pf(self):
         if self._space_pf is None:
-            from ..duality import build_space_primefilters
             self._space_pf = self.ctx.clock.build(
-                "space_pf", build_space_primefilters, self.S)
+                "space_pf", space_from_primefilters, self.lat, self.S.rows)
         return self._space_pf
-
-
-_UNSET = object()
-_SUBORDINATION_PROPS = (Property.BOT, Property.TOP, Property.SI,
-                        Property.WO, Property.AND, Property.OR)
 
 
 def _flag(S: ProtoSubAlg, prop: Property) -> Optional[bool]:
@@ -279,8 +311,8 @@ def run_suite(cfg: Optional[GenConfig] = None,
     """
     cfg = cfg or default_config()
     checks = _select_checks(check_names)
-    relation_checks = [c for c in checks if c.scope == "relation"]
-    carrier_checks = [c for c in checks if c.scope == "carrier"]
+    carrier_groups = _grouped(c for c in checks if c.scope == "carrier")
+    relation_groups = _grouped(c for c in checks if c.scope == "relation")
 
     stats = {c.name: {"tested": 0, "passes": 0, "skips": 0,
                       "counterexamples": [], "counterexample_count": 0}
@@ -300,10 +332,11 @@ def run_suite(cfg: Optional[GenConfig] = None,
         total_instances += 1
         if carrier_name != current:
             current = carrier_name
-            for spec in carrier_checks:
-                _run_one(spec, inst, stats, timing, carrier_name)
-        for spec in relation_checks:
-            _run_one(spec, inst, stats, timing, carrier_name)
+            _run_groups(carrier_groups, inst, stats, timing, carrier_name)
+        _run_groups(relation_groups, inst, stats, timing, carrier_name)
+    for _, specs, misses in carrier_groups + relation_groups:
+        for spec in specs:
+            stats[spec.name]["skips"] += misses
 
     gaps = sorted(name for name, st in stats.items() if st["tested"] == 0)
     n_counter = sum(st["counterexample_count"] for st in stats.values())
@@ -329,6 +362,25 @@ def run_suite(cfg: Optional[GenConfig] = None,
     return report
 
 
+def _grouped(checks: Iterable[CheckSpec]) -> list[list]:
+    """``[precondition, checks, misses]`` for each distinct precondition
+    object, with a count of the instances that failed it."""
+    groups: dict = {}
+    for spec in checks:
+        groups.setdefault(spec.precondition, [spec.precondition, [], 0])[1].append(spec)
+    return list(groups.values())
+
+
+def _run_groups(groups: list[list], inst: Instance, stats: dict, timing: dict,
+                carrier_name: str) -> None:
+    for group in groups:
+        if group[0](inst):
+            for spec in group[1]:
+                _run_one(spec, inst, stats, timing, carrier_name)
+        else:
+            group[2] += 1
+
+
 def _run_one(spec: CheckSpec, inst: Instance, stats: dict, timing: dict,
              carrier_name: str) -> None:
     st = stats[spec.name]
@@ -336,9 +388,6 @@ def _run_one(spec: CheckSpec, inst: Instance, stats: dict, timing: dict,
     t0, built = time.perf_counter(), clock.spent
     status, detail = verify_check(spec, inst)
     timing[spec.name] += time.perf_counter() - t0 - (clock.spent - built)
-    if status == "skip":
-        st["skips"] += 1
-        return
     st["tested"] += 1
     if status == "pass":
         st["passes"] += 1

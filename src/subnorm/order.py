@@ -502,7 +502,13 @@ def poset_from_json(obj: dict) -> tuple[FinPoset, Optional[tuple[int, ...]]]:
                                    and all(isinstance(x, str) for x in labels)):
         raise InputFormatError('"elements" must be a list of names')
     if "leq" in obj:
-        p = validate_poset(obj["leq"], labels)
+        leq = obj["leq"]
+        # JSON true/false and 1.0/0.0 compare equal to 1/0; only integers
+        # are order-matrix entries
+        if not (isinstance(leq, list) and all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in leq)):
+            raise InputFormatError("order matrix must be a square list of 0/1 rows")
+        p = validate_poset(leq, labels)
     elif "hasse" in obj:
         pairs = index_pairs(obj["hasse"], "hasse")
         if labels is not None:

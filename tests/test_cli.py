@@ -300,10 +300,12 @@ class TestMalformedInput:
         ("completion", {"elements": ["x", 2], "leq": [[1, 0], [0, 1]]}),
         ("completion", {"leq": [1, 2]}),
         ("completion", {"elements": ["a", "b"], "leq": [[1, "0"], [0, 1]]}),
+        ("completion", {"elements": ["a", "b"], "leq": [[1, 1.0], [0, 1]]}),
+        ("completion", {"elements": ["a", "b"], "leq": [[True, 1], [False, 1]]}),
     ], ids=["prec-not-list", "float-pair", "three-element-pair", "string-pair",
             "one-element-hasse-pair", "prec-file-not-list", "prec-file-float-pair",
             "fewer-elements-than-rows", "non-string-element", "leq-row-not-list",
-            "string-leq-entry"])
+            "string-leq-entry", "float-leq-entry", "bool-leq-entry"])
     def test_malformed_pairs_and_labels_are_input_errors(self, capsys, files,
                                                          command, payload):
         path = files["dir"] / "malformed.json"

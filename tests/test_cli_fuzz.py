@@ -152,6 +152,20 @@ BAD_ALGEBRAS = [
 BAD_FILES = ["", "{", "not json", "[1, 2", b"\xff\xfe{}"]
 
 
+@st.composite
+def non_int_orders(draw):
+    """A carrier whose order matrix has one entry replaced by the bool or
+    float equal to it (JSON ``true``/``false``, ``1.0``/``0.0``)."""
+    alg = draw(st.sampled_from(CARRIERS))
+    leq = [list(row) for row in alg["leq"]]
+    i, j = (draw(st.integers(0, len(leq) - 1)) for _ in range(2))
+    leq[i][j] = draw(st.sampled_from([bool, float]))(leq[i][j])
+    return {**alg, "leq": leq}
+
+
+bad_algebras = st.one_of(st.sampled_from(BAD_ALGEBRAS), non_int_orders())
+
+
 def _bad_prec(n):
     return st.sampled_from([3, "01", {"a": 1}, None, [[n, 0]], [[0, n]], [[-1, 0]],
                             [[0]], [[0, 1, 2]], [["0", 1]], [[0.5, 1]], [[True, 0]]])
@@ -161,7 +175,7 @@ def _bad_prec(n):
 def bad_subalgs(draw):
     sub = draw(subalgs())
     n = len(sub["algebra"]["elements"])
-    kind = draw(st.sampled_from(["file", "top", "no-prec", "prec", "algebra"]))
+    kind = draw(st.sampled_from(["file", "top", "no-prec", "prec", "algebra", "entries"]))
     if kind == "file":
         return draw(st.sampled_from(BAD_FILES))
     if kind == "top":
@@ -170,7 +184,9 @@ def bad_subalgs(draw):
         return {"algebra": sub["algebra"]}
     if kind == "prec":
         return {**sub, "prec": draw(_bad_prec(n))}
-    return {**sub, "algebra": draw(st.sampled_from(BAD_ALGEBRAS))}
+    if kind == "entries":
+        return {"algebra": draw(non_int_orders()), "prec": []}
+    return {**sub, "algebra": draw(bad_algebras)}
 
 
 BAD_NORM_LINES = ["p q", "p |~", "|~ q", "(p |~ q", "p |~ q)", "p $ q |~ r",
@@ -191,7 +207,7 @@ malformed = st.one_of(
                                            ["--rules", "nope"]])),
     _sub_command("slanted", st.sampled_from(BAD_INEQS).map(lambda s: ["--ineq", s])),
     _sub_command("dual", st.sampled_from([["--check", "foo"], ["--check", "dense,bar"]])),
-    st.sampled_from(BAD_ALGEBRAS + BAD_FILES).map(
+    st.one_of(bad_algebras, st.sampled_from(BAD_FILES)).map(
         lambda a: (["completion", "--poset", "{poset}"], {"poset": a})),
     st.tuples(st.lists(norms, max_size=3), st.sampled_from(BAD_NORM_LINES)).map(
         lambda t: (["derive", "--system", "1", "--norms", "{norms}", "--query", "p |~ q"],

@@ -24,9 +24,10 @@ from subnorm.harness import (
     verify_prop41,
 )
 from subnorm.harness import maximality
+from subnorm.harness import run as runner
 from subnorm.harness.run import LAYERS
 from subnorm.harness.carriers import load_carrier
-from subnorm.harness.catalog import Inequalities
+from subnorm.harness.catalog import Inequalities, flag_mask
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
 from subnorm.harness.maximality import (
     box_minimality_failure,
@@ -44,6 +45,7 @@ from subnorm.subordination import (
     close_i,
     is_subordination_algebra,
     property_holds,
+    subalg_to_json,
 )
 from conftest import leq_relation
 from oracles import LAW_ORACLES
@@ -459,6 +461,116 @@ class TestRunSuite:
         st = report["checks"]["diamond-detects-rel"]
         assert st["tested"] + st["skips"] == report["summary"]["instances"]
         assert st["tested"] > 0
+
+
+def naive_checks_report(cfg, checks):
+    """The per-check statistics of ``run_suite``, built by calling
+    ``verify_check`` on a fresh ``Instance`` for every (instance, check)
+    pair (carrier-scoped checks on the first instance of each carrier)."""
+    stats = {c.name: {"tested": 0, "passes": 0, "skips": 0,
+                      "counterexamples": [], "counterexample_count": 0}
+             for c in checks}
+    contexts, current, instances = {}, None, 0
+    for name, S in corpus_stream(cfg):
+        if name not in contexts:
+            contexts[name] = CarrierContext(name, load_carrier(name))
+        instances += 1
+        first, current = name != current, name
+        for spec in checks:
+            if spec.scope == "carrier" and not first:
+                continue
+            status, detail = verify_check(spec, Instance(contexts[name], S))
+            st = stats[spec.name]
+            if status == "skip":
+                st["skips"] += 1
+                continue
+            st["tested"] += 1
+            if status == "pass":
+                st["passes"] += 1
+                continue
+            st["counterexample_count"] += 1
+            if len(st["counterexamples"]) < runner._MAX_STORED_COUNTEREXAMPLES:
+                st["counterexamples"].append({"check": spec.name, "carrier": name,
+                                              "instance": subalg_to_json(S),
+                                              "detail": detail})
+    return stats, instances
+
+
+class TestGroupedRunner:
+    CFG = GenConfig(carriers=("chain3", "fdl2"), samples=4, seed=7)
+
+    def test_matches_naive_loop(self, monkeypatch):
+        # two planted failing checks: one sharing the precondition object
+        # of diamond-detects-rel, one with the always-true precondition,
+        # so grouped skips, passes and stored counterexamples all show
+        detects = CHECKS_BY_NAME["diamond-detects-rel"]
+        planted = (
+            CheckSpec("planted-detects-negated", "fails wherever tested", "law",
+                      precondition=detects.precondition,
+                      law=lambda inst: not detects.law(inst)),
+            CheckSpec("planted-first-row-empty", "fails when 0 relates to anything",
+                      "law", law=lambda inst: not inst.S.rows[0]),
+        )
+        checks = CATALOG + planted
+        monkeypatch.setattr(runner, "CATALOG", checks)
+        report = run_suite(self.CFG)
+        stats, instances = naive_checks_report(self.CFG, checks)
+        assert report["summary"]["instances"] == instances
+        assert strip_timing(report)["checks"] == stats
+        assert list(report["timing"]["checks"]) == sorted(stats)
+        negated = stats["planted-detects-negated"]
+        assert negated["counterexample_count"] == negated["tested"] > 0
+        assert negated["skips"] > 0
+        unguarded = stats["planted-first-row-empty"]
+        assert unguarded["counterexample_count"] > len(unguarded["counterexamples"])
+        assert unguarded["passes"] > 0
+
+    def test_verify_check_runs_only_on_met_preconditions(self, monkeypatch):
+        # the runner decides preconditions itself: every verify_check call
+        # it makes evaluates a check body
+        statuses = []
+        real = runner.verify_check
+
+        def counting(spec, inst):
+            out = real(spec, inst)
+            statuses.append(out[0])
+            return out
+
+        monkeypatch.setattr(runner, "verify_check", counting)
+        report = run_suite(self.CFG)
+        checks = report["checks"].values()
+        assert len(statuses) == sum(st["tested"] for st in checks) > 0
+        assert "skip" not in statuses
+        assert sum(st["skips"] for st in checks) > 0
+
+    @pytest.mark.parametrize("name", ["chain4", "b4", "fdl2"])
+    def test_flag_bitmasks_match_property_holds(self, name):
+        lat = load_carrier(name)
+        rng = random.Random(zlib.crc32(name.encode()))
+        sample = random_relations(lat, 12, 11, (0.1, 0.3, 0.5))
+        ctx = CarrierContext(name, lat)
+        for S in sample + [close(S, SUBORDINATION_RULES) for S in sample]:
+            want = {}
+            for q in P:
+                try:
+                    want[q] = property_holds(S, q)
+                except MissingStructure:
+                    want[q] = None
+            # flags alone, in random order
+            inst = Instance(ctx, S)
+            for q in rng.sample(list(P), len(P)):
+                assert inst.flag(q) is want[q], (name, S, q)
+            # flags interleaved with conjunctions, on a fresh instance
+            inst = Instance(ctx, S)
+            for _ in range(2 * len(P)):
+                props = rng.sample(list(P), rng.randint(1, 4))
+                if len(props) == 1:
+                    assert inst.flag(props[0]) is want[props[0]], (name, S, props)
+                else:
+                    assert inst.has_flags(flag_mask(*props)) == all(
+                        want[q] is True for q in props), (name, S, props)
+        if lat.neg is None:
+            assert Instance(ctx, sample[0]).flag(P.S6) is None
 
 
 class TestReplay:
