@@ -21,7 +21,7 @@ exhaustively against the operator inequalities by the test harness.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotDistributive, NotSubordinationLattice
 from .order import FinLattice, bits, join_irreducibles, mask_of, meet_irreducibles, prime_filters
@@ -87,53 +87,89 @@ def _require_subordination_lattice(S: ProtoSubAlg) -> FinLattice:
     return lat
 
 
+class SpacePoints(NamedTuple):
+    """The relation-free part of a dual space: its ``points``, ``labels``
+    and ``order`` (as in ``SubordinationSpace``), and the ``masks`` from
+    which each relation's accessibility rows are read (see the two
+    ``space_from_*`` builders).  It depends on the carrier alone, so one
+    serves every relation on it."""
+
+    points: tuple
+    labels: tuple
+    order: tuple
+    masks: tuple
+
+
 def build_space_jirr(S: ProtoSubAlg) -> SubordinationSpace:
     """Points: completely join-irreducible elements of the completion;
     ``j`` reaches ``i`` iff ``i <= diamond(j)`` there."""
     _require_subordination_lattice(S)
     sa = build_slanted(S)
-    return space_from_jirr(sa.delta, sigma_extension(sa))
+    return space_from_jirr(jirr_points(sa.delta), sigma_extension(sa))
 
 
-def space_from_jirr(delta: FinLattice, sigma) -> SubordinationSpace:
-    """The join-irreducible space from the completion ``delta`` and the
-    sigma extension of the diamond, for a relation already known to be a
-    subordination on a distributive lattice (``build_space_jirr``
-    checks that first)."""
+def jirr_points(delta: FinLattice) -> SpacePoints:
+    """The join-irreducibles of the completion ``delta``; ``masks[u]``
+    holds the positions of the points below the element ``u``."""
     pts = sorted(bits(join_irreducibles(delta)))
     m = len(pts)
     order = [mask_of(j for j in range(m) if delta.leq(pts[i], pts[j]))
              for i in range(m)]
-    R = [mask_of(j for j in range(m) if delta.leq(pts[j], sigma[pts[i]]))
-         for i in range(m)]
+    below = [mask_of(j for j in range(m) if delta.leq(pts[j], u))
+             for u in range(delta.n)]
     labels = [delta.label(x) for x in pts]
-    return SubordinationSpace(pts, labels, order, R)
+    return SpacePoints(tuple(pts), tuple(labels), tuple(order), tuple(below))
+
+
+def space_from_jirr(points: SpacePoints, sigma) -> SubordinationSpace:
+    """The join-irreducible space from the completion's ``jirr_points``
+    and the sigma extension of the diamond, for a relation already known
+    to be a subordination on a distributive lattice
+    (``build_space_jirr`` checks that first): point ``i`` reaches the
+    points below ``sigma`` of it."""
+    below = points.masks
+    R = [below[sigma[x]] for x in points.points]
+    return SubordinationSpace(points.points, points.labels, points.order, R)
 
 
 def build_space_primefilters(S: ProtoSubAlg) -> SubordinationSpace:
     """Points: prime filters of the carrier, ordered by reverse inclusion;
     ``P`` reaches ``Q`` iff the direct image of ``P`` is inside ``Q``."""
-    return space_from_primefilters(_require_subordination_lattice(S), S.rows)
+    lat = _require_subordination_lattice(S)
+    return space_from_primefilters(primefilter_points(lat), S.rows)
 
 
-def space_from_primefilters(lat: FinLattice, rows) -> SubordinationSpace:
-    """The prime-filter space from the carrier and the relation's rows,
-    for a relation already known to be a subordination on a distributive
-    lattice (``build_space_primefilters`` checks that first)."""
+def primefilter_points(lat: FinLattice) -> SpacePoints:
+    """The prime filters of the carrier; ``masks[a]`` holds the positions
+    of the filters containing the element ``a``."""
     filters = prime_filters(lat)
     m = len(filters)
     order = [mask_of(j for j in range(m) if filters[j] & ~filters[i] == 0)
              for i in range(m)]
-    images = []
-    for f in filters:
+    holding = [mask_of(j for j in range(m) if filters[j] >> a & 1)
+               for a in range(lat.n)]
+    labels = ["{" + ",".join(lat.label(a) for a in bits(f)) + "}" for f in filters]
+    return SpacePoints(tuple(filters), tuple(labels), tuple(order), tuple(holding))
+
+
+def space_from_primefilters(points: SpacePoints, rows) -> SubordinationSpace:
+    """The prime-filter space from the carrier's ``primefilter_points``
+    and the relation's rows, for a relation already known to be a
+    subordination on a distributive lattice
+    (``build_space_primefilters`` checks that first): a filter reaches
+    every filter holding its whole direct image."""
+    holding = points.masks
+    full = (1 << len(points.points)) - 1
+    R = []
+    for f in points.points:
         img = 0
         for a in bits(f):
             img |= rows[a]
-        images.append(img)
-    R = [mask_of(j for j in range(m) if images[i] & ~filters[j] == 0)
-         for i in range(m)]
-    labels = ["{" + ",".join(lat.label(a) for a in bits(f)) + "}" for f in filters]
-    return SubordinationSpace(filters, labels, order, R)
+        reach = full
+        for b in bits(img):
+            reach &= holding[b]
+        R.append(reach)
+    return SubordinationSpace(points.points, points.labels, points.order, R)
 
 
 def _signature(sp: SubordinationSpace, i: int) -> tuple:

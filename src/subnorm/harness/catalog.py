@@ -26,53 +26,53 @@ from typing import Callable, Optional
 
 from ..completion import extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
-from ..order import bits, is_monotone, negation_law_failure, subset_tables
+from ..order import FinLattice, bits, is_monotone, negation_law_failure, subset_tables
 from ..slanted import parse_inequality, term_variables
 from ..subordination import Property as P
+from ..subordination import flag_mask
 from .maximality import _N_CAP, verify_prop41
 
 _SUBSET_SCAN_CAP = 8
 
 
-#: the property of each flag bit: bit ``i`` of a flag mask (the layout of
-#: ``Instance.has_flags``) stands for ``FLAG_PROPERTIES[i]``
-FLAG_PROPERTIES = tuple(P)
-_POSITION = {q: i for i, q in enumerate(FLAG_PROPERTIES)}
-
-
-def flag_mask(*props) -> int:
-    """The properties as a flag mask."""
-    return sum(1 << _POSITION[q] for q in set(props))
-
-
 class Flags:
-    """A conjunction: every guard holds, then every flag in ``mask`` is
-    True.  Guards are cheap predicates of the carrier or the relation
-    and run first, so a failing guard computes no flag.  Built only by
+    """A conjunction: every carrier guard holds, then every instance
+    guard, then every flag in ``mask`` is True.  Guards are cheap
+    predicates and run first, so a failing guard computes no flag; the
+    carrier guards take the ``CarrierContext`` and are decided once per
+    carrier (kept in its ``carrier_verdicts``).  Built only by
     ``_flags``, so equal conjunctions are one object; the runner groups
     the checks sharing a precondition by that object and decides it
     once per instance."""
 
-    __slots__ = ("mask", "guards")
+    __slots__ = ("mask", "carrier_guards", "guards")
 
-    def __init__(self, mask: int, guards: tuple):
+    def __init__(self, mask: int, carrier_guards: tuple, guards: tuple):
         self.mask = mask
+        self.carrier_guards = carrier_guards
         self.guards = guards
 
     def __call__(self, inst) -> bool:
+        if self.carrier_guards:
+            verdicts = inst.ctx.carrier_verdicts
+            ok = verdicts.get(self)
+            if ok is None:
+                ok = verdicts[self] = all(g(inst.ctx) for g in self.carrier_guards)
+            if not ok:
+                return False
         for guard in self.guards:
             if not guard(inst):
                 return False
         return inst.has_flags(self.mask)
 
 
-def _flags(*props, guards=()) -> Flags:
-    return _interned(flag_mask(*props), guards)
+def _flags(*props, carrier=(), guards=()) -> Flags:
+    return _interned(flag_mask(*props), carrier, guards)
 
 
 @lru_cache(maxsize=None)
-def _interned(mask: int, guards: tuple) -> Flags:
-    return Flags(mask, guards)
+def _interned(mask: int, carrier_guards: tuple, guards: tuple) -> Flags:
+    return Flags(mask, carrier_guards, guards)
 
 
 @dataclass(frozen=True)
@@ -97,24 +97,24 @@ class CheckSpec:
 
 # ---- guards: cheap tests of the carrier, then of the relation ------------
 
-def _needs_lattice(inst) -> bool:
-    return inst.lat is not None
+def _needs_lattice(ctx) -> bool:
+    return isinstance(ctx.lat, FinLattice)
 
 
-def _needs_distributive(inst) -> bool:
-    return inst.lat is not None and inst.lat.is_distributive
+def _needs_distributive(ctx) -> bool:
+    return _needs_lattice(ctx) and ctx.lat.is_distributive
 
 
-def _small_enough_for_subsets(inst) -> bool:
-    return inst.n <= _SUBSET_SCAN_CAP
+def _small_enough_for_subsets(ctx) -> bool:
+    return ctx.lat.n <= _SUBSET_SCAN_CAP
 
 
-def _small_enough_for_maps(inst) -> bool:
-    return inst.n <= _N_CAP
+def _small_enough_for_maps(ctx) -> bool:
+    return ctx.lat.n <= _N_CAP
 
 
-def _involutive_adjoint_negation(inst) -> bool:
-    rep = inst.ctx.neg_report
+def _involutive_adjoint_negation(ctx) -> bool:
+    rep = ctx.neg_report
     return (rep is not None and rep.antitone and rep.involutive
             and (rep.left_self_adjoint or rep.right_self_adjoint))
 
@@ -372,8 +372,8 @@ def _neg_lifting(lift, adjunction: str) -> dict:
     def holds(p, neg, names) -> bool:
         return all(negation_law_failure(p, neg, name) is None for name in names)
 
-    def precondition(inst) -> bool:
-        lat = inst.ctx.lat
+    def precondition(ctx) -> bool:
+        lat = ctx.lat
         return lat.neg is not None and holds(lat.poset, lat.neg, laws)
 
     def law(inst) -> bool:
@@ -381,7 +381,7 @@ def _neg_lifting(lift, adjunction: str) -> dict:
         involutive = ("involutive",) if ctx.neg_report.involutive else ()
         return holds(ctx.delta.poset, lift(ctx.ext, ctx.lat.neg), laws + involutive)
 
-    return {"precondition": _flags(guards=(precondition,)), "law": law}
+    return {"precondition": _flags(carrier=(precondition,)), "law": law}
 
 
 # ---- preconditions shared by several checks ------------------------------
@@ -398,10 +398,10 @@ _BIDIRECTED = _flags(P.WO, P.DD, P.SI, P.UD, guards=(_dia_serial, _box_serial))
 # the S6 equivalences lean on both detection laws, so they need the full
 # bidirected package, not bare DD+UD
 _S6_PRE = _flags(P.WO, P.DD, P.SI, P.UD,
-                 guards=(_involutive_adjoint_negation, _dia_serial, _box_serial))
-_PROP41_PRE = _flags(P.DD, P.UD, guards=(_small_enough_for_maps, _needs_distributive))
+                 carrier=(_involutive_adjoint_negation,), guards=(_dia_serial, _box_serial))
+_PROP41_PRE = _flags(P.DD, P.UD, carrier=(_small_enough_for_maps, _needs_distributive))
 _SUBORDINATION_PRE = _flags(P.BOT, P.TOP, P.SI, P.WO, P.AND, P.OR,
-                            guards=(_needs_distributive,))
+                            carrier=(_needs_distributive,))
 
 
 CATALOG: tuple[CheckSpec, ...] = (
@@ -419,10 +419,10 @@ CATALOG: tuple[CheckSpec, ...] = (
               law=_law_box_detects),
     # -- directedness from the binary rules ------------------------------
     CheckSpec("or-implies-updirected", "OR forces UD on lattice carriers",
-              "implies", precondition=_flags(guards=(_needs_lattice,)),
+              "implies", precondition=_flags(carrier=(_needs_lattice,)),
               lhs=_flags(P.OR), rhs=_flags(P.UD)),
     CheckSpec("and-implies-downdirected", "AND forces DD on lattice carriers",
-              "implies", precondition=_flags(guards=(_needs_lattice,)),
+              "implies", precondition=_flags(carrier=(_needs_lattice,)),
               lhs=_flags(P.AND), rhs=_flags(P.DD)),
     CheckSpec("updirected-iff-or-under-si", "under SI, UD and OR coincide",
               "iff", precondition=_flags(P.SI),
@@ -435,27 +435,27 @@ CATALOG: tuple[CheckSpec, ...] = (
               "implies", lhs=_flags(P.SI), rhs=_monotone("dia")),
     CheckSpec("and-makes-box-multiplicative-dl",
               "on distributive carriers, SI+AND force []a ^ []b <= [](a ^ b)",
-              "implies", precondition=_flags(guards=(_needs_distributive,)),
+              "implies", precondition=_flags(carrier=(_needs_distributive,)),
               lhs=_flags(P.SI, P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("and-makes-box-multiplicative-ud",
               "SI+UD+AND force []a ^ []b <= [](a ^ b)",
-              "implies", precondition=_flags(guards=(_needs_lattice,)),
+              "implies", precondition=_flags(carrier=(_needs_lattice,)),
               lhs=_flags(P.SI, P.UD, P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("wo-makes-box-monotone", "WO makes the box monotone",
               "implies", lhs=_flags(P.WO), rhs=_monotone("box")),
     CheckSpec("or-makes-diamond-additive-dl",
               "on distributive carriers, WO+OR force <>(a v b) <= <>a v <>b",
-              "implies", precondition=_flags(guards=(_needs_distributive,)),
+              "implies", precondition=_flags(carrier=(_needs_distributive,)),
               lhs=_flags(P.WO, P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("or-makes-diamond-additive-dd",
               "WO+DD+OR force <>(a v b) <= <>a v <>b",
-              "implies", precondition=_flags(guards=(_needs_lattice,)),
+              "implies", precondition=_flags(carrier=(_needs_lattice,)),
               lhs=_flags(P.WO, P.DD, P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("bot-rule-grounds-diamond", "the bottom rule forces <>F <= F",
-              "implies", precondition=_flags(guards=(_needs_lattice,)),
+              "implies", precondition=_flags(carrier=(_needs_lattice,)),
               lhs=_flags(P.BOT), rhs=_DIA_GROUNDED),
     CheckSpec("top-rule-caps-box", "the top rule forces T <= []T",
-              "implies", precondition=_flags(guards=(_needs_lattice,)),
+              "implies", precondition=_flags(carrier=(_needs_lattice,)),
               lhs=_flags(P.TOP), rhs=_BOX_CAPPED),
     # -- converses under directedness ------------------------------------
     CheckSpec("si-iff-diamond-monotone", "under WO+DD, SI = diamond monotone",
@@ -496,12 +496,12 @@ CATALOG: tuple[CheckSpec, ...] = (
     CheckSpec("directed-image-directed",
               "under SI+DD+WO, images of down-directed sets are down-directed",
               "law",
-              precondition=_flags(P.SI, P.DD, P.WO, guards=(_small_enough_for_subsets,)),
+              precondition=_flags(P.SI, P.DD, P.WO, carrier=(_small_enough_for_subsets,)),
               law=_law_directed_image),
     CheckSpec("diamond-of-meet",
               "under SI+DD+WO, <> of a directed meet is the meet over the image",
               "law",
-              precondition=_flags(P.SI, P.DD, P.WO, guards=(_small_enough_for_subsets,)),
+              precondition=_flags(P.SI, P.DD, P.WO, carrier=(_small_enough_for_subsets,)),
               law=_law_dia_of_meet),
     CheckSpec("diamond-bound-reflects",
               "under SI+DD+WO, <>k <= b reveals a rel-pair above k",
@@ -514,12 +514,12 @@ CATALOG: tuple[CheckSpec, ...] = (
     CheckSpec("codirected-preimage-directed",
               "under WO+UD+SI, preimages of up-directed sets are up-directed",
               "law",
-              precondition=_flags(P.WO, P.UD, P.SI, guards=(_small_enough_for_subsets,)),
+              precondition=_flags(P.WO, P.UD, P.SI, carrier=(_small_enough_for_subsets,)),
               law=_law_codirected_preimage),
     CheckSpec("box-of-join",
               "under WO+UD+SI, [] of a directed join is the join over the preimage",
               "law",
-              precondition=_flags(P.WO, P.UD, P.SI, guards=(_small_enough_for_subsets,)),
+              precondition=_flags(P.WO, P.UD, P.SI, carrier=(_small_enough_for_subsets,)),
               law=_law_box_of_join),
     CheckSpec("box-bound-reflects",
               "under WO+UD+SI, a <= []o reveals a rel-pair below o",
@@ -551,15 +551,17 @@ CATALOG: tuple[CheckSpec, ...] = (
     CheckSpec("ct-iff-diamond-contraction",
               "under WO+DD+SI, the contraction rule = <>a <= <>(a ^ <>a)",
               "iff",
-              precondition=_flags(P.WO, P.DD, P.SI, guards=(_needs_lattice, _dia_serial)),
+              precondition=_flags(P.WO, P.DD, P.SI, carrier=(_needs_lattice,),
+                                  guards=(_dia_serial,)),
               lhs=_flags(P.CT), rhs=Inequalities("<>a <= <>(a & <>a)")),
     CheckSpec("sl2-iff-diamond-meet-distribution",
               "under WO+DD+SI, SL2 = <>(<>a ^ <>b) <= <>(a ^ b)",
               "iff",
-              precondition=_flags(P.WO, P.DD, P.SI, guards=(_needs_lattice, _dia_serial)),
+              precondition=_flags(P.WO, P.DD, P.SI, carrier=(_needs_lattice,),
+                                  guards=(_dia_serial,)),
               lhs=_flags(P.SL2), rhs=Inequalities("<>(<>a & <>b) <= <>(a & b)")),
     CheckSpec("ct-implies-t-under-si", "under SI, contraction forces transitivity",
-              "implies", precondition=_flags(P.SI, guards=(_needs_lattice,)),
+              "implies", precondition=_flags(P.SI, carrier=(_needs_lattice,)),
               lhs=_flags(P.CT), rhs=_flags(P.T)),
     CheckSpec("s6-iff-negated-diamond-is-box",
               "on directed involutive carriers, S6 = (~<>a is []~a)",

@@ -10,15 +10,17 @@ wall-clock measurements live under the separate ``timing`` key so two
 runs with the same configuration agree byte-for-byte everywhere else:
 ``timing.checks`` holds the seconds spent in each check's own body
 (only instances meeting the precondition evaluate a body),
-``timing.layers`` the seconds and build count of each lazily built
-per-instance artefact (``LAYERS``), whichever check asked for it first.
+``timing.layers`` the seconds and build count of each stage
+(``LAYERS``): drawing the instances from the corpus stream, building
+each carrier's context, and each lazily built per-instance artefact,
+whichever check asked for it first.
 
 The checks are grouped by their precondition, an interned object shared
 by every check stating the same conjunction of guards and flags.  Each
 group's precondition is decided once per instance (per carrier for the
-carrier-scoped checks); a miss counts one skip for every check in the
-group without evaluating any, a hit evaluates each through
-``verify_check``.
+carrier-scoped checks, and its carrier guards once per carrier); a miss
+counts one skip for every check in the group without evaluating any, a
+hit evaluates each through ``verify_check``.
 
 Checks are pure, so instances could be fanned out to workers with the
 report aggregation as the only synchronization point; the runner stays
@@ -31,31 +33,45 @@ import time
 from typing import Callable, Iterable, Optional
 
 from ..completion import dm_completion, extend_negation_sigma
-from ..duality import space_from_jirr, space_from_primefilters
-from ..errors import InputFormatError, MissingStructure
+from ..duality import (
+    jirr_points,
+    primefilter_points,
+    space_from_jirr,
+    space_from_primefilters,
+)
+from ..errors import InputFormatError
 from ..order import FinLattice, check_negation_laws, mask_of
 from ..slanted import build_slanted, pi_extension, sigma_extension
-from ..subordination import (
+from ..subordination import (  # noqa: F401  (property_holds: perfbench traces this binding)
+    FLAG_PROPERTIES,
+    LOCAL_FLAGS,
     Property,
     ProtoSubAlg,
+    _sweep,
+    flag_mask,
+    local_flags,
+    local_signatures,
+    missing_flags,
     property_holds,
     subalg_from_json,
     subalg_to_json,
 )
 from .carriers import load_carrier
-from .catalog import CATALOG, CHECKS_BY_NAME, FLAG_PROPERTIES, CheckSpec, flag_mask
+from .catalog import CATALOG, CHECKS_BY_NAME, CheckSpec
 from .generate import GenConfig, corpus_stream, default_config
 
 _MAX_STORED_COUNTEREXAMPLES = 10
 
-#: the lazily built per-instance artefacts timed under ``timing.layers``
-LAYERS = ("flags", "sa", "sigma", "pi", "space", "space_pf", "image", "preimage")
+#: the stages timed under ``timing.layers``: the corpus stream, the
+#: carrier contexts, and the lazily built per-instance artefacts
+LAYERS = ("corpus", "context", "flags", "sa", "sigma", "pi", "space", "space_pf",
+          "image", "preimage")
 
 
 class LayerClock:
-    """Seconds and build counts of the per-instance artefacts of one
-    carrier.  A build's arguments are evaluated before its clock starts,
-    so builds never nest and ``spent`` is the total time inside builds."""
+    """Seconds and build counts per layer.  A build's arguments are
+    evaluated before its clock starts, so builds never nest and
+    ``spent`` is the total time inside builds."""
 
     def __init__(self):
         self.seconds = dict.fromkeys(LAYERS, 0.0)
@@ -67,10 +83,14 @@ class LayerClock:
         try:
             return fn(*args)
         finally:
-            dt = time.perf_counter() - t0
-            self.seconds[layer] += dt
-            self.builds[layer] += 1
-            self.spent += dt
+            self.charge(layer, t0)
+
+    def charge(self, layer: str, t0: float, builds: int = 1) -> None:
+        """Book the time since ``t0`` to ``layer`` as ``builds`` builds."""
+        dt = time.perf_counter() - t0
+        self.seconds[layer] += dt
+        self.builds[layer] += builds
+        self.spent += dt
 
 
 class CarrierContext:
@@ -79,8 +99,11 @@ class CarrierContext:
     ``base_above[u]``/``base_below[u]`` are the base elements whose
     embedding lies above/below the completion element ``u``, as base
     masks.  ``missing`` holds the flags (as ``flag_mask`` bits) whose
-    property needs structure the carrier lacks, learned as instances
-    compute them."""
+    property needs structure the carrier lacks, ``signatures`` the
+    carrier's ``local_signatures`` (None above the table cap), and
+    ``carrier_verdicts`` each precondition's carrier guards, decided on
+    first use.  The points of the two dual spaces are built on first
+    use, once for every instance."""
 
     def __init__(self, name: str, lat: FinLattice):
         self.name = name
@@ -89,7 +112,11 @@ class CarrierContext:
         self.delta = self.ext.delta
         self.embed = self.ext.embed
         self.clock = LayerClock()
-        self.missing = 0
+        self.missing = missing_flags(lat)
+        self.signatures = local_signatures(lat)
+        self.carrier_verdicts: dict = {}
+        self._jirr_points = None
+        self._pf_points = None
         up, down = self.delta.poset.up, self.delta.poset.down
         self.base_above = tuple(mask_of(a for a, e in enumerate(self.embed) if up[u] >> e & 1)
                                 for u in range(self.delta.n))
@@ -101,6 +128,18 @@ class CarrierContext:
         if (self.neg_report is not None and self.neg_report.antitone
                 and self.neg_report.left_self_adjoint):
             self.neg_delta = extend_negation_sigma(self.ext, lat.neg)
+
+    def space(self, sigma):
+        """The join-irreducible dual space of a relation with extension ``sigma``."""
+        if self._jirr_points is None:
+            self._jirr_points = jirr_points(self.delta)
+        return space_from_jirr(self._jirr_points, sigma)
+
+    def space_pf(self, rows):
+        """The prime-filter dual space of a relation with ``rows``."""
+        if self._pf_points is None:
+            self._pf_points = primefilter_points(self.lat)
+        return space_from_primefilters(self._pf_points, rows)
 
 
 def _unions(rows) -> list[int]:
@@ -117,9 +156,11 @@ class Instance:
 
     Each artefact is built on first use through the carrier's
     ``LayerClock``: the property flags (two ``flag_mask`` bitmasks: the
-    flags computed so far, and those of them that are True), the
-    operators ``sa`` (with ``dia``/``box``), their ``sigma``/``pi``
-    extensions, the two dual spaces, and the ``image``/``preimage``
+    flags computed so far, and those of them that are True; the ten
+    local flags come from one ``local_flags`` pass, each other flag from
+    its sweep), the operators ``sa`` (with ``dia``/``box``), their
+    ``sigma``/``pi`` extensions, the two dual spaces (read off the
+    context's shared points), and the ``image``/``preimage``
     tables, which give the union of the rows/columns of every one of the
     ``2^n`` subset masks (read by the directed-family checks, on carriers
     small enough for subset tables).
@@ -173,26 +214,31 @@ class Instance:
 
     def has_flags(self, mask: int) -> bool:
         """Every flag in ``mask`` is True.  Flags not yet known are
-        computed in bit order, stopping at the first that is not."""
-        if mask & self._known & ~self._true:
-            return False
-        todo = mask & ~self._known
-        while todo:
-            bit = todo & -todo
-            if not self._compute(bit):
+        computed local ones first, the others in bit order, stopping at
+        the first that is not True."""
+        while True:
+            if mask & self._known & ~self._true:
                 return False
-            todo ^= bit
-        return True
+            todo = mask & ~self._known
+            if not todo:
+                return True
+            self._compute(todo & LOCAL_FLAGS or todo)
 
-    def _compute(self, bit: int) -> bool:
-        prop = FLAG_PROPERTIES[bit.bit_length() - 1]
-        got = self.ctx.clock.build("flags", _flag, self.S, prop)
+    def _compute(self, todo: int) -> None:
+        """Compute the lowest flag of ``todo``: all ten local flags at
+        once when it is local and the carrier has signatures."""
+        ctx = self.ctx
+        if todo & LOCAL_FLAGS and ctx.signatures is not None:
+            self._known |= LOCAL_FLAGS
+            self._true |= ctx.clock.build("flags", local_flags, self.S, ctx.signatures)
+            return
+        bit = todo & -todo
         self._known |= bit
-        if got:
+        if bit & ctx.missing:
+            return
+        prop = FLAG_PROPERTIES[bit.bit_length() - 1]
+        if ctx.clock.build("flags", _sweep, self.S, prop) is None:
             self._true |= bit
-        elif got is None:
-            self.ctx.missing |= bit
-        return bool(got)
 
     @property
     def sa(self):
@@ -248,23 +294,14 @@ class Instance:
     @property
     def space(self):
         if self._space is None:
-            self._space = self.ctx.clock.build(
-                "space", space_from_jirr, self.delta, self.sigma)
+            self._space = self.ctx.clock.build("space", self.ctx.space, self.sigma)
         return self._space
 
     @property
     def space_pf(self):
         if self._space_pf is None:
-            self._space_pf = self.ctx.clock.build(
-                "space_pf", space_from_primefilters, self.lat, self.S.rows)
+            self._space_pf = self.ctx.clock.build("space_pf", self.ctx.space_pf, self.S.rows)
         return self._space_pf
-
-
-def _flag(S: ProtoSubAlg, prop: Property) -> Optional[bool]:
-    try:
-        return property_holds(S, prop)
-    except MissingStructure:
-        return None
 
 
 def verify_check(spec: CheckSpec, inst: Instance) -> tuple[str, Optional[dict]]:
@@ -323,10 +360,20 @@ def run_suite(cfg: Optional[GenConfig] = None,
 
     contexts: dict[str, CarrierContext] = {}
     current: Optional[str] = None
-    for carrier_name, S in corpus_stream(cfg):
+    clock = LayerClock()  # the corpus and context layers
+    stream = corpus_stream(cfg)
+    while True:
+        t0 = time.perf_counter()
+        item = next(stream, None)
+        if item is None:
+            clock.charge("corpus", t0, 0)
+            break
+        clock.charge("corpus", t0)
+        carrier_name, S = item
         ctx = contexts.get(carrier_name)
         if ctx is None:
-            ctx = CarrierContext(carrier_name, load_carrier(carrier_name))
+            ctx = clock.build("context", CarrierContext, carrier_name,
+                              load_carrier(carrier_name))
             contexts[carrier_name] = ctx
         inst = Instance(ctx, S)
         total_instances += 1
@@ -340,9 +387,9 @@ def run_suite(cfg: Optional[GenConfig] = None,
 
     gaps = sorted(name for name, st in stats.items() if st["tested"] == 0)
     n_counter = sum(st["counterexample_count"] for st in stats.values())
-    layers = {name: {"builds": sum(c.clock.builds[name] for c in contexts.values()),
-                     "seconds": round(sum(c.clock.seconds[name]
-                                          for c in contexts.values()), 6)}
+    clocks = [clock] + [c.clock for c in contexts.values()]
+    layers = {name: {"builds": sum(c.builds[name] for c in clocks),
+                     "seconds": round(sum(c.seconds[name] for c in clocks), 6)}
               for name in LAYERS}
     report = {
         "config": cfg.describe(),

@@ -9,14 +9,23 @@ including the four standard rule systems used to close normative
 systems.
 
 Each property is one exact quantifier sweep over the finite carrier that
-returns its lexicographically first counterexample, or None.  On small
-carriers (``n <= 10``) per-carrier lookup tables over all ``2^n`` row
-masks decide WO, AND, OR, DD and UD without a sweep, which makes them
-cheap enough to run over every one of the ``2^(n*n)`` relations of an
-enumeration; the sweep then runs only to find the witness of a failure.
-The up-closure and directedness tables are the carrier's
-``order.subset_tables``; the meet- and join-closure tables that decide
-AND and OR are added to the same dict here.
+returns its lexicographically first counterexample, or None; the sweeps
+are the only statement of each property, and ``property_holds`` and
+``check_property`` run them directly.
+
+Ten properties are *local*: each holds exactly when every row (BOT, TOP,
+WO, AND, DD, PREC_IN_LEQ, LEQ_IN_PREC) or every column (OR, UD, PROPER)
+passes a test of its index and its mask alone.  On small carriers
+(``n <= order._TABLE_CAP``) ``local_signatures`` tabulates, for every
+index and every one of the ``2^n`` masks, the flags that row or column
+satisfies, so ``local_flags`` decides all ten with ``2n`` lookups; that
+is what makes them cheap enough to run over every one of the
+``2^(n*n)`` relations of an enumeration.  The signatures are built from
+the carrier's ``order.subset_tables`` and kept in the same dict.
+
+A flag mask has bit ``i`` set for ``FLAG_PROPERTIES[i]`` (``flag_mask``);
+``missing_flags`` gives the flags whose property needs structure a
+carrier lacks.
 """
 
 from __future__ import annotations
@@ -61,6 +70,24 @@ class Property(Enum):
     PREC_IN_LEQ = "PREC_IN_LEQ"
     LEQ_IN_PREC = "LEQ_IN_PREC"
     PROPER = "PROPER"
+
+
+#: the property of each flag bit: bit ``i`` of a flag mask stands for
+#: ``FLAG_PROPERTIES[i]``
+FLAG_PROPERTIES = tuple(Property)
+_POSITION = {q: i for i, q in enumerate(FLAG_PROPERTIES)}
+
+
+def flag_mask(*props) -> int:
+    """The properties as a flag mask."""
+    return sum(1 << _POSITION[q] for q in set(props))
+
+
+#: local properties tested on each row, and on each column
+_ROW_LOCAL = (Property.BOT, Property.TOP, Property.WO, Property.AND, Property.DD,
+              Property.PREC_IN_LEQ, Property.LEQ_IN_PREC)
+_COL_LOCAL = (Property.OR, Property.UD, Property.PROPER)
+LOCAL_FLAGS = flag_mask(*_ROW_LOCAL, *_COL_LOCAL)
 
 
 #: rules whose conclusions are non-existential, hence closable by a
@@ -187,37 +214,15 @@ class ProtoSubAlg:
 
 
 # ---------------------------------------------------------------------------
-# per-carrier lookup tables
+# structure a property needs
 # ---------------------------------------------------------------------------
 
-def _carrier_tables(S: ProtoSubAlg) -> Optional[dict]:
-    """The carrier's subset tables, with the meet- and join-closure of
-    every mask added on a lattice carrier."""
-    tables = subset_tables(S.poset)
-    lat = S.lattice
-    if tables is not None and lat is not None and "meetclose" not in tables:
-        size = 1 << lat.n
-        for key, op in (("meetclose", lat.meet), ("joinclose", lat.join)):
-            closed = [0] * size
-            for m in range(1, size):
-                low = (m & -m).bit_length() - 1
-                rest = closed[m & (m - 1)]
-                acc = rest | 1 << low
-                for y in bits(rest):
-                    acc |= 1 << op[low][y]
-                closed[m] = acc
-            tables[key] = closed
-    return tables
-
-
-def _bounds(S: ProtoSubAlg) -> tuple[int, int]:
-    lat = S.lattice
-    if lat is not None:
-        return lat.bot, lat.top
-    p = S.poset
-    full = (1 << p.n) - 1
-    bot = next((a for a in range(p.n) if p.up[a] == full), None)
-    top = next((a for a in range(p.n) if p.down[a] == full), None)
+def _bounds(carrier: Carrier) -> tuple[int, int]:
+    if isinstance(carrier, FinLattice):
+        return carrier.bot, carrier.top
+    full = (1 << carrier.n) - 1
+    bot = next((a for a in range(carrier.n) if carrier.up[a] == full), None)
+    top = next((a for a in range(carrier.n) if carrier.down[a] == full), None)
     if bot is None or top is None:
         raise MissingStructure("bounds", "a bounded carrier")
     return bot, top
@@ -229,52 +234,36 @@ def _require(S: ProtoSubAlg, prop: Property) -> None:
     if prop is Property.S6 and (S.lattice is None or S.lattice.neg is None):
         raise MissingStructure("S6", "a negation table on the carrier")
     if prop in _NEEDS_BOUNDS:
-        _bounds(S)
+        _bounds(S.carrier)
+
+
+def missing_flags(carrier: Carrier) -> int:
+    """The flags whose property needs structure the carrier lacks."""
+    S = ProtoSubAlg(carrier, SubordRel(carrier.n, [0] * carrier.n))
+    out = 0
+    for i, prop in enumerate(FLAG_PROPERTIES):
+        try:
+            _require(S, prop)
+        except MissingStructure:
+            out |= 1 << i
+    return out
 
 
 # ---------------------------------------------------------------------------
 # property evaluation
 # ---------------------------------------------------------------------------
 
-def _table_verdict(S: ProtoSubAlg, prop: Property) -> Optional[bool]:
-    """Exact verdict of WO, AND, OR, DD or UD read off the per-carrier
-    tables over all ``2^n`` row masks; None for the other properties and
-    on carriers without tables."""
-    t = _carrier_tables(S)
-    if t is None:
-        return None
-    if prop is Property.WO:
-        uc = t["upclose"]
-        return all(uc[r] == r for r in S.rows)
-    if prop is Property.AND and S.lattice is not None:
-        mc = t["meetclose"]
-        return all(mc[r] == r for r in S.rows)
-    if prop is Property.OR and S.lattice is not None:
-        jc = t["joinclose"]
-        return all(jc[c] == c for c in S.cols)
-    if prop is Property.DD:
-        dd = t["dd"]
-        return all(dd[r] for r in S.rows)
-    if prop is Property.UD:
-        ud = t["ud"]
-        return all(ud[c] for c in S.cols)
-    return None
-
-
 def property_holds(S: ProtoSubAlg, prop: Property) -> bool:
     """Exact truth of the quantified condition; raises MissingStructure
     when the carrier lacks what the property mentions."""
     _require(S, prop)
-    verdict = _table_verdict(S, prop)
-    return _sweep(S, prop) is None if verdict is None else verdict
+    return _sweep(S, prop) is None
 
 
 def check_property(S: ProtoSubAlg, prop: Property) -> tuple[bool, Optional[tuple]]:
     """Evaluate one property; on failure also return the first
     counterexample tuple in index order."""
     _require(S, prop)
-    if _table_verdict(S, prop):
-        return True, None
     witness = _sweep(S, prop)
     return witness is None, witness
 
@@ -288,7 +277,7 @@ def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
     n = S.n
     lat = S.lattice
     if prop is Property.BOT or prop is Property.TOP:
-        bot, top = _bounds(S)
+        bot, top = _bounds(S.carrier)
         e = bot if prop is Property.BOT else top
         return None if rows[e] >> e & 1 else ()
     elif prop is Property.SI:
@@ -433,12 +422,105 @@ def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
             if bad:
                 return (a, next(bits(bad)))
     elif prop is Property.PROPER:
-        bot, _ = _bounds(S)
+        bot, _ = _bounds(S.carrier)
         cols = S.cols
         for a in range(n):
             if a != bot and not cols[a] & ~(1 << bot):
                 return (a,)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the ten local flags, from per-carrier signature tables
+# ---------------------------------------------------------------------------
+
+def local_signatures(carrier: Carrier) -> Optional[tuple[int, tuple, tuple]]:
+    """``(have, rowsig, colsig)`` of a carrier with
+    ``n <= order._TABLE_CAP``, built on first use and kept with its
+    ``subset_tables``; None on larger carriers.
+
+    ``have`` holds the local flags whose structure the carrier has.
+    ``rowsig[a][r]`` holds the row-local flags that row mask ``r`` at
+    index ``a`` passes, ``colsig[x][c]`` the column-local flags that
+    column mask ``c`` at index ``x`` passes.  Each also holds every flag
+    of the other side, so the AND of ``have`` and a relation's rows and
+    columns (``local_flags``) is its verdicts.  Flags of missing
+    structure are never set."""
+    lat = carrier if isinstance(carrier, FinLattice) else None
+    p = carrier.poset if lat is not None else carrier
+    tables = subset_tables(p)
+    if tables is None:
+        return None
+    key = "signatures" if lat is not None else "poset_signatures"
+    if key not in tables:
+        tables[key] = _build_signatures(carrier, p, lat, tables)
+    return tables[key]
+
+
+def _closed_under(op: Sequence[Sequence[int]], size: int) -> list[bool]:
+    """Whether each of the ``size`` masks is closed under the binary
+    operation; the closure of ``m`` extends that of ``m`` minus its
+    lowest bit."""
+    closure = [0] * size
+    for m in range(1, size):
+        low = (m & -m).bit_length() - 1
+        rest = closure[m & (m - 1)]
+        acc = rest | 1 << low
+        for y in bits(rest):
+            acc |= 1 << op[low][y]
+        closure[m] = acc
+    return [closure[m] == m for m in range(size)]
+
+
+def _build_signatures(carrier: Carrier, p: FinPoset, lat: Optional[FinLattice],
+                      tables: dict) -> tuple[int, tuple, tuple]:
+    n, size = p.n, 1 << p.n
+    have = LOCAL_FLAGS & ~missing_flags(carrier)
+    bit = {q: 1 << _POSITION[q] & have for q in (*_ROW_LOCAL, *_COL_LOCAL)}
+    row_side, col_side = flag_mask(*_ROW_LOCAL) & have, flag_mask(*_COL_LOCAL) & have
+    uc, dd, ud = tables["upclose"], tables["dd"], tables["ud"]
+    meet_closed = _closed_under(lat.meet, size) if lat is not None else [False] * size
+    join_closed = _closed_under(lat.join, size) if lat is not None else [False] * size
+    row_free = [col_side
+                | (bit[Property.WO] if uc[r] == r else 0)
+                | (bit[Property.AND] if meet_closed[r] else 0)
+                | (bit[Property.DD] if dd[r] else 0) for r in range(size)]
+    col_free = [row_side
+                | (bit[Property.OR] if join_closed[c] else 0)
+                | (bit[Property.UD] if ud[c] else 0) for c in range(size)]
+    bot = top = None
+    if bit[Property.BOT]:
+        bot, top = _bounds(carrier)
+    ends = bit[Property.BOT] | bit[Property.TOP]
+    prec_in, leq_in, proper = (bit[q] for q in (Property.PREC_IN_LEQ,
+                                                Property.LEQ_IN_PREC, Property.PROPER))
+    not_bot = ~(1 << bot) if bot is not None else 0
+    rowsig, colsig = [], []
+    for a in range(n):
+        # BOT and TOP test only the row of the bound they name, PROPER
+        # every column but the bottom's
+        at = (bit[Property.BOT] if a == bot else 0) | (bit[Property.TOP] if a == top else 0)
+        up = p.up[a]
+        rowsig.append(tuple(
+            row_free[r] | ends & ~at
+            | (at if r >> a & 1 else 0)
+            | (0 if r & ~up else prec_in)
+            | (0 if up & ~r else leq_in) for r in range(size)))
+        colsig.append(tuple(
+            col_free[c] | (proper if a == bot or c & not_bot else 0)
+            for c in range(size)))
+    return have, tuple(rowsig), tuple(colsig)
+
+
+def local_flags(S: ProtoSubAlg, signatures: tuple[int, tuple, tuple]) -> int:
+    """The local flags that hold on ``S``, from its carrier's
+    ``local_signatures``: one lookup per row and per column."""
+    acc, rowsig, colsig = signatures
+    for sig, r in zip(rowsig, S.rows):
+        acc &= sig[r]
+    for sig, c in zip(colsig, S.cols):
+        acc &= sig[c]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +597,7 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     if ruleset & {P.AND, P.OR, P.CT} and lat is None:
         raise MissingStructure("AND/OR/CT closure", "lattice operations")
     if ruleset & {P.BOT, P.TOP}:
-        _bounds(S)
+        _bounds(S.carrier)
 
     if lat is not None and {P.WO, P.AND} <= ruleset:
         return S.with_rows(_close_filterform(S, ruleset))
@@ -531,10 +613,10 @@ def _close_fixpoint(S: ProtoSubAlg, ruleset: frozenset) -> list[int]:
     p = S.poset
     rows = list(S.rows)
     if P.BOT in ruleset:
-        bot, _ = _bounds(S)
+        bot, _ = _bounds(S.carrier)
         rows[bot] |= 1 << bot
     if P.TOP in ruleset:
-        _, top = _bounds(S)
+        _, top = _bounds(S.carrier)
         rows[top] |= 1 << top
     guard = n * n + 2
     for _ in range(guard + 1):

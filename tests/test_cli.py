@@ -59,6 +59,21 @@ class TestCheck:
         assert code == 0
         assert "subordination algebra" in payload["classes"]
 
+    def test_classify_builds_no_carrier_tables(self, capsys, files, monkeypatch):
+        # a one-shot query decides its flags with the sweeps alone
+        from subnorm import cli
+        loaded, load = [], cli._load_subalg
+
+        def capture(args):
+            loaded.append(load(args))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load_subalg", capture)
+        code, _ = run(capsys, "check", "--algebra", files["algebra"],
+                      "--prec", files["prec"], "--props", "WO,AND,OR,DD,UD", "--classify")
+        assert code == 0
+        assert loaded[0].poset._tables is None
+
     def test_unknown_property(self, capsys, files):
         code, _ = run(capsys, "check", "--algebra", files["algebra"],
                       "--props", "NOPE")

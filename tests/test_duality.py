@@ -60,6 +60,27 @@ class TestSpaces:
         with pytest.raises(NotSubordinationLattice):
             build_space_jirr(S)
 
+    @pytest.mark.parametrize("carrier", ["b4", "fdl2", "b8"])
+    def test_shared_points_give_each_relation_its_space(self, carrier, request):
+        # the harness reads both spaces off per-carrier points; each
+        # relation's accessibility is held to its definition
+        from subnorm.harness import CarrierContext, Instance, closure_generated
+        lat = request.getfixturevalue(carrier)
+        ctx = CarrierContext(carrier, lat)
+        for S in closure_generated(lat, 1):
+            inst = Instance(ctx, S)
+            jirr, pf = inst.space, inst.space_pf
+            assert (jirr.to_json(), pf.to_json()) == (build_space_jirr(S).to_json(),
+                                                      build_space_primefilters(S).to_json())
+            delta, sigma = inst.delta, inst.sigma
+            for i, x in enumerate(jirr.points):
+                for j, y in enumerate(jirr.points):
+                    assert jirr.rel(i, j) == delta.leq(y, sigma[x])
+            for i, f in enumerate(pf.points):
+                image = {b for a in bits(f) for b in bits(S.rows[a])}
+                for j, g in enumerate(pf.points):
+                    assert pf.rel(i, j) == (image <= set(bits(g)))
+
 
 class TestIsomorphism:
     @pytest.mark.parametrize("carrier", ["b4", "chain3", "chain4", "fdl2"])

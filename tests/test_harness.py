@@ -27,7 +27,7 @@ from subnorm.harness import maximality
 from subnorm.harness import run as runner
 from subnorm.harness.run import LAYERS
 from subnorm.harness.carriers import load_carrier
-from subnorm.harness.catalog import Inequalities, flag_mask
+from subnorm.harness.catalog import Inequalities
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
 from subnorm.harness.maximality import (
     box_minimality_failure,
@@ -43,6 +43,7 @@ from subnorm.subordination import (
     SubordRel,
     close,
     close_i,
+    flag_mask,
     is_subordination_algebra,
     property_holds,
     subalg_to_json,
@@ -445,6 +446,9 @@ class TestRunSuite:
         # once per property)
         assert all(0 < layers[k]["builds"] <= instances for k in LAYERS if k != "flags")
         assert 0 < layers["flags"]["builds"] <= instances * len(P)
+        # one corpus draw per instance, one context per carrier
+        assert layers["corpus"]["builds"] == instances
+        assert layers["context"]["builds"] == 2
         spent = (sum(timing["checks"].values())
                  + sum(entry["seconds"] for entry in layers.values()))
         assert spent <= timing["total"]
@@ -571,6 +575,27 @@ class TestGroupedRunner:
                         want[q] is True for q in props), (name, S, props)
         if lat.neg is None:
             assert Instance(ctx, sample[0]).flag(P.S6) is None
+
+    def test_flags_above_the_table_cap_match_property_holds(self, tmp_path):
+        # a 12-element chain has no signature tables: every flag is swept
+        path = tmp_path / "chain12.json"
+        path.write_text(json.dumps({"elements": [str(i) for i in range(12)],
+                                    "hasse": [[i, i + 1] for i in range(11)]}))
+        lat = load_carrier(str(path))
+        ctx = CarrierContext("chain12", lat)
+        assert ctx.signatures is None
+        sample = random_relations(lat, 6, 3, (0.05, 0.2))
+        seen = set()
+        for S in sample + [close(S, SUBORDINATION_RULES) for S in sample]:
+            inst = Instance(ctx, S)
+            for q in P:
+                try:
+                    want = property_holds(S, q)
+                except MissingStructure:
+                    want = None
+                assert inst.flag(q) is want, (S, q)
+                seen.add((q, want))
+        assert {want for _, want in seen} == {True, False, None}
 
 
 class TestReplay:

@@ -11,19 +11,26 @@ from subnorm.order import free_boolean_algebra, poset_from_hasse, to_lattice
 from subnorm.subordination import (
     CLASS_TABLE,
     CLOSABLE_RULES,
+    LOCAL_FLAGS,
     SYSTEM_RULES,
     Property,
     ProtoSubAlg,
     SubordRel,
     _close_fixpoint,
+    _sweep,
     check_property,
     classify,
     close,
     close_i,
+    flag_mask,
+    local_flags,
+    local_signatures,
+    missing_flags,
     property_holds,
     subalg_from_json,
     subalg_to_json,
 )
+from subnorm.harness.carriers import load_carrier
 from subnorm.harness.generate import (
     SUBORDINATION_RULES,
     random_relations,
@@ -100,6 +107,87 @@ def test_sweep_witnesses_match_oracles(b4, fdl2, b8):
                 assert check_property(S, P[prop]) == (want is None, want), (prop, S)
                 outcomes[prop].add(want is None)
         assert all(seen == {True, False} for seen in outcomes.values()), (lat, outcomes)
+
+
+ROW_LOCAL = (P.BOT, P.TOP, P.WO, P.AND, P.DD, P.PREC_IN_LEQ, P.LEQ_IN_PREC)
+COL_LOCAL = (P.OR, P.UD, P.PROPER)
+
+
+class TestLocalFlags:
+    """The signature tables against the sweeps, which state each of the
+    ten local properties."""
+
+    @staticmethod
+    def agree(S, seen):
+        got = local_flags(S, local_signatures(S.carrier))
+        missing = missing_flags(S.carrier)
+        for q in ROW_LOCAL + COL_LOCAL:
+            want = not flag_mask(q) & missing and _sweep(S, q) is None
+            assert bool(got & flag_mask(q)) == want, (S, q)
+            seen[q].add(want)
+
+    def test_local_flags_are_the_row_and_column_properties(self):
+        assert LOCAL_FLAGS == flag_mask(*ROW_LOCAL, *COL_LOCAL)
+        assert bin(LOCAL_FLAGS).count("1") == 10
+
+    def test_exhaustive_on_chain3(self, chain3):
+        seen = {q: set() for q in ROW_LOCAL + COL_LOCAL}
+        for packed in range(1 << 9):
+            self.agree(ProtoSubAlg(chain3, relation_from_int(3, packed)), seen)
+        # every subset of a chain is meet- and join-closed and directed
+        closed = (P.AND, P.OR, P.DD, P.UD)
+        assert all(seen[q] == {True} for q in closed)
+        assert all(seen[q] == {True, False} for q in seen if q not in closed), seen
+
+    @pytest.mark.parametrize("name", ["b4", "fdl2", "b8"])
+    def test_seeded_relations_and_closures(self, name):
+        lat = load_carrier(name)
+        seen = {q: set() for q in ROW_LOCAL + COL_LOCAL}
+        for S in random_relations(lat, 2000, zlib.crc32(name.encode())):
+            self.agree(S, seen)
+            self.agree(close(S, SUBORDINATION_RULES), seen)
+        assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+    def test_poset_carriers(self, b4, v_poset, antichain2):
+        # a lattice order handed over as a bare poset has no AND/OR, and an
+        # unbounded one no BOT/TOP/PROPER; those flags are never set
+        for p in (v_poset, antichain2):
+            seen = {q: set() for q in ROW_LOCAL + COL_LOCAL}
+            for packed in range(1 << (p.n * p.n)):
+                self.agree(ProtoSubAlg(p, relation_from_int(p.n, packed)), seen)
+            assert all(seen[q] == {False} for q in (P.AND, P.OR, P.BOT, P.TOP, P.PROPER))
+        seen = {q: set() for q in ROW_LOCAL + COL_LOCAL}
+        for S in random_relations(b4.poset, 1000, 3):
+            self.agree(S, seen)
+        assert all(seen[q] == {False} for q in (P.AND, P.OR))
+        assert all(seen[q] == {True, False} for q in (P.BOT, P.TOP, P.PROPER))
+        assert local_signatures(b4.poset) is not local_signatures(b4)
+
+    def test_missing_flags_match_property_holds(self, chain3, b4, v_poset):
+        for carrier in (chain3, b4, b4.poset, v_poset):
+            S = ProtoSubAlg(carrier, SubordRel(carrier.n, [0] * carrier.n))
+            want = 0
+            for q in P:
+                try:
+                    property_holds(S, q)
+                except MissingStructure:
+                    want |= flag_mask(q)
+            assert missing_flags(carrier) == want, carrier
+
+    def test_one_shot_calls_build_no_tables(self):
+        # property_holds and classify decide a relation with the sweeps
+        # alone, so a fresh carrier gets no 2^n tables
+        lat = to_lattice(poset_from_hasse(
+            8, [(v, v | 1 << i) for v in range(8) for i in range(3) if not v >> i & 1],
+            [str(v) for v in range(8)]))
+        S = random_relations(lat, 1, 5)[0]
+        for q in P:
+            try:
+                property_holds(S, q)
+            except MissingStructure:
+                pass
+        classify(S)
+        assert lat.poset._tables is None
 
 
 class TestClassify:
