@@ -9,12 +9,13 @@ ships a brute-force harness that confirms every operator/relation
 correspondence on finite instances.
 """
 
-from . import completion, duality, harness, iologic, order, slanted, subordination
+from . import (completion, duality, harness, iologic, order, slanted, subordination,
+               syntax)
 from .errors import SubnormError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SubnormError", "completion", "duality", "harness", "iologic",
-    "order", "slanted", "subordination", "__version__",
+    "order", "slanted", "subordination", "syntax", "__version__",
 ]

@@ -15,14 +15,17 @@ optionally with ``"neg": [...]``; indices refer to positions in
 Subordination JSON: ``{"algebra": <algebra JSON or file path>,
 "prec": [[i, j], ...]}``.
 
-Norm files: one ``body |~ head`` per line, ``#`` starts a comment,
-blank lines ignored.  Formulas use atoms ``[a-z][a-z0-9]*``, constants
-``T F``, connectives ``~ & | ->`` with precedence ``~ > & > | > ->``
-(``->`` associates right) and parentheses.
+Terms: atoms ``[a-z][a-z0-9]*``, constants ``T F``, parentheses;
+prefix ``~ <> []`` bind tightest and stack, then ``&``, then ``|``, then
+``->`` (associating right, ``a -> b`` is ``~a | b``).  A term or
+parenthesis nesting deeper than 100 is an input error.
 
-Modal inequalities use the same atoms and constants, operators
-``~ <> []`` binding tightest, then ``&``, then ``|``; one ``<=``
-separates the sides.
+Norm files: one ``body |~ head`` per line, ``#`` starts a comment,
+blank lines ignored.  Norm formulas (and ``--query``, ``--gamma``,
+``--head``) are the terms without ``<> []``.
+
+Modal inequalities (``--ineq``): two terms without ``->``, separated by
+exactly one ``<=``.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .subordination import (
     subalg_from_json,
     subalg_to_json,
 )
+from .syntax import parse_formula, parse_inequality
 
 
 def _load_subalg(args) -> ProtoSubAlg:
@@ -104,15 +108,14 @@ def _parse_props(text: str) -> list[Property]:
         except KeyError:
             raise SubnormError(f"unknown property {name!r}; known: "
                                + ", ".join(p.name for p in Property)) from None
+    if not out:
+        raise InputFormatError(f"no property names in {text!r}")
     return out
 
 
 def _cmd_check(args) -> int:
     S = _load_subalg(args)
-    if args.props:
-        props = _parse_props(args.props)
-    else:
-        props = []
+    props = _parse_props(args.props) if args.props is not None else []
     results = {}
     all_hold = True
     lines = []
@@ -137,7 +140,7 @@ def _cmd_close(args) -> int:
     before = set(S.prec.pairs())
     if args.system:
         closed = close_i(S, args.system)
-    elif args.rules:
+    elif args.rules is not None:
         closed = close(S, _parse_props(args.rules))
     else:
         raise SubnormError("need --system 1..4 or --rules LIST")
@@ -165,8 +168,8 @@ def _cmd_derive(args) -> int:
 
 def _cmd_out(args) -> int:
     N = _load_norms(args.norms)
-    gamma = [iologic.parse_formula(part) for part in args.gamma.split(",") if part.strip()]
-    head = iologic.parse_formula(args.head)
+    gamma = [parse_formula(part) for part in args.gamma.split(",") if part.strip()]
+    head = parse_formula(args.head)
     fn = iologic.modal_output if args.modal else iologic.out
     holds = fn(N, args.system, gamma, head)
     payload = {"holds": holds, "system": args.system, "modal": bool(args.modal),
@@ -181,7 +184,7 @@ def _cmd_out(args) -> int:
 def _cmd_slanted(args) -> int:
     S = _load_subalg(args)
     sa = slanted.build_slanted(S)
-    ineq = slanted.parse_inequality(args.ineq)
+    ineq = parse_inequality(args.ineq)
     ok, witness = slanted.valid(sa, ineq, neg_mode=args.neg_mode)
     labels = None
     if witness is not None:

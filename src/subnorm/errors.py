@@ -73,15 +73,12 @@ class NotMonotone(SubnormError):
 
 
 class UnboundVariable(SubnormError):
-    """A term variable has no value under the given assignment."""
+    """A term variable (a formula's atom included) has no value under the
+    given assignment."""
 
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"unbound variable: {name}")
-
-
-class UnboundAtom(UnboundVariable):
-    """A propositional atom has no value under the given valuation."""
 
 
 class MissingNegation(SubnormError):
@@ -97,6 +94,7 @@ class ParseError(SubnormError):
     """Syntax error in a formula, term, inequality or norm file."""
 
     def __init__(self, message: str, position: int):
+        self.message = message
         self.position = position
         super().__init__(f"{message} (at position {position})")
 

@@ -27,9 +27,9 @@ from typing import Callable, Optional
 from ..completion import extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
 from ..order import FinLattice, bits, is_monotone, negation_law_failure, subset_tables
-from ..slanted import parse_inequality, term_variables
 from ..subordination import Property as P
 from ..subordination import flag_mask
+from ..syntax import parse_inequality, term_variables
 from .maximality import _N_CAP, verify_prop41
 
 _SUBSET_SCAN_CAP = 8
@@ -201,7 +201,7 @@ def _compile_term(t, names: list[str]):
 @lru_cache(maxsize=None)
 def _compile_inequality(text: str):
     ineq = parse_inequality(text)
-    names = sorted(set(term_variables(ineq.lhs)) | set(term_variables(ineq.rhs)))
+    names = term_variables(ineq.lhs, ineq.rhs)
     lhs, rhs = (_lifted(*_compile_term(t, names)) for t in (ineq.lhs, ineq.rhs))
 
     def holds(inst) -> bool:

@@ -1,6 +1,7 @@
 """Conditional-norm reasoning over a classical propositional base.
 
-A normative system is a finite set of body/head formula pairs.  Its
+A normative system is a finite set of body/head formula pairs (formulas
+are the modal-free terms of ``subnorm.syntax`` plus ``->``).  Its
 derivability closures 1..4 are computed algebraically: formulas map to
 their truth tables inside the free Boolean algebra on the variables in
 play, the induced relation on that algebra is closed under the rule
@@ -19,222 +20,31 @@ the closure diamond, so it can combine several bodies at once.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import (
-    MissingNegation,
-    MissingStructure,
-    ParseError,
-    TooManyVariables,
-    UnboundAtom,
-)
-from .order import bits, free_boolean_algebra
+from .errors import MissingStructure, ParseError, TooManyVariables
+from .order import free_boolean_algebra
 from .subordination import ProtoSubAlg, SubordRel, close_i
-
-Formula = tuple
+from .syntax import Term, evaluate, format_term, parse_formula, term_variables
 
 _VAR_CAP = 3
 
 
-def atom(name: str) -> Formula:
-    return ("atom", name)
-
-
-TOP: Formula = ("top",)
-BOT: Formula = ("bot",)
-
-
-def fand(l: Formula, r: Formula) -> Formula:
-    return ("and", l, r)
-
-
-def for_(l: Formula, r: Formula) -> Formula:
-    return ("or", l, r)
-
-
-def fnot(f: Formula) -> Formula:
-    return ("not", f)
-
-
-def fimp(l: Formula, r: Formula) -> Formula:
-    # sugar for ~l | r
-    return ("imp", l, r)
-
-
-_TOKEN = re.compile(r"\s*(->|[a-z][a-z0-9]*|[TF&|~()])")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
-
-
-class _FormulaParser:
-    """Precedence ~ > & > | > ->, with -> associating to the right."""
-
-    def __init__(self, tokens: list[tuple[str, int]], length: int):
-        self.tokens = tokens
-        self.i = 0
-        self.length = length
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else self.length
-
-    def take(self) -> str:
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
-
-    def parse_imp(self) -> Formula:
-        t = self.parse_or()
-        if self.peek() == "->":
-            self.take()
-            return fimp(t, self.parse_imp())
-        return t
-
-    def parse_or(self) -> Formula:
-        t = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            t = for_(t, self.parse_and())
-        return t
-
-    def parse_and(self) -> Formula:
-        t = self.parse_unary()
-        while self.peek() == "&":
-            self.take()
-            t = fand(t, self.parse_unary())
-        return t
-
-    def parse_unary(self) -> Formula:
-        if self.peek() == "~":
-            self.take()
-            return fnot(self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos())
-        if tok == "(":
-            self.take()
-            t = self.parse_imp()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos())
-            self.take()
-            return t
-        if tok == "T":
-            self.take()
-            return TOP
-        if tok == "F":
-            self.take()
-            return BOT
-        if re.fullmatch(r"[a-z][a-z0-9]*", tok):
-            self.take()
-            return atom(tok)
-        raise ParseError(f"unexpected token {tok!r}", self.pos())
-
-
-def parse_formula(text: str) -> Formula:
-    parser = _FormulaParser(_tokenize(text), len(text))
-    f = parser.parse_imp()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input {parser.peek()!r}", parser.pos())
-    return f
-
-
-def format_formula(f: Formula) -> str:
-    kind = f[0]
-    if kind == "atom":
-        return f[1]
-    if kind == "top":
-        return "T"
-    if kind == "bot":
-        return "F"
-    if kind == "not":
-        sub = format_formula(f[1])
-        return "~" + (sub if f[1][0] in ("atom", "top", "bot", "not") else f"({sub})")
-    if kind in ("and", "or", "imp"):
-        op = {"and": " & ", "or": " | ", "imp": " -> "}[kind]
-        parts = []
-        for s in f[1:]:
-            txt = format_formula(s)
-            parts.append(txt if s[0] in ("atom", "top", "bot", "not") else f"({txt})")
-        return op.join(parts)
-    raise AssertionError(f)
-
-
-def formula_atoms(f: Formula) -> list[str]:
-    out: set[str] = set()
-
-    def walk(s: Formula) -> None:
-        if s[0] == "atom":
-            out.add(s[1])
-        else:
-            for sub in s[1:]:
-                if isinstance(sub, tuple):
-                    walk(sub)
-
-    walk(f)
-    return sorted(out)
-
-
-def truth_table(f: Formula, atoms_order: Sequence[str]) -> int:
+def truth_table(f: Term, atoms_order: Sequence[str]) -> int:
     """Truth table of ``f`` as a bitmask over the ``2^k`` valuations of
     the given atom order (valuation ``v`` sets atom ``i`` iff bit ``i``
-    of ``v`` is set).  The result is an element of the free Boolean
-    algebra on those atoms."""
-    k = len(atoms_order)
-    m = 1 << k
-    full = (1 << m) - 1
-    index = {name: i for i, name in enumerate(atoms_order)}
-
-    def walk(s: Formula) -> int:
-        kind = s[0]
-        if kind == "atom":
-            try:
-                i = index[s[1]]
-            except KeyError:
-                raise UnboundAtom(s[1]) from None
-            return sum(1 << v for v in range(m) if v >> i & 1)
-        if kind == "top":
-            return full
-        if kind == "bot":
-            return 0
-        if kind == "not":
-            return full ^ walk(s[1])
-        if kind == "and":
-            return walk(s[1]) & walk(s[2])
-        if kind == "or":
-            return walk(s[1]) | walk(s[2])
-        if kind == "imp":
-            return (full ^ walk(s[1])) | walk(s[2])
-        raise AssertionError(s)
-
-    return walk(f)
+    of ``v`` is set): its value in the free Boolean algebra on those
+    atoms, each atom sent to its generator."""
+    lat, gens = free_boolean_algebra(len(atoms_order))
+    return evaluate(f, dict(zip(atoms_order, gens)), lat, {"not": lat.neg})
 
 
-def entails(phi: Formula, psi: Formula) -> bool:
+def entails(phi: Term, psi: Term) -> bool:
     """Classical consequence via truth-table inclusion in the free
     Boolean algebra on the combined variables."""
-    names = sorted(set(formula_atoms(phi)) | set(formula_atoms(psi)))
+    names = term_variables(phi, psi)
     if len(names) > _VAR_CAP:
         raise TooManyVariables(len(names))
     return truth_table(phi, names) & ~truth_table(psi, names) == 0
@@ -246,11 +56,11 @@ def entails(phi: Formula, psi: Formula) -> bool:
 
 @dataclass(frozen=True)
 class Norm:
-    body: Formula
-    head: Formula
+    body: Term
+    head: Term
 
     def __str__(self) -> str:
-        return f"{format_formula(self.body)} |~ {format_formula(self.head)}"
+        return f"{format_term(self.body)} |~ {format_term(self.head)}"
 
 
 class NormativeSystem:
@@ -260,7 +70,7 @@ class NormativeSystem:
         self.norms = tuple(norms)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Formula, Formula]]) -> "NormativeSystem":
+    def from_pairs(cls, pairs: Iterable[tuple[Term, Term]]) -> "NormativeSystem":
         return cls(Norm(b, h) for b, h in pairs)
 
     @classmethod
@@ -275,15 +85,11 @@ class NormativeSystem:
             try:
                 norms.append(parse_norm(line))
             except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc.args[0]}", exc.position) from None
+                raise ParseError(f"line {lineno}: {exc.message}", exc.position) from None
         return cls(norms)
 
     def atoms(self) -> list[str]:
-        out: set[str] = set()
-        for norm in self.norms:
-            out.update(formula_atoms(norm.body))
-            out.update(formula_atoms(norm.head))
-        return sorted(out)
+        return term_variables(*(f for norm in self.norms for f in (norm.body, norm.head)))
 
     def __iter__(self):
         return iter(self.norms)
@@ -302,32 +108,19 @@ def parse_norm(line: str) -> Norm:
     return Norm(parse_formula(parts[0]), parse_formula(parts[1]))
 
 
-def _atom_frame(N: NormativeSystem, *formulas: Formula) -> list[str]:
-    names = set(N.atoms())
-    for f in formulas:
-        names.update(formula_atoms(f))
-    out = sorted(names)
+def _atom_frame(N: NormativeSystem, *formulas: Term) -> list[str]:
+    out = sorted(set(N.atoms()) | set(term_variables(*formulas)))
     if len(out) > _VAR_CAP:
         raise TooManyVariables(len(out))
     return out
 
 
 @lru_cache(maxsize=256)
-def _closure_data(k: int, pairs: tuple[tuple[int, int], ...],
-                  i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Closed relation rows and the per-element diamond (row minimum)
-    over the free Boolean algebra on ``k`` variables."""
+def _closure_data(k: int, pairs: tuple[tuple[int, int], ...], i: int) -> tuple[int, ...]:
+    """Closed relation rows over the free Boolean algebra on ``k``
+    variables."""
     lat, _ = free_boolean_algebra(k)
-    S = ProtoSubAlg(lat, SubordRel.from_pairs(lat.n, pairs))
-    closed = close_i(S, i)
-    full = lat.n - 1
-    diamonds = []
-    for a in range(lat.n):
-        acc = full
-        for x in bits(closed.rows[a]):
-            acc &= x
-        diamonds.append(acc)
-    return closed.rows, tuple(diamonds)
+    return close_i(ProtoSubAlg(lat, SubordRel.from_pairs(lat.n, pairs)), i).rows
 
 
 def induced_relation(N: NormativeSystem, atoms_order: Sequence[str]) -> tuple[tuple[int, int], ...]:
@@ -336,24 +129,24 @@ def induced_relation(N: NormativeSystem, atoms_order: Sequence[str]) -> tuple[tu
                           truth_table(n.head, atoms_order)) for n in N}))
 
 
-def derive(N: NormativeSystem, i: int, query: tuple[Formula, Formula]) -> bool:
+def derive(N: NormativeSystem, i: int, query: tuple[Term, Term]) -> bool:
     """Membership of the query pair in closure system ``i`` of ``N``."""
     body, head = query
     names = _atom_frame(N, body, head)
-    rows, _ = _closure_data(len(names), induced_relation(N, names), i)
+    rows = _closure_data(len(names), induced_relation(N, names), i)
     return bool(rows[truth_table(body, names)] >> truth_table(head, names) & 1)
 
 
-def out(N: NormativeSystem, i: int, gamma: Iterable[Formula], psi: Formula) -> bool:
+def out(N: NormativeSystem, i: int, gamma: Iterable[Term], psi: Term) -> bool:
     """Some body in ``gamma`` yields ``psi`` under closure ``i``."""
     gamma = list(gamma)
     names = _atom_frame(N, psi, *gamma)
-    rows, _ = _closure_data(len(names), induced_relation(N, names), i)
+    rows = _closure_data(len(names), induced_relation(N, names), i)
     head = truth_table(psi, names)
     return any(rows[truth_table(g, names)] >> head & 1 for g in gamma)
 
 
-def out_set(N: NormativeSystem, i: int, gamma: Iterable[Formula],
+def out_set(N: NormativeSystem, i: int, gamma: Iterable[Term],
             extra_atoms: Sequence[str] = ()) -> tuple[list[str], int]:
     """The full output of ``gamma`` as a bitmask of free-algebra elements,
     together with the atom order fixing the element encoding."""
@@ -361,36 +154,27 @@ def out_set(N: NormativeSystem, i: int, gamma: Iterable[Formula],
     names = sorted(set(_atom_frame(N, *gamma)) | set(extra_atoms))
     if len(names) > _VAR_CAP:
         raise TooManyVariables(len(names))
-    rows, _ = _closure_data(len(names), induced_relation(N, names), i)
+    rows = _closure_data(len(names), induced_relation(N, names), i)
     acc = 0
     for g in gamma:
         acc |= rows[truth_table(g, names)]
     return names, acc
 
 
-def modal_output(N: NormativeSystem, i: int, gamma: Iterable[Formula],
-                 psi: Formula) -> bool:
+def modal_output(N: NormativeSystem, i: int, gamma: Iterable[Term],
+                 psi: Term) -> bool:
     """Aggregative output: meet all of ``gamma`` into one element ``m``
-    (the empty meet is top) and test whether the closure diamond of the
-    sigma kind at ``m`` lies below ``psi``."""
+    (the empty meet is top) and test whether the closure diamond at
+    ``m`` lies below ``psi``.  Every system has TOP, SI, WO and AND, so
+    each closed row is the principal filter above the diamond of its
+    element: the test is whether row ``m`` holds ``psi``."""
     gamma = list(gamma)
     names = _atom_frame(N, psi, *gamma)
-    k = len(names)
-    _, diamonds = _closure_data(k, induced_relation(N, names), i)
-    full = (1 << (1 << k)) - 1
-    m = full
+    m = (1 << (1 << len(names))) - 1
     for g in gamma:
         m &= truth_table(g, names)
-    # sigma value at a closed element: meet of diamonds over elements above it
-    value = full
-    rest = full & ~m
-    s = rest
-    while True:
-        value &= diamonds[m | s]
-        if s == 0:
-            break
-        s = (s - 1) & rest
-    return value & ~truth_table(psi, names) == 0
+    rows = _closure_data(len(names), induced_relation(N, names), i)
+    return bool(rows[m] >> truth_table(psi, names) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -405,36 +189,12 @@ class IOModel:
     h: Mapping[str, int]
 
 
-def eval_formula(f: Formula, h: Mapping[str, int], S: ProtoSubAlg) -> int:
+def eval_formula(f: Term, h: Mapping[str, int], S: ProtoSubAlg) -> int:
     """Homomorphic extension of the valuation into the carrier lattice."""
     lat = S.lattice
     if lat is None:
         raise MissingStructure("formula evaluation", "a lattice carrier")
-
-    def walk(s: Formula) -> int:
-        kind = s[0]
-        if kind == "atom":
-            try:
-                return h[s[1]]
-            except KeyError:
-                raise UnboundAtom(s[1]) from None
-        if kind == "top":
-            return lat.top
-        if kind == "bot":
-            return lat.bot
-        if kind == "and":
-            return lat.meet[walk(s[1])][walk(s[2])]
-        if kind == "or":
-            return lat.join[walk(s[1])][walk(s[2])]
-        if kind in ("not", "imp"):
-            if lat.neg is None:
-                raise MissingNegation("~ and -> need a carrier negation")
-            if kind == "not":
-                return lat.neg[walk(s[1])]
-            return lat.join[lat.neg[walk(s[1])]][walk(s[2])]
-        raise AssertionError(s)
-
-    return walk(f)
+    return evaluate(f, h, lat, {"not": lat.neg})
 
 
 def check_model(model: IOModel, N: NormativeSystem) -> tuple[bool, Optional[Norm]]:

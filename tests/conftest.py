@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import strategies as st
 
 from subnorm.harness.carriers import load_carrier
 from subnorm.order import poset_from_hasse, validate_poset
 from subnorm.subordination import ProtoSubAlg
+from subnorm.syntax import BOT, TOP, var
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +55,12 @@ def leq_relation(lat) -> ProtoSubAlg:
 @pytest.fixture(scope="session")
 def b4_leq(b4):
     return leq_relation(b4)
+
+
+def term_trees(unary, binary):
+    """Hypothesis strategy for term trees over p, q, T and F built with
+    the given one- and two-place constructors."""
+    return st.recursive(
+        st.sampled_from([var("p"), var("q"), TOP, BOT]),
+        lambda t: st.one_of(*(st.builds(u, t) for u in unary),
+                            *(st.builds(b, t, t) for b in binary)))

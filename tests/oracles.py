@@ -442,7 +442,7 @@ def _top(S):
 
 def eval_formula_oracle(f, valuation: dict) -> bool:
     kind = f[0]
-    if kind == "atom":
+    if kind == "var":
         return valuation[f[1]]
     if kind == "top":
         return True

@@ -30,7 +30,6 @@ from subnorm.iologic import (
     modal_output,
     out,
     out_set,
-    parse_formula,
     truth_table,
 )
 from subnorm.order import (
@@ -38,6 +37,7 @@ from subnorm.order import (
     poset_from_hasse,
     validate_poset,
 )
+from subnorm.syntax import parse_formula
 
 SEED = 7
 SMALL_CARRIERS = ("chain2", "chain3", "chain4", "b4")

@@ -87,6 +87,12 @@ class TestCheck:
         assert code_t == code_j == 0
         assert ("SI: holds" in out) == payload["results"]["SI"]["holds"]
 
+    @pytest.mark.parametrize("props", ["", ",", " , "])
+    def test_empty_property_list_is_input_error(self, capsys, files, props):
+        code, err = run_err(capsys, "check", "--input", files["sub"], "--props", props)
+        assert code == 2
+        assert err.count("\n") == 1 and "no property names" in err
+
 
 class TestClose:
     def test_system_output_roundtrips(self, capsys, files):
@@ -105,6 +111,12 @@ class TestClose:
     def test_missing_rule_choice(self, capsys, files):
         code, _ = run(capsys, "close", "--input", files["sub"])
         assert code == 2
+
+    @pytest.mark.parametrize("rules", ["", ",", " , "])
+    def test_empty_rule_list_is_input_error(self, capsys, files, rules):
+        code, err = run_err(capsys, "close", "--input", files["sub"], "--rules", rules)
+        assert code == 2
+        assert err.count("\n") == 1 and "no property names" in err
 
 
 class TestDeriveOut:
@@ -332,3 +344,70 @@ class TestMalformedInput:
         code, err = run_err(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+DEEP = {
+    "parens": "(" * 198 + "p" + ")" * 198,
+    "negations": "~" * 990 + "p",
+    "and-chain": " & ".join(["p"] * 1500),
+    "arrow-chain": " -> ".join(["p"] * 1500),
+}
+DEEP_MODAL = {
+    "parens": "(" * 248 + "p" + ")" * 248,
+    "diamonds": "<>" * 990 + "p",
+    "boxes": "[]" * 990 + "p",
+    "or-chain": " | ".join(["p"] * 1500),
+}
+
+
+class TestTermInput:
+    """Every malformed formula, term or inequality exits 2 with one line
+    of stderr, however deeply it nests."""
+
+    @staticmethod
+    def input_error(capsys, *argv):
+        code, err = run_err(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("formula", DEEP.values(), ids=DEEP.keys())
+    def test_deep_query(self, capsys, files, formula):
+        self.input_error(capsys, "derive", "--system", "1", "--norms", files["norms"],
+                         "--query", f"{formula} |~ q")
+
+    def test_deep_norm_file(self, capsys, files, tmp_path):
+        norms = tmp_path / "deep.ion"
+        norms.write_text("p |~ q\n" + "(" * 300 + "p" + ")" * 300 + " |~ q\n")
+        err = self.input_error(capsys, "derive", "--system", "1", "--norms", str(norms),
+                               "--query", "p |~ q")
+        assert err == "error: line 2: parentheses nested deeper than 100 (at position 100)\n"
+
+    @pytest.mark.parametrize("formula", DEEP.values(), ids=DEEP.keys())
+    @pytest.mark.parametrize("option", ["--gamma", "--head"])
+    def test_deep_output_query(self, capsys, files, formula, option):
+        argv = {"--gamma": "p", "--head": "q", option: formula}
+        self.input_error(capsys, "out", "--system", "2", "--norms", files["norms"],
+                         *(a for kv in argv.items() for a in kv), "--modal")
+
+    @pytest.mark.parametrize("term", DEEP_MODAL.values(), ids=DEEP_MODAL.keys())
+    def test_deep_inequality(self, capsys, files, term):
+        self.input_error(capsys, "slanted", "--algebra", files["algebra"],
+                         "--prec", files["prec"], "--ineq", f"p <= {term}")
+
+    @pytest.mark.parametrize("query, position", [("<>p |~ q", 0), ("p <= q |~ r", 2)])
+    def test_modal_tokens_in_a_norm(self, capsys, files, tmp_path, query, position):
+        err = self.input_error(capsys, "derive", "--system", "1", "--norms", files["norms"],
+                               "--query", query)
+        assert err.endswith(f"(at position {position})\n")
+        norms = tmp_path / "modal.ion"
+        norms.write_text(query + "\n")
+        err = self.input_error(capsys, "derive", "--system", "1", "--norms", str(norms),
+                               "--query", "p |~ q")
+        assert err.startswith("error: line 1: ")
+        assert err.endswith(f"(at position {position})\n")
+
+    def test_arrow_in_an_inequality(self, capsys, files):
+        err = self.input_error(capsys, "slanted", "--algebra", files["algebra"],
+                               "--prec", files["prec"], "--ineq", "p -> q <= p")
+        assert err.endswith("(at position 2)\n")

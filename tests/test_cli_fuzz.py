@@ -1,8 +1,8 @@
 """Fuzzing the command line with generated input.
 
 Well-formed and malformed input files and arguments for ``check``,
-``close``, ``slanted``, ``dual``, ``completion`` and ``derive`` are
-passed to ``cli.main``.  Every run must return 0, 1 or 2 without an
+``close``, ``slanted``, ``dual``, ``completion``, ``derive`` and ``out``
+are passed to ``cli.main``.  Every run must return 0, 1 or 2 without an
 uncaught exception (the exit-code contract: 0 holds, 1 fails, 2 bad
 input), and every malformed input must exit 2 with a one-line error.
 A well-formed input may still exit 2 when the command needs structure
@@ -189,10 +189,27 @@ def bad_subalgs(draw):
     return {**sub, "algebra": draw(bad_algebras)}
 
 
+# nested past the parser's bound: parentheses, prefix stacks and chains
+DEEP_FORMULAS = ["(" * 300 + "p" + ")" * 300, "~" * 990 + "p",
+                 " & ".join(["p"] * 1500), " -> ".join(["p"] * 1500)]
+DEEP_TERMS = ["(" * 248 + "p" + ")" * 248, "<>" * 990 + "p", "[]~" * 400 + "p",
+              " | ".join(["p"] * 1500)]
+# a formula may not use the tokens only inequalities have
+BAD_FORMULAS = ["p &", "(p", "<>p", "[]p", "p <= q", *DEEP_FORMULAS]
+
 BAD_NORM_LINES = ["p q", "p |~", "|~ q", "(p |~ q", "p |~ q)", "p $ q |~ r",
-                  "p |~ q |~ r", "p & |~ q", "~ |~ q"]
+                  "p |~ q |~ r", "p & |~ q", "~ |~ q", "<>p |~ q", "p <= q |~ r",
+                  "p |~ []q", *(f"{f} |~ q" for f in DEEP_FORMULAS)]
 BAD_INEQS = ["p", "p <= q <= r", "<> <= p", "p <= (q", "p <= q)", "p <= q $",
-             "<=", "p & <= q"]
+             "<=", "p & <= q", "p -> q <= p", "p <= q -> p",
+             *(f"{t} <= p" for t in DEEP_TERMS)]
+
+
+def _out_command(t):
+    option, formula, modal = t
+    args = {"--gamma": "p", "--head": "q", option: formula}
+    return (["out", "--system", "3", "--norms", "{norms}",
+             *(a for pair in args.items() for a in pair), *modal], {"norms": "p |~ q\n"})
 
 
 malformed = st.one_of(
@@ -217,6 +234,8 @@ malformed = st.one_of(
                    {"norms": "p |~ q\n"})),
     st.just((["derive", "--system", "1", "--norms", "{norms}", "--query", "p |~ q"],
              {"norms": b"p |~ \xff\n"})),
+    st.tuples(st.sampled_from(["--gamma", "--head"]), st.sampled_from(BAD_FORMULAS),
+              st.sampled_from([[], ["--modal"]])).map(_out_command),
     st.just((["check"], {})),
 )
 

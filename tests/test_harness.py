@@ -36,7 +36,7 @@ from subnorm.harness.maximality import (
     verify_by_enumeration,
 )
 from subnorm.order import FinLattice, FinPoset, bits
-from subnorm.slanted import build_slanted, parse_inequality, valid
+from subnorm.slanted import build_slanted, valid
 from subnorm.subordination import (
     Property,
     ProtoSubAlg,
@@ -48,6 +48,7 @@ from subnorm.subordination import (
     property_holds,
     subalg_to_json,
 )
+from subnorm.syntax import parse_inequality
 from conftest import leq_relation
 from oracles import LAW_ORACLES
 

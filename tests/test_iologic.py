@@ -4,32 +4,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnorm.errors import ParseError, TooManyVariables, UnboundAtom
+from subnorm.errors import ParseError, TooManyVariables, UnboundVariable
 from subnorm.iologic import (
-    TOP,
     IOModel,
     Norm,
     NormativeSystem,
-    atom,
     check_model,
     derive,
     entails,
     eval_formula,
-    fand,
-    fimp,
-    fnot,
-    for_,
-    format_formula,
-    formula_atoms,
     modal_output,
     out,
     out_set,
-    parse_formula,
     parse_norm,
     truth_table,
 )
 from subnorm.order import free_boolean_algebra
 from subnorm.subordination import ProtoSubAlg
+from subnorm.syntax import (
+    TOP,
+    format_term,
+    parse_formula,
+    tand,
+    term_variables,
+    timp,
+    tnot,
+    tor,
+    var,
+)
 from oracles import eval_formula_oracle
 
 F = parse_formula
@@ -37,13 +39,13 @@ F = parse_formula
 
 class TestParse:
     def test_conjunction_of_negation(self):
-        assert F("p & ~q") == fand(atom("p"), fnot(atom("q")))
+        assert F("p & ~q") == tand(var("p"), tnot(var("q")))
 
     def test_precedence_imp_weakest(self):
-        assert F("p -> q | r") == fimp(atom("p"), for_(atom("q"), atom("r")))
+        assert F("p -> q | r") == timp(var("p"), tor(var("q"), var("r")))
 
     def test_imp_right_associative(self):
-        assert F("p -> q -> r") == fimp(atom("p"), fimp(atom("q"), atom("r")))
+        assert F("p -> q -> r") == timp(var("p"), timp(var("q"), var("r")))
 
     def test_error_on_dangling(self):
         with pytest.raises(ParseError):
@@ -66,14 +68,14 @@ class TestParse:
 
     def test_format_roundtrip(self):
         for text in ["p & ~q", "p -> q -> r", "~(p | q) & T", "F | p"]:
-            assert format_formula(F(text)) == format_formula(F(format_formula(F(text))))
+            assert format_term(F(text)) == format_term(F(format_term(F(text))))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 4 - 1))
 def test_truth_table_matches_pointwise_evaluation(v):
     f = F("(p -> q) & ~(r | F) | (p & T)")
-    names = formula_atoms(f)
+    names = term_variables(f)
     tt = truth_table(f, names)
     for val in range(1 << len(names)):
         valuation = {name: bool(val >> i & 1) for i, name in enumerate(names)}
@@ -124,7 +126,7 @@ class TestDerive:
         rng = random.Random(20)
         atoms = ["p", "q", "r"]
         for _ in range(25):
-            norms = [Norm(atom(rng.choice(atoms)), atom(rng.choice(atoms)))
+            norms = [Norm(var(rng.choice(atoms)), var(rng.choice(atoms)))
                      for _ in range(rng.randrange(1, 3))]
             N = NormativeSystem(norms)
             query = (F("p & q"), F(rng.choice(atoms)))
@@ -194,6 +196,29 @@ class TestModalOutput:
             for i in (1, 2, 3, 4):
                 assert out(N, i, [g], psi) == modal_output(N, i, [g], psi)
 
+    def test_is_derivability_of_the_conjoined_input(self):
+        # every closed row is the principal filter above the closure
+        # diamond, so aggregative output is the query (&gamma, psi)
+        rng = random.Random(22)
+        atoms = [var("p"), var("q"), var("r")]
+
+        def formula(depth=2):
+            if depth == 0 or rng.random() < 0.35:
+                return rng.choice(atoms + [TOP])
+            if rng.random() < 0.2:
+                return tnot(formula(depth - 1))
+            return rng.choice((tand, tor, timp))(formula(depth - 1), formula(depth - 1))
+
+        for _ in range(40):
+            N = NormativeSystem(Norm(formula(), formula()) for _ in range(rng.randrange(4)))
+            gamma = [formula() for _ in range(rng.randrange(4))]
+            psi = formula()
+            conjoined = TOP
+            for g in gamma:
+                conjoined = tand(conjoined, g)
+            for i in (1, 2, 3, 4):
+                assert modal_output(N, i, gamma, psi) == derive(N, i, (conjoined, psi))
+
 
 class TestModels:
     def test_satisfied_model(self, b4_leq):
@@ -211,7 +236,7 @@ class TestModels:
             assert check_model(model, NormativeSystem.parse("p |~ q"))[0]
 
     def test_unbound_atom(self, b4_leq):
-        with pytest.raises(UnboundAtom):
+        with pytest.raises(UnboundVariable):
             check_model(IOModel(b4_leq, {}), NormativeSystem.parse("p |~ q"))
 
     def test_eval_uses_carrier_ops(self, b4, b4_leq):

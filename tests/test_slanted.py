@@ -2,34 +2,36 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from subnorm.errors import MissingNegation, NotMonotone, ParseError, UnboundVariable
 from subnorm.order import bits
 from subnorm.slanted import (
+    build_slanted,
+    operator_tables,
+    pi_extension,
+    sigma_extension,
+    valid,
+)
+from subnorm.subordination import ProtoSubAlg
+from subnorm.syntax import (
     BOT,
     TOP,
     Inequality,
     box,
-    build_slanted,
     dia,
     evaluate,
     format_term,
     parse_inequality,
     parse_term,
-    pi_extension,
-    sigma_extension,
     tand,
     tnot,
     tor,
-    valid,
     var,
 )
-from subnorm.subordination import ProtoSubAlg
 from subnorm.harness import CarrierContext, Instance
 from subnorm.harness.catalog import _NORMAL, _REGULAR, _monotone
 from subnorm.harness.generate import relation_from_int
-from conftest import leq_relation
+from conftest import leq_relation, term_trees
 
 
 class TestBuildSlanted:
@@ -155,43 +157,40 @@ class TestParser:
         assert exc.value.position == 2
 
 
-TERMS = st.deferred(lambda: st.one_of(
-    st.sampled_from([var("p"), var("q"), TOP, BOT]),
-    st.builds(tand, TERMS, TERMS),
-    st.builds(tor, TERMS, TERMS),
-    st.builds(tnot, TERMS),
-    st.builds(dia, TERMS),
-    st.builds(box, TERMS),
-))
-
-
 @settings(max_examples=120, deadline=None)
-@given(TERMS)
+@given(term_trees(unary=(tnot, dia, box), binary=(tand, tor)))
 def test_format_parse_roundtrip(t):
     assert parse_term(format_term(t)) == t
 
 
+def evaluate_in(sa, t, assignment, neg_mode="sigma"):
+    """Value of ``t`` in the completion, variables assigned base elements."""
+    embed = sa.ext.embed
+    return evaluate(t, {name: embed[x] for name, x in assignment.items()}, sa.delta,
+                    operator_tables(sa, t, neg_mode=neg_mode))
+
+
 class TestEvaluate:
     def test_dia_var(self, b4_leq):
-        assert evaluate(dia(var("p")), {"p": 1}, build_slanted(b4_leq)) == 1
+        assert evaluate_in(build_slanted(b4_leq), dia(var("p")), {"p": 1}) == 1
 
     def test_box_of_join(self, b4_leq):
-        got = evaluate(parse_term("[](p|q)"), {"p": 1, "q": 2},
-                       build_slanted(b4_leq))
+        got = evaluate_in(build_slanted(b4_leq), parse_term("[](p|q)"),
+                          {"p": 1, "q": 2})
         assert got == 3
 
     def test_dia_bot_on_empty(self, b4):
         sa = build_slanted(ProtoSubAlg.from_pairs(b4, []))
-        assert evaluate(dia(BOT), {}, sa) == sa.delta.top
+        assert evaluate_in(sa, dia(BOT), {}) == sa.delta.top
 
     def test_unbound_variable(self, b4_leq):
         with pytest.raises(UnboundVariable):
-            evaluate(var("z"), {}, build_slanted(b4_leq))
+            evaluate_in(build_slanted(b4_leq), var("z"), {})
 
     def test_negation_needs_table(self, chain3):
         sa = build_slanted(leq_relation(chain3))
         with pytest.raises(MissingNegation):
-            evaluate(tnot(var("p")), {"p": 0}, sa)
+            evaluate_in(sa, tnot(var("p")), {"p": 0})
 
     def test_modal_free_agrees_with_lattice(self, b4, b4_leq):
         sa = build_slanted(b4_leq)
@@ -200,7 +199,7 @@ class TestEvaluate:
             p, q = rng.randrange(4), rng.randrange(4)
             t = parse_term("(p & q) | ~p")
             want = b4.join[b4.meet[p][q]][b4.neg[p]]
-            assert evaluate(t, {"p": p, "q": q}, sa) == sa.ext.embed[want]
+            assert evaluate_in(sa, t, {"p": p, "q": q}) == sa.ext.embed[want]
 
 
 class TestValid:
