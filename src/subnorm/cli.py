@@ -22,7 +22,8 @@ parenthesis nesting deeper than 100 is an input error.
 
 Norm files: one ``body |~ head`` per line, ``#`` starts a comment,
 blank lines ignored.  Norm formulas (and ``--query``, ``--gamma``,
-``--head``) are the terms without ``<> []``.
+``--head``) are the terms without ``<> []``.  A parse error gives the
+position of the offending text in the line or option value as typed.
 
 Modal inequalities (``--ineq``): two terms without ``->``, separated by
 exactly one ``<=``.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -168,7 +170,8 @@ def _cmd_derive(args) -> int:
 
 def _cmd_out(args) -> int:
     N = _load_norms(args.norms)
-    gamma = [parse_formula(part) for part in args.gamma.split(",") if part.strip()]
+    gamma = [parse_formula(args.gamma, m.start(), m.end())
+             for m in re.finditer(r"[^,]+", args.gamma) if m.group().strip()]
     head = parse_formula(args.head)
     fn = iologic.modal_output if args.modal else iologic.out
     holds = fn(N, args.system, gamma, head)

@@ -145,7 +145,7 @@ def _directed_subsets(c: CanonicalExtension, down: bool) -> list[int]:
     tables = subset_tables(c.base)
     if tables is None:
         raise TooLarge(f"subset scan over {c.base.n} base elements")
-    return tables["down_directed" if down else "up_directed"]
+    return tables["nonempty down-directed" if down else "nonempty up-directed"]
 
 
 def verify_dense(c: CanonicalExtension) -> bool:

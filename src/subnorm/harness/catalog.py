@@ -28,7 +28,7 @@ from ..completion import extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
 from ..order import FinLattice, bits, is_monotone, negation_law_failure, subset_tables
 from ..subordination import Property as P
-from ..subordination import flag_mask
+from ..subordination import SUBORDINATION_RULES, flag_mask
 from ..syntax import parse_inequality, term_variables
 from .maximality import _N_CAP, verify_prop41
 
@@ -265,20 +265,20 @@ def _union(rows, members: int) -> int:
 
 def _law_directed_image(inst) -> bool:
     t = subset_tables(inst.poset)
-    dd, image = t["dd"], inst.image
-    return all(dd[image[m]] for m in t["down_directed"])
+    directed, image = t["down-directed"], inst.image
+    return all(directed[image[m]] for m in t["nonempty down-directed"])
 
 
 def _law_codirected_preimage(inst) -> bool:
     t = subset_tables(inst.poset)
-    ud, preimage = t["ud"], inst.preimage
-    return all(ud[preimage[m]] for m in t["up_directed"])
+    directed, preimage = t["up-directed"], inst.preimage
+    return all(directed[preimage[m]] for m in t["nonempty up-directed"])
 
 
 def _law_dia_of_meet(inst) -> bool:
     ext, image, sigma = inst.ctx.ext, inst.image, inst.sigma
     closed_eff = ext.closed | 1 << ext.delta.top
-    for m in subset_tables(inst.poset)["down_directed"]:
+    for m in subset_tables(inst.poset)["nonempty down-directed"]:
         want = ext.meet_of_base(image[m])
         if sigma[ext.meet_of_base(m)] != want or not closed_eff >> want & 1:
             return False
@@ -288,7 +288,7 @@ def _law_dia_of_meet(inst) -> bool:
 def _law_box_of_join(inst) -> bool:
     ext, preimage, pi = inst.ctx.ext, inst.preimage, inst.pi
     open_eff = ext.open | 1 << ext.delta.bot
-    for m in subset_tables(inst.poset)["up_directed"]:
+    for m in subset_tables(inst.poset)["nonempty up-directed"]:
         want = ext.join_of_base(preimage[m])
         if pi[ext.join_of_base(m)] != want or not open_eff >> want & 1:
             return False
@@ -400,8 +400,7 @@ _BIDIRECTED = _flags(P.WO, P.DD, P.SI, P.UD, guards=(_dia_serial, _box_serial))
 _S6_PRE = _flags(P.WO, P.DD, P.SI, P.UD,
                  carrier=(_involutive_adjoint_negation,), guards=(_dia_serial, _box_serial))
 _PROP41_PRE = _flags(P.DD, P.UD, carrier=(_small_enough_for_maps, _needs_distributive))
-_SUBORDINATION_PRE = _flags(P.BOT, P.TOP, P.SI, P.WO, P.AND, P.OR,
-                            carrier=(_needs_distributive,))
+_SUBORDINATION_PRE = _flags(*SUBORDINATION_RULES, carrier=(_needs_distributive,))
 
 
 CATALOG: tuple[CheckSpec, ...] = (

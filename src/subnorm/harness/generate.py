@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 from ..errors import InputFormatError, TooLarge
 from ..order import FinLattice
 from ..subordination import (
+    SUBORDINATION_RULES,
     Property,
     ProtoSubAlg,
     SubordRel,
@@ -28,12 +29,6 @@ from ..subordination import (
 from .carriers import load_carrier
 
 _EXHAUSTIVE_BITS = 16
-
-SUBORDINATION_RULES = frozenset({
-    Property.BOT, Property.TOP, Property.SI,
-    Property.WO, Property.AND, Property.OR,
-})
-
 
 def relation_from_int(n: int, packed: int) -> SubordRel:
     full = (1 << n) - 1

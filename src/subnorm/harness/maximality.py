@@ -15,8 +15,8 @@ so at most ``n^n`` maps) keeps, next to its ``order.subset_tables``,
 the qualifying maps of each system listed once, and reads ``dia`` and
 ``box`` off two ``2^n`` tables (the meet of each down-directed row mask,
 the join of each up-directed column mask, built from the carrier's
-``dd``/``ud`` tables); a mask that is not directed reads None, so
-directedness costs no second sweep.
+``down-directed``/``up-directed`` tables); a mask that is not directed
+reads None, so directedness costs no second sweep.
 
 Lemma.  Every system contains TOP and SI, so after the first SI step of
 the filter-form closure every row minimum is defined and the closure
@@ -220,7 +220,7 @@ def _extremality_tables(S: ProtoSubAlg) -> _ExtremalityTables:
     got = tables.get("extremality")
     if got is None:
         got = tables["extremality"] = _ExtremalityTables(
-            S.lattice, tables["dd"], tables["ud"])
+            S.lattice, tables["down-directed"], tables["up-directed"])
     return got
 
 

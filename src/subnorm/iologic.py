@@ -79,8 +79,8 @@ class NormativeSystem:
         a comment, blank lines are ignored."""
         norms = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.split("#", 1)[0].rstrip()
+            if not line.strip():
                 continue
             try:
                 norms.append(parse_norm(line))
@@ -102,10 +102,12 @@ class NormativeSystem:
 
 
 def parse_norm(line: str) -> Norm:
-    parts = line.split("|~")
-    if len(parts) != 2:
-        raise ParseError("a norm is written 'body |~ head'", line.find("|~") + 1)
-    return Norm(parse_formula(parts[0]), parse_formula(parts[1]))
+    """``body |~ head``; positions in a parse error are indices into
+    ``line``."""
+    seps = [i for i in range(len(line)) if line.startswith("|~", i)]
+    if len(seps) != 1:
+        raise ParseError("a norm is written 'body |~ head'", seps[1] if seps else 0)
+    return Norm(parse_formula(line, 0, seps[0]), parse_formula(line, seps[0] + 2))
 
 
 def _atom_frame(N: NormativeSystem, *formulas: Term) -> list[str]:

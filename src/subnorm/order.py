@@ -7,11 +7,13 @@ what makes exhaustive enumeration over all ``2^(n*n)`` relations on a
 carrier practical.  Subsets of the carrier are plain ``int`` bitmasks
 throughout the package.
 
-Two order-theoretic facts are stated here once for the whole package:
-directedness of a subset (``is_down_directed``/``is_up_directed``, read
-by everyone else off the per-carrier ``subset_tables``) and the four
-negation laws (``negation_law_failure``, one witness-returning check per
-law).
+Two kinds of law are stated here once for the whole package, each as
+one witness-returning check: the five laws of a subset
+(``subset_law_failure``: up-closed, down- and up-directed, meet- and
+join-closed), which the subordination rules WO, DD, UD, AND and OR
+demand of every row or column of a relation, and the four negation
+laws (``negation_law_failure``).  ``subset_tables`` tabulates the three
+order laws over every subset of a small carrier.
 
 All structures are immutable after construction and safe to share
 between workers.
@@ -293,11 +295,9 @@ def meet_irreducibles(L: FinLattice) -> int:
 
 
 def is_filter(mask: int, L: FinLattice) -> bool:
-    """Nonempty up-set closed under binary meets."""
-    if mask == 0 or L.poset.up_closure(mask) != mask:
-        return False
-    return all(mask >> L.meet[a][b] & 1
-               for a in bits(mask) for b in bits(mask))
+    """Nonempty, up-closed and meet-closed."""
+    return mask != 0 and all(subset_law_failure(L, mask, law) is None
+                             for law in ("up-closed", "meet-closed"))
 
 
 def prime_filters(L: FinLattice) -> list[int]:
@@ -330,23 +330,37 @@ def is_monotone(f: Sequence[int], dom: FinPoset, cod: FinPoset) -> bool:
     return all(up[f[a]] >> f[b] & 1 for a in range(dom.n) for b in bits(dom.up[a]))
 
 
-def is_down_directed(mask: int, p: FinPoset) -> bool:
-    """Every pair in the subset has a lower bound inside the subset.
+def subset_law_failure(carrier: FinPoset | FinLattice, mask: int, law: str) -> Optional[tuple]:
+    """First pair, in index order, at which the subset ``mask`` of the
+    carrier (a poset or lattice) breaks ``law``; None when it holds.
 
-    The empty set is down-directed (vacuously).
+    ``up-closed``: ``x`` in the subset and ``x <= y`` force ``y`` in it,
+    witness ``(x, y)``;
+    ``down-directed``/``up-directed``: every two members ``x, y`` have a
+    lower/upper bound in the subset, witness ``(x, y)`` (so the empty
+    subset is directed);
+    ``meet-closed``/``join-closed`` (lattices only): every two members
+    have their meet/join in the subset, witness ``(x, y)``.
     """
+    p = carrier if isinstance(carrier, FinPoset) else carrier.poset
+    if law == "up-closed":
+        return next(((x, y) for x in bits(mask) for y in bits(p.up[x] & ~mask)), None)
     members = list(bits(mask))
-    return all(p.down[a] & p.down[b] & mask
-               for a in members for b in members) if members else True
-
-
-def is_up_directed(mask: int, p: FinPoset) -> bool:
-    members = list(bits(mask))
-    return all(p.up[a] & p.up[b] & mask
-               for a in members for b in members) if members else True
+    if law == "down-directed" or law == "up-directed":
+        bound = p.down if law == "down-directed" else p.up
+        return next(((x, y) for x in members for y in members
+                     if not bound[x] & bound[y] & mask), None)
+    if law == "meet-closed" or law == "join-closed":
+        op = carrier.meet if law == "meet-closed" else carrier.join
+        return next(((x, y) for x in members for y in members
+                     if not mask >> op[x][y] & 1), None)
+    raise ValueError(f"unknown subset law {law!r}")
 
 
 _TABLE_CAP = 10  # tables over all 2^n subsets stop being cheap beyond this
+
+#: the subset laws of the order alone, tabulated by ``subset_tables``
+ORDER_LAWS = ("up-closed", "down-directed", "up-directed")
 
 
 def subset_tables(p: FinPoset) -> Optional[dict]:
@@ -354,22 +368,20 @@ def subset_tables(p: FinPoset) -> Optional[dict]:
     (``n <= 10``), built on first use and kept in ``p._tables``; None on
     larger carriers.
 
-    ``upclose[m]`` is the up-closure of ``m``, ``dd[m]``/``ud[m]`` say
-    whether ``m`` is down-/up-directed, and ``down_directed``/
-    ``up_directed`` list the nonempty directed masks in ascending order.
-    Other modules keep their own per-carrier tables in the same dict.
+    ``tables[law][m]`` says whether mask ``m`` obeys each of the
+    ``ORDER_LAWS`` (``subset_law_failure`` decides each mask once), and
+    ``tables["nonempty " + law]`` lists the nonempty masks obeying the
+    two directedness laws in ascending order.  Other modules keep their
+    own per-carrier tables in the same dict.
     """
     if p.n > _TABLE_CAP:
         return None
     if p._tables is None:
-        size = 1 << p.n
-        dd = [is_down_directed(m, p) for m in range(size)]
-        ud = [is_up_directed(m, p) for m in range(size)]
-        p._tables = {
-            "upclose": [p.up_closure(m) for m in range(size)], "dd": dd, "ud": ud,
-            "down_directed": [m for m in range(1, size) if dd[m]],
-            "up_directed": [m for m in range(1, size) if ud[m]],
-        }
+        masks = range(1 << p.n)
+        t = p._tables = {law: [subset_law_failure(p, m, law) is None for m in masks]
+                         for law in ORDER_LAWS}
+        for law in ORDER_LAWS[1:]:
+            t["nonempty " + law] = [m for m in masks[1:] if t[law][m]]
     return p._tables
 
 

@@ -8,20 +8,21 @@ named-class classifier, and least-fixpoint closure under the Horn rules,
 including the four standard rule systems used to close normative
 systems.
 
-Each property is one exact quantifier sweep over the finite carrier that
-returns its lexicographically first counterexample, or None; the sweeps
-are the only statement of each property, and ``property_holds`` and
-``check_property`` run them directly.
+Each property is stated once, as an exact quantifier sweep over the
+finite carrier that returns its lexicographically first counterexample,
+or None; ``property_holds`` and ``check_property`` run the sweeps.
 
 Ten properties are *local*: each holds exactly when every row (BOT, TOP,
 WO, AND, DD, PREC_IN_LEQ, LEQ_IN_PREC) or every column (OR, UD, PROPER)
-passes a test of its index and its mask alone.  On small carriers
-(``n <= order._TABLE_CAP``) ``local_signatures`` tabulates, for every
-index and every one of the ``2^n`` masks, the flags that row or column
-satisfies, so ``local_flags`` decides all ten with ``2n`` lookups; that
-is what makes them cheap enough to run over every one of the
-``2^(n*n)`` relations of an enumeration.  The signatures are built from
-the carrier's ``order.subset_tables`` and kept in the same dict.
+passes one test, stated once in ``_LOCAL``: a law of the mask alone
+(``order.subset_law_failure``) or a test of the index and the mask.
+Their sweep returns the witness of the first row or column that fails.
+On small carriers (``n <= order._TABLE_CAP``) ``local_signatures``
+tabulates the same tests over every index and every one of the ``2^n``
+masks, so ``local_flags`` decides all ten with ``2n`` lookups; that is
+what makes them cheap enough to run over every one of the ``2^(n*n)``
+relations of an enumeration.  The signatures are kept with the
+carrier's ``order.subset_tables``.
 
 A flag mask has bit ``i`` set for ``FLAG_PROPERTIES[i]`` (``flag_mask``);
 ``missing_flags`` gives the flags whose property needs structure a
@@ -44,6 +45,7 @@ from .order import (
     load_json,
     poset_from_json,
     poset_to_json,
+    subset_law_failure,
     subset_tables,
 )
 
@@ -72,6 +74,8 @@ class Property(Enum):
     PROPER = "PROPER"
 
 
+P = Property
+
 #: the property of each flag bit: bit ``i`` of a flag mask stands for
 #: ``FLAG_PROPERTIES[i]``
 FLAG_PROPERTIES = tuple(Property)
@@ -83,19 +87,15 @@ def flag_mask(*props) -> int:
     return sum(1 << _POSITION[q] for q in set(props))
 
 
-#: local properties tested on each row, and on each column
-_ROW_LOCAL = (Property.BOT, Property.TOP, Property.WO, Property.AND, Property.DD,
-              Property.PREC_IN_LEQ, Property.LEQ_IN_PREC)
-_COL_LOCAL = (Property.OR, Property.UD, Property.PROPER)
-LOCAL_FLAGS = flag_mask(*_ROW_LOCAL, *_COL_LOCAL)
-
-
 #: rules whose conclusions are non-existential, hence closable by a
 #: monotone fixpoint.  (D) stays check-only.
 CLOSABLE_RULES = frozenset({
     Property.BOT, Property.TOP, Property.SI, Property.WO,
     Property.AND, Property.OR, Property.CT, Property.T,
 })
+
+#: the six rules of a subordination algebra
+SUBORDINATION_RULES = frozenset({P.BOT, P.TOP, P.SI, P.WO, P.AND, P.OR})
 
 #: the four closure systems for normative reasoning
 SYSTEM_RULES = {
@@ -250,6 +250,54 @@ def missing_flags(carrier: Carrier) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the ten local properties: one test of one row or one column each
+# ---------------------------------------------------------------------------
+
+def _first_at(a: int, bad: int) -> Optional[tuple]:
+    return (a, next(bits(bad))) if bad else None
+
+
+#: each local property: the side it tests and its test.  A subset law
+#: (``order.subset_law_failure``) reads only the mask, and its pair
+#: ``(x, y)`` is reported as ``(a, x, y)`` on row ``a`` and ``(x, y, a)``
+#: on column ``a``.  A test of ``(up, (bot, top), a, mask)`` reads the
+#: index ``a`` too and returns the whole witness.
+_LOCAL = {
+    P.WO: ("rows", "up-closed"),
+    P.AND: ("rows", "meet-closed"),
+    P.DD: ("rows", "down-directed"),
+    P.OR: ("cols", "join-closed"),
+    P.UD: ("cols", "up-directed"),
+    # the bottom's row holds the bottom, the top's row the top
+    P.BOT: ("rows", lambda up, ends, a, m: () if a == ends[0] and not m >> a & 1 else None),
+    P.TOP: ("rows", lambda up, ends, a, m: () if a == ends[1] and not m >> a & 1 else None),
+    # the row of a lies above a; it holds everything above a
+    P.PREC_IN_LEQ: ("rows", lambda up, ends, a, m: _first_at(a, m & ~up[a])),
+    P.LEQ_IN_PREC: ("rows", lambda up, ends, a, m: _first_at(a, up[a] & ~m)),
+    # every column but the bottom's holds a non-bottom
+    P.PROPER: ("cols", lambda up, ends, a, m:
+               (a,) if a != ends[0] and not m & ~(1 << ends[0]) else None),
+}
+LOCAL_FLAGS = flag_mask(*_LOCAL)
+
+
+def _local_failure(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
+    """The witness of the first row or column failing a local property."""
+    side, test = _LOCAL[prop]
+    up = S.poset.up
+    bounds = _bounds(S.carrier) if prop in _NEEDS_BOUNDS else None
+    for a, m in enumerate(S.rows if side == "rows" else S.cols):
+        if isinstance(test, str):
+            pair = subset_law_failure(S.carrier, m, test)
+            witness = pair and ((a, *pair) if side == "rows" else (*pair, a))
+        else:
+            witness = test(up, bounds, a, m)
+        if witness is not None:
+            return witness
+    return None
+
+
+# ---------------------------------------------------------------------------
 # property evaluation
 # ---------------------------------------------------------------------------
 
@@ -272,39 +320,18 @@ def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
     """Lexicographically first counterexample tuple, in the property's
     stated variable order; None when the property holds.  (S9 states its
     witness as ``(x, a, b)`` and is swept over ``a``, ``b``, then ``x``.)"""
+    if prop in _LOCAL:
+        return _local_failure(S, prop)
     p = S.poset
     rows = S.rows
     n = S.n
     lat = S.lattice
-    if prop is Property.BOT or prop is Property.TOP:
-        bot, top = _bounds(S.carrier)
-        e = bot if prop is Property.BOT else top
-        return None if rows[e] >> e & 1 else ()
-    elif prop is Property.SI:
+    if prop is Property.SI:
         for a in range(n):
             for b in bits(p.up[a]):
                 bad = rows[b] & ~rows[a]
                 if bad:
                     return (a, b, next(bits(bad)))
-    elif prop is Property.WO:
-        for b in range(n):
-            for x in bits(rows[b]):
-                bad = p.up[x] & ~rows[b]
-                if bad:
-                    return (b, x, next(bits(bad)))
-    elif prop is Property.AND:
-        for a in range(n):
-            for x in bits(rows[a]):
-                for y in bits(rows[a]):
-                    if not rows[a] >> lat.meet[x][y] & 1:
-                        return (a, x, y)
-    elif prop is Property.OR:
-        cols = S.cols
-        for x in range(n):
-            for a in bits(cols[x]):
-                for b in bits(cols[x]):
-                    if not cols[x] >> lat.join[a][b] & 1:
-                        return (a, b, x)
     elif prop is Property.D:
         for a in range(n):
             reach = 0
@@ -325,19 +352,6 @@ def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
                 bad = rows[lat.meet[a][b]] & ~rows[a]
                 if bad:
                     return (a, b, next(bits(bad)))
-    elif prop is Property.DD:
-        for a in range(n):
-            for x1 in bits(rows[a]):
-                for x2 in bits(rows[a]):
-                    if not p.down[x1] & p.down[x2] & rows[a]:
-                        return (a, x1, x2)
-    elif prop is Property.UD:
-        cols = S.cols
-        for x in range(n):
-            for a1 in bits(cols[x]):
-                for a2 in bits(cols[x]):
-                    if not p.up[a1] & p.up[a2] & cols[x]:
-                        return (a1, a2, x)
     elif prop is Property.S6:
         neg = lat.neg
         for a in range(n):
@@ -411,22 +425,6 @@ def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
                 bad = rows[meet[b][c]] & ~reach
                 if bad:
                     return (b, c, next(bits(bad)))
-    elif prop is Property.PREC_IN_LEQ:
-        for a in range(n):
-            bad = rows[a] & ~p.up[a]
-            if bad:
-                return (a, next(bits(bad)))
-    elif prop is Property.LEQ_IN_PREC:
-        for a in range(n):
-            bad = p.up[a] & ~rows[a]
-            if bad:
-                return (a, next(bits(bad)))
-    elif prop is Property.PROPER:
-        bot, _ = _bounds(S.carrier)
-        cols = S.cols
-        for a in range(n):
-            if a != bot and not cols[a] & ~(1 << bot):
-                return (a,)
     return None
 
 
@@ -442,10 +440,11 @@ def local_signatures(carrier: Carrier) -> Optional[tuple[int, tuple, tuple]]:
     ``have`` holds the local flags whose structure the carrier has.
     ``rowsig[a][r]`` holds the row-local flags that row mask ``r`` at
     index ``a`` passes, ``colsig[x][c]`` the column-local flags that
-    column mask ``c`` at index ``x`` passes.  Each also holds every flag
-    of the other side, so the AND of ``have`` and a relation's rows and
-    columns (``local_flags``) is its verdicts.  Flags of missing
-    structure are never set."""
+    column mask ``c`` at index ``x`` passes: the tests of ``_LOCAL``,
+    each subset law decided once per mask and each index test once per
+    (index, mask).  Each also holds every flag of the other side, so the
+    AND of ``have`` and a relation's rows and columns (``local_flags``)
+    is its verdicts.  Flags of missing structure are never set."""
     lat = carrier if isinstance(carrier, FinLattice) else None
     p = carrier.poset if lat is not None else carrier
     tables = subset_tables(p)
@@ -453,63 +452,33 @@ def local_signatures(carrier: Carrier) -> Optional[tuple[int, tuple, tuple]]:
         return None
     key = "signatures" if lat is not None else "poset_signatures"
     if key not in tables:
-        tables[key] = _build_signatures(carrier, p, lat, tables)
+        tables[key] = _build_signatures(carrier, p, tables)
     return tables[key]
 
 
-def _closed_under(op: Sequence[Sequence[int]], size: int) -> list[bool]:
-    """Whether each of the ``size`` masks is closed under the binary
-    operation; the closure of ``m`` extends that of ``m`` minus its
-    lowest bit."""
-    closure = [0] * size
-    for m in range(1, size):
-        low = (m & -m).bit_length() - 1
-        rest = closure[m & (m - 1)]
-        acc = rest | 1 << low
-        for y in bits(rest):
-            acc |= 1 << op[low][y]
-        closure[m] = acc
-    return [closure[m] == m for m in range(size)]
-
-
-def _build_signatures(carrier: Carrier, p: FinPoset, lat: Optional[FinLattice],
-                      tables: dict) -> tuple[int, tuple, tuple]:
-    n, size = p.n, 1 << p.n
+def _build_signatures(carrier: Carrier, p: FinPoset, tables: dict) -> tuple[int, tuple, tuple]:
+    masks = range(1 << p.n)
     have = LOCAL_FLAGS & ~missing_flags(carrier)
-    bit = {q: 1 << _POSITION[q] & have for q in (*_ROW_LOCAL, *_COL_LOCAL)}
-    row_side, col_side = flag_mask(*_ROW_LOCAL) & have, flag_mask(*_COL_LOCAL) & have
-    uc, dd, ud = tables["upclose"], tables["dd"], tables["ud"]
-    meet_closed = _closed_under(lat.meet, size) if lat is not None else [False] * size
-    join_closed = _closed_under(lat.join, size) if lat is not None else [False] * size
-    row_free = [col_side
-                | (bit[Property.WO] if uc[r] == r else 0)
-                | (bit[Property.AND] if meet_closed[r] else 0)
-                | (bit[Property.DD] if dd[r] else 0) for r in range(size)]
-    col_free = [row_side
-                | (bit[Property.OR] if join_closed[c] else 0)
-                | (bit[Property.UD] if ud[c] else 0) for c in range(size)]
-    bot = top = None
-    if bit[Property.BOT]:
-        bot, top = _bounds(carrier)
-    ends = bit[Property.BOT] | bit[Property.TOP]
-    prec_in, leq_in, proper = (bit[q] for q in (Property.PREC_IN_LEQ,
-                                                Property.LEQ_IN_PREC, Property.PROPER))
-    not_bot = ~(1 << bot) if bot is not None else 0
-    rowsig, colsig = [], []
-    for a in range(n):
-        # BOT and TOP test only the row of the bound they name, PROPER
-        # every column but the bottom's
-        at = (bit[Property.BOT] if a == bot else 0) | (bit[Property.TOP] if a == top else 0)
-        up = p.up[a]
-        rowsig.append(tuple(
-            row_free[r] | ends & ~at
-            | (at if r >> a & 1 else 0)
-            | (0 if r & ~up else prec_in)
-            | (0 if up & ~r else leq_in) for r in range(size)))
-        colsig.append(tuple(
-            col_free[c] | (proper if a == bot or c & not_bot else 0)
-            for c in range(size)))
-    return have, tuple(rowsig), tuple(colsig)
+    bounds = _bounds(carrier) if have & flag_mask(*_NEEDS_BOUNDS) else None
+    out = [have]
+    for side in ("rows", "cols"):
+        tests = [(flag_mask(q), test) for q, (s, test) in _LOCAL.items()
+                 if s == side and flag_mask(q) & have]
+        free = [have & ~sum(bit for bit, _ in tests)] * len(masks)
+        for bit, law in tests:
+            if isinstance(law, str):
+                holds = tables.get(law) or [subset_law_failure(carrier, m, law) is None
+                                            for m in masks]
+                free = [f | bit if ok else f for f, ok in zip(free, holds)]
+        sigs = [free[:] for _ in range(p.n)]
+        for a, sig in enumerate(sigs):
+            for bit, test in tests:
+                if not isinstance(test, str):
+                    for m in masks:
+                        if test(p.up, bounds, a, m) is None:
+                            sig[m] |= bit
+        out.append(tuple(map(tuple, sigs)))
+    return tuple(out)
 
 
 def local_flags(S: ProtoSubAlg, signatures: tuple[int, tuple, tuple]) -> int:
@@ -527,7 +496,6 @@ def local_flags(S: ProtoSubAlg, signatures: tuple[int, tuple, tuple]) -> int:
 # named classes
 # ---------------------------------------------------------------------------
 
-P = Property
 CLASS_TABLE: tuple[tuple[str, frozenset], ...] = (
     ("diamond-premonotone", frozenset({P.SI})),
     ("box-premonotone", frozenset({P.WO})),
@@ -542,7 +510,7 @@ CLASS_TABLE: tuple[tuple[str, frozenset], ...] = (
     ("regular", frozenset({P.SI, P.WO, P.OR, P.AND})),
     ("diamond-normal", frozenset({P.SI, P.WO, P.DD, P.OR, P.BOT})),
     ("box-normal", frozenset({P.SI, P.WO, P.UD, P.AND, P.TOP})),
-    ("subordination algebra", frozenset({P.SI, P.WO, P.OR, P.AND, P.BOT, P.TOP})),
+    ("subordination algebra", SUBORDINATION_RULES),
 )
 
 
@@ -569,8 +537,8 @@ def classify(S: ProtoSubAlg) -> set[str]:
 
 def is_subordination_algebra(S: ProtoSubAlg) -> bool:
     try:
-        return all(property_holds(S, q)
-                   for q in (P.BOT, P.TOP, P.SI, P.WO, P.AND, P.OR))
+        # in flag order, not set order, so every process runs the same sweeps
+        return all(property_holds(S, q) for q in FLAG_PROPERTIES if q in SUBORDINATION_RULES)
     except MissingStructure:
         return False
 

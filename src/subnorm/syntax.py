@@ -79,15 +79,17 @@ _INFIX = {"&": "and", "|": "or", "->": "imp"}
 _SYMBOL = {kind: tok for tok, kind in (*_PREFIX.items(), *_INFIX.items())}
 
 
-def _tokenize(text: str, foreign: tuple[str, ...]) -> list[tuple[str, int]]:
-    """(token, position) pairs; a token of ``foreign`` is rejected where
-    it starts, so its position is that of its first character."""
+def _tokenize(text: str, foreign: tuple[str, ...], start: int = 0,
+              end: Optional[int] = None) -> list[tuple[str, int]]:
+    """(token, position) pairs of ``text[start:end]``, positions counted
+    in ``text``; a token of ``foreign`` is rejected where it starts, so
+    its position is that of its first character."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
+    pos, end = start, len(text) if end is None else end
+    while pos < end:
+        m = _TOKEN.match(text, pos, end)
         if not m:
-            rest = text[pos:]
+            rest = text[pos:end]
             if rest.strip() == "":
                 break
             bad = pos + len(rest) - len(rest.lstrip())
@@ -190,9 +192,13 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", self.pos())
 
 
-def parse_formula(text: str) -> Term:
-    """A norm formula: the modal-free fragment plus ``->``."""
-    return _Parser(_tokenize(text, ("<>", "[]", "<=")), len(text)).parse()
+def parse_formula(text: str, start: int = 0, end: Optional[int] = None) -> Term:
+    """A norm formula: the modal-free fragment plus ``->``.  Only
+    ``text[start:end]`` is read, and every position reported is an index
+    into ``text``, so a formula cut out of a longer line is reported
+    where the user typed it."""
+    end = len(text) if end is None else end
+    return _Parser(_tokenize(text, ("<>", "[]", "<="), start, end), end).parse()
 
 
 def parse_term(text: str) -> Term:

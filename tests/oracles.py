@@ -5,6 +5,7 @@ set/dict logic, deliberately avoiding the bitmask machinery of the
 package, so a bug in the fast paths cannot hide itself.
 """
 
+from functools import lru_cache
 from itertools import chain, combinations, product
 
 from subnorm.order import FinLattice, FinPoset, bits
@@ -224,8 +225,13 @@ def _orc(name):
     return deco
 
 
-def _rel(S):
-    return {(a, b) for a in range(S.n) for b in bits(S.rows[a])}
+def _rel(S) -> frozenset:
+    return _pairs(S.rows)
+
+
+@lru_cache(maxsize=64)
+def _pairs(rows) -> frozenset:
+    return frozenset((a, b) for a in range(len(rows)) for b in bits(rows[a]))
 
 
 @_orc("SI")
@@ -233,27 +239,6 @@ def _si(S):
     rel, lat = _rel(S), S.carrier
     return all((a, x) in rel
                for a in range(S.n) for (b, x) in rel if lat.leq(a, b))
-
-
-@_orc("WO")
-def _wo(S):
-    rel, lat = _rel(S), S.carrier
-    return all((b, y) in rel
-               for (b, x) in rel for y in range(S.n) if lat.leq(x, y))
-
-
-@_orc("AND")
-def _and(S):
-    rel, lat = _rel(S), S.carrier
-    return all((a, lat.meet[x][y]) in rel
-               for (a, x) in rel for (a2, y) in rel if a2 == a)
-
-
-@_orc("OR")
-def _or(S):
-    rel, lat = _rel(S), S.carrier
-    return all((lat.join[a][b], x) in rel
-               for (a, x) in rel for (b, x2) in rel if x2 == x)
 
 
 @_orc("D")
@@ -275,22 +260,6 @@ def _ct(S):
     rel, lat = _rel(S), S.carrier
     return all((a, c) in rel
                for (a, b) in rel for (m, c) in rel if m == lat.meet[a][b])
-
-
-@_orc("DD")
-def _dd(S):
-    rel, lat = _rel(S), S.carrier
-    return all(any((a, x) in rel and lat.leq(x, x1) and lat.leq(x, x2)
-                   for x in range(S.n))
-               for (a, x1) in rel for (a2, x2) in rel if a2 == a)
-
-
-@_orc("UD")
-def _ud(S):
-    rel, lat = _rel(S), S.carrier
-    return all(any((c, x) in rel and lat.leq(a1, c) and lat.leq(a2, c)
-                   for c in range(S.n))
-               for (a1, x) in rel for (a2, x2) in rel if x2 == x)
 
 
 @_orc("S6")
@@ -355,9 +324,14 @@ def _sl2(S):
 
 
 def _pred_succ(S):
-    rel = _rel(S)
-    pred = [{a for a in range(S.n) if (a, b) in rel} for b in range(S.n)]
-    succ = [{b for b in range(S.n) if (a, b) in rel} for a in range(S.n)]
+    return _pred_succ_of(S.rows)
+
+
+@lru_cache(maxsize=64)
+def _pred_succ_of(rows):
+    rel, n = _pairs(rows), len(rows)
+    pred = [[a for a in range(n) if (a, b) in rel] for b in range(n)]
+    succ = [[b for b in range(n) if (a, b) in rel] for a in range(n)]
     return rel, pred, succ
 
 
@@ -409,35 +383,144 @@ WITNESS_ORACLES = {
 }
 
 
-@_orc("PREC_IN_LEQ")
-def _pil(S):
-    rel, lat = _rel(S), S.carrier
-    return all(lat.leq(a, b) for (a, b) in rel)
+# ---- the five subset laws and the ten local properties -----------------
+#
+# Each returns its first witness in index order, or None, computed from
+# the definitions over sets of elements.
+
+def _members(carrier, mask: int) -> list[int]:
+    return [x for x in range(carrier.n) if mask >> x & 1]
 
 
-@_orc("LEQ_IN_PREC")
-def _lip(S):
-    rel, lat = _rel(S), S.carrier
-    return all((a, b) in rel
-               for a in range(S.n) for b in range(S.n) if lat.leq(a, b))
+def _first(candidates):
+    return next(iter(candidates), None)
 
 
-@_orc("PROPER")
-def _proper(S):
-    rel, lat = _rel(S), S.carrier
-    return all(a == lat.bot or any(b != lat.bot and (b, a) in rel
-                                   for b in range(S.n))
-               for a in range(S.n))
+@lru_cache(maxsize=None)
+def _order(carrier) -> frozenset:
+    """The order of a poset or lattice as its set of pairs."""
+    return frozenset((x, y) for x in range(carrier.n) for y in range(carrier.n)
+                     if carrier.leq(x, y))
 
 
-@_orc("BOT")
-def _bot(S):
-    return (S.carrier.bot, S.carrier.bot) in _rel(S)
+def subset_law_oracle(carrier, mask: int, law: str):
+    """First pair ``(x, y)`` of members (``x`` a member, ``y`` any
+    element for ``up-closed``) at which the subset breaks ``law``."""
+    M = _members(carrier, mask)
+    inside, le = set(M), _order(carrier)
+    if law == "up-closed":
+        return _first((x, y) for x in M for y in range(carrier.n)
+                      if (x, y) in le and y not in inside)
+    if law in ("down-directed", "up-directed"):
+        down = law == "down-directed"
+        bounds = {x: {z for z in M if ((z, x) if down else (x, z)) in le} for x in M}
+        return _first((x, y) for x in M for y in M if not bounds[x] & bounds[y])
+    op = {"meet-closed": "meet", "join-closed": "join"}[law]
+    return _first((x, y) for x in M for y in M
+                  if getattr(carrier, op)[x][y] not in inside)
 
 
-@_orc("TOP")
-def _top(S):
-    return (S.carrier.top, S.carrier.top) in _rel(S)
+SUBSET_LAWS = ("up-closed", "down-directed", "up-directed", "meet-closed", "join-closed")
+
+
+def _bottom(carrier) -> int:
+    le = _order(carrier)
+    return next(x for x in range(carrier.n) if all((x, y) in le for y in range(carrier.n)))
+
+
+def _top(carrier) -> int:
+    le = _order(carrier)
+    return next(x for x in range(carrier.n) if all((y, x) in le for y in range(carrier.n)))
+
+
+def wo_witness_oracle(S):
+    """First (a, x, y) with a prec x <= y and not a prec y."""
+    succ, le = _pred_succ(S)[2], _order(S.carrier)
+    return _first((a, x, y) for a in range(S.n) for x in succ[a]
+                  for y in range(S.n) if (x, y) in le and y not in succ[a])
+
+
+def and_witness_oracle(S):
+    """First (a, x, y) with a prec x, a prec y, not a prec x ^ y."""
+    succ, meet = _pred_succ(S)[2], S.carrier.meet
+    return _first((a, x, y) for a in range(S.n) for x in succ[a] for y in succ[a]
+                  if meet[x][y] not in succ[a])
+
+
+def dd_witness_oracle(S):
+    """First (a, x, y) with a prec x, a prec y and no z below both with
+    a prec z."""
+    succ, le = _pred_succ(S)[2], _order(S.carrier)
+    for a in range(S.n):
+        below = {x: {z for z in succ[a] if (z, x) in le} for x in succ[a]}
+        w = _first((a, x, y) for x in succ[a] for y in succ[a] if not below[x] & below[y])
+        if w is not None:
+            return w
+    return None
+
+
+def or_witness_oracle(S):
+    """(a, b, x) with a prec x, b prec x, not a v b prec x; the first
+    by x, then a, then b."""
+    pred, join = _pred_succ(S)[1], S.carrier.join
+    return _first((a, b, x) for x in range(S.n) for a in pred[x] for b in pred[x]
+                  if join[a][b] not in pred[x])
+
+
+def ud_witness_oracle(S):
+    """(a, b, x) with a prec x, b prec x and no c above both with
+    c prec x; the first by x, then a, then b."""
+    pred, le = _pred_succ(S)[1], _order(S.carrier)
+    for x in range(S.n):
+        above = {a: {c for c in pred[x] if (a, c) in le} for a in pred[x]}
+        w = _first((a, b, x) for a in pred[x] for b in pred[x] if not above[a] & above[b])
+        if w is not None:
+            return w
+    return None
+
+
+def prec_in_leq_witness_oracle(S):
+    """First (a, b) with a prec b and not a <= b."""
+    return _first((a, b) for a, b in sorted(_rel(S)) if (a, b) not in _order(S.carrier))
+
+
+def leq_in_prec_witness_oracle(S):
+    """First (a, b) with a <= b and not a prec b."""
+    return _first(sorted(_order(S.carrier) - _rel(S)))
+
+
+def proper_witness_oracle(S):
+    """First (a,) with a not the bottom and no non-bottom b prec a."""
+    bot, pred = _bottom(S.carrier), _pred_succ(S)[1]
+    return _first((a,) for a in range(S.n)
+                  if a != bot and not any(b != bot for b in pred[a]))
+
+
+def bot_witness_oracle(S):
+    bot = _bottom(S.carrier)
+    return None if (bot, bot) in _rel(S) else ()
+
+
+def top_witness_oracle(S):
+    top = _top(S.carrier)
+    return None if (top, top) in _rel(S) else ()
+
+
+#: the ten local properties, each with its first witness
+LOCAL_WITNESS_ORACLES = {
+    "WO": wo_witness_oracle,
+    "AND": and_witness_oracle,
+    "DD": dd_witness_oracle,
+    "OR": or_witness_oracle,
+    "UD": ud_witness_oracle,
+    "BOT": bot_witness_oracle,
+    "TOP": top_witness_oracle,
+    "PREC_IN_LEQ": prec_in_leq_witness_oracle,
+    "LEQ_IN_PREC": leq_in_prec_witness_oracle,
+    "PROPER": proper_witness_oracle,
+}
+for _name, _oracle in LOCAL_WITNESS_ORACLES.items():
+    PROPERTY_ORACLES[_name] = lambda S, _oracle=_oracle: _oracle(S) is None
 
 
 def eval_formula_oracle(f, valuation: dict) -> bool:
@@ -467,13 +550,11 @@ def eval_formula_oracle(f, valuation: dict) -> bool:
 # joins and images from the definitions.
 
 def is_down_directed_oracle(p: FinPoset, mask: int) -> bool:
-    D = list(bits(mask))
-    return all(any(p.leq(z, x) and p.leq(z, y) for z in D) for x in D for y in D)
+    return subset_law_oracle(p, mask, "down-directed") is None
 
 
 def is_up_directed_oracle(p: FinPoset, mask: int) -> bool:
-    D = list(bits(mask))
-    return all(any(p.leq(x, z) and p.leq(y, z) for z in D) for x in D for y in D)
+    return subset_law_oracle(p, mask, "up-directed") is None
 
 
 _DIRECTED = {}

@@ -411,3 +411,29 @@ class TestTermInput:
         err = self.input_error(capsys, "slanted", "--algebra", files["algebra"],
                                "--prec", files["prec"], "--ineq", "p -> q <= p")
         assert err.endswith("(at position 2)\n")
+
+    @pytest.mark.parametrize("query, position", [
+        ("p |~ q & )", 9),     # the ')' in the head
+        ("p |~ q |~ r", 7),    # the second separator
+        ("p |~ q &", 8),       # the end of the text
+        ("p q |~ r", 2),       # in the body
+    ])
+    def test_query_positions_are_in_the_typed_text(self, capsys, files, query, position):
+        err = self.input_error(capsys, "derive", "--system", "1", "--norms", files["norms"],
+                               "--query", query)
+        assert err.endswith(f"(at position {position})\n")
+
+    def test_gamma_positions_are_in_the_typed_text(self, capsys, files):
+        gamma = "p, q & )"
+        err = self.input_error(capsys, "out", "--system", "1", "--norms", files["norms"],
+                               "--gamma", gamma, "--head", "q")
+        assert err.endswith(f"(at position {gamma.index(')')})\n")
+
+    @pytest.mark.parametrize("line", ["   p & ) |~ q", "\tp |~ q & )  # note"])
+    def test_norm_file_positions_are_in_the_typed_line(self, capsys, files, tmp_path, line):
+        norms = tmp_path / "indented.ion"
+        norms.write_text("p |~ q\n" + line + "\n")
+        err = self.input_error(capsys, "derive", "--system", "1", "--norms", str(norms),
+                               "--query", "p |~ q")
+        assert err.startswith("error: line 2: ")
+        assert err.endswith(f"(at position {line.index(')')})\n")

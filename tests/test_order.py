@@ -12,9 +12,7 @@ from subnorm.order import (
     bits,
     check_negation_laws,
     free_boolean_algebra,
-    is_down_directed,
     is_filter,
-    is_up_directed,
     join_irreducibles,
     lattice_from_json,
     lattice_to_json,
@@ -23,10 +21,19 @@ from subnorm.order import (
     poset_from_hasse,
     poset_from_json,
     prime_filters,
+    subset_law_failure,
+    subset_tables,
     to_lattice,
     validate_poset,
 )
-from oracles import join_irreducibles_oracle, meet_irreducibles_oracle, prime_filters_oracle
+from oracles import (
+    SUBSET_LAWS,
+    is_down_directed_oracle,
+    join_irreducibles_oracle,
+    meet_irreducibles_oracle,
+    prime_filters_oracle,
+    subset_law_oracle,
+)
 
 
 def members(mask):
@@ -145,21 +152,60 @@ class TestPrimeFilters:
 
 class TestDirectedness:
     def test_empty_is_directed(self, b4):
-        assert is_down_directed(0, b4.poset)
-        assert is_up_directed(0, b4.poset)
+        assert subset_law_failure(b4.poset, 0, "down-directed") is None
+        assert subset_law_failure(b4.poset, 0, "up-directed") is None
 
     def test_atoms_not_down_directed(self, b4):
-        assert not is_down_directed(mask_of([1, 2]), b4.poset)
+        assert subset_law_failure(b4.poset, mask_of([1, 2]), "down-directed") == (1, 2)
 
     def test_with_common_lower_bound(self, b4):
-        assert is_down_directed(mask_of([1, 3]), b4.poset)
+        assert subset_law_failure(b4.poset, mask_of([1, 3]), "down-directed") is None
 
     @pytest.mark.parametrize("name", ["chain4", "b4"])
     def test_filter_iff_upclosed_down_directed(self, name, request):
         lat = request.getfixturevalue(name)
         for mask in range(1, 1 << lat.n):
             upclosed = lat.poset.up_closure(mask) == mask
-            assert is_filter(mask, lat) == (upclosed and is_down_directed(mask, lat.poset))
+            assert is_filter(mask, lat) == (upclosed and is_down_directed_oracle(lat.poset, mask))
+
+
+class TestSubsetLaws:
+    """``subset_law_failure`` and ``subset_tables`` against the set-based
+    oracles, on every mask."""
+
+    @pytest.mark.parametrize("name", ["b4", "fdl2", "b8", "v_poset"])
+    def test_every_mask(self, name, request):
+        carrier = request.getfixturevalue(name)
+        p = getattr(carrier, "poset", carrier)
+        laws = SUBSET_LAWS if p is not carrier else SUBSET_LAWS[:3]
+        tables = subset_tables(p)
+        masks = range(1 << p.n)
+        seen = {law: set() for law in laws}
+        for m in masks:
+            for law in laws:
+                want = subset_law_oracle(carrier, m, law)
+                assert subset_law_failure(carrier, m, law) == want, (m, law)
+                seen[law].add(want is None)
+                if law in tables:
+                    assert subset_law_failure(p, m, law) == want, (m, law)
+                    assert tables[law][m] == (want is None), (m, law)
+        assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+        for law in ("down-directed", "up-directed"):
+            assert tables["nonempty " + law] == [
+                m for m in masks[1:] if subset_law_oracle(p, m, law) is None]
+
+    def test_witness_is_the_first_pair(self, b4):
+        # b4 is 0 < x, y < 1 with x = 1, y = 2
+        assert subset_law_failure(b4, mask_of([1, 2]), "down-directed") == (1, 2)
+        assert subset_law_failure(b4, mask_of([1, 2]), "up-directed") == (1, 2)
+        assert subset_law_failure(b4, mask_of([1, 2]), "meet-closed") == (1, 2)
+        assert subset_law_failure(b4, mask_of([1, 2]), "join-closed") == (1, 2)
+        assert subset_law_failure(b4, mask_of([1, 2]), "up-closed") == (1, 3)
+        assert subset_law_failure(b4, mask_of([2, 3]), "up-closed") is None
+
+    def test_unknown_law(self, b4):
+        with pytest.raises(ValueError):
+            subset_law_failure(b4, 0, "closed")
 
 
 class TestNegationLaws:

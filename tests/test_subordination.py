@@ -17,7 +17,6 @@ from subnorm.subordination import (
     ProtoSubAlg,
     SubordRel,
     _close_fixpoint,
-    _sweep,
     check_property,
     classify,
     close,
@@ -36,7 +35,7 @@ from subnorm.harness.generate import (
     random_relations,
     relation_from_int,
 )
-from oracles import PROPERTY_ORACLES, WITNESS_ORACLES, closure_oracle
+from oracles import LOCAL_WITNESS_ORACLES, PROPERTY_ORACLES, WITNESS_ORACLES, closure_oracle
 
 P = Property
 
@@ -113,16 +112,43 @@ ROW_LOCAL = (P.BOT, P.TOP, P.WO, P.AND, P.DD, P.PREC_IN_LEQ, P.LEQ_IN_PREC)
 COL_LOCAL = (P.OR, P.UD, P.PROPER)
 
 
+@pytest.mark.parametrize("name", ["b4", "fdl2", "b8", "v_poset"])
+def test_local_witnesses_on_every_row_and_column(name, request):
+    """Each local property's verdict, witness and flag on the order
+    relation with one row, or one column, replaced by each mask at each
+    index, against the oracle's first witness.  The order relation
+    passes all ten, so each failure is at the replaced row or column."""
+    carrier = request.getfixturevalue(name)
+    n, up = carrier.n, getattr(carrier, "poset", carrier).up
+    missing = missing_flags(carrier)
+    props = [q for q in ROW_LOCAL + COL_LOCAL if not flag_mask(q) & missing]
+    signatures = local_signatures(carrier)
+    seen = {q: set() for q in props}
+    for a in range(n):
+        for m in range(1 << n):
+            by_row = [m if b == a else up[b] for b in range(n)]
+            by_col = [up[b] & ~(1 << a) | (m >> b & 1) << a for b in range(n)]
+            for rows in (by_row, by_col):
+                S = ProtoSubAlg(carrier, SubordRel(n, rows))
+                flags = local_flags(S, signatures)
+                for q in props:
+                    want = LOCAL_WITNESS_ORACLES[q.value](S)
+                    assert check_property(S, q) == (want is None, want), (a, m, rows, q)
+                    assert bool(flags & flag_mask(q)) == (want is None), (a, m, rows, q)
+                    seen[q].add(want is None)
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
 class TestLocalFlags:
-    """The signature tables against the sweeps, which state each of the
-    ten local properties."""
+    """The signature tables against the set-based oracles of the ten
+    local properties."""
 
     @staticmethod
     def agree(S, seen):
         got = local_flags(S, local_signatures(S.carrier))
         missing = missing_flags(S.carrier)
         for q in ROW_LOCAL + COL_LOCAL:
-            want = not flag_mask(q) & missing and _sweep(S, q) is None
+            want = not flag_mask(q) & missing and PROPERTY_ORACLES[q.value](S)
             assert bool(got & flag_mask(q)) == want, (S, q)
             seen[q].add(want)
 

@@ -63,6 +63,24 @@ class TestForeignTokens:
         assert exc.value.position == 2
 
 
+class TestSlice:
+    """``parse_formula(text, start, end)`` reads only the slice and
+    counts every position in ``text``."""
+
+    def test_reads_only_the_slice(self):
+        assert parse_formula("q |~ p & r, s", 5, 10) == tand(var("p"), var("r"))
+
+    @pytest.mark.parametrize("start, end, message, position", [
+        (3, 9, "unexpected token ')'", 7),
+        (3, 7, "unexpected end of input", 7),
+        (8, None, "unexpected character '#'", 9),
+    ])
+    def test_positions_count_in_the_whole_text(self, start, end, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_formula("xx p & ) #", start, end)
+        assert (exc.value.message, exc.value.position) == (message, position)
+
+
 class TestNestingBound:
     @pytest.mark.parametrize("parse", [parse_formula, parse_term])
     def test_parentheses(self, parse):
