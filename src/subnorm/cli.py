@@ -99,19 +99,24 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _comma_list(text: str, noun: str) -> list[str]:
+    """The nonempty items of a comma-separated option value, stripped; a
+    value that names nothing is an input error."""
+    items = [part.strip() for part in text.split(",") if part.strip()]
+    if not items:
+        raise InputFormatError(f"no {noun} selected in {text!r}")
+    return items
+
+
 def _parse_props(text: str) -> list[Property]:
     out = []
-    for part in text.split(","):
-        name = part.strip().upper()
-        if not name:
-            continue
+    for part in _comma_list(text, "property names"):
+        name = part.upper()
         try:
             out.append(Property[name])
         except KeyError:
             raise SubnormError(f"unknown property {name!r}; known: "
                                + ", ".join(p.name for p in Property)) from None
-    if not out:
-        raise InputFormatError(f"no property names in {text!r}")
     return out
 
 
@@ -233,12 +238,10 @@ def _cmd_dual(args) -> int:
     lines = [f"points: {', '.join(sp.labels)}",
              "R: " + " ".join(map(str, sp.rel_pairs()))]
     ok = True
-    if args.check:
+    if args.check is not None:
         results = {}
-        for part in args.check.split(","):
-            key = part.strip().lower()
-            if not key:
-                continue
+        for part in _comma_list(args.check, "conditions"):
+            key = part.lower()
             if key not in _REL_CONDS:
                 raise SubnormError(f"unknown condition {key!r}; known: "
                                    + ", ".join(sorted(_REL_CONDS)))
@@ -258,12 +261,11 @@ def _cmd_verify(args) -> int:
         verdict = replay_counterexample(load_json(args.replay))
         _emit(args, verdict, [f"{verdict['check']}: {verdict['status']}"])
         return 0 if verdict["status"] == "pass" else 1
-    carriers = None
-    if args.carriers:
-        carriers = tuple(c.strip() for c in args.carriers.split(",") if c.strip())
-    base = GenConfig()
+    carriers = GenConfig().carriers
+    if args.carriers is not None:
+        carriers = tuple(_comma_list(args.carriers, "carriers"))
     cfg = GenConfig(
-        carriers=carriers or base.carriers,
+        carriers=carriers,
         mode=args.mode,
         samples=args.samples,
         seed=args.seed,
@@ -271,7 +273,7 @@ def _cmd_verify(args) -> int:
     )
     checks = None
     if args.checks is not None:
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        checks = _comma_list(args.checks, "checks")
     report = run_suite(cfg, check_names=checks)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -7,10 +7,10 @@ says whether the link is an equivalence or a one-directional
 implication.  One-sided statements stay one-sided here; equivalences
 are claimed only where they hold under the entry's preconditions.
 
-Checks are evaluated per instance by ``verify_check`` (in ``run``),
-which gates on the precondition first: instances failing it are
-*skipped*, and the runner treats a check that skips the whole corpus as
-a configuration error rather than a pass.  Every precondition is a
+The runner (``run``) decides each precondition per instance:
+instances failing it are *skipped*, the others have the check's body
+evaluated by ``verify_check``, and a check that skips the whole corpus
+is a configuration error rather than a pass.  Every precondition is a
 ``Flags`` conjunction built by ``_flags``, so checks stating the same
 precondition share one object and the runner decides it once per
 instance for all of them.

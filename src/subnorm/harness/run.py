@@ -20,7 +20,8 @@ by every check stating the same conjunction of guards and flags.  Each
 group's precondition is decided once per instance (per carrier for the
 carrier-scoped checks, and its carrier guards once per carrier); a miss
 counts one skip for every check in the group without evaluating any, a
-hit evaluates each through ``verify_check``.
+hit evaluates each body through ``verify_check``, which does not decide
+the precondition again.
 
 Checks are pure, so instances could be fanned out to workers with the
 report aggregation as the only synchronization point; the runner stays
@@ -305,10 +306,9 @@ class Instance:
 
 
 def verify_check(spec: CheckSpec, inst: Instance) -> tuple[str, Optional[dict]]:
-    """Evaluate one check on one instance: pass, skip, or fail with the
-    lhs/rhs verdicts that make up the counterexample."""
-    if not spec.precondition(inst):
-        return "skip", None
+    """Evaluate the body of one check on an instance that meets its
+    precondition: pass, or fail with the lhs/rhs verdicts that make up
+    the counterexample.  The caller decides the precondition."""
     if spec.mode == "law":
         if spec.law(inst):
             return "pass", None
@@ -463,7 +463,8 @@ def strip_timing(report: dict) -> dict:
 
 
 def replay_counterexample(ce: dict) -> dict:
-    """Re-evaluate a stored counterexample object; returns the verdict."""
+    """Re-evaluate a stored counterexample object; returns the verdict,
+    ``skip`` when the instance does not meet the check's precondition."""
     if not isinstance(ce, dict) or "check" not in ce or "instance" not in ce:
         raise InputFormatError(
             'a counterexample object needs "check" and "instance"')
@@ -475,5 +476,9 @@ def replay_counterexample(ce: dict) -> dict:
     if lat is None:
         raise InputFormatError("counterexample carrier must be a lattice")
     ctx = CarrierContext(str(ce.get("carrier", "replay")), lat)
-    status, detail = verify_check(CHECKS_BY_NAME[name], Instance(ctx, S))
+    spec = CHECKS_BY_NAME[name]
+    inst = Instance(ctx, S)
+    if not spec.precondition(inst):
+        return {"check": name, "status": "skip", "detail": None}
+    status, detail = verify_check(spec, inst)
     return {"check": name, "status": status, "detail": detail}

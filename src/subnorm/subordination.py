@@ -550,11 +550,14 @@ def is_subordination_algebra(S: ProtoSubAlg) -> bool:
 def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     """Smallest extension of the relation satisfying every given rule.
 
-    On every lattice carrier, a rule set containing WO and AND is closed
-    in filter form (``_close_filterform``); any other rule set runs the
-    generic fixpoint (``_close_fixpoint``), which tests keep as the
-    reference for the filter form.  Extensive, monotone and idempotent
-    by construction.
+    One fixpoint over the bitmask rows: the one-step consequence operator
+    of each rule is applied, in the order SI, WO and AND, OR, CT, T,
+    until nothing changes.  When WO and AND are both asked for on a
+    lattice, their joint step sets each nonempty row to the principal
+    filter of its meet, which is the least WO- and AND-closed row above
+    it.  Every added pair is forced by some rule instance, so the result
+    is the least rules-closed superset: extensive, monotone and
+    idempotent.
     """
     ruleset = frozenset(rules)
     bad = ruleset - CLOSABLE_RULES
@@ -567,18 +570,9 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     if ruleset & {P.BOT, P.TOP}:
         _bounds(S.carrier)
 
-    if lat is not None and {P.WO, P.AND} <= ruleset:
-        return S.with_rows(_close_filterform(S, ruleset))
-    return S.with_rows(_close_fixpoint(S, ruleset))
-
-
-def _close_fixpoint(S: ProtoSubAlg, ruleset: frozenset) -> list[int]:
-    """Generic closure: the one-step consequence operator of each rule is
-    applied until the joint fixpoint.  Every added pair is forced by some
-    rule instance, so the result is the least rules-closed superset."""
-    lat = S.lattice
     n = S.n
     p = S.poset
+    up = p.up
     rows = list(S.rows)
     if P.BOT in ruleset:
         bot, _ = _bounds(S.carrier)
@@ -586,27 +580,45 @@ def _close_fixpoint(S: ProtoSubAlg, ruleset: frozenset) -> list[int]:
     if P.TOP in ruleset:
         _, top = _bounds(S.carrier)
         rows[top] |= 1 << top
+    filters = lat is not None and {P.WO, P.AND} <= ruleset
+    if filters:
+        # low[a]: the meet of row a at its last joint step (top before the
+        # first).  Rows only grow, so the meet of row a is the meet of
+        # low[a] and the elements outside up[low[a]]; none outside means
+        # the row is already up[low[a]], or empty
+        low = [lat.top] * n
     guard = n * n + 2
     for _ in range(guard + 1):
         before = tuple(rows)
         if P.SI in ruleset:
             for a in range(n):
                 acc = rows[a]
-                for b in bits(p.up[a] ^ (1 << a)):
+                for b in bits(up[a] ^ (1 << a)):
                     acc |= rows[b]
                 rows[a] = acc
-        if P.WO in ruleset:
-            for a in range(n):
-                rows[a] = p.up_closure(rows[a])
-        if P.AND in ruleset:
+        if filters:
             meet = lat.meet
             for a in range(n):
-                acc = rows[a]
-                members = list(bits(acc))
-                for x in members:
-                    for y in members:
-                        acc |= 1 << meet[x][y]
-                rows[a] = acc
+                fresh = rows[a] & ~up[low[a]]
+                if fresh:
+                    m = low[a]
+                    for x in bits(fresh):
+                        m = meet[m][x]
+                    low[a] = m
+                    rows[a] = up[m]
+        else:
+            if P.WO in ruleset:
+                for a in range(n):
+                    rows[a] = p.up_closure(rows[a])
+            if P.AND in ruleset:
+                meet = lat.meet
+                for a in range(n):
+                    acc = rows[a]
+                    members = list(bits(acc))
+                    for x in members:
+                        for y in members:
+                            acc |= 1 << meet[x][y]
+                    rows[a] = acc
         if P.OR in ruleset:
             join = lat.join
             for a in range(n):
@@ -634,85 +646,7 @@ def _close_fixpoint(S: ProtoSubAlg, ruleset: frozenset) -> list[int]:
             break
     else:
         raise AssertionError("closure failed to converge within the pair bound")
-    return rows
-
-
-def _close_filterform(S: ProtoSubAlg, ruleset: frozenset) -> list[int]:
-    """Closure for rule sets containing WO and AND on a lattice.
-
-    Rows of any {WO, AND}-closed relation are filters, i.e. up-sets of
-    their minimum, so the whole relation is tracked as the vector of row
-    minima (None for an empty row).  Each rule becomes a pointwise
-    operation on minima; every decrease corresponds to pairs derivable
-    by a chain of AND/WO steps, so the concrete least closure is
-    recovered as the up-sets of the fixpoint vector.
-    """
-    lat = S.lattice
-    p = S.poset
-    n = S.n
-    meet, join = lat.meet, lat.join
-
-    def merge(cur, new):
-        return new if cur is None else meet[cur][new]
-
-    d: list[Optional[int]] = [None] * n
-    for a in range(n):
-        for x in bits(S.rows[a]):
-            d[a] = merge(d[a], x)
-    if P.BOT in ruleset:
-        d[lat.bot] = merge(d[lat.bot], lat.bot)
-    if P.TOP in ruleset:
-        d[lat.top] = merge(d[lat.top], lat.top)
-
-    changed = True
-    while changed:
-        changed = False
-        if P.SI in ruleset:
-            # every element above a is read, so one sweep in any order
-            # reaches the SI fixpoint
-            for a in range(n):
-                acc = d[a]
-                for b in bits(p.up[a] ^ (1 << a)):
-                    if d[b] is not None:
-                        acc = merge(acc, d[b])
-                if acc != d[a]:
-                    d[a] = acc
-                    changed = True
-        if P.OR in ruleset:
-            for a in range(n):
-                if d[a] is None:
-                    continue
-                for b in range(a, n):
-                    if d[b] is None:
-                        continue
-                    c = join[a][b]
-                    new = merge(d[c], join[d[a]][d[b]])
-                    if new != d[c]:
-                        d[c] = new
-                        changed = True
-        if P.CT in ruleset:
-            for a in range(n):
-                if d[a] is None:
-                    continue
-                acc = d[a]
-                for b in bits(p.up[acc]):
-                    if d[meet[a][b]] is not None:
-                        acc = merge(acc, d[meet[a][b]])
-                if acc != d[a]:
-                    d[a] = acc
-                    changed = True
-        if P.T in ruleset:
-            for a in range(n):
-                if d[a] is None:
-                    continue
-                acc = d[a]
-                for b in bits(p.up[acc]):
-                    if d[b] is not None:
-                        acc = merge(acc, d[b])
-                if acc != d[a]:
-                    d[a] = acc
-                    changed = True
-    return [0 if d[a] is None else p.up[d[a]] for a in range(n)]
+    return S.with_rows(rows)
 
 
 def close_i(S: ProtoSubAlg, i: int) -> ProtoSubAlg:

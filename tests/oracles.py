@@ -2,13 +2,17 @@
 
 Everything here recomputes results from first definitions using plain
 set/dict logic, deliberately avoiding the bitmask machinery of the
-package, so a bug in the fast paths cannot hide itself.
+package, so a bug in the fast paths cannot hide itself.  The one
+exception is ``close_fixpoint``, the pairwise closure that
+``subordination.close`` is held to on carriers too large for the
+exhaustive ``closure_oracle``.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations, product
 
 from subnorm.order import FinLattice, FinPoset, bits
+from subnorm.subordination import Property as P, _bounds
 
 
 def subsets(xs):
@@ -163,9 +167,21 @@ def negation_liftable_oracle(p: FinPoset, neg, side: str) -> bool:
     return all(p.leq(a, neg[b]) == p.leq(b, neg[a]) for a, b in pairs)
 
 
-def closure_oracle(carrier: FinLattice, pairs: set, rule_names: set) -> set:
-    """Least rules-closed superset, by intersecting all closed supersets
-    over the full 2^(n*n) relation space."""
+def closure_oracle(carrier, pairs: set, rule_names: set) -> set:
+    """Least rules-closed superset: the intersection of every closed
+    relation containing ``pairs``, over the full 2^(n*n) relation space.
+    Rules other than SI, WO and T need a lattice carrier; BOT and TOP a
+    bounded one."""
+    best = {(a, b) for a in range(carrier.n) for b in range(carrier.n)}
+    for rel in _closed_relations(carrier, frozenset(rule_names)):
+        if pairs <= rel:
+            best &= rel
+    return best
+
+
+@lru_cache(maxsize=None)
+def _closed_relations(carrier, rule_names: frozenset) -> tuple:
+    """Every relation on the carrier closed under the named rules."""
     n = carrier.n
     universe = [(a, b) for a in range(n) for b in range(n)]
 
@@ -204,15 +220,77 @@ def closure_oracle(carrier: FinLattice, pairs: set, rule_names: set) -> set:
                         return False
         return True
 
-    best = set(universe)
-    for mask in range(1 << len(universe)):
-        rel = frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1)
-        if pairs <= rel and closed(rel) and len(rel) <= len(best):
-            if len(rel) < len(best):
-                best = set(rel)
-            else:
-                best &= rel
-    return best
+    rels = (frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1)
+            for mask in range(1 << len(universe)))
+    return tuple(rel for rel in rels if closed(rel))
+
+
+def close_fixpoint(S, ruleset: frozenset) -> list[int]:
+    """Generic closure with pairwise AND and no filter shortcut: the
+    one-step consequence operator of each rule is applied until the joint
+    fixpoint.  Every added pair is forced by some rule instance, so the
+    result is the least rules-closed superset.  The reference that
+    ``subordination.close`` is held to on carriers too large for
+    ``closure_oracle``."""
+    lat = S.lattice
+    n = S.n
+    p = S.poset
+    rows = list(S.rows)
+    if P.BOT in ruleset:
+        bot, _ = _bounds(S.carrier)
+        rows[bot] |= 1 << bot
+    if P.TOP in ruleset:
+        _, top = _bounds(S.carrier)
+        rows[top] |= 1 << top
+    guard = n * n + 2
+    for _ in range(guard + 1):
+        before = tuple(rows)
+        if P.SI in ruleset:
+            for a in range(n):
+                acc = rows[a]
+                for b in bits(p.up[a] ^ (1 << a)):
+                    acc |= rows[b]
+                rows[a] = acc
+        if P.WO in ruleset:
+            for a in range(n):
+                rows[a] = p.up_closure(rows[a])
+        if P.AND in ruleset:
+            meet = lat.meet
+            for a in range(n):
+                acc = rows[a]
+                members = list(bits(acc))
+                for x in members:
+                    for y in members:
+                        acc |= 1 << meet[x][y]
+                rows[a] = acc
+        if P.OR in ruleset:
+            join = lat.join
+            for a in range(n):
+                ra = rows[a]
+                if not ra:
+                    continue
+                for b in range(a, n):
+                    common = ra & rows[b]
+                    if common:
+                        rows[join[a][b]] |= common
+        if P.CT in ruleset:
+            meet = lat.meet
+            for a in range(n):
+                acc = rows[a]
+                for b in bits(rows[a]):
+                    acc |= rows[meet[a][b]]
+                rows[a] = acc
+        if P.T in ruleset:
+            for a in range(n):
+                acc = rows[a]
+                for b in bits(rows[a]):
+                    acc |= rows[b]
+                rows[a] = acc
+        if tuple(rows) == before:
+            break
+    else:
+        raise AssertionError("closure failed to converge within the pair bound")
+    return rows
 
 
 PROPERTY_ORACLES = {}

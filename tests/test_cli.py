@@ -273,6 +273,22 @@ class TestVerifyCmd:
         assert err.count("\n") == 1 and "non-negative" in err
 
 
+@pytest.mark.parametrize("value", ["", ",", " , "])
+@pytest.mark.parametrize("argv", [
+    ["check", "--input", "{sub}", "--props"],
+    ["close", "--input", "{sub}", "--rules"],
+    ["dual", "--algebra", "{algebra}", "--prec", "{prec}", "--check"],
+    ["verify", "--carriers"],
+    ["verify", "--carriers", "chain2", "--checks"],
+], ids=["props", "rules", "check", "carriers", "checks"])
+def test_empty_list_option_is_input_error(capsys, files, argv, value):
+    # every comma-list option that names nothing is bad input, never
+    # a silent default or an empty run
+    code, err = run_err(capsys, *(a.format(**files) for a in argv), value)
+    assert code == 2
+    assert err.startswith("error: no ") and err.count("\n") == 1
+
+
 def files_sub_json(files):
     algebra = json.load(open(files["algebra"]))
     return json.dumps({"algebra": algebra, "prec": [[1, 1]]})

@@ -137,9 +137,10 @@ class TestVerifyCheck:
         inst = Instance(CarrierContext("b4", b4), b4_leq)
         spec = CHECKS_BY_NAME["rel-below-order-iff-inflationary-diamond"]
         assert verify_check(spec, inst) == ("pass", None)
+        # skipping is the caller's decision: the empty relation fails the
+        # precondition (replayed as a skip in test_replay_skip_when_gated)
         gated = CHECKS_BY_NAME["diamond-detects-rel"]
-        empty = make_instance(b4, [])
-        assert verify_check(gated, empty)[0] == "skip"
+        assert not gated.precondition(make_instance(b4, []))
 
     def test_corrupted_check_reports_counterexample(self, b4, b4_leq):
         inst = Instance(CarrierContext("b4", b4), b4_leq)
@@ -469,9 +470,10 @@ class TestRunSuite:
 
 
 def naive_checks_report(cfg, checks):
-    """The per-check statistics of ``run_suite``, built by calling
-    ``verify_check`` on a fresh ``Instance`` for every (instance, check)
-    pair (carrier-scoped checks on the first instance of each carrier)."""
+    """The per-check statistics of ``run_suite``, built by deciding the
+    precondition and calling ``verify_check`` on a fresh ``Instance`` for
+    every (instance, check) pair (carrier-scoped checks on the first
+    instance of each carrier)."""
     stats = {c.name: {"tested": 0, "passes": 0, "skips": 0,
                       "counterexamples": [], "counterexample_count": 0}
              for c in checks}
@@ -484,11 +486,12 @@ def naive_checks_report(cfg, checks):
         for spec in checks:
             if spec.scope == "carrier" and not first:
                 continue
-            status, detail = verify_check(spec, Instance(contexts[name], S))
+            inst = Instance(contexts[name], S)
             st = stats[spec.name]
-            if status == "skip":
+            if not spec.precondition(inst):
                 st["skips"] += 1
                 continue
+            status, detail = verify_check(spec, inst)
             st["tested"] += 1
             if status == "pass":
                 st["passes"] += 1

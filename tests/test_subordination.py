@@ -16,7 +16,6 @@ from subnorm.subordination import (
     Property,
     ProtoSubAlg,
     SubordRel,
-    _close_fixpoint,
     check_property,
     classify,
     close,
@@ -35,7 +34,13 @@ from subnorm.harness.generate import (
     random_relations,
     relation_from_int,
 )
-from oracles import LOCAL_WITNESS_ORACLES, PROPERTY_ORACLES, WITNESS_ORACLES, closure_oracle
+from oracles import (
+    LOCAL_WITNESS_ORACLES,
+    PROPERTY_ORACLES,
+    WITNESS_ORACLES,
+    close_fixpoint,
+    closure_oracle,
+)
 
 P = Property
 
@@ -296,17 +301,37 @@ class TestClose:
         with pytest.raises(MissingStructure):
             close(S, [P.AND])
 
+    @staticmethod
+    def _rulesets(rules):
+        rules = sorted(rules, key=lambda q: q.value)
+        return [frozenset(c) for k in range(len(rules) + 1)
+                for c in itertools.combinations(rules, k)]
+
     def test_minimality_against_oracle_chain2(self, chain2):
+        # every closable rule set, every relation on the two-element chain
+        rulesets = self._rulesets(CLOSABLE_RULES)
+        assert len(rulesets) == 256
         for packed in range(1 << 4):
-            pairs = set(relation_from_int(2, packed).pairs())
-            for rules, names in [
-                ({P.SI, P.WO}, {"SI", "WO"}),
-                ({P.TOP, P.SI, P.WO, P.AND}, {"TOP", "SI", "WO", "AND"}),
-                ({P.T}, {"T"}),
-            ]:
-                S = ProtoSubAlg.from_pairs(chain2, pairs)
+            S = ProtoSubAlg(chain2, relation_from_int(2, packed))
+            pairs = set(S.prec.pairs())
+            for rules in rulesets:
                 got = set(close(S, rules).prec.pairs())
+                names = {q.value for q in rules}
                 assert got == closure_oracle(chain2, pairs, names), (packed, names)
+
+    def test_minimality_against_oracle_on_posets(self, v_poset, antichain2):
+        # the rules that need only the order, on every relation on V and
+        # on the two-element antichain
+        rulesets = self._rulesets({P.SI, P.WO, P.T})
+        for p in (v_poset, antichain2):
+            n = p.n
+            for packed in range(1 << (n * n)):
+                S = ProtoSubAlg(p, relation_from_int(n, packed))
+                pairs = set(S.prec.pairs())
+                for rules in rulesets:
+                    got = set(close(S, rules).prec.pairs())
+                    names = {q.value for q in rules}
+                    assert got == closure_oracle(p, pairs, names), (n, packed, names)
 
     def test_minimality_against_oracle_chain3_sampled(self, chain3):
         rng = random.Random(6)
@@ -327,16 +352,14 @@ class TestClose:
             S = ProtoSubAlg.from_pairs(lat, pairs)
             for i in (1, 2, 3, 4):
                 assert (close_i(S, i).rows
-                        == tuple(_close_fixpoint(S, SYSTEM_RULES[i])))
+                        == tuple(close_fixpoint(S, SYSTEM_RULES[i])))
 
     def test_filterform_matches_generic_on_small_lattices(self, b4, fdl2, b8):
-        # close() takes the filter form for every closable rule set
-        # containing WO and AND; the generic fixpoint is the reference,
+        # close() takes the joint filter step for every closable rule set
+        # containing WO and AND; the pairwise fixpoint is the reference,
         # on distributive carriers and on the non-distributive N5 and M3
-        optional = sorted(CLOSABLE_RULES - {P.WO, P.AND}, key=lambda q: q.value)
-        rulesets = [frozenset({P.WO, P.AND, *extra})
-                    for k in range(len(optional) + 1)
-                    for extra in itertools.combinations(optional, k)]
+        rulesets = [extra | {P.WO, P.AND}
+                    for extra in self._rulesets(CLOSABLE_RULES - {P.WO, P.AND})]
         assert len(rulesets) == 64
         n5 = to_lattice(poset_from_hasse(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]))
         m3 = to_lattice(poset_from_hasse(5, [(0, 1), (0, 2), (0, 3),
@@ -351,7 +374,7 @@ class TestClose:
                 S = ProtoSubAlg.from_pairs(lat, pairs)
                 for rules in rulesets:
                     assert (close(S, rules).rows
-                            == tuple(_close_fixpoint(S, rules))), (n, pairs, rules)
+                            == tuple(close_fixpoint(S, rules))), (n, pairs, rules)
 
     def test_terminates_within_pair_bound(self, b4):
         # worst case: a single seed pair expanded by the full rule set
