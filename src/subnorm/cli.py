@@ -231,6 +231,13 @@ _REL_CONDS = {
 
 def _cmd_dual(args) -> int:
     S = _load_subalg(args)
+    keys = None
+    if args.check is not None:
+        keys = [part.lower() for part in _comma_list(args.check, "conditions")]
+        for key in keys:
+            if key not in _REL_CONDS:
+                raise SubnormError(f"unknown condition {key!r}; known: "
+                                   + ", ".join(sorted(_REL_CONDS)))
     builder = (build_space_primefilters if args.construction == "primefilters"
                else build_space_jirr)
     sp = builder(S)
@@ -238,13 +245,9 @@ def _cmd_dual(args) -> int:
     lines = [f"points: {', '.join(sp.labels)}",
              "R: " + " ".join(map(str, sp.rel_pairs()))]
     ok = True
-    if args.check is not None:
+    if keys is not None:
         results = {}
-        for part in _comma_list(args.check, "conditions"):
-            key = part.lower()
-            if key not in _REL_CONDS:
-                raise SubnormError(f"unknown condition {key!r}; known: "
-                                   + ", ".join(sorted(_REL_CONDS)))
+        for key in keys:
             holds, witness = check_relational(sp, _REL_CONDS[key])
             ok &= holds
             results[key] = {"holds": holds,

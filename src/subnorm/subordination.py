@@ -581,12 +581,6 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
         _, top = _bounds(S.carrier)
         rows[top] |= 1 << top
     filters = lat is not None and {P.WO, P.AND} <= ruleset
-    if filters:
-        # low[a]: the meet of row a at its last joint step (top before the
-        # first).  Rows only grow, so the meet of row a is the meet of
-        # low[a] and the elements outside up[low[a]]; none outside means
-        # the row is already up[low[a]], or empty
-        low = [lat.top] * n
     guard = n * n + 2
     for _ in range(guard + 1):
         before = tuple(rows)
@@ -597,15 +591,9 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
                     acc |= rows[b]
                 rows[a] = acc
         if filters:
-            meet = lat.meet
             for a in range(n):
-                fresh = rows[a] & ~up[low[a]]
-                if fresh:
-                    m = low[a]
-                    for x in bits(fresh):
-                        m = meet[m][x]
-                    low[a] = m
-                    rows[a] = up[m]
+                if rows[a]:
+                    rows[a] = up[lat.meet_all(rows[a])]
         else:
             if P.WO in ruleset:
                 for a in range(n):

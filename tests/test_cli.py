@@ -278,12 +278,14 @@ class TestVerifyCmd:
     ["check", "--input", "{sub}", "--props"],
     ["close", "--input", "{sub}", "--rules"],
     ["dual", "--algebra", "{algebra}", "--prec", "{prec}", "--check"],
+    ["dual", "--input", "{sub}", "--check"],
     ["verify", "--carriers"],
     ["verify", "--carriers", "chain2", "--checks"],
-], ids=["props", "rules", "check", "carriers", "checks"])
+], ids=["props", "rules", "check", "check-before-space", "carriers", "checks"])
 def test_empty_list_option_is_input_error(capsys, files, argv, value):
     # every comma-list option that names nothing is bad input, never
-    # a silent default or an empty run
+    # a silent default or an empty run; dual reads --check before it
+    # builds the space, which {sub} (not a subordination) would refuse
     code, err = run_err(capsys, *(a.format(**files) for a in argv), value)
     assert code == 2
     assert err.startswith("error: no ") and err.count("\n") == 1
