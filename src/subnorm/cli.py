@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--carriers", help="override corpus carriers (comma-separated)")
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--max-n", type=int, default=4,
-                   help="largest carrier enumerated exhaustively")
+                   help="largest carrier enumerated exhaustively (at most 4)")
     p.add_argument("--samples", type=int, default=120)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--checks", help="run only these checks (comma-separated)")

@@ -352,10 +352,7 @@ def _law_spaces_isomorphic(inst) -> bool:
 
 
 def _prop41_law(i: int):
-    def run(inst) -> bool:
-        return verify_prop41(inst.S, i)[0]
-
-    return run
+    return lambda inst: verify_prop41(inst.S, i)
 
 
 # ---- carrier-scoped: negation lifting laws --------------------------------

@@ -97,9 +97,10 @@ def random_relations(carrier: FinLattice, samples: int, seed: int,
 class GenConfig:
     """Corpus configuration for a verification run.
 
-    ``mode`` is ``exhaustive`` (all relations; only for carriers with at
-    most 4 elements) or ``random``.  Large carriers always fall back to
-    closure-generated plus seeded-random streams regardless of mode.
+    ``mode`` is ``exhaustive`` (all relations on carriers with at most
+    ``max_n`` elements; ``max_n`` is at most 4) or ``random``.  Larger
+    carriers always fall back to closure-generated plus seeded-random
+    streams regardless of mode.
     """
 
     carriers: tuple[str, ...] = ("chain2", "chain3", "chain4", "b4", "fdl2", "b8")
@@ -115,6 +116,9 @@ class GenConfig:
             if getattr(self, name) < 0:
                 raise InputFormatError(
                     f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.max_n * self.max_n > _EXHAUSTIVE_BITS:
+            raise InputFormatError(
+                f"max_n must be at most 4 (2^16 relations), got {self.max_n}")
 
     def describe(self) -> dict:
         return {
@@ -137,7 +141,7 @@ def corpus_stream(cfg: GenConfig) -> Iterator[tuple[str, ProtoSubAlg]]:
     for name in cfg.carriers:
         carrier = load_carrier(name)
         n = carrier.n
-        if cfg.mode == "exhaustive" and n <= cfg.max_n and n * n <= _EXHAUSTIVE_BITS:
+        if cfg.mode == "exhaustive" and n <= cfg.max_n:
             for S in enumerate_relations(carrier):
                 yield name, S
             continue

@@ -27,48 +27,46 @@ whole diamond-side verdict are therefore computed once per (carrier,
 system, diamond tuple); per instance only the box side is checked,
 against the meet memoised per box tuple.
 
-Oracle.  ``verify_by_enumeration`` is the exhaustive search: it builds
-the completion and both slanted algebras and enumerates every candidate
-map.  When a table verdict fails, ``verify_prop41`` returns the
-enumeration's result, so every witness comes from the search, and the
-tests hold the tables to it.
+Oracle.  The tests hold ``verify_prop41`` to an exhaustive enumeration
+of all ``n^n`` maps of the carrier, written from the laws above
+(``tests/oracles.py``).
 
 No analogous first-order law pins down the box of systems 3 and 4: the
 contraction closure adds pairs whose columns depend on row structure
 the box cannot see, and on B4 with the single seed pair (x, y) the
 system-3 box itself violates the candidate law box(a v box(a)) <=
-box(a).  The box side is therefore checked for systems 1 and 2 only;
-``box_minimality_failure`` stays exposed for experiments.
+box(a).  The box side is therefore checked for systems 1 and 2 only.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from ..completion import dm_completion
+from ..completion import dm_completion  # noqa: F401  (perfbench traces this binding)
 from ..errors import MissingStructure, TooLarge
-from ..order import FinLattice, bits, is_monotone, subset_tables
-from ..slanted import build_slanted
-from ..subordination import ProtoSubAlg, Property, close_i, property_holds
+from ..order import FinLattice, is_monotone, subset_tables
+from ..slanted import build_slanted  # noqa: F401  (perfbench traces this binding)
+from ..subordination import (  # noqa: F401  (property_holds: perfbench traces this binding)
+    ProtoSubAlg,
+    close_i,
+    property_holds,
+)
 
 _N_CAP = 4
 
 
-def _dominated_maps(lat: FinLattice, bound: Sequence[int],
-                    below: bool) -> Iterator[tuple[int, ...]]:
-    """All maps pointwise below (or above) the bound, pruned early on
-    monotonicity against already-fixed positions."""
+def _monotone_maps(lat: FinLattice) -> Iterator[tuple[int, ...]]:
+    """All monotone maps of the carrier, pruned early on monotonicity
+    against already-fixed positions."""
     p = lat.poset
     n = lat.n
-    choices = [sorted(bits(p.down[bound[a]] if below else p.up[bound[a]]))
-               for a in range(n)]
     f = [0] * n
 
     def rec(a: int) -> Iterator[tuple[int, ...]]:
         if a == n:
             yield tuple(f)
             return
-        for v in choices[a]:
+        for v in range(n):
             ok = True
             for b in range(a):
                 if p.leq(a, b) and not p.leq(v, f[b]):
@@ -109,44 +107,6 @@ def _box_qualifies(lat: FinLattice, g: Sequence[int]) -> bool:
                    for x in range(n) for y in range(n))
 
 
-def diamond_maximality_failure(lat: FinLattice, dia: Sequence[int],
-                               dia_i: Sequence[int], i: int) -> Optional[dict]:
-    """A qualifying map below ``dia`` that ``dia_i`` fails to dominate,
-    or a reason ``dia_i`` itself does not qualify; None when maximal."""
-    if not all(lat.leq(dia_i[a], dia[a]) for a in range(lat.n)):
-        return {"side": "diamond", "reason": "closure map not dominated",
-                "map": list(dia_i)}
-    p = lat.poset
-    if not (is_monotone(dia_i, p, p) and _diamond_qualifies(lat, dia_i, i)):
-        return {"side": "diamond", "reason": "closure map fails its own laws",
-                "map": list(dia_i)}
-    for f in _dominated_maps(lat, dia, below=True):
-        if not _diamond_qualifies(lat, f, i):
-            continue
-        if not all(lat.leq(f[a], dia_i[a]) for a in range(lat.n)):
-            return {"side": "diamond", "reason": "larger qualifying map",
-                    "map": list(f)}
-    return None
-
-
-def box_minimality_failure(lat: FinLattice, box: Sequence[int],
-                           box_i: Sequence[int]) -> Optional[dict]:
-    if not all(lat.leq(box[a], box_i[a]) for a in range(lat.n)):
-        return {"side": "box", "reason": "closure map not dominating",
-                "map": list(box_i)}
-    p = lat.poset
-    if not (is_monotone(box_i, p, p) and _box_qualifies(lat, box_i)):
-        return {"side": "box", "reason": "closure map fails its own laws",
-                "map": list(box_i)}
-    for g in _dominated_maps(lat, box, below=False):
-        if not _box_qualifies(lat, g):
-            continue
-        if not all(lat.leq(box_i[a], g[a]) for a in range(lat.n)):
-            return {"side": "box", "reason": "smaller qualifying map",
-                    "map": list(g)}
-    return None
-
-
 class _ExtremalityTables:
     """Closure-extremality tables of one lattice carrier, filled as
     diamonds and boxes are met."""
@@ -168,7 +128,7 @@ class _ExtremalityTables:
         maps = self._qualifying.get(key)
         if maps is None:
             lat = self.lat
-            monotone = _dominated_maps(lat, [lat.top] * lat.n, below=True)
+            monotone = _monotone_maps(lat)
             if key == "box":
                 maps = [g for g in monotone if _box_qualifies(lat, g)]
             else:
@@ -225,20 +185,15 @@ def _extremality_tables(S: ProtoSubAlg) -> _ExtremalityTables:
     return got
 
 
-def _require_small_distributive(S: ProtoSubAlg) -> FinLattice:
+def verify_prop41(S: ProtoSubAlg, i: int) -> bool:
+    """Whether both closure-``i`` operators of a directed instance are
+    extremal, read off the carrier's tables."""
     if S.n > _N_CAP:
         raise TooLarge(f"map enumeration on {S.n} elements")
     lat = S.lattice
     if lat is None or not lat.is_distributive:
         raise MissingStructure("closure extremality",
                                "a bounded distributive lattice carrier")
-    return lat
-
-
-def extremal_from_tables(S: ProtoSubAlg, i: int) -> bool:
-    """Whether both closure-``i`` operators of a directed instance are
-    extremal, read off the carrier's tables."""
-    lat = _require_small_distributive(S)
     t = _extremality_tables(S)
     dia = tuple([t.dia_of[r] for r in S.rows])
     box = tuple([t.box_of[c] for c in S.cols])
@@ -249,31 +204,3 @@ def extremal_from_tables(S: ProtoSubAlg, i: int) -> bool:
         ok = (_pointwise_leq(lat, box, box_i)
               and _pointwise_leq(lat, box_i, t.box_bound(box)))
     return ok
-
-
-def verify_prop41(S: ProtoSubAlg, i: int) -> tuple[bool, Optional[dict]]:
-    """Confirm extremality of both closure-``i`` operators on a directed
-    instance from the carrier's tables; on failure, the verdict and
-    witness of ``verify_by_enumeration``."""
-    if extremal_from_tables(S, i):
-        return True, None
-    return verify_by_enumeration(S, i)
-
-
-def verify_by_enumeration(S: ProtoSubAlg, i: int) -> tuple[bool, Optional[dict]]:
-    """Confirm extremality of both closure-``i`` operators on a directed
-    instance by exhaustive map enumeration."""
-    lat = _require_small_distributive(S)
-    if not (property_holds(S, Property.DD) and property_holds(S, Property.UD)):
-        raise MissingStructure("closure extremality", "a directed instance")
-    ext = dm_completion(lat)
-    sa = build_slanted(S, ext)
-    sai = build_slanted(close_i(S, i), ext)
-    bad = diamond_maximality_failure(lat, sa.dia, sai.dia, i)
-    if bad is not None:
-        return False, bad
-    if i in (1, 2):
-        bad = box_minimality_failure(lat, sa.box, sai.box)
-        if bad is not None:
-            return False, bad
-    return True, None

@@ -1,30 +1,34 @@
-"""Conditional-norm reasoning over a classical propositional base.
+"""Input/output logic over a classical propositional base.
 
 A normative system is a finite set of body/head formula pairs (formulas
 are the modal-free terms of ``subnorm.syntax`` plus ``->``).  Its
-derivability closures 1..4 are computed algebraically: formulas map to
-their truth tables inside the free Boolean algebra on the variables in
-play, the induced relation on that algebra is closed under the rule
-system, and a query pair holds iff its image lands in the closure.
-This is sound and complete for the quotient of formulas under mutual
-entailment, because every closure rule respects that quotient.  The
-variable budget is capped at three (a 256-element algebra); beyond
-that the materialized relation would be astronomically large, so bigger
-queries are rejected rather than silently truncated.
+derivability closures 1..4 are Makinson and van der Torre's output
+operators out1..out4 ("Input/output logics", J. Phil. Logic 29, 2000),
+computed algebraically: formulas map to their truth tables inside the
+free Boolean algebra on the variables in play, the induced relation on
+that algebra is closed under the rule system, and a query pair holds iff
+its image lands in the closure.  This is sound and complete for the
+quotient of formulas under mutual entailment, because every closure rule
+respects that quotient.  The variable budget is capped at three (a
+256-element algebra); beyond that the materialized relation would be
+astronomically large, so bigger queries are rejected rather than
+silently truncated.
 
-``out(N, i, gamma, psi)`` asks whether some body in ``gamma`` yields
-``psi`` in closure ``i``; ``modal_output`` is the aggregative variant
-that first meets all of ``gamma`` into a single element and then applies
-the closure diamond, so it can combine several bodies at once.
+``derive(N, i, (a, x))`` asks whether ``x`` is in out_i(N, a);
+``out(N, i, gamma, psi)`` whether some body in ``gamma`` yields ``psi``;
+``modal_output`` is the aggregative variant that first meets all of
+``gamma`` into a single element, so it can combine several bodies at
+once.  The tests hold all three to the semantic characterisations of
+out1..out4 (``tests/oracles.py``), which never close a relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import MissingStructure, ParseError, TooManyVariables
+from .errors import ParseError, TooManyVariables
 from .order import free_boolean_algebra
 from .subordination import ProtoSubAlg, SubordRel, close_i
 from .syntax import Term, evaluate, format_term, parse_formula, term_variables
@@ -39,15 +43,6 @@ def truth_table(f: Term, atoms_order: Sequence[str]) -> int:
     atoms, each atom sent to its generator."""
     lat, gens = free_boolean_algebra(len(atoms_order))
     return evaluate(f, dict(zip(atoms_order, gens)), lat, {"not": lat.neg})
-
-
-def entails(phi: Term, psi: Term) -> bool:
-    """Classical consequence via truth-table inclusion in the free
-    Boolean algebra on the combined variables."""
-    names = term_variables(phi, psi)
-    if len(names) > _VAR_CAP:
-        raise TooManyVariables(len(names))
-    return truth_table(phi, names) & ~truth_table(psi, names) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +143,6 @@ def out(N: NormativeSystem, i: int, gamma: Iterable[Term], psi: Term) -> bool:
     return any(rows[truth_table(g, names)] >> head & 1 for g in gamma)
 
 
-def out_set(N: NormativeSystem, i: int, gamma: Iterable[Term],
-            extra_atoms: Sequence[str] = ()) -> tuple[list[str], int]:
-    """The full output of ``gamma`` as a bitmask of free-algebra elements,
-    together with the atom order fixing the element encoding."""
-    gamma = list(gamma)
-    names = sorted(set(_atom_frame(N, *gamma)) | set(extra_atoms))
-    if len(names) > _VAR_CAP:
-        raise TooManyVariables(len(names))
-    rows = _closure_data(len(names), induced_relation(N, names), i)
-    acc = 0
-    for g in gamma:
-        acc |= rows[truth_table(g, names)]
-    return names, acc
-
-
 def modal_output(N: NormativeSystem, i: int, gamma: Iterable[Term],
                  psi: Term) -> bool:
     """Aggregative output: meet all of ``gamma`` into one element ``m``
@@ -177,34 +157,3 @@ def modal_output(N: NormativeSystem, i: int, gamma: Iterable[Term],
         m &= truth_table(g, names)
     rows = _closure_data(len(names), induced_relation(N, names), i)
     return bool(rows[m] >> truth_table(psi, names) & 1)
-
-
-# ---------------------------------------------------------------------------
-# models
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IOModel:
-    """A relation-equipped lattice with a valuation of atoms into it."""
-
-    S: ProtoSubAlg
-    h: Mapping[str, int]
-
-
-def eval_formula(f: Term, h: Mapping[str, int], S: ProtoSubAlg) -> int:
-    """Homomorphic extension of the valuation into the carrier lattice."""
-    lat = S.lattice
-    if lat is None:
-        raise MissingStructure("formula evaluation", "a lattice carrier")
-    return evaluate(f, h, lat, {"not": lat.neg})
-
-
-def check_model(model: IOModel, N: NormativeSystem) -> tuple[bool, Optional[Norm]]:
-    """Whether every norm's body/head values stand in the relation; on
-    failure also return the first violated norm."""
-    for norm in N:
-        a = eval_formula(norm.body, model.h, model.S)
-        b = eval_formula(norm.head, model.h, model.S)
-        if not model.S.prec.has(a, b):
-            return False, norm
-    return True, None

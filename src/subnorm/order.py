@@ -394,10 +394,6 @@ class NegationReport:
     left_self_adjoint: bool
     right_self_adjoint: bool
 
-    def all_laws(self) -> bool:
-        return (self.antitone and self.involutive
-                and self.left_self_adjoint and self.right_self_adjoint)
-
 
 NEGATION_LAWS = ("antitone", "involutive",
                  "left-self-adjunction", "right-self-adjunction")

@@ -3,9 +3,9 @@
 ``build_slanted`` turns a relation into the operator pair: the diamond
 of an element is the meet (in the completion) of its direct image, the
 box the join of its inverse image.  Empty images give the degenerate
-values (empty meet = completion top, empty join = completion bottom);
-those count as closed/open for the properness flags, being meets/joins
-of the vacuously directed empty family.
+values (empty meet = completion top, empty join = completion bottom),
+the meet/join of the vacuously directed empty family; so the sigma and
+pi extensions count the top as closed and the bottom as open.
 
 Modal terms (``subnorm.syntax``) are evaluated in the completion via the
 sigma extension of the diamond and the pi extension of the box, which
@@ -38,17 +38,14 @@ from .syntax import Inequality, Term, evaluate, subterms, term_variables
 class SlantedAlg:
     """Carrier with diamond/box maps into its canonical extension."""
 
-    __slots__ = ("source", "ext", "dia", "box", "proper_diamond", "proper_box")
+    __slots__ = ("source", "ext", "dia", "box")
 
     def __init__(self, source: ProtoSubAlg, ext: CanonicalExtension,
-                 dia: Sequence[int], box: Sequence[int],
-                 proper_diamond: bool, proper_box: bool):
+                 dia: Sequence[int], box: Sequence[int]):
         self.source = source
         self.ext = ext
         self.dia = tuple(dia)
         self.box = tuple(box)
-        self.proper_diamond = proper_diamond
-        self.proper_box = proper_box
 
     @property
     def delta(self) -> FinLattice:
@@ -67,18 +64,14 @@ def build_slanted(S: ProtoSubAlg,
     """Diamond/box maps of a relation, computed inside the completion.
 
     ``ext`` must be the completion of ``S``'s carrier; it is built on the
-    fly when omitted.  Never fails: non-directed inputs simply come out
-    with the corresponding properness flag off.
+    fly when omitted.  Never fails: on a non-directed input a diamond
+    value need not be closed, nor a box value open.
     """
     if ext is None:
         ext = dm_completion(S.carrier)
     dia = [ext.meet_of_base(r) for r in S.rows]
     box = [ext.join_of_base(c) for c in S.cols]
-    closed_eff = ext.closed | 1 << ext.delta.top
-    open_eff = ext.open | 1 << ext.delta.bot
-    proper_dia = all(closed_eff >> v & 1 for v in dia)
-    proper_box = all(open_eff >> v & 1 for v in box)
-    return SlantedAlg(S, ext, dia, box, proper_dia, proper_box)
+    return SlantedAlg(S, ext, dia, box)
 
 
 def sigma_extension(sa: SlantedAlg) -> tuple[int, ...]:

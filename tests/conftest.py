@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from subnorm.harness.carriers import load_carrier
 from subnorm.order import poset_from_hasse, validate_poset
 from subnorm.subordination import ProtoSubAlg
-from subnorm.syntax import BOT, TOP, var
+from subnorm.syntax import BOT, TOP, tand, tnot, tor, var
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +64,17 @@ def term_trees(unary, binary):
         st.sampled_from([var("p"), var("q"), TOP, BOT]),
         lambda t: st.one_of(*(st.builds(u, t) for u in unary),
                             *(st.builds(b, t, t) for b in binary)))
+
+
+def formula_of_table(mask, atoms):
+    """A formula whose truth table over ``atoms`` is ``mask``: the
+    disjunction of one conjunction of literals per set bit (valuation
+    ``v`` sets atom ``j`` iff bit ``j`` of ``v`` is set)."""
+    out = BOT
+    for v in range(1 << len(atoms)):
+        if mask >> v & 1:
+            term = TOP
+            for j, name in enumerate(atoms):
+                term = tand(term, var(name) if v >> j & 1 else tnot(var(name)))
+            out = term if out == BOT else tor(out, term)
+    return out

@@ -2,17 +2,19 @@
 
 Everything here recomputes results from first definitions using plain
 set/dict logic, deliberately avoiding the bitmask machinery of the
-package, so a bug in the fast paths cannot hide itself.  The one
-exception is ``close_fixpoint``, the pairwise closure that
+package, so a bug in the fast paths cannot hide itself.  The
+exceptions are ``close_fixpoint``, the pairwise closure that
 ``subordination.close`` is held to on carriers too large for the
-exhaustive ``closure_oracle``.
+exhaustive ``closure_oracle``, and ``extremality_oracle``, which takes
+the closure it judges from ``close_i`` (held to those two) unless a test
+plants one.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations, product
 
 from subnorm.order import FinLattice, FinPoset, bits
-from subnorm.subordination import Property as P, _bounds
+from subnorm.subordination import Property as P, _bounds, close_i
 
 
 def subsets(xs):
@@ -601,6 +603,107 @@ for _name, _oracle in LOCAL_WITNESS_ORACLES.items():
     PROPERTY_ORACLES[_name] = lambda S, _oracle=_oracle: _oracle(S) is None
 
 
+# ---- closure extremality ----------------------------------------------
+#
+# The laws of ``harness.maximality``'s docstring, decided over every map
+# of the carrier: the closure diamond qualifies, lies below the diamond
+# and dominates every qualifying map below it; for systems 1 and 2 the
+# closure box qualifies, lies above the box and lies below every
+# qualifying map above it.  Bounds are computed from the order alone.
+
+@lru_cache(maxsize=None)
+def _bound(le: frozenset, n: int, members: frozenset, lower: bool) -> int:
+    """The greatest lower (or least upper) bound of ``members``; the
+    empty set's is the top (or the bottom)."""
+    if lower:
+        cands = [x for x in range(n) if all((x, m) in le for m in members)]
+        return next(x for x in cands if all((y, x) in le for y in cands))
+    cands = [x for x in range(n) if all((m, x) in le for m in members)]
+    return next(x for x in cands if all((x, y) in le for y in cands))
+
+
+def _bounds_of(carrier, masks, lower: bool) -> tuple:
+    le = _order(carrier)
+    return tuple(_bound(le, carrier.n, frozenset(_members(carrier, m)), lower)
+                 for m in masks)
+
+
+def diamond_law_oracle(carrier, f, i: int) -> bool:
+    """Join-preserving for systems 2 and 4; the contraction law
+    ``f(a) <= f(a ^ f(a))`` for systems 3 and 4."""
+    le, n = _order(carrier), carrier.n
+    join = lambda a, b: _bound(le, n, frozenset((a, b)), False)
+    meet = lambda a, b: _bound(le, n, frozenset((a, b)), True)
+    if i in (2, 4) and any(f[join(a, b)] != join(f[a], f[b])
+                           for a in range(n) for b in range(n)):
+        return False
+    return not (i in (3, 4) and any((f[a], f[meet(a, f[a])]) not in le
+                                    for a in range(n)))
+
+
+def box_law_oracle(carrier, g) -> bool:
+    """Fixes the top and is submultiplicative over meets:
+    ``g(x) ^ g(y) <= g(x ^ y)``."""
+    le, n = _order(carrier), carrier.n
+    meet = lambda a, b: _bound(le, n, frozenset((a, b)), True)
+    return g[_top(carrier)] == _top(carrier) and all(
+        (meet(g[x], g[y]), g[meet(x, y)]) in le for x in range(n) for y in range(n))
+
+
+@lru_cache(maxsize=None)
+def _monotone_maps(le: frozenset, n: int) -> tuple:
+    """Every monotone map, found among all ``n^n`` maps."""
+    return tuple(f for f in product(range(n), repeat=n)
+                 if all((f[x], f[y]) in le for x, y in le))
+
+
+_QUALIFYING = {}
+
+
+def _qualifying(carrier, law, *args) -> tuple:
+    le = _order(carrier)
+    key = (le, carrier.n, law, args)
+    if key not in _QUALIFYING:
+        _QUALIFYING[key] = tuple(f for f in _monotone_maps(le, carrier.n)
+                                 if law(carrier, f, *args))
+    return _QUALIFYING[key]
+
+
+def extremality_oracle(S, i: int, close=close_i, diamond_law=diamond_law_oracle,
+                       box_law=box_law_oracle):
+    """None when both closure-``i`` operators of the directed instance
+    ``S`` are extremal, else ``(side, map)``: the closure map when it
+    breaks its own laws or its bound, or else the first qualifying map
+    it fails to dominate (diamond) or to lie below (box).  ``close(S,
+    i)`` gives the closed relation (its ``rows`` and ``cols``), and the
+    laws are ``diamond_law(carrier, f, i)`` and ``box_law(carrier, g)``;
+    a test may plant any of them."""
+    carrier = S.carrier
+    le = _order(carrier)
+    monotone = _monotone_maps(le, carrier.n)
+
+    def below(f, g):
+        return all((x, y) in le for x, y in zip(f, g))
+
+    closed = close(S, i)
+    dia = _bounds_of(carrier, S.rows, lower=True)
+    dia_i = _bounds_of(carrier, closed.rows, lower=True)
+    if not (below(dia_i, dia) and dia_i in monotone and diamond_law(carrier, dia_i, i)):
+        return "diamond", dia_i
+    for f in _qualifying(carrier, diamond_law, i):
+        if below(f, dia) and not below(f, dia_i):
+            return "diamond", f
+    if i in (1, 2):
+        box = _bounds_of(carrier, S.cols, lower=False)
+        box_i = _bounds_of(carrier, closed.cols, lower=False)
+        if not (below(box, box_i) and box_i in monotone and box_law(carrier, box_i)):
+            return "box", box_i
+        for g in _qualifying(carrier, box_law):
+            if below(box, g) and not below(box_i, g):
+                return "box", g
+    return None
+
+
 def eval_formula_oracle(f, valuation: dict) -> bool:
     kind = f[0]
     if kind == "var":
@@ -618,6 +721,48 @@ def eval_formula_oracle(f, valuation: dict) -> bool:
     if kind == "imp":
         return (not eval_formula_oracle(f[1], valuation)) or eval_formula_oracle(f[2], valuation)
     raise AssertionError(f)
+
+
+# ---- input/output logic ------------------------------------------------
+#
+# Makinson and van der Torre's semantic characterisations of out1..out4
+# ("Input/output logics", J. Phil. Logic 29, 2000).  A formula is the set
+# of valuations of the atoms that satisfy it; every theory is the up-set
+# of such a set b, and the complete sets are the up-sets of the single
+# valuations and of the empty set.  An intersection of up-sets is the
+# up-set of the union, so each out_i(N, a) is the up-set of one set.
+
+def _extension(f, atoms) -> frozenset:
+    return frozenset(k for k, vals in enumerate(product((False, True), repeat=len(atoms)))
+                     if eval_formula_oracle(f, dict(zip(atoms, vals))))
+
+
+def out_oracle(norms, i: int, a, x, atoms) -> bool:
+    """Whether ``x`` is in out_i(norms, a), for ``norms`` a list of
+    (body, head) formulas over ``atoms``.  With h(b) the meet of the
+    heads of the norms whose body lies above b:
+    out1 = up h(a); out2 = up h(bot) cut with up h(v) over the
+    valuations v in a; out3 = the cut of up h(b) over the b <= a with
+    h(b) >= b; out4 = out2 cut only over the v with h(v) >= v."""
+    full = frozenset(range(1 << len(atoms)))
+    pairs = [(_extension(b, atoms), _extension(h, atoms)) for b, h in norms]
+
+    def h(b):
+        out = full
+        for body, head in pairs:
+            if b <= body:
+                out &= head
+        return out
+
+    a = _extension(a, atoms)
+    if i == 1:
+        bound = h(a)
+    elif i == 3:
+        bound = frozenset().union(*(h(b) for b in map(frozenset, subsets(a))
+                                    if b <= h(b)))
+    else:
+        bound = h(frozenset()).union(*(h({v}) for v in a if i == 2 or v in h({v})))
+    return bound <= _extension(x, atoms)
 
 
 # ---- catalog laws, one pair at a time ----------------------------------

@@ -272,6 +272,14 @@ class TestVerifyCmd:
         assert code == 2
         assert err.count("\n") == 1 and "non-negative" in err
 
+    def test_max_n_above_exhaustive_cap_is_input_error(self, capsys):
+        # carriers above four elements never enumerate exhaustively, so
+        # a larger --max-n would silently run the random stream
+        code = main(["verify", "--carriers", "chain5", "--max-n", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "max_n must be at most 4" in err
+
 
 @pytest.mark.parametrize("value", ["", ",", " , "])
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import json
 import random
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,12 +30,6 @@ from subnorm.harness.run import LAYERS
 from subnorm.harness.carriers import load_carrier
 from subnorm.harness.catalog import Inequalities
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
-from subnorm.harness.maximality import (
-    box_minimality_failure,
-    diamond_maximality_failure,
-    extremal_from_tables,
-    verify_by_enumeration,
-)
 from subnorm.order import FinLattice, FinPoset, bits
 from subnorm.slanted import build_slanted, valid
 from subnorm.subordination import (
@@ -50,7 +45,7 @@ from subnorm.subordination import (
 )
 from subnorm.syntax import parse_inequality
 from conftest import leq_relation
-from oracles import LAW_ORACLES
+from oracles import LAW_ORACLES, extremality_oracle
 
 P = Property
 
@@ -193,13 +188,20 @@ class TestVerifyCheck:
 
 
 class TestProp41:
+    """``verify_prop41`` against the exhaustive ``extremality_oracle``.
+    A planted closure replaces ``close_i`` for the tables and is passed
+    to the oracle; a planted closure is not a function of the diamond,
+    so each planted instance lives on a fresh copy of its carrier."""
+
     def test_leq_extremal_all_systems(self, b4_leq):
         for i in (1, 2, 3, 4):
-            assert verify_prop41(b4_leq, i) == (True, None)
+            assert verify_prop41(b4_leq, i) is True
+            assert extremality_oracle(b4_leq, i) is None
 
     def test_empty_relation(self, b4):
         S = ProtoSubAlg.from_pairs(b4, [])
-        assert verify_prop41(S, 1)[0]
+        assert verify_prop41(S, 1) is True
+        assert extremality_oracle(S, 1) is None
 
     def test_requires_directed(self, b4):
         S = ProtoSubAlg.from_pairs(b4, [(3, 1), (3, 2)])
@@ -210,23 +212,36 @@ class TestProp41:
         with pytest.raises(TooLarge):
             verify_prop41(leq_relation(fdl2), 1)
 
-    def test_injected_fault_yields_witness_map(self, b4, b4_leq):
-        from subnorm.completion import dm_completion
-        sa = build_slanted(b4_leq, dm_completion(b4))
-        lowered = list(sa.dia)
-        lowered[3] = 1  # pretend the closure diamond lost information at top
-        bad = diamond_maximality_failure(b4, sa.dia, lowered, 1)
-        assert bad is not None
-        assert bad["reason"] in ("larger qualifying map",
-                                 "closure map fails its own laws")
+    def test_injected_fault_yields_witness_map(self, b4, b4_leq, monkeypatch):
+        # the closure diamond loses information at the top: dia_i[3] = 1
+        S = ProtoSubAlg(fresh_copy(b4), b4_leq.prec)
 
-    def test_box_fault_detected(self, b4, b4_leq):
-        from subnorm.completion import dm_completion
-        sa = build_slanted(b4_leq, dm_completion(b4))
-        raised = list(sa.box)
-        raised[0] = 2  # a smaller qualifying map exists below this one
-        bad = box_minimality_failure(b4, sa.box, raised)
-        assert bad is not None
+        def lowered(T, j):
+            rows = list(close_i(T, j).rows)
+            rows[3] |= b4.poset.up[1]
+            return T.with_rows(rows)
+
+        monkeypatch.setattr(maximality, "close_i", lowered)
+        for i in (1, 2, 3, 4):
+            assert verify_prop41(S, i) is False
+            side, witness = extremality_oracle(S, i, close=lowered)
+            assert side == "diamond" and len(witness) == 4
+
+    def test_box_fault_detected(self, b4, b4_leq, monkeypatch):
+        # the closure box rises at the bottom: box_i[0] = 2.  No relation
+        # raises that box without lowering the diamond, so the planted
+        # closure's columns disagree with its rows and only the box moves
+        S = ProtoSubAlg(fresh_copy(b4), b4_leq.prec)
+
+        def raised(T, j):
+            closed = close_i(T, j)
+            cols = list(closed.cols)
+            cols[0] |= 1 << 2
+            return SimpleNamespace(rows=closed.rows, cols=tuple(cols))
+
+        monkeypatch.setattr(maximality, "close_i", raised)
+        assert verify_prop41(S, 1) is False
+        assert extremality_oracle(S, 1, close=raised) == ("box", (2, 1, 2, 3))
 
     @pytest.mark.parametrize("name, sample", [
         ("chain2", None), ("chain3", None), ("chain4", 2000), ("b4", 2000)])
@@ -238,20 +253,16 @@ class TestProp41:
                 else directed_sample(lat, sample, seed=41))
         for S in rels:
             for i in (1, 2, 3, 4):
-                want = verify_by_enumeration(S, i)
-                assert extremal_from_tables(S, i) == want[0], (S, i)
-                assert verify_prop41(S, i) == want, (S, i)
+                assert verify_prop41(S, i) == (extremality_oracle(S, i) is None), (S, i)
 
     def test_tables_match_enumeration_on_planted_closures(self, chain4, b4,
                                                           monkeypatch):
         # A planted system-i closure makes the extremality claim fail on
         # some instances and hold on others; the table verdict must follow
-        # the enumeration either way, for system i and for the other
-        # systems checked after it on the same tables.  Toggling any pair
-        # moves both operators; dropping a pair above a row's minimum keeps
-        # the diamond and moves only the box (systems 1 and 2).  A planted
-        # closure is not a function of the diamond, so each relation gets
-        # fresh tables.
+        # the oracle either way, for system i and for the other systems
+        # checked after it on the same tables.  Toggling any pair moves
+        # both operators; dropping a pair above a row's minimum keeps the
+        # diamond and moves only the box (systems 1 and 2).
         rng = random.Random(5)
         outcomes = {(mode, ok): 0 for mode in ("toggle", "drop") for ok in (True, False)}
         for base in (chain4, b4):
@@ -276,9 +287,9 @@ class TestProp41:
                     monkeypatch.setattr(maximality, "close_i", planted)
                     T = ProtoSubAlg(fresh_copy(base), S.prec)
                     for j in (i, *(j for j in (1, 2, 3, 4) if j != i)):
-                        want = verify_by_enumeration(T, j)[0]
-                        assert extremal_from_tables(T, j) == want, (S, i, j, mode, a, x)
-                    outcomes[mode, verify_by_enumeration(T, i)[0]] += 1
+                        want = extremality_oracle(T, j, close=planted) is None
+                        assert verify_prop41(T, j) == want, (S, i, j, mode, a, x)
+                    outcomes[mode, extremality_oracle(T, i, close=planted) is None] += 1
         assert min(outcomes.values()) >= 20, outcomes
 
     @pytest.mark.parametrize("law", ["_diamond_qualifies", "_box_qualifies"])
@@ -286,39 +297,51 @@ class TestProp41:
                                                           monkeypatch):
         # with every monotone map counted as qualifying on one side, the
         # closure operators stop being extremal on many instances, which
-        # no planted closure can reach on the box side (a box above the
+        # no planted relation can reach on the box side (a box above the
         # minimal one needs a lower diamond); the table verdict must still
-        # follow the enumeration
-        monkeypatch.setattr(maximality, law, lambda lat, f, *i: True)
+        # follow the oracle under the same loosened law
+        def loose(lat, f, *i):
+            return True
+
+        monkeypatch.setattr(maximality, law, loose)
+        laws = {"diamond_law" if law == "_diamond_qualifies" else "box_law": loose}
         outcomes = {True: 0, False: 0}
         for base in (chain4, b4):
             for S in directed_sample(base, 100, seed=45):
                 T = ProtoSubAlg(fresh_copy(base), S.prec)
                 for i in (1, 2, 3, 4):
-                    want = verify_by_enumeration(T, i)[0]
-                    assert extremal_from_tables(T, i) == want, (S, i)
+                    want = extremality_oracle(T, i, **laws) is None
+                    assert verify_prop41(T, i) == want, (S, i)
                     outcomes[want] += 1
         assert min(outcomes.values()) >= 20, outcomes
 
-    def test_box_bound_matches_enumeration(self, chain4, b4):
-        # the memoised meet of the qualifying maps above a box, against the
-        # search: a qualifying map above the box lies below that meet iff
-        # the search finds no smaller qualifying map
+    def test_box_bound_matches_enumeration(self, chain4, b4, monkeypatch):
+        # the memoised meet of the qualifying maps above a box: plant each
+        # qualifying map h above the box as the system-1 and system-2
+        # closure box (the diamond stays the true one); h passes iff it is
+        # the least qualifying map above the box
         outcomes = {True: 0, False: 0}
         for lat in (chain4, b4):
+            tables = maximality._extremality_tables(leq_relation(lat))
             for S in directed_sample(lat, 60, seed=44):
-                tables = maximality._extremality_tables(S)
                 box = build_slanted(S).box
-                bound = tables.box_bound(tuple(box))
                 for h in tables.qualifying("box"):
-                    if all(lat.leq(x, y) for x, y in zip(box, h)):
-                        minimal = box_minimality_failure(lat, box, h) is None
-                        assert all(lat.leq(x, y) for x, y in zip(h, bound)) == minimal
-                        outcomes[minimal] += 1
+                    if not all(lat.leq(x, y) for x, y in zip(box, h)):
+                        continue
+
+                    def planted(T, j, h=h):
+                        return SimpleNamespace(rows=close_i(T, j).rows,
+                                               cols=tuple(1 << y for y in h))
+
+                    monkeypatch.setattr(maximality, "close_i", planted)
+                    T = ProtoSubAlg(fresh_copy(lat), S.prec)
+                    for j in (1, 2):
+                        want = extremality_oracle(T, j, close=planted) is None
+                        assert verify_prop41(T, j) == want, (S, h, j)
+                        outcomes[want] += 1
         assert min(outcomes.values()) >= 50, outcomes
 
     def test_planted_failure_same_witness_both_paths(self, b4, monkeypatch):
-        from subnorm.completion import dm_completion
         lat = fresh_copy(b4)
         S = leq_relation(lat)
 
@@ -330,12 +353,9 @@ class TestProp41:
             return T.with_rows(rows)
 
         monkeypatch.setattr(maximality, "close_i", lowered)
-        assert extremal_from_tables(S, 1) is False
-        ok, witness = verify_prop41(S, 1)
-        assert (ok, witness) == verify_by_enumeration(S, 1)
-        sa = build_slanted(S, dm_completion(lat))
-        want = diamond_maximality_failure(lat, sa.dia, [0, 1, 2, 1], 1)
-        assert ok is False and witness == want
+        assert verify_prop41(S, 1) is False
+        # the lowered diamond is not monotone (2 <= 3 but 2 is not below 1)
+        assert extremality_oracle(S, 1, close=lowered) == ("diamond", (0, 1, 2, 1))
 
     @pytest.mark.parametrize("name, sample", [
         ("chain3", None), ("b4", 300), ("fdl2", 300)])

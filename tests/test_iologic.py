@@ -1,27 +1,25 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnorm.errors import ParseError, TooManyVariables, UnboundVariable
+from subnorm.errors import ParseError, TooManyVariables
 from subnorm.iologic import (
-    IOModel,
     Norm,
     NormativeSystem,
-    check_model,
     derive,
-    entails,
-    eval_formula,
     modal_output,
     out,
-    out_set,
     parse_norm,
     truth_table,
 )
 from subnorm.order import free_boolean_algebra
 from subnorm.subordination import ProtoSubAlg
 from subnorm.syntax import (
+    BOT,
     TOP,
     format_term,
     parse_formula,
@@ -32,7 +30,8 @@ from subnorm.syntax import (
     tor,
     var,
 )
-from oracles import eval_formula_oracle
+from conftest import formula_of_table
+from oracles import eval_formula_oracle, out_oracle
 
 F = parse_formula
 
@@ -83,17 +82,24 @@ def test_truth_table_matches_pointwise_evaluation(v):
 
 
 class TestEntails:
+    # phi entails psi iff psi is in the output of the norm T |~ phi on
+    # the input T: every system weakens the output
+
+    @staticmethod
+    def entails(phi, psi):
+        return out(NormativeSystem([Norm(TOP, phi)]), 1, [TOP], psi)
+
     def test_basic(self):
-        assert entails(F("p & q"), F("p"))
-        assert entails(F("p"), F("p | q"))
-        assert not entails(F("p"), F("q"))
+        assert self.entails(F("p & q"), F("p"))
+        assert self.entails(F("p"), F("p | q"))
+        assert not self.entails(F("p"), F("q"))
 
     def test_with_implication(self):
-        assert entails(F("p & (p -> q)"), F("q"))
+        assert self.entails(F("p & (p -> q)"), F("q"))
 
     def test_cap(self):
         with pytest.raises(TooManyVariables):
-            entails(F("p & q"), F("r | s"))
+            self.entails(F("p & q"), F("r | s"))
 
 
 class TestDerive:
@@ -142,11 +148,12 @@ class TestDerive:
 
 class TestOut:
     def test_out1_is_upset_of_head(self):
+        # over the 16 elements of the free algebra on p and q
         N = NormativeSystem.parse("p |~ q")
-        names, mask = out_set(N, 1, [F("p")])
-        lat, _ = free_boolean_algebra(len(names))
-        q_tt = truth_table(F("q"), names)
-        assert mask == lat.poset.up[q_tt]
+        atoms = ["p", "q"]
+        q = truth_table(F("q"), atoms)
+        got = {x for x in range(16) if out(N, 1, [F("p")], formula_of_table(x, atoms))}
+        assert got == {x for x in range(16) if x & q == q}
 
     def test_membership_examples(self):
         N = NormativeSystem.parse("p |~ q")
@@ -220,28 +227,88 @@ class TestModalOutput:
                 assert modal_output(N, i, gamma, psi) == derive(N, i, (conjoined, psi))
 
 
-class TestModels:
-    def test_satisfied_model(self, b4_leq):
-        model = IOModel(b4_leq, {"p": 1, "q": 3})
-        assert check_model(model, NormativeSystem.parse("p |~ q")) == (True, None)
+ONE_ATOM = (BOT, var("p"), tnot(var("p")), TOP)
 
-    def test_violated_norm_reported(self, b4_leq):
-        model = IOModel(b4_leq, {"p": 1, "q": 0})
-        ok, norm = check_model(model, NormativeSystem.parse("p |~ q"))
-        assert not ok and str(norm) == "p |~ q"
 
-    def test_bottom_body_always_fine(self, b4_leq):
-        for q in range(4):
-            model = IOModel(b4_leq, {"p": 0, "q": q})
-            assert check_model(model, NormativeSystem.parse("p |~ q"))[0]
+def seeded_norms(rng, atoms):
+    """One to three norms with random truth tables over ``atoms``."""
+    size = 1 << (1 << len(atoms))
+    return [(formula_of_table(rng.randrange(size), atoms),
+             formula_of_table(rng.randrange(size), atoms))
+            for _ in range(rng.randrange(1, 4))]
 
-    def test_unbound_atom(self, b4_leq):
-        with pytest.raises(UnboundVariable):
-            check_model(IOModel(b4_leq, {}), NormativeSystem.parse("p |~ q"))
 
-    def test_eval_uses_carrier_ops(self, b4, b4_leq):
-        got = eval_formula(F("(p | q) & ~p"), {"p": 1, "q": 2}, b4_leq)
-        assert got == b4.meet[b4.join[1][2]][b4.neg[1]]
+def seeded_query(rng, pairs, atoms):
+    """A body below some norm body and a head above some norm head, or
+    either one at random, so that both verdicts come up."""
+    size = 1 << (1 << len(atoms))
+    body, head = rng.choice(pairs)
+    a, x = rng.randrange(size), rng.randrange(size)
+    a = formula_of_table(a, atoms) if rng.random() < 0.3 else tand(body, formula_of_table(a, atoms))
+    x = formula_of_table(x, atoms) if rng.random() < 0.3 else tor(head, formula_of_table(x, atoms))
+    return a, x
+
+
+class TestOutputOracle:
+    """``derive``, ``out`` and ``modal_output`` against the semantic
+    characterisations of out1..out4 (``oracles.out_oracle``)."""
+
+    def test_derive_every_norm_set_over_one_atom(self):
+        norms = [(b, h) for b in ONE_ATOM for h in ONE_ATOM]
+        outcomes = Counter()
+        for size in range(4):
+            for pairs in combinations(norms, size):
+                N = NormativeSystem.from_pairs(pairs)
+                for i in (1, 2, 3, 4):
+                    for a in ONE_ATOM:
+                        for x in ONE_ATOM:
+                            want = out_oracle(pairs, i, a, x, ["p"])
+                            assert derive(N, i, (a, x)) == want, (str(N), i, a, x)
+                            outcomes[i, want] += 1
+        assert min(outcomes.values()) >= 1000, outcomes
+
+    @pytest.mark.parametrize("k, count", [(2, 150), (3, 10)])
+    def test_derive_seeded_norm_sets(self, k, count):
+        atoms = ["p", "q", "r"][:k]
+        rng = random.Random(k)
+        outcomes = Counter()
+        for _ in range(count):
+            pairs = seeded_norms(rng, atoms)
+            N = NormativeSystem.from_pairs(pairs)
+            for i in (1, 2, 3, 4):
+                for _ in range(12):
+                    a, x = seeded_query(rng, pairs, atoms)
+                    want = out_oracle(pairs, i, a, x, atoms)
+                    assert derive(N, i, (a, x)) == want, (str(N), i, a, x)
+                    outcomes[i, want] += 1
+        assert min(outcomes.values()) >= count, outcomes
+
+    @pytest.mark.parametrize("k, count", [(2, 100), (3, 5)])
+    def test_out_and_modal_output(self, k, count):
+        # out: some input in gamma yields psi; modal_output: the meet of
+        # gamma (T when gamma is empty) yields psi
+        atoms = ["p", "q", "r"][:k]
+        rng = random.Random(10 + k)
+        outcomes = Counter()
+        for _ in range(count):
+            pairs = seeded_norms(rng, atoms)
+            N = NormativeSystem.from_pairs(pairs)
+            for i in (1, 2, 3, 4):
+                for _ in range(6):
+                    queries = [seeded_query(rng, pairs, atoms) for _ in range(rng.randrange(4))]
+                    gamma = [a for a, _ in queries]
+                    psi = (rng.choice(queries)[1] if queries
+                           else seeded_query(rng, pairs, atoms)[1])
+                    conjoined = TOP
+                    for g in gamma:
+                        conjoined = tand(conjoined, g)
+                    want = any(out_oracle(pairs, i, g, psi, atoms) for g in gamma)
+                    assert out(N, i, gamma, psi) == want, (str(N), i, gamma, psi)
+                    want_modal = out_oracle(pairs, i, conjoined, psi, atoms)
+                    assert modal_output(N, i, gamma, psi) == want_modal, (str(N), i, gamma, psi)
+                    outcomes["out", want] += 1
+                    outcomes["modal", want_modal] += 1
+        assert min(outcomes.values()) >= count, outcomes
 
 
 def test_consequence_operator_laws_exhaustive_two_vars():
