@@ -14,6 +14,26 @@ is a configuration error rather than a pass.  Every precondition is a
 ``Flags`` conjunction built by ``_flags``, so checks stating the same
 precondition share one object and the runner decides it once per
 instance for all of them.
+
+Fourteen checks are local: the diamond of an element is the meet of its
+row and the box the join of its column (``slanted.build_slanted``), so
+each of their sides is a conjunction of one test per row or per column.
+Each such side is stated once, as a ``Local`` test of (index, mask,
+operator value): the catalog inequalities that the compiler marks local
+(``a <= <>a``, ``[]a <= a``, ``<>a <= a``, ``<>F <= F``, ``T <= []T``;
+see ``_local_side``) and the laws ``bounds-of-related-pairs`` (one row
+test and one column test), ``diamond-detects-rel`` (a row test) and
+``box-detects-rel`` (a column test).  Each ``Local`` owns a bit above
+the property flags; ``local_tables`` tabulates every one of them, next
+to the carrier's ``subordination.local_signatures``, over every index and
+every one of the ``2^n`` masks, so the runner decides the ten local
+flags and all these sides in one pass of ``2n`` lookups per instance
+and each such side is a mask test, like a flag.  Above
+``order._TABLE_CAP`` each side applies the same test to each row or
+column directly (``Local.holds``).  The four remaining local checks
+(``and-implies-downdirected``, ``or-implies-updirected``,
+``downdirected-iff-and-under-wo``, ``updirected-iff-or-under-si``) have
+only local-flag sides.
 """
 
 from __future__ import annotations
@@ -22,14 +42,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..completion import extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
 from ..order import FinLattice, bits, is_monotone, negation_law_failure, subset_tables
+from ..subordination import FLAG_PROPERTIES, LOCAL_FLAGS, SUBORDINATION_RULES, flag_mask
 from ..subordination import Property as P
-from ..subordination import SUBORDINATION_RULES, flag_mask
-from ..syntax import parse_inequality, term_variables
+from ..subordination import local_signatures
+from ..syntax import parse_inequality, subterms, term_variables
 from .maximality import _N_CAP, verify_prop41
 
 _SUBSET_SCAN_CAP = 8
@@ -37,13 +58,14 @@ _SUBSET_SCAN_CAP = 8
 
 class Flags:
     """A conjunction: every carrier guard holds, then every instance
-    guard, then every flag in ``mask`` is True.  Guards are cheap
-    predicates and run first, so a failing guard computes no flag; the
-    carrier guards take the ``CarrierContext`` and are decided once per
-    carrier (kept in its ``carrier_verdicts``).  Built only by
-    ``_flags``, so equal conjunctions are one object; the runner groups
-    the checks sharing a precondition by that object and decides it
-    once per instance."""
+    guard, then every flag in ``mask`` is True (property flags, and the
+    bits of ``Local`` sides).  Guards are cheap predicates and run first,
+    so a failing guard computes no flag; the carrier guards take the
+    ``CarrierContext`` and are decided once per carrier (kept in its
+    ``carrier_verdicts``).  Built only by ``_flags`` and ``_sides``, so
+    equal conjunctions are one object; the runner groups the checks
+    sharing a precondition by that object and decides it once per
+    instance."""
 
     __slots__ = ("mask", "carrier_guards", "guards")
 
@@ -93,6 +115,84 @@ class CheckSpec:
     rhs: Optional[Callable] = None
     law: Optional[Callable] = None
     scope: str = "relation"
+
+
+# ---- local sides: one test per row or per column --------------------------
+
+#: every ``Local`` stated so far; the one at position ``i`` owns flag bit
+#: ``len(FLAG_PROPERTIES) + i``.  It grows only as sides are stated: the
+#: catalog's at import, and a local inequality's when its text is first
+#: compiled.  A carrier's tables decide the sides stated before they were
+#: built (its ``table_bits``); a later side is tested directly.
+LOCAL_SIDES: list["Local"] = []
+
+
+def _operator(ctx, side: str) -> Callable[[int], int]:
+    """The operator value read off a row mask (the diamond: the meet of
+    the row) or a column mask (the box: the join of the column)."""
+    ext = ctx.ext
+    return ext.meet_of_base if side == "rows" else ext.join_of_base
+
+
+class Local:
+    """A side that holds exactly when every row (``side == "rows"``) or
+    every column (``"cols"``) passes ``test(ctx, a, m, v)``: the row or
+    column at index ``a`` is the mask ``m`` and the operator there is
+    ``v`` (``<>a`` on rows, ``[]a`` on columns), read from the carrier's
+    ``CarrierContext`` ``ctx``.  Decided as the flag bit ``bit``."""
+
+    __slots__ = ("side", "test", "bit")
+
+    def __init__(self, side: str, test: Callable):
+        self.side = side
+        self.test = test
+        self.bit = 1 << (len(FLAG_PROPERTIES) + len(LOCAL_SIDES))
+        LOCAL_SIDES.append(self)
+
+    def holds(self, ctx, S) -> bool:
+        """The side on ``S``, testing each row or column directly."""
+        value = _operator(ctx, self.side)
+        return all(self.test(ctx, a, m, value(m))
+                   for a, m in enumerate(S.rows if self.side == "rows" else S.cols))
+
+
+def _sides(*sides: Local) -> Flags:
+    """The conjunction of the sides, as one mask test."""
+    return _interned(sum(s.bit for s in sides), (), ())
+
+
+def local_tables(ctx) -> tuple[int, Optional[tuple]]:
+    """``(bits, signatures)`` of the context's carrier: its
+    ``subordination.local_signatures`` with, in every entry, the bit of
+    each ``Local`` side that the (index, mask) passes (and every bit of
+    the other side), so ``subordination.local_flags`` decides the local
+    flags and these sides in one pass.  ``bits`` are the flags the pass
+    decides.  Built on first use and kept with the carrier's
+    ``order.subset_tables``; ``(0, None)`` above the table cap."""
+    flags = local_signatures(ctx.lat)
+    if flags is None:
+        return 0, None
+    tables = subset_tables(ctx.lat.poset)
+    got = tables.get("local sides")
+    if got is None:
+        got = tables["local sides"] = _build_local_tables(ctx, flags)
+    return got
+
+
+def _build_local_tables(ctx, flags: tuple) -> tuple[int, tuple]:
+    sides = tuple(LOCAL_SIDES)
+    have, *sigs = flags
+    masks = range(1 << ctx.lat.n)
+    out = [have | sum(s.bit for s in sides)]
+    for side, sig in zip(("rows", "cols"), sigs):
+        mine = [s for s in sides if s.side == side]
+        other = sum(s.bit for s in sides if s.side != side)
+        values = list(map(_operator(ctx, side), masks))
+        out.append(tuple(
+            tuple(sig_a[m] | other | sum(s.bit for s in mine if s.test(ctx, a, m, values[m]))
+                  for m in masks)
+            for a, sig_a in enumerate(sig)))
+    return LOCAL_FLAGS | sum(s.bit for s in sides), tuple(out)
 
 
 # ---- guards: cheap tests of the carrier, then of the relation ------------
@@ -198,30 +298,78 @@ def _compile_term(t, names: list[str]):
     return _mapped(table, inner), inner_base and kind == "not"
 
 
+class _Compiled(NamedTuple):
+    holds: Callable    # the inequality on an instance, over every assignment
+    local: Optional[Local]  # the same statement as a row or column test
+
+
 @lru_cache(maxsize=None)
-def _compile_inequality(text: str):
+def _compile_inequality(text: str) -> _Compiled:
     ineq = parse_inequality(text)
     names = term_variables(ineq.lhs, ineq.rhs)
     lhs, rhs = (_lifted(*_compile_term(t, names)) for t in (ineq.lhs, ineq.rhs))
 
-    def holds(inst) -> bool:
-        cols = _columns(inst.n, len(names))
+    def leq(inst, cols) -> bool:
         up = inst.delta.poset.up
         return all(up[u] >> v & 1 for u, v in zip(lhs(inst, cols), rhs(inst, cols)))
 
-    return holds
+    def holds(inst) -> bool:
+        return leq(inst, _columns(inst.n, len(names)))
+
+    return _Compiled(holds, _local_side(ineq, names, leq))
+
+
+class _StandIn:
+    """What a compiled local inequality reads at one index: the carrier's
+    tables, with the operator's table standing in as ``v`` at every index."""
+
+    __slots__ = ("ctx", "lat", "delta", "embed", "dia", "box")
+
+    def __init__(self, ctx, v: int):
+        self.ctx, self.lat, self.delta, self.embed = ctx, ctx.lat, ctx.delta, ctx.embed
+        self.dia = self.box = (v,) * ctx.lat.n
+
+
+def _local_side(ineq, names: list[str], leq) -> Optional[Local]:
+    """The inequality as a ``Local`` side, when it has at most one
+    variable, only one of ``<>``/``[]`` occurs, and every occurrence is
+    applied to one and the same variable or constant: then an assignment
+    reads the operator at one index only, the variable's value or the
+    constant.  The test evaluates the compiled sides with the operator
+    standing in as the row's meet (the column's join): under ``x = a`` at
+    index ``a``; under every assignment at a constant's own index, and
+    vacuously elsewhere."""
+    applied = {s for t in (ineq.lhs, ineq.rhs) for s in subterms(t) if s[0] in ("dia", "box")}
+    if len(names) > 1 or len({s[0] for s in applied}) != 1:
+        return None
+    operands = {s[1] for s in applied}
+    if len(operands) != 1:
+        return None
+    (operand,) = operands
+    side = "rows" if next(iter(applied))[0] == "dia" else "cols"
+    if operand[0] == "var":
+        return Local(side, lambda ctx, a, m, v: leq(_StandIn(ctx, v), ((a,),)))
+    if operand[0] in ("top", "bot"):
+        return Local(side, lambda ctx, a, m, v: (
+            a != getattr(ctx.lat, operand[0])
+            or leq(_StandIn(ctx, v), _columns(ctx.lat.n, len(names)))))
+    return None
 
 
 class Inequalities:
     """Conjunction of operator inequalities, each valid when it holds
-    under every assignment of carrier elements to its variables."""
+    under every assignment of carrier elements to its variables.  The
+    local ones are decided as one mask test of their ``Local`` bits, the
+    others by evaluating them under every assignment."""
 
     def __init__(self, *texts: str):
         self.texts = texts
-        self._checks = tuple(_compile_inequality(t) for t in texts)
+        compiled = [_compile_inequality(t) for t in texts]
+        self.mask = sum({c.local.bit for c in compiled if c.local})
+        self._checks = tuple(c.holds for c in compiled if c.local is None)
 
     def __call__(self, inst) -> bool:
-        return all(check(inst) for check in self._checks)
+        return inst.has_flags(self.mask) and all(check(inst) for check in self._checks)
 
 
 _DIA_ADDITIVE = Inequalities("<>(a | b) <= <>a | <>b")
@@ -235,23 +383,14 @@ _NORMAL = Inequalities(*_REGULAR.texts, *_DIA_GROUNDED.texts, *_BOX_CAPPED.texts
 
 # ---- laws quantified inside one instance ---------------------------------
 
-def _law_rel_bounds(inst) -> bool:
-    # a rel b forces <>a <= b and a <= []b
-    d, embed = inst.delta, inst.embed
-    return all(d.leq(inst.dia[a], embed[b]) and d.leq(embed[a], inst.box[b])
-               for a in range(inst.n) for b in bits(inst.S.rows[a]))
-
-
-def _law_dia_detects(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    return all((d.leq(inst.dia[a], embed[b])) == inst.S.prec.has(a, b)
-               for a in range(inst.n) for b in range(inst.n))
-
-
-def _law_box_detects(inst) -> bool:
-    d, embed = inst.delta, inst.embed
-    return all((d.leq(embed[a], inst.box[b])) == inst.S.prec.has(a, b)
-               for a in range(inst.n) for b in range(inst.n))
+# a rel b forces <>a <= b (every member of row a lies above <>a) and
+# a <= []b (every member of column b lies below []b)
+_REL_BOUNDS = _sides(Local("rows", lambda ctx, a, m, v: not m & ~ctx.base_above[v]),
+                     Local("cols", lambda ctx, b, m, v: not m & ~ctx.base_below[v]))
+# <>a <= b exactly when a rel b: row a is the base elements above <>a
+_DIA_DETECTS = _sides(Local("rows", lambda ctx, a, m, v: ctx.base_above[v] == m))
+# a <= []b exactly when a rel b: column b is the base elements below []b
+_BOX_DETECTS = _sides(Local("cols", lambda ctx, b, m, v: ctx.base_below[v] == m))
 
 
 def _union(rows, members: int) -> int:
@@ -404,15 +543,15 @@ CATALOG: tuple[CheckSpec, ...] = (
     # -- bounds and detection -------------------------------------------
     CheckSpec("bounds-of-related-pairs",
               "a rel b forces <>a <= b and a <= []b",
-              "law", law=_law_rel_bounds),
+              "law", law=_REL_BOUNDS),
     CheckSpec("diamond-detects-rel",
               "under WO+DD, <>a <= b exactly when a rel b",
               "law", precondition=_DIA_DIRECTED,
-              law=_law_dia_detects),
+              law=_DIA_DETECTS),
     CheckSpec("box-detects-rel",
               "under SI+UD, a <= []b exactly when a rel b",
               "law", precondition=_BOX_DIRECTED,
-              law=_law_box_detects),
+              law=_BOX_DETECTS),
     # -- directedness from the binary rules ------------------------------
     CheckSpec("or-implies-updirected", "OR forces UD on lattice carriers",
               "implies", precondition=_flags(carrier=(_needs_lattice,)),

@@ -12,8 +12,14 @@ runs with the same configuration agree byte-for-byte everywhere else:
 (only instances meeting the precondition evaluate a body),
 ``timing.layers`` the seconds and build count of each stage
 (``LAYERS``): drawing the instances from the corpus stream, building
-each carrier's context, and each lazily built per-instance artefact,
-whichever check asked for it first.
+each carrier's context (which includes the carrier's local tables the
+first time the process meets the carrier), and each lazily built
+per-instance artefact, whichever check asked for it first.  ``flags``
+includes the one pass per instance that decides the ten local flags
+and the table-decided sides of the 14 local checks
+(``catalog.local_tables``: the ``Local`` laws and the inequalities
+``a <= <>a``, ``[]a <= a``, ``<>a <= a``, ``<>F <= F``, ``T <= []T``),
+so those check bodies are mask tests.
 
 The checks are grouped by their precondition, an interned object shared
 by every check stating the same conjunction of guards and flags.  Each
@@ -51,14 +57,13 @@ from ..subordination import (  # noqa: F401  (property_holds: perfbench traces t
     _sweep,
     flag_mask,
     local_flags,
-    local_signatures,
     missing_flags,
     property_holds,
     subalg_from_json,
     subalg_to_json,
 )
 from .carriers import load_carrier
-from .catalog import CATALOG, CHECKS_BY_NAME, CheckSpec
+from .catalog import CATALOG, CHECKS_BY_NAME, LOCAL_SIDES, CheckSpec, local_tables
 from .generate import GenConfig, corpus_stream, default_config
 
 _MAX_STORED_COUNTEREXAMPLES = 10
@@ -101,7 +106,8 @@ class CarrierContext:
     embedding lies above/below the completion element ``u``, as base
     masks.  ``missing`` holds the flags (as ``flag_mask`` bits) whose
     property needs structure the carrier lacks, ``signatures`` the
-    carrier's ``local_signatures`` (None above the table cap), and
+    carrier's ``catalog.local_tables`` (None above the table cap) and
+    ``table_bits`` the flags and ``Local`` sides they decide, and
     ``carrier_verdicts`` each precondition's carrier guards, decided on
     first use.  The points of the two dual spaces are built on first
     use, once for every instance."""
@@ -114,7 +120,6 @@ class CarrierContext:
         self.embed = self.ext.embed
         self.clock = LayerClock()
         self.missing = missing_flags(lat)
-        self.signatures = local_signatures(lat)
         self.carrier_verdicts: dict = {}
         self._jirr_points = None
         self._pf_points = None
@@ -129,6 +134,7 @@ class CarrierContext:
         if (self.neg_report is not None and self.neg_report.antitone
                 and self.neg_report.left_self_adjoint):
             self.neg_delta = extend_negation_sigma(self.ext, lat.neg)
+        self.table_bits, self.signatures = local_tables(self)
 
     def space(self, sigma):
         """The join-irreducible dual space of a relation with extension ``sigma``."""
@@ -156,15 +162,16 @@ class Instance:
     """One relation on a carrier, with lazily cached derived data.
 
     Each artefact is built on first use through the carrier's
-    ``LayerClock``: the property flags (two ``flag_mask`` bitmasks: the
-    flags computed so far, and those of them that are True; the ten
-    local flags come from one ``local_flags`` pass, each other flag from
-    its sweep), the operators ``sa`` (with ``dia``/``box``), their
-    ``sigma``/``pi`` extensions, the two dual spaces (read off the
-    context's shared points), and the ``image``/``preimage``
-    tables, which give the union of the rows/columns of every one of the
-    ``2^n`` subset masks (read by the directed-family checks, on carriers
-    small enough for subset tables).
+    ``LayerClock``: the property flags (two bitmasks: the flags computed
+    so far, and those of them that are True; the ten local flags and the
+    catalog's ``Local`` sides come from one ``local_flags`` pass over the
+    carrier's tables, each other flag from its sweep, and above the
+    table cap each side from its direct test), the operators ``sa``
+    (with ``dia``/``box``), their ``sigma``/``pi`` extensions, the two
+    dual spaces (read off the context's shared points), and the
+    ``image``/``preimage`` tables, which give the union of the
+    rows/columns of every one of the ``2^n`` subset masks (read by the
+    directed-family checks, on carriers small enough for subset tables).
     """
 
     __slots__ = ("ctx", "S", "_known", "_true", "_sa", "_sigma", "_pi",
@@ -223,22 +230,27 @@ class Instance:
             todo = mask & ~self._known
             if not todo:
                 return True
-            self._compute(todo & LOCAL_FLAGS or todo)
+            self._compute(todo & (LOCAL_FLAGS | self.ctx.table_bits) or todo)
 
     def _compute(self, todo: int) -> None:
-        """Compute the lowest flag of ``todo``: all ten local flags at
-        once when it is local and the carrier has signatures."""
+        """Compute the lowest flag of ``todo``: all of the carrier's
+        ``table_bits`` at once when ``todo`` holds one of them."""
         ctx = self.ctx
-        if todo & LOCAL_FLAGS and ctx.signatures is not None:
-            self._known |= LOCAL_FLAGS
+        if todo & ctx.table_bits:
+            self._known |= ctx.table_bits
             self._true |= ctx.clock.build("flags", local_flags, self.S, ctx.signatures)
             return
         bit = todo & -todo
         self._known |= bit
         if bit & ctx.missing:
             return
-        prop = FLAG_PROPERTIES[bit.bit_length() - 1]
-        if ctx.clock.build("flags", _sweep, self.S, prop) is None:
+        i = bit.bit_length() - 1
+        if i < len(FLAG_PROPERTIES):
+            holds = ctx.clock.build("flags", _sweep, self.S, FLAG_PROPERTIES[i]) is None
+        else:
+            holds = ctx.clock.build("flags", LOCAL_SIDES[i - len(FLAG_PROPERTIES)].holds,
+                                    ctx, self.S)
+        if holds:
             self._true |= bit
 
     @property

@@ -899,3 +899,50 @@ LAW_ORACLES = {
     "box-bound-reflects": (law_box_bound_reflects_oracle, "pi"),
     "box-closed-bound-reflects": (law_box_closed_bound_reflects_oracle, "pi"),
 }
+
+
+# The three local laws of the catalog, stated per instance over pairs of
+# elements, reading the instance's diamond and box (``slanted.build_slanted``).
+# The catalog decides each as row and column tests from per-carrier tables;
+# ``LOCAL_LAW_ORACLES`` gives, per law, the oracle of each of its sides.
+
+def rel_bounds_dia_oracle(inst) -> bool:
+    # a rel b forces <>a <= b
+    d, embed = inst.delta, inst.embed
+    return all(d.leq(inst.dia[a], embed[b])
+               for a in range(inst.n) for b in bits(inst.S.rows[a]))
+
+
+def rel_bounds_box_oracle(inst) -> bool:
+    # a rel b forces a <= []b
+    d, embed = inst.delta, inst.embed
+    return all(d.leq(embed[a], inst.box[b])
+               for a in range(inst.n) for b in bits(inst.S.rows[a]))
+
+
+def law_rel_bounds_oracle(inst) -> bool:
+    # a rel b forces <>a <= b and a <= []b
+    d, embed = inst.delta, inst.embed
+    return all(d.leq(inst.dia[a], embed[b]) and d.leq(embed[a], inst.box[b])
+               for a in range(inst.n) for b in bits(inst.S.rows[a]))
+
+
+def law_dia_detects_oracle(inst) -> bool:
+    d, embed = inst.delta, inst.embed
+    return all((d.leq(inst.dia[a], embed[b])) == inst.S.prec.has(a, b)
+               for a in range(inst.n) for b in range(inst.n))
+
+
+def law_box_detects_oracle(inst) -> bool:
+    d, embed = inst.delta, inst.embed
+    return all((d.leq(embed[a], inst.box[b])) == inst.S.prec.has(a, b)
+               for a in range(inst.n) for b in range(inst.n))
+
+
+#: check name -> (oracle of the law, oracle of each side by "rows"/"cols")
+LOCAL_LAW_ORACLES = {
+    "bounds-of-related-pairs": (law_rel_bounds_oracle,
+                                {"rows": rel_bounds_dia_oracle, "cols": rel_bounds_box_oracle}),
+    "diamond-detects-rel": (law_dia_detects_oracle, {"rows": law_dia_detects_oracle}),
+    "box-detects-rel": (law_box_detects_oracle, {"cols": law_box_detects_oracle}),
+}

@@ -8,6 +8,7 @@ corpora on the larger carriers, every labeled four-element poset for the
 completion, and seeded normative systems for the derivability engine.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -39,6 +40,9 @@ from subnorm.syntax import parse_formula
 from conftest import formula_of_table
 
 SEED = 7
+# sha256 of the default verify report without its timing section, as
+# json.dumps(..., sort_keys=True); it changes only with a verdict
+DEFAULT_REPORT_SHA256 = "1b6f69e6128c2f6abe7be501c7b202d04f8837985af0e219a9fce400c5218dfe"
 SMALL_CARRIERS = ("chain2", "chain3", "chain4", "b4")
 
 
@@ -282,17 +286,20 @@ class TestA8DerivabilityBattery:
 
 def test_a9_determinism_of_default_verify():
     """Two default-corpus runs with the same seed agree byte for byte
-    outside the timing section."""
+    outside the timing section, and that report is the pinned one."""
     t0 = time.time()
     cfg = GenConfig(seed=SEED)
     first = run_suite(cfg)
     second = run_suite(cfg)
     a = json.dumps(strip_timing(first), sort_keys=True)
     b = json.dumps(strip_timing(second), sort_keys=True)
-    ok = (a == b and first["summary"]["counterexamples"] == 0
+    digest = hashlib.sha256(a.encode()).hexdigest()
+    ok = (a == b and digest == DEFAULT_REPORT_SHA256
+          and first["summary"]["counterexamples"] == 0
           and not first["summary"]["coverage_gaps"])
     _verdict("A9", ok, time.time() - t0,
              f"{first['summary']['instances']} instances x2")
     assert a == b
+    assert digest == DEFAULT_REPORT_SHA256
     assert first["summary"]["counterexamples"] == 0
     assert first["summary"]["coverage_gaps"] == []

@@ -28,11 +28,12 @@ from subnorm.harness import maximality
 from subnorm.harness import run as runner
 from subnorm.harness.run import LAYERS
 from subnorm.harness.carriers import load_carrier
-from subnorm.harness.catalog import Inequalities
+from subnorm.harness.catalog import LOCAL_SIDES, Flags, Inequalities, _compile_inequality
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
 from subnorm.order import FinLattice, FinPoset, bits
 from subnorm.slanted import build_slanted, valid
 from subnorm.subordination import (
+    LOCAL_FLAGS,
     Property,
     ProtoSubAlg,
     SubordRel,
@@ -45,7 +46,7 @@ from subnorm.subordination import (
 )
 from subnorm.syntax import parse_inequality
 from conftest import leq_relation
-from oracles import LAW_ORACLES, extremality_oracle
+from oracles import LAW_ORACLES, LOCAL_LAW_ORACLES, extremality_oracle
 
 P = Property
 
@@ -433,6 +434,137 @@ class TestLawOracles:
         assert outcomes.get(True, 0) >= 10 and outcomes.get(False, 0) >= 10, outcomes
 
 
+#: the checks whose every side is a row or column test
+LOCAL_CHECKS = (
+    "bounds-of-related-pairs", "diamond-detects-rel", "box-detects-rel",
+    "and-implies-downdirected", "or-implies-updirected",
+    "downdirected-iff-and-under-wo", "updirected-iff-or-under-si",
+    "bot-rule-grounds-diamond", "top-rule-caps-box",
+    "bot-iff-diamond-grounded", "top-iff-box-capped",
+    "rel-below-order-iff-inflationary-diamond", "rel-below-order-iff-deflationary-box",
+    "order-below-rel-iff-deflationary-diamond",
+)
+
+
+def flag_oracle(S, q) -> bool:
+    try:
+        return property_holds(S, q)
+    except MissingStructure:
+        return False
+
+
+class TestLocalSides:
+    """The table-decided sides of the 14 local checks against the
+    per-instance law bodies (``oracles.LOCAL_LAW_ORACLES``) and the
+    compiled inequalities evaluated under every assignment, through the
+    carrier tables and, above the table cap, through the direct test of
+    each row and column; and each check's verdict against the same check
+    with every side read from its oracle."""
+
+    @staticmethod
+    def side_oracles() -> dict:
+        """Every ``Local`` side of the 14 checks -> its oracle."""
+        out = {}
+        for name in LOCAL_CHECKS:
+            spec = CHECKS_BY_NAME[name]
+            if spec.mode == "law":
+                sides = [s for s in LOCAL_SIDES if s.bit & spec.law.mask]
+                halves = LOCAL_LAW_ORACLES[name][1]
+                assert sorted(s.side for s in sides) == sorted(halves), name
+                out.update((s, halves[s.side]) for s in sides)
+            elif isinstance(spec.rhs, Inequalities):
+                for text in spec.rhs.texts:
+                    compiled = _compile_inequality(text)
+                    out[compiled.local] = compiled.holds
+        return out
+
+    @staticmethod
+    def oracle_of(part, sides: dict):
+        """``part`` with every flag from ``property_holds`` and every
+        ``Local`` side from its oracle."""
+        if part is None:
+            return None
+        if isinstance(part, Inequalities):
+            compiled = [_compile_inequality(t) for t in part.texts]
+            return lambda inst: all(c.holds(inst) for c in compiled)
+        flags = [q for i, q in enumerate(P) if part.mask >> i & 1]
+        local = [s for s in sides if s.bit & part.mask]
+        assert sum(s.bit for s in local) + flag_mask(*flags) == part.mask
+        return lambda inst: (all(g(inst.ctx) for g in part.carrier_guards)
+                             and all(g(inst) for g in part.guards)
+                             and all(flag_oracle(inst.S, q) for q in flags)
+                             and all(sides[s](inst) for s in local))
+
+    def test_the_local_checks_are_the_fourteen(self):
+        side_bits = sum(s.bit for s in LOCAL_SIDES)
+
+        def local(part) -> bool:
+            if isinstance(part, Inequalities):
+                return all(_compile_inequality(t).local for t in part.texts)
+            return (isinstance(part, Flags) and not part.guards and not part.carrier_guards
+                    and not part.mask & ~(LOCAL_FLAGS | side_bits))
+
+        got = {spec.name for spec in CATALOG if spec.scope == "relation"
+               and all(local(part) for part in (spec.lhs, spec.rhs, spec.law) if part)}
+        assert got == set(LOCAL_CHECKS)
+        assert sorted(s.side for s in self.side_oracles()) == ["cols"] * 4 + ["rows"] * 5
+
+    def test_side_stated_after_the_tables_is_tested_directly(self, b4):
+        ctx = CarrierContext("b4", b4)
+        late = Inequalities("[]F <= F")
+        assert late.mask and not late.mask & ctx.table_bits
+        holds = _compile_inequality("[]F <= F").holds
+        seen = set()
+        for S in random_relations(b4, 30, 5, (0.1, 0.3)):
+            got = late(Instance(ctx, S))
+            assert got == holds(Instance(ctx, S)), S
+            seen.add(got)
+        assert seen == {True, False}
+
+    def test_sides_and_verdicts_match_oracles(self, chain3, chain4, b4, fdl2, b8, tmp_path):
+        path = tmp_path / "chain12.json"
+        path.write_text(json.dumps({"elements": [str(i) for i in range(12)],
+                                    "hasse": [[i, i + 1] for i in range(11)]}))
+        chain12 = load_carrier(str(path))
+        sides = self.side_oracles()
+        specs = [(CHECKS_BY_NAME[name], CheckSpec(
+            name, "oracle", CHECKS_BY_NAME[name].mode,
+            **{field: self.oracle_of(getattr(CHECKS_BY_NAME[name], field), sides)
+               for field in ("precondition", "lhs", "rhs", "law")}))
+            for name in LOCAL_CHECKS]
+        tested = dict.fromkeys(LOCAL_CHECKS, 0)
+        carriers = [("chain3", chain3, all_relations(chain3))]
+        for name, lat, count in (("chain4", chain4, 40), ("b4", b4, 40), ("fdl2", fdl2, 30),
+                                 ("b8", b8, 25), ("chain12", chain12, 10)):
+            rels = random_relations(lat, count, zlib.crc32(name.encode()), (0.05, 0.2, 0.5))
+            rels += [close(S, SUBORDINATION_RULES) for S in rels]
+            rels += [leq_relation(lat), ProtoSubAlg.from_pairs(lat, [])]
+            carriers.append((name, lat, rels))
+        for name, lat, rels in carriers:
+            ctx = CarrierContext(name, lat)
+            assert (ctx.signatures is None) == (name == "chain12")
+            seen = {side: set() for side in sides}
+            for S in rels:
+                inst, fresh = Instance(ctx, S), Instance(ctx, S)
+                for side, oracle in sides.items():
+                    got = inst.has_flags(side.bit)
+                    assert got == oracle(fresh), (name, S, side.side)
+                    seen[side].add(got)
+                for spec, oracle in specs:
+                    met = spec.precondition(inst)
+                    assert met == oracle.precondition(fresh), (name, S, spec.name)
+                    if met:
+                        tested[spec.name] += 1
+                        assert verify_check(spec, inst) == verify_check(oracle, fresh), \
+                            (name, S, spec.name)
+            # the two halves of the bounds law hold on every relation: the
+            # diamond is the meet of its row, the box the join of its column
+            bounds = CHECKS_BY_NAME["bounds-of-related-pairs"].law.mask
+            assert all(seen[s] == ({True} if s.bit & bounds else {True, False})
+                       for s in sides), name
+        assert min(tested.values()) >= 20, tested
+
+
 class TestRunSuite:
     def test_small_corpus_green(self):
         report = run_suite(GenConfig(carriers=("chain2",), seed=7))
@@ -459,15 +591,22 @@ class TestRunSuite:
         assert json.dumps(strip_timing(a), sort_keys=True) == \
             json.dumps(strip_timing(b), sort_keys=True)
 
-    def test_layer_timing(self):
+    def test_layer_timing(self, monkeypatch):
+        passes = []
+        real = runner.local_flags
+        monkeypatch.setattr(runner, "local_flags",
+                            lambda *args: passes.append(1) or real(*args))
         report = run_suite(GenConfig(carriers=("chain2", "fdl2"), samples=6, seed=7))
         timing, instances = report["timing"], report["summary"]["instances"]
         layers = timing["layers"]
         assert list(layers) == sorted(LAYERS)
-        # every artefact is built, and at most once per instance (flags
-        # once per property)
+        # every artefact is built, and at most once per instance; the
+        # local flags and the catalog's local sides in one pass per
+        # instance, each other flag in its own sweep
         assert all(0 < layers[k]["builds"] <= instances for k in LAYERS if k != "flags")
-        assert 0 < layers["flags"]["builds"] <= instances * len(P)
+        assert 0 < len(passes) <= instances
+        swept = len(P) - bin(LOCAL_FLAGS).count("1")
+        assert len(passes) <= layers["flags"]["builds"] <= len(passes) + instances * swept
         # one corpus draw per instance, one context per carrier
         assert layers["corpus"]["builds"] == instances
         assert layers["context"]["builds"] == 2
