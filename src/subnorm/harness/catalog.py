@@ -24,11 +24,12 @@ operator value): the catalog inequalities that the compiler marks local
 see ``_local_side``) and the laws ``bounds-of-related-pairs`` (one row
 test and one column test), ``diamond-detects-rel`` (a row test) and
 ``box-detects-rel`` (a column test).  Each ``Local`` owns a bit above
-the property flags; ``local_tables`` tabulates every one of them, next
-to the carrier's ``subordination.local_signatures``, over every index and
-every one of the ``2^n`` masks, so the runner decides the ten local
-flags and all these sides in one pass of ``2n`` lookups per instance
-and each such side is a mask test, like a flag.  Above
+the property flags.  ``local_tables`` is the one local table of a
+carrier: one loop over every index and every one of the ``2^n`` masks
+tabulates the ten tests of ``subordination.LOCAL_TESTS`` and every
+``Local`` side, so the runner decides the ten local flags and all these
+sides in one ``local_flags`` pass of ``2n`` lookups per instance and
+each such side is a mask test, like a flag.  Above
 ``order._TABLE_CAP`` each side applies the same test to each row or
 column directly (``Local.holds``).  The four remaining local checks
 (``and-implies-downdirected``, ``or-implies-updirected``,
@@ -46,10 +47,11 @@ from typing import Callable, NamedTuple, Optional
 
 from ..completion import extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
-from ..order import FinLattice, bits, is_monotone, negation_law_failure, subset_tables
-from ..subordination import FLAG_PROPERTIES, LOCAL_FLAGS, SUBORDINATION_RULES, flag_mask
+from ..order import (FinLattice, bits, is_monotone, negation_law_failure, subset_law_failure,
+                     subset_tables)
+from ..subordination import (FLAG_PROPERTIES, LOCAL_FLAGS, LOCAL_TESTS, SUBORDINATION_RULES,
+                             flag_mask)
 from ..subordination import Property as P
-from ..subordination import local_signatures
 from ..syntax import parse_inequality, subterms, term_variables
 from .maximality import _N_CAP, verify_prop41
 
@@ -117,13 +119,13 @@ class CheckSpec:
     scope: str = "relation"
 
 
-# ---- local sides: one test per row or per column --------------------------
+# ---- sides of the local checks: one test per row or per column ----------
 
 #: every ``Local`` stated so far; the one at position ``i`` owns flag bit
 #: ``len(FLAG_PROPERTIES) + i``.  It grows only as sides are stated: the
 #: catalog's at import, and a local inequality's when its text is first
-#: compiled.  A carrier's tables decide the sides stated before they were
-#: built (its ``table_bits``); a later side is tested directly.
+#: compiled.  A carrier's local table decides the sides stated before it
+#: was built (its ``table_bits``); a later side is tested directly.
 LOCAL_SIDES: list["Local"] = []
 
 
@@ -161,38 +163,62 @@ def _sides(*sides: Local) -> Flags:
     return _interned(sum(s.bit for s in sides), (), ())
 
 
-def local_tables(ctx) -> tuple[int, Optional[tuple]]:
-    """``(bits, signatures)`` of the context's carrier: its
-    ``subordination.local_signatures`` with, in every entry, the bit of
-    each ``Local`` side that the (index, mask) passes (and every bit of
-    the other side), so ``subordination.local_flags`` decides the local
-    flags and these sides in one pass.  ``bits`` are the flags the pass
-    decides.  Built on first use and kept with the carrier's
-    ``order.subset_tables``; ``(0, None)`` above the table cap."""
-    flags = local_signatures(ctx.lat)
-    if flags is None:
-        return 0, None
+def local_tables(ctx) -> Optional[tuple[int, tuple, tuple]]:
+    """``(bits, rowsig, colsig)``: the local table of the context's
+    lattice, built on first use and kept with its ``order.subset_tables``;
+    None above the table cap.
+
+    ``rowsig[a][m]`` holds the row-local bits that row mask ``m`` passes
+    at index ``a``: the flags of ``subordination.LOCAL_TESTS`` and the
+    ``Local`` row sides; ``colsig`` the same for columns.  A subset law
+    is decided once per mask (read from the order-law tables where they
+    have it), every other test once per (index, mask).  Each entry also
+    holds every bit of the other side, so the AND of ``bits`` and the
+    entries of a relation's rows and columns (``local_flags``) is its
+    verdicts.  ``bits`` are the ten local flags and the sides stated
+    before the table was built."""
     tables = subset_tables(ctx.lat.poset)
-    got = tables.get("local sides")
-    if got is None:
-        got = tables["local sides"] = _build_local_tables(ctx, flags)
-    return got
+    if tables is None:
+        return None
+    if "local" not in tables:
+        tables["local"] = _build_local_tables(ctx, tables)
+    return tables["local"]
 
 
-def _build_local_tables(ctx, flags: tuple) -> tuple[int, tuple]:
+def _build_local_tables(ctx, tables: dict) -> tuple[int, tuple, tuple]:
+    lat = ctx.lat
+    up, ends, masks = lat.poset.up, (lat.bot, lat.top), range(1 << lat.n)
     sides = tuple(LOCAL_SIDES)
-    have, *sigs = flags
-    masks = range(1 << ctx.lat.n)
-    out = [have | sum(s.bit for s in sides)]
-    for side, sig in zip(("rows", "cols"), sigs):
+    every = LOCAL_FLAGS | sum(s.bit for s in sides)
+    out = [every]
+    for side in ("rows", "cols"):
+        flags = [(flag_mask(q), test) for q, (s, test) in LOCAL_TESTS.items() if s == side]
+        laws = [(bit, tables.get(law) or [subset_law_failure(lat, m, law) is None
+                                          for m in masks])
+                for bit, law in flags if isinstance(law, str)]
+        tests = [(bit, test) for bit, test in flags if not isinstance(test, str)]
         mine = [s for s in sides if s.side == side]
-        other = sum(s.bit for s in sides if s.side != side)
+        other = every & ~sum(bit for bit, _ in flags) & ~sum(s.bit for s in mine)
+        free = [other | sum(bit for bit, holds in laws if holds[m]) for m in masks]
         values = list(map(_operator(ctx, side), masks))
         out.append(tuple(
-            tuple(sig_a[m] | other | sum(s.bit for s in mine if s.test(ctx, a, m, values[m]))
+            tuple(free[m]
+                  | sum(bit for bit, test in tests if test(up, ends, a, m) is None)
+                  | sum(s.bit for s in mine if s.test(ctx, a, m, values[m]))
                   for m in masks)
-            for a, sig_a in enumerate(sig)))
-    return LOCAL_FLAGS | sum(s.bit for s in sides), tuple(out)
+            for a in range(lat.n)))
+    return tuple(out)
+
+
+def local_flags(S, table: tuple[int, tuple, tuple]) -> int:
+    """The bits of ``table`` (``local_tables``) that hold on ``S``: one
+    lookup per row and per column."""
+    acc, rowsig, colsig = table
+    for sig, r in zip(rowsig, S.rows):
+        acc &= sig[r]
+    for sig, c in zip(colsig, S.cols):
+        acc &= sig[c]
+    return acc
 
 
 # ---- guards: cheap tests of the carrier, then of the relation ------------

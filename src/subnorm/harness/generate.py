@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..errors import InputFormatError, TooLarge
 from ..order import FinLattice
-from ..subordination import (
+from ..subordination import (  # noqa: F401  (property_holds: perfbench traces this binding)
     SUBORDINATION_RULES,
-    Property,
     ProtoSubAlg,
     SubordRel,
     close,
@@ -30,31 +29,27 @@ from .carriers import load_carrier
 
 _EXHAUSTIVE_BITS = 16
 
+#: the densities the random stream cycles through; each random relation
+#: is followed by its closure under the six subordination rules
+DENSITIES = (0.1, 0.3, 0.5)
+
 def relation_from_int(n: int, packed: int) -> SubordRel:
     full = (1 << n) - 1
     return SubordRel(n, [(packed >> (a * n)) & full for a in range(n)])
 
 
-def enumerate_relations(carrier: FinLattice,
-                        filter_props: Iterable[Property] = (),
-                        ) -> Iterator[ProtoSubAlg]:
-    """All relations on the carrier in packed-integer order, optionally
-    pre-filtered by a set of properties."""
+def enumerate_relations(carrier: FinLattice) -> Iterator[ProtoSubAlg]:
+    """All relations on the carrier in packed-integer order."""
     n = carrier.n
     if n * n > _EXHAUSTIVE_BITS:
         raise TooLarge(f"cannot enumerate 2^{n * n} relations")
-    props = tuple(filter_props)
     for packed in range(1 << (n * n)):
-        S = ProtoSubAlg(carrier, relation_from_int(n, packed))
-        if all(property_holds(S, q) for q in props):
-            yield S
+        yield ProtoSubAlg(carrier, relation_from_int(n, packed))
 
 
-def closure_generated(carrier: FinLattice, max_seed_pairs: int = 2,
-                      rules: frozenset = SUBORDINATION_RULES,
-                      ) -> list[ProtoSubAlg]:
-    """Distinct closures of every seed relation with up to the given
-    number of pairs, in seed order."""
+def closure_generated(carrier: FinLattice, max_seed_pairs: int = 2) -> list[ProtoSubAlg]:
+    """Distinct closures under the six subordination rules of every seed
+    relation with up to the given number of pairs, in seed order."""
     n = carrier.n
     pairs = [(a, b) for a in range(n) for b in range(n)]
     seeds: list[list[tuple[int, int]]] = [[]]
@@ -67,7 +62,7 @@ def closure_generated(carrier: FinLattice, max_seed_pairs: int = 2,
     out = []
     seen = set()
     for seed in seeds:
-        S = close(ProtoSubAlg.from_pairs(carrier, seed), rules)
+        S = close(ProtoSubAlg.from_pairs(carrier, seed), SUBORDINATION_RULES)
         if S.rows not in seen:
             seen.add(S.rows)
             out.append(S)
@@ -75,7 +70,7 @@ def closure_generated(carrier: FinLattice, max_seed_pairs: int = 2,
 
 
 def random_relations(carrier: FinLattice, samples: int, seed: int,
-                     densities: tuple[float, ...] = (0.1, 0.3, 0.5),
+                     densities: tuple[float, ...] = DENSITIES,
                      ) -> list[ProtoSubAlg]:
     """Seeded random relations: each pair included independently, with
     the density cycling through the configured values per sample."""
@@ -107,8 +102,6 @@ class GenConfig:
     mode: str = "exhaustive"
     samples: int = 120
     seed: int = 7
-    densities: tuple[float, ...] = (0.1, 0.3, 0.5)
-    include_closures: bool = True
     max_n: int = 4
 
     def __post_init__(self):
@@ -126,8 +119,8 @@ class GenConfig:
             "mode": self.mode,
             "samples": self.samples,
             "seed": self.seed,
-            "densities": list(self.densities),
-            "include_closures": self.include_closures,
+            "densities": list(DENSITIES),
+            "include_closures": True,
             "max_n": self.max_n,
         }
 
@@ -151,10 +144,8 @@ def corpus_stream(cfg: GenConfig) -> Iterator[tuple[str, ProtoSubAlg]]:
                 seen.add(S.rows)
                 yield name, S
         extra = []
-        for S in random_relations(carrier, cfg.samples, cfg.seed, cfg.densities):
-            extra.append(S)
-            if cfg.include_closures:
-                extra.append(close(S, SUBORDINATION_RULES))
+        for S in random_relations(carrier, cfg.samples, cfg.seed):
+            extra += [S, close(S, SUBORDINATION_RULES)]
         for S in extra:
             if S.rows not in seen:
                 seen.add(S.rows)

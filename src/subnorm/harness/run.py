@@ -12,14 +12,14 @@ runs with the same configuration agree byte-for-byte everywhere else:
 (only instances meeting the precondition evaluate a body),
 ``timing.layers`` the seconds and build count of each stage
 (``LAYERS``): drawing the instances from the corpus stream, building
-each carrier's context (which includes the carrier's local tables the
-first time the process meets the carrier), and each lazily built
-per-instance artefact, whichever check asked for it first.  ``flags``
-includes the one pass per instance that decides the ten local flags
-and the table-decided sides of the 14 local checks
-(``catalog.local_tables``: the ``Local`` laws and the inequalities
-``a <= <>a``, ``[]a <= a``, ``<>a <= a``, ``<>F <= F``, ``T <= []T``),
-so those check bodies are mask tests.
+each carrier's context (which includes building the carrier's local
+table the first time the process meets the carrier), and each lazily
+built per-instance artefact, whichever check asked for it first.
+``flags`` includes the one ``catalog.local_flags`` pass per instance
+that reads that table (``catalog.local_tables``) for the ten local flags
+and the sides of the 14 local checks (the ``Local`` laws and the
+inequalities ``a <= <>a``, ``[]a <= a``, ``<>a <= a``, ``<>F <= F``,
+``T <= []T``), so those check bodies are mask tests.
 
 The checks are grouped by their precondition, an interned object shared
 by every check stating the same conjunction of guards and flags.  Each
@@ -56,14 +56,13 @@ from ..subordination import (  # noqa: F401  (property_holds: perfbench traces t
     ProtoSubAlg,
     _sweep,
     flag_mask,
-    local_flags,
     missing_flags,
     property_holds,
     subalg_from_json,
     subalg_to_json,
 )
 from .carriers import load_carrier
-from .catalog import CATALOG, CHECKS_BY_NAME, LOCAL_SIDES, CheckSpec, local_tables
+from .catalog import CATALOG, CHECKS_BY_NAME, LOCAL_SIDES, CheckSpec, local_flags, local_tables
 from .generate import GenConfig, corpus_stream, default_config
 
 _MAX_STORED_COUNTEREXAMPLES = 10
@@ -105,9 +104,10 @@ class CarrierContext:
     ``base_above[u]``/``base_below[u]`` are the base elements whose
     embedding lies above/below the completion element ``u``, as base
     masks.  ``missing`` holds the flags (as ``flag_mask`` bits) whose
-    property needs structure the carrier lacks, ``signatures`` the
-    carrier's ``catalog.local_tables`` (None above the table cap) and
-    ``table_bits`` the flags and ``Local`` sides they decide, and
+    property needs structure the carrier lacks, ``local`` the carrier's
+    ``catalog.local_tables`` (None above the table cap, and shared by
+    every context of one lattice object) and ``table_bits`` the flags and
+    ``Local`` sides it decides, and
     ``carrier_verdicts`` each precondition's carrier guards, decided on
     first use.  The points of the two dual spaces are built on first
     use, once for every instance."""
@@ -134,7 +134,8 @@ class CarrierContext:
         if (self.neg_report is not None and self.neg_report.antitone
                 and self.neg_report.left_self_adjoint):
             self.neg_delta = extend_negation_sigma(self.ext, lat.neg)
-        self.table_bits, self.signatures = local_tables(self)
+        self.local = local_tables(self)
+        self.table_bits = self.local[0] if self.local else 0
 
     def space(self, sigma):
         """The join-irreducible dual space of a relation with extension ``sigma``."""
@@ -165,7 +166,7 @@ class Instance:
     ``LayerClock``: the property flags (two bitmasks: the flags computed
     so far, and those of them that are True; the ten local flags and the
     catalog's ``Local`` sides come from one ``local_flags`` pass over the
-    carrier's tables, each other flag from its sweep, and above the
+    carrier's local table, each other flag from its sweep, and above the
     table cap each side from its direct test), the operators ``sa``
     (with ``dia``/``box``), their ``sigma``/``pi`` extensions, the two
     dual spaces (read off the context's shared points), and the
@@ -238,7 +239,7 @@ class Instance:
         ctx = self.ctx
         if todo & ctx.table_bits:
             self._known |= ctx.table_bits
-            self._true |= ctx.clock.build("flags", local_flags, self.S, ctx.signatures)
+            self._true |= ctx.clock.build("flags", local_flags, self.S, ctx.local)
             return
         bit = todo & -todo
         self._known |= bit
@@ -481,7 +482,7 @@ def replay_counterexample(ce: dict) -> dict:
         raise InputFormatError(
             'a counterexample object needs "check" and "instance"')
     name = ce["check"]
-    if name not in CHECKS_BY_NAME:
+    if not isinstance(name, str) or name not in CHECKS_BY_NAME:
         raise InputFormatError(f"unknown check {name!r}")
     S = subalg_from_json(ce["instance"])
     lat = S.lattice

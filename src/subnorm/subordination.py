@@ -14,15 +14,12 @@ or None; ``property_holds`` and ``check_property`` run the sweeps.
 
 Ten properties are *local*: each holds exactly when every row (BOT, TOP,
 WO, AND, DD, PREC_IN_LEQ, LEQ_IN_PREC) or every column (OR, UD, PROPER)
-passes one test, stated once in ``_LOCAL``: a law of the mask alone
+passes one test, stated once in ``LOCAL_TESTS``: a law of the mask alone
 (``order.subset_law_failure``) or a test of the index and the mask.
 Their sweep returns the witness of the first row or column that fails.
-On small carriers (``n <= order._TABLE_CAP``) ``local_signatures``
-tabulates the same tests over every index and every one of the ``2^n``
-masks, so ``local_flags`` decides all ten with ``2n`` lookups; that is
-what makes them cheap enough to run over every one of the ``2^(n*n)``
-relations of an enumeration.  The signatures are kept with the
-carrier's ``order.subset_tables``.
+The verification harness tabulates the same tests over every index and
+mask of a small lattice (``harness.catalog.local_tables``); this module
+builds no tables, so a one-shot call costs one sweep.
 
 A flag mask has bit ``i`` set for ``FLAG_PROPERTIES[i]`` (``flag_mask``);
 ``missing_flags`` gives the flags whose property needs structure a
@@ -46,7 +43,6 @@ from .order import (
     poset_from_json,
     poset_to_json,
     subset_law_failure,
-    subset_tables,
 )
 
 Carrier = Union[FinPoset, FinLattice]
@@ -262,7 +258,7 @@ def _first_at(a: int, bad: int) -> Optional[tuple]:
 #: ``(x, y)`` is reported as ``(a, x, y)`` on row ``a`` and ``(x, y, a)``
 #: on column ``a``.  A test of ``(up, (bot, top), a, mask)`` reads the
 #: index ``a`` too and returns the whole witness.
-_LOCAL = {
+LOCAL_TESTS = {
     P.WO: ("rows", "up-closed"),
     P.AND: ("rows", "meet-closed"),
     P.DD: ("rows", "down-directed"),
@@ -278,12 +274,12 @@ _LOCAL = {
     P.PROPER: ("cols", lambda up, ends, a, m:
                (a,) if a != ends[0] and not m & ~(1 << ends[0]) else None),
 }
-LOCAL_FLAGS = flag_mask(*_LOCAL)
+LOCAL_FLAGS = flag_mask(*LOCAL_TESTS)
 
 
 def _local_failure(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
     """The witness of the first row or column failing a local property."""
-    side, test = _LOCAL[prop]
+    side, test = LOCAL_TESTS[prop]
     up = S.poset.up
     bounds = _bounds(S.carrier) if prop in _NEEDS_BOUNDS else None
     for a, m in enumerate(S.rows if side == "rows" else S.cols):
@@ -320,7 +316,7 @@ def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
     """Lexicographically first counterexample tuple, in the property's
     stated variable order; None when the property holds.  (S9 states its
     witness as ``(x, a, b)`` and is swept over ``a``, ``b``, then ``x``.)"""
-    if prop in _LOCAL:
+    if prop in LOCAL_TESTS:
         return _local_failure(S, prop)
     p = S.poset
     rows = S.rows
@@ -426,70 +422,6 @@ def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
                 if bad:
                     return (b, c, next(bits(bad)))
     return None
-
-
-# ---------------------------------------------------------------------------
-# the ten local flags, from per-carrier signature tables
-# ---------------------------------------------------------------------------
-
-def local_signatures(carrier: Carrier) -> Optional[tuple[int, tuple, tuple]]:
-    """``(have, rowsig, colsig)`` of a carrier with
-    ``n <= order._TABLE_CAP``, built on first use and kept with its
-    ``subset_tables``; None on larger carriers.
-
-    ``have`` holds the local flags whose structure the carrier has.
-    ``rowsig[a][r]`` holds the row-local flags that row mask ``r`` at
-    index ``a`` passes, ``colsig[x][c]`` the column-local flags that
-    column mask ``c`` at index ``x`` passes: the tests of ``_LOCAL``,
-    each subset law decided once per mask and each index test once per
-    (index, mask).  Each also holds every flag of the other side, so the
-    AND of ``have`` and a relation's rows and columns (``local_flags``)
-    is its verdicts.  Flags of missing structure are never set."""
-    lat = carrier if isinstance(carrier, FinLattice) else None
-    p = carrier.poset if lat is not None else carrier
-    tables = subset_tables(p)
-    if tables is None:
-        return None
-    key = "signatures" if lat is not None else "poset_signatures"
-    if key not in tables:
-        tables[key] = _build_signatures(carrier, p, tables)
-    return tables[key]
-
-
-def _build_signatures(carrier: Carrier, p: FinPoset, tables: dict) -> tuple[int, tuple, tuple]:
-    masks = range(1 << p.n)
-    have = LOCAL_FLAGS & ~missing_flags(carrier)
-    bounds = _bounds(carrier) if have & flag_mask(*_NEEDS_BOUNDS) else None
-    out = [have]
-    for side in ("rows", "cols"):
-        tests = [(flag_mask(q), test) for q, (s, test) in _LOCAL.items()
-                 if s == side and flag_mask(q) & have]
-        free = [have & ~sum(bit for bit, _ in tests)] * len(masks)
-        for bit, law in tests:
-            if isinstance(law, str):
-                holds = tables.get(law) or [subset_law_failure(carrier, m, law) is None
-                                            for m in masks]
-                free = [f | bit if ok else f for f, ok in zip(free, holds)]
-        sigs = [free[:] for _ in range(p.n)]
-        for a, sig in enumerate(sigs):
-            for bit, test in tests:
-                if not isinstance(test, str):
-                    for m in masks:
-                        if test(p.up, bounds, a, m) is None:
-                            sig[m] |= bit
-        out.append(tuple(map(tuple, sigs)))
-    return tuple(out)
-
-
-def local_flags(S: ProtoSubAlg, signatures: tuple[int, tuple, tuple]) -> int:
-    """The local flags that hold on ``S``, from its carrier's
-    ``local_signatures``: one lookup per row and per column."""
-    acc, rowsig, colsig = signatures
-    for sig, r in zip(rowsig, S.rows):
-        acc &= sig[r]
-    for sig, c in zip(colsig, S.cols):
-        acc &= sig[c]
-    return acc
 
 
 # ---------------------------------------------------------------------------

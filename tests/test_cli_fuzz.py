@@ -1,10 +1,11 @@
 """Fuzzing the command line with generated input.
 
 Well-formed and malformed input files and arguments for ``check``,
-``close``, ``slanted``, ``dual``, ``completion``, ``derive`` and ``out``
-are passed to ``cli.main``.  Every run must return 0, 1 or 2 without an
-uncaught exception (the exit-code contract: 0 holds, 1 fails, 2 bad
-input), and every malformed input must exit 2 with a one-line error.
+``close``, ``slanted``, ``dual``, ``completion``, ``derive`` and ``out``,
+and malformed counterexamples for ``verify --replay``, are passed to
+``cli.main``.  Every run must return 0, 1 or 2 without an uncaught
+exception (the exit-code contract: 0 holds, 1 fails, 2 bad input), and
+every malformed input must exit 2 with a one-line error.
 A well-formed input may still exit 2 when the command needs structure
 the input lacks (a lattice, monotone operators, a subordination
 algebra).  The examples are derandomized, so a failure replays.
@@ -205,6 +206,18 @@ BAD_INEQS = ["p", "p <= q <= r", "<> <= p", "p <= (q", "p <= q)", "p <= q $",
              *(f"{t} <= p" for t in DEEP_TERMS)]
 
 
+_INSTANCE = {"algebra": CARRIERS[2], "prec": [[0, 0]]}
+BAD_COUNTEREXAMPLES = [
+    {"check": ["x"], "instance": _INSTANCE}, {"check": {}, "instance": _INSTANCE},
+    {"check": None, "instance": _INSTANCE}, {"check": "nope", "instance": _INSTANCE},
+    {"check": "bounds-of-related-pairs"}, {"instance": _INSTANCE},
+    {"check": "bounds-of-related-pairs", "instance": 3},
+    {"check": "bounds-of-related-pairs",                   # a poset carrier
+     "instance": {"algebra": {"elements": ["a", "b"], "hasse": []}, "prec": []}},
+    [], 3, None,
+]
+
+
 def _out_command(t):
     option, formula, modal = t
     args = {"--gamma": "p", "--head": "q", option: formula}
@@ -237,6 +250,8 @@ malformed = st.one_of(
     st.tuples(st.sampled_from(["--gamma", "--head"]), st.sampled_from(BAD_FORMULAS),
               st.sampled_from([[], ["--modal"]])).map(_out_command),
     st.just((["check"], {})),
+    st.one_of(st.sampled_from(BAD_COUNTEREXAMPLES), st.sampled_from(BAD_FILES)).map(
+        lambda ce: (["verify", "--replay", "{ce}"], {"ce": ce})),
 )
 
 

@@ -28,9 +28,15 @@ from subnorm.harness import maximality
 from subnorm.harness import run as runner
 from subnorm.harness.run import LAYERS
 from subnorm.harness.carriers import load_carrier
-from subnorm.harness.catalog import LOCAL_SIDES, Flags, Inequalities, _compile_inequality
+from subnorm.harness.catalog import (
+    LOCAL_SIDES,
+    Flags,
+    Inequalities,
+    _compile_inequality,
+    local_tables,
+)
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
-from subnorm.order import FinLattice, FinPoset, bits
+from subnorm.order import FinLattice, FinPoset, bits, lattice_to_json
 from subnorm.slanted import build_slanted, valid
 from subnorm.subordination import (
     LOCAL_FLAGS,
@@ -93,11 +99,6 @@ class TestGeneration:
         first = [S.rows for S in enumerate_relations(chain2)]
         second = [S.rows for S in enumerate_relations(chain2)]
         assert first == second
-
-    def test_filtered_enumeration(self, chain2):
-        got = list(enumerate_relations(chain2, [P.SI, P.WO]))
-        assert all(is_subordination_algebra(S) or True for S in got)
-        assert 0 < len(got) < 16
 
     def test_too_large(self, fdl2):
         with pytest.raises(TooLarge):
@@ -542,7 +543,7 @@ class TestLocalSides:
             carriers.append((name, lat, rels))
         for name, lat, rels in carriers:
             ctx = CarrierContext(name, lat)
-            assert (ctx.signatures is None) == (name == "chain12")
+            assert (ctx.local is None) == (name == "chain12")
             seen = {side: set() for side in sides}
             for S in rels:
                 inst, fresh = Instance(ctx, S), Instance(ctx, S)
@@ -746,7 +747,7 @@ class TestGroupedRunner:
                                     "hasse": [[i, i + 1] for i in range(11)]}))
         lat = load_carrier(str(path))
         ctx = CarrierContext("chain12", lat)
-        assert ctx.signatures is None
+        assert ctx.local is None
         sample = random_relations(lat, 6, 3, (0.05, 0.2))
         seen = set()
         for S in sample + [close(S, SUBORDINATION_RULES) for S in sample]:
@@ -759,6 +760,23 @@ class TestGroupedRunner:
                 assert inst.flag(q) is want, (S, q)
                 seen.add((q, want))
         assert {want for _, want in seen} == {True, False, None}
+
+    def test_contexts_of_one_carrier_share_one_table(self, tmp_path):
+        # the local table is kept with the lattice's order, so every context
+        # of a built-in carrier reads one object; a copy loaded from JSON is
+        # another order, with its own table of the same entries
+        first = CarrierContext("b8", load_carrier("b8"))
+        second = CarrierContext("b8", load_carrier("b8"))
+        assert first.local is second.local is local_tables(first)
+        path = tmp_path / "b8.json"
+        path.write_text(json.dumps(lattice_to_json(load_carrier("b8"))))
+        copy = CarrierContext("copy", load_carrier(str(path)))
+        assert copy.local is not first.local
+        # a side stated after the first table was built is in the copy only
+        decided = first.local[0]
+        assert copy.local[0] & decided == decided
+        for mine, theirs in zip(first.local[1:], copy.local[1:]):
+            assert [[e & decided for e in sig] for sig in theirs] == [list(sig) for sig in mine]
 
 
 class TestReplay:
@@ -786,9 +804,17 @@ class TestReplay:
                   "detail": {"lhs": True, "rhs": False}}
         assert replay_counterexample(stored)["status"] == "pass"
 
-    def test_replay_rejects_malformed(self):
-        with pytest.raises(InputFormatError):
-            replay_counterexample({"check": "bounds-of-related-pairs"})
+    def test_replay_rejects_malformed(self, b4_leq):
+        instance = subalg_to_json(b4_leq)
+        for ce in ({"check": "bounds-of-related-pairs"}, {"instance": instance}, [], 3,
+                   {"check": "nope", "instance": instance},
+                   # a check name that is not a string, hashable or not
+                   {"check": ["x"], "instance": instance},
+                   {"check": {}, "instance": instance},
+                   {"check": None, "instance": instance},
+                   {"check": "bounds-of-related-pairs", "instance": 3}):
+            with pytest.raises(InputFormatError):
+                replay_counterexample(ce)
 
 
 def test_every_catalog_entry_fires_on_default_mixed_slice():

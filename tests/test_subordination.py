@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnorm.errors import InputFormatError, MissingStructure
-from subnorm.order import free_boolean_algebra, poset_from_hasse, to_lattice
+from subnorm.order import FinLattice, free_boolean_algebra, poset_from_hasse, to_lattice
 from subnorm.subordination import (
     CLASS_TABLE,
     CLOSABLE_RULES,
@@ -21,14 +21,14 @@ from subnorm.subordination import (
     close,
     close_i,
     flag_mask,
-    local_flags,
-    local_signatures,
     missing_flags,
     property_holds,
     subalg_from_json,
     subalg_to_json,
 )
+from subnorm.harness import CarrierContext
 from subnorm.harness.carriers import load_carrier
+from subnorm.harness.catalog import local_flags, local_tables
 from subnorm.harness.generate import (
     SUBORDINATION_RULES,
     random_relations,
@@ -127,7 +127,10 @@ def test_local_witnesses_on_every_row_and_column(name, request):
     n, up = carrier.n, getattr(carrier, "poset", carrier).up
     missing = missing_flags(carrier)
     props = [q for q in ROW_LOCAL + COL_LOCAL if not flag_mask(q) & missing]
-    signatures = local_signatures(carrier)
+    # the harness tabulates lattices only; a bare poset has its sweeps
+    table = None
+    if isinstance(carrier, FinLattice):
+        table = local_tables(CarrierContext(name, carrier))
     seen = {q: set() for q in props}
     for a in range(n):
         for m in range(1 << n):
@@ -135,26 +138,44 @@ def test_local_witnesses_on_every_row_and_column(name, request):
             by_col = [up[b] & ~(1 << a) | (m >> b & 1) << a for b in range(n)]
             for rows in (by_row, by_col):
                 S = ProtoSubAlg(carrier, SubordRel(n, rows))
-                flags = local_flags(S, signatures)
+                flags = table and local_flags(S, table)
                 for q in props:
                     want = LOCAL_WITNESS_ORACLES[q.value](S)
                     assert check_property(S, q) == (want is None, want), (a, m, rows, q)
-                    assert bool(flags & flag_mask(q)) == (want is None), (a, m, rows, q)
+                    if table:
+                        assert bool(flags & flag_mask(q)) == (want is None), (a, m, rows, q)
                     seen[q].add(want is None)
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
 
 
+def holds_or_missing(S, q) -> bool:
+    try:
+        return property_holds(S, q)
+    except MissingStructure:
+        return False
+
+
 class TestLocalFlags:
-    """The signature tables against the set-based oracles of the ten
-    local properties."""
+    """The harness's local table of each lattice (``catalog.local_tables``),
+    and the sweeps on bare posets, against the set-based oracles of the
+    ten local properties."""
 
     @staticmethod
-    def agree(S, seen):
-        got = local_flags(S, local_signatures(S.carrier))
+    def table(lat):
+        return local_tables(CarrierContext("test", lat))
+
+    @staticmethod
+    def agree(S, table, seen):
+        """The local flags of ``S`` read from ``table``, or from
+        ``property_holds`` when there is none, against the oracles."""
+        got = table and local_flags(S, table)
         missing = missing_flags(S.carrier)
         for q in ROW_LOCAL + COL_LOCAL:
             want = not flag_mask(q) & missing and PROPERTY_ORACLES[q.value](S)
-            assert bool(got & flag_mask(q)) == want, (S, q)
+            if table:
+                assert bool(got & flag_mask(q)) == want, (S, q)
+            else:
+                assert holds_or_missing(S, q) == want, (S, q)
             seen[q].add(want)
 
     def test_local_flags_are_the_row_and_column_properties(self):
@@ -163,8 +184,9 @@ class TestLocalFlags:
 
     def test_exhaustive_on_chain3(self, chain3):
         seen = {q: set() for q in ROW_LOCAL + COL_LOCAL}
+        table = self.table(chain3)
         for packed in range(1 << 9):
-            self.agree(ProtoSubAlg(chain3, relation_from_int(3, packed)), seen)
+            self.agree(ProtoSubAlg(chain3, relation_from_int(3, packed)), table, seen)
         # every subset of a chain is meet- and join-closed and directed
         closed = (P.AND, P.OR, P.DD, P.UD)
         assert all(seen[q] == {True} for q in closed)
@@ -174,9 +196,10 @@ class TestLocalFlags:
     def test_seeded_relations_and_closures(self, name):
         lat = load_carrier(name)
         seen = {q: set() for q in ROW_LOCAL + COL_LOCAL}
+        table = self.table(lat)
         for S in random_relations(lat, 2000, zlib.crc32(name.encode())):
-            self.agree(S, seen)
-            self.agree(close(S, SUBORDINATION_RULES), seen)
+            self.agree(S, table, seen)
+            self.agree(close(S, SUBORDINATION_RULES), table, seen)
         assert all(outcomes == {True, False} for outcomes in seen.values()), seen
 
     def test_poset_carriers(self, b4, v_poset, antichain2):
@@ -185,14 +208,13 @@ class TestLocalFlags:
         for p in (v_poset, antichain2):
             seen = {q: set() for q in ROW_LOCAL + COL_LOCAL}
             for packed in range(1 << (p.n * p.n)):
-                self.agree(ProtoSubAlg(p, relation_from_int(p.n, packed)), seen)
+                self.agree(ProtoSubAlg(p, relation_from_int(p.n, packed)), None, seen)
             assert all(seen[q] == {False} for q in (P.AND, P.OR, P.BOT, P.TOP, P.PROPER))
         seen = {q: set() for q in ROW_LOCAL + COL_LOCAL}
         for S in random_relations(b4.poset, 1000, 3):
-            self.agree(S, seen)
+            self.agree(S, None, seen)
         assert all(seen[q] == {False} for q in (P.AND, P.OR))
         assert all(seen[q] == {True, False} for q in (P.BOT, P.TOP, P.PROPER))
-        assert local_signatures(b4.poset) is not local_signatures(b4)
 
     def test_missing_flags_match_property_holds(self, chain3, b4, v_poset):
         for carrier in (chain3, b4, b4.poset, v_poset):

@@ -1,0 +1,174 @@
+"""Code mutants of the local table and the local catalog sides.
+
+Each mutant is one ``(file, old, new)`` patch.  The runner copies the
+repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, applies the patch there and runs the ``FAST`` test subset
+against the copy; a failing run kills the mutant.  A patch whose ``old``
+text does not occur exactly once in its file is an error, so a list that
+has drifted from the code fails loudly instead of testing nothing.  The
+unpatched copy is run first and must pass.  The working tree is never
+touched.  Standard library only, and not part of the Tier-1 suite:
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py NAME ...   # the named ones
+    python tools/mutants.py --list
+
+Prints one ``killed`` line (with the first failing test) or
+``SURVIVED`` line per mutant and exits 1 when a
+mutant survives or a patch does not apply.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: the tests each mutant runs against: the local table against the
+#: set-based oracles, the local sides against the per-instance bodies,
+#: the flag bitmasks against ``property_holds``, and the witness digest
+FAST = (
+    "tests/test_harness.py::TestLocalSides",
+    "tests/test_subordination.py::TestLocalFlags",
+    "tests/test_subordination.py::test_local_witnesses_on_every_row_and_column",
+    "tests/test_harness.py::TestGroupedRunner",
+    "tests/test_witness_digest.py",
+)
+
+CATALOG = "src/subnorm/harness/catalog.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+
+
+MUTANTS = (
+    # the construction of the local table (`_build_local_tables`)
+    Mutant("table-skips-last-index", CATALOG,
+           "            for a in range(lat.n)))",
+           "            for a in range(lat.n - 1)))"),
+    Mutant("table-negates-index-tests", CATALOG,
+           "if test(up, ends, a, m) is None)",
+           "if test(up, ends, a, m) is not None)"),
+    Mutant("table-leaves-own-side-free", CATALOG,
+           "        other = every & ~sum(bit for bit, _ in flags) & ~sum(s.bit for s in mine)",
+           "        other = every"),
+    Mutant("table-laws-on-wrong-side", CATALOG,
+           "for q, (s, test) in LOCAL_TESTS.items() if s == side]",
+           "for q, (s, test) in LOCAL_TESTS.items() if (s == side) != isinstance(test, str)]"),
+    Mutant("table-laws-read-up-closed", CATALOG,
+           "tables.get(law) or",
+           "tables['up-closed'] or"),
+    Mutant("table-rows-read-join", CATALOG,
+           "        values = list(map(_operator(ctx, side), masks))",
+           "        values = list(map(ctx.ext.join_of_base, masks))"),
+    # the pass over a relation's rows and columns
+    Mutant("pass-skips-last-row", CATALOG,
+           "for sig, r in zip(rowsig, S.rows):",
+           "for sig, r in zip(rowsig[:-1], S.rows):"),
+    Mutant("pass-skips-last-column", CATALOG,
+           "for sig, c in zip(colsig, S.cols):",
+           "for sig, c in zip(colsig[:-1], S.cols):"),
+    # the local sides
+    Mutant("inflationary-side-reversed", CATALOG,
+           "        return Local(side, lambda ctx, a, m, v: leq(_StandIn(ctx, v), ((a,),)))",
+           "        return Local(side, lambda ctx, a, m, v: (\n"
+           "            leq(_StandIn(ctx, v), ((a,),)) if ineq.lhs[0] != 'var'\n"
+           "            else ctx.delta.poset.up[v] >> ctx.embed[a] & 1))"),
+    Mutant("bounds-law-without-column-half", CATALOG,
+           ',\n                     Local("cols", lambda ctx, b, m, v: '
+           'not m & ~ctx.base_below[v]))',
+           ")"),
+    Mutant("grounded-side-at-top", CATALOG,
+           "a != getattr(ctx.lat, operand[0])",
+           "a != ctx.lat.top"),
+)
+
+
+def _copy(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _patched(mutant: Mutant) -> str:
+    """The mutant's file with the patch applied."""
+    text = (ROOT / mutant.file).read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"error: mutant {mutant.name}: the old text occurs {count} times "
+                         f"in {mutant.file}, not once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def _run_fast(tree: Path) -> Optional[str]:
+    """The first test of the ``FAST`` subset that fails on the tree, or
+    None when all pass; the copy's own ``src`` must be the package
+    imported."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run([sys.executable, "-c", "import subnorm; print(subnorm.__file__)"],
+                           cwd=tree, env=env, capture_output=True, text=True, check=True)
+    if not Path(where.stdout.strip()).resolve().is_relative_to(tree.resolve()):
+        raise SystemExit(f"error: the copy imports subnorm from {where.stdout.strip()}")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *FAST], cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode == 0:
+        return None
+    failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return failed[0] if failed else done.stdout.strip().splitlines()[-1]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    if args.list:
+        print("\n".join(by_name))
+        return 0
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
+    patched = [_patched(m) for m in chosen]  # every patch applies before anything runs
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="subnorm-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        failure = _run_fast(base)
+        if failure:
+            print(f"error: the unpatched tree fails the fast subset: {failure}", file=sys.stderr)
+            return 1
+        survived = []
+        for mutant, text in zip(chosen, patched):
+            tree = Path(tmp) / mutant.name
+            shutil.copytree(base, tree)
+            (tree / mutant.file).write_text(text)
+            t0 = time.perf_counter()
+            failure = _run_fast(tree)
+            print(f"{'killed  ' if failure else 'SURVIVED'} {mutant.name} "
+                  f"({time.perf_counter() - t0:.1f} s){': ' + failure if failure else ''}",
+                  flush=True)
+            if not failure:
+                survived.append(mutant.name)
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - len(survived)}/{len(chosen)} killed in "
+          f"{time.perf_counter() - start:.0f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
