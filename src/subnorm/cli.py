@@ -32,6 +32,7 @@ exactly one ``<=``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -143,14 +144,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_close(args) -> int:
+    if (args.system is None) == (args.rules is None):
+        raise SubnormError("need exactly one of --system 1..4 and --rules LIST")
     S = _load_subalg(args)
     before = set(S.prec.pairs())
-    if args.system:
+    if args.system is not None:
         closed = close_i(S, args.system)
-    elif args.rules is not None:
-        closed = close(S, _parse_props(args.rules))
     else:
-        raise SubnormError("need --system 1..4 or --rules LIST")
+        closed = close(S, _parse_props(args.rules))
     payload = subalg_to_json(closed)
     payload["added"] = len(set(closed.prec.pairs()) - before)
     _emit(args, payload,
@@ -376,9 +377,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call.
+
+    ``parse_args`` returns a fresh namespace and leaves the parser as it
+    was, so every call can share it.  ``set_defaults(fn=_cmd_*)`` binds
+    the command functions when the parser is built: patch a ``_cmd_*``
+    after the first call and clear this cache, or the old one runs.  The
+    helpers they call (``_load_subalg`` and the rest) are looked up at
+    call time."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except SubnormError as exc:

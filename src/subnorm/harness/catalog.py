@@ -141,13 +141,16 @@ class Local:
     every column (``"cols"``) passes ``test(ctx, a, m, v)``: the row or
     column at index ``a`` is the mask ``m`` and the operator there is
     ``v`` (``<>a`` on rows, ``[]a`` on columns), read from the carrier's
-    ``CarrierContext`` ``ctx``.  Decided as the flag bit ``bit``."""
+    ``CarrierContext`` ``ctx``.  Decided as the flag bit ``bit``.  A side
+    with ``reads_mask`` false reads only ``a`` and ``v`` (its test gets
+    None for ``m``), so its table is built once per (index, value)."""
 
-    __slots__ = ("side", "test", "bit")
+    __slots__ = ("side", "test", "reads_mask", "bit")
 
-    def __init__(self, side: str, test: Callable):
+    def __init__(self, side: str, test: Callable, reads_mask: bool = True):
         self.side = side
         self.test = test
+        self.reads_mask = reads_mask
         self.bit = 1 << (len(FLAG_PROPERTIES) + len(LOCAL_SIDES))
         LOCAL_SIDES.append(self)
 
@@ -172,7 +175,8 @@ def local_tables(ctx) -> Optional[tuple[int, tuple, tuple]]:
     at index ``a``: the flags of ``subordination.LOCAL_TESTS`` and the
     ``Local`` row sides; ``colsig`` the same for columns.  A subset law
     is decided once per mask (read from the order-law tables where they
-    have it), every other test once per (index, mask).  Each entry also
+    have it), a side that reads only the operator value once per (index,
+    value), every other test once per (index, mask).  Each entry also
     holds every bit of the other side, so the AND of ``bits`` and the
     entries of a relation's rows and columns (``local_flags``) is its
     verdicts.  ``bits`` are the ten local flags and the sides stated
@@ -201,12 +205,18 @@ def _build_local_tables(ctx, tables: dict) -> tuple[int, tuple, tuple]:
         other = every & ~sum(bit for bit, _ in flags) & ~sum(s.bit for s in mine)
         free = [other | sum(bit for bit, holds in laws if holds[m]) for m in masks]
         values = list(map(_operator(ctx, side), masks))
-        out.append(tuple(
-            tuple(free[m]
-                  | sum(bit for bit, test in tests if test(up, ends, a, m) is None)
-                  | sum(s.bit for s in mine if s.test(ctx, a, m, values[m]))
-                  for m in masks)
-            for a in range(lat.n)))
+        by_mask = [s for s in mine if s.reads_mask]
+        by_value = [s for s in mine if not s.reads_mask]
+        sigs = []
+        for a in range(lat.n):
+            value_bits = {v: sum(s.bit for s in by_value if s.test(ctx, a, None, v))
+                          for v in set(values)}
+            sigs.append(tuple(
+                free[m] | value_bits[values[m]]
+                | sum(bit for bit, test in tests if test(up, ends, a, m) is None)
+                | sum(s.bit for s in by_mask if s.test(ctx, a, m, values[m]))
+                for m in masks))
+        out.append(tuple(sigs))
     return tuple(out)
 
 
@@ -374,11 +384,12 @@ def _local_side(ineq, names: list[str], leq) -> Optional[Local]:
     (operand,) = operands
     side = "rows" if next(iter(applied))[0] == "dia" else "cols"
     if operand[0] == "var":
-        return Local(side, lambda ctx, a, m, v: leq(_StandIn(ctx, v), ((a,),)))
+        return Local(side, lambda ctx, a, m, v: leq(_StandIn(ctx, v), ((a,),)),
+                     reads_mask=False)
     if operand[0] in ("top", "bot"):
         return Local(side, lambda ctx, a, m, v: (
             a != getattr(ctx.lat, operand[0])
-            or leq(_StandIn(ctx, v), _columns(ctx.lat.n, len(names)))))
+            or leq(_StandIn(ctx, v), _columns(ctx.lat.n, len(names)))), reads_mask=False)
     return None
 
 

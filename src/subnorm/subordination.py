@@ -84,11 +84,11 @@ def flag_mask(*props) -> int:
 
 
 #: rules whose conclusions are non-existential, hence closable by a
-#: monotone fixpoint.  (D) stays check-only.
-CLOSABLE_RULES = frozenset({
-    Property.BOT, Property.TOP, Property.SI, Property.WO,
-    Property.AND, Property.OR, Property.CT, Property.T,
-})
+#: monotone fixpoint, in the order ``close`` reads them.  (D) stays
+#: check-only.
+_CLOSE_ORDER = (Property.BOT, Property.TOP, Property.SI, Property.WO,
+                Property.AND, Property.OR, Property.CT, Property.T)
+CLOSABLE_RULES = frozenset(_CLOSE_ORDER)
 
 #: the six rules of a subordination algebra
 SUBORDINATION_RULES = frozenset({P.BOT, P.TOP, P.SI, P.WO, P.AND, P.OR})
@@ -496,41 +496,45 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     if bad:
         raise MissingStructure(
             "/".join(sorted(q.value for q in bad)), "a closable Horn rule")
+    # which rules are in the set is decided once, not in every pass
+    bot, top, si, wo, and_, or_, ct, t = map(ruleset.__contains__, _CLOSE_ORDER)
     lat = S.lattice
-    if ruleset & {P.AND, P.OR, P.CT} and lat is None:
+    if (and_ or or_ or ct) and lat is None:
         raise MissingStructure("AND/OR/CT closure", "lattice operations")
-    if ruleset & {P.BOT, P.TOP}:
-        _bounds(S.carrier)
 
     n = S.n
     p = S.poset
     up = p.up
     rows = list(S.rows)
-    if P.BOT in ruleset:
-        bot, _ = _bounds(S.carrier)
-        rows[bot] |= 1 << bot
-    if P.TOP in ruleset:
-        _, top = _bounds(S.carrier)
-        rows[top] |= 1 << top
-    filters = lat is not None and {P.WO, P.AND} <= ruleset
+    if bot or top:
+        lo, hi = _bounds(S.carrier)
+        if bot:
+            rows[lo] |= 1 << lo
+        if top:
+            rows[hi] |= 1 << hi
+    filters = lat is not None and wo and and_
+    strict_up = [list(bits(up[a] ^ (1 << a))) for a in range(n)] if si else None
     guard = n * n + 2
     for _ in range(guard + 1):
-        before = tuple(rows)
-        if P.SI in ruleset:
-            for a in range(n):
+        before = rows[:]
+        if si:
+            for a, above in enumerate(strict_up):
                 acc = rows[a]
-                for b in bits(up[a] ^ (1 << a)):
+                for b in above:
                     acc |= rows[b]
                 rows[a] = acc
         if filters:
             for a in range(n):
-                if rows[a]:
-                    rows[a] = up[lat.meet_all(rows[a])]
+                r = rows[a]
+                # a row that is the principal filter of its lowest-index
+                # member x already has meet x
+                if r and up[(r & -r).bit_length() - 1] != r:
+                    rows[a] = up[lat.meet_all(r)]
         else:
-            if P.WO in ruleset:
+            if wo:
                 for a in range(n):
                     rows[a] = p.up_closure(rows[a])
-            if P.AND in ruleset:
+            if and_:
                 meet = lat.meet
                 for a in range(n):
                     acc = rows[a]
@@ -539,7 +543,7 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
                         for y in members:
                             acc |= 1 << meet[x][y]
                     rows[a] = acc
-        if P.OR in ruleset:
+        if or_:
             join = lat.join
             for a in range(n):
                 ra = rows[a]
@@ -549,20 +553,20 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
                     common = ra & rows[b]
                     if common:
                         rows[join[a][b]] |= common
-        if P.CT in ruleset:
+        if ct:
             meet = lat.meet
             for a in range(n):
                 acc = rows[a]
                 for b in bits(rows[a]):
                     acc |= rows[meet[a][b]]
                 rows[a] = acc
-        if P.T in ruleset:
+        if t:
             for a in range(n):
                 acc = rows[a]
                 for b in bits(rows[a]):
                     acc |= rows[b]
                 rows[a] = acc
-        if tuple(rows) == before:
+        if rows == before:
             break
     else:
         raise AssertionError("closure failed to converge within the pair bound")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from subnorm import cli
 from subnorm.cli import main
 from subnorm.errors import InputFormatError
 from subnorm.harness import GenConfig, run_suite
@@ -61,7 +62,6 @@ class TestCheck:
 
     def test_classify_builds_no_carrier_tables(self, capsys, files, monkeypatch):
         # a one-shot query decides its flags with the sweeps alone
-        from subnorm import cli
         loaded, load = [], cli._load_subalg
 
         def capture(args):
@@ -117,6 +117,14 @@ class TestClose:
         code, err = run_err(capsys, "close", "--input", files["sub"], "--rules", rules)
         assert code == 2
         assert err.count("\n") == 1 and "no property names" in err
+
+    def test_system_and_rules_together_is_input_error(self, capsys, files):
+        # neither choice wins silently
+        code, err = run_err(capsys, "close", "--input", files["sub"],
+                            "--system", "1", "--rules", "SI")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--system" in err and "--rules" in err
 
 
 class TestDeriveOut:
@@ -463,3 +471,64 @@ class TestTermInput:
                                "--query", "p |~ q")
         assert err.startswith("error: line 2: ")
         assert err.endswith(f"(at position {line.index(')')})\n")
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process, built on first use."""
+
+    @staticmethod
+    def commands(files, tmp_path):
+        poset = tmp_path / "v.json"
+        poset.write_text(json.dumps({"elements": ["z", "x", "y"], "hasse": [[0, 1], [0, 2]]}))
+        out = ["out", "--system", "1", "--norms", files["norms"], "--gamma", "p", "--head", "q"]
+        close = ["close", "--input", files["sub"], "--system", "2"]
+        return [
+            ["check", "--input", files["sub"], "--classify"],
+            ["check", "--input", files["sub"], "--props", "SI"],
+            [*out, "--modal"],
+            out,
+            ["--format", "json", *close],
+            close,
+            ["derive", "--system", "2", "--norms", files["norms"], "--query", "p |~ q"],
+            ["slanted", "--algebra", files["algebra"], "--prec", files["prec"],
+             "--ineq", "p <= <>p"],
+            ["completion", "--poset", str(poset)],
+            ["dual", "--algebra", files["algebra"], "--prec", files["prec"],
+             "--check", "reflexive"],
+            ["verify", "--carriers", "chain2", "--checks", "bounds-of-related-pairs"],
+        ]
+
+    def test_every_subcommand_shares_one_parser(self, capsys, files, tmp_path, monkeypatch):
+        built, build = [], cli.build_parser
+
+        def counting():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        commands = self.commands(files, tmp_path)
+        assert {argv[2] if argv[0] == "--format" else argv[0] for argv in commands} == {
+            "check", "close", "derive", "out", "slanted", "completion", "dual", "verify"}
+        for argv in commands:
+            assert main(argv) in (0, 1)
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_interleaved_commands_match_fresh_parsers(self, capsys, files, tmp_path):
+        # a verdict, flag or format of one call never leaks into the next
+        def outcome(argv):
+            code = main(argv)
+            return code, capsys.readouterr().out
+
+        commands = self.commands(files, tmp_path)
+        cli._parser.cache_clear()
+        shared = [outcome(argv) for argv in commands]
+        fresh = []
+        for argv in commands:
+            cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [code for code, _ in shared[:4]] == [0, 1, 0, 0]
+        assert (json.loads(shared[4][1])["added"]
+                == int(shared[5][1].splitlines()[-1].split()[1]))

@@ -234,7 +234,8 @@ malformed = st.one_of(
     # well-formed files with bad arguments
     _sub_command("check", st.sampled_from([["--props", "XYZ"], ["--props", "SI,nope"]])),
     _sub_command("close", st.sampled_from([[], ["--rules", "D"], ["--rules", "S9_FWD"],
-                                           ["--rules", "nope"]])),
+                                           ["--rules", "nope"],
+                                           ["--system", "1", "--rules", "SI"]])),
     _sub_command("slanted", st.sampled_from(BAD_INEQS).map(lambda s: ["--ineq", s])),
     _sub_command("dual", st.sampled_from([["--check", "foo"], ["--check", "dense,bar"]])),
     st.one_of(bad_algebras, st.sampled_from(BAD_FILES)).map(

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnorm.errors import InputFormatError, MissingStructure
-from subnorm.order import FinLattice, free_boolean_algebra, poset_from_hasse, to_lattice
+from subnorm.order import (
+    FinLattice,
+    free_boolean_algebra,
+    poset_from_hasse,
+    to_lattice,
+    validate_poset,
+)
 from subnorm.subordination import (
     CLASS_TABLE,
     CLOSABLE_RULES,
@@ -268,6 +274,13 @@ class TestClassify:
                 assert (name in got) == all(property_holds(S, q) for q in props)
 
 
+def reversed_indices(p):
+    """The poset ``p`` with index ``i`` renamed ``n - 1 - i``."""
+    n = p.n
+    return validate_poset([[int(p.leq(n - 1 - a, n - 1 - b)) for b in range(n)]
+                           for a in range(n)])
+
+
 class TestClose:
     def test_top_rule_only(self, chain3):
         S = ProtoSubAlg.from_pairs(chain3, [])
@@ -342,10 +355,11 @@ class TestClose:
                 assert got == closure_oracle(chain2, pairs, names), (packed, names)
 
     def test_minimality_against_oracle_on_posets(self, v_poset, antichain2):
-        # the rules that need only the order, on every relation on V and
-        # on the two-element antichain
+        # the rules that need only the order, on every relation on V, on
+        # V with its indices reversed (the bottom last) and on the
+        # two-element antichain
         rulesets = self._rulesets({P.SI, P.WO, P.T})
-        for p in (v_poset, antichain2):
+        for p in (v_poset, reversed_indices(v_poset), antichain2):
             n = p.n
             for packed in range(1 << (n * n)):
                 S = ProtoSubAlg(p, relation_from_int(n, packed))
@@ -379,7 +393,10 @@ class TestClose:
     def test_filterform_matches_generic_on_small_lattices(self, b4, fdl2, b8):
         # close() takes the joint filter step for every closable rule set
         # containing WO and AND; the pairwise fixpoint is the reference,
-        # on distributive carriers and on the non-distributive N5 and M3
+        # on distributive carriers, on b4 and fdl2 with their indices
+        # reversed (where the shortcut for a row that is already the
+        # filter of its lowest-index member fits only the row {top}) and
+        # on the non-distributive N5 and M3
         rulesets = [extra | {P.WO, P.AND}
                     for extra in self._rulesets(CLOSABLE_RULES - {P.WO, P.AND})]
         assert len(rulesets) == 64
@@ -388,7 +405,8 @@ class TestClose:
                                              (1, 4), (2, 4), (3, 4)]))
         assert not n5.is_distributive and not m3.is_distributive
         rng = random.Random(14)
-        for lat in (b4, fdl2, b8, n5, m3):
+        reversed_lattices = [to_lattice(reversed_indices(lat.poset)) for lat in (b4, fdl2)]
+        for lat in (b4, fdl2, b8, n5, m3, *reversed_lattices):
             n = lat.n
             for _ in range(40):
                 pairs = [(rng.randrange(n), rng.randrange(n))

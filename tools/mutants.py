@@ -1,4 +1,4 @@
-"""Code mutants of the local table and the local catalog sides.
+"""Code mutants of the local table, the local catalog sides and the closure.
 
 Each mutant is one ``(file, old, new)`` patch.  The runner copies the
 repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -34,16 +34,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: the tests each mutant runs against: the local table against the
 #: set-based oracles, the local sides against the per-instance bodies,
-#: the flag bitmasks against ``property_holds``, and the witness digest
+#: the flag bitmasks against ``property_holds``, the witness digest, the
+#: closure against its oracles and the closure digest
 FAST = (
     "tests/test_harness.py::TestLocalSides",
     "tests/test_subordination.py::TestLocalFlags",
     "tests/test_subordination.py::test_local_witnesses_on_every_row_and_column",
     "tests/test_harness.py::TestGroupedRunner",
     "tests/test_witness_digest.py",
+    "tests/test_subordination.py::TestClose",
+    "tests/test_closure_digest.py",
 )
 
 CATALOG = "src/subnorm/harness/catalog.py"
+SUBORDINATION = "src/subnorm/subordination.py"
 
 
 class Mutant(NamedTuple):
@@ -56,8 +60,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the construction of the local table (`_build_local_tables`)
     Mutant("table-skips-last-index", CATALOG,
-           "            for a in range(lat.n)))",
-           "            for a in range(lat.n - 1)))"),
+           "        for a in range(lat.n):",
+           "        for a in range(lat.n - 1):"),
     Mutant("table-negates-index-tests", CATALOG,
            "if test(up, ends, a, m) is None)",
            "if test(up, ends, a, m) is not None)"),
@@ -73,6 +77,9 @@ MUTANTS = (
     Mutant("table-rows-read-join", CATALOG,
            "        values = list(map(_operator(ctx, side), masks))",
            "        values = list(map(ctx.ext.join_of_base, masks))"),
+    Mutant("table-value-side-at-wrong-value", CATALOG,
+           "free[m] | value_bits[values[m]]",
+           "free[m] | value_bits[values[m ^ 1]]"),
     # the pass over a relation's rows and columns
     Mutant("pass-skips-last-row", CATALOG,
            "for sig, r in zip(rowsig, S.rows):",
@@ -82,10 +89,10 @@ MUTANTS = (
            "for sig, c in zip(colsig[:-1], S.cols):"),
     # the local sides
     Mutant("inflationary-side-reversed", CATALOG,
-           "        return Local(side, lambda ctx, a, m, v: leq(_StandIn(ctx, v), ((a,),)))",
+           "        return Local(side, lambda ctx, a, m, v: leq(_StandIn(ctx, v), ((a,),)),",
            "        return Local(side, lambda ctx, a, m, v: (\n"
            "            leq(_StandIn(ctx, v), ((a,),)) if ineq.lhs[0] != 'var'\n"
-           "            else ctx.delta.poset.up[v] >> ctx.embed[a] & 1))"),
+           "            else ctx.delta.poset.up[v] >> ctx.embed[a] & 1),"),
     Mutant("bounds-law-without-column-half", CATALOG,
            ',\n                     Local("cols", lambda ctx, b, m, v: '
            'not m & ~ctx.base_below[v]))',
@@ -93,6 +100,16 @@ MUTANTS = (
     Mutant("grounded-side-at-top", CATALOG,
            "a != getattr(ctx.lat, operand[0])",
            "a != ctx.lat.top"),
+    # the closure fixpoint (`subordination.close`)
+    Mutant("filter-shortcut-keeps-any-row", SUBORDINATION,
+           "if r and up[(r & -r).bit_length() - 1] != r:",
+           "if r and False:"),
+    Mutant("ct-membership-read-from-t", SUBORDINATION,
+           "map(ruleset.__contains__, _CLOSE_ORDER)",
+           "map(ruleset.__contains__, (*_CLOSE_ORDER[:6], P.T, P.T))"),
+    Mutant("si-skips-last-row", SUBORDINATION,
+           "for a, above in enumerate(strict_up):",
+           "for a, above in enumerate(strict_up[:-1]):"),
 )
 
 
