@@ -20,15 +20,15 @@ mask on bases with at most ``order._TABLE_CAP`` elements, so each of the
 sigma/pi lifting of a map from the base (``lift_map``), which extends
 the diamond and box (``slanted.sigma_extension``/``pi_extension``) and
 the negation (``extend_negation_sigma``/``extend_negation_pi``) alike.
-``verify_dense``/``verify_compact`` read the directed subsets off the
-base's ``order.subset_tables``.
+The tests check density and compactness of every completion by
+enumeration (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from .errors import NegationLawsFail, TooLarge
+from .errors import NegationLawsFail
 from .order import (
     _TABLE_CAP,
     FinLattice,
@@ -36,7 +36,6 @@ from .order import (
     bits,
     mask_of,
     negation_law_failure,
-    subset_tables,
     to_lattice,
 )
 
@@ -138,39 +137,6 @@ def dm_completion(p: Union[FinPoset, FinLattice]) -> CanonicalExtension:
     delta = to_lattice(FinPoset(up, labels))
     image = mask_of(embed)
     return CanonicalExtension(p, delta, embed, image, image)
-
-
-def _directed_subsets(c: CanonicalExtension, down: bool) -> list[int]:
-    """Nonempty (down|up)-directed subsets of the base, as base bitmasks."""
-    tables = subset_tables(c.base)
-    if tables is None:
-        raise TooLarge(f"subset scan over {c.base.n} base elements")
-    return tables["nonempty down-directed" if down else "nonempty up-directed"]
-
-
-def verify_dense(c: CanonicalExtension) -> bool:
-    """Check by enumeration that every delta element is a join of closed
-    and a meet of open elements, with closed/open themselves recomputed
-    from directed subsets of the image."""
-    delta = c.delta
-    closed = mask_of(c.meet_of_base(f) for f in _directed_subsets(c, down=True))
-    opened = mask_of(c.join_of_base(i) for i in _directed_subsets(c, down=False))
-    down, up = delta.poset.down, delta.poset.up
-    return all(delta.join_all(closed & down[u]) == u
-               and delta.meet_all(opened & up[u]) == u for u in range(delta.n))
-
-
-def verify_compact(c: CanonicalExtension) -> bool:
-    """Check compactness by enumeration: whenever a nonempty down-directed
-    ``F`` and nonempty up-directed ``I`` in the image satisfy
-    ``meet(F) <= join(I)``, some ``a in F``, ``b in I`` has ``a <= b``."""
-    p = c.base
-    downs = _directed_subsets(c, down=True)
-    ups = _directed_subsets(c, down=False)
-    meets = {f: c.meet_of_base(f) for f in downs}
-    joins = {i: c.join_of_base(i) for i in ups}
-    return all(any(p.up[a] & i for a in bits(f))
-               for f in downs for i in ups if c.delta.leq(meets[f], joins[i]))
 
 
 def lift_map(c: CanonicalExtension, values: Sequence[int], approximants: int,

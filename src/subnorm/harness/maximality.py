@@ -18,11 +18,10 @@ the join of each up-directed column mask, built from the carrier's
 ``down-directed``/``up-directed`` tables); a mask that is not directed
 reads None, so directedness costs no second sweep.
 
-Lemma.  Every system contains TOP and SI, so after TOP and the first SI
-step every row is nonempty, and the joint WO and AND step replaces each
-row by the principal filter of its meet; from then on the closure reads
-only the row meets: the closure under system ``i`` is determined by the
-unclosed diamond alone.  ``close_i``, the closure box and the
+Lemma.  Every system contains TOP, SI, WO and AND, so ``close`` runs
+its fixpoint on the diamond vector, starting from the meet of each row:
+the closure under system ``i`` is determined by the unclosed diamond
+alone.  ``close_i``, the closure box and the
 whole diamond-side verdict are therefore computed once per (carrier,
 system, diamond tuple); per instance only the box side is checked,
 against the meet memoised per box tuple.

@@ -148,8 +148,9 @@ def modal_output(N: NormativeSystem, i: int, gamma: Iterable[Term],
     """Aggregative output: meet all of ``gamma`` into one element ``m``
     (the empty meet is top) and test whether the closure diamond at
     ``m`` lies below ``psi``.  Every system has TOP, SI, WO and AND, so
-    each closed row is the principal filter above the diamond of its
-    element: the test is whether row ``m`` holds ``psi``."""
+    ``close`` computes the diamond ``d`` of the closure and returns each
+    row ``a`` as the principal filter above ``d(a)``: ``d(m) <= psi``
+    is the test whether row ``m`` holds ``psi``."""
     gamma = list(gamma)
     names = _atom_frame(N, psi, *gamma)
     m = (1 << (1 << len(names))) - 1

@@ -154,7 +154,7 @@ class FinLattice:
     """
 
     __slots__ = ("poset", "meet", "join", "bot", "top",
-                 "is_distributive", "is_boolean", "neg")
+                 "is_distributive", "is_boolean", "neg", "_shape")
 
     def __init__(self, poset: FinPoset, meet, join, bot: int, top: int,
                  is_distributive: bool, is_boolean: bool,
@@ -167,6 +167,7 @@ class FinLattice:
         self.is_distributive = is_distributive
         self.is_boolean = is_boolean
         self.neg = tuple(neg) if neg is not None else None
+        self._shape = None  # lazy walk of subordination.close, see _diamond_shape there
 
     @property
     def n(self) -> int:

@@ -37,6 +37,7 @@ from .order import (
     FinPoset,
     bits,
     index_pairs,
+    join_irreducibles,
     lattice_from_json,
     lattice_to_json,
     load_json,
@@ -482,14 +483,32 @@ def is_subordination_algebra(S: ProtoSubAlg) -> bool:
 def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     """Smallest extension of the relation satisfying every given rule.
 
-    One fixpoint over the bitmask rows: the one-step consequence operator
-    of each rule is applied, in the order SI, WO and AND, OR, CT, T,
-    until nothing changes.  When WO and AND are both asked for on a
-    lattice, their joint step sets each nonempty row to the principal
-    filter of its meet, which is the least WO- and AND-closed row above
-    it.  Every added pair is forced by some rule instance, so the result
-    is the least rules-closed superset: extensive, monotone and
-    idempotent.
+    When the rules hold TOP, SI, WO and AND (every closure system and
+    the six subordination rules do) on a lattice, every closed row is
+    the principal filter above one element, its diamond ``d(a)``, so
+    the fixpoint runs over the n-vector ``d``.  It starts from the meet
+    of each row (with BOT, ``d(bot) = bot``), and each rule lowers ``d``
+    as far as the rule forces:
+
+    - SI: ``d(a) ^= d(c)`` for each upper cover ``c``, walked top down,
+      so one pass reaches every element above;
+    - OR on a distributive lattice: ``d(a) ^= V{d(j) : j <= a}`` over
+      the join-irreducibles ``j`` (for ``a != bot``); since
+      ``J(a v b) = J(a) u J(b)`` there, OR holds at the fixpoint.  On a
+      non-distributive lattice that step is incomplete, and OR stays
+      pairwise: ``d(a v b) ^= d(a) v d(b)``;
+    - CT: ``d(a) ^= d(a ^ d(a))``;
+    - T: ``d(a) ^= d(d(a))``.
+
+    The row ``a`` of the result is ``up[d(a)]``.  Other rule sets run
+    one fixpoint over the bitmask rows: the one-step consequence
+    operator of each rule, in the order SI, WO and AND, OR, CT, T.
+    Their rows may be empty, so they are not all principal filters;
+    when WO and AND are both asked for on a lattice, the joint step
+    sets each nonempty row to the principal filter of its meet, which
+    is the least WO- and AND-closed row above it.  Either way every
+    added pair is forced by some rule instance, so the result is the
+    least rules-closed superset: extensive, monotone and idempotent.
     """
     ruleset = frozenset(rules)
     bad = ruleset - CLOSABLE_RULES
@@ -512,9 +531,12 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
             rows[lo] |= 1 << lo
         if top:
             rows[hi] |= 1 << hi
+    guard = n * n + 2
+    if top and si and wo and and_:
+        d = _close_diamond(lat, [lat.meet_all(r) for r in rows], or_, ct, t, guard)
+        return S.with_rows([up[x] for x in d])
     filters = lat is not None and wo and and_
     strict_up = [list(bits(up[a] ^ (1 << a))) for a in range(n)] if si else None
-    guard = n * n + 2
     for _ in range(guard + 1):
         before = rows[:]
         if si:
@@ -571,6 +593,69 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     else:
         raise AssertionError("closure failed to converge within the pair bound")
     return S.with_rows(rows)
+
+
+def _diamond_shape(lat: FinLattice) -> tuple[tuple, Optional[tuple]]:
+    """The walk of ``_close_diamond`` over ``lat``, built on first use and
+    kept on the lattice, so it goes when the lattice goes.
+
+    ``walk`` pairs every element with its upper covers, from the top
+    down: ordered by the size of the up-set, which shrinks strictly
+    going up, so no index order is assumed.  On a distributive lattice
+    ``below[a]`` lists the join-irreducibles under ``a``; elsewhere
+    ``below`` is None.
+    """
+    if lat._shape is None:
+        up, down = lat.poset.up, lat.poset.down
+        walk = []
+        for a in sorted(range(lat.n), key=lambda a: up[a].bit_count()):
+            above = up[a] ^ (1 << a)
+            walk.append((a, [c for c in bits(above) if above & down[c] == 1 << c]))
+        below = None
+        if lat.is_distributive:
+            irreducible = join_irreducibles(lat)
+            below = tuple(list(bits(irreducible & d)) for d in down)
+        lat._shape = (tuple(walk), below)
+    return lat._shape
+
+
+def _close_diamond(lat: FinLattice, d: list[int], or_: bool, ct: bool, t: bool,
+                   guard: int) -> list[int]:
+    """The fixpoint of ``close`` over the diamond vector ``d`` (see there)
+    for a rule set holding TOP, SI, WO and AND; ``d`` is updated in place
+    and returned."""
+    meet, join, n = lat.meet, lat.join, lat.n
+    walk, below = _diamond_shape(lat)
+    for _ in range(guard + 1):
+        before = d[:]
+        for a, covers in walk:
+            x = d[a]
+            for c in covers:
+                x = meet[x][d[c]]
+            d[a] = x
+        if or_ and below is not None:
+            for a, js in enumerate(below):
+                if js:
+                    x = lat.bot
+                    for j in js:
+                        x = join[x][d[j]]
+                    d[a] = meet[d[a]][x]
+        elif or_:
+            for a in range(n):
+                for b in range(a + 1, n):
+                    ab = join[a][b]
+                    d[ab] = meet[d[ab]][join[d[a]][d[b]]]
+        if ct:
+            for a in range(n):
+                x = d[a]
+                d[a] = meet[x][d[meet[a][x]]]
+        if t:
+            for a in range(n):
+                x = d[a]
+                d[a] = meet[x][d[x]]
+        if d == before:
+            return d
+    raise AssertionError("closure failed to converge within the pair bound")
 
 
 def close_i(S: ProtoSubAlg, i: int) -> ProtoSubAlg:

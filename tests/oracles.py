@@ -3,17 +3,20 @@
 Everything here recomputes results from first definitions using plain
 set/dict logic, deliberately avoiding the bitmask machinery of the
 package, so a bug in the fast paths cannot hide itself.  The
-exceptions are ``close_fixpoint``, the pairwise closure that
-``subordination.close`` is held to on carriers too large for the
-exhaustive ``closure_oracle``, and ``extremality_oracle``, which takes
-the closure it judges from ``close_i`` (held to those two) unless a test
-plants one.
+exceptions are ``verify_dense`` and ``verify_compact``, which check a
+``completion.dm_completion`` result by enumerating the directed subsets
+of its base (``order.subset_tables``); ``close_fixpoint``, the pairwise
+closure that ``subordination.close`` is held to on carriers too large
+for the exhaustive ``closure_oracle``; and ``extremality_oracle``, which
+takes the closure it judges from ``close_i`` (held to those two) unless
+a test plants one.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations, product
 
-from subnorm.order import FinLattice, FinPoset, bits
+from subnorm.errors import TooLarge
+from subnorm.order import FinLattice, FinPoset, bits, mask_of, subset_tables
 from subnorm.subordination import Property as P, _bounds, close_i
 
 
@@ -167,6 +170,39 @@ def negation_liftable_oracle(p: FinPoset, neg, side: str) -> bool:
     if side == "sigma":
         return all(p.leq(neg[a], b) == p.leq(neg[b], a) for a, b in pairs)
     return all(p.leq(a, neg[b]) == p.leq(b, neg[a]) for a, b in pairs)
+
+
+def _directed_subsets(c, down: bool) -> list[int]:
+    """Nonempty (down|up)-directed subsets of the base, as base bitmasks."""
+    tables = subset_tables(c.base)
+    if tables is None:
+        raise TooLarge(f"subset scan over {c.base.n} base elements")
+    return tables["nonempty down-directed" if down else "nonempty up-directed"]
+
+
+def verify_dense(c) -> bool:
+    """Check by enumeration that every delta element is a join of closed
+    and a meet of open elements, with closed/open themselves recomputed
+    from directed subsets of the image."""
+    delta = c.delta
+    closed = mask_of(c.meet_of_base(f) for f in _directed_subsets(c, down=True))
+    opened = mask_of(c.join_of_base(i) for i in _directed_subsets(c, down=False))
+    down, up = delta.poset.down, delta.poset.up
+    return all(delta.join_all(closed & down[u]) == u
+               and delta.meet_all(opened & up[u]) == u for u in range(delta.n))
+
+
+def verify_compact(c) -> bool:
+    """Check compactness by enumeration: whenever a nonempty down-directed
+    ``F`` and nonempty up-directed ``I`` in the image satisfy
+    ``meet(F) <= join(I)``, some ``a in F``, ``b in I`` has ``a <= b``."""
+    p = c.base
+    downs = _directed_subsets(c, down=True)
+    ups = _directed_subsets(c, down=False)
+    meets = {f: c.meet_of_base(f) for f in downs}
+    joins = {i: c.join_of_base(i) for i in ups}
+    return all(any(p.up[a] & i for a in bits(f))
+               for f in downs for i in ups if c.delta.leq(meets[f], joins[i]))
 
 
 def closure_oracle(carrier, pairs: set, rule_names: set) -> set:

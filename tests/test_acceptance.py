@@ -19,8 +19,6 @@ from subnorm.completion import (
     dm_completion,
     extend_negation_pi,
     extend_negation_sigma,
-    verify_compact,
-    verify_dense,
 )
 from subnorm.errors import PosetLawViolation
 from subnorm.harness import GenConfig, load_carrier, run_suite, strip_timing
@@ -38,6 +36,7 @@ from subnorm.order import (
 )
 from subnorm.syntax import parse_formula
 from conftest import formula_of_table
+from oracles import verify_compact, verify_dense
 
 SEED = 7
 # sha256 of the default verify report without its timing section, as

@@ -8,8 +8,6 @@ from subnorm.completion import (
     dm_completion,
     extend_negation_pi,
     extend_negation_sigma,
-    verify_compact,
-    verify_dense,
 )
 from subnorm.errors import NegationLawsFail, NotALattice, PosetLawViolation
 from subnorm.order import (
@@ -29,6 +27,8 @@ from oracles import (
     negation_liftable_oracle,
     pi_oracle,
     sigma_oracle,
+    verify_compact,
+    verify_dense,
 )
 
 

@@ -390,13 +390,27 @@ class TestClose:
                 assert (close_i(S, i).rows
                         == tuple(close_fixpoint(S, SYSTEM_RULES[i])))
 
+    def test_diamond_form_on_the_free_ba_of_three_atoms(self):
+        # the 256-element carrier of iologic's three-atom queries: two
+        # seeded relations of one to three pairs per rule set
+        lat, _ = free_boolean_algebra(3)
+        rng = random.Random(16)
+        for rules in (*SYSTEM_RULES.values(), SUBORDINATION_RULES):
+            for _ in range(2):
+                pairs = [(rng.randrange(256), rng.randrange(256))
+                         for _ in range(rng.randrange(1, 4))]
+                S = ProtoSubAlg.from_pairs(lat, pairs)
+                assert close(S, rules).rows == tuple(close_fixpoint(S, rules)), (pairs, rules)
+
     def test_filterform_matches_generic_on_small_lattices(self, b4, fdl2, b8):
-        # close() takes the joint filter step for every closable rule set
-        # containing WO and AND; the pairwise fixpoint is the reference,
-        # on distributive carriers, on b4 and fdl2 with their indices
-        # reversed (where the shortcut for a row that is already the
-        # filter of its lowest-index member fits only the row {top}) and
-        # on the non-distributive N5 and M3
+        # every closable rule set containing WO and AND: close() runs the
+        # diamond form when TOP and SI are in it too, the joint filter
+        # step otherwise; the pairwise fixpoint is the reference, on
+        # distributive carriers, on the non-distributive N5 and M3 (where
+        # OR stays pairwise), and on b4, fdl2, N5 and M3 with their
+        # indices reversed (where the shortcut for a row that is already
+        # the filter of its lowest-index member fits only the row {top},
+        # and the index order runs against the top-down walk)
         rulesets = [extra | {P.WO, P.AND}
                     for extra in self._rulesets(CLOSABLE_RULES - {P.WO, P.AND})]
         assert len(rulesets) == 64
@@ -405,7 +419,8 @@ class TestClose:
                                              (1, 4), (2, 4), (3, 4)]))
         assert not n5.is_distributive and not m3.is_distributive
         rng = random.Random(14)
-        reversed_lattices = [to_lattice(reversed_indices(lat.poset)) for lat in (b4, fdl2)]
+        reversed_lattices = [to_lattice(reversed_indices(lat.poset))
+                             for lat in (b4, fdl2, n5, m3)]
         for lat in (b4, fdl2, b8, n5, m3, *reversed_lattices):
             n = lat.n
             for _ in range(40):

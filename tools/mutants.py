@@ -100,7 +100,7 @@ MUTANTS = (
     Mutant("grounded-side-at-top", CATALOG,
            "a != getattr(ctx.lat, operand[0])",
            "a != ctx.lat.top"),
-    # the closure fixpoint (`subordination.close`)
+    # `subordination.close`: its rule dispatch and its row fixpoint
     Mutant("filter-shortcut-keeps-any-row", SUBORDINATION,
            "if r and up[(r & -r).bit_length() - 1] != r:",
            "if r and False:"),
@@ -110,6 +110,20 @@ MUTANTS = (
     Mutant("si-skips-last-row", SUBORDINATION,
            "for a, above in enumerate(strict_up):",
            "for a, above in enumerate(strict_up[:-1]):"),
+    # the diamond form of `subordination.close` (`_close_diamond`) and its
+    # per-lattice walk (`_diamond_shape`)
+    Mutant("or-over-j-skips-last", SUBORDINATION,
+           "for j in js:",
+           "for j in js[:-1]:"),
+    Mutant("ct-reads-t-step", SUBORDINATION,
+           "d[a] = meet[x][d[meet[a][x]]]",
+           "d[a] = meet[x][d[x]]"),
+    Mutant("si-walk-skips-a-cover", SUBORDINATION,
+           "for c in covers:",
+           "for c in covers[1:]:"),
+    Mutant("distributivity-guard-dropped", SUBORDINATION,
+           "if lat.is_distributive:",
+           "if True:"),
 )
 
 
