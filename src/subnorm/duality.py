@@ -58,13 +58,6 @@ class SubordinationSpace:
     def rel_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.m) for j in bits(self.R[i])]
 
-    def transpose(self) -> "SubordinationSpace":
-        cols = [0] * self.m
-        for i in range(self.m):
-            for j in bits(self.R[i]):
-                cols[j] |= 1 << i
-        return SubordinationSpace(self.points, self.labels, self.order, cols)
-
     def to_json(self) -> dict:
         return {
             "points": list(self.labels),

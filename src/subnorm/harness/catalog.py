@@ -67,14 +67,17 @@ class Flags:
     ``carrier_verdicts``).  Built only by ``_flags`` and ``_sides``, so
     equal conjunctions are one object; the runner groups the checks
     sharing a precondition by that object and decides it once per
-    instance."""
+    instance.  ``reads`` is ``mask`` when there are no guards, so the
+    conjunction's verdict is a function of the flag bits alone, and None
+    otherwise."""
 
-    __slots__ = ("mask", "carrier_guards", "guards")
+    __slots__ = ("mask", "carrier_guards", "guards", "reads")
 
     def __init__(self, mask: int, carrier_guards: tuple, guards: tuple):
         self.mask = mask
         self.carrier_guards = carrier_guards
         self.guards = guards
+        self.reads = None if carrier_guards or guards else mask
 
     def __call__(self, inst) -> bool:
         if self.carrier_guards:
@@ -397,13 +400,16 @@ class Inequalities:
     """Conjunction of operator inequalities, each valid when it holds
     under every assignment of carrier elements to its variables.  The
     local ones are decided as one mask test of their ``Local`` bits, the
-    others by evaluating them under every assignment."""
+    others by evaluating them under every assignment.  ``reads`` is the
+    mask when every inequality is local, so the conjunction's verdict is
+    a function of the flag bits alone, and None otherwise."""
 
     def __init__(self, *texts: str):
         self.texts = texts
         compiled = [_compile_inequality(t) for t in texts]
         self.mask = sum({c.local.bit for c in compiled if c.local})
         self._checks = tuple(c.holds for c in compiled if c.local is None)
+        self.reads = None if self._checks else self.mask
 
     def __call__(self, inst) -> bool:
         return inst.has_flags(self.mask) and all(check(inst) for check in self._checks)

@@ -9,7 +9,8 @@ bounded number of fully serialized counterexamples (replayable through
 wall-clock measurements live under the separate ``timing`` key so two
 runs with the same configuration agree byte-for-byte everywhere else:
 ``timing.checks`` holds the seconds spent in each check's own body
-(only instances meeting the precondition evaluate a body),
+(only instances meeting the precondition and not decided by their flag
+pattern, below, evaluate a body),
 ``timing.layers`` the seconds and build count of each stage
 (``LAYERS``): drawing the instances from the corpus stream, building
 each carrier's context (which includes building the carrier's local
@@ -25,9 +26,21 @@ The checks are grouped by their precondition, an interned object shared
 by every check stating the same conjunction of guards and flags.  Each
 group's precondition is decided once per instance (per carrier for the
 carrier-scoped checks, and its carrier guards once per carrier); a miss
-counts one skip for every check in the group without evaluating any, a
-hit evaluates each body through ``verify_check``, which does not decide
-the precondition again.
+counts one skip for every check in the group without evaluating any.  On
+a hit, the checks that the instance's flag bits decide cost one dict
+lookup for the whole group: a side with a ``reads`` mask
+(``catalog.Flags`` without guards, ``catalog.Inequalities`` whose
+inequalities are all local) is a function of those bits, so a check all
+of whose sides have one, or an ``implies`` check whose lhs has one and
+fails, takes one verdict per pattern of the bits (``_Group``).  The
+first time a group meets a pattern it splits its checks into those the
+pattern decides as passes, which are counted per pattern and folded into
+``tested``/``passes`` at the end, and the rest, whose bodies are
+evaluated through ``verify_check`` on every instance with that pattern,
+which does not decide the precondition again.  A pattern that makes a
+check fail leaves it in the second list, so its counterexamples are
+stored in corpus order, and ``timing.checks`` times only bodies that
+run.  The patterns live with the groups of one ``run_suite`` call.
 
 Checks are pure, so instances could be fanned out to workers with the
 report aggregation as the only synchronization point; the runner stays
@@ -394,9 +407,13 @@ def run_suite(cfg: Optional[GenConfig] = None,
             current = carrier_name
             _run_groups(carrier_groups, inst, stats, timing, carrier_name)
         _run_groups(relation_groups, inst, stats, timing, carrier_name)
-    for _, specs, misses in carrier_groups + relation_groups:
-        for spec in specs:
-            stats[spec.name]["skips"] += misses
+    for group in carrier_groups + relation_groups:
+        for spec in group.specs:
+            stats[spec.name]["skips"] += group.misses
+        for count, _, decided in group.memo.values():
+            for spec in decided:
+                stats[spec.name]["tested"] += count
+                stats[spec.name]["passes"] += count
 
     gaps = sorted(name for name, st in stats.items() if st["tested"] == 0)
     n_counter = sum(st["counterexample_count"] for st in stats.values())
@@ -422,23 +439,92 @@ def run_suite(cfg: Optional[GenConfig] = None,
     return report
 
 
-def _grouped(checks: Iterable[CheckSpec]) -> list[list]:
-    """``[precondition, checks, misses]`` for each distinct precondition
-    object, with a count of the instances that failed it."""
+def _grouped(checks: Iterable[CheckSpec]) -> list["_Group"]:
+    """One ``_Group`` per distinct precondition object, in catalog order."""
     groups: dict = {}
     for spec in checks:
-        groups.setdefault(spec.precondition, [spec.precondition, [], 0])[1].append(spec)
-    return list(groups.values())
+        groups.setdefault(spec.precondition, []).append(spec)
+    return [_Group(pre, specs) for pre, specs in groups.items()]
 
 
-def _run_groups(groups: list[list], inst: Instance, stats: dict, timing: dict,
+def _reads(part) -> Optional[int]:
+    """The flag bits that decide a check side alone, or None."""
+    return getattr(part, "reads", None)
+
+
+def _passes(spec: CheckSpec, key: int) -> bool:
+    """The flag bits ``key`` decide the check as a pass."""
+    def holds(part) -> bool:
+        r = _reads(part)
+        return r is not None and key & r == r
+
+    def fails(part) -> bool:
+        r = _reads(part)
+        return r is not None and key & r != r
+
+    if spec.mode == "law":
+        return holds(spec.law)
+    if spec.mode == "implies":
+        return fails(spec.lhs) or holds(spec.lhs) and holds(spec.rhs)
+    return holds(spec.lhs) and holds(spec.rhs) or fails(spec.lhs) and fails(spec.rhs)
+
+
+class _Group:
+    """The checks sharing one precondition, the count of instances that
+    missed it, and its memo of flag patterns.
+
+    ``sides`` lists, in catalog order, ``(lhs, rhs, implies)`` for each
+    check that a pattern can decide: one all of whose sides have a
+    ``reads`` mask, or an ``implies`` check whose lhs has one (``rhs`` is
+    None when it has not).  ``reads`` is the union of their masks.
+    ``memo`` maps a pattern, an instance's true bits within ``reads``, to
+    ``[count, run, decided]``: the instances met with it, the checks whose
+    bodies still run on each of them, and the checks it decides as
+    passes."""
+
+    __slots__ = ("precondition", "specs", "misses", "sides", "reads", "memo")
+
+    def __init__(self, precondition, specs: list[CheckSpec]):
+        self.precondition = precondition
+        self.specs = specs
+        self.misses = 0
+        self.memo: dict = {}
+        self.sides, self.reads = [], 0
+        for spec in specs:
+            lhs = _reads(spec.law if spec.mode == "law" else spec.lhs)
+            rhs = _reads(spec.rhs)
+            if lhs is not None and (rhs is not None or spec.mode != "iff"):
+                self.sides.append((lhs, rhs, spec.mode == "implies"))
+                self.reads |= lhs | (rhs or 0)
+
+    def to_run(self, inst: Instance) -> list[CheckSpec]:
+        """The checks to evaluate on an instance meeting the
+        precondition.  Flags not yet known are decided side by side as
+        ``verify_check`` would decide these sides, an ``implies`` rhs only
+        where its lhs holds, so the key computes no flag that evaluating
+        the checks would not."""
+        if self.reads & ~inst._known:
+            for lhs, rhs, implies in self.sides:
+                if (inst.has_flags(lhs) or not implies) and rhs is not None:
+                    inst.has_flags(rhs)
+        key = inst._true & self.reads
+        entry = self.memo.get(key)
+        if entry is None:
+            entry = self.memo[key] = [0, [], []]
+            for spec in self.specs:
+                entry[2 if _passes(spec, key) else 1].append(spec)
+        entry[0] += 1
+        return entry[1]
+
+
+def _run_groups(groups: list[_Group], inst: Instance, stats: dict, timing: dict,
                 carrier_name: str) -> None:
     for group in groups:
-        if group[0](inst):
-            for spec in group[1]:
+        if group.precondition(inst):
+            for spec in group.to_run(inst):
                 _run_one(spec, inst, stats, timing, carrier_name)
         else:
-            group[2] += 1
+            group.misses += 1
 
 
 def _run_one(spec: CheckSpec, inst: Instance, stats: dict, timing: dict,

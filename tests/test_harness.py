@@ -667,10 +667,25 @@ def naive_checks_report(cfg, checks):
 class TestGroupedRunner:
     CFG = GenConfig(carriers=("chain3", "fdl2"), samples=4, seed=7)
 
+    # two checks decided by the flag pattern, both sharing the always-true
+    # precondition object of bounds-of-related-pairs: an iff of a flag and
+    # a table-decided side, which some patterns make fail, and an implies
+    # whose mask lhs decides it only where the lhs fails
+    PATTERN_IFF = CheckSpec("planted-inside-order-iff-deflationary",
+                            "fails where exactly one side holds", "iff",
+                            lhs=Flags(flag_mask(P.PREC_IN_LEQ), (), ()),
+                            rhs=Inequalities("<>a <= a"))
+    PATTERN_IMPLIES = CheckSpec("planted-si-implies-first-row-empty",
+                                "fails when SI holds and 0 relates to anything",
+                                "implies", lhs=Flags(flag_mask(P.SI), (), ()),
+                                rhs=lambda inst: not inst.S.rows[0])
+
     def test_matches_naive_loop(self, monkeypatch):
         # two planted failing checks: one sharing the precondition object
         # of diamond-detects-rel, one with the always-true precondition,
-        # so grouped skips, passes and stored counterexamples all show
+        # so grouped skips, passes and stored counterexamples all show;
+        # and the two pattern-decided ones, whose failures must still be
+        # evaluated, counted and stored per instance in corpus order
         detects = CHECKS_BY_NAME["diamond-detects-rel"]
         planted = (
             CheckSpec("planted-detects-negated", "fails wherever tested", "law",
@@ -678,9 +693,18 @@ class TestGroupedRunner:
                       law=lambda inst: not detects.law(inst)),
             CheckSpec("planted-first-row-empty", "fails when 0 relates to anything",
                       "law", law=lambda inst: not inst.S.rows[0]),
+            self.PATTERN_IFF, self.PATTERN_IMPLIES,
         )
         checks = CATALOG + planted
         monkeypatch.setattr(runner, "CATALOG", checks)
+        calls = {spec.name: 0 for spec in checks}
+        real = runner.verify_check
+
+        def counting(spec, inst):
+            calls[spec.name] += 1
+            return real(spec, inst)
+
+        monkeypatch.setattr(runner, "verify_check", counting)
         report = run_suite(self.CFG)
         stats, instances = naive_checks_report(self.CFG, checks)
         assert report["summary"]["instances"] == instances
@@ -692,23 +716,54 @@ class TestGroupedRunner:
         unguarded = stats["planted-first-row-empty"]
         assert unguarded["counterexample_count"] > len(unguarded["counterexamples"])
         assert unguarded["passes"] > 0
+        # a pattern that fails the iff runs its body on every instance; the
+        # patterns that pass it run none
+        iff = stats[self.PATTERN_IFF.name]
+        assert iff["counterexample_count"] > runner._MAX_STORED_COUNTEREXAMPLES
+        assert iff["passes"] > 0
+        assert calls[self.PATTERN_IFF.name] == iff["counterexample_count"]
+        # the implies runs its body exactly where its lhs holds
+        implies = stats[self.PATTERN_IMPLIES.name]
+        assert implies["counterexample_count"] > runner._MAX_STORED_COUNTEREXAMPLES
+        si = sum(Instance(CarrierContext(name, load_carrier(name)), S).flag(P.SI)
+                 for name, S in corpus_stream(self.CFG))
+        assert calls[self.PATTERN_IMPLIES.name] == si < implies["tested"]
+
+    def test_pattern_counterexamples_replay_as_failures(self, monkeypatch, capsys, tmp_path):
+        # the replay path decides the stored instance afresh, without a memo
+        from subnorm.cli import main
+        spec = self.PATTERN_IFF
+        monkeypatch.setattr(runner, "CATALOG", CATALOG + (spec,))
+        monkeypatch.setitem(CHECKS_BY_NAME, spec.name, spec)
+        stored = run_suite(self.CFG)["checks"][spec.name]["counterexamples"]
+        assert len(stored) == runner._MAX_STORED_COUNTEREXAMPLES
+        for i, ce in enumerate(stored):
+            assert replay_counterexample(ce) == {"check": spec.name, "status": "fail",
+                                                 "detail": ce["detail"]}
+            path = tmp_path / f"ce{i}.json"
+            path.write_text(json.dumps(ce))
+            assert main(["verify", "--replay", str(path)]) == 1
+            assert capsys.readouterr().out.strip().endswith("fail")
 
     def test_verify_check_runs_only_on_met_preconditions(self, monkeypatch):
         # the runner decides preconditions itself: every verify_check call
-        # it makes evaluates a check body
-        statuses = []
+        # it makes evaluates a check body on an instance meeting the
+        # check's precondition; the checks that an instance's flag pattern
+        # decides as passes are counted as tested without a call
+        calls = []
         real = runner.verify_check
 
         def counting(spec, inst):
             out = real(spec, inst)
-            statuses.append(out[0])
+            calls.append((spec, inst.ctx, inst.S, out[0]))
             return out
 
         monkeypatch.setattr(runner, "verify_check", counting)
         report = run_suite(self.CFG)
         checks = report["checks"].values()
-        assert len(statuses) == sum(st["tested"] for st in checks) > 0
-        assert "skip" not in statuses
+        assert 0 < len(calls) < sum(st["tested"] for st in checks)
+        assert all(spec.precondition(Instance(ctx, S)) for spec, ctx, S, _ in calls)
+        assert "skip" not in {status for *_, status in calls}
         assert sum(st["skips"] for st in checks) > 0
 
     @pytest.mark.parametrize("name", ["chain4", "b4", "fdl2"])

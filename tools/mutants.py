@@ -1,4 +1,5 @@
-"""Code mutants of the local table, the local catalog sides and the closure.
+"""Code mutants of the local table, the local catalog sides, the runner's
+flag-pattern memo and the closure.
 
 Each mutant is one ``(file, old, new)`` patch.  The runner copies the
 repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -34,7 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: the tests each mutant runs against: the local table against the
 #: set-based oracles, the local sides against the per-instance bodies,
-#: the flag bitmasks against ``property_holds``, the witness digest, the
+#: the flag bitmasks against ``property_holds``, the grouped runner and
+#: its pattern memo against the naive loop, the witness digest, the
 #: closure against its oracles and the closure digest
 FAST = (
     "tests/test_harness.py::TestLocalSides",
@@ -47,6 +49,7 @@ FAST = (
 )
 
 CATALOG = "src/subnorm/harness/catalog.py"
+RUN = "src/subnorm/harness/run.py"
 SUBORDINATION = "src/subnorm/subordination.py"
 
 
@@ -100,6 +103,16 @@ MUTANTS = (
     Mutant("grounded-side-at-top", CATALOG,
            "a != getattr(ctx.lat, operand[0])",
            "a != ctx.lat.top"),
+    # the runner's memo of flag patterns (`run._Group`, `run._passes`)
+    Mutant("pattern-key-drops-a-bit", RUN,
+           "key = inst._true & self.reads",
+           "key = inst._true & self.reads & (self.reads - 1)"),
+    Mutant("failing-pattern-counted-as-passes", RUN,
+           "return holds(spec.lhs) and holds(spec.rhs) or fails(spec.lhs) and fails(spec.rhs)",
+           "return _reads(spec.lhs) is not None and _reads(spec.rhs) is not None"),
+    Mutant("implies-lhs-test-inverted", RUN,
+           "return fails(spec.lhs) or holds(spec.lhs) and holds(spec.rhs)",
+           "return holds(spec.lhs) or holds(spec.lhs) and holds(spec.rhs)"),
     # `subordination.close`: its rule dispatch and its row fixpoint
     Mutant("filter-shortcut-keeps-any-row", SUBORDINATION,
            "if r and up[(r & -r).bit_length() - 1] != r:",
