@@ -12,10 +12,11 @@ the two presentations are isomorphic and both are built here.
 Relational counterparts of the first-order relation properties are
 checked verbatim over the points.  For the conditions involving the
 box operator the bridge between points and the box goes through the
-standard pairing of join- with meet-irreducibles (see ``lambda_map``);
-that pairing is order-preserving, so the bound on the quantified point
-in those conditions faces *upward* (``i1 <= j``), a reading verified
-exhaustively against the operator inequalities by the test harness.
+standard pairing of join- with meet-irreducibles (each join-irreducible
+``j`` with the largest element not above it); that pairing is
+order-preserving, so the bound on the quantified point in those
+conditions faces *upward* (``i1 <= j``), a reading verified exhaustively
+against the operator inequalities by the test harness.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import NotDistributive, NotSubordinationLattice
-from .order import FinLattice, bits, join_irreducibles, mask_of, meet_irreducibles, prime_filters
+from .errors import NotSubordinationLattice
+from .order import FinLattice, bits, join_irreducibles, mask_of, prime_filters
 from .slanted import build_slanted, sigma_extension
 from .subordination import ProtoSubAlg, is_subordination_algebra
 
@@ -304,27 +305,3 @@ def check_relational(sp: SubordinationSpace,
         return True, None
     raise AssertionError(cond)
 
-
-def lambda_map(L: FinLattice) -> dict[int, int]:
-    """Pairing of each join-irreducible with the largest element not
-    above it; on a finite distributive lattice this is a bijection onto
-    the meet-irreducibles satisfying, for the slanted operators of a
-    subordination algebra, ``box(m) <= n  iff  inv(m) <= dia(inv(n))``
-    with ``inv`` the inverse pairing."""
-    if not L.is_distributive:
-        raise NotDistributive("irreducible pairing needs distributivity")
-    out = {}
-    for j in bits(join_irreducibles(L)):
-        out[j] = L.join_all(mask_of(x for x in range(L.n) if not L.leq(j, x)))
-    return out
-
-
-def kappa_map(L: FinLattice) -> dict[int, int]:
-    """Inverse pairing: each meet-irreducible to the least element not
-    below it."""
-    if not L.is_distributive:
-        raise NotDistributive("irreducible pairing needs distributivity")
-    out = {}
-    for mm in bits(meet_irreducibles(L)):
-        out[mm] = L.meet_all(mask_of(x for x in range(L.n) if not L.leq(x, mm)))
-    return out

@@ -10,10 +10,13 @@ are claimed only where they hold under the entry's preconditions.
 The runner (``run``) decides each precondition per instance:
 instances failing it are *skipped*, the others have the check's body
 evaluated by ``verify_check``, and a check that skips the whole corpus
-is a configuration error rather than a pass.  Every precondition is a
-``Flags`` conjunction built by ``_flags``, so checks stating the same
+is a configuration error rather than a pass.  Every precondition is one
+``Flags`` mask built by ``_flags``, so checks stating the same
 precondition share one object and the runner decides it once per
-instance for all of them.
+instance for all of them.  A mask's bits are property flags and the
+bits of ``FLAG_BITS``: the ``Local`` sides (seriality of the rows and of
+the columns among them) and the conditions on the carrier alone
+(``CarrierCondition``), which every instance starts with settled.
 
 Fourteen checks are local: the diamond of an element is the meet of its
 row and the box the join of its column (``slanted.build_slanted``), so
@@ -23,15 +26,14 @@ operator value): the catalog inequalities that the compiler marks local
 (``a <= <>a``, ``[]a <= a``, ``<>a <= a``, ``<>F <= F``, ``T <= []T``;
 see ``_local_side``) and the laws ``bounds-of-related-pairs`` (one row
 test and one column test), ``diamond-detects-rel`` (a row test) and
-``box-detects-rel`` (a column test).  Each ``Local`` owns a bit above
-the property flags.  ``local_tables`` is the one local table of a
-carrier: one loop over every index and every one of the ``2^n`` masks
-tabulates the ten tests of ``subordination.LOCAL_TESTS`` and every
-``Local`` side, so the runner decides the ten local flags and all these
-sides in one ``local_flags`` pass of ``2n`` lookups per instance and
-each such side is a mask test, like a flag.  Above
-``order._TABLE_CAP`` each side applies the same test to each row or
-column directly (``Local.holds``).  The four remaining local checks
+``box-detects-rel`` (a column test).  Each ``Local`` owns a flag bit.
+``local_tables`` is the one local table of a carrier: one loop over
+every index and every one of the ``2^n`` masks tabulates the ten tests
+of ``subordination.LOCAL_TESTS`` and every ``Local`` side, so the runner
+decides the ten local flags and all these sides in one ``local_flags``
+pass of ``2n`` lookups per instance and each such side is a mask test,
+like a flag.  Above ``order._TABLE_CAP`` each side applies the same test
+to each row or column directly (``Local.holds``).  The four remaining local checks
 (``and-implies-downdirected``, ``or-implies-updirected``,
 ``downdirected-iff-and-under-wo``, ``updirected-iff-or-under-si``) have
 only local-flag sides.
@@ -59,47 +61,33 @@ _SUBSET_SCAN_CAP = 8
 
 
 class Flags:
-    """A conjunction: every carrier guard holds, then every instance
-    guard, then every flag in ``mask`` is True (property flags, and the
-    bits of ``Local`` sides).  Guards are cheap predicates and run first,
-    so a failing guard computes no flag; the carrier guards take the
-    ``CarrierContext`` and are decided once per carrier (kept in its
-    ``carrier_verdicts``).  Built only by ``_flags`` and ``_sides``, so
-    equal conjunctions are one object; the runner groups the checks
-    sharing a precondition by that object and decides it once per
-    instance.  ``reads`` is ``mask`` when there are no guards, so the
-    conjunction's verdict is a function of the flag bits alone, and None
-    otherwise."""
+    """A conjunction of flag bits: every bit in ``mask`` is True
+    (property flags, ``Local`` sides and carrier conditions).  Built only
+    by ``_flags``, so equal conjunctions are one object; the runner
+    groups the checks sharing a precondition by that object and decides
+    it once per instance.  ``reads`` is ``mask``: the verdict is a
+    function of the flag bits alone."""
 
-    __slots__ = ("mask", "carrier_guards", "guards", "reads")
+    __slots__ = ("mask", "reads")
 
-    def __init__(self, mask: int, carrier_guards: tuple, guards: tuple):
-        self.mask = mask
-        self.carrier_guards = carrier_guards
-        self.guards = guards
-        self.reads = None if carrier_guards or guards else mask
+    def __init__(self, mask: int):
+        self.mask = self.reads = mask
 
     def __call__(self, inst) -> bool:
-        if self.carrier_guards:
-            verdicts = inst.ctx.carrier_verdicts
-            ok = verdicts.get(self)
-            if ok is None:
-                ok = verdicts[self] = all(g(inst.ctx) for g in self.carrier_guards)
-            if not ok:
-                return False
-        for guard in self.guards:
-            if not guard(inst):
-                return False
         return inst.has_flags(self.mask)
 
 
-def _flags(*props, carrier=(), guards=()) -> Flags:
-    return _interned(flag_mask(*props), carrier, guards)
+def _flags(*owners) -> Flags:
+    """The conjunction of properties and owners of ``FLAG_BITS``."""
+    mask = 0
+    for o in owners:
+        mask |= o.bit if isinstance(o, FlagBit) else flag_mask(o)
+    return _interned(mask)
 
 
 @lru_cache(maxsize=None)
-def _interned(mask: int, carrier_guards: tuple, guards: tuple) -> Flags:
-    return Flags(mask, carrier_guards, guards)
+def _interned(mask: int) -> Flags:
+    return Flags(mask)
 
 
 @dataclass(frozen=True)
@@ -122,15 +110,48 @@ class CheckSpec:
     scope: str = "relation"
 
 
+# ---- flag bits above the property flags ---------------------------------
+
+#: every owner of a flag bit above the property flags: the one at
+#: position ``i`` owns bit ``len(FLAG_PROPERTIES) + i``.  It grows only as
+#: owners are stated: the catalog's at import, and a local inequality's
+#: side when its text is first compiled.  A carrier's local table decides
+#: the ``Local`` sides stated before it was built (its ``table_bits``); a
+#: later side is tested directly.
+FLAG_BITS: list["FlagBit"] = []
+
+
+class FlagBit:
+    """The owner of the next bit of ``FLAG_BITS``."""
+
+    __slots__ = ("bit",)
+
+    def __init__(self):
+        self.bit = 1 << (len(FLAG_PROPERTIES) + len(FLAG_BITS))
+        FLAG_BITS.append(self)
+
+
+class CarrierCondition(FlagBit):
+    """A condition on the carrier alone: ``test(ctx)`` of its
+    ``CarrierContext``, decided once per context (``carrier_bits``)."""
+
+    __slots__ = ("test",)
+
+    def __init__(self, test: Callable):
+        super().__init__()
+        self.test = test
+
+
+def carrier_bits(ctx) -> tuple[int, int]:
+    """``(settled, held)``: the bits that the carrier alone settles (its
+    ``missing`` flags, false, and every ``CarrierCondition``) and those of
+    them that hold."""
+    conditions = [c for c in FLAG_BITS if isinstance(c, CarrierCondition)]
+    return (ctx.missing | sum(c.bit for c in conditions),
+            sum(c.bit for c in conditions if c.test(ctx)))
+
+
 # ---- sides of the local checks: one test per row or per column ----------
-
-#: every ``Local`` stated so far; the one at position ``i`` owns flag bit
-#: ``len(FLAG_PROPERTIES) + i``.  It grows only as sides are stated: the
-#: catalog's at import, and a local inequality's when its text is first
-#: compiled.  A carrier's local table decides the sides stated before it
-#: was built (its ``table_bits``); a later side is tested directly.
-LOCAL_SIDES: list["Local"] = []
-
 
 def _operator(ctx, side: str) -> Callable[[int], int]:
     """The operator value read off a row mask (the diamond: the meet of
@@ -139,7 +160,7 @@ def _operator(ctx, side: str) -> Callable[[int], int]:
     return ext.meet_of_base if side == "rows" else ext.join_of_base
 
 
-class Local:
+class Local(FlagBit):
     """A side that holds exactly when every row (``side == "rows"``) or
     every column (``"cols"``) passes ``test(ctx, a, m, v)``: the row or
     column at index ``a`` is the mask ``m`` and the operator there is
@@ -148,25 +169,19 @@ class Local:
     with ``reads_mask`` false reads only ``a`` and ``v`` (its test gets
     None for ``m``), so its table is built once per (index, value)."""
 
-    __slots__ = ("side", "test", "reads_mask", "bit")
+    __slots__ = ("side", "test", "reads_mask")
 
     def __init__(self, side: str, test: Callable, reads_mask: bool = True):
+        super().__init__()
         self.side = side
         self.test = test
         self.reads_mask = reads_mask
-        self.bit = 1 << (len(FLAG_PROPERTIES) + len(LOCAL_SIDES))
-        LOCAL_SIDES.append(self)
 
     def holds(self, ctx, S) -> bool:
         """The side on ``S``, testing each row or column directly."""
         value = _operator(ctx, self.side)
         return all(self.test(ctx, a, m, value(m))
                    for a, m in enumerate(S.rows if self.side == "rows" else S.cols))
-
-
-def _sides(*sides: Local) -> Flags:
-    """The conjunction of the sides, as one mask test."""
-    return _interned(sum(s.bit for s in sides), (), ())
 
 
 def local_tables(ctx) -> Optional[tuple[int, tuple, tuple]]:
@@ -195,7 +210,7 @@ def local_tables(ctx) -> Optional[tuple[int, tuple, tuple]]:
 def _build_local_tables(ctx, tables: dict) -> tuple[int, tuple, tuple]:
     lat = ctx.lat
     up, ends, masks = lat.poset.up, (lat.bot, lat.top), range(1 << lat.n)
-    sides = tuple(LOCAL_SIDES)
+    sides = [s for s in FLAG_BITS if isinstance(s, Local)]
     every = LOCAL_FLAGS | sum(s.bit for s in sides)
     out = [every]
     for side in ("rows", "cols"):
@@ -234,22 +249,12 @@ def local_flags(S, table: tuple[int, tuple, tuple]) -> int:
     return acc
 
 
-# ---- guards: cheap tests of the carrier, then of the relation ------------
+# ---- conditions on the carrier, and seriality ----------------------------
 
-def _needs_lattice(ctx) -> bool:
-    return isinstance(ctx.lat, FinLattice)
-
-
-def _needs_distributive(ctx) -> bool:
-    return _needs_lattice(ctx) and ctx.lat.is_distributive
-
-
-def _small_enough_for_subsets(ctx) -> bool:
-    return ctx.lat.n <= _SUBSET_SCAN_CAP
-
-
-def _small_enough_for_maps(ctx) -> bool:
-    return ctx.lat.n <= _N_CAP
+_LATTICE = CarrierCondition(lambda ctx: isinstance(ctx.lat, FinLattice))
+_DISTRIBUTIVE = CarrierCondition(lambda ctx: _LATTICE.test(ctx) and ctx.lat.is_distributive)
+_SMALL_ENOUGH_FOR_SUBSETS = CarrierCondition(lambda ctx: ctx.lat.n <= _SUBSET_SCAN_CAP)
+_SMALL_ENOUGH_FOR_MAPS = CarrierCondition(lambda ctx: ctx.lat.n <= _N_CAP)
 
 
 def _involutive_adjoint_negation(ctx) -> bool:
@@ -258,12 +263,11 @@ def _involutive_adjoint_negation(ctx) -> bool:
             and (rep.left_self_adjoint or rep.right_self_adjoint))
 
 
-def _dia_serial(inst) -> bool:
-    return inst.dia_serial
+_INVOLUTIVE_ADJOINT_NEGATION = CarrierCondition(_involutive_adjoint_negation)
 
-
-def _box_serial(inst) -> bool:
-    return inst.box_serial
+# every row (column) is nonempty: no diamond (box) value is vacuous
+_DIA_SERIAL = Local("rows", lambda ctx, a, m, v: m != 0)
+_BOX_SERIAL = Local("cols", lambda ctx, b, m, v: m != 0)
 
 
 # ---- operator-side predicates -------------------------------------------
@@ -428,12 +432,12 @@ _NORMAL = Inequalities(*_REGULAR.texts, *_DIA_GROUNDED.texts, *_BOX_CAPPED.texts
 
 # a rel b forces <>a <= b (every member of row a lies above <>a) and
 # a <= []b (every member of column b lies below []b)
-_REL_BOUNDS = _sides(Local("rows", lambda ctx, a, m, v: not m & ~ctx.base_above[v]),
+_REL_BOUNDS = _flags(Local("rows", lambda ctx, a, m, v: not m & ~ctx.base_above[v]),
                      Local("cols", lambda ctx, b, m, v: not m & ~ctx.base_below[v]))
 # <>a <= b exactly when a rel b: row a is the base elements above <>a
-_DIA_DETECTS = _sides(Local("rows", lambda ctx, a, m, v: ctx.base_above[v] == m))
+_DIA_DETECTS = _flags(Local("rows", lambda ctx, a, m, v: ctx.base_above[v] == m))
 # a <= []b exactly when a rel b: column b is the base elements below []b
-_BOX_DETECTS = _sides(Local("cols", lambda ctx, b, m, v: ctx.base_below[v] == m))
+_BOX_DETECTS = _flags(Local("cols", lambda ctx, b, m, v: ctx.base_below[v] == m))
 
 
 def _union(rows, members: int) -> int:
@@ -560,26 +564,26 @@ def _neg_lifting(lift, adjunction: str) -> dict:
         involutive = ("involutive",) if ctx.neg_report.involutive else ()
         return holds(ctx.delta.poset, lift(ctx.ext, ctx.lat.neg), laws + involutive)
 
-    return {"precondition": _flags(carrier=(precondition,)), "law": law}
+    return {"precondition": _flags(CarrierCondition(precondition)), "law": law}
 
 
 # ---- preconditions shared by several checks ------------------------------
 
-_DIA_DIRECTED = _flags(P.WO, P.DD, guards=(_dia_serial,))
-_BOX_DIRECTED = _flags(P.SI, P.UD, guards=(_box_serial,))
-_DIA_CLASS = _flags(P.SI, P.DD, P.WO, guards=(_dia_serial,))
-_BOX_CLASS = _flags(P.SI, P.UD, P.WO, guards=(_box_serial,))
+_DIA_DIRECTED = _flags(P.WO, P.DD, _DIA_SERIAL)
+_BOX_DIRECTED = _flags(P.SI, P.UD, _BOX_SERIAL)
+_DIA_CLASS = _flags(P.SI, P.DD, P.WO, _DIA_SERIAL)
+_BOX_CLASS = _flags(P.SI, P.UD, P.WO, _BOX_SERIAL)
 # Conjunction of the diamond-directed (WO+DD) and box-directed (SI+UD)
 # classes, plus seriality both ways.  The transfer equivalences fail
 # under bare DD+UD: the identity relation on the two-chain is directed
 # and serial with both operators monotone, yet satisfies neither SI nor WO.
-_BIDIRECTED = _flags(P.WO, P.DD, P.SI, P.UD, guards=(_dia_serial, _box_serial))
+_BIDIRECTED = _flags(P.WO, P.DD, P.SI, P.UD, _DIA_SERIAL, _BOX_SERIAL)
 # the S6 equivalences lean on both detection laws, so they need the full
 # bidirected package, not bare DD+UD
-_S6_PRE = _flags(P.WO, P.DD, P.SI, P.UD,
-                 carrier=(_involutive_adjoint_negation,), guards=(_dia_serial, _box_serial))
-_PROP41_PRE = _flags(P.DD, P.UD, carrier=(_small_enough_for_maps, _needs_distributive))
-_SUBORDINATION_PRE = _flags(*SUBORDINATION_RULES, carrier=(_needs_distributive,))
+_S6_PRE = _flags(P.WO, P.DD, P.SI, P.UD, _DIA_SERIAL, _BOX_SERIAL,
+                 _INVOLUTIVE_ADJOINT_NEGATION)
+_PROP41_PRE = _flags(P.DD, P.UD, _SMALL_ENOUGH_FOR_MAPS, _DISTRIBUTIVE)
+_SUBORDINATION_PRE = _flags(*SUBORDINATION_RULES, _DISTRIBUTIVE)
 
 
 CATALOG: tuple[CheckSpec, ...] = (
@@ -597,10 +601,10 @@ CATALOG: tuple[CheckSpec, ...] = (
               law=_BOX_DETECTS),
     # -- directedness from the binary rules ------------------------------
     CheckSpec("or-implies-updirected", "OR forces UD on lattice carriers",
-              "implies", precondition=_flags(carrier=(_needs_lattice,)),
+              "implies", precondition=_flags(_LATTICE),
               lhs=_flags(P.OR), rhs=_flags(P.UD)),
     CheckSpec("and-implies-downdirected", "AND forces DD on lattice carriers",
-              "implies", precondition=_flags(carrier=(_needs_lattice,)),
+              "implies", precondition=_flags(_LATTICE),
               lhs=_flags(P.AND), rhs=_flags(P.DD)),
     CheckSpec("updirected-iff-or-under-si", "under SI, UD and OR coincide",
               "iff", precondition=_flags(P.SI),
@@ -613,27 +617,27 @@ CATALOG: tuple[CheckSpec, ...] = (
               "implies", lhs=_flags(P.SI), rhs=_monotone("dia")),
     CheckSpec("and-makes-box-multiplicative-dl",
               "on distributive carriers, SI+AND force []a ^ []b <= [](a ^ b)",
-              "implies", precondition=_flags(carrier=(_needs_distributive,)),
+              "implies", precondition=_flags(_DISTRIBUTIVE),
               lhs=_flags(P.SI, P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("and-makes-box-multiplicative-ud",
               "SI+UD+AND force []a ^ []b <= [](a ^ b)",
-              "implies", precondition=_flags(carrier=(_needs_lattice,)),
+              "implies", precondition=_flags(_LATTICE),
               lhs=_flags(P.SI, P.UD, P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("wo-makes-box-monotone", "WO makes the box monotone",
               "implies", lhs=_flags(P.WO), rhs=_monotone("box")),
     CheckSpec("or-makes-diamond-additive-dl",
               "on distributive carriers, WO+OR force <>(a v b) <= <>a v <>b",
-              "implies", precondition=_flags(carrier=(_needs_distributive,)),
+              "implies", precondition=_flags(_DISTRIBUTIVE),
               lhs=_flags(P.WO, P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("or-makes-diamond-additive-dd",
               "WO+DD+OR force <>(a v b) <= <>a v <>b",
-              "implies", precondition=_flags(carrier=(_needs_lattice,)),
+              "implies", precondition=_flags(_LATTICE),
               lhs=_flags(P.WO, P.DD, P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("bot-rule-grounds-diamond", "the bottom rule forces <>F <= F",
-              "implies", precondition=_flags(carrier=(_needs_lattice,)),
+              "implies", precondition=_flags(_LATTICE),
               lhs=_flags(P.BOT), rhs=_DIA_GROUNDED),
     CheckSpec("top-rule-caps-box", "the top rule forces T <= []T",
-              "implies", precondition=_flags(carrier=(_needs_lattice,)),
+              "implies", precondition=_flags(_LATTICE),
               lhs=_flags(P.TOP), rhs=_BOX_CAPPED),
     # -- converses under directedness ------------------------------------
     CheckSpec("si-iff-diamond-monotone", "under WO+DD, SI = diamond monotone",
@@ -674,12 +678,12 @@ CATALOG: tuple[CheckSpec, ...] = (
     CheckSpec("directed-image-directed",
               "under SI+DD+WO, images of down-directed sets are down-directed",
               "law",
-              precondition=_flags(P.SI, P.DD, P.WO, carrier=(_small_enough_for_subsets,)),
+              precondition=_flags(P.SI, P.DD, P.WO, _SMALL_ENOUGH_FOR_SUBSETS),
               law=_law_directed_image),
     CheckSpec("diamond-of-meet",
               "under SI+DD+WO, <> of a directed meet is the meet over the image",
               "law",
-              precondition=_flags(P.SI, P.DD, P.WO, carrier=(_small_enough_for_subsets,)),
+              precondition=_flags(P.SI, P.DD, P.WO, _SMALL_ENOUGH_FOR_SUBSETS),
               law=_law_dia_of_meet),
     CheckSpec("diamond-bound-reflects",
               "under SI+DD+WO, <>k <= b reveals a rel-pair above k",
@@ -692,12 +696,12 @@ CATALOG: tuple[CheckSpec, ...] = (
     CheckSpec("codirected-preimage-directed",
               "under WO+UD+SI, preimages of up-directed sets are up-directed",
               "law",
-              precondition=_flags(P.WO, P.UD, P.SI, carrier=(_small_enough_for_subsets,)),
+              precondition=_flags(P.WO, P.UD, P.SI, _SMALL_ENOUGH_FOR_SUBSETS),
               law=_law_codirected_preimage),
     CheckSpec("box-of-join",
               "under WO+UD+SI, [] of a directed join is the join over the preimage",
               "law",
-              precondition=_flags(P.WO, P.UD, P.SI, carrier=(_small_enough_for_subsets,)),
+              precondition=_flags(P.WO, P.UD, P.SI, _SMALL_ENOUGH_FOR_SUBSETS),
               law=_law_box_of_join),
     CheckSpec("box-bound-reflects",
               "under WO+UD+SI, a <= []o reveals a rel-pair below o",
@@ -729,17 +733,15 @@ CATALOG: tuple[CheckSpec, ...] = (
     CheckSpec("ct-iff-diamond-contraction",
               "under WO+DD+SI, the contraction rule = <>a <= <>(a ^ <>a)",
               "iff",
-              precondition=_flags(P.WO, P.DD, P.SI, carrier=(_needs_lattice,),
-                                  guards=(_dia_serial,)),
+              precondition=_flags(P.WO, P.DD, P.SI, _LATTICE, _DIA_SERIAL),
               lhs=_flags(P.CT), rhs=Inequalities("<>a <= <>(a & <>a)")),
     CheckSpec("sl2-iff-diamond-meet-distribution",
               "under WO+DD+SI, SL2 = <>(<>a ^ <>b) <= <>(a ^ b)",
               "iff",
-              precondition=_flags(P.WO, P.DD, P.SI, carrier=(_needs_lattice,),
-                                  guards=(_dia_serial,)),
+              precondition=_flags(P.WO, P.DD, P.SI, _LATTICE, _DIA_SERIAL),
               lhs=_flags(P.SL2), rhs=Inequalities("<>(<>a & <>b) <= <>(a & b)")),
     CheckSpec("ct-implies-t-under-si", "under SI, contraction forces transitivity",
-              "implies", precondition=_flags(P.SI, carrier=(_needs_lattice,)),
+              "implies", precondition=_flags(P.SI, _LATTICE),
               lhs=_flags(P.CT), rhs=_flags(P.T)),
     CheckSpec("s6-iff-negated-diamond-is-box",
               "on directed involutive carriers, S6 = (~<>a is []~a)",

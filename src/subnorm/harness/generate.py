@@ -112,6 +112,9 @@ class GenConfig:
         if self.max_n * self.max_n > _EXHAUSTIVE_BITS:
             raise InputFormatError(
                 f"max_n must be at most 4 (2^16 relations), got {self.max_n}")
+        for i, name in enumerate(self.carriers):
+            if name in self.carriers[:i]:
+                raise InputFormatError(f"carrier {name!r} is named twice")
 
     def describe(self) -> dict:
         return {

@@ -22,14 +22,16 @@ and the sides of the 14 local checks (the ``Local`` laws and the
 inequalities ``a <= <>a``, ``[]a <= a``, ``<>a <= a``, ``<>F <= F``,
 ``T <= []T``), so those check bodies are mask tests.
 
-The checks are grouped by their precondition, an interned object shared
-by every check stating the same conjunction of guards and flags.  Each
-group's precondition is decided once per instance (per carrier for the
-carrier-scoped checks, and its carrier guards once per carrier); a miss
-counts one skip for every check in the group without evaluating any.  On
-a hit, the checks that the instance's flag bits decide cost one dict
-lookup for the whole group: a side with a ``reads`` mask
-(``catalog.Flags`` without guards, ``catalog.Inequalities`` whose
+The checks are grouped by their precondition, one interned flag mask
+(``catalog.Flags``) shared by every check stating it.  Its carrier
+conditions and the flags the carrier lacks are settled once per carrier
+(``CarrierContext.settled``), and every instance starts with them known,
+so a precondition is one ``has_flags`` test.  Each group's precondition
+is decided once per instance (per carrier for the carrier-scoped
+checks); a miss counts one skip for every check in the group without
+evaluating any.  On a hit, the checks that the instance's flag bits
+decide cost one dict lookup for the whole group: a side with a
+``reads`` mask (``catalog.Flags``, ``catalog.Inequalities`` whose
 inequalities are all local) is a function of those bits, so a check all
 of whose sides have one, or an ``implies`` check whose lhs has one and
 fails, takes one verdict per pattern of the bits (``_Group``).  The
@@ -75,7 +77,8 @@ from ..subordination import (  # noqa: F401  (property_holds: perfbench traces t
     subalg_to_json,
 )
 from .carriers import load_carrier
-from .catalog import CATALOG, CHECKS_BY_NAME, LOCAL_SIDES, CheckSpec, local_flags, local_tables
+from .catalog import (CATALOG, CHECKS_BY_NAME, FLAG_BITS, CheckSpec, carrier_bits, local_flags,
+                      local_tables)
 from .generate import GenConfig, corpus_stream, default_config
 
 _MAX_STORED_COUNTEREXAMPLES = 10
@@ -120,10 +123,11 @@ class CarrierContext:
     property needs structure the carrier lacks, ``local`` the carrier's
     ``catalog.local_tables`` (None above the table cap, and shared by
     every context of one lattice object) and ``table_bits`` the flags and
-    ``Local`` sides it decides, and
-    ``carrier_verdicts`` each precondition's carrier guards, decided on
-    first use.  The points of the two dual spaces are built on first
-    use, once for every instance."""
+    ``Local`` sides it decides.  ``settled`` are the bits every instance
+    starts with known, the missing flags and the catalog's carrier
+    conditions, and ``held`` those of them that hold
+    (``catalog.carrier_bits``).  The points of the two dual spaces are
+    built on first use, once for every instance."""
 
     def __init__(self, name: str, lat: FinLattice):
         self.name = name
@@ -133,7 +137,6 @@ class CarrierContext:
         self.embed = self.ext.embed
         self.clock = LayerClock()
         self.missing = missing_flags(lat)
-        self.carrier_verdicts: dict = {}
         self._jirr_points = None
         self._pf_points = None
         up, down = self.delta.poset.up, self.delta.poset.down
@@ -149,6 +152,7 @@ class CarrierContext:
             self.neg_delta = extend_negation_sigma(self.ext, lat.neg)
         self.local = local_tables(self)
         self.table_bits = self.local[0] if self.local else 0
+        self.settled, self.held = carrier_bits(self)
 
     def space(self, sigma):
         """The join-irreducible dual space of a relation with extension ``sigma``."""
@@ -176,16 +180,17 @@ class Instance:
     """One relation on a carrier, with lazily cached derived data.
 
     Each artefact is built on first use through the carrier's
-    ``LayerClock``: the property flags (two bitmasks: the flags computed
-    so far, and those of them that are True; the ten local flags and the
-    catalog's ``Local`` sides come from one ``local_flags`` pass over the
-    carrier's local table, each other flag from its sweep, and above the
-    table cap each side from its direct test), the operators ``sa``
-    (with ``dia``/``box``), their ``sigma``/``pi`` extensions, the two
-    dual spaces (read off the context's shared points), and the
-    ``image``/``preimage`` tables, which give the union of the
-    rows/columns of every one of the ``2^n`` subset masks (read by the
-    directed-family checks, on carriers small enough for subset tables).
+    ``LayerClock``: the flag bits (two bitmasks: the bits known so far,
+    starting from the carrier's ``settled`` ones, and those of them that
+    are True; the ten local flags and the catalog's ``Local`` sides come
+    from one ``local_flags`` pass over the carrier's local table, each
+    other flag from its sweep, and above the table cap each side from its
+    direct test), the operators ``sa`` (with ``dia``/``box``), their
+    ``sigma``/``pi`` extensions, the two dual spaces (read off the
+    context's shared points), and the ``image``/``preimage`` tables,
+    which give the union of the rows/columns of every one of the ``2^n``
+    subset masks (read by the directed-family checks, on carriers small
+    enough for subset tables).
     """
 
     __slots__ = ("ctx", "S", "_known", "_true", "_sa", "_sigma", "_pi",
@@ -194,8 +199,8 @@ class Instance:
     def __init__(self, ctx: CarrierContext, S: ProtoSubAlg):
         self.ctx = ctx
         self.S = S
-        self._known = 0
-        self._true = 0
+        self._known = ctx.settled
+        self._true = ctx.held
         self._sa = None
         self._sigma = None
         self._pi = None
@@ -248,7 +253,9 @@ class Instance:
 
     def _compute(self, todo: int) -> None:
         """Compute the lowest flag of ``todo``: all of the carrier's
-        ``table_bits`` at once when ``todo`` holds one of them."""
+        ``table_bits`` at once when ``todo`` holds one of them.  (The
+        carrier conditions are never computed here: every instance
+        starts with them known.)"""
         ctx = self.ctx
         if todo & ctx.table_bits:
             self._known |= ctx.table_bits
@@ -256,13 +263,11 @@ class Instance:
             return
         bit = todo & -todo
         self._known |= bit
-        if bit & ctx.missing:
-            return
         i = bit.bit_length() - 1
         if i < len(FLAG_PROPERTIES):
             holds = ctx.clock.build("flags", _sweep, self.S, FLAG_PROPERTIES[i]) is None
         else:
-            holds = ctx.clock.build("flags", LOCAL_SIDES[i - len(FLAG_PROPERTIES)].holds,
+            holds = ctx.clock.build("flags", FLAG_BITS[i - len(FLAG_PROPERTIES)].holds,
                                     ctx, self.S)
         if holds:
             self._true |= bit
@@ -304,16 +309,6 @@ class Instance:
         if self._preimage is None:
             self._preimage = self.ctx.clock.build("preimage", _unions, self.S.cols)
         return self._preimage
-
-    @property
-    def dia_serial(self) -> bool:
-        """Every element has a successor (no vacuous diamond values)."""
-        return all(self.S.rows)
-
-    @property
-    def box_serial(self) -> bool:
-        """Every element has a predecessor (no vacuous box values)."""
-        return all(self.S.cols)
 
     # The dual spaces are read only by checks whose precondition makes
     # the relation a subordination on a distributive lattice, so they are
@@ -357,6 +352,8 @@ def _select_checks(names: Optional[Iterable[str]]) -> list[CheckSpec]:
     for name in names:
         if name not in CHECKS_BY_NAME:
             raise InputFormatError(f"unknown check {name!r}")
+        if CHECKS_BY_NAME[name] in out:
+            raise InputFormatError(f"check {name!r} is named twice")
         out.append(CHECKS_BY_NAME[name])
     if not out:
         raise InputFormatError("no checks selected")

@@ -269,6 +269,27 @@ class TestVerifyCmd:
         assert code == 2
         assert err.count("\n") == 1 and "no checks selected" in err
 
+    @pytest.mark.parametrize("argv, noun", [
+        (["--carriers", "chain2", "--checks",
+          "bounds-of-related-pairs,bounds-of-related-pairs"], "check 'bounds-of-related-pairs'"),
+        (["--carriers", "chain2,chain2"], "carrier 'chain2'"),
+        (["--carriers", "chain2,b4,chain2"], "carrier 'chain2'"),
+    ])
+    def test_repeated_name_is_input_error(self, capsys, argv, noun):
+        # a repeated check would be counted twice per instance, and a
+        # repeated carrier would run its carrier-scoped checks once or
+        # twice depending on what lies between the two names
+        code = main(["verify", *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and f"{noun} is named twice" in err
+
+    def test_run_suite_rejects_repeated_names(self):
+        with pytest.raises(InputFormatError, match="named twice"):
+            run_suite(GenConfig(carriers=("chain2",)), check_names=["t-iff-space-dense"] * 2)
+        with pytest.raises(InputFormatError, match="named twice"):
+            GenConfig(carriers=("b4", "chain2", "b4"))
+
     def test_run_suite_rejects_empty_check_list(self):
         with pytest.raises(InputFormatError):
             run_suite(GenConfig(carriers=("chain2",)), check_names=[])

@@ -1,6 +1,7 @@
 import json
 import random
 import zlib
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -29,9 +30,10 @@ from subnorm.harness import run as runner
 from subnorm.harness.run import LAYERS
 from subnorm.harness.carriers import load_carrier
 from subnorm.harness.catalog import (
-    LOCAL_SIDES,
+    FLAG_BITS,
     Flags,
     Inequalities,
+    Local,
     _compile_inequality,
     local_tables,
 )
@@ -55,6 +57,11 @@ from conftest import leq_relation
 from oracles import LAW_ORACLES, LOCAL_LAW_ORACLES, extremality_oracle
 
 P = Property
+
+
+def local_sides() -> list:
+    """Every ``Local`` side stated so far."""
+    return [s for s in FLAG_BITS if isinstance(s, Local)]
 
 
 def make_instance(lat, pairs, name="test"):
@@ -454,13 +461,194 @@ def flag_oracle(S, q) -> bool:
         return False
 
 
+class OracleFlags(dict):
+    """The properties of one relation, from ``flag_oracle`` on first use."""
+
+    def __init__(self, S):
+        super().__init__()
+        self.S = S
+
+    def __missing__(self, q) -> bool:
+        self[q] = flag_oracle(self.S, q)
+        return self[q]
+
+
+def negation_laws(lat) -> set:
+    """The laws of the carrier's negation, from their definitions."""
+    neg, leq, n = lat.neg, lat.leq, lat.n
+    if neg is None:
+        return set()
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    laws = {
+        "antitone": all(leq(neg[b], neg[a]) for a, b in pairs if leq(a, b)),
+        "involutive": all(neg[neg[a]] == a for a in range(n)),
+        "left": all(leq(neg[a], b) == leq(neg[b], a) for a, b in pairs),
+        "right": all(leq(a, neg[b]) == leq(b, neg[a]) for a, b in pairs),
+    }
+    return {law for law, holds in laws.items() if holds}
+
+
+@lru_cache(maxsize=None)
+def carrier_facts(lat) -> dict:
+    """The conditions on the carrier alone that the catalog's
+    preconditions state, each from its definition."""
+    n, leq = lat.n, lat.leq
+    below = [{x for x in range(n) if leq(x, a)} for a in range(n)]
+    above = [{x for x in range(n) if leq(a, x)} for a in range(n)]
+    # every pair has a greatest lower and a least upper bound
+    lattice = all(any(below[a] & below[b] == below[m] for m in below[a] & below[b])
+                  and any(above[a] & above[b] == above[j] for j in above[a] & above[b])
+                  for a in range(n) for b in range(n))
+    meet, join = lat.meet, lat.join
+    laws = negation_laws(lat)
+    return {
+        "lattice": lattice,
+        "distributive": lattice and all(
+            meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+            for a in range(n) for b in range(n) for c in range(n)),
+        "subset scans": n <= 8,
+        "map scans": n <= 4,
+        "involutive adjoint negation": {"antitone", "involutive"} <= laws
+                                       and bool(laws & {"left", "right"}),
+        "left-adjoint negation": {"antitone", "left"} <= laws,
+        "right-adjoint negation": {"antitone", "right"} <= laws,
+    }
+
+
+def _pre(*rules, rows=False, cols=False, carrier=()):
+    """A precondition from the relation's flags ``h`` (``OracleFlags``),
+    its rows and columns, and the carrier's facts ``c``."""
+    return lambda h, S, c: (all(c[k] for k in carrier) and all(h[q] for q in rules)
+                            and (not rows or all(S.rows)) and (not cols or all(S.cols)))
+
+
+_WO_DD_SERIAL = _pre(P.WO, P.DD, rows=True)
+_SI_UD_SERIAL = _pre(P.SI, P.UD, cols=True)
+_DIA_CLASS = _pre(P.SI, P.DD, P.WO, rows=True)
+_BOX_CLASS = _pre(P.SI, P.UD, P.WO, cols=True)
+
+#: every check's precondition, stated apart from the catalog
+PRECONDITIONS = {
+    **dict.fromkeys(("bounds-of-related-pairs", "si-makes-diamond-monotone",
+                     "wo-makes-box-monotone", "rel-below-order-iff-inflationary-diamond",
+                     "rel-below-order-iff-deflationary-box"), _pre()),
+    **dict.fromkeys(("or-implies-updirected", "and-implies-downdirected",
+                     "and-makes-box-multiplicative-ud", "or-makes-diamond-additive-dd",
+                     "bot-rule-grounds-diamond", "top-rule-caps-box"),
+                    _pre(carrier=("lattice",))),
+    "updirected-iff-or-under-si": _pre(P.SI),
+    "downdirected-iff-and-under-wo": _pre(P.WO),
+    **dict.fromkeys(("and-makes-box-multiplicative-dl", "or-makes-diamond-additive-dl"),
+                    _pre(carrier=("distributive",))),
+    **dict.fromkeys(("diamond-detects-rel", "si-iff-diamond-monotone",
+                     "or-iff-diamond-additive", "bot-iff-diamond-grounded",
+                     "order-below-rel-iff-deflationary-diamond"), _WO_DD_SERIAL),
+    **dict.fromkeys(("box-detects-rel", "wo-iff-box-monotone", "and-iff-box-multiplicative",
+                     "top-iff-box-capped"), _SI_UD_SERIAL),
+    **dict.fromkeys(("monotone-transfer", "regular-transfer", "normality-transfer"),
+                    _pre(P.WO, P.DD, P.SI, P.UD, rows=True, cols=True)),
+    **dict.fromkeys(("directed-image-directed", "diamond-of-meet"),
+                    _pre(P.SI, P.DD, P.WO, carrier=("subset scans",))),
+    **dict.fromkeys(("diamond-bound-reflects", "diamond-open-bound-reflects",
+                     "t-iff-diamond-expanding", "d-iff-diamond-collapsing"), _DIA_CLASS),
+    **dict.fromkeys(("codirected-preimage-directed", "box-of-join"),
+                    _pre(P.WO, P.UD, P.SI, carrier=("subset scans",))),
+    **dict.fromkeys(("box-bound-reflects", "box-closed-bound-reflects",
+                     "s9fwd-iff-box-join-absorption", "s9bwd-iff-box-join-coabsorption",
+                     "sl1-iff-box-join-distribution"), _BOX_CLASS),
+    **dict.fromkeys(("ct-iff-diamond-contraction", "sl2-iff-diamond-meet-distribution"),
+                    _pre(P.WO, P.DD, P.SI, rows=True, carrier=("lattice",))),
+    "ct-implies-t-under-si": _pre(P.SI, carrier=("lattice",)),
+    **dict.fromkeys(("s6-iff-negated-diamond-is-box", "s6-iff-diamond-neg-is-neg-box"),
+                    _pre(P.WO, P.DD, P.SI, P.UD, rows=True, cols=True,
+                         carrier=("involutive adjoint negation",))),
+    **{f"closure{i}-extremal": _pre(P.DD, P.UD, carrier=("map scans", "distributive"))
+       for i in (1, 2, 3, 4)},
+    **dict.fromkeys(("two-space-constructions-isomorphic", "rel-below-order-iff-space-reflexive",
+                     "d-iff-space-transitive", "t-iff-space-dense", "properness-matches-space",
+                     "ct-relational-correspondence", "s9-relational-correspondence",
+                     "sl1-relational-correspondence", "sl2-relational-correspondence"),
+                    _pre(*SUBORDINATION_RULES, carrier=("distributive",))),
+    "sigma-negation-extension-laws": _pre(carrier=("left-adjoint negation",)),
+    "pi-negation-extension-laws": _pre(carrier=("right-adjoint negation",)),
+}
+
+
+def precondition_oracle(name: str):
+    """The check's precondition on an instance, from ``PRECONDITIONS``."""
+    return lambda inst: PRECONDITIONS[name](OracleFlags(inst.S), inst.S, carrier_facts(inst.lat))
+
+
+#: algebra JSON of the carriers beyond the built-ins: a 12-element chain
+#: (above both size caps and the table cap), the pentagon N5 with its
+#: pseudocomplement (antitone and right-self-adjoint, not involutive)
+#: and the diamond M3, the two lattices that are not distributive
+JSON_CARRIERS = {
+    "chain12": {"elements": [str(i) for i in range(12)],
+                "hasse": [[i, i + 1] for i in range(11)]},
+    "n5": {"elements": ["0", "a", "b", "c", "1"],
+           "hasse": [[0, 1], [1, 2], [2, 4], [0, 3], [3, 4]], "neg": [4, 3, 3, 2, 0]},
+    "m3": {"elements": ["0", "x", "y", "z", "1"],
+           "hasse": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]},
+}
+
+
+def json_carrier(tmp_path, name: str):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(JSON_CARRIERS[name]))
+    return load_carrier(str(path))
+
+
+class TestPreconditions:
+    """Every check's precondition against ``PRECONDITIONS``, on carriers
+    where each carrier condition is both true and false somewhere."""
+
+    def test_every_check_has_an_oracle(self):
+        assert set(PRECONDITIONS) == set(CHECKS_BY_NAME)
+
+    def test_preconditions_match_oracles(self, chain3, b4, fdl2, b8, tmp_path):
+        carriers = [("chain3", chain3), ("b4", b4), ("fdl2", fdl2), ("b8", b8)]
+        carriers += [(name, json_carrier(tmp_path, name)) for name in JSON_CARRIERS]
+        seen = {name: set() for name in PRECONDITIONS}
+        for name, lat in carriers:
+            ctx, facts = CarrierContext(name, lat), carrier_facts(lat)
+            if name == "chain3":
+                rels = list(all_relations(lat))
+            else:
+                rels = random_relations(lat, 24, zlib.crc32(name.encode()), (0.1, 0.3, 0.6))
+                rels += [close(S, SUBORDINATION_RULES) for S in rels]
+            rels += [leq_relation(lat), ProtoSubAlg.from_pairs(lat, [])]
+            for S in rels:
+                inst, h = Instance(ctx, S), OracleFlags(S)
+                for spec in CATALOG:
+                    got = spec.precondition(inst)
+                    assert got == PRECONDITIONS[spec.name](h, S, facts), (name, S, spec.name)
+                    seen[spec.name].add(got)
+            # a property the carrier lacks the structure for is never a
+            # true flag
+            for q in P:
+                try:
+                    property_holds(rels[0], q)
+                except MissingStructure:
+                    inst = Instance(ctx, rels[0])
+                    assert inst.flag(q) is None and not inst.has_flags(flag_mask(q)), (name, q)
+        # only the empty precondition and the lattice condition hold
+        # everywhere: every carrier is a lattice
+        always = {name for name, pre in PRECONDITIONS.items()
+                  if pre in (PRECONDITIONS["bounds-of-related-pairs"],
+                             PRECONDITIONS["or-implies-updirected"])}
+        assert {name for name, got in seen.items() if got == {True}} == always
+        assert all(got == {True, False} for name, got in seen.items() if name not in always)
+
+
 class TestLocalSides:
     """The table-decided sides of the 14 local checks against the
     per-instance law bodies (``oracles.LOCAL_LAW_ORACLES``) and the
     compiled inequalities evaluated under every assignment, through the
     carrier tables and, above the table cap, through the direct test of
     each row and column; and each check's verdict against the same check
-    with every side read from its oracle."""
+    with its precondition from ``PRECONDITIONS`` and every side read from
+    its oracle."""
 
     @staticmethod
     def side_oracles() -> dict:
@@ -469,7 +657,7 @@ class TestLocalSides:
         for name in LOCAL_CHECKS:
             spec = CHECKS_BY_NAME[name]
             if spec.mode == "law":
-                sides = [s for s in LOCAL_SIDES if s.bit & spec.law.mask]
+                sides = [s for s in local_sides() if s.bit & spec.law.mask]
                 halves = LOCAL_LAW_ORACLES[name][1]
                 assert sorted(s.side for s in sides) == sorted(halves), name
                 out.update((s, halves[s.side]) for s in sides)
@@ -491,19 +679,16 @@ class TestLocalSides:
         flags = [q for i, q in enumerate(P) if part.mask >> i & 1]
         local = [s for s in sides if s.bit & part.mask]
         assert sum(s.bit for s in local) + flag_mask(*flags) == part.mask
-        return lambda inst: (all(g(inst.ctx) for g in part.carrier_guards)
-                             and all(g(inst) for g in part.guards)
-                             and all(flag_oracle(inst.S, q) for q in flags)
+        return lambda inst: (all(flag_oracle(inst.S, q) for q in flags)
                              and all(sides[s](inst) for s in local))
 
     def test_the_local_checks_are_the_fourteen(self):
-        side_bits = sum(s.bit for s in LOCAL_SIDES)
+        side_bits = sum(s.bit for s in local_sides())
 
         def local(part) -> bool:
             if isinstance(part, Inequalities):
                 return all(_compile_inequality(t).local for t in part.texts)
-            return (isinstance(part, Flags) and not part.guards and not part.carrier_guards
-                    and not part.mask & ~(LOCAL_FLAGS | side_bits))
+            return isinstance(part, Flags) and not part.mask & ~(LOCAL_FLAGS | side_bits)
 
         got = {spec.name for spec in CATALOG if spec.scope == "relation"
                and all(local(part) for part in (spec.lhs, spec.rhs, spec.law) if part)}
@@ -523,15 +708,12 @@ class TestLocalSides:
         assert seen == {True, False}
 
     def test_sides_and_verdicts_match_oracles(self, chain3, chain4, b4, fdl2, b8, tmp_path):
-        path = tmp_path / "chain12.json"
-        path.write_text(json.dumps({"elements": [str(i) for i in range(12)],
-                                    "hasse": [[i, i + 1] for i in range(11)]}))
-        chain12 = load_carrier(str(path))
+        chain12 = json_carrier(tmp_path, "chain12")
         sides = self.side_oracles()
         specs = [(CHECKS_BY_NAME[name], CheckSpec(
-            name, "oracle", CHECKS_BY_NAME[name].mode,
+            name, "oracle", CHECKS_BY_NAME[name].mode, precondition=precondition_oracle(name),
             **{field: self.oracle_of(getattr(CHECKS_BY_NAME[name], field), sides)
-               for field in ("precondition", "lhs", "rhs", "law")}))
+               for field in ("lhs", "rhs", "law")}))
             for name in LOCAL_CHECKS]
         tested = dict.fromkeys(LOCAL_CHECKS, 0)
         carriers = [("chain3", chain3, all_relations(chain3))]
@@ -673,11 +855,11 @@ class TestGroupedRunner:
     # whose mask lhs decides it only where the lhs fails
     PATTERN_IFF = CheckSpec("planted-inside-order-iff-deflationary",
                             "fails where exactly one side holds", "iff",
-                            lhs=Flags(flag_mask(P.PREC_IN_LEQ), (), ()),
+                            lhs=Flags(flag_mask(P.PREC_IN_LEQ)),
                             rhs=Inequalities("<>a <= a"))
     PATTERN_IMPLIES = CheckSpec("planted-si-implies-first-row-empty",
                                 "fails when SI holds and 0 relates to anything",
-                                "implies", lhs=Flags(flag_mask(P.SI), (), ()),
+                                "implies", lhs=Flags(flag_mask(P.SI)),
                                 rhs=lambda inst: not inst.S.rows[0])
 
     def test_matches_naive_loop(self, monkeypatch):
@@ -797,10 +979,7 @@ class TestGroupedRunner:
 
     def test_flags_above_the_table_cap_match_property_holds(self, tmp_path):
         # a 12-element chain has no signature tables: every flag is swept
-        path = tmp_path / "chain12.json"
-        path.write_text(json.dumps({"elements": [str(i) for i in range(12)],
-                                    "hasse": [[i, i + 1] for i in range(11)]}))
-        lat = load_carrier(str(path))
+        lat = json_carrier(tmp_path, "chain12")
         ctx = CarrierContext("chain12", lat)
         assert ctx.local is None
         sample = random_relations(lat, 6, 3, (0.05, 0.2))

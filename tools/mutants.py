@@ -1,5 +1,5 @@
-"""Code mutants of the local table, the local catalog sides, the runner's
-flag-pattern memo and the closure.
+"""Code mutants of the local table, the local catalog sides, the flag bits
+that preconditions read, the runner's flag-pattern memo and the closure.
 
 Each mutant is one ``(file, old, new)`` patch.  The runner copies the
 repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -33,12 +33,14 @@ from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: the tests each mutant runs against: the local table against the
-#: set-based oracles, the local sides against the per-instance bodies,
-#: the flag bitmasks against ``property_holds``, the grouped runner and
-#: its pattern memo against the naive loop, the witness digest, the
-#: closure against its oracles and the closure digest
+#: the tests each mutant runs against: every precondition against its
+#: stated oracle, the local table against the set-based oracles, the
+#: local sides against the per-instance bodies, the flag bitmasks
+#: against ``property_holds``, the grouped runner and its pattern memo
+#: against the naive loop, the witness digest, the closure against its
+#: oracles and the closure digest
 FAST = (
+    "tests/test_harness.py::TestPreconditions",
     "tests/test_harness.py::TestLocalSides",
     "tests/test_subordination.py::TestLocalFlags",
     "tests/test_subordination.py::test_local_witnesses_on_every_row_and_column",
@@ -103,6 +105,17 @@ MUTANTS = (
     Mutant("grounded-side-at-top", CATALOG,
            "a != getattr(ctx.lat, operand[0])",
            "a != ctx.lat.top"),
+    # the flag bits that preconditions read: seriality, a carrier
+    # condition, and the flags a carrier settles false
+    Mutant("row-seriality-reads-true", CATALOG,
+           '_DIA_SERIAL = Local("rows", lambda ctx, a, m, v: m != 0)',
+           '_DIA_SERIAL = Local("rows", lambda ctx, a, m, v: True)'),
+    Mutant("distributive-bit-from-lattice-test", CATALOG,
+           "_LATTICE.test(ctx) and ctx.lat.is_distributive)",
+           "_LATTICE.test(ctx))"),
+    Mutant("missing-flags-settled-true", CATALOG,
+           "            sum(c.bit for c in conditions if c.test(ctx)))",
+           "            ctx.missing | sum(c.bit for c in conditions if c.test(ctx)))"),
     # the runner's memo of flag patterns (`run._Group`, `run._passes`)
     Mutant("pattern-key-drops-a-bit", RUN,
            "key = inst._true & self.reads",
