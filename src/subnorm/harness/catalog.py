@@ -8,15 +8,23 @@ implication.  One-sided statements stay one-sided here; equivalences
 are claimed only where they hold under the entry's preconditions.
 
 The runner (``run``) decides each precondition per instance:
-instances failing it are *skipped*, the others have the check's body
-evaluated by ``verify_check``, and a check that skips the whole corpus
-is a configuration error rather than a pass.  Every precondition is one
-``Flags`` mask built by ``_flags``, so checks stating the same
-precondition share one object and the runner decides it once per
-instance for all of them.  A mask's bits are property flags and the
-bits of ``FLAG_BITS``: the ``Local`` sides (seriality of the rows and of
-the columns among them) and the conditions on the carrier alone
-(``CarrierCondition``), which every instance starts with settled.
+instances failing it are *skipped*, the others have the check decided,
+and a check that skips the whole corpus is a configuration error rather
+than a pass.  Every precondition and every side of an ``iff`` or
+``implies`` check is one ``Flags`` mask, so the runner decides those
+checks from the instance's flag bits and evaluates a body only for a
+``law`` check or a pattern of bits that fails.  A precondition is built
+by ``_flags``, so checks stating the same precondition share one object
+and the runner decides it once per instance for all of them.  A mask's
+bits are property flags and the bits of ``FLAG_BITS``, one owner per
+fact: the ``Local`` sides (seriality of the rows and of the columns
+among them), the conditions on the carrier alone (``CarrierCondition``),
+which every instance starts with settled, and the ``Fact`` of each
+operator law that one instance decides on its own: each compiled
+inequality that is not local, the monotonicity of ``<>`` and of ``[]``,
+and each dual-space condition (``RelCondition``).  Each is decided at
+most once per instance, however many checks state it: additivity of
+``<>`` is the rhs of five checks.
 
 Fourteen checks are local: the diamond of an element is the meet of its
 row and the box the join of its column (``slanted.build_slanted``), so
@@ -47,6 +55,7 @@ from itertools import product
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
+from .. import duality
 from ..completion import extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
 from ..order import (FinLattice, bits, is_monotone, negation_law_failure, subset_law_failure,
@@ -62,8 +71,8 @@ _SUBSET_SCAN_CAP = 8
 
 class Flags:
     """A conjunction of flag bits: every bit in ``mask`` is True
-    (property flags, ``Local`` sides and carrier conditions).  Built only
-    by ``_flags``, so equal conjunctions are one object; the runner
+    (property flags and the bits of ``FLAG_BITS``).  A precondition is
+    built by ``_flags``, so equal conjunctions are one object; the runner
     groups the checks sharing a precondition by that object and decides
     it once per instance.  ``reads`` is ``mask``: the verdict is a
     function of the flag bits alone."""
@@ -114,15 +123,17 @@ class CheckSpec:
 
 #: every owner of a flag bit above the property flags: the one at
 #: position ``i`` owns bit ``len(FLAG_PROPERTIES) + i``.  It grows only as
-#: owners are stated: the catalog's at import, and a local inequality's
-#: side when its text is first compiled.  A carrier's local table decides
+#: owners are stated: the catalog's at import, and an inequality's side
+#: when its text is first compiled.  A carrier's local table decides
 #: the ``Local`` sides stated before it was built (its ``table_bits``); a
 #: later side is tested directly.
 FLAG_BITS: list["FlagBit"] = []
 
 
 class FlagBit:
-    """The owner of the next bit of ``FLAG_BITS``."""
+    """The owner of the next bit of ``FLAG_BITS``.  An owner that an
+    instance decides has ``holds(inst)``, which ``run.Instance`` calls at
+    most once per instance."""
 
     __slots__ = ("bit",)
 
@@ -151,6 +162,20 @@ def carrier_bits(ctx) -> tuple[int, int]:
             sum(c.bit for c in conditions if c.test(ctx)))
 
 
+class Fact(FlagBit):
+    """A law of one instance's operators or dual space, ``test(inst)``:
+    decided as the flag bit ``bit`` the first time a side reads it."""
+
+    __slots__ = ("test",)
+
+    def __init__(self, test: Callable):
+        super().__init__()
+        self.test = test
+
+    def holds(self, inst) -> bool:
+        return self.test(inst)
+
+
 # ---- sides of the local checks: one test per row or per column ----------
 
 def _operator(ctx, side: str) -> Callable[[int], int]:
@@ -177,8 +202,10 @@ class Local(FlagBit):
         self.test = test
         self.reads_mask = reads_mask
 
-    def holds(self, ctx, S) -> bool:
-        """The side on ``S``, testing each row or column directly."""
+    def holds(self, inst) -> bool:
+        """The side on the instance, testing each row or column directly
+        (above the table cap, or for a side stated after the table)."""
+        ctx, S = inst.ctx, inst.S
         value = _operator(ctx, self.side)
         return all(self.test(ctx, a, m, value(m))
                    for a, m in enumerate(S.rows if self.side == "rows" else S.cols))
@@ -272,10 +299,13 @@ _BOX_SERIAL = Local("cols", lambda ctx, b, m, v: m != 0)
 
 # ---- operator-side predicates -------------------------------------------
 
-def _monotone(*operators):
+_MONOTONE = {"dia": Fact(lambda inst: is_monotone(inst.dia, inst.poset, inst.delta.poset)),
+             "box": Fact(lambda inst: is_monotone(inst.box, inst.poset, inst.delta.poset))}
+
+
+def _monotone(*operators) -> Flags:
     """The named base operators (``"dia"``, ``"box"``) are monotone."""
-    return lambda inst: all(
-        is_monotone(getattr(inst, op), inst.poset, inst.delta.poset) for op in operators)
+    return _flags(*(_MONOTONE[op] for op in operators))
 
 
 # Operator inequalities are written as the paper states them and compiled
@@ -342,8 +372,8 @@ def _compile_term(t, names: list[str]):
 
 
 class _Compiled(NamedTuple):
-    holds: Callable    # the inequality on an instance, over every assignment
-    local: Optional[Local]  # the same statement as a row or column test
+    holds: Callable  # the inequality on an instance, over every assignment
+    side: FlagBit    # its flag bit: a row or column test, or else a Fact of holds
 
 
 @lru_cache(maxsize=None)
@@ -359,7 +389,7 @@ def _compile_inequality(text: str) -> _Compiled:
     def holds(inst) -> bool:
         return leq(inst, _columns(inst.n, len(names)))
 
-    return _Compiled(holds, _local_side(ineq, names, leq))
+    return _Compiled(holds, _local_side(ineq, names, leq) or Fact(holds))
 
 
 class _StandIn:
@@ -400,23 +430,19 @@ def _local_side(ineq, names: list[str], leq) -> Optional[Local]:
     return None
 
 
-class Inequalities:
+class Inequalities(Flags):
     """Conjunction of operator inequalities, each valid when it holds
-    under every assignment of carrier elements to its variables.  The
-    local ones are decided as one mask test of their ``Local`` bits, the
-    others by evaluating them under every assignment.  ``reads`` is the
-    mask when every inequality is local, so the conjunction's verdict is
-    a function of the flag bits alone, and None otherwise."""
+    under every assignment of carrier elements to its variables: the
+    mask of one flag bit per text (``_compile_inequality``), a ``Local``
+    side when the compiler marks it local and a ``Fact`` evaluating it
+    under every assignment otherwise.  One text is one bit however many
+    conjunctions state it.  ``texts`` are kept as written."""
+
+    __slots__ = ("texts",)
 
     def __init__(self, *texts: str):
+        super().__init__(sum({_compile_inequality(t).side.bit for t in texts}))
         self.texts = texts
-        compiled = [_compile_inequality(t) for t in texts]
-        self.mask = sum({c.local.bit for c in compiled if c.local})
-        self._checks = tuple(c.holds for c in compiled if c.local is None)
-        self.reads = None if self._checks else self.mask
-
-    def __call__(self, inst) -> bool:
-        return inst.has_flags(self.mask) and all(check(inst) for check in self._checks)
 
 
 _DIA_ADDITIVE = Inequalities("<>(a | b) <= <>a | <>b")
@@ -527,14 +553,19 @@ def _law_box_closed_bound_reflects(inst) -> bool:
 
 # ---- dual-space sides -----------------------------------------------------
 
-def _rel_cond(*conds: RelCondition):
-    from ..duality import check_relational
-    return lambda inst: all(check_relational(inst.space, c)[0] for c in conds)
+# ``duality.check_relational`` is looked up at each call, where a tracer
+# may have replaced it
+_REL_CONDITIONS = {c: Fact(lambda inst, c=c: duality.check_relational(inst.space, c)[0])
+                   for c in RelCondition}
+
+
+def _rel_cond(*conds: RelCondition) -> Flags:
+    """The dual space meets every condition in ``conds``."""
+    return _flags(*(_REL_CONDITIONS[c] for c in conds))
 
 
 def _law_spaces_isomorphic(inst) -> bool:
-    from ..duality import spaces_isomorphic
-    return spaces_isomorphic(inst.space, inst.space_pf)[0]
+    return duality.spaces_isomorphic(inst.space, inst.space_pf)[0]
 
 
 def _prop41_law(i: int):

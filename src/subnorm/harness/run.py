@@ -16,11 +16,15 @@ pattern, below, evaluate a body),
 each carrier's context (which includes building the carrier's local
 table the first time the process meets the carrier), and each lazily
 built per-instance artefact, whichever check asked for it first.
-``flags`` includes the one ``catalog.local_flags`` pass per instance
-that reads that table (``catalog.local_tables``) for the ten local flags
-and the sides of the 14 local checks (the ``Local`` laws and the
-inequalities ``a <= <>a``, ``[]a <= a``, ``<>a <= a``, ``<>F <= F``,
-``T <= []T``), so those check bodies are mask tests.
+``flags`` holds every flag bit an instance decides: the one
+``catalog.local_flags`` pass per instance that reads that table
+(``catalog.local_tables``) for the ten local flags and the sides of the
+14 local checks (the ``Local`` laws and the inequalities ``a <= <>a``,
+``[]a <= a``, ``<>a <= a``, ``<>F <= F``, ``T <= []T``), each other
+property's sweep, and each ``catalog.Fact``: a compiled inequality, the
+monotonicity of an operator or a dual-space condition, so the time of
+every ``iff``/``implies`` side is there, less the operators, extensions
+and dual spaces that a bit builds, which are booked to their own layers.
 
 The checks are grouped by their precondition, one interned flag mask
 (``catalog.Flags``) shared by every check stating it.  Its carrier
@@ -30,19 +34,20 @@ so a precondition is one ``has_flags`` test.  Each group's precondition
 is decided once per instance (per carrier for the carrier-scoped
 checks); a miss counts one skip for every check in the group without
 evaluating any.  On a hit, the checks that the instance's flag bits
-decide cost one dict lookup for the whole group: a side with a
-``reads`` mask (``catalog.Flags``, ``catalog.Inequalities`` whose
-inequalities are all local) is a function of those bits, so a check all
-of whose sides have one, or an ``implies`` check whose lhs has one and
-fails, takes one verdict per pattern of the bits (``_Group``).  The
-first time a group meets a pattern it splits its checks into those the
-pattern decides as passes, which are counted per pattern and folded into
-``tested``/``passes`` at the end, and the rest, whose bodies are
-evaluated through ``verify_check`` on every instance with that pattern,
-which does not decide the precondition again.  A pattern that makes a
-check fail leaves it in the second list, so its counterexamples are
-stored in corpus order, and ``timing.checks`` times only bodies that
-run.  The patterns live with the groups of one ``run_suite`` call.
+decide cost one dict lookup for the whole group: every side of an
+``iff`` or ``implies`` check, and a ``law`` that is a mask, has a
+``reads`` mask (``catalog.Flags``) and is a function of those bits, so
+such a check takes one verdict per pattern of the bits (``_Group``).
+Each bit is decided at most once per instance, however many checks read
+it.  The first time a group meets a pattern it splits its checks into
+those the pattern decides as passes, which are counted per pattern and
+folded into ``tested``/``passes`` at the end, and the rest (the other
+``law`` checks, and the checks that the pattern makes fail), whose
+bodies are evaluated through ``verify_check`` on every instance with
+that pattern, which does not decide the precondition again.  A failing
+check's counterexamples are thus stored in corpus order, and
+``timing.checks`` times only bodies that run.  The patterns live with
+the groups of one ``run_suite`` call.
 
 Checks are pure, so instances could be fanned out to workers with the
 report aggregation as the only synchronization point; the runner stays
@@ -67,10 +72,8 @@ from ..slanted import build_slanted, pi_extension, sigma_extension
 from ..subordination import (  # noqa: F401  (property_holds: perfbench traces this binding)
     FLAG_PROPERTIES,
     LOCAL_FLAGS,
-    Property,
     ProtoSubAlg,
     _sweep,
-    flag_mask,
     missing_flags,
     property_holds,
     subalg_from_json,
@@ -91,8 +94,9 @@ LAYERS = ("corpus", "context", "flags", "sa", "sigma", "pi", "space", "space_pf"
 
 class LayerClock:
     """Seconds and build counts per layer.  A build's arguments are
-    evaluated before its clock starts, so builds never nest and
-    ``spent`` is the total time inside builds."""
+    evaluated before its clock starts, and a build made inside another is
+    booked to its own layer only, so ``spent`` is the total time inside
+    builds."""
 
     def __init__(self):
         self.seconds = dict.fromkeys(LAYERS, 0.0)
@@ -100,11 +104,14 @@ class LayerClock:
         self.spent = 0.0
 
     def build(self, layer: str, fn: Callable, *args):
-        t0 = time.perf_counter()
+        """``fn(*args)``, booked to ``layer`` less the builds it makes
+        itself (a flag bit reading the operators builds them), which are
+        booked to their own layers."""
+        t0, before = time.perf_counter(), self.spent
         try:
             return fn(*args)
         finally:
-            self.charge(layer, t0)
+            self.charge(layer, t0 + (self.spent - before))
 
     def charge(self, layer: str, t0: float, builds: int = 1) -> None:
         """Book the time since ``t0`` to ``layer`` as ``builds`` builds."""
@@ -184,8 +191,9 @@ class Instance:
     starting from the carrier's ``settled`` ones, and those of them that
     are True; the ten local flags and the catalog's ``Local`` sides come
     from one ``local_flags`` pass over the carrier's local table, each
-    other flag from its sweep, and above the table cap each side from its
-    direct test), the operators ``sa`` (with ``dia``/``box``), their
+    other property flag from its sweep, and every other bit, such as a
+    side above the table cap or a ``catalog.Fact``, from its owner's
+    ``holds``), the operators ``sa`` (with ``dia``/``box``), their
     ``sigma``/``pi`` extensions, the two dual spaces (read off the
     context's shared points), and the ``image``/``preimage`` tables,
     which give the union of the rows/columns of every one of the ``2^n``
@@ -229,16 +237,6 @@ class Instance:
     def embed(self):
         return self.ctx.embed
 
-    def flag(self, prop: Property) -> Optional[bool]:
-        """The property's truth; None when the carrier lacks the
-        structure it mentions."""
-        bit = flag_mask(prop)
-        if not self._known & bit:
-            self._compute(bit)
-        if self._true & bit:
-            return True
-        return None if self.ctx.missing & bit else False
-
     def has_flags(self, mask: int) -> bool:
         """Every flag in ``mask`` is True.  Flags not yet known are
         computed local ones first, the others in bit order, stopping at
@@ -253,9 +251,10 @@ class Instance:
 
     def _compute(self, todo: int) -> None:
         """Compute the lowest flag of ``todo``: all of the carrier's
-        ``table_bits`` at once when ``todo`` holds one of them.  (The
-        carrier conditions are never computed here: every instance
-        starts with them known.)"""
+        ``table_bits`` at once when ``todo`` holds one of them, a
+        property flag by its sweep, and any other bit by its owner's
+        ``holds``.  (The carrier conditions are never computed here:
+        every instance starts with them known.)"""
         ctx = self.ctx
         if todo & ctx.table_bits:
             self._known |= ctx.table_bits
@@ -265,10 +264,9 @@ class Instance:
         self._known |= bit
         i = bit.bit_length() - 1
         if i < len(FLAG_PROPERTIES):
-            holds = ctx.clock.build("flags", _sweep, self.S, FLAG_PROPERTIES[i]) is None
+            holds = ctx.clock.build("flags", _sweep, self.S, FLAG_PROPERTIES[i], False) is None
         else:
-            holds = ctx.clock.build("flags", FLAG_BITS[i - len(FLAG_PROPERTIES)].holds,
-                                    ctx, self.S)
+            holds = ctx.clock.build("flags", FLAG_BITS[i - len(FLAG_PROPERTIES)].holds, self)
         if holds:
             self._true |= bit
 

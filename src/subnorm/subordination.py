@@ -10,7 +10,9 @@ systems.
 
 Each property is stated once, as an exact quantifier sweep over the
 finite carrier that returns its lexicographically first counterexample,
-or None; ``property_holds`` and ``check_property`` run the sweeps.
+or None; ``check_property`` runs the sweeps for that witness and
+``property_holds`` for the verdict alone, which lets a sweep stop at the
+first counterexample it meets.
 
 Ten properties are *local*: each holds exactly when every row (BOT, TOP,
 WO, AND, DD, PREC_IN_LEQ, LEQ_IN_PREC) or every column (OR, UD, PROPER)
@@ -302,7 +304,7 @@ def property_holds(S: ProtoSubAlg, prop: Property) -> bool:
     """Exact truth of the quantified condition; raises MissingStructure
     when the carrier lacks what the property mentions."""
     _require(S, prop)
-    return _sweep(S, prop) is None
+    return _sweep(S, prop, least=False) is None
 
 
 def check_property(S: ProtoSubAlg, prop: Property) -> tuple[bool, Optional[tuple]]:
@@ -313,10 +315,12 @@ def check_property(S: ProtoSubAlg, prop: Property) -> tuple[bool, Optional[tuple
     return witness is None, witness
 
 
-def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
+def _sweep(S: ProtoSubAlg, prop: Property, least: bool = True) -> Optional[tuple]:
     """Lexicographically first counterexample tuple, in the property's
     stated variable order; None when the property holds.  (S9 states its
-    witness as ``(x, a, b)`` and is swept over ``a``, ``b``, then ``x``.)"""
+    witness as ``(x, a, b)`` and is swept over ``a``, ``b``, then ``x``.)
+    Without ``least`` any counterexample will do: SL1, the one sweep
+    whose first witness is not the first it meets, stops there."""
     if prop in LOCAL_TESTS:
         return _local_failure(S, prop)
     p = S.poset
@@ -400,7 +404,7 @@ def _sweep(S: ProtoSubAlg, prop: Property) -> Optional[tuple]:
                 if bad:
                     a = next(bits(bad))
                     first, below = (a, b, c), (1 << a) - 1
-                    if not below:
+                    if not below or not least:
                         return first
         return first
     elif prop is Property.SL2:

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from subnorm import duality
+from subnorm.duality import RelCondition
 from subnorm.errors import InputFormatError, MissingStructure, NotMonotone, TooLarge
 from subnorm.harness import (
     CATALOG,
@@ -29,8 +31,10 @@ from subnorm.harness import maximality
 from subnorm.harness import run as runner
 from subnorm.harness.run import LAYERS
 from subnorm.harness.carriers import load_carrier
+from subnorm.harness import catalog
 from subnorm.harness.catalog import (
     FLAG_BITS,
+    Fact,
     Flags,
     Inequalities,
     Local,
@@ -62,6 +66,15 @@ P = Property
 def local_sides() -> list:
     """Every ``Local`` side stated so far."""
     return [s for s in FLAG_BITS if isinstance(s, Local)]
+
+
+def flag(inst, prop):
+    """The property's truth on an instance; None when the carrier lacks
+    the structure it mentions."""
+    bit = flag_mask(prop)
+    if inst.has_flags(bit):
+        return True
+    return None if inst.ctx.missing & bit else False
 
 
 def make_instance(lat, pairs, name="test"):
@@ -631,7 +644,7 @@ class TestPreconditions:
                     property_holds(rels[0], q)
                 except MissingStructure:
                     inst = Instance(ctx, rels[0])
-                    assert inst.flag(q) is None and not inst.has_flags(flag_mask(q)), (name, q)
+                    assert flag(inst, q) is None and not inst.has_flags(flag_mask(q)), (name, q)
         # only the empty precondition and the lattice condition hold
         # everywhere: every carrier is a lattice
         always = {name for name, pre in PRECONDITIONS.items()
@@ -664,7 +677,7 @@ class TestLocalSides:
             elif isinstance(spec.rhs, Inequalities):
                 for text in spec.rhs.texts:
                     compiled = _compile_inequality(text)
-                    out[compiled.local] = compiled.holds
+                    out[compiled.side] = compiled.holds
         return out
 
     @staticmethod
@@ -686,8 +699,6 @@ class TestLocalSides:
         side_bits = sum(s.bit for s in local_sides())
 
         def local(part) -> bool:
-            if isinstance(part, Inequalities):
-                return all(_compile_inequality(t).local for t in part.texts)
             return isinstance(part, Flags) and not part.mask & ~(LOCAL_FLAGS | side_bits)
 
         got = {spec.name for spec in CATALOG if spec.scope == "relation"
@@ -775,21 +786,29 @@ class TestRunSuite:
             json.dumps(strip_timing(b), sort_keys=True)
 
     def test_layer_timing(self, monkeypatch):
-        passes = []
-        real = runner.local_flags
+        passes, sweeps, owned = [], [], []
+        real, sweep = runner.local_flags, runner._sweep
         monkeypatch.setattr(runner, "local_flags",
                             lambda *args: passes.append(1) or real(*args))
+        monkeypatch.setattr(runner, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
+        for owner in (Fact, Local):
+            monkeypatch.setattr(owner, "holds", lambda self, inst, holds=owner.holds:
+                                owned.append(1) or holds(self, inst))
         report = run_suite(GenConfig(carriers=("chain2", "fdl2"), samples=6, seed=7))
         timing, instances = report["timing"], report["summary"]["instances"]
         layers = timing["layers"]
         assert list(layers) == sorted(LAYERS)
         # every artefact is built, and at most once per instance; the
         # local flags and the catalog's local sides in one pass per
-        # instance, each other flag in its own sweep
+        # instance, each other flag in its own sweep, and each of the 26
+        # facts that check sides read (15 inequalities, 2 monotonicity
+        # laws, 9 dual-space conditions) by its own test
         assert all(0 < layers[k]["builds"] <= instances for k in LAYERS if k != "flags")
         assert 0 < len(passes) <= instances
         swept = len(P) - bin(LOCAL_FLAGS).count("1")
-        assert len(passes) <= layers["flags"]["builds"] <= len(passes) + instances * swept
+        assert len(sweeps) <= instances * swept
+        assert len(owned) <= instances * len(catalog_facts()) == instances * 26
+        assert layers["flags"]["builds"] == len(passes) + len(sweeps) + len(owned)
         # one corpus draw per instance, one context per carrier
         assert layers["corpus"]["builds"] == instances
         assert layers["context"]["builds"] == 2
@@ -844,6 +863,66 @@ def naive_checks_report(cfg, checks):
                                               "instance": subalg_to_json(S),
                                               "detail": detail})
     return stats, instances
+
+
+def catalog_facts() -> list:
+    """The ``Fact`` owners that the sides of catalog checks read."""
+    read = 0
+    for spec in CATALOG:
+        for part in (spec.lhs, spec.rhs, spec.law):
+            read |= runner._reads(part) or 0
+    return [o for o in FLAG_BITS if isinstance(o, Fact) and o.bit & read]
+
+
+class TestCheckSides:
+    """Every side of an ``iff``/``implies`` check is a flag mask, and a
+    suite run decides each fact such a side reads at most once per
+    instance, however many checks state it."""
+
+    CFG = GenConfig(carriers=("b8", "fdl2"), samples=8, seed=7)
+
+    def test_each_fact_is_tested_at_most_once_per_instance(self, monkeypatch):
+        for spec in CATALOG:
+            if spec.mode != "law":
+                assert None not in (runner._reads(spec.lhs), runner._reads(spec.rhs)), spec.name
+        # one text is one bit, in every conjunction that states it
+        texts = set()
+        for spec in CATALOG:
+            if isinstance(spec.rhs, Inequalities):
+                texts.update(spec.rhs.texts)
+                assert spec.rhs.mask == sum(
+                    {_compile_inequality(t).side.bit for t in spec.rhs.texts}), spec.name
+        keep, calls = [], {}
+
+        def counting(fn, key):
+            def counted(*args):
+                keep.append(args)  # no object counted dies, so no id is reused
+                calls[key(*args)] = calls.get(key(*args), 0) + 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(catalog, "is_monotone",
+                            counting(catalog.is_monotone, lambda f, dom, cod: ("mono", id(f))))
+        monkeypatch.setattr(duality, "check_relational",
+                            counting(duality.check_relational, lambda sp, c: (c, id(sp))))
+        for text in texts:
+            compiled = _compile_inequality(text)
+            if isinstance(compiled.side, Fact):
+                monkeypatch.setattr(compiled.side, "test", counting(
+                    compiled.holds, lambda inst, text=text: (text, id(inst))))
+        bodies = []
+        real = runner.verify_check
+        monkeypatch.setattr(runner, "verify_check",
+                            lambda spec, inst: bodies.append(spec) or real(spec, inst))
+        report = run_suite(self.CFG)
+        assert report["summary"]["counterexamples"] == 0
+        assert max(calls.values()) == 1
+        kinds = {key[0] for key in calls}
+        non_local = {t for t in texts if isinstance(_compile_inequality(t).side, Fact)}
+        assert kinds == {"mono", *RelCondition, *non_local}
+        assert len(non_local) == 15 and len(catalog_facts()) == 26
+        # only law bodies run: every pattern of the iff/implies checks passes
+        assert bodies and {spec.mode for spec in bodies} == {"law"}
 
 
 class TestGroupedRunner:
@@ -907,7 +986,7 @@ class TestGroupedRunner:
         # the implies runs its body exactly where its lhs holds
         implies = stats[self.PATTERN_IMPLIES.name]
         assert implies["counterexample_count"] > runner._MAX_STORED_COUNTEREXAMPLES
-        si = sum(Instance(CarrierContext(name, load_carrier(name)), S).flag(P.SI)
+        si = sum(flag(Instance(CarrierContext(name, load_carrier(name)), S), P.SI)
                  for name, S in corpus_stream(self.CFG))
         assert calls[self.PATTERN_IMPLIES.name] == si < implies["tested"]
 
@@ -964,18 +1043,18 @@ class TestGroupedRunner:
             # flags alone, in random order
             inst = Instance(ctx, S)
             for q in rng.sample(list(P), len(P)):
-                assert inst.flag(q) is want[q], (name, S, q)
+                assert flag(inst, q) is want[q], (name, S, q)
             # flags interleaved with conjunctions, on a fresh instance
             inst = Instance(ctx, S)
             for _ in range(2 * len(P)):
                 props = rng.sample(list(P), rng.randint(1, 4))
                 if len(props) == 1:
-                    assert inst.flag(props[0]) is want[props[0]], (name, S, props)
+                    assert flag(inst, props[0]) is want[props[0]], (name, S, props)
                 else:
                     assert inst.has_flags(flag_mask(*props)) == all(
                         want[q] is True for q in props), (name, S, props)
         if lat.neg is None:
-            assert Instance(ctx, sample[0]).flag(P.S6) is None
+            assert flag(Instance(ctx, sample[0]), P.S6) is None
 
     def test_flags_above_the_table_cap_match_property_holds(self, tmp_path):
         # a 12-element chain has no signature tables: every flag is swept
@@ -991,7 +1070,7 @@ class TestGroupedRunner:
                     want = property_holds(S, q)
                 except MissingStructure:
                     want = None
-                assert inst.flag(q) is want, (S, q)
+                assert flag(inst, q) is want, (S, q)
                 seen.add((q, want))
         assert {want for _, want in seen} == {True, False, None}
 

@@ -1,5 +1,6 @@
 """Code mutants of the local table, the local catalog sides, the flag bits
-that preconditions read, the runner's flag-pattern memo and the closure.
+that preconditions and check sides read, the runner's flag-pattern memo,
+the property sweeps and the closure.
 
 Each mutant is one ``(file, old, new)`` patch.  The runner copies the
 repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -35,13 +36,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: the tests each mutant runs against: every precondition against its
 #: stated oracle, the local table against the set-based oracles, the
-#: local sides against the per-instance bodies, the flag bitmasks
-#: against ``property_holds``, the grouped runner and its pattern memo
-#: against the naive loop, the witness digest, the closure against its
-#: oracles and the closure digest
+#: local sides against the per-instance bodies, each fact a check side
+#: reads decided once per instance, the flag bitmasks against
+#: ``property_holds``, the grouped runner and its pattern memo against
+#: the naive loop, the witness digest, the closure against its oracles
+#: and the closure digest
 FAST = (
     "tests/test_harness.py::TestPreconditions",
     "tests/test_harness.py::TestLocalSides",
+    "tests/test_harness.py::TestCheckSides",
     "tests/test_subordination.py::TestLocalFlags",
     "tests/test_subordination.py::test_local_witnesses_on_every_row_and_column",
     "tests/test_harness.py::TestGroupedRunner",
@@ -116,6 +119,13 @@ MUTANTS = (
     Mutant("missing-flags-settled-true", CATALOG,
            "            sum(c.bit for c in conditions if c.test(ctx)))",
            "            ctx.missing | sum(c.bit for c in conditions if c.test(ctx)))"),
+    # the facts that check sides read (`catalog.Fact`)
+    Mutant("box-monotone-bit-tests-dia", CATALOG,
+           '"box": Fact(lambda inst: is_monotone(inst.box,',
+           '"box": Fact(lambda inst: is_monotone(inst.dia,'),
+    Mutant("fact-known-never-true", CATALOG,
+           "    def holds(self, inst) -> bool:\n        return self.test(inst)\n",
+           "    def holds(self, inst) -> bool:\n        return self.test(inst) and False\n"),
     # the runner's memo of flag patterns (`run._Group`, `run._passes`)
     Mutant("pattern-key-drops-a-bit", RUN,
            "key = inst._true & self.reads",
@@ -126,6 +136,10 @@ MUTANTS = (
     Mutant("implies-lhs-test-inverted", RUN,
            "return fails(spec.lhs) or holds(spec.lhs) and holds(spec.rhs)",
            "return holds(spec.lhs) or holds(spec.lhs) and holds(spec.rhs)"),
+    # the sweeps: only a verdict may stop SL1 at its first counterexample
+    Mutant("sl1-early-stop-in-check-property", SUBORDINATION,
+           "    witness = _sweep(S, prop)\n",
+           "    witness = _sweep(S, prop, least=False)\n"),
     # `subordination.close`: its rule dispatch and its row fixpoint
     Mutant("filter-shortcut-keeps-any-row", SUBORDINATION,
            "if r and up[(r & -r).bit_length() - 1] != r:",
