@@ -6,7 +6,6 @@ from .generate import (
     GenConfig,
     closure_generated,
     corpus_stream,
-    default_config,
     enumerate_relations,
     random_relations,
 )
@@ -24,7 +23,7 @@ from .run import (
 __all__ = [
     "CATALOG", "CHECKS_BY_NAME", "CheckSpec", "GenConfig", "CarrierContext",
     "Instance", "carrier_names", "closure_generated",
-    "corpus_stream", "default_config", "enumerate_relations", "load_carrier",
+    "corpus_stream", "enumerate_relations", "load_carrier",
     "exit_code_for", "random_relations", "replay_counterexample",
     "run_suite", "strip_timing", "verify_check", "verify_prop41",
 ]

@@ -10,13 +10,12 @@ are claimed only where they hold under the entry's preconditions.
 The runner (``run``) decides each precondition per instance:
 instances failing it are *skipped*, the others have the check decided,
 and a check that skips the whole corpus is a configuration error rather
-than a pass.  Every precondition and every side of an ``iff`` or
-``implies`` check is one ``Flags`` mask, so the runner decides those
-checks from the instance's flag bits and evaluates a body only for a
-``law`` check or a pattern of bits that fails.  A precondition is built
-by ``_flags``, so checks stating the same precondition share one object
-and the runner decides it once per instance for all of them.  A mask's
-bits are property flags and the bits of ``FLAG_BITS``, one owner per
+than a pass.  A check is data: every precondition and every side of an
+``iff`` or ``implies`` check is a flag mask (an ``int``, built by
+``_flags``, ``_inequalities``, ``_monotone`` or ``_rel_cond``), and a
+``law`` is a mask or a body.  The runner decides every mask from the
+instance's flag bits (``run._decide``) and runs only the bodies.  A
+mask's bits are property flags and the bits of ``FLAG_BITS``, one owner per
 fact: the ``Local`` sides (seriality of the rows and of the columns
 among them), the conditions on the carrier alone (``CarrierCondition``),
 which every instance starts with settled, and the ``Fact`` of each
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from .. import duality
 from ..completion import extend_negation_pi, extend_negation_sigma
@@ -69,34 +68,12 @@ from .maximality import _N_CAP, verify_prop41
 _SUBSET_SCAN_CAP = 8
 
 
-class Flags:
-    """A conjunction of flag bits: every bit in ``mask`` is True
-    (property flags and the bits of ``FLAG_BITS``).  A precondition is
-    built by ``_flags``, so equal conjunctions are one object; the runner
-    groups the checks sharing a precondition by that object and decides
-    it once per instance.  ``reads`` is ``mask``: the verdict is a
-    function of the flag bits alone."""
-
-    __slots__ = ("mask", "reads")
-
-    def __init__(self, mask: int):
-        self.mask = self.reads = mask
-
-    def __call__(self, inst) -> bool:
-        return inst.has_flags(self.mask)
-
-
-def _flags(*owners) -> Flags:
-    """The conjunction of properties and owners of ``FLAG_BITS``."""
+def _flags(*owners) -> int:
+    """The mask of a conjunction of properties and owners of ``FLAG_BITS``."""
     mask = 0
     for o in owners:
         mask |= o.bit if isinstance(o, FlagBit) else flag_mask(o)
-    return _interned(mask)
-
-
-@lru_cache(maxsize=None)
-def _interned(mask: int) -> Flags:
-    return Flags(mask)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -104,18 +81,20 @@ class CheckSpec:
     """One verifiable statement.
 
     ``mode`` is ``iff`` (lhs must equal rhs), ``implies`` (rhs must hold
-    whenever lhs does) or ``law`` (a single predicate must hold).
-    ``scope`` is ``relation`` (evaluated per instance) or ``carrier``
-    (evaluated once per carrier).
+    whenever lhs does) or ``law`` (a single statement must hold).
+    ``precondition``, ``lhs`` and ``rhs`` are flag masks, each holding
+    when every bit in it is True; a ``law`` is a flag mask too, or else a
+    body, a predicate of the instance.  ``scope`` is ``relation``
+    (decided per instance) or ``carrier`` (decided once per carrier).
     """
 
     name: str
     doc: str
     mode: str
-    precondition: Callable = _flags()
-    lhs: Optional[Callable] = None
-    rhs: Optional[Callable] = None
-    law: Optional[Callable] = None
+    precondition: int = 0
+    lhs: Optional[int] = None
+    rhs: Optional[int] = None
+    law: Union[int, Callable, None] = None
     scope: str = "relation"
 
 
@@ -133,12 +112,14 @@ FLAG_BITS: list["FlagBit"] = []
 class FlagBit:
     """The owner of the next bit of ``FLAG_BITS``.  An owner that an
     instance decides has ``holds(inst)``, which ``run.Instance`` calls at
-    most once per instance."""
+    most once per instance.  ``text`` is the inequality the bit decides,
+    as written, or None."""
 
-    __slots__ = ("bit",)
+    __slots__ = ("bit", "text")
 
     def __init__(self):
         self.bit = 1 << (len(FLAG_PROPERTIES) + len(FLAG_BITS))
+        self.text = None
         FLAG_BITS.append(self)
 
 
@@ -303,7 +284,7 @@ _MONOTONE = {"dia": Fact(lambda inst: is_monotone(inst.dia, inst.poset, inst.del
              "box": Fact(lambda inst: is_monotone(inst.box, inst.poset, inst.delta.poset))}
 
 
-def _monotone(*operators) -> Flags:
+def _monotone(*operators) -> int:
     """The named base operators (``"dia"``, ``"box"``) are monotone."""
     return _flags(*(_MONOTONE[op] for op in operators))
 
@@ -389,7 +370,9 @@ def _compile_inequality(text: str) -> _Compiled:
     def holds(inst) -> bool:
         return leq(inst, _columns(inst.n, len(names)))
 
-    return _Compiled(holds, _local_side(ineq, names, leq) or Fact(holds))
+    side = _local_side(ineq, names, leq) or Fact(holds)
+    side.text = text
+    return _Compiled(holds, side)
 
 
 class _StandIn:
@@ -430,28 +413,23 @@ def _local_side(ineq, names: list[str], leq) -> Optional[Local]:
     return None
 
 
-class Inequalities(Flags):
-    """Conjunction of operator inequalities, each valid when it holds
+def _inequalities(*texts: str) -> int:
+    """The conjunction of operator inequalities, each valid when it holds
     under every assignment of carrier elements to its variables: the
     mask of one flag bit per text (``_compile_inequality``), a ``Local``
     side when the compiler marks it local and a ``Fact`` evaluating it
     under every assignment otherwise.  One text is one bit however many
-    conjunctions state it.  ``texts`` are kept as written."""
-
-    __slots__ = ("texts",)
-
-    def __init__(self, *texts: str):
-        super().__init__(sum({_compile_inequality(t).side.bit for t in texts}))
-        self.texts = texts
+    conjunctions state it, and its owner keeps the text as written."""
+    return _flags(*(_compile_inequality(t).side for t in texts))
 
 
-_DIA_ADDITIVE = Inequalities("<>(a | b) <= <>a | <>b")
-_BOX_MULTIPLICATIVE = Inequalities("[]a & []b <= [](a & b)")
-_DIA_GROUNDED = Inequalities("<>F <= F")
-_BOX_CAPPED = Inequalities("T <= []T")
-_REGULAR = Inequalities(*_DIA_ADDITIVE.texts, "<>a | <>b <= <>(a | b)",
-                        *_BOX_MULTIPLICATIVE.texts, "[](a & b) <= []a & []b")
-_NORMAL = Inequalities(*_REGULAR.texts, *_DIA_GROUNDED.texts, *_BOX_CAPPED.texts)
+_DIA_ADDITIVE = _inequalities("<>(a | b) <= <>a | <>b")
+_BOX_MULTIPLICATIVE = _inequalities("[]a & []b <= [](a & b)")
+_DIA_GROUNDED = _inequalities("<>F <= F")
+_BOX_CAPPED = _inequalities("T <= []T")
+_REGULAR = _DIA_ADDITIVE | _BOX_MULTIPLICATIVE | _inequalities(
+    "<>a | <>b <= <>(a | b)", "[](a & b) <= []a & []b")
+_NORMAL = _REGULAR | _DIA_GROUNDED | _BOX_CAPPED
 
 
 # ---- laws quantified inside one instance ---------------------------------
@@ -559,7 +537,7 @@ _REL_CONDITIONS = {c: Fact(lambda inst, c=c: duality.check_relational(inst.space
                    for c in RelCondition}
 
 
-def _rel_cond(*conds: RelCondition) -> Flags:
+def _rel_cond(*conds: RelCondition) -> int:
     """The dual space meets every condition in ``conds``."""
     return _flags(*(_REL_CONDITIONS[c] for c in conds))
 
@@ -745,55 +723,55 @@ CATALOG: tuple[CheckSpec, ...] = (
     # -- order/relation characterizations --------------------------------
     CheckSpec("rel-below-order-iff-inflationary-diamond",
               "rel inside the order = a <= <>a",
-              "iff", lhs=_flags(P.PREC_IN_LEQ), rhs=Inequalities("a <= <>a")),
+              "iff", lhs=_flags(P.PREC_IN_LEQ), rhs=_inequalities("a <= <>a")),
     CheckSpec("rel-below-order-iff-deflationary-box",
               "rel inside the order = []a <= a",
-              "iff", lhs=_flags(P.PREC_IN_LEQ), rhs=Inequalities("[]a <= a")),
+              "iff", lhs=_flags(P.PREC_IN_LEQ), rhs=_inequalities("[]a <= a")),
     CheckSpec("order-below-rel-iff-deflationary-diamond",
               "under WO+DD, order inside rel = <>a <= a",
               "iff", precondition=_DIA_DIRECTED,
-              lhs=_flags(P.LEQ_IN_PREC), rhs=Inequalities("<>a <= a")),
+              lhs=_flags(P.LEQ_IN_PREC), rhs=_inequalities("<>a <= a")),
     CheckSpec("t-iff-diamond-expanding",
               "under WO+DD+SI, transitivity of rel = <>a <= <><>a",
               "iff", precondition=_DIA_CLASS,
-              lhs=_flags(P.T), rhs=Inequalities("<>a <= <><>a")),
+              lhs=_flags(P.T), rhs=_inequalities("<>a <= <><>a")),
     CheckSpec("d-iff-diamond-collapsing",
               "under WO+DD+SI, density of rel = <><>a <= <>a",
               "iff", precondition=_DIA_CLASS,
-              lhs=_flags(P.D), rhs=Inequalities("<><>a <= <>a")),
+              lhs=_flags(P.D), rhs=_inequalities("<><>a <= <>a")),
     CheckSpec("ct-iff-diamond-contraction",
               "under WO+DD+SI, the contraction rule = <>a <= <>(a ^ <>a)",
               "iff",
               precondition=_flags(P.WO, P.DD, P.SI, _LATTICE, _DIA_SERIAL),
-              lhs=_flags(P.CT), rhs=Inequalities("<>a <= <>(a & <>a)")),
+              lhs=_flags(P.CT), rhs=_inequalities("<>a <= <>(a & <>a)")),
     CheckSpec("sl2-iff-diamond-meet-distribution",
               "under WO+DD+SI, SL2 = <>(<>a ^ <>b) <= <>(a ^ b)",
               "iff",
               precondition=_flags(P.WO, P.DD, P.SI, _LATTICE, _DIA_SERIAL),
-              lhs=_flags(P.SL2), rhs=Inequalities("<>(<>a & <>b) <= <>(a & b)")),
+              lhs=_flags(P.SL2), rhs=_inequalities("<>(<>a & <>b) <= <>(a & b)")),
     CheckSpec("ct-implies-t-under-si", "under SI, contraction forces transitivity",
               "implies", precondition=_flags(P.SI, _LATTICE),
               lhs=_flags(P.CT), rhs=_flags(P.T)),
     CheckSpec("s6-iff-negated-diamond-is-box",
               "on directed involutive carriers, S6 = (~<>a is []~a)",
               "iff", precondition=_S6_PRE,
-              lhs=_flags(P.S6), rhs=Inequalities("~<>a <= []~a", "[]~a <= ~<>a")),
+              lhs=_flags(P.S6), rhs=_inequalities("~<>a <= []~a", "[]~a <= ~<>a")),
     CheckSpec("s6-iff-diamond-neg-is-neg-box",
               "on directed involutive carriers, S6 = (<>~a is ~[]a)",
               "iff", precondition=_S6_PRE,
-              lhs=_flags(P.S6), rhs=Inequalities("<>~a <= ~[]a", "~[]a <= <>~a")),
+              lhs=_flags(P.S6), rhs=_inequalities("<>~a <= ~[]a", "~[]a <= <>~a")),
     CheckSpec("s9fwd-iff-box-join-absorption",
               "under SI+UD+WO, forward S9 = [](a v []b) <= []a v []b",
               "iff", precondition=_BOX_CLASS,
-              lhs=_flags(P.S9_FWD), rhs=Inequalities("[](a | []b) <= []a | []b")),
+              lhs=_flags(P.S9_FWD), rhs=_inequalities("[](a | []b) <= []a | []b")),
     CheckSpec("s9bwd-iff-box-join-coabsorption",
               "under SI+UD+WO, backward S9 = []a v []b <= [](a v []b)",
               "iff", precondition=_BOX_CLASS,
-              lhs=_flags(P.S9_BWD), rhs=Inequalities("[]a | []b <= [](a | []b)")),
+              lhs=_flags(P.S9_BWD), rhs=_inequalities("[]a | []b <= [](a | []b)")),
     CheckSpec("sl1-iff-box-join-distribution",
               "under SI+UD+WO, SL1 = [](a v b) <= []([]a v []b)",
               "iff", precondition=_BOX_CLASS,
-              lhs=_flags(P.SL1), rhs=Inequalities("[](a | b) <= []([]a | []b)")),
+              lhs=_flags(P.SL1), rhs=_inequalities("[](a | b) <= []([]a | []b)")),
     # -- closure extremality ----------------------------------------------
     CheckSpec("closure1-extremal", "system-1 operators are extremal",
               "law", precondition=_PROP41_PRE, law=_prop41_law(1)),

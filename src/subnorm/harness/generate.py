@@ -105,6 +105,12 @@ class GenConfig:
     max_n: int = 4
 
     def __post_init__(self):
+        if self.mode not in ("exhaustive", "random"):
+            raise InputFormatError(f"mode must be 'exhaustive' or 'random', got {self.mode!r}")
+        for name in ("samples", "seed", "max_n"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InputFormatError(f"{name} must be an int, got {value!r}")
         for name in ("samples", "max_n"):
             if getattr(self, name) < 0:
                 raise InputFormatError(
@@ -126,10 +132,6 @@ class GenConfig:
             "include_closures": True,
             "max_n": self.max_n,
         }
-
-
-def default_config(seed: int = 7) -> GenConfig:
-    return GenConfig(seed=seed)
 
 
 def corpus_stream(cfg: GenConfig) -> Iterator[tuple[str, ProtoSubAlg]]:

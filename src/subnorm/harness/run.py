@@ -9,8 +9,7 @@ bounded number of fully serialized counterexamples (replayable through
 wall-clock measurements live under the separate ``timing`` key so two
 runs with the same configuration agree byte-for-byte everywhere else:
 ``timing.checks`` holds the seconds spent in each check's own body
-(only instances meeting the precondition and not decided by their flag
-pattern, below, evaluate a body),
+(only a ``law`` body runs, on the instances meeting its precondition),
 ``timing.layers`` the seconds and build count of each stage
 (``LAYERS``): drawing the instances from the corpus stream, building
 each carrier's context (which includes building the carrier's local
@@ -26,28 +25,24 @@ monotonicity of an operator or a dual-space condition, so the time of
 every ``iff``/``implies`` side is there, less the operators, extensions
 and dual spaces that a bit builds, which are booked to their own layers.
 
-The checks are grouped by their precondition, one interned flag mask
-(``catalog.Flags``) shared by every check stating it.  Its carrier
-conditions and the flags the carrier lacks are settled once per carrier
-(``CarrierContext.settled``), and every instance starts with them known,
-so a precondition is one ``has_flags`` test.  Each group's precondition
-is decided once per instance (per carrier for the carrier-scoped
-checks); a miss counts one skip for every check in the group without
-evaluating any.  On a hit, the checks that the instance's flag bits
-decide cost one dict lookup for the whole group: every side of an
-``iff`` or ``implies`` check, and a ``law`` that is a mask, has a
-``reads`` mask (``catalog.Flags``) and is a function of those bits, so
-such a check takes one verdict per pattern of the bits (``_Group``).
-Each bit is decided at most once per instance, however many checks read
-it.  The first time a group meets a pattern it splits its checks into
-those the pattern decides as passes, which are counted per pattern and
-folded into ``tested``/``passes`` at the end, and the rest (the other
-``law`` checks, and the checks that the pattern makes fail), whose
-bodies are evaluated through ``verify_check`` on every instance with
-that pattern, which does not decide the precondition again.  A failing
-check's counterexamples are thus stored in corpus order, and
-``timing.checks`` times only bodies that run.  The patterns live with
-the groups of one ``run_suite`` call.
+A check is data (``catalog.CheckSpec``): its precondition and the sides
+of an ``iff`` or ``implies`` check are flag masks, and a ``law`` is a
+mask or a body.  Each scope's checks form one ``_Plan``.  On an
+instance it forces the bits the verdicts need, lazily and in catalog
+order: each distinct precondition once, then, where it holds, its
+checks' sides, an ``implies`` rhs only where its lhs holds.  The
+carrier conditions and the flags the carrier lacks are settled once
+per carrier (``CarrierContext.settled``), and each bit is decided at
+most once per instance, however many checks read it.  The instance's
+true bits within the masks the plan reads are its key, and the key
+decides every mask, so the plan keeps one memo per ``run_suite`` call
+from key to the instance's whole row (``_Row``): the checks it skips
+and passes, counted per key and folded into the report at the end, the
+checks it fails with their detail, stored per instance so that
+counterexamples keep corpus order, and the ``law`` bodies to run
+through ``verify_check``.  ``_decide`` is the one statement of what a
+precondition, an ``iff``, an ``implies`` and a mask ``law`` mean on
+bits; the memo and ``replay_counterexample`` both call it.
 
 Checks are pure, so instances could be fanned out to workers with the
 report aggregation as the only synchronization point; the runner stays
@@ -82,7 +77,7 @@ from ..subordination import (  # noqa: F401  (property_holds: perfbench traces t
 from .carriers import load_carrier
 from .catalog import (CATALOG, CHECKS_BY_NAME, FLAG_BITS, CheckSpec, carrier_bits, local_flags,
                       local_tables)
-from .generate import GenConfig, corpus_stream, default_config
+from .generate import GenConfig, corpus_stream
 
 _MAX_STORED_COUNTEREXAMPLES = 10
 
@@ -324,23 +319,30 @@ class Instance:
         return self._space_pf
 
 
-def verify_check(spec: CheckSpec, inst: Instance) -> tuple[str, Optional[dict]]:
-    """Evaluate the body of one check on an instance that meets its
-    precondition: pass, or fail with the lhs/rhs verdicts that make up
-    the counterexample.  The caller decides the precondition."""
+def _decide(spec: CheckSpec, key: int) -> Optional[tuple[str, Optional[dict]]]:
+    """The verdict of a check on an instance whose true flag bits are
+    ``key``: skip where the precondition fails, else pass, or fail with
+    the lhs/rhs verdicts that make up the counterexample; None for a
+    ``law`` body, which ``verify_check`` runs.  ``key`` must hold every
+    bit that ``_Plan.key`` forces for the check."""
+    if spec.precondition & ~key:
+        return "skip", None
     if spec.mode == "law":
-        if spec.law(inst):
-            return "pass", None
-        return "fail", {"law": False}
-    lhs = spec.lhs(inst)
+        if not isinstance(spec.law, int):
+            return None
+        return ("fail", {"law": False}) if spec.law & ~key else ("pass", None)
+    lhs, rhs = not spec.lhs & ~key, not spec.rhs & ~key
     if spec.mode == "implies":
-        if not lhs or spec.rhs(inst):
-            return "pass", None
-        return "fail", {"lhs": True, "rhs": False}
-    rhs = spec.rhs(inst)
-    if lhs == rhs:
+        return ("fail", {"lhs": True, "rhs": False}) if lhs and not rhs else ("pass", None)
+    return ("pass", None) if lhs == rhs else ("fail", {"lhs": lhs, "rhs": rhs})
+
+
+def verify_check(spec: CheckSpec, inst: Instance) -> tuple[str, Optional[dict]]:
+    """Run the body of a ``law`` check on an instance that meets its
+    precondition: pass, or fail."""
+    if spec.law(inst):
         return "pass", None
-    return "fail", {"lhs": bool(lhs), "rhs": bool(rhs)}
+    return "fail", {"law": False}
 
 
 def _select_checks(names: Optional[Iterable[str]]) -> list[CheckSpec]:
@@ -367,10 +369,10 @@ def run_suite(cfg: Optional[GenConfig] = None,
     checks whose precondition never fired (a configuration error, not a
     pass).
     """
-    cfg = cfg or default_config()
+    cfg = cfg or GenConfig()
     checks = _select_checks(check_names)
-    carrier_groups = _grouped(c for c in checks if c.scope == "carrier")
-    relation_groups = _grouped(c for c in checks if c.scope == "relation")
+    carrier_plan = _Plan(c for c in checks if c.scope == "carrier")
+    relation_plan = _Plan(c for c in checks if c.scope == "relation")
 
     stats = {c.name: {"tested": 0, "passes": 0, "skips": 0,
                       "counterexamples": [], "counterexample_count": 0}
@@ -400,15 +402,15 @@ def run_suite(cfg: Optional[GenConfig] = None,
         total_instances += 1
         if carrier_name != current:
             current = carrier_name
-            _run_groups(carrier_groups, inst, stats, timing, carrier_name)
-        _run_groups(relation_groups, inst, stats, timing, carrier_name)
-    for group in carrier_groups + relation_groups:
-        for spec in group.specs:
-            stats[spec.name]["skips"] += group.misses
-        for count, _, decided in group.memo.values():
-            for spec in decided:
-                stats[spec.name]["tested"] += count
-                stats[spec.name]["passes"] += count
+            _run_row(carrier_plan, inst, stats, timing, carrier_name)
+        _run_row(relation_plan, inst, stats, timing, carrier_name)
+    for plan in (carrier_plan, relation_plan):
+        for row in plan.rows.values():
+            for name in row.skipped:
+                stats[name]["skips"] += row.count
+            for name in row.passed:
+                stats[name]["tested"] += row.count
+                stats[name]["passes"] += row.count
 
     gaps = sorted(name for name, st in stats.items() if st["tested"] == 0)
     n_counter = sum(st["counterexample_count"] for st in stats.values())
@@ -434,101 +436,95 @@ def run_suite(cfg: Optional[GenConfig] = None,
     return report
 
 
-def _grouped(checks: Iterable[CheckSpec]) -> list["_Group"]:
-    """One ``_Group`` per distinct precondition object, in catalog order."""
-    groups: dict = {}
-    for spec in checks:
-        groups.setdefault(spec.precondition, []).append(spec)
-    return [_Group(pre, specs) for pre, specs in groups.items()]
+class _Row:
+    """What one key decides for every check of a plan: the names of the
+    checks skipped and of those passed, counted per key (``count``) and
+    folded into the report at the end; the ``(name, detail)`` of the
+    checks failed, and the ``law`` bodies to run, both per instance."""
 
+    __slots__ = ("count", "skipped", "passed", "failed", "bodies")
 
-def _reads(part) -> Optional[int]:
-    """The flag bits that decide a check side alone, or None."""
-    return getattr(part, "reads", None)
-
-
-def _passes(spec: CheckSpec, key: int) -> bool:
-    """The flag bits ``key`` decide the check as a pass."""
-    def holds(part) -> bool:
-        r = _reads(part)
-        return r is not None and key & r == r
-
-    def fails(part) -> bool:
-        r = _reads(part)
-        return r is not None and key & r != r
-
-    if spec.mode == "law":
-        return holds(spec.law)
-    if spec.mode == "implies":
-        return fails(spec.lhs) or holds(spec.lhs) and holds(spec.rhs)
-    return holds(spec.lhs) and holds(spec.rhs) or fails(spec.lhs) and fails(spec.rhs)
-
-
-class _Group:
-    """The checks sharing one precondition, the count of instances that
-    missed it, and its memo of flag patterns.
-
-    ``sides`` lists, in catalog order, ``(lhs, rhs, implies)`` for each
-    check that a pattern can decide: one all of whose sides have a
-    ``reads`` mask, or an ``implies`` check whose lhs has one (``rhs`` is
-    None when it has not).  ``reads`` is the union of their masks.
-    ``memo`` maps a pattern, an instance's true bits within ``reads``, to
-    ``[count, run, decided]``: the instances met with it, the checks whose
-    bodies still run on each of them, and the checks it decides as
-    passes."""
-
-    __slots__ = ("precondition", "specs", "misses", "sides", "reads", "memo")
-
-    def __init__(self, precondition, specs: list[CheckSpec]):
-        self.precondition = precondition
-        self.specs = specs
-        self.misses = 0
-        self.memo: dict = {}
-        self.sides, self.reads = [], 0
+    def __init__(self, specs: list[CheckSpec], key: int):
+        self.count = 0
+        self.skipped, self.passed, self.failed, self.bodies = [], [], [], []
         for spec in specs:
-            lhs = _reads(spec.law if spec.mode == "law" else spec.lhs)
-            rhs = _reads(spec.rhs)
-            if lhs is not None and (rhs is not None or spec.mode != "iff"):
-                self.sides.append((lhs, rhs, spec.mode == "implies"))
-                self.reads |= lhs | (rhs or 0)
+            verdict = _decide(spec, key)
+            if verdict is None:
+                self.bodies.append(spec)
+            elif verdict[0] == "fail":
+                self.failed.append((spec.name, verdict[1]))
+            else:
+                (self.skipped if verdict[0] == "skip" else self.passed).append(spec.name)
 
-    def to_run(self, inst: Instance) -> list[CheckSpec]:
-        """The checks to evaluate on an instance meeting the
-        precondition.  Flags not yet known are decided side by side as
-        ``verify_check`` would decide these sides, an ``implies`` rhs only
-        where its lhs holds, so the key computes no flag that evaluating
-        the checks would not."""
+
+class _Plan:
+    """How the checks of one scope are decided on an instance.
+
+    ``steps`` lists each distinct precondition, in the order the checks
+    first state it, with the ``(first, second, implies)`` masks of its
+    checks' sides: lhs and rhs, or a mask ``law`` and 0 (a ``law`` body
+    has none).  ``reads`` is the union of every mask, and ``rows`` the
+    memo, which maps a key, an instance's true bits within ``reads``, to
+    its ``_Row``."""
+
+    __slots__ = ("specs", "steps", "reads", "rows")
+
+    def __init__(self, specs: Iterable[CheckSpec]):
+        self.specs = list(specs)
+        groups: dict[int, list] = {}
+        for spec in self.specs:
+            sides = groups.setdefault(spec.precondition, [])
+            if spec.mode != "law":
+                sides.append((spec.lhs, spec.rhs, spec.mode == "implies"))
+            elif isinstance(spec.law, int):
+                sides.append((spec.law, 0, False))
+        self.steps = list(groups.items())
+        self.reads = 0
+        for pre, sides in self.steps:
+            self.reads |= pre
+            for first, second, _ in sides:
+                self.reads |= first | second
+        self.rows: dict[int, _Row] = {}
+
+    def key(self, inst: Instance) -> int:
+        """Force the flag bits the checks read and return the key.  Each
+        precondition is decided, then, where it holds, the sides of its
+        checks, an ``implies`` rhs only where its lhs holds, so a flag
+        is computed only where a verdict needs it.  A precondition holds
+        exactly when its mask is within the key, and so does each side
+        it forces, which is all ``_decide`` reads."""
         if self.reads & ~inst._known:
-            for lhs, rhs, implies in self.sides:
-                if (inst.has_flags(lhs) or not implies) and rhs is not None:
-                    inst.has_flags(rhs)
-        key = inst._true & self.reads
-        entry = self.memo.get(key)
-        if entry is None:
-            entry = self.memo[key] = [0, [], []]
-            for spec in self.specs:
-                entry[2 if _passes(spec, key) else 1].append(spec)
-        entry[0] += 1
-        return entry[1]
+            for pre, sides in self.steps:
+                if inst.has_flags(pre):
+                    for first, second, implies in sides:
+                        if (inst.has_flags(first) or not implies) and second:
+                            inst.has_flags(second)
+        return inst._true & self.reads
+
+    def row(self, inst: Instance) -> _Row:
+        key = self.key(inst)
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = _Row(self.specs, key)
+        row.count += 1
+        return row
 
 
-def _run_groups(groups: list[_Group], inst: Instance, stats: dict, timing: dict,
-                carrier_name: str) -> None:
-    for group in groups:
-        if group.precondition(inst):
-            for spec in group.to_run(inst):
-                _run_one(spec, inst, stats, timing, carrier_name)
-        else:
-            group.misses += 1
-
-
-def _run_one(spec: CheckSpec, inst: Instance, stats: dict, timing: dict,
+def _run_row(plan: _Plan, inst: Instance, stats: dict, timing: dict,
              carrier_name: str) -> None:
-    st = stats[spec.name]
+    row = plan.row(inst)
+    for name, detail in row.failed:
+        _tally(stats[name], name, inst, carrier_name, "fail", detail)
     clock = inst.ctx.clock
-    t0, built = time.perf_counter(), clock.spent
-    status, detail = verify_check(spec, inst)
-    timing[spec.name] += time.perf_counter() - t0 - (clock.spent - built)
+    for spec in row.bodies:
+        t0, built = time.perf_counter(), clock.spent
+        status, detail = verify_check(spec, inst)
+        timing[spec.name] += time.perf_counter() - t0 - (clock.spent - built)
+        _tally(stats[spec.name], spec.name, inst, carrier_name, status, detail)
+
+
+def _tally(st: dict, name: str, inst: Instance, carrier_name: str, status: str,
+           detail: Optional[dict]) -> None:
     st["tested"] += 1
     if status == "pass":
         st["passes"] += 1
@@ -536,7 +532,7 @@ def _run_one(spec: CheckSpec, inst: Instance, stats: dict, timing: dict,
     st["counterexample_count"] += 1
     if len(st["counterexamples"]) < _MAX_STORED_COUNTEREXAMPLES:
         st["counterexamples"].append({
-            "check": spec.name,
+            "check": name,
             "carrier": carrier_name,
             "instance": subalg_to_json(inst.S),
             "detail": detail,
@@ -571,8 +567,11 @@ def replay_counterexample(ce: dict) -> dict:
         raise InputFormatError("counterexample carrier must be a lattice")
     ctx = CarrierContext(str(ce.get("carrier", "replay")), lat)
     spec = CHECKS_BY_NAME[name]
-    inst = Instance(ctx, S)
-    if not spec.precondition(inst):
-        return {"check": name, "status": "skip", "detail": None}
-    status, detail = verify_check(spec, inst)
+    status, detail = _verdict(spec, Instance(ctx, S))
     return {"check": name, "status": status, "detail": detail}
+
+
+def _verdict(spec: CheckSpec, inst: Instance) -> tuple[str, Optional[dict]]:
+    """One check on one instance: its bits forced as a suite run forces
+    them, and decided by ``_decide`` or its body."""
+    return _decide(spec, _Plan([spec]).key(inst)) or verify_check(spec, inst)

@@ -9,7 +9,9 @@ of its base (``order.subset_tables``); ``close_fixpoint``, the pairwise
 closure that ``subordination.close`` is held to on carriers too large
 for the exhaustive ``closure_oracle``; and ``extremality_oracle``, which
 takes the closure it judges from ``close_i`` (held to those two) unless
-a test plants one.
+a test plants one.  ``check_oracle`` decides one check on one instance
+by calling each of its parts, with no memo and no flag pattern, as the
+reference for the suite runner.
 """
 
 from functools import lru_cache
@@ -982,3 +984,20 @@ LOCAL_LAW_ORACLES = {
     "diamond-detects-rel": (law_dia_detects_oracle, {"rows": law_dia_detects_oracle}),
     "box-detects-rel": (law_box_detects_oracle, {"cols": law_box_detects_oracle}),
 }
+
+
+def check_oracle(mode: str, inst, precondition=None, lhs=None, rhs=None, law=None):
+    """One check on one instance, each part a predicate of the instance,
+    called as the check states it (no precondition always holds):
+    ``("skip", None)`` where the precondition fails, else ``("pass",
+    None)`` or ``("fail", detail)`` with the detail a report stores,
+    ``{"law": False}`` or the lhs/rhs verdicts."""
+    if precondition is not None and not precondition(inst):
+        return "skip", None
+    if mode == "law":
+        return ("pass", None) if law(inst) else ("fail", {"law": False})
+    left = bool(lhs(inst))
+    if mode == "implies":
+        return ("pass", None) if not left or rhs(inst) else ("fail", {"lhs": True, "rhs": False})
+    right = bool(rhs(inst))
+    return ("pass", None) if left == right else ("fail", {"lhs": left, "rhs": right})

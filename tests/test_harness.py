@@ -35,10 +35,9 @@ from subnorm.harness import catalog
 from subnorm.harness.catalog import (
     FLAG_BITS,
     Fact,
-    Flags,
-    Inequalities,
     Local,
     _compile_inequality,
+    _inequalities,
     local_tables,
 )
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
@@ -58,7 +57,7 @@ from subnorm.subordination import (
 )
 from subnorm.syntax import parse_inequality
 from conftest import leq_relation
-from oracles import LAW_ORACLES, LOCAL_LAW_ORACLES, extremality_oracle
+from oracles import LAW_ORACLES, LOCAL_LAW_ORACLES, check_oracle, extremality_oracle
 
 P = Property
 
@@ -66,6 +65,11 @@ P = Property
 def local_sides() -> list:
     """Every ``Local`` side stated so far."""
     return [s for s in FLAG_BITS if isinstance(s, Local)]
+
+
+def texts(mask: int) -> list[str]:
+    """The inequality texts whose bits are in ``mask``."""
+    return [o.text for o in FLAG_BITS if o.bit & mask and o.text]
 
 
 def flag(inst, prop):
@@ -143,30 +147,48 @@ class TestGeneration:
         assert a == b
         assert a != c
 
+    def test_config_rejects_unknown_mode_and_non_int_numbers(self):
+        # a misspelt mode must neither fall back to the random stream nor
+        # reach the report's config
+        for bad in ({"mode": "exhaustiv"}, {"mode": None}, {"samples": 2.0},
+                    {"samples": "5"}, {"samples": True}, {"seed": 7.5}, {"seed": False},
+                    {"seed": None}, {"max_n": 3.0}, {"max_n": True}):
+            with pytest.raises(InputFormatError):
+                GenConfig(carriers=("chain2",), **bad)
+        for mode, count in (("exhaustive", 16), ("random", 4)):
+            cfg = GenConfig(carriers=("chain2",), mode=mode, samples=3)
+            assert sum(1 for _ in corpus_stream(cfg)) == count
+            assert cfg.describe()["mode"] == mode
+
     def test_corpus_stream_covers_carriers(self):
         cfg = GenConfig(carriers=("chain2", "fdl2"), samples=5)
         names = {name for name, _ in corpus_stream(cfg)}
         assert names == {"chain2", "fdl2"}
 
 
+#: a test-owned fact: the diamond is not inflationary (``a <= <>a`` fails)
+NOT_INFLATIONARY = Fact(lambda inst: not _compile_inequality("a <= <>a").holds(inst))
+
+
 class TestVerifyCheck:
     def test_pass_and_skip(self, b4, b4_leq):
         inst = Instance(CarrierContext("b4", b4), b4_leq)
         spec = CHECKS_BY_NAME["rel-below-order-iff-inflationary-diamond"]
-        assert verify_check(spec, inst) == ("pass", None)
-        # skipping is the caller's decision: the empty relation fails the
-        # precondition (replayed as a skip in test_replay_skip_when_gated)
+        assert runner._verdict(spec, inst) == ("pass", None)
+        # the empty relation fails the precondition (replayed as a skip in
+        # test_replay_skip_when_gated)
         gated = CHECKS_BY_NAME["diamond-detects-rel"]
-        assert not gated.precondition(make_instance(b4, []))
+        assert runner._verdict(gated, make_instance(b4, [])) == ("skip", None)
+        assert not make_instance(b4, []).has_flags(gated.precondition)
 
     def test_corrupted_check_reports_counterexample(self, b4, b4_leq):
         inst = Instance(CarrierContext("b4", b4), b4_leq)
         good = CHECKS_BY_NAME["rel-below-order-iff-inflationary-diamond"]
         bad = CheckSpec("negated", "intentionally wrong", "iff",
-                        lhs=good.lhs, rhs=lambda i: not good.rhs(i))
-        status, detail = verify_check(bad, inst)
-        assert status == "fail"
-        assert detail == {"lhs": True, "rhs": False}
+                        lhs=good.lhs, rhs=NOT_INFLATIONARY.bit)
+        want = check_oracle("iff", Instance(inst.ctx, b4_leq),
+                            lhs=lambda i: i.has_flags(good.lhs), rhs=NOT_INFLATIONARY.test)
+        assert runner._verdict(bad, inst) == want == ("fail", {"lhs": True, "rhs": False})
 
     def test_law_failure_detail(self, b4, b4_leq):
         inst = Instance(CarrierContext("b4", b4), b4_leq)
@@ -179,7 +201,7 @@ class TestVerifyCheck:
         # sigma/pi validity route wherever the extensions are defined;
         # the S6 equalities are compared as both directions, with the
         # sigma lifting of the negation
-        specs = [s for s in CATALOG if isinstance(s.rhs, Inequalities)]
+        specs = [s for s in CATALOG if s.rhs and texts(s.rhs)]
         assert len(specs) == 24
         exercised = {spec.name: 0 for spec in specs}
         rng = random.Random(23)
@@ -196,16 +218,16 @@ class TestVerifyCheck:
                     inst = Instance(ctx, S)
                     sa = build_slanted(S, ctx.ext)
                     for spec in specs:
-                        if not spec.precondition(inst):
+                        if not inst.has_flags(spec.precondition):
                             continue
                         try:
                             want = [valid(sa, parse_inequality(text),
                                           neg_mode="sigma")[0]
-                                    for text in spec.rhs.texts]
+                                    for text in texts(spec.rhs)]
                         except NotMonotone:
                             continue
                         exercised[spec.name] += 1
-                        assert spec.rhs(inst) == all(want), (spec.name, S.prec.pairs())
+                        assert inst.has_flags(spec.rhs) == all(want), (spec.name, S.prec.pairs())
         assert min(exercised.values()) >= 20, exercised
 
 
@@ -634,7 +656,7 @@ class TestPreconditions:
             for S in rels:
                 inst, h = Instance(ctx, S), OracleFlags(S)
                 for spec in CATALOG:
-                    got = spec.precondition(inst)
+                    got = inst.has_flags(spec.precondition)
                     assert got == PRECONDITIONS[spec.name](h, S, facts), (name, S, spec.name)
                     seen[spec.name].add(got)
             # a property the carrier lacks the structure for is never a
@@ -670,28 +692,26 @@ class TestLocalSides:
         for name in LOCAL_CHECKS:
             spec = CHECKS_BY_NAME[name]
             if spec.mode == "law":
-                sides = [s for s in local_sides() if s.bit & spec.law.mask]
+                sides = [s for s in local_sides() if s.bit & spec.law]
                 halves = LOCAL_LAW_ORACLES[name][1]
                 assert sorted(s.side for s in sides) == sorted(halves), name
                 out.update((s, halves[s.side]) for s in sides)
-            elif isinstance(spec.rhs, Inequalities):
-                for text in spec.rhs.texts:
+            elif texts(spec.rhs):
+                for text in texts(spec.rhs):
                     compiled = _compile_inequality(text)
                     out[compiled.side] = compiled.holds
         return out
 
     @staticmethod
     def oracle_of(part, sides: dict):
-        """``part`` with every flag from ``property_holds`` and every
-        ``Local`` side from its oracle."""
+        """The mask ``part`` as a predicate, with every flag from
+        ``property_holds`` and every ``Local`` side from its oracle (an
+        inequality evaluated under every assignment)."""
         if part is None:
             return None
-        if isinstance(part, Inequalities):
-            compiled = [_compile_inequality(t) for t in part.texts]
-            return lambda inst: all(c.holds(inst) for c in compiled)
-        flags = [q for i, q in enumerate(P) if part.mask >> i & 1]
-        local = [s for s in sides if s.bit & part.mask]
-        assert sum(s.bit for s in local) + flag_mask(*flags) == part.mask
+        flags = [q for i, q in enumerate(P) if part >> i & 1]
+        local = [s for s in sides if s.bit & part]
+        assert sum(s.bit for s in local) + flag_mask(*flags) == part
         return lambda inst: (all(flag_oracle(inst.S, q) for q in flags)
                              and all(sides[s](inst) for s in local))
 
@@ -699,7 +719,7 @@ class TestLocalSides:
         side_bits = sum(s.bit for s in local_sides())
 
         def local(part) -> bool:
-            return isinstance(part, Flags) and not part.mask & ~(LOCAL_FLAGS | side_bits)
+            return isinstance(part, int) and not part & ~(LOCAL_FLAGS | side_bits)
 
         got = {spec.name for spec in CATALOG if spec.scope == "relation"
                and all(local(part) for part in (spec.lhs, spec.rhs, spec.law) if part)}
@@ -708,12 +728,12 @@ class TestLocalSides:
 
     def test_side_stated_after_the_tables_is_tested_directly(self, b4):
         ctx = CarrierContext("b4", b4)
-        late = Inequalities("[]F <= F")
-        assert late.mask and not late.mask & ctx.table_bits
+        late = _inequalities("[]F <= F")
+        assert late and not late & ctx.table_bits and texts(late) == ["[]F <= F"]
         holds = _compile_inequality("[]F <= F").holds
         seen = set()
         for S in random_relations(b4, 30, 5, (0.1, 0.3)):
-            got = late(Instance(ctx, S))
+            got = Instance(ctx, S).has_flags(late)
             assert got == holds(Instance(ctx, S)), S
             seen.add(got)
         assert seen == {True, False}
@@ -721,8 +741,8 @@ class TestLocalSides:
     def test_sides_and_verdicts_match_oracles(self, chain3, chain4, b4, fdl2, b8, tmp_path):
         chain12 = json_carrier(tmp_path, "chain12")
         sides = self.side_oracles()
-        specs = [(CHECKS_BY_NAME[name], CheckSpec(
-            name, "oracle", CHECKS_BY_NAME[name].mode, precondition=precondition_oracle(name),
+        specs = [(CHECKS_BY_NAME[name], dict(
+            mode=CHECKS_BY_NAME[name].mode, precondition=precondition_oracle(name),
             **{field: self.oracle_of(getattr(CHECKS_BY_NAME[name], field), sides)
                for field in ("lhs", "rhs", "law")}))
             for name in LOCAL_CHECKS]
@@ -745,15 +765,12 @@ class TestLocalSides:
                     assert got == oracle(fresh), (name, S, side.side)
                     seen[side].add(got)
                 for spec, oracle in specs:
-                    met = spec.precondition(inst)
-                    assert met == oracle.precondition(fresh), (name, S, spec.name)
-                    if met:
-                        tested[spec.name] += 1
-                        assert verify_check(spec, inst) == verify_check(oracle, fresh), \
-                            (name, S, spec.name)
+                    got = runner._verdict(spec, inst)
+                    assert got == check_oracle(inst=fresh, **oracle), (name, S, spec.name)
+                    tested[spec.name] += got[0] != "skip"
             # the two halves of the bounds law hold on every relation: the
             # diamond is the meet of its row, the box the join of its column
-            bounds = CHECKS_BY_NAME["bounds-of-related-pairs"].law.mask
+            bounds = CHECKS_BY_NAME["bounds-of-related-pairs"].law
             assert all(seen[s] == ({True} if s.bit & bounds else {True, False})
                        for s in sides), name
         assert min(tested.values()) >= 20, tested
@@ -830,11 +847,19 @@ class TestRunSuite:
         assert st["tested"] > 0
 
 
+def predicate(part):
+    """A check part as a predicate of the instance: a flag mask holds when
+    every bit in it is True, and a ``law`` body is its own predicate."""
+    if isinstance(part, int):
+        return lambda inst: inst.has_flags(part)
+    return part
+
+
 def naive_checks_report(cfg, checks):
-    """The per-check statistics of ``run_suite``, built by deciding the
-    precondition and calling ``verify_check`` on a fresh ``Instance`` for
-    every (instance, check) pair (carrier-scoped checks on the first
-    instance of each carrier)."""
+    """The per-check statistics of ``run_suite``, built by deciding every
+    (instance, check) pair on a fresh ``Instance`` with
+    ``oracles.check_oracle``, each part called as the check states it
+    (carrier-scoped checks on the first instance of each carrier)."""
     stats = {c.name: {"tested": 0, "passes": 0, "skips": 0,
                       "counterexamples": [], "counterexample_count": 0}
              for c in checks}
@@ -849,10 +874,12 @@ def naive_checks_report(cfg, checks):
                 continue
             inst = Instance(contexts[name], S)
             st = stats[spec.name]
-            if not spec.precondition(inst):
+            status, detail = check_oracle(
+                spec.mode, inst, **{field: predicate(getattr(spec, field))
+                                    for field in ("precondition", "lhs", "rhs", "law")})
+            if status == "skip":
                 st["skips"] += 1
                 continue
-            status, detail = verify_check(spec, inst)
             st["tested"] += 1
             if status == "pass":
                 st["passes"] += 1
@@ -870,7 +897,8 @@ def catalog_facts() -> list:
     read = 0
     for spec in CATALOG:
         for part in (spec.lhs, spec.rhs, spec.law):
-            read |= runner._reads(part) or 0
+            if isinstance(part, int):
+                read |= part
     return [o for o in FLAG_BITS if isinstance(o, Fact) and o.bit & read]
 
 
@@ -883,15 +911,16 @@ class TestCheckSides:
 
     def test_each_fact_is_tested_at_most_once_per_instance(self, monkeypatch):
         for spec in CATALOG:
-            if spec.mode != "law":
-                assert None not in (runner._reads(spec.lhs), runner._reads(spec.rhs)), spec.name
+            parts = (spec.precondition,) + ((spec.lhs, spec.rhs) if spec.mode != "law" else ())
+            assert all(isinstance(part, int) for part in parts), spec.name
         # one text is one bit, in every conjunction that states it
-        texts = set()
+        owners = [o for o in FLAG_BITS if o.text]
+        assert len({o.text for o in owners}) == len(owners)
+        assert all(_compile_inequality(o.text).side is o for o in owners)
+        stated = set()
         for spec in CATALOG:
-            if isinstance(spec.rhs, Inequalities):
-                texts.update(spec.rhs.texts)
-                assert spec.rhs.mask == sum(
-                    {_compile_inequality(t).side.bit for t in spec.rhs.texts}), spec.name
+            if spec.rhs:
+                stated.update(texts(spec.rhs))
         keep, calls = [], {}
 
         def counting(fn, key):
@@ -905,7 +934,7 @@ class TestCheckSides:
                             counting(catalog.is_monotone, lambda f, dom, cod: ("mono", id(f))))
         monkeypatch.setattr(duality, "check_relational",
                             counting(duality.check_relational, lambda sp, c: (c, id(sp))))
-        for text in texts:
+        for text in stated:
             compiled = _compile_inequality(text)
             if isinstance(compiled.side, Fact):
                 monkeypatch.setattr(compiled.side, "test", counting(
@@ -918,43 +947,46 @@ class TestCheckSides:
         assert report["summary"]["counterexamples"] == 0
         assert max(calls.values()) == 1
         kinds = {key[0] for key in calls}
-        non_local = {t for t in texts if isinstance(_compile_inequality(t).side, Fact)}
+        non_local = {t for t in stated if isinstance(_compile_inequality(t).side, Fact)}
         assert kinds == {"mono", *RelCondition, *non_local}
         assert len(non_local) == 15 and len(catalog_facts()) == 26
-        # only law bodies run: every pattern of the iff/implies checks passes
-        assert bodies and {spec.mode for spec in bodies} == {"law"}
+        # only law bodies run
+        assert bodies and all(spec.mode == "law" and callable(spec.law) for spec in bodies)
+
+
+#: a test-owned fact: 0 relates to nothing (``rows[0]`` is empty)
+FIRST_ROW_EMPTY = Fact(lambda inst: not inst.S.rows[0])
 
 
 class TestGroupedRunner:
     CFG = GenConfig(carriers=("chain3", "fdl2"), samples=4, seed=7)
 
-    # two checks decided by the flag pattern, both sharing the always-true
-    # precondition object of bounds-of-related-pairs: an iff of a flag and
-    # a table-decided side, which some patterns make fail, and an implies
-    # whose mask lhs decides it only where the lhs fails
+    # two checks decided by the flag pattern, both with the always-true
+    # precondition of bounds-of-related-pairs: an iff of a flag and a
+    # table-decided side, which some patterns make fail, and an implies
+    # whose rhs is a test-owned fact, forced only where the lhs holds
     PATTERN_IFF = CheckSpec("planted-inside-order-iff-deflationary",
                             "fails where exactly one side holds", "iff",
-                            lhs=Flags(flag_mask(P.PREC_IN_LEQ)),
-                            rhs=Inequalities("<>a <= a"))
+                            lhs=flag_mask(P.PREC_IN_LEQ), rhs=_inequalities("<>a <= a"))
     PATTERN_IMPLIES = CheckSpec("planted-si-implies-first-row-empty",
                                 "fails when SI holds and 0 relates to anything",
-                                "implies", lhs=Flags(flag_mask(P.SI)),
-                                rhs=lambda inst: not inst.S.rows[0])
+                                "implies", lhs=flag_mask(P.SI), rhs=FIRST_ROW_EMPTY.bit)
+    # a law body with the same always-true precondition
+    FIRST_ROW_LAW = CheckSpec("planted-first-row-empty", "fails when 0 relates to anything",
+                              "law", law=lambda inst: not inst.S.rows[0])
 
     def test_matches_naive_loop(self, monkeypatch):
-        # two planted failing checks: one sharing the precondition object
-        # of diamond-detects-rel, one with the always-true precondition,
-        # so grouped skips, passes and stored counterexamples all show;
-        # and the two pattern-decided ones, whose failures must still be
-        # evaluated, counted and stored per instance in corpus order
+        # two planted failing law bodies: one sharing the precondition of
+        # diamond-detects-rel, one with the always-true precondition, so
+        # grouped skips, passes and stored counterexamples all show; and
+        # the two pattern-decided ones, whose failures must still be
+        # counted and stored per instance in corpus order
         detects = CHECKS_BY_NAME["diamond-detects-rel"]
         planted = (
             CheckSpec("planted-detects-negated", "fails wherever tested", "law",
                       precondition=detects.precondition,
-                      law=lambda inst: not detects.law(inst)),
-            CheckSpec("planted-first-row-empty", "fails when 0 relates to anything",
-                      "law", law=lambda inst: not inst.S.rows[0]),
-            self.PATTERN_IFF, self.PATTERN_IMPLIES,
+                      law=lambda inst: not LOCAL_LAW_ORACLES[detects.name][0](inst)),
+            self.FIRST_ROW_LAW, self.PATTERN_IFF, self.PATTERN_IMPLIES,
         )
         checks = CATALOG + planted
         monkeypatch.setattr(runner, "CATALOG", checks)
@@ -966,7 +998,12 @@ class TestGroupedRunner:
             return real(spec, inst)
 
         monkeypatch.setattr(runner, "verify_check", counting)
+        evaluated = []
+        monkeypatch.setattr(FIRST_ROW_EMPTY, "test",
+                            lambda inst, test=FIRST_ROW_EMPTY.test: evaluated.append(1)
+                            or test(inst))
         report = run_suite(self.CFG)
+        implies_rhs = len(evaluated)
         stats, instances = naive_checks_report(self.CFG, checks)
         assert report["summary"]["instances"] == instances
         assert strip_timing(report)["checks"] == stats
@@ -974,43 +1011,46 @@ class TestGroupedRunner:
         negated = stats["planted-detects-negated"]
         assert negated["counterexample_count"] == negated["tested"] > 0
         assert negated["skips"] > 0
-        unguarded = stats["planted-first-row-empty"]
+        unguarded = stats[self.FIRST_ROW_LAW.name]
         assert unguarded["counterexample_count"] > len(unguarded["counterexamples"])
         assert unguarded["passes"] > 0
-        # a pattern that fails the iff runs its body on every instance; the
-        # patterns that pass it run none
+        # a law body runs on every instance meeting its precondition; a
+        # check decided by its pattern runs none, failing or not
+        assert calls["planted-detects-negated"] == negated["tested"]
+        assert calls[self.FIRST_ROW_LAW.name] == unguarded["tested"]
         iff = stats[self.PATTERN_IFF.name]
         assert iff["counterexample_count"] > runner._MAX_STORED_COUNTEREXAMPLES
         assert iff["passes"] > 0
-        assert calls[self.PATTERN_IFF.name] == iff["counterexample_count"]
-        # the implies runs its body exactly where its lhs holds
+        assert calls[self.PATTERN_IFF.name] == calls[self.PATTERN_IMPLIES.name] == 0
+        # the implies rhs is decided exactly where its lhs holds
         implies = stats[self.PATTERN_IMPLIES.name]
         assert implies["counterexample_count"] > runner._MAX_STORED_COUNTEREXAMPLES
         si = sum(flag(Instance(CarrierContext(name, load_carrier(name)), S), P.SI)
                  for name, S in corpus_stream(self.CFG))
-        assert calls[self.PATTERN_IMPLIES.name] == si < implies["tested"]
+        assert implies_rhs == si < implies["tested"]
 
     def test_pattern_counterexamples_replay_as_failures(self, monkeypatch, capsys, tmp_path):
-        # the replay path decides the stored instance afresh, without a memo
+        # the replay path decides each stored instance afresh, without a
+        # memo, for a planted iff, implies and law body
         from subnorm.cli import main
-        spec = self.PATTERN_IFF
-        monkeypatch.setattr(runner, "CATALOG", CATALOG + (spec,))
-        monkeypatch.setitem(CHECKS_BY_NAME, spec.name, spec)
-        stored = run_suite(self.CFG)["checks"][spec.name]["counterexamples"]
-        assert len(stored) == runner._MAX_STORED_COUNTEREXAMPLES
-        for i, ce in enumerate(stored):
-            assert replay_counterexample(ce) == {"check": spec.name, "status": "fail",
-                                                 "detail": ce["detail"]}
-            path = tmp_path / f"ce{i}.json"
-            path.write_text(json.dumps(ce))
-            assert main(["verify", "--replay", str(path)]) == 1
-            assert capsys.readouterr().out.strip().endswith("fail")
+        for spec in (self.PATTERN_IFF, self.PATTERN_IMPLIES, self.FIRST_ROW_LAW):
+            monkeypatch.setattr(runner, "CATALOG", CATALOG + (spec,))
+            monkeypatch.setitem(CHECKS_BY_NAME, spec.name, spec)
+            stored = run_suite(self.CFG)["checks"][spec.name]["counterexamples"]
+            assert len(stored) == runner._MAX_STORED_COUNTEREXAMPLES, spec.name
+            for i, ce in enumerate(stored):
+                assert replay_counterexample(ce) == {"check": spec.name, "status": "fail",
+                                                     "detail": ce["detail"]}
+                path = tmp_path / f"{spec.mode}{i}.json"
+                path.write_text(json.dumps(ce))
+                assert main(["verify", "--replay", str(path)]) == 1
+                assert capsys.readouterr().out.strip().endswith("fail")
 
     def test_verify_check_runs_only_on_met_preconditions(self, monkeypatch):
         # the runner decides preconditions itself: every verify_check call
-        # it makes evaluates a check body on an instance meeting the
-        # check's precondition; the checks that an instance's flag pattern
-        # decides as passes are counted as tested without a call
+        # it makes runs a law body on an instance meeting the check's
+        # precondition; the checks that an instance's flag pattern decides
+        # are counted as tested without a call
         calls = []
         real = runner.verify_check
 
@@ -1023,7 +1063,8 @@ class TestGroupedRunner:
         report = run_suite(self.CFG)
         checks = report["checks"].values()
         assert 0 < len(calls) < sum(st["tested"] for st in checks)
-        assert all(spec.precondition(Instance(ctx, S)) for spec, ctx, S, _ in calls)
+        assert all(spec.mode == "law" and callable(spec.law) for spec, *_ in calls)
+        assert all(Instance(ctx, S).has_flags(spec.precondition) for spec, ctx, S, _ in calls)
         assert "skip" not in {status for *_, status in calls}
         assert sum(st["skips"] for st in checks) > 0
 

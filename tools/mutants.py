@@ -1,6 +1,7 @@
 """Code mutants of the local table, the local catalog sides, the flag bits
-that preconditions and check sides read, the runner's flag-pattern memo,
-the property sweeps and the closure.
+that preconditions and check sides read, the runner's decision of a
+check from its flag bits, its memo and the replay path, the property
+sweeps and the closure.
 
 Each mutant is one ``(file, old, new)`` patch.  The runner copies the
 repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -38,9 +39,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: stated oracle, the local table against the set-based oracles, the
 #: local sides against the per-instance bodies, each fact a check side
 #: reads decided once per instance, the flag bitmasks against
-#: ``property_holds``, the grouped runner and its pattern memo against
-#: the naive loop, the witness digest, the closure against its oracles
-#: and the closure digest
+#: ``property_holds``, the runner's plans and memo against the naive
+#: loop, replayed counterexamples, the witness digest, the closure
+#: against its oracles and the closure digest
 FAST = (
     "tests/test_harness.py::TestPreconditions",
     "tests/test_harness.py::TestLocalSides",
@@ -48,6 +49,7 @@ FAST = (
     "tests/test_subordination.py::TestLocalFlags",
     "tests/test_subordination.py::test_local_witnesses_on_every_row_and_column",
     "tests/test_harness.py::TestGroupedRunner",
+    "tests/test_harness.py::TestReplay",
     "tests/test_witness_digest.py",
     "tests/test_subordination.py::TestClose",
     "tests/test_closure_digest.py",
@@ -126,16 +128,24 @@ MUTANTS = (
     Mutant("fact-known-never-true", CATALOG,
            "    def holds(self, inst) -> bool:\n        return self.test(inst)\n",
            "    def holds(self, inst) -> bool:\n        return self.test(inst) and False\n"),
-    # the runner's memo of flag patterns (`run._Group`, `run._passes`)
+    # the runner's memo keys (`run._Plan`), its one decision of a check
+    # from flag bits (`run._decide`) and the replay path (`run._verdict`)
     Mutant("pattern-key-drops-a-bit", RUN,
-           "key = inst._true & self.reads",
-           "key = inst._true & self.reads & (self.reads - 1)"),
+           "return inst._true & self.reads",
+           "return inst._true & self.reads & (self.reads - 1)"),
     Mutant("failing-pattern-counted-as-passes", RUN,
-           "return holds(spec.lhs) and holds(spec.rhs) or fails(spec.lhs) and fails(spec.rhs)",
-           "return _reads(spec.lhs) is not None and _reads(spec.rhs) is not None"),
+           'return ("pass", None) if lhs == rhs else ("fail", {"lhs": lhs, "rhs": rhs})',
+           'return "pass", None'),
     Mutant("implies-lhs-test-inverted", RUN,
-           "return fails(spec.lhs) or holds(spec.lhs) and holds(spec.rhs)",
-           "return holds(spec.lhs) or holds(spec.lhs) and holds(spec.rhs)"),
+           'return ("fail", {"lhs": True, "rhs": False}) if lhs and not rhs else ("pass", None)',
+           'return ("fail", {"lhs": True, "rhs": False}) if not lhs and not rhs else ("pass", None)'),
+    Mutant("iff-detail-swaps-sides", RUN,
+           '("fail", {"lhs": lhs, "rhs": rhs})',
+           '("fail", {"lhs": rhs, "rhs": lhs})'),
+    Mutant("replay-skips-precondition", RUN,
+           "return _decide(spec, _Plan([spec]).key(inst)) or verify_check(spec, inst)",
+           "return _decide(spec, _Plan([spec]).key(inst) | spec.precondition)"
+           " or verify_check(spec, inst)"),
     # the sweeps: only a verdict may stop SL1 at its first counterexample
     Mutant("sl1-early-stop-in-check-property", SUBORDINATION,
            "    witness = _sweep(S, prop)\n",
