@@ -18,12 +18,14 @@ instance's flag bits (``run._decide``) and runs only the bodies.  A
 mask's bits are property flags and the bits of ``FLAG_BITS``, one owner per
 fact: the ``Local`` sides (seriality of the rows and of the columns
 among them), the conditions on the carrier alone (``CarrierCondition``),
-which every instance starts with settled, and the ``Fact`` of each
+which every instance starts with settled, the ``Fact`` of each
 operator law that one instance decides on its own: each compiled
 inequality that is not local, the monotonicity of ``<>`` and of ``[]``,
-and each dual-space condition (``RelCondition``).  Each is decided at
-most once per instance, however many checks state it: additivity of
-``<>`` is the rhs of five checks.
+and each dual-space condition (``RelCondition``), and the four
+``Extremal`` bits of closure extremality, decided together
+(``extremal_flags``).  Each is decided at most once per instance,
+however many checks state it: additivity of ``<>`` is the rhs of five
+checks.
 
 Fourteen checks are local: the diamond of an element is the meet of its
 row and the box the join of its column (``slanted.build_slanted``), so
@@ -546,8 +548,27 @@ def _law_spaces_isomorphic(inst) -> bool:
     return duality.spaces_isomorphic(inst.space, inst.space_pf)[0]
 
 
-def _prop41_law(i: int):
-    return lambda inst: verify_prop41(inst.S, i)
+# ---- closure extremality: four bits decided together --------------------
+
+class Extremal(FlagBit):
+    """Whether both closure-``i`` operators of a directed instance are
+    extremal, for one system ``i``: one of the four consecutive bits
+    ``EXTREMAL`` that ``extremal_flags`` decides together, once per
+    instance."""
+
+    __slots__ = ()
+
+
+_EXTREMAL = [Extremal() for _ in range(4)]
+EXTREMAL = _flags(*_EXTREMAL)
+
+
+def extremal_flags(inst) -> int:
+    """The bits of ``EXTREMAL`` that hold on a directed instance: the
+    verdict mask of ``verify_prop41`` (bit ``i - 1`` for system ``i``),
+    moved up to the first owner's bit.  ``verify_prop41`` is looked up at
+    each call, where a tracer may have replaced it."""
+    return verify_prop41(inst.S) * _EXTREMAL[0].bit
 
 
 # ---- carrier-scoped: negation lifting laws --------------------------------
@@ -774,13 +795,13 @@ CATALOG: tuple[CheckSpec, ...] = (
               lhs=_flags(P.SL1), rhs=_inequalities("[](a | b) <= []([]a | []b)")),
     # -- closure extremality ----------------------------------------------
     CheckSpec("closure1-extremal", "system-1 operators are extremal",
-              "law", precondition=_PROP41_PRE, law=_prop41_law(1)),
+              "law", precondition=_PROP41_PRE, law=_flags(_EXTREMAL[0])),
     CheckSpec("closure2-extremal", "system-2 operators are extremal",
-              "law", precondition=_PROP41_PRE, law=_prop41_law(2)),
+              "law", precondition=_PROP41_PRE, law=_flags(_EXTREMAL[1])),
     CheckSpec("closure3-extremal", "system-3 diamond is extremal",
-              "law", precondition=_PROP41_PRE, law=_prop41_law(3)),
+              "law", precondition=_PROP41_PRE, law=_flags(_EXTREMAL[2])),
     CheckSpec("closure4-extremal", "system-4 diamond is extremal",
-              "law", precondition=_PROP41_PRE, law=_prop41_law(4)),
+              "law", precondition=_PROP41_PRE, law=_flags(_EXTREMAL[3])),
     # -- dual spaces -------------------------------------------------------
     CheckSpec("two-space-constructions-isomorphic",
               "irreducible-point and prime-filter spaces are isomorphic",

@@ -105,6 +105,9 @@ class GenConfig:
     max_n: int = 4
 
     def __post_init__(self):
+        if isinstance(self.carriers, str):
+            raise InputFormatError(
+                f"carriers must be a sequence of carrier names, not a str: {self.carriers!r}")
         if self.mode not in ("exhaustive", "random"):
             raise InputFormatError(f"mode must be 'exhaustive' or 'random', got {self.mode!r}")
         for name in ("samples", "seed", "max_n"):

@@ -21,10 +21,15 @@ reads None, so directedness costs no second sweep.
 Lemma.  Every system contains TOP, SI, WO and AND, so ``close`` runs
 its fixpoint on the diamond vector, starting from the meet of each row:
 the closure under system ``i`` is determined by the unclosed diamond
-alone.  ``close_i``, the closure box and the
-whole diamond-side verdict are therefore computed once per (carrier,
-system, diamond tuple); per instance only the box side is checked,
-against the meet memoised per box tuple.
+alone.  ``close_i``, the closure box and the whole diamond-side verdict
+are therefore computed once per (carrier, system, diamond tuple), and
+the box side against the meet memoised per box tuple.  So the four
+verdicts of an instance depend only on the carrier, the unclosed
+diamond and the unclosed box, and ``verify_prop41`` decides them
+together, as one flag group (the four ``closure*-extremal`` bits of the
+catalog), once per (carrier, diamond, box): the pair packs into one
+index below ``n^(2n)`` (at most 65,536) of a flat per-carrier verdict
+table, read off per-position code tables of the row and column masks.
 
 Oracle.  The tests hold ``verify_prop41`` to an exhaustive enumeration
 of all ``n^n`` maps of the carrier, written from the laws above
@@ -39,6 +44,7 @@ box(a).  The box side is therefore checked for systems 1 and 2 only.
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import Iterator, Sequence
 
 from ..completion import dm_completion  # noqa: F401  (perfbench traces this binding)
@@ -52,6 +58,9 @@ from ..subordination import (  # noqa: F401  (property_holds: perfbench traces t
 )
 
 _N_CAP = 4
+#: the marker of a decided entry of a verdict table, above the four
+#: verdict bits (bit ``i - 1`` for system ``i``)
+_DECIDED = 16
 
 
 def _monotone_maps(lat: FinLattice) -> Iterator[tuple[int, ...]]:
@@ -108,15 +117,30 @@ def _box_qualifies(lat: FinLattice, g: Sequence[int]) -> bool:
 
 class _ExtremalityTables:
     """Closure-extremality tables of one lattice carrier, filled as
-    diamonds and boxes are met."""
+    diamonds and boxes are met.
 
-    __slots__ = ("lat", "dia_of", "box_of", "_qualifying", "_closures",
-                 "_box_bounds")
+    ``row_code[a][m]`` is the digit of row mask ``m`` at index ``a``, its
+    meet ``dia_of[m]`` times ``n^a``, and ``col_code[b][m]`` that of
+    column mask ``m`` at index ``b``, its join ``box_of[m]`` times
+    ``n^(n+b)``; a mask that is not directed codes past the end.  So the
+    sum over a relation's rows and columns is the index of its (diamond,
+    box) in ``verdicts``, whose entry is 0 until it is decided and then
+    ``_DECIDED`` with the four verdict bits."""
+
+    __slots__ = ("lat", "dia_of", "box_of", "row_code", "col_code", "verdicts",
+                 "_qualifying", "_closures", "_box_bounds")
 
     def __init__(self, lat: FinLattice, dd: Sequence[bool], ud: Sequence[bool]):
+        n = lat.n
+        size = n ** (2 * n)
         self.lat = lat
         self.dia_of = [lat.meet_all(m) if dd[m] else None for m in range(len(dd))]
         self.box_of = [lat.join_all(m) if ud[m] else None for m in range(len(ud))]
+        self.row_code = [[size if v is None else v * n ** a for v in self.dia_of]
+                         for a in range(n)]
+        self.col_code = [[size if v is None else v * n ** (n + b) for v in self.box_of]
+                         for b in range(n)]
+        self.verdicts = bytearray(size)
         self._qualifying: dict = {}  # system i or "box" -> qualifying maps
         self._closures: dict = {}    # (i, dia) -> (box_i, verdict short of the box bounds)
         self._box_bounds: dict = {}  # box -> meet of qualifying maps above it
@@ -174,6 +198,23 @@ class _ExtremalityTables:
             self._box_bounds[box] = got
         return got
 
+    def decide(self, S: ProtoSubAlg, index: int) -> int:
+        """Decide all four systems on a relation whose entry ``index`` of
+        ``verdicts`` is undecided, and store the entry once all four are
+        decided."""
+        lat = self.lat
+        dia = tuple([self.dia_of[r] for r in S.rows])
+        box = tuple([self.box_of[c] for c in S.cols])
+        got = _DECIDED
+        for i in (1, 2, 3, 4):
+            box_i, ok = self.closure(S, i, dia)
+            if ok and i in (1, 2):
+                ok = (_pointwise_leq(lat, box, box_i)
+                      and _pointwise_leq(lat, box_i, self.box_bound(box)))
+            got |= ok << (i - 1)
+        self.verdicts[index] = got
+        return got
+
 
 def _extremality_tables(S: ProtoSubAlg) -> _ExtremalityTables:
     tables = subset_tables(S.poset)
@@ -184,9 +225,10 @@ def _extremality_tables(S: ProtoSubAlg) -> _ExtremalityTables:
     return got
 
 
-def verify_prop41(S: ProtoSubAlg, i: int) -> bool:
-    """Whether both closure-``i`` operators of a directed instance are
-    extremal, read off the carrier's tables."""
+def verify_prop41(S: ProtoSubAlg) -> int:
+    """The closure-extremality verdicts of a directed instance as a mask:
+    bit ``i - 1`` is set when both closure-``i`` operators are extremal.
+    One lookup in the carrier's verdict table, decided on a miss."""
     if S.n > _N_CAP:
         raise TooLarge(f"map enumeration on {S.n} elements")
     lat = S.lattice
@@ -194,12 +236,7 @@ def verify_prop41(S: ProtoSubAlg, i: int) -> bool:
         raise MissingStructure("closure extremality",
                                "a bounded distributive lattice carrier")
     t = _extremality_tables(S)
-    dia = tuple([t.dia_of[r] for r in S.rows])
-    box = tuple([t.box_of[c] for c in S.cols])
-    if None in dia or None in box:
+    index = sum(map(getitem, t.row_code, S.rows)) + sum(map(getitem, t.col_code, S.cols))
+    if index >= len(t.verdicts):
         raise MissingStructure("closure extremality", "a directed instance")
-    box_i, ok = t.closure(S, i, dia)
-    if ok and i in (1, 2):
-        ok = (_pointwise_leq(lat, box, box_i)
-              and _pointwise_leq(lat, box_i, t.box_bound(box)))
-    return ok
+    return (t.verdicts[index] or t.decide(S, index)) & ~_DECIDED

@@ -24,25 +24,32 @@ property's sweep, and each ``catalog.Fact``: a compiled inequality, the
 monotonicity of an operator or a dual-space condition, so the time of
 every ``iff``/``implies`` side is there, less the operators, extensions
 and dual spaces that a bit builds, which are booked to their own layers.
+``extremality`` holds the four ``closure*-extremal`` bits, a flag group
+decided together once per directed instance (``catalog.extremal_flags``)
+by one lookup in the carrier's verdict table, which decides each
+(diamond, box) once.
 
 A check is data (``catalog.CheckSpec``): its precondition and the sides
 of an ``iff`` or ``implies`` check are flag masks, and a ``law`` is a
 mask or a body.  Each scope's checks form one ``_Plan``.  On an
 instance it forces the bits the verdicts need, lazily and in catalog
 order: each distinct precondition once, then, where it holds, its
-checks' sides, an ``implies`` rhs only where its lhs holds.  The
-carrier conditions and the flags the carrier lacks are settled once
-per carrier (``CarrierContext.settled``), and each bit is decided at
-most once per instance, however many checks read it.  The instance's
-true bits within the masks the plan reads are its key, and the key
-decides every mask, so the plan keeps one memo per ``run_suite`` call
-from key to the instance's whole row (``_Row``): the checks it skips
-and passes, counted per key and folded into the report at the end, the
-checks it fails with their detail, stored per instance so that
-counterexamples keep corpus order, and the ``law`` bodies to run
-through ``verify_check``.  ``_decide`` is the one statement of what a
+checks' sides, an ``implies`` rhs only where its lhs holds.  It does
+not ask the instance mask by mask: a memo maps each state of the flags
+it reads (the known bits and the true ones) to the next mask to force,
+found once per state by a walk of its steps.  The carrier conditions
+and the flags the carrier lacks are settled once per carrier
+(``CarrierContext.settled``), and each bit is decided at most once per
+instance, however many checks read it.  The instance's true bits
+within the masks the plan reads are its key, and the key decides every
+mask, so the plan keeps a second memo per ``run_suite`` call, from key
+to the instance's whole row (``_Row``): the checks it skips and passes,
+counted per key and folded into the report at the end, the checks it
+fails with their detail, stored per instance so that counterexamples
+keep corpus order, and the ``law`` bodies to run through
+``verify_check``.  ``_decide`` is the one statement of what a
 precondition, an ``iff``, an ``implies`` and a mask ``law`` mean on
-bits; the memo and ``replay_counterexample`` both call it.
+bits; the row memo and ``replay_counterexample`` both call it.
 
 Checks are pure, so instances could be fanned out to workers with the
 report aggregation as the only synchronization point; the runner stays
@@ -75,16 +82,16 @@ from ..subordination import (  # noqa: F401  (property_holds: perfbench traces t
     subalg_to_json,
 )
 from .carriers import load_carrier
-from .catalog import (CATALOG, CHECKS_BY_NAME, FLAG_BITS, CheckSpec, carrier_bits, local_flags,
-                      local_tables)
+from .catalog import (CATALOG, CHECKS_BY_NAME, EXTREMAL, FLAG_BITS, CheckSpec, carrier_bits,
+                      extremal_flags, local_flags, local_tables)
 from .generate import GenConfig, corpus_stream
 
 _MAX_STORED_COUNTEREXAMPLES = 10
 
 #: the stages timed under ``timing.layers``: the corpus stream, the
 #: carrier contexts, and the lazily built per-instance artefacts
-LAYERS = ("corpus", "context", "flags", "sa", "sigma", "pi", "space", "space_pf",
-          "image", "preimage")
+LAYERS = ("corpus", "context", "flags", "extremality", "sa", "sigma", "pi", "space",
+          "space_pf", "image", "preimage")
 
 
 class LayerClock:
@@ -246,7 +253,8 @@ class Instance:
 
     def _compute(self, todo: int) -> None:
         """Compute the lowest flag of ``todo``: all of the carrier's
-        ``table_bits`` at once when ``todo`` holds one of them, a
+        ``table_bits`` at once when ``todo`` holds one of them, the four
+        ``catalog.EXTREMAL`` bits at once when it holds one of those, a
         property flag by its sweep, and any other bit by its owner's
         ``holds``.  (The carrier conditions are never computed here:
         every instance starts with them known.)"""
@@ -254,6 +262,10 @@ class Instance:
         if todo & ctx.table_bits:
             self._known |= ctx.table_bits
             self._true |= ctx.clock.build("flags", local_flags, self.S, ctx.local)
+            return
+        if todo & EXTREMAL:
+            self._known |= EXTREMAL
+            self._true |= ctx.clock.build("extremality", extremal_flags, self)
             return
         bit = todo & -todo
         self._known |= bit
@@ -463,11 +475,13 @@ class _Plan:
     ``steps`` lists each distinct precondition, in the order the checks
     first state it, with the ``(first, second, implies)`` masks of its
     checks' sides: lhs and rhs, or a mask ``law`` and 0 (a ``law`` body
-    has none).  ``reads`` is the union of every mask, and ``rows`` the
-    memo, which maps a key, an instance's true bits within ``reads``, to
-    its ``_Row``."""
+    has none).  ``reads`` is the union of every mask.  ``forcing`` maps
+    a state, an instance's known and true bits within ``reads`` (packed
+    as ``known << width | true``), to the next mask to force there
+    (``_force``), and ``rows`` maps a key, its true bits within
+    ``reads`` once every needed bit is known, to its ``_Row``."""
 
-    __slots__ = ("specs", "steps", "reads", "rows")
+    __slots__ = ("specs", "steps", "reads", "width", "forcing", "rows")
 
     def __init__(self, specs: Iterable[CheckSpec]):
         self.specs = list(specs)
@@ -484,22 +498,48 @@ class _Plan:
             self.reads |= pre
             for first, second, _ in sides:
                 self.reads |= first | second
+        self.width = self.reads.bit_length()
+        self.forcing: dict[int, int] = {}
         self.rows: dict[int, _Row] = {}
 
+    def _force(self, known: int, true: int) -> int:
+        """The unknown bits of the first mask that the checks ask for in
+        the state (``known``, ``true``), or 0 when they ask for none.
+        Each precondition is asked, then, where it holds, the sides of
+        its checks, an ``implies`` rhs only where its lhs holds; a mask
+        with a bit known false fails without being asked, and one with
+        no unknown bit holds, as in ``Instance.has_flags``."""
+        false = known & ~true
+        for pre, sides in self.steps:
+            if pre & false:
+                continue
+            if pre & ~known:
+                return pre & ~known
+            for first, second, implies in sides:
+                if first & ~known and not first & false:
+                    return first & ~known
+                if second & ~known and not second & false and not (implies and first & false):
+                    return second & ~known
+        return 0
+
     def key(self, inst: Instance) -> int:
-        """Force the flag bits the checks read and return the key.  Each
-        precondition is decided, then, where it holds, the sides of its
-        checks, an ``implies`` rhs only where its lhs holds, so a flag
-        is computed only where a verdict needs it.  A precondition holds
-        exactly when its mask is within the key, and so does each side
-        it forces, which is all ``_decide`` reads."""
-        if self.reads & ~inst._known:
-            for pre, sides in self.steps:
-                if inst.has_flags(pre):
-                    for first, second, implies in sides:
-                        if (inst.has_flags(first) or not implies) and second:
-                            inst.has_flags(second)
-        return inst._true & self.reads
+        """Force the flag bits the checks read and return the key.  The
+        next mask to force is looked up per state in ``forcing``, and its
+        bits are computed as ``Instance.has_flags`` computes them, so a
+        flag is computed only where a verdict needs it.  A precondition
+        holds exactly when its mask is within the key, and so does each
+        side it forces, which is all ``_decide`` reads."""
+        reads, width, forcing = self.reads, self.width, self.forcing
+        table = LOCAL_FLAGS | inst.ctx.table_bits
+        while True:
+            known, true = inst._known & reads, inst._true & reads
+            state = known << width | true
+            todo = forcing.get(state)
+            if todo is None:
+                todo = forcing[state] = self._force(known, true)
+            if not todo:
+                return true
+            inst._compute(todo & table or todo)
 
     def row(self, inst: Instance) -> _Row:
         key = self.key(inst)

@@ -41,7 +41,7 @@ from subnorm.harness.catalog import (
     local_tables,
 )
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
-from subnorm.order import FinLattice, FinPoset, bits, lattice_to_json
+from subnorm.order import FinLattice, FinPoset, bits, lattice_to_json, subset_tables
 from subnorm.slanted import build_slanted, valid
 from subnorm.subordination import (
     LOCAL_FLAGS,
@@ -79,6 +79,18 @@ def flag(inst, prop):
     if inst.has_flags(bit):
         return True
     return None if inst.ctx.missing & bit else False
+
+
+def extremal(S, i) -> bool:
+    """Whether both closure-``i`` operators of ``S`` are extremal: bit
+    ``i - 1`` of the verdict mask of ``verify_prop41``."""
+    return bool(verify_prop41(S) >> (i - 1) & 1)
+
+
+def extremal_bits(inst) -> list[bool]:
+    """The catalog's four extremality bits of an instance, read through
+    ``has_flags``: the first read decides all four."""
+    return [inst.has_flags(owner.bit) for owner in catalog._EXTREMAL]
 
 
 def make_instance(lat, pairs, name="test"):
@@ -160,6 +172,14 @@ class TestGeneration:
             assert sum(1 for _ in corpus_stream(cfg)) == count
             assert cfg.describe()["mode"] == mode
 
+    def test_config_rejects_a_string_of_carriers(self):
+        # a string would be iterated as its characters ("b", "4")
+        for bad in ("b4", "chain2"):
+            with pytest.raises(InputFormatError, match="not a str"):
+                GenConfig(carriers=bad)
+        for good in (("b4",), ["b4"]):
+            assert GenConfig(carriers=good).describe()["carriers"] == ["b4"]
+
     def test_corpus_stream_covers_carriers(self):
         cfg = GenConfig(carriers=("chain2", "fdl2"), samples=5)
         names = {name for name, _ in corpus_stream(cfg)}
@@ -239,22 +259,22 @@ class TestProp41:
 
     def test_leq_extremal_all_systems(self, b4_leq):
         for i in (1, 2, 3, 4):
-            assert verify_prop41(b4_leq, i) is True
+            assert extremal(b4_leq, i) is True
             assert extremality_oracle(b4_leq, i) is None
 
     def test_empty_relation(self, b4):
         S = ProtoSubAlg.from_pairs(b4, [])
-        assert verify_prop41(S, 1) is True
+        assert extremal(S, 1) is True
         assert extremality_oracle(S, 1) is None
 
     def test_requires_directed(self, b4):
         S = ProtoSubAlg.from_pairs(b4, [(3, 1), (3, 2)])
         with pytest.raises(MissingStructure):
-            verify_prop41(S, 1)
+            verify_prop41(S)
 
     def test_too_large(self, fdl2):
         with pytest.raises(TooLarge):
-            verify_prop41(leq_relation(fdl2), 1)
+            verify_prop41(leq_relation(fdl2))
 
     def test_injected_fault_yields_witness_map(self, b4, b4_leq, monkeypatch):
         # the closure diamond loses information at the top: dia_i[3] = 1
@@ -267,7 +287,7 @@ class TestProp41:
 
         monkeypatch.setattr(maximality, "close_i", lowered)
         for i in (1, 2, 3, 4):
-            assert verify_prop41(S, i) is False
+            assert extremal(S, i) is False
             side, witness = extremality_oracle(S, i, close=lowered)
             assert side == "diamond" and len(witness) == 4
 
@@ -284,20 +304,23 @@ class TestProp41:
             return SimpleNamespace(rows=closed.rows, cols=tuple(cols))
 
         monkeypatch.setattr(maximality, "close_i", raised)
-        assert verify_prop41(S, 1) is False
+        assert extremal(S, 1) is False
         assert extremality_oracle(S, 1, close=raised) == ("box", (2, 1, 2, 3))
 
     @pytest.mark.parametrize("name, sample", [
         ("chain2", None), ("chain3", None), ("chain4", 2000), ("b4", 2000)])
     def test_tables_match_enumeration(self, name, sample):
         # every relation on a chain is directed; the larger carriers get
-        # a seeded sample of directed relations
+        # a seeded sample of directed relations.  The runner reads the
+        # four verdicts as the catalog's four extremality bits.
         lat = load_carrier(name)
+        ctx = CarrierContext(name, lat)
         rels = (all_relations(lat) if sample is None
                 else directed_sample(lat, sample, seed=41))
         for S in rels:
-            for i in (1, 2, 3, 4):
-                assert verify_prop41(S, i) == (extremality_oracle(S, i) is None), (S, i)
+            want = [extremality_oracle(S, i) is None for i in (1, 2, 3, 4)]
+            assert [extremal(S, i) for i in (1, 2, 3, 4)] == want, S
+            assert extremal_bits(Instance(ctx, S)) == want, S
 
     def test_tables_match_enumeration_on_planted_closures(self, chain4, b4,
                                                           monkeypatch):
@@ -332,7 +355,7 @@ class TestProp41:
                     T = ProtoSubAlg(fresh_copy(base), S.prec)
                     for j in (i, *(j for j in (1, 2, 3, 4) if j != i)):
                         want = extremality_oracle(T, j, close=planted) is None
-                        assert verify_prop41(T, j) == want, (S, i, j, mode, a, x)
+                        assert extremal(T, j) == want, (S, i, j, mode, a, x)
                     outcomes[mode, extremality_oracle(T, i, close=planted) is None] += 1
         assert min(outcomes.values()) >= 20, outcomes
 
@@ -355,7 +378,7 @@ class TestProp41:
                 T = ProtoSubAlg(fresh_copy(base), S.prec)
                 for i in (1, 2, 3, 4):
                     want = extremality_oracle(T, i, **laws) is None
-                    assert verify_prop41(T, i) == want, (S, i)
+                    assert extremal(T, i) == want, (S, i)
                     outcomes[want] += 1
         assert min(outcomes.values()) >= 20, outcomes
 
@@ -381,7 +404,7 @@ class TestProp41:
                     T = ProtoSubAlg(fresh_copy(lat), S.prec)
                     for j in (1, 2):
                         want = extremality_oracle(T, j, close=planted) is None
-                        assert verify_prop41(T, j) == want, (S, h, j)
+                        assert extremal(T, j) == want, (S, h, j)
                         outcomes[want] += 1
         assert min(outcomes.values()) >= 50, outcomes
 
@@ -397,7 +420,7 @@ class TestProp41:
             return T.with_rows(rows)
 
         monkeypatch.setattr(maximality, "close_i", lowered)
-        assert verify_prop41(S, 1) is False
+        assert extremal(S, 1) is False
         # the lowered diamond is not monotone (2 <= 3 but 2 is not below 1)
         assert extremality_oracle(S, 1, close=lowered) == ("diamond", (0, 1, 2, 1))
 
@@ -433,6 +456,91 @@ class TestProp41:
             for i in (1, 2, 3, 4):
                 closed = {close_i(S, i).rows for S in members}
                 assert len(closed) == 1, (members[0], i)
+
+
+def dia_box(S) -> tuple:
+    """The unclosed diamond and box of ``S``: the meet of each row and
+    the join of each column."""
+    lat = S.lattice
+    return (tuple(lat.meet_all(r) for r in S.rows), tuple(lat.join_all(c) for c in S.cols))
+
+
+class TestExtremalityFlags:
+    """The four ``closure*-extremal`` bits, decided together per
+    instance through the carrier's verdict table, and the table's miss
+    path."""
+
+    def test_bits_follow_the_box_under_a_loosened_box_law(self, chain2, chain3, chain4, b4,
+                                                          monkeypatch):
+        # with every monotone map counted as a qualifying box, systems 1
+        # and 2 fail on some boxes and hold on others, so relations that
+        # share a diamond but differ in box get different verdicts from
+        # one carrier's table, which a table indexed on the diamond alone
+        # would give the same verdict.  (``extremal_flags`` moves the
+        # verdict mask up to the first bit, so the four are consecutive.)
+        assert [o.bit for o in catalog._EXTREMAL] == [
+            catalog._EXTREMAL[0].bit << k for k in range(4)]
+
+        def loose(lat, g):
+            return True
+
+        monkeypatch.setattr(maximality, "_box_qualifies", loose)
+        split = 0
+        for lat, rels in ((chain2, all_relations(chain2)), (chain3, all_relations(chain3)),
+                          (chain4, directed_sample(chain4, 300, seed=48)),
+                          (b4, directed_sample(b4, 300, seed=49))):
+            copy = fresh_copy(lat)
+            ctx = CarrierContext("loosened", copy)
+            by_dia = {}
+            for S in rels:
+                T = ProtoSubAlg(copy, S.prec)
+                want = [extremality_oracle(T, i, box_law=loose) is None for i in (1, 2, 3, 4)]
+                assert extremal_bits(Instance(ctx, T)) == want, S
+                dia, box = dia_box(T)
+                by_dia.setdefault(dia, {})[box] = tuple(want)
+            split += sum(len(set(boxes.values())) > 1 for boxes in by_dia.values())
+        assert split >= 10, split
+
+    def test_miss_path_runs_once_per_carrier_diamond_box(self, monkeypatch):
+        cfg = GenConfig(carriers=("chain3", "chain4", "b4"), mode="random", samples=40)
+        for name in cfg.carriers:
+            # start from empty verdict tables, whatever ran before
+            monkeypatch.delitem(subset_tables(load_carrier(name).poset), "extremality",
+                                raising=False)
+        misses = []
+        real = maximality._ExtremalityTables.decide
+
+        def decide(self, S, index):
+            misses.append((S.lattice, *dia_box(S)))
+            return real(self, S, index)
+
+        monkeypatch.setattr(maximality._ExtremalityTables, "decide", decide)
+        report = run_suite(cfg)
+        assert report["summary"]["counterexamples"] == 0
+        directed = {(load_carrier(name), *dia_box(S)) for name, S in corpus_stream(cfg)
+                    if S.n <= 4 and property_holds(S, P.DD) and property_holds(S, P.UD)}
+        assert len(misses) == len(set(misses)) == len(directed)
+        assert set(misses) == directed
+        layers = report["timing"]["layers"]
+        assert layers["extremality"]["builds"] == report["checks"]["closure1-extremal"]["tested"]
+
+    def test_interrupted_miss_leaves_the_entry_undecided(self, b4, monkeypatch):
+        # a miss that stops partway (here a closure that raises for
+        # system 3) must not leave the systems it decided behind as the
+        # entry's verdict
+        S = leq_relation(fresh_copy(b4))
+
+        def failing(T, j):
+            if j == 3:
+                raise RuntimeError("planted")
+            return close_i(T, j)
+
+        monkeypatch.setattr(maximality, "close_i", failing)
+        with pytest.raises(RuntimeError):
+            verify_prop41(S)
+        monkeypatch.setattr(maximality, "close_i", close_i)
+        assert verify_prop41(S) == 0b1111
+        assert all(extremality_oracle(S, i) is None for i in (1, 2, 3, 4))
 
 
 class TestLawOracles:
@@ -1131,6 +1239,58 @@ class TestGroupedRunner:
         assert copy.local[0] & decided == decided
         for mine, theirs in zip(first.local[1:], copy.local[1:]):
             assert [[e & decided for e in sig] for sig in theirs] == [list(sig) for sig in mine]
+
+
+def ask(specs, inst) -> None:
+    """Force the bits of ``specs`` by asking ``has_flags``: each distinct
+    precondition in the order the checks first state it, then, where it
+    holds, its checks' sides in catalog order (a mask ``law``; an lhs, and
+    the rhs unless it is an ``implies`` whose lhs fails)."""
+    groups = {}
+    for spec in specs:
+        groups.setdefault(spec.precondition, []).append(spec)
+    for pre, group in groups.items():
+        if not inst.has_flags(pre):
+            continue
+        for spec in group:
+            if spec.mode != "law":
+                if inst.has_flags(spec.lhs) or spec.mode == "iff":
+                    inst.has_flags(spec.rhs)
+            elif isinstance(spec.law, int):
+                inst.has_flags(spec.law)
+
+
+class TestForcing:
+    """``_Plan.key`` forces bits from its memo of flag states; the
+    reference asks ``has_flags`` (``ask``)."""
+
+    def test_key_forces_what_asking_forces(self, monkeypatch):
+        computed = []
+        real = Instance._compute
+        monkeypatch.setattr(Instance, "_compute",
+                            lambda inst, todo: computed.append(todo) or real(inst, todo))
+        cfg = GenConfig(carriers=("chain3", "b4", "fdl2", "b8"), mode="random", samples=10)
+        plans = [runner._Plan(c for c in CATALOG if c.scope == scope)
+                 for scope in ("carrier", "relation")]
+        contexts = {}
+        for name, S in corpus_stream(cfg):
+            if name not in contexts:
+                contexts[name] = CarrierContext(name, load_carrier(name))
+            for plan in plans:
+                got, want = Instance(contexts[name], S), Instance(contexts[name], S)
+                computed.clear()
+                key = plan.key(got)
+                by_key = list(computed)
+                computed.clear()
+                ask(plan.specs, want)
+                assert by_key == computed, (name, S)
+                assert (got._known, got._true) == (want._known, want._true), (name, S)
+                assert key == want._true & plan.reads
+        # the memo is shared by every instance of the run, and holds
+        # states that differ only in their true bits
+        forcing = plans[1].forcing
+        known = {state >> plans[1].width for state in forcing}
+        assert len(known) < len(forcing)
 
 
 class TestReplay:

@@ -1,7 +1,7 @@
 """Code mutants of the local table, the local catalog sides, the flag bits
-that preconditions and check sides read, the runner's decision of a
-check from its flag bits, its memo and the replay path, the property
-sweeps and the closure.
+that preconditions and check sides read, the closure-extremality verdict
+table, the runner's decision of a check from its flag bits, its memos
+and the replay path, the property sweeps and the closure.
 
 Each mutant is one ``(file, old, new)`` patch.  The runner copies the
 repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -38,11 +38,15 @@ ROOT = Path(__file__).resolve().parent.parent
 #: the tests each mutant runs against: every precondition against its
 #: stated oracle, the local table against the set-based oracles, the
 #: local sides against the per-instance bodies, each fact a check side
-#: reads decided once per instance, the flag bitmasks against
+#: reads decided once per instance, the extremality bits against the
+#: map enumeration and the verdict table's miss path, the forcing memo
+#: against asking ``has_flags``, the flag bitmasks against
 #: ``property_holds``, the runner's plans and memo against the naive
 #: loop, replayed counterexamples, the witness digest, the closure
 #: against its oracles and the closure digest
 FAST = (
+    "tests/test_harness.py::TestExtremalityFlags",
+    "tests/test_harness.py::TestForcing",
     "tests/test_harness.py::TestPreconditions",
     "tests/test_harness.py::TestLocalSides",
     "tests/test_harness.py::TestCheckSides",
@@ -56,6 +60,7 @@ FAST = (
 )
 
 CATALOG = "src/subnorm/harness/catalog.py"
+MAXIMALITY = "src/subnorm/harness/maximality.py"
 RUN = "src/subnorm/harness/run.py"
 SUBORDINATION = "src/subnorm/subordination.py"
 
@@ -128,11 +133,22 @@ MUTANTS = (
     Mutant("fact-known-never-true", CATALOG,
            "    def holds(self, inst) -> bool:\n        return self.test(inst)\n",
            "    def holds(self, inst) -> bool:\n        return self.test(inst) and False\n"),
-    # the runner's memo keys (`run._Plan`), its one decision of a check
-    # from flag bits (`run._decide`) and the replay path (`run._verdict`)
+    # the closure-extremality verdict table (`maximality._ExtremalityTables`)
+    Mutant("extremality-index-ignores-box", MAXIMALITY,
+           "index = sum(map(getitem, t.row_code, S.rows)) + sum(map(getitem, t.col_code, S.cols))",
+           "index = sum(map(getitem, t.row_code, S.rows))"),
+    Mutant("extremality-entry-written-per-system", MAXIMALITY,
+           "            got |= ok << (i - 1)\n",
+           "            got |= ok << (i - 1)\n            self.verdicts[index] = got\n"),
+    # the runner's memos (`run._Plan`: the forcing memo and the row memo's
+    # keys), its one decision of a check from flag bits (`run._decide`)
+    # and the replay path (`run._verdict`)
+    Mutant("forcing-memo-keyed-on-known", RUN,
+           "state = known << width | true",
+           "state = known"),
     Mutant("pattern-key-drops-a-bit", RUN,
-           "return inst._true & self.reads",
-           "return inst._true & self.reads & (self.reads - 1)"),
+           "                return true\n",
+           "                return true & (reads - 1)\n"),
     Mutant("failing-pattern-counted-as-passes", RUN,
            'return ("pass", None) if lhs == rhs else ("fail", {"lhs": lhs, "rhs": rhs})',
            'return "pass", None'),
