@@ -239,18 +239,6 @@ class Instance:
     def embed(self):
         return self.ctx.embed
 
-    def has_flags(self, mask: int) -> bool:
-        """Every flag in ``mask`` is True.  Flags not yet known are
-        computed local ones first, the others in bit order, stopping at
-        the first that is not True."""
-        while True:
-            if mask & self._known & ~self._true:
-                return False
-            todo = mask & ~self._known
-            if not todo:
-                return True
-            self._compute(todo & (LOCAL_FLAGS | self.ctx.table_bits) or todo)
-
     def _compute(self, todo: int) -> None:
         """Compute the lowest flag of ``todo``: all of the carrier's
         ``table_bits`` at once when ``todo`` holds one of them, the four
@@ -508,7 +496,7 @@ class _Plan:
         Each precondition is asked, then, where it holds, the sides of
         its checks, an ``implies`` rhs only where its lhs holds; a mask
         with a bit known false fails without being asked, and one with
-        no unknown bit holds, as in ``Instance.has_flags``."""
+        no unknown bit holds."""
         false = known & ~true
         for pre, sides in self.steps:
             if pre & false:
@@ -525,8 +513,8 @@ class _Plan:
     def key(self, inst: Instance) -> int:
         """Force the flag bits the checks read and return the key.  The
         next mask to force is looked up per state in ``forcing``, and its
-        bits are computed as ``Instance.has_flags`` computes them, so a
-        flag is computed only where a verdict needs it.  A precondition
+        local and table bits are computed first, the others in bit order,
+        so a flag is computed only where a verdict needs it.  A precondition
         holds exactly when its mask is within the key, and so does each
         side it forces, which is all ``_decide`` reads."""
         reads, width, forcing = self.reads, self.width, self.forcing

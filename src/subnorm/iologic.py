@@ -1,39 +1,41 @@
 """Input/output logic over a classical propositional base.
 
 A normative system is a finite set of body/head formula pairs (formulas
-are the modal-free terms of ``subnorm.syntax`` plus ``->``).  Its
-derivability closures 1..4 are Makinson and van der Torre's output
-operators out1..out4 ("Input/output logics", J. Phil. Logic 29, 2000),
-computed algebraically: formulas map to their truth tables inside the
-free Boolean algebra on the variables in play, the induced relation on
-that algebra is closed under the rule system, and a query pair holds iff
-its image lands in the closure.  This is sound and complete for the
-quotient of formulas under mutual entailment, because every closure rule
-respects that quotient.  The variable budget is capped at three (a
-256-element algebra); beyond that the materialized relation would be
-astronomically large, so bigger queries are rejected rather than
-silently truncated.
+are the modal-free terms of ``subnorm.syntax`` plus ``->``).  Its output
+operators out1..out4 are Makinson and van der Torre's ("Input/output
+logics", J. Phil. Logic 29, 2000), read as modal operators d1..d4: ``x``
+is in out_i(N, a) iff d_i(a) <= x.  A formula is its truth table, a
+bitmask over the ``2^k`` valuations of the atoms in play, so meet is
+``&``, join is ``|`` and the order is inclusion.  With h(b) the meet of
+the heads of the norms whose body lies above b (the empty meet is top):
+d1(a) = h(a); d2(a) = h(bot) joined with h({v}) over the valuations v in
+a; d3(a) = h(b*), b* the greatest fixpoint of b -> a & h(b), reached from
+b = a; d4(a) is d2(a) taken only over the v with v in h({v}).  The atoms
+are capped at three, the cap of the free Boolean algebra ``truth_table``
+evaluates in; bigger queries are rejected rather than truncated.
 
 ``derive(N, i, (a, x))`` asks whether ``x`` is in out_i(N, a);
 ``out(N, i, gamma, psi)`` whether some body in ``gamma`` yields ``psi``;
 ``modal_output`` is the aggregative variant that first meets all of
 ``gamma`` into a single element, so it can combine several bodies at
 once.  The tests hold all three to the semantic characterisations of
-out1..out4 (``tests/oracles.py``), which never close a relation.
+out1..out4 (``oracles.out_oracle``) and to the closure route
+(``oracles.closure_output_oracle``): the norms as a relation on the free
+Boolean algebra, closed under system i by ``subordination.close_i``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
+from itertools import chain
+from operator import and_
 from typing import Iterable, Sequence
 
-from .errors import ParseError, TooManyVariables
-from .order import free_boolean_algebra
-from .subordination import ProtoSubAlg, SubordRel, close_i
+from .errors import InputFormatError, ParseError
+from .order import bits, free_boolean_algebra
+from .subordination import close_i  # noqa: F401  (perfbench traces this binding)
 from .syntax import Term, evaluate, format_term, parse_formula, term_variables
-
-_VAR_CAP = 3
 
 
 def truth_table(f: Term, atoms_order: Sequence[str]) -> int:
@@ -105,56 +107,54 @@ def parse_norm(line: str) -> Norm:
     return Norm(parse_formula(line, 0, seps[0]), parse_formula(line, seps[0] + 2))
 
 
-def _atom_frame(N: NormativeSystem, *formulas: Term) -> list[str]:
-    out = sorted(set(N.atoms()) | set(term_variables(*formulas)))
-    if len(out) > _VAR_CAP:
-        raise TooManyVariables(len(out))
-    return out
+def _output(N: NormativeSystem, i: int, inputs: Sequence[Sequence[Term]],
+            psi: Term) -> bool:
+    """Whether d_i(m) <= ``psi`` for the meet ``m`` of some list in
+    ``inputs`` (the empty meet is top).  More than three atoms in ``N``,
+    ``psi`` and ``inputs`` together, or a system outside 1..4, raise
+    even when ``inputs`` is empty."""
+    names = sorted(set(N.atoms()).union(term_variables(psi, *chain.from_iterable(inputs))))
+    x = truth_table(psi, names)
+    if i not in (1, 2, 3, 4):
+        raise InputFormatError(f"closure system must be 1..4, got {i}")
+    norms = [(truth_table(n.body, names), truth_table(n.head, names)) for n in N]
+    top = (1 << (1 << len(names))) - 1
 
+    def h(b: int) -> int:
+        return reduce(and_, (head for body, head in norms if not b & ~body), top)
 
-@lru_cache(maxsize=256)
-def _closure_data(k: int, pairs: tuple[tuple[int, int], ...], i: int) -> tuple[int, ...]:
-    """Closed relation rows over the free Boolean algebra on ``k``
-    variables."""
-    lat, _ = free_boolean_algebra(k)
-    return close_i(ProtoSubAlg(lat, SubordRel.from_pairs(lat.n, pairs)), i).rows
+    def d(a: int) -> int:
+        if i == 1:
+            return h(a)
+        if i == 3:
+            b = a
+            while b & ~h(b):
+                b &= h(b)
+            return h(b)
+        out = h(0)
+        for v in bits(a):
+            hv = h(1 << v)
+            if i == 2 or hv >> v & 1:
+                out |= hv
+        return out
 
-
-def induced_relation(N: NormativeSystem, atoms_order: Sequence[str]) -> tuple[tuple[int, int], ...]:
-    """Norm pairs as truth-table element pairs, sorted and deduplicated."""
-    return tuple(sorted({(truth_table(n.body, atoms_order),
-                          truth_table(n.head, atoms_order)) for n in N}))
+    return any(not d(reduce(and_, (truth_table(g, names) for g in gamma), top)) & ~x
+               for gamma in inputs)
 
 
 def derive(N: NormativeSystem, i: int, query: tuple[Term, Term]) -> bool:
-    """Membership of the query pair in closure system ``i`` of ``N``."""
+    """The head of the query pair is in out_i of its body."""
     body, head = query
-    names = _atom_frame(N, body, head)
-    rows = _closure_data(len(names), induced_relation(N, names), i)
-    return bool(rows[truth_table(body, names)] >> truth_table(head, names) & 1)
+    return _output(N, i, [[body]], head)
 
 
 def out(N: NormativeSystem, i: int, gamma: Iterable[Term], psi: Term) -> bool:
-    """Some body in ``gamma`` yields ``psi`` under closure ``i``."""
-    gamma = list(gamma)
-    names = _atom_frame(N, psi, *gamma)
-    rows = _closure_data(len(names), induced_relation(N, names), i)
-    head = truth_table(psi, names)
-    return any(rows[truth_table(g, names)] >> head & 1 for g in gamma)
+    """Some body in ``gamma`` yields ``psi`` under system ``i``."""
+    return _output(N, i, [[g] for g in gamma], psi)
 
 
 def modal_output(N: NormativeSystem, i: int, gamma: Iterable[Term],
                  psi: Term) -> bool:
     """Aggregative output: meet all of ``gamma`` into one element ``m``
-    (the empty meet is top) and test whether the closure diamond at
-    ``m`` lies below ``psi``.  Every system has TOP, SI, WO and AND, so
-    ``close`` computes the diamond ``d`` of the closure and returns each
-    row ``a`` as the principal filter above ``d(a)``: ``d(m) <= psi``
-    is the test whether row ``m`` holds ``psi``."""
-    gamma = list(gamma)
-    names = _atom_frame(N, psi, *gamma)
-    m = (1 << (1 << len(names))) - 1
-    for g in gamma:
-        m &= truth_table(g, names)
-    rows = _closure_data(len(names), induced_relation(N, names), i)
-    return bool(rows[m] >> truth_table(psi, names) & 1)
+    (the empty meet is top) and test whether d_i(m) lies below ``psi``."""
+    return _output(N, i, [list(gamma)], psi)

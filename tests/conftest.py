@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from subnorm.harness.carriers import load_carrier
 from subnorm.order import poset_from_hasse, validate_poset
-from subnorm.subordination import ProtoSubAlg
+from subnorm.subordination import LOCAL_FLAGS, ProtoSubAlg
 from subnorm.syntax import BOT, TOP, tand, tnot, tor, var
 
 
@@ -78,3 +78,18 @@ def formula_of_table(mask, atoms):
                 term = tand(term, var(name) if v >> j & 1 else tnot(var(name)))
             out = term if out == BOT else tor(out, term)
     return out
+
+
+def has_flags(inst, mask: int) -> bool:
+    """Every flag in ``mask`` is True on the harness instance ``inst``.
+    Flags not yet known are computed local ones first (with the rest of
+    the carrier's table bits), the others in bit order, stopping at the
+    first that is not True: the order in which the runner's
+    ``_Plan.key`` forces them."""
+    while True:
+        if mask & inst._known & ~inst._true:
+            return False
+        todo = mask & ~inst._known
+        if not todo:
+            return True
+        inst._compute(todo & (LOCAL_FLAGS | inst.ctx.table_bits) or todo)

@@ -9,17 +9,21 @@ of its base (``order.subset_tables``); ``close_fixpoint``, the pairwise
 closure that ``subordination.close`` is held to on carriers too large
 for the exhaustive ``closure_oracle``; and ``extremality_oracle``, which
 takes the closure it judges from ``close_i`` (held to those two) unless
-a test plants one.  ``check_oracle`` decides one check on one instance
-by calling each of its parts, with no memo and no flag pattern, as the
-reference for the suite runner.
+a test plants one; and ``closure_output_oracle``, the closure route to
+input/output queries through ``free_boolean_algebra`` and ``close_i``,
+which holds ``close_i`` and its rule systems to ``out_oracle``.
+``check_oracle`` decides one check on one instance by calling each of
+its parts, with no memo and no flag pattern, as the reference for the
+suite runner.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations, product
 
 from subnorm.errors import TooLarge
-from subnorm.order import FinLattice, FinPoset, bits, mask_of, subset_tables
-from subnorm.subordination import Property as P, _bounds, close_i
+from subnorm.order import (FinLattice, FinPoset, bits, free_boolean_algebra, mask_of,
+                           subset_tables)
+from subnorm.subordination import Property as P, ProtoSubAlg, _bounds, close_i
 
 
 def subsets(xs):
@@ -801,6 +805,23 @@ def out_oracle(norms, i: int, a, x, atoms) -> bool:
     else:
         bound = h(frozenset()).union(*(h({v}) for v in a if i == 2 or v in h({v})))
     return bound <= _extension(x, atoms)
+
+
+def closure_output_oracle(norms, i: int, a, x, atoms) -> bool:
+    """Whether ``x`` is in out_i(norms, a) by the closure route: each
+    formula is the set of valuations satisfying it, as a bitmask and so
+    an element of the free Boolean algebra on ``atoms``; the norm pairs
+    are closed under the rules of system ``i`` by ``close_i``, and the
+    query holds iff the pair (a, x) lands in the closure."""
+    table = lambda f: mask_of(_extension(f, atoms))
+    rows = _closed_norm_rows(len(atoms), frozenset((table(b), table(h)) for b, h in norms), i)
+    return bool(rows[table(a)] >> table(x) & 1)
+
+
+@lru_cache(maxsize=None)
+def _closed_norm_rows(k: int, pairs: frozenset, i: int) -> tuple:
+    lat, _ = free_boolean_algebra(k)
+    return close_i(ProtoSubAlg.from_pairs(lat, pairs), i).rows
 
 
 # ---- catalog laws, one pair at a time ----------------------------------

@@ -56,7 +56,7 @@ from subnorm.subordination import (
     subalg_to_json,
 )
 from subnorm.syntax import parse_inequality
-from conftest import leq_relation
+from conftest import has_flags, leq_relation
 from oracles import LAW_ORACLES, LOCAL_LAW_ORACLES, check_oracle, extremality_oracle
 
 P = Property
@@ -76,7 +76,7 @@ def flag(inst, prop):
     """The property's truth on an instance; None when the carrier lacks
     the structure it mentions."""
     bit = flag_mask(prop)
-    if inst.has_flags(bit):
+    if has_flags(inst, bit):
         return True
     return None if inst.ctx.missing & bit else False
 
@@ -90,7 +90,7 @@ def extremal(S, i) -> bool:
 def extremal_bits(inst) -> list[bool]:
     """The catalog's four extremality bits of an instance, read through
     ``has_flags``: the first read decides all four."""
-    return [inst.has_flags(owner.bit) for owner in catalog._EXTREMAL]
+    return [has_flags(inst, owner.bit) for owner in catalog._EXTREMAL]
 
 
 def make_instance(lat, pairs, name="test"):
@@ -199,7 +199,7 @@ class TestVerifyCheck:
         # test_replay_skip_when_gated)
         gated = CHECKS_BY_NAME["diamond-detects-rel"]
         assert runner._verdict(gated, make_instance(b4, [])) == ("skip", None)
-        assert not make_instance(b4, []).has_flags(gated.precondition)
+        assert not has_flags(make_instance(b4, []), gated.precondition)
 
     def test_corrupted_check_reports_counterexample(self, b4, b4_leq):
         inst = Instance(CarrierContext("b4", b4), b4_leq)
@@ -207,7 +207,7 @@ class TestVerifyCheck:
         bad = CheckSpec("negated", "intentionally wrong", "iff",
                         lhs=good.lhs, rhs=NOT_INFLATIONARY.bit)
         want = check_oracle("iff", Instance(inst.ctx, b4_leq),
-                            lhs=lambda i: i.has_flags(good.lhs), rhs=NOT_INFLATIONARY.test)
+                            lhs=lambda i: has_flags(i, good.lhs), rhs=NOT_INFLATIONARY.test)
         assert runner._verdict(bad, inst) == want == ("fail", {"lhs": True, "rhs": False})
 
     def test_law_failure_detail(self, b4, b4_leq):
@@ -238,7 +238,7 @@ class TestVerifyCheck:
                     inst = Instance(ctx, S)
                     sa = build_slanted(S, ctx.ext)
                     for spec in specs:
-                        if not inst.has_flags(spec.precondition):
+                        if not has_flags(inst, spec.precondition):
                             continue
                         try:
                             want = [valid(sa, parse_inequality(text),
@@ -247,7 +247,7 @@ class TestVerifyCheck:
                         except NotMonotone:
                             continue
                         exercised[spec.name] += 1
-                        assert inst.has_flags(spec.rhs) == all(want), (spec.name, S.prec.pairs())
+                        assert has_flags(inst, spec.rhs) == all(want), (spec.name, S.prec.pairs())
         assert min(exercised.values()) >= 20, exercised
 
 
@@ -764,7 +764,7 @@ class TestPreconditions:
             for S in rels:
                 inst, h = Instance(ctx, S), OracleFlags(S)
                 for spec in CATALOG:
-                    got = inst.has_flags(spec.precondition)
+                    got = has_flags(inst, spec.precondition)
                     assert got == PRECONDITIONS[spec.name](h, S, facts), (name, S, spec.name)
                     seen[spec.name].add(got)
             # a property the carrier lacks the structure for is never a
@@ -774,7 +774,7 @@ class TestPreconditions:
                     property_holds(rels[0], q)
                 except MissingStructure:
                     inst = Instance(ctx, rels[0])
-                    assert flag(inst, q) is None and not inst.has_flags(flag_mask(q)), (name, q)
+                    assert flag(inst, q) is None and not has_flags(inst, flag_mask(q)), (name, q)
         # only the empty precondition and the lattice condition hold
         # everywhere: every carrier is a lattice
         always = {name for name, pre in PRECONDITIONS.items()
@@ -841,7 +841,7 @@ class TestLocalSides:
         holds = _compile_inequality("[]F <= F").holds
         seen = set()
         for S in random_relations(b4, 30, 5, (0.1, 0.3)):
-            got = Instance(ctx, S).has_flags(late)
+            got = has_flags(Instance(ctx, S), late)
             assert got == holds(Instance(ctx, S)), S
             seen.add(got)
         assert seen == {True, False}
@@ -869,7 +869,7 @@ class TestLocalSides:
             for S in rels:
                 inst, fresh = Instance(ctx, S), Instance(ctx, S)
                 for side, oracle in sides.items():
-                    got = inst.has_flags(side.bit)
+                    got = has_flags(inst, side.bit)
                     assert got == oracle(fresh), (name, S, side.side)
                     seen[side].add(got)
                 for spec, oracle in specs:
@@ -959,7 +959,7 @@ def predicate(part):
     """A check part as a predicate of the instance: a flag mask holds when
     every bit in it is True, and a ``law`` body is its own predicate."""
     if isinstance(part, int):
-        return lambda inst: inst.has_flags(part)
+        return lambda inst: has_flags(inst, part)
     return part
 
 
@@ -1172,7 +1172,7 @@ class TestGroupedRunner:
         checks = report["checks"].values()
         assert 0 < len(calls) < sum(st["tested"] for st in checks)
         assert all(spec.mode == "law" and callable(spec.law) for spec, *_ in calls)
-        assert all(Instance(ctx, S).has_flags(spec.precondition) for spec, ctx, S, _ in calls)
+        assert all(has_flags(Instance(ctx, S), spec.precondition) for spec, ctx, S, _ in calls)
         assert "skip" not in {status for *_, status in calls}
         assert sum(st["skips"] for st in checks) > 0
 
@@ -1200,7 +1200,7 @@ class TestGroupedRunner:
                 if len(props) == 1:
                     assert flag(inst, props[0]) is want[props[0]], (name, S, props)
                 else:
-                    assert inst.has_flags(flag_mask(*props)) == all(
+                    assert has_flags(inst, flag_mask(*props)) == all(
                         want[q] is True for q in props), (name, S, props)
         if lat.neg is None:
             assert flag(Instance(ctx, sample[0]), P.S6) is None
@@ -1250,14 +1250,14 @@ def ask(specs, inst) -> None:
     for spec in specs:
         groups.setdefault(spec.precondition, []).append(spec)
     for pre, group in groups.items():
-        if not inst.has_flags(pre):
+        if not has_flags(inst, pre):
             continue
         for spec in group:
             if spec.mode != "law":
-                if inst.has_flags(spec.lhs) or spec.mode == "iff":
-                    inst.has_flags(spec.rhs)
+                if has_flags(inst, spec.lhs) or spec.mode == "iff":
+                    has_flags(inst, spec.rhs)
             elif isinstance(spec.law, int):
-                inst.has_flags(spec.law)
+                has_flags(inst, spec.law)
 
 
 class TestForcing:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnorm.errors import ParseError, TooManyVariables
+from subnorm.errors import InputFormatError, ParseError, TooManyVariables
 from subnorm.iologic import (
     Norm,
     NormativeSystem,
@@ -31,7 +31,7 @@ from subnorm.syntax import (
     var,
 )
 from conftest import formula_of_table
-from oracles import eval_formula_oracle, out_oracle
+from oracles import closure_output_oracle, eval_formula_oracle, out_oracle
 
 F = parse_formula
 
@@ -179,6 +179,24 @@ class TestOut:
         assert out(N2, 1, [F("r"), F("p")], F("q"))
 
 
+@pytest.mark.parametrize("gamma", [[], [F("p")]], ids=["empty", "nonempty"])
+@pytest.mark.parametrize("norms, i, error", [
+    ("p |~ q", 0, InputFormatError),
+    ("p |~ q", 5, InputFormatError),
+    ("p |~ q\nr |~ s", 1, TooManyVariables),
+], ids=["system-0", "system-5", "four-atoms"])
+@pytest.mark.parametrize("query", [
+    lambda N, i, gamma, psi: derive(N, i, (gamma[0] if gamma else TOP, psi)),
+    out,
+    modal_output,
+], ids=["derive", "out", "modal_output"])
+def test_rejected_queries_raise(query, norms, i, error, gamma):
+    # the system and the atom cap are checked before any input is met,
+    # so an empty gamma (for derive, the body T) raises as well
+    with pytest.raises(error):
+        query(NormativeSystem.parse(norms), i, gamma, F("q"))
+
+
 class TestModalOutput:
     def test_aggregates_across_bodies(self):
         N = NormativeSystem.parse("p & q |~ s")
@@ -251,7 +269,10 @@ def seeded_query(rng, pairs, atoms):
 
 class TestOutputOracle:
     """``derive``, ``out`` and ``modal_output`` against the semantic
-    characterisations of out1..out4 (``oracles.out_oracle``)."""
+    characterisations of out1..out4 (``oracles.out_oracle``), and the
+    closure route (``oracles.closure_output_oracle``) against them on
+    the same queries, so that ``close_i`` and its rule systems stay held
+    to the semantics."""
 
     def test_derive_every_norm_set_over_one_atom(self):
         norms = [(b, h) for b in ONE_ATOM for h in ONE_ATOM]
@@ -264,6 +285,7 @@ class TestOutputOracle:
                         for x in ONE_ATOM:
                             want = out_oracle(pairs, i, a, x, ["p"])
                             assert derive(N, i, (a, x)) == want, (str(N), i, a, x)
+                            assert closure_output_oracle(pairs, i, a, x, ["p"]) == want
                             outcomes[i, want] += 1
         assert min(outcomes.values()) >= 1000, outcomes
 
@@ -280,6 +302,7 @@ class TestOutputOracle:
                     a, x = seeded_query(rng, pairs, atoms)
                     want = out_oracle(pairs, i, a, x, atoms)
                     assert derive(N, i, (a, x)) == want, (str(N), i, a, x)
+                    assert closure_output_oracle(pairs, i, a, x, atoms) == want
                     outcomes[i, want] += 1
         assert min(outcomes.values()) >= count, outcomes
 
@@ -306,6 +329,9 @@ class TestOutputOracle:
                     assert out(N, i, gamma, psi) == want, (str(N), i, gamma, psi)
                     want_modal = out_oracle(pairs, i, conjoined, psi, atoms)
                     assert modal_output(N, i, gamma, psi) == want_modal, (str(N), i, gamma, psi)
+                    assert want == any(closure_output_oracle(pairs, i, g, psi, atoms)
+                                       for g in gamma)
+                    assert closure_output_oracle(pairs, i, conjoined, psi, atoms) == want_modal
                     outcomes["out", want] += 1
                     outcomes["modal", want_modal] += 1
         assert min(outcomes.values()) >= count, outcomes

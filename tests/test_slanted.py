@@ -31,7 +31,7 @@ from subnorm.syntax import (
 from subnorm.harness import CarrierContext, Instance
 from subnorm.harness.catalog import _NORMAL, _REGULAR, _monotone
 from subnorm.harness.generate import relation_from_int
-from conftest import leq_relation, term_trees
+from conftest import has_flags, leq_relation, term_trees
 
 
 def dia_closed(sa):
@@ -124,7 +124,7 @@ class TestClassifySlanted:
     @staticmethod
     def laws(S):
         inst = Instance(CarrierContext("b4", S.lattice), S)
-        return tuple(map(inst.has_flags, (_monotone("dia", "box"), _REGULAR, _NORMAL)))
+        return tuple(has_flags(inst, m) for m in (_monotone("dia", "box"), _REGULAR, _NORMAL))
 
     def test_leq_all_flags(self, b4_leq):
         assert self.laws(b4_leq) == (True, True, True)

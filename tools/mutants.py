@@ -1,7 +1,8 @@
 """Code mutants of the local table, the local catalog sides, the flag bits
 that preconditions and check sides read, the closure-extremality verdict
 table, the runner's decision of a check from its flag bits, its memos
-and the replay path, the property sweeps and the closure.
+and the replay path, the property sweeps, the closure and its rule
+systems, and the output operators d1..d4 of input/output logic.
 
 Each mutant is one ``(file, old, new)`` patch.  The runner copies the
 repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -40,10 +41,12 @@ ROOT = Path(__file__).resolve().parent.parent
 #: local sides against the per-instance bodies, each fact a check side
 #: reads decided once per instance, the extremality bits against the
 #: map enumeration and the verdict table's miss path, the forcing memo
-#: against asking ``has_flags``, the flag bitmasks against
+#: against asking for each mask in turn, the flag bitmasks against
 #: ``property_holds``, the runner's plans and memo against the naive
 #: loop, replayed counterexamples, the witness digest, the closure
-#: against its oracles and the closure digest
+#: against its oracles, the closure digest, and ``derive``, ``out`` and
+#: ``modal_output`` with the closure route against the semantics of
+#: out1..out4
 FAST = (
     "tests/test_harness.py::TestExtremalityFlags",
     "tests/test_harness.py::TestForcing",
@@ -57,9 +60,11 @@ FAST = (
     "tests/test_witness_digest.py",
     "tests/test_subordination.py::TestClose",
     "tests/test_closure_digest.py",
+    "tests/test_iologic.py::TestOutputOracle",
 )
 
 CATALOG = "src/subnorm/harness/catalog.py"
+IOLOGIC = "src/subnorm/iologic.py"
 MAXIMALITY = "src/subnorm/harness/maximality.py"
 RUN = "src/subnorm/harness/run.py"
 SUBORDINATION = "src/subnorm/subordination.py"
@@ -190,6 +195,21 @@ MUTANTS = (
     Mutant("distributivity-guard-dropped", SUBORDINATION,
            "if lat.is_distributive:",
            "if True:"),
+    # the rule systems that `close_i` closes under, held to the semantics
+    # through the closure route of the input/output tests
+    Mutant("system-2-without-or", SUBORDINATION,
+           "    2: frozenset({Property.TOP, Property.SI, Property.WO, Property.AND, Property.OR}),",
+           "    2: frozenset({Property.TOP, Property.SI, Property.WO, Property.AND}),"),
+    # the pointwise output operators of `iologic._output`
+    Mutant("d3-fixpoint-from-top", IOLOGIC,
+           "            b = a\n",
+           "            b = top\n"),
+    Mutant("d4-without-its-filter", IOLOGIC,
+           "if i == 2 or hv >> v & 1:",
+           "if True:"),
+    Mutant("d2-without-h-of-bottom", IOLOGIC,
+           "        out = h(0)\n",
+           "        out = h(0) if i == 4 else 0\n"),
 )
 
 
