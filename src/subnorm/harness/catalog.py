@@ -2,7 +2,7 @@
 
 Each entry ties a first-order property of the relation to a statement
 about the induced operators (an operator law, an inequality evaluated
-in the completion, a dual-space condition, or an extremality claim) and
+in the carrier, a dual-space condition, or an extremality claim) and
 says whether the link is an equivalence or a one-directional
 implication.  One-sided statements stay one-sided here; equivalences
 are claimed only where they hold under the entry's preconditions.
@@ -53,18 +53,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .. import duality
 from ..completion import extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
-from ..order import (FinLattice, bits, is_monotone, negation_law_failure, subset_law_failure,
-                     subset_tables)
+from ..order import bits, is_monotone, negation_law_failure, subset_law_failure, subset_tables
 from ..subordination import (FLAG_PROPERTIES, LOCAL_FLAGS, LOCAL_TESTS, SUBORDINATION_RULES,
                              flag_mask)
 from ..subordination import Property as P
-from ..syntax import parse_inequality, subterms, term_variables
+from ..syntax import evaluate, parse_inequality, subterms, term_variables
 from .maximality import _N_CAP, verify_prop41
 
 _SUBSET_SCAN_CAP = 8
@@ -261,8 +259,7 @@ def local_flags(S, table: tuple[int, tuple, tuple]) -> int:
 
 # ---- conditions on the carrier, and seriality ----------------------------
 
-_LATTICE = CarrierCondition(lambda ctx: isinstance(ctx.lat, FinLattice))
-_DISTRIBUTIVE = CarrierCondition(lambda ctx: _LATTICE.test(ctx) and ctx.lat.is_distributive)
+_DISTRIBUTIVE = CarrierCondition(lambda ctx: ctx.lat.is_distributive)
 _SMALL_ENOUGH_FOR_SUBSETS = CarrierCondition(lambda ctx: ctx.lat.n <= _SUBSET_SCAN_CAP)
 _SMALL_ENOUGH_FOR_MAPS = CarrierCondition(lambda ctx: ctx.lat.n <= _N_CAP)
 
@@ -291,67 +288,21 @@ def _monotone(*operators) -> int:
     return _flags(*(_MONOTONE[op] for op in operators))
 
 
-# Operator inequalities are written as the paper states them and compiled
-# once.  A modal-free subterm (variables, T, F, &, |, ~) is evaluated in
-# the carrier; <>, [] and ~ applied to a modal-free subterm read the base
-# dia, box and negation tables; only an operator applied to a term that
-# already contains an operator reads sigma, pi or the lifted negation.
-# The base reading needs no extension, so the inclusion characterisations
-# stay meaningful on non-monotone instances, where sigma/pi are undefined.
-
-# operator -> (table read on carrier elements, table read on completion elements)
-_UNARY = {"dia": ("dia", "sigma"), "box": ("box", "pi"),
-          "not": ("lat.neg", "ctx.neg_delta")}
-
+# Operator inequalities are written as the paper states them, parsed once
+# and evaluated by ``syntax.evaluate`` in the carrier, with the base dia,
+# box and negation tables.  Every carrier is a lattice, so the carrier is
+# its own completion, the lifted negation is the carrier's, and the
+# sigma/pi extension of a monotone operator is the operator; an operator
+# is nested inside another only under SI or WO, which make the nested
+# one monotone.  The base reading needs no extension, so
+# the inclusion characterisations stay meaningful on non-monotone
+# instances, where sigma/pi are undefined.
 
 @lru_cache(maxsize=None)
-def _columns(n: int, k: int) -> tuple[tuple, ...]:
+def _columns(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Per-variable columns of all ``n^k`` assignments in lexicographic
-    order; without variables, one column holding the empty assignment."""
-    xs = tuple(product(range(n), repeat=k))
-    return tuple(zip(*xs)) or (xs,)
-
-
-def _mapped(table: str, values):
-    read = attrgetter(table)
-
-    def mapped(inst, cols):
-        tab = read(inst)
-        return [tab[v] for v in values(inst, cols)]
-
-    return mapped
-
-
-def _lifted(values, base: bool):
-    return _mapped("embed", values) if base else values
-
-
-def _compile_term(t, names: list[str]):
-    """``(values, base)``: ``values(inst, cols)`` lists the term's value
-    under each assignment of the columns, as carrier elements when
-    ``base`` and as completion elements otherwise."""
-    kind = t[0]
-    if kind == "var":
-        i = names.index(t[1])
-        return (lambda inst, cols: cols[i]), True
-    if kind in ("top", "bot"):
-        return (lambda inst, cols: [getattr(inst.lat, kind)] * len(cols[0])), True
-    if kind in ("and", "or"):
-        (left, lb), (right, rb) = (_compile_term(s, names) for s in t[1:])
-        base = lb and rb
-        if not base:
-            left, right = _lifted(left, lb), _lifted(right, rb)
-        read = attrgetter(("lat." if base else "delta.")
-                          + ("meet" if kind == "and" else "join"))
-
-        def binary(inst, cols):
-            op = read(inst)
-            return [op[u][v] for u, v in zip(left(inst, cols), right(inst, cols))]
-
-        return binary, base
-    inner, inner_base = _compile_term(t[1], names)
-    table = _UNARY[kind][0 if inner_base else 1]
-    return _mapped(table, inner), inner_base and kind == "not"
+    order."""
+    return tuple(zip(*product(range(n), repeat=k)))
 
 
 class _Compiled(NamedTuple):
@@ -362,41 +313,34 @@ class _Compiled(NamedTuple):
 @lru_cache(maxsize=None)
 def _compile_inequality(text: str) -> _Compiled:
     ineq = parse_inequality(text)
-    names = term_variables(ineq.lhs, ineq.rhs)
-    lhs, rhs = (_lifted(*_compile_term(t, names)) for t in (ineq.lhs, ineq.rhs))
+    names = tuple(term_variables(ineq.lhs, ineq.rhs))
 
-    def leq(inst, cols) -> bool:
-        up = inst.delta.poset.up
-        return all(up[u] >> v & 1 for u, v in zip(lhs(inst, cols), rhs(inst, cols)))
+    def leq(lat, dia, box, valuation) -> bool:
+        """The inequality under every assignment of ``valuation``, with
+        ``dia``/``box`` as the operators' tables."""
+        unary = {"dia": dia, "box": box, "not": lat.neg}
+        up = lat.poset.up
+        return all(up[u] >> v & 1 for u, v in zip(evaluate(ineq.lhs, valuation, lat, unary),
+                                                  evaluate(ineq.rhs, valuation, lat, unary)))
 
     def holds(inst) -> bool:
-        return leq(inst, _columns(inst.n, len(names)))
+        lat = inst.ctx.lat
+        return leq(lat, inst.dia, inst.box, dict(zip(names, _columns(lat.n, len(names)))))
 
     side = _local_side(ineq, names, leq) or Fact(holds)
     side.text = text
     return _Compiled(holds, side)
 
 
-class _StandIn:
-    """What a compiled local inequality reads at one index: the carrier's
-    tables, with the operator's table standing in as ``v`` at every index."""
-
-    __slots__ = ("ctx", "lat", "delta", "embed", "dia", "box")
-
-    def __init__(self, ctx, v: int):
-        self.ctx, self.lat, self.delta, self.embed = ctx, ctx.lat, ctx.delta, ctx.embed
-        self.dia = self.box = (v,) * ctx.lat.n
-
-
-def _local_side(ineq, names: list[str], leq) -> Optional[Local]:
+def _local_side(ineq, names: tuple[str, ...], leq) -> Optional[Local]:
     """The inequality as a ``Local`` side, when it has at most one
     variable, only one of ``<>``/``[]`` occurs, and every occurrence is
     applied to one and the same variable or constant: then an assignment
     reads the operator at one index only, the variable's value or the
-    constant.  The test evaluates the compiled sides with the operator
-    standing in as the row's meet (the column's join): under ``x = a`` at
-    index ``a``; under every assignment at a constant's own index, and
-    vacuously elsewhere."""
+    constant.  The test evaluates the inequality with the operator's
+    table standing in as ``v``, the row's meet (the column's join), at
+    every index: under ``x = a`` at index ``a``; under every assignment
+    at a constant's own index, and vacuously elsewhere."""
     applied = {s for t in (ineq.lhs, ineq.rhs) for s in subterms(t) if s[0] in ("dia", "box")}
     if len(names) > 1 or len({s[0] for s in applied}) != 1:
         return None
@@ -405,13 +349,18 @@ def _local_side(ineq, names: list[str], leq) -> Optional[Local]:
         return None
     (operand,) = operands
     side = "rows" if next(iter(applied))[0] == "dia" else "cols"
+
+    def at(ctx, v: int, valuation) -> bool:
+        stand_in = (v,) * ctx.lat.n
+        return leq(ctx.lat, stand_in, stand_in, valuation)
+
     if operand[0] == "var":
-        return Local(side, lambda ctx, a, m, v: leq(_StandIn(ctx, v), ((a,),)),
-                     reads_mask=False)
+        return Local(side, lambda ctx, a, m, v: at(ctx, v, {names[0]: (a,)}), reads_mask=False)
     if operand[0] in ("top", "bot"):
         return Local(side, lambda ctx, a, m, v: (
             a != getattr(ctx.lat, operand[0])
-            or leq(_StandIn(ctx, v), _columns(ctx.lat.n, len(names)))), reads_mask=False)
+            or at(ctx, v, dict(zip(names, _columns(ctx.lat.n, len(names)))))),
+            reads_mask=False)
     return None
 
 
@@ -631,11 +580,9 @@ CATALOG: tuple[CheckSpec, ...] = (
               law=_BOX_DETECTS),
     # -- directedness from the binary rules ------------------------------
     CheckSpec("or-implies-updirected", "OR forces UD on lattice carriers",
-              "implies", precondition=_flags(_LATTICE),
-              lhs=_flags(P.OR), rhs=_flags(P.UD)),
+              "implies", lhs=_flags(P.OR), rhs=_flags(P.UD)),
     CheckSpec("and-implies-downdirected", "AND forces DD on lattice carriers",
-              "implies", precondition=_flags(_LATTICE),
-              lhs=_flags(P.AND), rhs=_flags(P.DD)),
+              "implies", lhs=_flags(P.AND), rhs=_flags(P.DD)),
     CheckSpec("updirected-iff-or-under-si", "under SI, UD and OR coincide",
               "iff", precondition=_flags(P.SI),
               lhs=_flags(P.UD), rhs=_flags(P.OR)),
@@ -651,8 +598,7 @@ CATALOG: tuple[CheckSpec, ...] = (
               lhs=_flags(P.SI, P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("and-makes-box-multiplicative-ud",
               "SI+UD+AND force []a ^ []b <= [](a ^ b)",
-              "implies", precondition=_flags(_LATTICE),
-              lhs=_flags(P.SI, P.UD, P.AND), rhs=_BOX_MULTIPLICATIVE),
+              "implies", lhs=_flags(P.SI, P.UD, P.AND), rhs=_BOX_MULTIPLICATIVE),
     CheckSpec("wo-makes-box-monotone", "WO makes the box monotone",
               "implies", lhs=_flags(P.WO), rhs=_monotone("box")),
     CheckSpec("or-makes-diamond-additive-dl",
@@ -661,14 +607,11 @@ CATALOG: tuple[CheckSpec, ...] = (
               lhs=_flags(P.WO, P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("or-makes-diamond-additive-dd",
               "WO+DD+OR force <>(a v b) <= <>a v <>b",
-              "implies", precondition=_flags(_LATTICE),
-              lhs=_flags(P.WO, P.DD, P.OR), rhs=_DIA_ADDITIVE),
+              "implies", lhs=_flags(P.WO, P.DD, P.OR), rhs=_DIA_ADDITIVE),
     CheckSpec("bot-rule-grounds-diamond", "the bottom rule forces <>F <= F",
-              "implies", precondition=_flags(_LATTICE),
-              lhs=_flags(P.BOT), rhs=_DIA_GROUNDED),
+              "implies", lhs=_flags(P.BOT), rhs=_DIA_GROUNDED),
     CheckSpec("top-rule-caps-box", "the top rule forces T <= []T",
-              "implies", precondition=_flags(_LATTICE),
-              lhs=_flags(P.TOP), rhs=_BOX_CAPPED),
+              "implies", lhs=_flags(P.TOP), rhs=_BOX_CAPPED),
     # -- converses under directedness ------------------------------------
     CheckSpec("si-iff-diamond-monotone", "under WO+DD, SI = diamond monotone",
               "iff", precondition=_DIA_DIRECTED,
@@ -763,15 +706,15 @@ CATALOG: tuple[CheckSpec, ...] = (
     CheckSpec("ct-iff-diamond-contraction",
               "under WO+DD+SI, the contraction rule = <>a <= <>(a ^ <>a)",
               "iff",
-              precondition=_flags(P.WO, P.DD, P.SI, _LATTICE, _DIA_SERIAL),
+              precondition=_flags(P.WO, P.DD, P.SI, _DIA_SERIAL),
               lhs=_flags(P.CT), rhs=_inequalities("<>a <= <>(a & <>a)")),
     CheckSpec("sl2-iff-diamond-meet-distribution",
               "under WO+DD+SI, SL2 = <>(<>a ^ <>b) <= <>(a ^ b)",
               "iff",
-              precondition=_flags(P.WO, P.DD, P.SI, _LATTICE, _DIA_SERIAL),
+              precondition=_flags(P.WO, P.DD, P.SI, _DIA_SERIAL),
               lhs=_flags(P.SL2), rhs=_inequalities("<>(<>a & <>b) <= <>(a & b)")),
     CheckSpec("ct-implies-t-under-si", "under SI, contraction forces transitivity",
-              "implies", precondition=_flags(P.SI, _LATTICE),
+              "implies", precondition=_flags(P.SI),
               lhs=_flags(P.CT), rhs=_flags(P.T)),
     CheckSpec("s6-iff-negated-diamond-is-box",
               "on directed involutive carriers, S6 = (~<>a is []~a)",

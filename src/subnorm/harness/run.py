@@ -61,7 +61,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, Optional
 
-from ..completion import dm_completion, extend_negation_sigma
+from ..completion import dm_completion
 from ..duality import (
     jirr_points,
     primefilter_points,
@@ -155,10 +155,6 @@ class CarrierContext:
                                 for u in range(self.delta.n))
         self.neg_report = (check_negation_laws(lat, lat.neg)
                            if lat.neg is not None else None)
-        self.neg_delta = None
-        if (self.neg_report is not None and self.neg_report.antitone
-                and self.neg_report.left_self_adjoint):
-            self.neg_delta = extend_negation_sigma(self.ext, lat.neg)
         self.local = local_tables(self)
         self.table_bits = self.local[0] if self.local else 0
         self.settled, self.held = carrier_bits(self)
@@ -234,10 +230,6 @@ class Instance:
     @property
     def delta(self):
         return self.ctx.delta
-
-    @property
-    def embed(self):
-        return self.ctx.embed
 
     def _compute(self, todo: int) -> None:
         """Compute the lowest flag of ``todo``: all of the carrier's

@@ -10,9 +10,12 @@ bitmask over the ``2^k`` valuations of the atoms in play, so meet is
 the heads of the norms whose body lies above b (the empty meet is top):
 d1(a) = h(a); d2(a) = h(bot) joined with h({v}) over the valuations v in
 a; d3(a) = h(b*), b* the greatest fixpoint of b -> a & h(b), reached from
-b = a; d4(a) is d2(a) taken only over the v with v in h({v}).  The atoms
-are capped at three, the cap of the free Boolean algebra ``truth_table``
-evaluates in; bigger queries are rejected rather than truncated.
+b = a; d4(a) is d2(a) taken only over the v with v in h({v}).  A truth
+table is one ``syntax.evaluate`` walk of the formula over all ``2^k``
+valuations at once, in the two-element algebra.  The atoms are capped
+at three, as far as the tests' closure route on the free Boolean
+algebra checks the output operators; bigger queries are rejected
+(``TooManyVariables``) rather than truncated.
 
 ``derive(N, i, (a, x))`` asks whether ``x`` is in out_i(N, a);
 ``out(N, i, gamma, psi)`` whether some body in ``gamma`` yields ``psi``;
@@ -27,24 +30,42 @@ Boolean algebra, closed under system i by ``subordination.close_i``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import and_
 from typing import Iterable, Sequence
 
-from .errors import InputFormatError, ParseError
+from .errors import InputFormatError, ParseError, TooManyVariables
 from .order import bits, free_boolean_algebra
 from .subordination import close_i  # noqa: F401  (perfbench traces this binding)
 from .syntax import Term, evaluate, format_term, parse_formula, term_variables
 
 
+#: the most atoms a query may have
+_ATOM_CAP = 3
+
+_TWO, _ = free_boolean_algebra(0)
+
+
+@lru_cache(maxsize=None)
+def _valuation_columns(k: int) -> tuple[tuple[int, ...], ...]:
+    """Column ``i`` holds atom ``i``'s truth value (0 or 1, the elements
+    of the two-element algebra) under each of the ``2^k`` valuations."""
+    return tuple(tuple(v >> i & 1 for v in range(1 << k)) for i in range(k))
+
+
 def truth_table(f: Term, atoms_order: Sequence[str]) -> int:
     """Truth table of ``f`` as a bitmask over the ``2^k`` valuations of
     the given atom order (valuation ``v`` sets atom ``i`` iff bit ``i``
-    of ``v`` is set): its value in the free Boolean algebra on those
-    atoms, each atom sent to its generator."""
-    lat, gens = free_boolean_algebra(len(atoms_order))
-    return evaluate(f, dict(zip(atoms_order, gens)), lat, {"not": lat.neg})
+    of ``v`` is set): its column of values in the two-element algebra,
+    read as bits.  More than ``_ATOM_CAP`` atoms raise
+    ``TooManyVariables``."""
+    k = len(atoms_order)
+    if k > _ATOM_CAP:
+        raise TooManyVariables(k, _ATOM_CAP)
+    column = evaluate(f, dict(zip(atoms_order, _valuation_columns(k))), _TWO,
+                      {"not": _TWO.neg})
+    return sum(x << v for v, x in enumerate(column))
 
 
 # ---------------------------------------------------------------------------

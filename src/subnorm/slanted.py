@@ -14,12 +14,14 @@ assignments over *base* elements only.  Negation inside terms is
 interpreted by a single, caller-selected lifting of the carrier
 negation (sigma by default): on finite involutive carriers the two
 liftings coincide, and mixing them inside one inequality is never
-needed here.
+needed here.  ``valid`` runs ``syntax.evaluate`` over blocks of at most
+``_BLOCK`` assignments, so its memory does not grow with the ``n^k``
+assignments of ``k`` variables.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import Optional, Sequence
 
 from .completion import (
@@ -95,12 +97,21 @@ def pi_extension(sa: SlantedAlg) -> tuple[int, ...]:
                     from_below=False, sigma=False)
 
 
+_NEGATION_LIFTINGS = {"sigma": extend_negation_sigma, "pi": extend_negation_pi}
+
+#: the most assignments ``valid`` evaluates at once
+_BLOCK = 4096
+
+
 def operator_tables(sa: SlantedAlg, *terms: Term,
                     neg_mode: str = "sigma") -> dict[str, tuple[int, ...]]:
     """The tables ``syntax.evaluate`` reads for the unary operators the
     terms use, all on the completion: ``<>`` the sigma extension of the
     diamond, ``[]`` the pi extension of the box, ``~`` the ``neg_mode``
-    lifting of the carrier negation."""
+    lifting of the carrier negation.  An unknown ``neg_mode`` is an
+    ``InputFormatError`` whether or not the terms use ``~``."""
+    if neg_mode not in _NEGATION_LIFTINGS:
+        raise InputFormatError(f"unknown negation mode {neg_mode!r}")
     ops = {s[0] for t in terms for s in subterms(t)}
     tables = {}
     if "dia" in ops:
@@ -112,12 +123,7 @@ def operator_tables(sa: SlantedAlg, *terms: Term,
         base_neg = lat.neg if lat is not None else None
         if base_neg is None:
             raise MissingNegation("term uses ~ but the carrier has no negation")
-        if neg_mode == "sigma":
-            tables["not"] = extend_negation_sigma(sa.ext, base_neg)
-        elif neg_mode == "pi":
-            tables["not"] = extend_negation_pi(sa.ext, base_neg)
-        else:
-            raise InputFormatError(f"unknown negation mode {neg_mode!r}")
+        tables["not"] = _NEGATION_LIFTINGS[neg_mode](sa.ext, base_neg)
     return tables
 
 
@@ -126,14 +132,20 @@ def valid(sa: SlantedAlg, ineq: Inequality,
     """Validity over all assignments of base elements to variables.
 
     Returns the lexicographically first failing assignment (variables in
-    sorted order, elements in index order) as the witness.
+    sorted order, elements in index order) as the witness.  Assignments
+    are evaluated ``_BLOCK`` at a time, in that order.
     """
     names = term_variables(ineq.lhs, ineq.rhs)
     unary = operator_tables(sa, ineq.lhs, ineq.rhs, neg_mode=neg_mode)
     delta, embed = sa.delta, sa.ext.embed
-    for values in product(range(sa.n), repeat=len(names)):
-        valuation = {name: embed[x] for name, x in zip(names, values)}
-        if not delta.leq(evaluate(ineq.lhs, valuation, delta, unary),
-                         evaluate(ineq.rhs, valuation, delta, unary)):
-            return False, dict(zip(names, values))
+    up = delta.poset.up
+    assignments = product(range(sa.n), repeat=len(names))
+    while block := list(islice(assignments, _BLOCK)):
+        valuation = {name: [embed[x] for x in column]
+                     for name, column in zip(names, zip(*block))}
+        lhs = evaluate(ineq.lhs, valuation, delta, unary)
+        rhs = evaluate(ineq.rhs, valuation, delta, unary)
+        for values, u, v in zip(block, lhs, rhs):
+            if not up[u] >> v & 1:
+                return False, dict(zip(names, values))
     return True, None

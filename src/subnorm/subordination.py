@@ -105,8 +105,8 @@ SYSTEM_RULES = {
                   Property.OR, Property.CT}),
 }
 
-_NEEDS_LATTICE = {Property.AND, Property.OR, Property.CT,
-                  Property.S9_FWD, Property.S9_BWD, Property.SL1, Property.SL2}
+_NEEDS_MEET_JOIN = {Property.AND, Property.OR, Property.CT,
+                    Property.S9_FWD, Property.S9_BWD, Property.SL1, Property.SL2}
 _NEEDS_BOUNDS = {Property.BOT, Property.TOP, Property.PROPER}
 
 
@@ -228,7 +228,7 @@ def _bounds(carrier: Carrier) -> tuple[int, int]:
 
 
 def _require(S: ProtoSubAlg, prop: Property) -> None:
-    if prop in _NEEDS_LATTICE and S.lattice is None:
+    if prop in _NEEDS_MEET_JOIN and S.lattice is None:
         raise MissingStructure(prop.value, "lattice operations")
     if prop is Property.S6 and (S.lattice is None or S.lattice.neg is None):
         raise MissingStructure("S6", "a negation table on the carrier")

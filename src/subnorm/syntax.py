@@ -17,6 +17,11 @@ parenthesis nested deeper than ``MAX_DEPTH`` is a ``ParseError`` at that
 parenthesis, and a term nested deeper is one at the operator whose
 subterm first exceeds the bound, so every tree the parsers return can be
 walked recursively.
+
+``evaluate`` is the one evaluator of terms.  It walks a term once over a
+column of assignments, not once per assignment: the catalog's
+inequalities (``harness.catalog``), modal validity (``slanted.valid``)
+and truth tables (``iologic.truth_table``) all run it.
 """
 
 from __future__ import annotations
@@ -249,13 +254,17 @@ def term_variables(*terms: Term) -> list[str]:
     return sorted({s[1] for t in terms for s in subterms(t) if s[0] == "var"})
 
 
-def evaluate(t: Term, valuation: Mapping[str, int], lat: FinLattice,
-             unary: Mapping[str, Optional[Sequence[int]]]) -> int:
-    """Value of ``t`` as an element index of ``lat``.
+def evaluate(t: Term, valuation: Mapping[str, Sequence[int]], lat: FinLattice,
+             unary: Mapping[str, Optional[Sequence[int]]]) -> Sequence[int]:
+    """Values of ``t`` as element indices of ``lat``, one per assignment.
 
-    Variables are read from ``valuation``; ``T F & |`` from ``lat``'s
-    bounds and meet/join tables; ``~ <> []`` from the tables ``unary``
-    holds under ``not``/``dia``/``box``; ``a -> b`` is ``join(~a, b)``.
+    ``valuation`` maps each variable to its column, the variable's value
+    under each assignment (every column of one length); the result is
+    the column of ``t``, of that length, or of one entry when
+    ``valuation`` is empty.  Variables are read from ``valuation``;
+    ``T F & |`` from ``lat``'s bounds and meet/join tables; ``~ <> []``
+    from the tables ``unary`` holds under ``not``/``dia``/``box``;
+    ``a -> b`` is ``join(~a, b)``.
     """
     kind = t[0]
     if kind == "var":
@@ -263,18 +272,18 @@ def evaluate(t: Term, valuation: Mapping[str, int], lat: FinLattice,
             return valuation[t[1]]
         except KeyError:
             raise UnboundVariable(t[1]) from None
-    if kind == "top":
-        return lat.top
-    if kind == "bot":
-        return lat.bot
+    if kind in ("top", "bot"):
+        width = len(next(iter(valuation.values()))) if valuation else 1
+        return [getattr(lat, kind)] * width
     if kind in ("not", "imp") and unary.get("not") is None:
         raise MissingNegation("~ and -> need a carrier negation")
     if kind in ("not", "dia", "box"):
-        return unary[kind][evaluate(t[1], valuation, lat, unary)]
+        table = unary[kind]
+        return [table[x] for x in evaluate(t[1], valuation, lat, unary)]
     left = evaluate(t[1], valuation, lat, unary)
     right = evaluate(t[2], valuation, lat, unary)
-    if kind == "and":
-        return lat.meet[left][right]
     if kind == "imp":
-        left = unary["not"][left]
-    return lat.join[left][right]
+        neg = unary["not"]
+        left = [neg[x] for x in left]
+    op = lat.meet if kind == "and" else lat.join
+    return [op[x][y] for x, y in zip(left, right)]

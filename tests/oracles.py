@@ -765,6 +765,37 @@ def eval_formula_oracle(f, valuation: dict) -> bool:
     raise AssertionError(f)
 
 
+def _bound_oracle(lat, a: int, b: int, lower: bool) -> int:
+    """The greatest lower bound (``lower``) or least upper bound of ``a``
+    and ``b``, read off the order alone."""
+    le = (lambda x, y: lat.leq(x, y)) if lower else (lambda x, y: lat.leq(y, x))
+    bounds = [c for c in range(lat.n) if le(c, a) and le(c, b)]
+    (best,) = [c for c in bounds if all(le(d, c) for d in bounds)]
+    return best
+
+
+def term_value_oracle(t, assignment: dict, lat, unary: dict) -> int:
+    """The value of the term ``t`` under one assignment of elements to its
+    variables, one node at a time as the grammar reads it: ``T``/``F``
+    the greatest/least element, ``&``/``|`` the meet/join found from the
+    order, ``~ <> []`` the tables ``unary`` holds under ``not``/``dia``/
+    ``box``, and ``a -> b`` the join of ``~a`` and ``b``."""
+    kind = t[0]
+    if kind == "var":
+        return assignment[t[1]]
+    if kind in ("top", "bot"):
+        (end,) = [c for c in range(lat.n)
+                  if all(lat.leq(d, c) if kind == "top" else lat.leq(c, d)
+                         for d in range(lat.n))]
+        return end
+    if kind in ("not", "dia", "box"):
+        return unary[kind][term_value_oracle(t[1], assignment, lat, unary)]
+    left, right = (term_value_oracle(s, assignment, lat, unary) for s in t[1:])
+    if kind == "imp":
+        left = unary["not"][left]
+    return _bound_oracle(lat, left, right, lower=kind == "and")
+
+
 # ---- input/output logic ------------------------------------------------
 #
 # Makinson and van der Torre's semantic characterisations of out1..out4
@@ -898,7 +929,7 @@ def law_box_of_join_oracle(inst) -> bool:
 
 
 def law_dia_bound_reflects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.embed
+    d, embed = inst.delta, inst.ctx.embed
     for k in bits(inst.ctx.ext.closed):
         sk = inst.sigma[k]
         for b in range(inst.n):
@@ -910,7 +941,7 @@ def law_dia_bound_reflects_oracle(inst) -> bool:
 
 
 def law_dia_open_bound_reflects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.embed
+    d, embed = inst.delta, inst.ctx.embed
     for k in bits(inst.ctx.ext.closed):
         sk = inst.sigma[k]
         for o in bits(inst.ctx.ext.open):
@@ -923,7 +954,7 @@ def law_dia_open_bound_reflects_oracle(inst) -> bool:
 
 
 def law_box_bound_reflects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.embed
+    d, embed = inst.delta, inst.ctx.embed
     for o in bits(inst.ctx.ext.open):
         po = inst.pi[o]
         for a in range(inst.n):
@@ -935,7 +966,7 @@ def law_box_bound_reflects_oracle(inst) -> bool:
 
 
 def law_box_closed_bound_reflects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.embed
+    d, embed = inst.delta, inst.ctx.embed
     for o in bits(inst.ctx.ext.open):
         po = inst.pi[o]
         for k in bits(inst.ctx.ext.closed):
@@ -967,33 +998,33 @@ LAW_ORACLES = {
 
 def rel_bounds_dia_oracle(inst) -> bool:
     # a rel b forces <>a <= b
-    d, embed = inst.delta, inst.embed
+    d, embed = inst.delta, inst.ctx.embed
     return all(d.leq(inst.dia[a], embed[b])
                for a in range(inst.n) for b in bits(inst.S.rows[a]))
 
 
 def rel_bounds_box_oracle(inst) -> bool:
     # a rel b forces a <= []b
-    d, embed = inst.delta, inst.embed
+    d, embed = inst.delta, inst.ctx.embed
     return all(d.leq(embed[a], inst.box[b])
                for a in range(inst.n) for b in bits(inst.S.rows[a]))
 
 
 def law_rel_bounds_oracle(inst) -> bool:
     # a rel b forces <>a <= b and a <= []b
-    d, embed = inst.delta, inst.embed
+    d, embed = inst.delta, inst.ctx.embed
     return all(d.leq(inst.dia[a], embed[b]) and d.leq(embed[a], inst.box[b])
                for a in range(inst.n) for b in bits(inst.S.rows[a]))
 
 
 def law_dia_detects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.embed
+    d, embed = inst.delta, inst.ctx.embed
     return all((d.leq(inst.dia[a], embed[b])) == inst.S.prec.has(a, b)
                for a in range(inst.n) for b in range(inst.n))
 
 
 def law_box_detects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.embed
+    d, embed = inst.delta, inst.ctx.embed
     return all((d.leq(embed[a], inst.box[b])) == inst.S.prec.has(a, b)
                for a in range(inst.n) for b in range(inst.n))
 

@@ -1,9 +1,12 @@
 import random
+import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
-from subnorm.errors import MissingNegation, NotMonotone, ParseError, UnboundVariable
+from subnorm.errors import (InputFormatError, MissingNegation, NotMonotone, ParseError,
+                            UnboundVariable)
 from subnorm.order import bits
 from subnorm.slanted import (
     build_slanted,
@@ -180,8 +183,9 @@ def test_format_parse_roundtrip(t):
 def evaluate_in(sa, t, assignment, neg_mode="sigma"):
     """Value of ``t`` in the completion, variables assigned base elements."""
     embed = sa.ext.embed
-    return evaluate(t, {name: embed[x] for name, x in assignment.items()}, sa.delta,
-                    operator_tables(sa, t, neg_mode=neg_mode))
+    (value,) = evaluate(t, {name: [embed[x]] for name, x in assignment.items()}, sa.delta,
+                        operator_tables(sa, t, neg_mode=neg_mode))
+    return value
 
 
 class TestEvaluate:
@@ -249,3 +253,27 @@ class TestValid:
         sa = build_slanted(b4_leq)
         ineq = parse_inequality("~<>p <= []~p")
         assert valid(sa, ineq, neg_mode="sigma") == valid(sa, ineq, neg_mode="pi")
+
+    @pytest.mark.parametrize("text", ["p <= p", "~p <= p"])
+    def test_unknown_negation_mode(self, b4_leq, text):
+        # rejected whether or not the inequality uses ~
+        with pytest.raises(InputFormatError):
+            valid(build_slanted(b4_leq), parse_inequality(text), neg_mode="bogus")
+
+    def test_witness_past_the_first_block_in_bounded_memory(self, b8):
+        # 8^5 assignments; the first failure is p = 1 with q..t at the
+        # bottom, assignment 4,096 in lexicographic order
+        ineq = parse_inequality("p <= q | r | s | t")
+        sa = build_slanted(leq_relation(b8))
+        names = ["p", "q", "r", "s", "t"]
+        want = next(dict(zip(names, xs)) for xs in product(range(b8.n), repeat=5)
+                    if not b8.leq(xs[0], b8.join[b8.join[xs[1]][xs[2]]][b8.join[xs[3]][xs[4]]]))
+        assert want == {"p": 1, "q": 0, "r": 0, "s": 0, "t": 0} and b8.bot == 0
+        tracemalloc.start()
+        try:
+            got = valid(sa, ineq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (False, want)
+        assert peak < 3 * 1024 * 1024

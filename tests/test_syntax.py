@@ -1,11 +1,16 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnorm import cli
 from subnorm.errors import MissingNegation, ParseError, UnboundVariable
 from subnorm.syntax import (
     MAX_DEPTH,
     TOP,
+    box,
+    dia,
     evaluate,
     format_term,
     parse_formula,
@@ -19,6 +24,7 @@ from subnorm.syntax import (
     var,
 )
 from conftest import term_trees
+from oracles import term_value_oracle
 
 
 @settings(max_examples=120, deadline=None)
@@ -119,7 +125,7 @@ class TestNestingBound:
 
     def test_deepest_term_evaluates(self, b4):
         t = parse_formula("~" * MAX_DEPTH + "p")
-        assert evaluate(t, {"p": 1}, b4, {"not": b4.neg}) == 1
+        assert evaluate(t, {"p": [1]}, b4, {"not": b4.neg}) == [1]
 
     def test_cli_help_states_the_bound(self):
         assert f"deeper than {MAX_DEPTH}" in " ".join(cli.__doc__.split())
@@ -130,23 +136,43 @@ class TestEvaluate:
         unary = {"not": b4.neg}
         for a in range(4):
             for b in range(4):
-                h = {"p": a, "q": b}
-                assert evaluate(parse_formula("p -> q"), h, b4, unary) == b4.join[b4.neg[a]][b]
-                assert evaluate(parse_formula("p & q | F"), h, b4, unary) == b4.meet[a][b]
-                assert evaluate(parse_formula("~p | T"), h, b4, unary) == b4.top
+                h = {"p": [a], "q": [b]}
+                assert evaluate(parse_formula("p -> q"), h, b4, unary) == [b4.join[b4.neg[a]][b]]
+                assert evaluate(parse_formula("p & q | F"), h, b4, unary) == [b4.meet[a][b]]
+                assert evaluate(parse_formula("~p | T"), h, b4, unary) == [b4.top]
 
     def test_modal_operators_read_unary_tables(self, b4):
         unary = {"dia": (3, 3, 2, 1), "box": (0, 0, 1, 2)}
-        assert evaluate(parse_term("<>[]p"), {"p": 3}, b4, unary) == 2
+        assert evaluate(parse_term("<>[]p"), {"p": [3]}, b4, unary) == [2]
 
     @pytest.mark.parametrize("text", ["~p", "p -> p"])
     def test_negation_needs_a_table(self, b4, text):
         with pytest.raises(MissingNegation):
-            evaluate(parse_formula(text), {"p": 0}, b4, {"not": None})
+            evaluate(parse_formula(text), {"p": [0]}, b4, {"not": None})
 
     def test_unbound_variable(self, b4):
         with pytest.raises(UnboundVariable):
             evaluate(var("z"), {}, b4, {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["b4", "fdl2"]),
+       t=term_trees(unary=(tnot, dia, box), binary=(tand, tor, timp)),
+       seed=st.randoms(use_true_random=False))
+def test_evaluate_matches_oracle_on_every_assignment(b4, fdl2, name, t, seed):
+    # random tables for ~ <> [], and every assignment of p and q
+    lat = {"b4": b4, "fdl2": fdl2}[name]
+    unary = {op: tuple(seed.randrange(lat.n) for _ in range(lat.n))
+             for op in ("not", "dia", "box")}
+    assignments = list(product(range(lat.n), repeat=2))
+    column = evaluate(t, {"p": [p for p, _ in assignments], "q": [q for _, q in assignments]},
+                      lat, unary)
+    assert column == [term_value_oracle(t, {"p": p, "q": q}, lat, unary)
+                      for p, q in assignments]
+
+
+def test_term_without_variables_has_one_entry(b4):
+    assert evaluate(parse_term("<>F | T"), {}, b4, {"dia": (3, 3, 3, 3)}) == [b4.top]
 
 
 def test_term_variables_of_several_terms():

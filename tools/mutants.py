@@ -2,7 +2,8 @@
 that preconditions and check sides read, the closure-extremality verdict
 table, the runner's decision of a check from its flag bits, its memos
 and the replay path, the property sweeps, the closure and its rule
-systems, and the output operators d1..d4 of input/output logic.
+systems, the output operators d1..d4 of input/output logic, the term
+evaluator and modal validity.
 
 Each mutant is one ``(file, old, new)`` patch.  The runner copies the
 repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -44,9 +45,12 @@ ROOT = Path(__file__).resolve().parent.parent
 #: against asking for each mask in turn, the flag bitmasks against
 #: ``property_holds``, the runner's plans and memo against the naive
 #: loop, replayed counterexamples, the witness digest, the closure
-#: against its oracles, the closure digest, and ``derive``, ``out`` and
+#: against its oracles, the closure digest, ``derive``, ``out`` and
 #: ``modal_output`` with the closure route against the semantics of
-#: out1..out4
+#: out1..out4, the term evaluator against its scalar oracle, and modal
+#: validity with its lexicographically first witnesses (these two last:
+#: run first, they made each mutant that an earlier test kills about 2 s
+#: slower)
 FAST = (
     "tests/test_harness.py::TestExtremalityFlags",
     "tests/test_harness.py::TestForcing",
@@ -61,13 +65,17 @@ FAST = (
     "tests/test_subordination.py::TestClose",
     "tests/test_closure_digest.py",
     "tests/test_iologic.py::TestOutputOracle",
+    "tests/test_syntax.py::test_evaluate_matches_oracle_on_every_assignment",
+    "tests/test_slanted.py::TestValid",
 )
 
 CATALOG = "src/subnorm/harness/catalog.py"
 IOLOGIC = "src/subnorm/iologic.py"
 MAXIMALITY = "src/subnorm/harness/maximality.py"
 RUN = "src/subnorm/harness/run.py"
+SLANTED = "src/subnorm/slanted.py"
 SUBORDINATION = "src/subnorm/subordination.py"
+SYNTAX = "src/subnorm/syntax.py"
 
 
 class Mutant(NamedTuple):
@@ -109,10 +117,10 @@ MUTANTS = (
            "for sig, c in zip(colsig[:-1], S.cols):"),
     # the local sides
     Mutant("inflationary-side-reversed", CATALOG,
-           "        return Local(side, lambda ctx, a, m, v: leq(_StandIn(ctx, v), ((a,),)),",
-           "        return Local(side, lambda ctx, a, m, v: (\n"
-           "            leq(_StandIn(ctx, v), ((a,),)) if ineq.lhs[0] != 'var'\n"
-           "            else ctx.delta.poset.up[v] >> ctx.embed[a] & 1),"),
+           "lambda ctx, a, m, v: at(ctx, v, {names[0]: (a,)}),",
+           "lambda ctx, a, m, v: (\n"
+           "            at(ctx, v, {names[0]: (a,)}) if ineq.lhs[0] != 'var'\n"
+           "            else ctx.lat.poset.up[v] >> a & 1),"),
     Mutant("bounds-law-without-column-half", CATALOG,
            ',\n                     Local("cols", lambda ctx, b, m, v: '
            'not m & ~ctx.base_below[v]))',
@@ -126,8 +134,8 @@ MUTANTS = (
            '_DIA_SERIAL = Local("rows", lambda ctx, a, m, v: m != 0)',
            '_DIA_SERIAL = Local("rows", lambda ctx, a, m, v: True)'),
     Mutant("distributive-bit-from-lattice-test", CATALOG,
-           "_LATTICE.test(ctx) and ctx.lat.is_distributive)",
-           "_LATTICE.test(ctx))"),
+           "_DISTRIBUTIVE = CarrierCondition(lambda ctx: ctx.lat.is_distributive)",
+           "_DISTRIBUTIVE = CarrierCondition(lambda ctx: True)"),
     Mutant("missing-flags-settled-true", CATALOG,
            "            sum(c.bit for c in conditions if c.test(ctx)))",
            "            ctx.missing | sum(c.bit for c in conditions if c.test(ctx)))"),
@@ -210,6 +218,14 @@ MUTANTS = (
     Mutant("d2-without-h-of-bottom", IOLOGIC,
            "        out = h(0)\n",
            "        out = h(0) if i == 4 else 0\n"),
+    # the one term evaluator (`syntax.evaluate`) and modal validity over
+    # blocks of assignments (`slanted.valid`)
+    Mutant("evaluate-imp-keeps-left", SYNTAX,
+           "left = [neg[x] for x in left]",
+           "left = [x for x in left]"),
+    Mutant("valid-drops-last-block", SLANTED,
+           "while block := list(islice(assignments, _BLOCK)):",
+           "while len(block := list(islice(assignments, _BLOCK))) == _BLOCK:"),
 )
 
 
