@@ -14,14 +14,13 @@ separately where it matters (an empty meet is the lattice top, an empty
 join its bottom).
 
 Stated here once: the meet or join of an embedded base subset
-(``CanonicalExtension.meet_of_base``/``join_of_base``, memoised per base
-mask on bases with at most ``order._TABLE_CAP`` elements, so each of the
-``2^n`` values is computed once per extension) and the two-step
+(``CanonicalExtension.meet_of_base``/``join_of_base``) and the two-step
 sigma/pi lifting of a map from the base (``lift_map``), which extends
 the diamond and box (``slanted.sigma_extension``/``pi_extension``) and
 the negation (``extend_negation_sigma``/``extend_negation_pi``) alike.
 The tests check density and compactness of every completion by
-enumeration (``tests/oracles.py``).
+enumeration (``tests/oracles.py``).  The harness builds no completion
+per instance: its carriers are finite lattices, each its own.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Optional, Sequence, Union
 
 from .errors import NegationLawsFail
 from .order import (
-    _TABLE_CAP,
     FinLattice,
     FinPoset,
     bits,
@@ -47,7 +45,7 @@ class CanonicalExtension:
     ``closed`` and ``open`` are bitmasks over delta indices.
     """
 
-    __slots__ = ("base", "delta", "embed", "closed", "open", "_meets", "_joins")
+    __slots__ = ("base", "delta", "embed", "closed", "open")
 
     def __init__(self, base: FinPoset, delta: FinLattice,
                  embed: Sequence[int], closed: int, open: int):
@@ -56,31 +54,16 @@ class CanonicalExtension:
         self.embed = tuple(embed)
         self.closed = closed
         self.open = open
-        # memo tables over all 2^n base masks, on bases small enough for
-        # the order's subset tables
-        memo = base.n <= _TABLE_CAP
-        self._meets = [None] * (1 << base.n) if memo else None
-        self._joins = [None] * (1 << base.n) if memo else None
 
     def meet_of_base(self, base_mask: int) -> int:
         """Meet in ``delta`` of the embedded base subset; the empty meet
-        is the top.  Memoised per mask on bases with at most
-        ``order._TABLE_CAP`` elements (at most ``2^n`` entries)."""
-        return self._of_base(self._meets, self.delta.meet_all, base_mask)
+        is the top."""
+        return self.delta.meet_all(mask_of(self.embed[x] for x in bits(base_mask)))
 
     def join_of_base(self, base_mask: int) -> int:
         """Join in ``delta`` of the embedded base subset; the empty join
-        is the bottom.  Memoised like ``meet_of_base``."""
-        return self._of_base(self._joins, self.delta.join_all, base_mask)
-
-    def _of_base(self, memo: Optional[list], combine, base_mask: int) -> int:
-        got = None if memo is None else memo[base_mask]
-        if got is None:
-            embed = self.embed
-            got = combine(mask_of(embed[x] for x in bits(base_mask)))
-            if memo is not None:
-                memo[base_mask] = got
-        return got
+        is the bottom."""
+        return self.delta.join_all(mask_of(self.embed[x] for x in bits(base_mask)))
 
     def __repr__(self) -> str:
         return f"CanonicalExtension(base_n={self.base.n}, delta_n={self.delta.n})"

@@ -103,8 +103,9 @@ def build_space_jirr(S: ProtoSubAlg) -> SubordinationSpace:
 
 
 def jirr_points(delta: FinLattice) -> SpacePoints:
-    """The join-irreducibles of the completion ``delta``; ``masks[u]``
-    holds the positions of the points below the element ``u``."""
+    """The join-irreducibles of the completion ``delta`` (a lattice
+    carrier is its own); ``masks[u]`` holds the positions of the points
+    below the element ``u``."""
     pts = sorted(bits(join_irreducibles(delta)))
     m = len(pts)
     order = [mask_of(j for j in range(m) if delta.leq(pts[i], pts[j]))
@@ -117,7 +118,8 @@ def jirr_points(delta: FinLattice) -> SpacePoints:
 
 def space_from_jirr(points: SpacePoints, sigma) -> SubordinationSpace:
     """The join-irreducible space from the completion's ``jirr_points``
-    and the sigma extension of the diamond, for a relation already known
+    and the sigma extension of the diamond (on a lattice carrier, the
+    diamond itself: it is monotone here), for a relation already known
     to be a subordination on a distributive lattice
     (``build_space_jirr`` checks that first): point ``i`` reaches the
     points below ``sigma`` of it."""

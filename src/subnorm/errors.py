@@ -37,9 +37,10 @@ class NotBounded(SubnormError):
 
 
 class TooManyVariables(SubnormError):
-    """Free Boolean algebra request beyond the supported variable cap."""
+    """A request for more variables than its ``cap`` supports (the free
+    Boolean algebra's generators, or the atoms of an output query)."""
 
-    def __init__(self, k: int, cap: int = 3):
+    def __init__(self, k: int, cap: int):
         self.k = k
         self.cap = cap
         super().__init__(f"{k} variables requested, supported maximum is {cap}")

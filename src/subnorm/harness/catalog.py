@@ -28,7 +28,7 @@ however many checks state it: additivity of ``<>`` is the rhs of five
 checks.
 
 Fourteen checks are local: the diamond of an element is the meet of its
-row and the box the join of its column (``slanted.build_slanted``), so
+row and the box the join of its column (``order.mask_meet_join``), so
 each of their sides is a conjunction of one test per row or per column.
 Each such side is stated once, as a ``Local`` test of (index, mask,
 operator value): the catalog inequalities that the compiler marks local
@@ -56,7 +56,7 @@ from itertools import product
 from typing import Callable, NamedTuple, Optional, Union
 
 from .. import duality
-from ..completion import extend_negation_pi, extend_negation_sigma
+from ..completion import dm_completion, extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
 from ..order import bits, is_monotone, negation_law_failure, subset_law_failure, subset_tables
 from ..subordination import (FLAG_PROPERTIES, LOCAL_FLAGS, LOCAL_TESTS, SUBORDINATION_RULES,
@@ -162,8 +162,7 @@ class Fact(FlagBit):
 def _operator(ctx, side: str) -> Callable[[int], int]:
     """The operator value read off a row mask (the diamond: the meet of
     the row) or a column mask (the box: the join of the column)."""
-    ext = ctx.ext
-    return ext.meet_of_base if side == "rows" else ext.join_of_base
+    return ctx.mask_meet if side == "rows" else ctx.mask_join
 
 
 class Local(FlagBit):
@@ -279,8 +278,8 @@ _BOX_SERIAL = Local("cols", lambda ctx, b, m, v: m != 0)
 
 # ---- operator-side predicates -------------------------------------------
 
-_MONOTONE = {"dia": Fact(lambda inst: is_monotone(inst.dia, inst.poset, inst.delta.poset)),
-             "box": Fact(lambda inst: is_monotone(inst.box, inst.poset, inst.delta.poset))}
+_MONOTONE = {"dia": Fact(lambda inst: is_monotone(inst.dia, inst.poset, inst.poset)),
+             "box": Fact(lambda inst: is_monotone(inst.box, inst.poset, inst.poset))}
 
 
 def _monotone(*operators) -> int:
@@ -387,12 +386,12 @@ _NORMAL = _REGULAR | _DIA_GROUNDED | _BOX_CAPPED
 
 # a rel b forces <>a <= b (every member of row a lies above <>a) and
 # a <= []b (every member of column b lies below []b)
-_REL_BOUNDS = _flags(Local("rows", lambda ctx, a, m, v: not m & ~ctx.base_above[v]),
-                     Local("cols", lambda ctx, b, m, v: not m & ~ctx.base_below[v]))
-# <>a <= b exactly when a rel b: row a is the base elements above <>a
-_DIA_DETECTS = _flags(Local("rows", lambda ctx, a, m, v: ctx.base_above[v] == m))
-# a <= []b exactly when a rel b: column b is the base elements below []b
-_BOX_DETECTS = _flags(Local("cols", lambda ctx, b, m, v: ctx.base_below[v] == m))
+_REL_BOUNDS = _flags(Local("rows", lambda ctx, a, m, v: not m & ~ctx.lat.poset.up[v]),
+                     Local("cols", lambda ctx, b, m, v: not m & ~ctx.lat.poset.down[v]))
+# <>a <= b exactly when a rel b: row a is the elements above <>a
+_DIA_DETECTS = _flags(Local("rows", lambda ctx, a, m, v: ctx.lat.poset.up[v] == m))
+# a <= []b exactly when a rel b: column b is the elements below []b
+_BOX_DETECTS = _flags(Local("cols", lambda ctx, b, m, v: ctx.lat.poset.down[v] == m))
 
 
 def _union(rows, members: int) -> int:
@@ -416,66 +415,63 @@ def _law_codirected_preimage(inst) -> bool:
     return all(directed[preimage[m]] for m in t["nonempty up-directed"])
 
 
+# The paper states the directed-family and bound-reflection laws in the
+# canonical extension, over its closed and open elements, with <> and []
+# as their sigma and pi extensions.  A finite lattice is its own
+# canonical extension, every element closed and open, and each law's
+# precondition makes its operator monotone, hence its own extension: so
+# each law ranges over all elements and reads ``dia`` or ``box``.
+
 def _law_dia_of_meet(inst) -> bool:
-    ext, image, sigma = inst.ctx.ext, inst.image, inst.sigma
-    closed_eff = ext.closed | 1 << ext.delta.top
-    for m in subset_tables(inst.poset)["nonempty down-directed"]:
-        want = ext.meet_of_base(image[m])
-        if sigma[ext.meet_of_base(m)] != want or not closed_eff >> want & 1:
-            return False
-    return True
+    # <> of a down-directed meet is the meet of the image (closed, as all are)
+    meet, image, dia = inst.ctx.mask_meet, inst.image, inst.dia
+    return all(dia[meet(m)] == meet(image[m])
+               for m in subset_tables(inst.poset)["nonempty down-directed"])
 
 
 def _law_box_of_join(inst) -> bool:
-    ext, preimage, pi = inst.ctx.ext, inst.preimage, inst.pi
-    open_eff = ext.open | 1 << ext.delta.bot
-    for m in subset_tables(inst.poset)["nonempty up-directed"]:
-        want = ext.join_of_base(preimage[m])
-        if pi[ext.join_of_base(m)] != want or not open_eff >> want & 1:
-            return False
-    return True
+    # [] of an up-directed join is the join of the preimage (open, as all are)
+    join, preimage, box = inst.ctx.mask_join, inst.preimage, inst.box
+    return all(box[join(m)] == join(preimage[m])
+               for m in subset_tables(inst.poset)["nonempty up-directed"])
 
 
-# The bound-reflection laws ask for a rel-pair (a, b) with a above a
-# closed k and b below an open o.  The heads reached from above k are the
-# union of the rows of the base elements above k, the tails reaching
-# below o the union of the columns of those below o, so each law is one
-# mask test per (k, b), (k, o) or (o, a) family.
+# The bound-reflection laws ask for a rel-pair (a, b) with a above k and
+# b below o.  The heads reached from above k are the union of the rows of
+# the elements above k, the tails reaching below o the union of the
+# columns of those below o, so each law is one mask test per (k, b),
+# (k, o) or (o, a) family.
 
 def _law_dia_bound_reflects(inst) -> bool:
-    # <>k <= b forces b into the heads reached from above k
-    ctx, rows, sigma = inst.ctx, inst.S.rows, inst.sigma
-    above = ctx.base_above
-    return all(not above[sigma[k]] & ~_union(rows, above[k])
-               for k in bits(ctx.ext.closed))
+    # <>k <= b forces b into the heads reached from above k, every k closed
+    rows, dia, up = inst.S.rows, inst.dia, inst.poset.up
+    return all(not up[dia[k]] & ~_union(rows, up[k]) for k in range(inst.n))
 
 
 def _law_dia_open_bound_reflects(inst) -> bool:
-    # <>k <= o forces a head reached from above k below o
-    ctx, rows, sigma = inst.ctx, inst.S.rows, inst.sigma
-    above, below, up = ctx.base_above, ctx.base_below, ctx.delta.poset.up
-    for k in bits(ctx.ext.closed):
-        reach = _union(rows, above[k])
-        if any(not reach & below[o] for o in bits(ctx.ext.open & up[sigma[k]])):
+    # <>k <= o forces a head reached from above k below o, all k, o closed, open
+    rows, dia, p = inst.S.rows, inst.dia, inst.poset
+    up, down = p.up, p.down
+    for k in range(inst.n):
+        reach = _union(rows, up[k])
+        if any(not reach & down[o] for o in bits(up[dia[k]])):
             return False
     return True
 
 
 def _law_box_bound_reflects(inst) -> bool:
-    # a <= []o forces a into the tails reaching below o
-    ctx, cols, pi = inst.ctx, inst.S.cols, inst.pi
-    below = ctx.base_below
-    return all(not below[pi[o]] & ~_union(cols, below[o])
-               for o in bits(ctx.ext.open))
+    # a <= []o forces a into the tails reaching below o, every o open
+    cols, box, down = inst.S.cols, inst.box, inst.poset.down
+    return all(not down[box[o]] & ~_union(cols, down[o]) for o in range(inst.n))
 
 
 def _law_box_closed_bound_reflects(inst) -> bool:
-    # k <= []o forces a tail reaching below o above k
-    ctx, cols, pi = inst.ctx, inst.S.cols, inst.pi
-    above, below, down = ctx.base_above, ctx.base_below, ctx.delta.poset.down
-    for o in bits(ctx.ext.open):
-        reach = _union(cols, below[o])
-        if any(not reach & above[k] for k in bits(ctx.ext.closed & down[pi[o]])):
+    # k <= []o forces a tail reaching below o above k, all k, o closed, open
+    cols, box, p = inst.S.cols, inst.box, inst.poset
+    up, down = p.up, p.down
+    for o in range(inst.n):
+        reach = _union(cols, down[o])
+        if any(not reach & up[k] for k in bits(down[box[o]])):
             return False
     return True
 
@@ -540,8 +536,9 @@ def _neg_lifting(lift, adjunction: str) -> dict:
 
     def law(inst) -> bool:
         ctx = inst.ctx
+        ext = dm_completion(ctx.lat)
         involutive = ("involutive",) if ctx.neg_report.involutive else ()
-        return holds(ctx.delta.poset, lift(ctx.ext, ctx.lat.neg), laws + involutive)
+        return holds(ext.delta.poset, lift(ext, ctx.lat.neg), laws + involutive)
 
     return {"precondition": _flags(CarrierCondition(precondition)), "law": law}
 

@@ -122,6 +122,9 @@ class GenConfig:
             raise InputFormatError(
                 f"max_n must be at most 4 (2^16 relations), got {self.max_n}")
         for i, name in enumerate(self.carriers):
+            if not isinstance(name, str):
+                raise InputFormatError(
+                    f"a carrier name must be a str, not {type(name).__name__}: {name!r}")
             if name in self.carriers[:i]:
                 raise InputFormatError(f"carrier {name!r} is named twice")
 

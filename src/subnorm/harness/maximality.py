@@ -13,10 +13,10 @@ lies below ``dia_i``"; dually for the box, with the pointwise meet of
 the qualifying maps above ``box``.  Each carrier (at most four elements,
 so at most ``n^n`` maps) keeps, next to its ``order.subset_tables``,
 the qualifying maps of each system listed once, and reads ``dia`` and
-``box`` off two ``2^n`` tables (the meet of each down-directed row mask,
-the join of each up-directed column mask, built from the carrier's
-``down-directed``/``up-directed`` tables); a mask that is not directed
-reads None, so directedness costs no second sweep.
+``box`` off its meet and join tables (``order.mask_meet_join``); a row
+mask that is not down-directed, or a column mask that is not
+up-directed (the carrier's ``down-directed``/``up-directed`` tables),
+codes past the end, so directedness costs no second sweep.
 
 Lemma.  Every system contains TOP, SI, WO and AND, so ``close`` runs
 its fixpoint on the diamond vector, starting from the meet of each row:
@@ -49,7 +49,7 @@ from typing import Iterator, Sequence
 
 from ..completion import dm_completion  # noqa: F401  (perfbench traces this binding)
 from ..errors import MissingStructure, TooLarge
-from ..order import FinLattice, is_monotone, subset_tables
+from ..order import FinLattice, is_monotone, mask_meet_join, subset_tables
 from ..slanted import build_slanted  # noqa: F401  (perfbench traces this binding)
 from ..subordination import (  # noqa: F401  (property_holds: perfbench traces this binding)
     ProtoSubAlg,
@@ -120,25 +120,25 @@ class _ExtremalityTables:
     diamonds and boxes are met.
 
     ``row_code[a][m]`` is the digit of row mask ``m`` at index ``a``, its
-    meet ``dia_of[m]`` times ``n^a``, and ``col_code[b][m]`` that of
-    column mask ``m`` at index ``b``, its join ``box_of[m]`` times
+    meet ``meet(m)`` times ``n^a``, and ``col_code[b][m]`` that of
+    column mask ``m`` at index ``b``, its join ``join(m)`` times
     ``n^(n+b)``; a mask that is not directed codes past the end.  So the
     sum over a relation's rows and columns is the index of its (diamond,
     box) in ``verdicts``, whose entry is 0 until it is decided and then
     ``_DECIDED`` with the four verdict bits."""
 
-    __slots__ = ("lat", "dia_of", "box_of", "row_code", "col_code", "verdicts",
+    __slots__ = ("lat", "meet", "join", "row_code", "col_code", "verdicts",
                  "_qualifying", "_closures", "_box_bounds")
 
     def __init__(self, lat: FinLattice, dd: Sequence[bool], ud: Sequence[bool]):
         n = lat.n
         size = n ** (2 * n)
         self.lat = lat
-        self.dia_of = [lat.meet_all(m) if dd[m] else None for m in range(len(dd))]
-        self.box_of = [lat.join_all(m) if ud[m] else None for m in range(len(ud))]
-        self.row_code = [[size if v is None else v * n ** a for v in self.dia_of]
+        meet, join = self.meet, self.join = mask_meet_join(lat)
+        masks = range(len(dd))
+        self.row_code = [[meet(m) * n ** a if dd[m] else size for m in masks]
                          for a in range(n)]
-        self.col_code = [[size if v is None else v * n ** (n + b) for v in self.box_of]
+        self.col_code = [[join(m) * n ** (n + b) if ud[m] else size for m in masks]
                          for b in range(n)]
         self.verdicts = bytearray(size)
         self._qualifying: dict = {}  # system i or "box" -> qualifying maps
@@ -169,8 +169,8 @@ class _ExtremalityTables:
         if got is None:
             lat = self.lat
             closed = close_i(S, i)
-            dia_i = [lat.meet_all(r) for r in closed.rows]
-            box_i = tuple(lat.join_all(c) for c in closed.cols)
+            dia_i = list(map(self.meet, closed.rows))
+            box_i = tuple(map(self.join, closed.cols))
             join = lat.join
             largest = [lat.bot] * lat.n
             for f in self.qualifying(i):
@@ -203,8 +203,8 @@ class _ExtremalityTables:
         ``verdicts`` is undecided, and store the entry once all four are
         decided."""
         lat = self.lat
-        dia = tuple([self.dia_of[r] for r in S.rows])
-        box = tuple([self.box_of[c] for c in S.cols])
+        dia = tuple(map(self.meet, S.rows))
+        box = tuple(map(self.join, S.cols))
         got = _DECIDED
         for i in (1, 2, 3, 4):
             box_i, ok = self.closure(S, i, dia)

@@ -22,8 +22,8 @@ built per-instance artefact, whichever check asked for it first.
 ``[]a <= a``, ``<>a <= a``, ``<>F <= F``, ``T <= []T``), each other
 property's sweep, and each ``catalog.Fact``: a compiled inequality, the
 monotonicity of an operator or a dual-space condition, so the time of
-every ``iff``/``implies`` side is there, less the operators, extensions
-and dual spaces that a bit builds, which are booked to their own layers.
+every ``iff``/``implies`` side is there, less the operators and dual
+spaces that a bit builds, which are booked to their own layers.
 ``extremality`` holds the four ``closure*-extremal`` bits, a flag group
 decided together once per directed instance (``catalog.extremal_flags``)
 by one lookup in the carrier's verdict table, which decides each
@@ -51,6 +51,12 @@ keep corpus order, and the ``law`` bodies to run through
 precondition, an ``iff``, an ``implies`` and a mask ``law`` mean on
 bits; the row memo and ``replay_counterexample`` both call it.
 
+Every carrier is a finite lattice, its own canonical extension (every
+element closed and open, a monotone operator its own sigma/pi
+extension), so the runner computes in the carrier: the operators come
+from ``order.mask_meet_join``, and only the two negation-lifting law
+bodies build a completion, once per carrier.
+
 Checks are pure, so instances could be fanned out to workers with the
 report aggregation as the only synchronization point; the runner stays
 sequential to keep counterexample order canonical without a sort pass.
@@ -61,7 +67,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, Optional
 
-from ..completion import dm_completion
+from ..completion import dm_completion  # noqa: F401  (perfbench traces this binding)
 from ..duality import (
     jirr_points,
     primefilter_points,
@@ -69,8 +75,12 @@ from ..duality import (
     space_from_primefilters,
 )
 from ..errors import InputFormatError
-from ..order import FinLattice, check_negation_laws, mask_of
-from ..slanted import build_slanted, pi_extension, sigma_extension
+from ..order import FinLattice, check_negation_laws, mask_meet_join
+from ..slanted import (  # noqa: F401  (perfbench traces these bindings)
+    build_slanted,
+    pi_extension,
+    sigma_extension,
+)
 from ..subordination import (  # noqa: F401  (property_holds: perfbench traces this binding)
     FLAG_PROPERTIES,
     LOCAL_FLAGS,
@@ -90,8 +100,8 @@ _MAX_STORED_COUNTEREXAMPLES = 10
 
 #: the stages timed under ``timing.layers``: the corpus stream, the
 #: carrier contexts, and the lazily built per-instance artefacts
-LAYERS = ("corpus", "context", "flags", "extremality", "sa", "sigma", "pi", "space",
-          "space_pf", "image", "preimage")
+LAYERS = ("corpus", "context", "flags", "extremality", "sa", "space", "space_pf", "image",
+          "preimage")
 
 
 class LayerClock:
@@ -126,13 +136,13 @@ class LayerClock:
 class CarrierContext:
     """Per-carrier caches shared by every instance on that carrier.
 
-    ``base_above[u]``/``base_below[u]`` are the base elements whose
-    embedding lies above/below the completion element ``u``, as base
-    masks.  ``missing`` holds the flags (as ``flag_mask`` bits) whose
-    property needs structure the carrier lacks, ``local`` the carrier's
-    ``catalog.local_tables`` (None above the table cap, and shared by
-    every context of one lattice object) and ``table_bits`` the flags and
-    ``Local`` sides it decides.  ``settled`` are the bits every instance
+    ``mask_meet(m)``/``mask_join(m)`` are the meet and the join of the
+    subset mask ``m`` (``order.mask_meet_join``): the diamond of a row
+    mask and the box of a column mask.  ``missing`` holds the flags (as
+    ``flag_mask`` bits) whose property needs structure the carrier
+    lacks, ``local`` the carrier's ``catalog.local_tables`` (None above
+    the table cap, and shared by every context of one lattice object)
+    and ``table_bits`` the flags and ``Local`` sides it decides.  ``settled`` are the bits every instance
     starts with known, the missing flags and the catalog's carrier
     conditions, and ``held`` those of them that hold
     (``catalog.carrier_bits``).  The points of the two dual spaces are
@@ -141,29 +151,22 @@ class CarrierContext:
     def __init__(self, name: str, lat: FinLattice):
         self.name = name
         self.lat = lat
-        self.ext = dm_completion(lat)
-        self.delta = self.ext.delta
-        self.embed = self.ext.embed
+        self.mask_meet, self.mask_join = mask_meet_join(lat)
         self.clock = LayerClock()
         self.missing = missing_flags(lat)
         self._jirr_points = None
         self._pf_points = None
-        up, down = self.delta.poset.up, self.delta.poset.down
-        self.base_above = tuple(mask_of(a for a, e in enumerate(self.embed) if up[u] >> e & 1)
-                                for u in range(self.delta.n))
-        self.base_below = tuple(mask_of(a for a, e in enumerate(self.embed) if down[u] >> e & 1)
-                                for u in range(self.delta.n))
         self.neg_report = (check_negation_laws(lat, lat.neg)
                            if lat.neg is not None else None)
         self.local = local_tables(self)
         self.table_bits = self.local[0] if self.local else 0
         self.settled, self.held = carrier_bits(self)
 
-    def space(self, sigma):
-        """The join-irreducible dual space of a relation with extension ``sigma``."""
+    def space(self, dia):
+        """The join-irreducible dual space of a relation with diamond ``dia``."""
         if self._jirr_points is None:
-            self._jirr_points = jirr_points(self.delta)
-        return space_from_jirr(self._jirr_points, sigma)
+            self._jirr_points = jirr_points(self.lat)
+        return space_from_jirr(self._jirr_points, dia)
 
     def space_pf(self, rows):
         """The prime-filter dual space of a relation with ``rows``."""
@@ -181,6 +184,11 @@ def _unions(rows) -> list[int]:
     return table
 
 
+def _operators(ctx: CarrierContext, S: ProtoSubAlg) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(dia, box)``: the meet of each row and the join of each column."""
+    return tuple(map(ctx.mask_meet, S.rows)), tuple(map(ctx.mask_join, S.cols))
+
+
 class Instance:
     """One relation on a carrier, with lazily cached derived data.
 
@@ -191,25 +199,23 @@ class Instance:
     from one ``local_flags`` pass over the carrier's local table, each
     other property flag from its sweep, and every other bit, such as a
     side above the table cap or a ``catalog.Fact``, from its owner's
-    ``holds``), the operators ``sa`` (with ``dia``/``box``), their
-    ``sigma``/``pi`` extensions, the two dual spaces (read off the
-    context's shared points), and the ``image``/``preimage`` tables,
+    ``holds``), the operators ``dia``/``box`` (together, booked to the
+    ``sa`` layer), the two dual spaces (read off the context's shared
+    points), and the ``image``/``preimage`` tables,
     which give the union of the rows/columns of every one of the ``2^n``
     subset masks (read by the directed-family checks, on carriers small
     enough for subset tables).
     """
 
-    __slots__ = ("ctx", "S", "_known", "_true", "_sa", "_sigma", "_pi",
-                 "_space", "_space_pf", "_image", "_preimage")
+    __slots__ = ("ctx", "S", "_known", "_true", "_operators", "_space", "_space_pf",
+                 "_image", "_preimage")
 
     def __init__(self, ctx: CarrierContext, S: ProtoSubAlg):
         self.ctx = ctx
         self.S = S
         self._known = ctx.settled
         self._true = ctx.held
-        self._sa = None
-        self._sigma = None
-        self._pi = None
+        self._operators = None
         self._space = None
         self._space_pf = None
         self._image = None
@@ -226,10 +232,6 @@ class Instance:
     @property
     def poset(self):
         return self.S.poset
-
-    @property
-    def delta(self):
-        return self.ctx.delta
 
     def _compute(self, todo: int) -> None:
         """Compute the lowest flag of ``todo``: all of the carrier's
@@ -258,30 +260,18 @@ class Instance:
             self._true |= bit
 
     @property
-    def sa(self):
-        if self._sa is None:
-            self._sa = self.ctx.clock.build("sa", build_slanted, self.S, self.ctx.ext)
-        return self._sa
+    def operators(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if self._operators is None:
+            self._operators = self.ctx.clock.build("sa", _operators, self.ctx, self.S)
+        return self._operators
 
     @property
-    def dia(self):
-        return self.sa.dia
+    def dia(self) -> tuple[int, ...]:
+        return self.operators[0]
 
     @property
-    def box(self):
-        return self.sa.box
-
-    @property
-    def sigma(self):
-        if self._sigma is None:
-            self._sigma = self.ctx.clock.build("sigma", sigma_extension, self.sa)
-        return self._sigma
-
-    @property
-    def pi(self):
-        if self._pi is None:
-            self._pi = self.ctx.clock.build("pi", pi_extension, self.sa)
-        return self._pi
+    def box(self) -> tuple[int, ...]:
+        return self.operators[1]
 
     @property
     def image(self) -> list[int]:
@@ -301,7 +291,7 @@ class Instance:
     @property
     def space(self):
         if self._space is None:
-            self._space = self.ctx.clock.build("space", self.ctx.space, self.sigma)
+            self._space = self.ctx.clock.build("space", self.ctx.space, self.dia)
         return self._space
 
     @property

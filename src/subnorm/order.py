@@ -13,7 +13,8 @@ one witness-returning check: the five laws of a subset
 join-closed), which the subordination rules WO, DD, UD, AND and OR
 demand of every row or column of a relation, and the four negation
 laws (``negation_law_failure``).  ``subset_tables`` tabulates the three
-order laws over every subset of a small carrier.
+order laws over every subset of a small carrier, and ``mask_meet_join``
+the meet and the join of every subset of a small lattice.
 
 All structures are immutable after construction and safe to share
 between workers.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     InputFormatError,
@@ -386,6 +387,22 @@ def subset_tables(p: FinPoset) -> Optional[dict]:
     return p._tables
 
 
+def mask_meet_join(lat: FinLattice) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """``(meet, join)``: the meet and the join of a subset mask of the
+    lattice (the empty meet is the top, the empty join the bottom).  On
+    a carrier small enough for ``subset_tables`` both are read off
+    tables over all ``2^n`` masks, built on first use and kept with
+    those; above that they are ``lat.meet_all`` and ``lat.join_all``."""
+    tables = subset_tables(lat.poset)
+    if tables is None:
+        return lat.meet_all, lat.join_all
+    if "meet and join" not in tables:
+        masks = range(1 << lat.n)
+        tables["meet and join"] = (list(map(lat.meet_all, masks)).__getitem__,
+                                   list(map(lat.join_all, masks)).__getitem__)
+    return tables["meet and join"]
+
+
 @dataclass(frozen=True)
 class NegationReport:
     """Verdicts of the four negation laws, in ``NEGATION_LAWS`` order."""
@@ -448,7 +465,7 @@ def free_boolean_algebra(k: int) -> tuple[FinLattice, tuple[int, ...]]:
     relation matrices above that would be astronomically large.
     """
     if not 0 <= k <= _FREE_BA_CAP:
-        raise TooManyVariables(k)
+        raise TooManyVariables(k, _FREE_BA_CAP)
     m = 1 << k          # valuations
     n = 1 << m          # elements = truth tables
     full = n - 1

@@ -7,11 +7,13 @@ exceptions are ``verify_dense`` and ``verify_compact``, which check a
 ``completion.dm_completion`` result by enumerating the directed subsets
 of its base (``order.subset_tables``); ``close_fixpoint``, the pairwise
 closure that ``subordination.close`` is held to on carriers too large
-for the exhaustive ``closure_oracle``; and ``extremality_oracle``, which
+for the exhaustive ``closure_oracle``; ``extremality_oracle``, which
 takes the closure it judges from ``close_i`` (held to those two) unless
-a test plants one; and ``closure_output_oracle``, the closure route to
+a test plants one; ``closure_output_oracle``, the closure route to
 input/output queries through ``free_boolean_algebra`` and ``close_i``,
-which holds ``close_i`` and its rule systems to ``out_oracle``.
+which holds ``close_i`` and its rule systems to ``out_oracle``; and
+the catalog's law oracles, which state each law in the completion that
+``dm_completion`` builds for the instance's carrier.
 ``check_oracle`` decides one check on one instance by calling each of
 its parts, with no memo and no flag pattern, as the reference for the
 suite runner.
@@ -20,6 +22,7 @@ suite runner.
 from functools import lru_cache
 from itertools import chain, combinations, product
 
+from subnorm.completion import dm_completion
 from subnorm.errors import TooLarge
 from subnorm.order import (FinLattice, FinPoset, bits, free_boolean_algebra, mask_of,
                            subset_tables)
@@ -858,9 +861,12 @@ def _closed_norm_rows(k: int, pairs: frozenset, i: int) -> tuple:
 # ---- catalog laws, one pair at a time ----------------------------------
 #
 # The per-pair statements of the catalog's directed-family and
-# bound-reflection laws.  They read the instance's sigma/pi tables (so a
-# test may plant them) and compute directed subsets, embedded meets and
-# joins and images from the definitions.
+# bound-reflection laws, as the paper states them: in the canonical
+# extension of the carrier (``dm_completion``, built here from the
+# carrier), over its closed and open elements, through the embedding,
+# and reading the sigma or pi extension of the operator, which the
+# caller passes (so a test may plant it).  Directed subsets, embedded
+# meets and joins and images are computed from the definitions.
 
 def is_down_directed_oracle(p: FinPoset, mask: int) -> bool:
     return subset_law_oracle(p, mask, "down-directed") is None
@@ -908,30 +914,31 @@ def law_codirected_preimage_oracle(inst) -> bool:
                for m in _directed_masks(p, down=False))
 
 
-def law_dia_of_meet_oracle(inst) -> bool:
-    ext = inst.ctx.ext
+def law_dia_of_meet_oracle(inst, sigma) -> bool:
+    ext = dm_completion(inst.ctx.lat)
     closed_eff = ext.closed | 1 << ext.delta.top
     for m in _directed_masks(inst.poset, down=True):
         want = _meet_of_base(ext, _image_of(inst.S.rows, m))
-        if inst.sigma[_meet_of_base(ext, m)] != want or not closed_eff >> want & 1:
+        if sigma[_meet_of_base(ext, m)] != want or not closed_eff >> want & 1:
             return False
     return True
 
 
-def law_box_of_join_oracle(inst) -> bool:
-    ext = inst.ctx.ext
+def law_box_of_join_oracle(inst, pi) -> bool:
+    ext = dm_completion(inst.ctx.lat)
     open_eff = ext.open | 1 << ext.delta.bot
     for m in _directed_masks(inst.poset, down=False):
         want = _join_of_base(ext, _image_of(inst.S.cols, m))
-        if inst.pi[_join_of_base(ext, m)] != want or not open_eff >> want & 1:
+        if pi[_join_of_base(ext, m)] != want or not open_eff >> want & 1:
             return False
     return True
 
 
-def law_dia_bound_reflects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.ctx.embed
-    for k in bits(inst.ctx.ext.closed):
-        sk = inst.sigma[k]
+def law_dia_bound_reflects_oracle(inst, sigma) -> bool:
+    ext = dm_completion(inst.ctx.lat)
+    d, embed = ext.delta, ext.embed
+    for k in bits(ext.closed):
+        sk = sigma[k]
         for b in range(inst.n):
             if d.leq(sk, embed[b]):
                 if not any(d.leq(k, embed[a]) and inst.S.prec.has(a, b)
@@ -940,11 +947,12 @@ def law_dia_bound_reflects_oracle(inst) -> bool:
     return True
 
 
-def law_dia_open_bound_reflects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.ctx.embed
-    for k in bits(inst.ctx.ext.closed):
-        sk = inst.sigma[k]
-        for o in bits(inst.ctx.ext.open):
+def law_dia_open_bound_reflects_oracle(inst, sigma) -> bool:
+    ext = dm_completion(inst.ctx.lat)
+    d, embed = ext.delta, ext.embed
+    for k in bits(ext.closed):
+        sk = sigma[k]
+        for o in bits(ext.open):
             if d.leq(sk, o):
                 if not any(d.leq(k, embed[a]) and d.leq(embed[b], o)
                            and inst.S.prec.has(a, b)
@@ -953,10 +961,11 @@ def law_dia_open_bound_reflects_oracle(inst) -> bool:
     return True
 
 
-def law_box_bound_reflects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.ctx.embed
-    for o in bits(inst.ctx.ext.open):
-        po = inst.pi[o]
+def law_box_bound_reflects_oracle(inst, pi) -> bool:
+    ext = dm_completion(inst.ctx.lat)
+    d, embed = ext.delta, ext.embed
+    for o in bits(ext.open):
+        po = pi[o]
         for a in range(inst.n):
             if d.leq(embed[a], po):
                 if not any(d.leq(embed[b], o) and inst.S.prec.has(a, b)
@@ -965,11 +974,12 @@ def law_box_bound_reflects_oracle(inst) -> bool:
     return True
 
 
-def law_box_closed_bound_reflects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.ctx.embed
-    for o in bits(inst.ctx.ext.open):
-        po = inst.pi[o]
-        for k in bits(inst.ctx.ext.closed):
+def law_box_closed_bound_reflects_oracle(inst, pi) -> bool:
+    ext = dm_completion(inst.ctx.lat)
+    d, embed = ext.delta, ext.embed
+    for o in bits(ext.open):
+        po = pi[o]
+        for k in bits(ext.closed):
             if d.leq(k, po):
                 if not any(d.leq(k, embed[a]) and d.leq(embed[b], o)
                            and inst.S.prec.has(a, b)
@@ -978,53 +988,60 @@ def law_box_closed_bound_reflects_oracle(inst) -> bool:
     return True
 
 
-#: catalog check name -> (oracle, which planted table it reads)
+#: catalog check name -> (oracle, the operator whose sigma/pi extension it
+#: reads: "dia", "box" or None)
 LAW_ORACLES = {
     "directed-image-directed": (law_directed_image_oracle, None),
     "codirected-preimage-directed": (law_codirected_preimage_oracle, None),
-    "diamond-of-meet": (law_dia_of_meet_oracle, "sigma"),
-    "box-of-join": (law_box_of_join_oracle, "pi"),
-    "diamond-bound-reflects": (law_dia_bound_reflects_oracle, "sigma"),
-    "diamond-open-bound-reflects": (law_dia_open_bound_reflects_oracle, "sigma"),
-    "box-bound-reflects": (law_box_bound_reflects_oracle, "pi"),
-    "box-closed-bound-reflects": (law_box_closed_bound_reflects_oracle, "pi"),
+    "diamond-of-meet": (law_dia_of_meet_oracle, "dia"),
+    "box-of-join": (law_box_of_join_oracle, "box"),
+    "diamond-bound-reflects": (law_dia_bound_reflects_oracle, "dia"),
+    "diamond-open-bound-reflects": (law_dia_open_bound_reflects_oracle, "dia"),
+    "box-bound-reflects": (law_box_bound_reflects_oracle, "box"),
+    "box-closed-bound-reflects": (law_box_closed_bound_reflects_oracle, "box"),
 }
 
 
 # The three local laws of the catalog, stated per instance over pairs of
-# elements, reading the instance's diamond and box (``slanted.build_slanted``).
-# The catalog decides each as row and column tests from per-carrier tables;
-# ``LOCAL_LAW_ORACLES`` gives, per law, the oracle of each of its sides.
+# elements, reading the instance's diamond and box into the completion
+# of its carrier (``dm_completion``).  The catalog decides each as row
+# and column tests from per-carrier tables; ``LOCAL_LAW_ORACLES`` gives,
+# per law, the oracle of each of its sides.
 
 def rel_bounds_dia_oracle(inst) -> bool:
     # a rel b forces <>a <= b
-    d, embed = inst.delta, inst.ctx.embed
+    ext = dm_completion(inst.ctx.lat)
+    d, embed = ext.delta, ext.embed
     return all(d.leq(inst.dia[a], embed[b])
                for a in range(inst.n) for b in bits(inst.S.rows[a]))
 
 
 def rel_bounds_box_oracle(inst) -> bool:
     # a rel b forces a <= []b
-    d, embed = inst.delta, inst.ctx.embed
+    ext = dm_completion(inst.ctx.lat)
+    d, embed = ext.delta, ext.embed
     return all(d.leq(embed[a], inst.box[b])
                for a in range(inst.n) for b in bits(inst.S.rows[a]))
 
 
 def law_rel_bounds_oracle(inst) -> bool:
     # a rel b forces <>a <= b and a <= []b
-    d, embed = inst.delta, inst.ctx.embed
+    ext = dm_completion(inst.ctx.lat)
+    d, embed = ext.delta, ext.embed
     return all(d.leq(inst.dia[a], embed[b]) and d.leq(embed[a], inst.box[b])
                for a in range(inst.n) for b in bits(inst.S.rows[a]))
 
 
 def law_dia_detects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.ctx.embed
+    ext = dm_completion(inst.ctx.lat)
+    d, embed = ext.delta, ext.embed
     return all((d.leq(inst.dia[a], embed[b])) == inst.S.prec.has(a, b)
                for a in range(inst.n) for b in range(inst.n))
 
 
 def law_box_detects_oracle(inst) -> bool:
-    d, embed = inst.delta, inst.ctx.embed
+    ext = dm_completion(inst.ctx.lat)
+    d, embed = ext.delta, ext.embed
     return all((d.leq(embed[a], inst.box[b])) == inst.S.prec.has(a, b)
                for a in range(inst.n) for b in range(inst.n))
 

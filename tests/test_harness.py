@@ -1,12 +1,14 @@
 import json
 import random
 import zlib
+from collections import Counter
 from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
 
 from subnorm import duality
+from subnorm.completion import dm_completion
 from subnorm.duality import RelCondition
 from subnorm.errors import InputFormatError, MissingStructure, NotMonotone, TooLarge
 from subnorm.harness import (
@@ -30,7 +32,7 @@ from subnorm.harness import (
 from subnorm.harness import maximality
 from subnorm.harness import run as runner
 from subnorm.harness.run import LAYERS
-from subnorm.harness.carriers import load_carrier
+from subnorm.harness.carriers import carrier_names, load_carrier
 from subnorm.harness import catalog
 from subnorm.harness.catalog import (
     FLAG_BITS,
@@ -42,7 +44,7 @@ from subnorm.harness.catalog import (
 )
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
 from subnorm.order import FinLattice, FinPoset, bits, lattice_to_json, subset_tables
-from subnorm.slanted import build_slanted, valid
+from subnorm.slanted import build_slanted, pi_extension, sigma_extension, valid
 from subnorm.subordination import (
     LOCAL_FLAGS,
     Property,
@@ -180,6 +182,13 @@ class TestGeneration:
         for good in (("b4",), ["b4"]):
             assert GenConfig(carriers=good).describe()["carriers"] == ["b4"]
 
+    def test_config_rejects_a_carrier_name_that_is_not_a_str(self):
+        # it would reach load_carrier and fail there with an AttributeError
+        for bad, kind in ((("b4", 3), "int"), ((None,), "NoneType"),
+                          ((("b4",),), "tuple")):
+            with pytest.raises(InputFormatError, match=f"must be a str, not {kind}"):
+                GenConfig(carriers=bad)
+
     def test_corpus_stream_covers_carriers(self):
         cfg = GenConfig(carriers=("chain2", "fdl2"), samples=5)
         names = {name for name, _ in corpus_stream(cfg)}
@@ -226,7 +235,7 @@ class TestVerifyCheck:
         exercised = {spec.name: 0 for spec in specs}
         rng = random.Random(23)
         for lat in (b4, fdl2):
-            ctx = CarrierContext("test", lat)
+            ctx, ext = CarrierContext("test", lat), dm_completion(lat)
             n = lat.n
             for _ in range(40):
                 seed = [(rng.randrange(n), rng.randrange(n))
@@ -236,7 +245,7 @@ class TestVerifyCheck:
                           close(raw, SUBORDINATION_RULES),
                           close(raw, {P.BOT, P.TOP, P.SI, P.WO, P.AND, P.CT})):
                     inst = Instance(ctx, S)
-                    sa = build_slanted(S, ctx.ext)
+                    sa = build_slanted(S, ext)
                     for spec in specs:
                         if not has_flags(inst, spec.precondition):
                             continue
@@ -545,18 +554,22 @@ class TestExtremalityFlags:
 
 class TestLawOracles:
     """The directed-family and bound-reflection laws against their
-    per-pair statements, on relations, their SI/WO closures and their
-    subordination closures, with the true sigma/pi tables, the true
-    tables with one value moved, and random tables planted."""
+    per-pair statements in the completion, on relations, their SI/WO
+    closures and their subordination closures.  Each table is planted as
+    the instance's diamond or box and handed to the oracle as its sigma
+    or pi extension: a random table, the true extension
+    (``slanted.sigma_extension``/``pi_extension``) and the true
+    extension with one value moved."""
 
     @staticmethod
     def planted_tables(inst, table, rng):
         if table is None:
             return [None]
-        size = inst.delta.n
+        size = inst.n
         out = [tuple(rng.randrange(size) for _ in range(size))]
+        sa = build_slanted(inst.S)
         try:
-            true = getattr(inst, table)
+            true = sigma_extension(sa) if table == "dia" else pi_extension(sa)
         except NotMonotone:
             return out
         moved = list(true)
@@ -576,11 +589,13 @@ class TestLawOracles:
                      for rules in ({P.SI, P.WO}, SUBORDINATION_RULES)]
             for S in rels:
                 for planted in self.planted_tables(Instance(ctx, S), table, rng):
-                    inst = Instance(ctx, S)
+                    inst, extension = Instance(ctx, S), ()
                     if table is not None:
-                        setattr(inst, "_" + table, planted)
+                        dia, box = inst.operators
+                        inst._operators = (planted, box) if table == "dia" else (dia, planted)
+                        extension = (planted,)
                     got = law(inst)
-                    assert got == oracle(inst), (name, S, planted)
+                    assert got == oracle(inst, *extension), (name, S, planted)
                     outcomes[got] = outcomes.get(got, 0) + 1
         assert outcomes.get(True, 0) >= 10 and outcomes.get(False, 0) >= 10, outcomes
 
@@ -740,6 +755,47 @@ def json_carrier(tmp_path, name: str):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(JSON_CARRIERS[name]))
     return load_carrier(str(path))
+
+
+class TestCarrierIsItsOwnCompletion:
+    """The fact the runner computes on: every harness carrier is a finite
+    lattice, its own canonical extension, so the operators that an
+    ``Instance`` reads in the carrier are the ones ``slanted`` builds
+    through the completion, and each monotone operator is its own sigma
+    or pi extension.  On every built-in, N5, M3 and a chain above the
+    table cap."""
+
+    @staticmethod
+    def carriers(tmp_path):
+        out = [(name, load_carrier(name)) for name in carrier_names()]
+        return out + [(name, json_carrier(tmp_path, name)) for name in ("n5", "m3", "chain12")]
+
+    def test_completion_is_the_identity(self, tmp_path):
+        for name, lat in self.carriers(tmp_path):
+            c = dm_completion(lat)
+            assert c.embed == tuple(range(lat.n)), name
+            assert c.closed == c.open == (1 << lat.n) - 1, name
+            assert c.delta.poset.up == lat.poset.up, name
+
+    def test_operators_are_the_slanted_ones_and_their_extensions(self, tmp_path):
+        outcomes = Counter()
+        for name, lat in self.carriers(tmp_path):
+            ctx = CarrierContext(name, lat)
+            rels = random_relations(lat, 12, zlib.crc32(name.encode()), (0.1, 0.3, 0.6))
+            rels += [close(S, rules) for S in list(rels)
+                     for rules in ({P.SI, P.WO}, SUBORDINATION_RULES)]
+            for S in rels:
+                inst, sa = Instance(ctx, S), build_slanted(S)
+                assert (inst.dia, inst.box) == (sa.dia, sa.box), (name, S)
+                for op, extension in (("dia", sigma_extension), ("box", pi_extension)):
+                    try:
+                        table = extension(sa)
+                    except NotMonotone:
+                        outcomes[op, "not monotone"] += 1
+                        continue
+                    assert table == getattr(inst, op), (name, S, op)
+                    outcomes[op, "monotone"] += 1
+        assert len(outcomes) == 4 and min(outcomes.values()) >= 20, outcomes
 
 
 class TestPreconditions:

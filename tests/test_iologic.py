@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subnorm import iologic, order
 from subnorm.errors import InputFormatError, ParseError, TooManyVariables
 from subnorm.iologic import (
     Norm,
@@ -177,6 +178,27 @@ class TestOut:
         assert not out(N1, 1, [F("r")], F("q"))
         assert out(N2, 1, [F("r")], F("q"))
         assert out(N2, 1, [F("r"), F("p")], F("q"))
+
+
+def test_atom_cap_is_within_the_closure_route():
+    """Each raise names its own cap, and the query cap is within what the
+    closure route (``oracles.closure_output_oracle``, on the free Boolean
+    algebra) can check: a query with ``_ATOM_CAP`` atoms is answered
+    alike by ``derive`` and by that route in every system."""
+    assert iologic._ATOM_CAP <= order._FREE_BA_CAP
+    atoms = [f"p{i}" for i in range(iologic._ATOM_CAP)]
+    pairs = [(var(a), var(b)) for a, b in zip(atoms, atoms[1:])]
+    query = (var(atoms[0]), var(atoms[-1]))
+    N = NormativeSystem.from_pairs(pairs)
+    verdicts = {i: derive(N, i, query) for i in (1, 2, 3, 4)}
+    assert verdicts == {i: closure_output_oracle(pairs, i, *query, atoms) for i in verdicts}
+    assert set(verdicts.values()) == {True, False}
+    with pytest.raises(TooManyVariables) as raised:
+        derive(NormativeSystem.from_pairs(pairs + [(var("extra"), TOP)]), 1, query)
+    assert raised.value.cap == iologic._ATOM_CAP
+    with pytest.raises(TooManyVariables) as raised:
+        free_boolean_algebra(order._FREE_BA_CAP + 1)
+    assert raised.value.cap == order._FREE_BA_CAP
 
 
 @pytest.mark.parametrize("gamma", [[], [F("p")]], ids=["empty", "nonempty"])

@@ -1,4 +1,5 @@
-"""Code mutants of the local table, the local catalog sides, the flag bits
+"""Code mutants of the operators read in the carrier, the bound-reflection
+laws, the local table, the local catalog sides, the flag bits
 that preconditions and check sides read, the closure-extremality verdict
 table, the runner's decision of a check from its flag bits, its memos
 and the replay path, the property sweeps, the closure and its rule
@@ -37,9 +38,12 @@ from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: the tests each mutant runs against: every precondition against its
-#: stated oracle, the local table against the set-based oracles, the
-#: local sides against the per-instance bodies, each fact a check side
+#: the tests each mutant runs against: the operators read in the carrier
+#: against the route through its completion, the directed-family and
+#: bound-reflection laws against their statements in the completion, with
+#: planted tables, every precondition against its stated oracle, the
+#: local table against the set-based oracles, the local sides against
+#: the per-instance bodies, each fact a check side
 #: reads decided once per instance, the extremality bits against the
 #: map enumeration and the verdict table's miss path, the forcing memo
 #: against asking for each mask in turn, the flag bitmasks against
@@ -52,6 +56,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: run first, they made each mutant that an earlier test kills about 2 s
 #: slower)
 FAST = (
+    "tests/test_harness.py::TestCarrierIsItsOwnCompletion",
+    "tests/test_harness.py::TestLawOracles",
     "tests/test_harness.py::TestExtremalityFlags",
     "tests/test_harness.py::TestForcing",
     "tests/test_harness.py::TestPreconditions",
@@ -104,7 +110,7 @@ MUTANTS = (
            "tables['up-closed'] or"),
     Mutant("table-rows-read-join", CATALOG,
            "        values = list(map(_operator(ctx, side), masks))",
-           "        values = list(map(ctx.ext.join_of_base, masks))"),
+           "        values = list(map(ctx.mask_join, masks))"),
     Mutant("table-value-side-at-wrong-value", CATALOG,
            "free[m] | value_bits[values[m]]",
            "free[m] | value_bits[values[m ^ 1]]"),
@@ -123,7 +129,7 @@ MUTANTS = (
            "            else ctx.lat.poset.up[v] >> a & 1),"),
     Mutant("bounds-law-without-column-half", CATALOG,
            ',\n                     Local("cols", lambda ctx, b, m, v: '
-           'not m & ~ctx.base_below[v]))',
+           'not m & ~ctx.lat.poset.down[v]))',
            ")"),
     Mutant("grounded-side-at-top", CATALOG,
            "a != getattr(ctx.lat, operand[0])",
@@ -143,6 +149,10 @@ MUTANTS = (
     Mutant("box-monotone-bit-tests-dia", CATALOG,
            '"box": Fact(lambda inst: is_monotone(inst.box,',
            '"box": Fact(lambda inst: is_monotone(inst.dia,'),
+    # the bound-reflection laws, over every element of the carrier
+    Mutant("dia-open-bound-reads-up", CATALOG,
+           "if any(not reach & down[o] for o in bits(up[dia[k]])):",
+           "if any(not reach & up[o] for o in bits(up[dia[k]])):"),
     Mutant("fact-known-never-true", CATALOG,
            "    def holds(self, inst) -> bool:\n        return self.test(inst)\n",
            "    def holds(self, inst) -> bool:\n        return self.test(inst) and False\n"),
@@ -153,6 +163,10 @@ MUTANTS = (
     Mutant("extremality-entry-written-per-system", MAXIMALITY,
            "            got |= ok << (i - 1)\n",
            "            got |= ok << (i - 1)\n            self.verdicts[index] = got\n"),
+    # the operators of an instance, read off the carrier's mask tables
+    Mutant("operators-swap-meet-and-join", RUN,
+           "return tuple(map(ctx.mask_meet, S.rows)), tuple(map(ctx.mask_join, S.cols))",
+           "return tuple(map(ctx.mask_join, S.rows)), tuple(map(ctx.mask_meet, S.cols))"),
     # the runner's memos (`run._Plan`: the forcing memo and the row memo's
     # keys), its one decision of a check from flag bits (`run._decide`)
     # and the replay path (`run._verdict`)
