@@ -47,9 +47,22 @@ def enumerate_relations(carrier: FinLattice) -> Iterator[ProtoSubAlg]:
         yield ProtoSubAlg(carrier, relation_from_int(n, packed))
 
 
-def closure_generated(carrier: FinLattice, max_seed_pairs: int = 2) -> list[ProtoSubAlg]:
+#: the corpora of ``closure_generated``: ``id(carrier)`` -> (the carrier,
+#: {seed pairs: corpus}); holding the carrier keeps its id from being reused
+_CLOSURES: dict[int, tuple[FinLattice, dict[int, tuple[ProtoSubAlg, ...]]]] = {}
+
+
+def closure_generated(carrier: FinLattice,
+                      max_seed_pairs: int = 2) -> tuple[ProtoSubAlg, ...]:
     """Distinct closures under the six subordination rules of every seed
-    relation with up to the given number of pairs, in seed order."""
+    relation with up to the given number of pairs, in seed order.
+
+    They depend on the lattice and the seed count alone, so each corpus
+    is closed once per lattice object (``_CLOSURES``); every later call
+    returns the same tuple of instances."""
+    corpora = _CLOSURES.setdefault(id(carrier), (carrier, {}))[1]
+    if max_seed_pairs in corpora:
+        return corpora[max_seed_pairs]
     n = carrier.n
     pairs = [(a, b) for a in range(n) for b in range(n)]
     seeds: list[list[tuple[int, int]]] = [[]]
@@ -66,7 +79,8 @@ def closure_generated(carrier: FinLattice, max_seed_pairs: int = 2) -> list[Prot
         if S.rows not in seen:
             seen.add(S.rows)
             out.append(S)
-    return out
+    corpora[max_seed_pairs] = got = tuple(out)
+    return got
 
 
 def random_relations(carrier: FinLattice, samples: int, seed: int,
@@ -149,11 +163,10 @@ def corpus_stream(cfg: GenConfig) -> Iterator[tuple[str, ProtoSubAlg]]:
             for S in enumerate_relations(carrier):
                 yield name, S
             continue
-        seen = set()
-        for S in closure_generated(carrier):
-            if S.rows not in seen:
-                seen.add(S.rows)
-                yield name, S
+        closures = closure_generated(carrier)
+        seen = {S.rows for S in closures}
+        for S in closures:
+            yield name, S
         extra = []
         for S in random_relations(carrier, cfg.samples, cfg.seed):
             extra += [S, close(S, SUBORDINATION_RULES)]

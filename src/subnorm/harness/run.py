@@ -42,14 +42,18 @@ and the flags the carrier lacks are settled once per carrier
 (``CarrierContext.settled``), and each bit is decided at most once per
 instance, however many checks read it.  The instance's true bits
 within the masks the plan reads are its key, and the key decides every
-mask, so the plan keeps a second memo per ``run_suite`` call, from key
-to the instance's whole row (``_Row``): the checks it skips and passes,
-counted per key and folded into the report at the end, the checks it
-fails with their detail, stored per instance so that counterexamples
-keep corpus order, and the ``law`` bodies to run through
-``verify_check``.  ``_decide`` is the one statement of what a
-precondition, an ``iff``, an ``implies`` and a mask ``law`` mean on
-bits; the row memo and ``replay_counterexample`` both call it.
+mask, so the plan keeps a second memo, from key to the instance's whole
+row (``_Row``): the checks it skips and passes, which each call counts
+per row and folds into the report at the end, the checks it fails with
+their detail, stored per instance so that counterexamples keep corpus
+order, and the ``law`` bodies to run through ``verify_check``.  Both
+memos are pure functions of the plan's checks, so the plans of one
+selection of checks are built once per process (``_plans``) and shared
+by every ``run_suite`` call that makes it; what a call counts stays in
+the call, and a counterexample gets a copy of its row's detail.
+``_decide`` is the one statement of what a precondition, an ``iff``, an
+``implies`` and a mask ``law`` mean on bits; the row memo and
+``replay_counterexample`` both call it.
 
 Every carrier is a finite lattice, its own canonical extension (every
 element closed and open, a monotone operator its own sigma/pi
@@ -65,6 +69,7 @@ sequential to keep counterexample order canonical without a sort pass.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from ..completion import dm_completion  # noqa: F401  (perfbench traces this binding)
@@ -353,8 +358,8 @@ def run_suite(cfg: Optional[GenConfig] = None,
     """
     cfg = cfg or GenConfig()
     checks = _select_checks(check_names)
-    carrier_plan = _Plan(c for c in checks if c.scope == "carrier")
-    relation_plan = _Plan(c for c in checks if c.scope == "relation")
+    carrier_plan, relation_plan = _plans(tuple(checks))
+    counts: dict[_Row, int] = {}  # the instances each row decided in this call
 
     stats = {c.name: {"tested": 0, "passes": 0, "skips": 0,
                       "counterexamples": [], "counterexample_count": 0}
@@ -384,15 +389,14 @@ def run_suite(cfg: Optional[GenConfig] = None,
         total_instances += 1
         if carrier_name != current:
             current = carrier_name
-            _run_row(carrier_plan, inst, stats, timing, carrier_name)
-        _run_row(relation_plan, inst, stats, timing, carrier_name)
-    for plan in (carrier_plan, relation_plan):
-        for row in plan.rows.values():
-            for name in row.skipped:
-                stats[name]["skips"] += row.count
-            for name in row.passed:
-                stats[name]["tested"] += row.count
-                stats[name]["passes"] += row.count
+            _run_row(carrier_plan, inst, counts, stats, timing, carrier_name)
+        _run_row(relation_plan, inst, counts, stats, timing, carrier_name)
+    for row, count in counts.items():
+        for name in row.skipped:
+            stats[name]["skips"] += count
+        for name in row.passed:
+            stats[name]["tested"] += count
+            stats[name]["passes"] += count
 
     gaps = sorted(name for name, st in stats.items() if st["tested"] == 0)
     n_counter = sum(st["counterexample_count"] for st in stats.values())
@@ -420,14 +424,14 @@ def run_suite(cfg: Optional[GenConfig] = None,
 
 class _Row:
     """What one key decides for every check of a plan: the names of the
-    checks skipped and of those passed, counted per key (``count``) and
-    folded into the report at the end; the ``(name, detail)`` of the
-    checks failed, and the ``law`` bodies to run, both per instance."""
+    checks skipped and of those passed, which ``run_suite`` counts per
+    row and folds into the report at the end; the ``(name, detail)`` of
+    the checks failed, and the ``law`` bodies to run, both per instance.
+    A row holds no per-call state, so every call reads the same one."""
 
-    __slots__ = ("count", "skipped", "passed", "failed", "bodies")
+    __slots__ = ("skipped", "passed", "failed", "bodies")
 
     def __init__(self, specs: list[CheckSpec], key: int):
-        self.count = 0
         self.skipped, self.passed, self.failed, self.bodies = [], [], [], []
         for spec in specs:
             verdict = _decide(spec, key)
@@ -449,7 +453,9 @@ class _Plan:
     a state, an instance's known and true bits within ``reads`` (packed
     as ``known << width | true``), to the next mask to force there
     (``_force``), and ``rows`` maps a key, its true bits within
-    ``reads`` once every needed bit is known, to its ``_Row``."""
+    ``reads`` once every needed bit is known, to its ``_Row``.  Both
+    memos depend on the checks alone and only grow, so one plan serves
+    every ``run_suite`` call that selects its checks (``_plans``)."""
 
     __slots__ = ("specs", "steps", "reads", "width", "forcing", "rows")
 
@@ -516,13 +522,24 @@ class _Plan:
         row = self.rows.get(key)
         if row is None:
             row = self.rows[key] = _Row(self.specs, key)
-        row.count += 1
         return row
 
 
-def _run_row(plan: _Plan, inst: Instance, stats: dict, timing: dict,
+@lru_cache(maxsize=None)
+def _plans(checks: tuple[CheckSpec, ...]) -> tuple[_Plan, _Plan]:
+    """The carrier-scope and the relation-scope ``_Plan`` of a selection
+    of checks, built once per selection and shared by every
+    ``run_suite`` call that makes it: both memos of a plan are pure
+    functions of its checks and their keys, so a later call only reads
+    what an earlier one found."""
+    return (_Plan(c for c in checks if c.scope == "carrier"),
+            _Plan(c for c in checks if c.scope == "relation"))
+
+
+def _run_row(plan: _Plan, inst: Instance, counts: dict, stats: dict, timing: dict,
              carrier_name: str) -> None:
     row = plan.row(inst)
+    counts[row] = counts.get(row, 0) + 1
     for name, detail in row.failed:
         _tally(stats[name], name, inst, carrier_name, "fail", detail)
     clock = inst.ctx.clock
@@ -545,7 +562,7 @@ def _tally(st: dict, name: str, inst: Instance, carrier_name: str, status: str,
             "check": name,
             "carrier": carrier_name,
             "instance": subalg_to_json(inst.S),
-            "detail": detail,
+            "detail": dict(detail),  # a row's detail is shared by every call
         })
 
 

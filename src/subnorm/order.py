@@ -38,12 +38,35 @@ from .errors import (
 )
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
+_TABLE_CAP = 10  # tables over all 2^n subsets stop being cheap beyond this
+
+
+def _set_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _bit_lists(width: int) -> tuple[tuple[int, ...], ...]:
+    """Entry ``m`` lists the set bits of ``m``, ascending, for every mask
+    of ``width`` bits: built by doubling, the masks with bit ``i`` set
+    being those below ``2^i`` with ``i`` appended."""
+    table = [()]
+    for i in range(width):
+        table += [t + (i,) for t in table]
+    return tuple(table)
+
+
+_BITS = _bit_lists(_TABLE_CAP)
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of set bits, ascending; read off ``_BITS`` for a mask of
+    at most ``_TABLE_CAP`` bits."""
+    if 0 <= mask < 1 << _TABLE_CAP:
+        return iter(_BITS[mask])
+    return _set_bits(mask)
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -358,8 +381,6 @@ def subset_law_failure(carrier: FinPoset | FinLattice, mask: int, law: str) -> O
                      if not mask >> op[x][y] & 1), None)
     raise ValueError(f"unknown subset law {law!r}")
 
-
-_TABLE_CAP = 10  # tables over all 2^n subsets stop being cheap beyond this
 
 #: the subset laws of the order alone, tabulated by ``subset_tables``
 ORDER_LAWS = ("up-closed", "down-directed", "up-directed")

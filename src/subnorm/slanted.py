@@ -61,16 +61,14 @@ class SlantedAlg:
         return f"SlantedAlg(n={self.n}, dia={self.dia}, box={self.box})"
 
 
-def build_slanted(S: ProtoSubAlg,
-                  ext: Optional[CanonicalExtension] = None) -> SlantedAlg:
-    """Diamond/box maps of a relation, computed inside the completion.
+def build_slanted(S: ProtoSubAlg) -> SlantedAlg:
+    """Diamond/box maps of a relation, computed inside the completion of
+    its carrier (``completion.dm_completion``).
 
-    ``ext`` must be the completion of ``S``'s carrier; it is built on the
-    fly when omitted.  Never fails: on a non-directed input a diamond
-    value need not be closed, nor a box value open.
+    Never fails: on a non-directed input a diamond value need not be
+    closed, nor a box value open.
     """
-    if ext is None:
-        ext = dm_completion(S.carrier)
+    ext = dm_completion(S.carrier)
     dia = [ext.meet_of_base(r) for r in S.rows]
     box = [ext.join_of_base(c) for c in S.cols]
     return SlantedAlg(S, ext, dia, box)

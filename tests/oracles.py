@@ -7,7 +7,9 @@ exceptions are ``verify_dense`` and ``verify_compact``, which check a
 ``completion.dm_completion`` result by enumerating the directed subsets
 of its base (``order.subset_tables``); ``close_fixpoint``, the pairwise
 closure that ``subordination.close`` is held to on carriers too large
-for the exhaustive ``closure_oracle``; ``extremality_oracle``, which
+for the exhaustive ``closure_oracle``; ``closure_generated_oracle``,
+which closes every seed of the closure-generated corpus afresh with
+``close``; ``extremality_oracle``, which
 takes the closure it judges from ``close_i`` (held to those two) unless
 a test plants one; ``closure_output_oracle``, the closure route to
 input/output queries through ``free_boolean_algebra`` and ``close_i``,
@@ -26,7 +28,8 @@ from subnorm.completion import dm_completion
 from subnorm.errors import TooLarge
 from subnorm.order import (FinLattice, FinPoset, bits, free_boolean_algebra, mask_of,
                            subset_tables)
-from subnorm.subordination import Property as P, ProtoSubAlg, _bounds, close_i
+from subnorm.subordination import (SUBORDINATION_RULES, Property as P, ProtoSubAlg,
+                                   _bounds, close, close_i)
 
 
 def subsets(xs):
@@ -270,6 +273,20 @@ def _closed_relations(carrier, rule_names: frozenset) -> tuple:
     rels = (frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1)
             for mask in range(1 << len(universe)))
     return tuple(rel for rel in rels if closed(rel))
+
+
+def closure_generated_oracle(carrier, max_seed_pairs: int) -> list:
+    """The rows of the closures under the six subordination rules of every
+    seed of at most ``max_seed_pairs`` pairs, each seed closed afresh
+    (``subordination.close``, no memo), distinct, in seed order: the
+    empty seed, then the single pairs, then the two-pair seeds, each
+    pair taken in row-major order.  The reference that
+    ``harness.closure_generated`` and its per-lattice memo are held to."""
+    pairs = list(product(range(carrier.n), repeat=2))
+    seeds = (seed for k in range(max_seed_pairs + 1) for seed in combinations(pairs, k))
+    return list(dict.fromkeys(
+        close(ProtoSubAlg.from_pairs(carrier, seed), SUBORDINATION_RULES).rows
+        for seed in seeds))
 
 
 def close_fixpoint(S, ruleset: frozenset) -> list[int]:

@@ -230,7 +230,10 @@ class TestLiftingOracle:
                             for _ in range(n)]
                     S = close(ProtoSubAlg(carrier, SubordRel(n, rows)),
                               {Property.SI, Property.WO})
-                    sa = build_slanted(S, c)
+                    sa = build_slanted(S)
+                    # the completion build_slanted makes is the one cut reads
+                    assert (sa.ext.embed, sa.delta.poset.up, sa.delta.meet, sa.delta.join) == (
+                        c.embed, c.delta.poset.up, c.delta.meet, c.delta.join), p.up
                     assert as_cuts(sigma_extension(sa)) == sigma_oracle(
                         C, [cut[v] for v in sa.dia]), (p.up, S)
                     assert as_cuts(pi_extension(sa)) == pi_oracle(

@@ -1,12 +1,17 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import zlib
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import subnorm
 from subnorm import duality
 from subnorm.completion import dm_completion
 from subnorm.duality import RelCondition
@@ -42,8 +47,10 @@ from subnorm.harness.catalog import (
     _inequalities,
     local_tables,
 )
+from subnorm.harness import generate
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
-from subnorm.order import FinLattice, FinPoset, bits, lattice_to_json, subset_tables
+from subnorm.order import (FinLattice, FinPoset, bits, lattice_to_json, poset_from_hasse,
+                           subset_tables, to_lattice)
 from subnorm.slanted import build_slanted, pi_extension, sigma_extension, valid
 from subnorm.subordination import (
     LOCAL_FLAGS,
@@ -59,7 +66,8 @@ from subnorm.subordination import (
 )
 from subnorm.syntax import parse_inequality
 from conftest import has_flags, leq_relation
-from oracles import LAW_ORACLES, LOCAL_LAW_ORACLES, check_oracle, extremality_oracle
+from oracles import (LAW_ORACLES, LOCAL_LAW_ORACLES, check_oracle, closure_generated_oracle,
+                     extremality_oracle)
 
 P = Property
 
@@ -195,6 +203,38 @@ class TestGeneration:
         assert names == {"chain2", "fdl2"}
 
 
+class TestClosureMemo:
+    """The closure-generated corpus depends on the lattice and the seed
+    count alone, so each is closed once per lattice object."""
+
+    @pytest.mark.parametrize("name", ["chain2", "chain3", "chain4", "b4", "fdl2", "b8"])
+    def test_matches_closing_every_seed_afresh(self, name):
+        lat = load_carrier(name)
+        for k in (0, 1, 2):
+            got = closure_generated(lat, k)
+            assert [S.rows for S in got] == closure_generated_oracle(lat, k), (name, k)
+            assert all(S.carrier is lat for S in got)
+            assert closure_generated(lat, k) is got
+
+    def test_a_repeated_stream_closes_only_its_random_relations(self, monkeypatch):
+        cfg = GenConfig(carriers=("chain4", "fdl2", "b8"), mode="random", samples=7)
+        first = [(name, S.rows) for name, S in corpus_stream(cfg)]
+        calls = []
+        monkeypatch.setattr(generate, "close",
+                            lambda *args, close=generate.close: calls.append(1) or close(*args))
+        assert [(name, S.rows) for name, S in corpus_stream(cfg)] == first
+        assert len(calls) == len(cfg.carriers) * cfg.samples
+
+    def test_keyed_by_the_lattice_not_its_size(self, fdl2):
+        chain6 = to_lattice(poset_from_hasse(6, [(i, i + 1) for i in range(5)]))
+        copy = fresh_copy(fdl2)
+        for lat in (fdl2, chain6, copy):
+            got = closure_generated(lat)
+            assert [S.rows for S in got] == closure_generated_oracle(lat, 2)
+            assert all(S.carrier is lat for S in got)
+        assert closure_generated(chain6) is not closure_generated(fdl2)
+
+
 #: a test-owned fact: the diamond is not inflationary (``a <= <>a`` fails)
 NOT_INFLATIONARY = Fact(lambda inst: not _compile_inequality("a <= <>a").holds(inst))
 
@@ -235,7 +275,7 @@ class TestVerifyCheck:
         exercised = {spec.name: 0 for spec in specs}
         rng = random.Random(23)
         for lat in (b4, fdl2):
-            ctx, ext = CarrierContext("test", lat), dm_completion(lat)
+            ctx = CarrierContext("test", lat)
             n = lat.n
             for _ in range(40):
                 seed = [(rng.randrange(n), rng.randrange(n))
@@ -245,7 +285,7 @@ class TestVerifyCheck:
                           close(raw, SUBORDINATION_RULES),
                           close(raw, {P.BOT, P.TOP, P.SI, P.WO, P.AND, P.CT})):
                     inst = Instance(ctx, S)
-                    sa = build_slanted(S, ext)
+                    sa = build_slanted(S)
                     for spec in specs:
                         if not has_flags(inst, spec.precondition):
                             continue
@@ -1295,6 +1335,71 @@ class TestGroupedRunner:
         assert copy.local[0] & decided == decided
         for mine, theirs in zip(first.local[1:], copy.local[1:]):
             assert [[e & decided for e in sig] for sig in theirs] == [list(sig) for sig in mine]
+
+
+#: one fresh interpreter's report without ``timing``, as sorted JSON
+FRESH_REPORT = """
+import json, sys
+from subnorm.harness import GenConfig, run_suite, strip_timing
+cfg, names = json.loads(sys.argv[1])
+report = run_suite(GenConfig(carriers=tuple(cfg["carriers"]), samples=cfg["samples"],
+                             seed=cfg["seed"]), names)
+print(json.dumps(strip_timing(report), sort_keys=True))
+"""
+
+
+def fresh_report(cfg: GenConfig, names) -> str:
+    src = str(Path(subnorm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    arg = json.dumps([{"carriers": list(cfg.carriers), "samples": cfg.samples,
+                       "seed": cfg.seed}, names])
+    done = subprocess.run([sys.executable, "-c", FRESH_REPORT, arg], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    return done.stdout.strip()
+
+
+class TestSharedPlans:
+    """``run_suite`` calls that select the same checks share one plan per
+    scope, and with it the forcing and row memos; each call counts its
+    own rows, and no object of a memo reaches a report."""
+
+    CFG = GenConfig(carriers=("chain3", "fdl2"), samples=4, seed=7)
+    SUBSET = ["diamond-detects-rel", "or-implies-updirected", "closure1-extremal",
+              "two-space-constructions-isomorphic", "sigma-negation-extension-laws"]
+
+    def test_calls_in_one_process_match_fresh_interpreters(self):
+        got = [json.dumps(strip_timing(run_suite(self.CFG, names)), sort_keys=True)
+               for names in (self.SUBSET, None, self.SUBSET)]
+        want = {key: fresh_report(self.CFG, names)
+                for key, names in (("subset", self.SUBSET), ("all", None))}
+        assert got == [want["subset"], want["all"], want["subset"]]
+        assert json.loads(got[0])["summary"]["instances"] > 500
+
+    def test_a_repeated_config_walks_no_state(self, monkeypatch):
+        first = strip_timing(run_suite(self.CFG))
+        walks = []
+        monkeypatch.setattr(runner._Plan, "_force", lambda plan, known, true,
+                            force=runner._Plan._force: walks.append(1)
+                            or force(plan, known, true))
+        assert strip_timing(run_suite(self.CFG)) == first
+        assert walks == []
+
+    def test_editing_a_counterexample_leaves_the_next_report(self, monkeypatch):
+        # a pattern-decided iff and a mask law, both failing: their
+        # details come from the shared row memo
+        mask_law = CheckSpec("planted-si-as-a-law", "fails where SI fails", "law",
+                             law=flag_mask(P.SI))
+        planted = (TestGroupedRunner.PATTERN_IFF, mask_law)
+        monkeypatch.setattr(runner, "CATALOG", CATALOG + planted)
+        first = run_suite(self.CFG)
+        want = json.dumps(strip_timing(first), sort_keys=True)
+        for spec in planted:
+            stored = first["checks"][spec.name]["counterexamples"]
+            assert stored, spec.name
+            for ce in stored:
+                ce["detail"]["edited"] = True
+                ce["detail"].pop("lhs", None)
+        assert json.dumps(strip_timing(run_suite(self.CFG)), sort_keys=True) == want
 
 
 def ask(specs, inst) -> None:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,40 @@ from oracles import (
 
 def members(mask):
     return set(bits(mask))
+
+
+def generator_bits(mask):
+    """The set bits of ``mask``, ascending, found one lowest bit at a
+    time: the reference that the table lookup of ``bits`` is held to."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class TestBits:
+    """``bits`` reads masks of up to ten bits off one table and walks
+    larger ones; both give the set bits in ascending order."""
+
+    def test_every_mask_below_two_to_the_sixteen(self):
+        for m in range(1 << 16):
+            assert list(bits(m)) == list(generator_bits(m)), m
+
+    def test_masks_above_the_table(self):
+        rng = random.Random(3)
+        masks = [1 << 10, (1 << 10) - 1 | 1 << 40, 1 << 63, (1 << 100) - 1,
+                 *(rng.getrandbits(k) | 1 << k - 1 for k in (11, 17, 64, 300) for _ in range(20))]
+        assert min(masks) >= 1 << 10
+        for m in masks:
+            got = list(bits(m))
+            assert got == list(generator_bits(m)) == sorted(got), m
+
+    def test_iterator_protocol(self):
+        assert list(bits(0)) == []
+        for m in (1, 6, 1 << 9, 1 << 10, 5 << 60):
+            it = bits(m)
+            assert next(it) == (m & -m).bit_length() - 1
+            assert list(it) == list(generator_bits(m))[1:]
 
 
 class TestValidatePoset:

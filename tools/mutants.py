@@ -2,7 +2,9 @@
 laws, the local table, the local catalog sides, the flag bits
 that preconditions and check sides read, the closure-extremality verdict
 table, the runner's decision of a check from its flag bits, its memos
-and the replay path, the property sweeps, the closure and its rule
+and the replay path, what the runner keeps across calls (its shared
+plans and the closure-generated corpus), the table of set-bit lists,
+the property sweeps, the closure and its rule
 systems, the output operators d1..d4 of input/output logic, the term
 evaluator and modal validity.
 
@@ -48,7 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: map enumeration and the verdict table's miss path, the forcing memo
 #: against asking for each mask in turn, the flag bitmasks against
 #: ``property_holds``, the runner's plans and memo against the naive
-#: loop, replayed counterexamples, the witness digest, the closure
+#: loop, replayed counterexamples, the shared plans against fresh
+#: interpreters, the closure-generated corpus against closing every seed
+#: afresh, ``bits`` against its generator, the witness digest, the closure
 #: against its oracles, the closure digest, ``derive``, ``out`` and
 #: ``modal_output`` with the closure route against the semantics of
 #: out1..out4, the term evaluator against its scalar oracle, and modal
@@ -67,6 +71,9 @@ FAST = (
     "tests/test_subordination.py::test_local_witnesses_on_every_row_and_column",
     "tests/test_harness.py::TestGroupedRunner",
     "tests/test_harness.py::TestReplay",
+    "tests/test_harness.py::TestSharedPlans",
+    "tests/test_harness.py::TestClosureMemo",
+    "tests/test_order.py::TestBits",
     "tests/test_witness_digest.py",
     "tests/test_subordination.py::TestClose",
     "tests/test_closure_digest.py",
@@ -78,6 +85,8 @@ FAST = (
 CATALOG = "src/subnorm/harness/catalog.py"
 IOLOGIC = "src/subnorm/iologic.py"
 MAXIMALITY = "src/subnorm/harness/maximality.py"
+GENERATE = "src/subnorm/harness/generate.py"
+ORDER = "src/subnorm/order.py"
 RUN = "src/subnorm/harness/run.py"
 SLANTED = "src/subnorm/slanted.py"
 SUBORDINATION = "src/subnorm/subordination.py"
@@ -185,6 +194,19 @@ MUTANTS = (
     Mutant("iff-detail-swaps-sides", RUN,
            '("fail", {"lhs": lhs, "rhs": rhs})',
            '("fail", {"lhs": rhs, "rhs": lhs})'),
+    # what is kept across `run_suite` calls: the plans, shared per
+    # selection, hold no per-call counts, and the closure-generated
+    # corpus is kept per lattice object
+    Mutant("plan-counts-on-shared-row", RUN,
+           "    counts: dict[_Row, int] = {}  # the instances each row decided in this call\n",
+           '    counts = _Row.__init__.__dict__.setdefault("counts", {})\n'),
+    Mutant("closure-memo-keyed-on-n", GENERATE,
+           "_CLOSURES.setdefault(id(carrier), (carrier, {}))[1]",
+           "_CLOSURES.setdefault(carrier.n, (carrier, {}))[1]"),
+    # the table of set-bit lists that `order.bits` reads
+    Mutant("bits-table-one-bit-short", ORDER,
+           "_BITS = _bit_lists(_TABLE_CAP)",
+           "_BITS = _bit_lists(_TABLE_CAP - 1)"),
     Mutant("replay-skips-precondition", RUN,
            "return _decide(spec, _Plan([spec]).key(inst)) or verify_check(spec, inst)",
            "return _decide(spec, _Plan([spec]).key(inst) | spec.precondition)"
