@@ -147,15 +147,15 @@ def _cmd_close(args) -> int:
     if (args.system is None) == (args.rules is None):
         raise SubnormError("need exactly one of --system 1..4 and --rules LIST")
     S = _load_subalg(args)
-    before = set(S.prec.pairs())
+    before = set(S.pairs())
     if args.system is not None:
         closed = close_i(S, args.system)
     else:
         closed = close(S, _parse_props(args.rules))
     payload = subalg_to_json(closed)
-    payload["added"] = len(set(closed.prec.pairs()) - before)
+    payload["added"] = len(set(closed.pairs()) - before)
     _emit(args, payload,
-          ["closed prec: " + " ".join(map(str, closed.prec.pairs())),
+          ["closed prec: " + " ".join(map(str, closed.pairs())),
            f"added {payload['added']} pairs"])
     return 0
 

@@ -8,6 +8,7 @@ generators, and the chains are self-explanatory.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 
 from ..errors import InputFormatError
@@ -59,12 +60,27 @@ def carrier_names() -> list[str]:
 
 
 @lru_cache(maxsize=None)
+def _builtin(name: str) -> FinLattice:
+    return _BUILDERS[name]()
+
+
+#: the JSON carriers read so far: absolute path -> ((st_mtime_ns,
+#: st_size) of the file when read, its lattice)
+_FILES: dict[str, tuple[tuple[int, int], FinLattice]] = {}
+
+
 def load_carrier(name: str) -> FinLattice:
-    """A built-in by name, or a lattice from an algebra JSON file."""
+    """A built-in by name, or a lattice from an algebra JSON file as the
+    file is now: the same lattice object while the file is unchanged."""
     if name in _BUILDERS:
-        return _BUILDERS[name]()
+        return _builtin(name)
     if name.endswith(".json"):
-        return lattice_from_json(load_json(name))
+        st = os.stat(name)
+        stamp = (st.st_mtime_ns, st.st_size)
+        path = os.path.abspath(name)
+        if _FILES.get(path, (None,))[0] != stamp:
+            _FILES[path] = (stamp, lattice_from_json(load_json(name)))
+        return _FILES[path][1]
     raise InputFormatError(
         f"unknown carrier {name!r}; built-ins: {', '.join(carrier_names())} "
         "(or pass an algebra JSON path)")

@@ -21,7 +21,6 @@ from ..order import FinLattice
 from ..subordination import (  # noqa: F401  (property_holds: perfbench traces this binding)
     SUBORDINATION_RULES,
     ProtoSubAlg,
-    SubordRel,
     close,
     property_holds,
 )
@@ -33,9 +32,10 @@ _EXHAUSTIVE_BITS = 16
 #: is followed by its closure under the six subordination rules
 DENSITIES = (0.1, 0.3, 0.5)
 
-def relation_from_int(n: int, packed: int) -> SubordRel:
+def relation_from_int(n: int, packed: int) -> tuple[int, ...]:
+    """The rows of the relation whose bits, row-major, are ``packed``."""
     full = (1 << n) - 1
-    return SubordRel(n, [(packed >> (a * n)) & full for a in range(n)])
+    return tuple((packed >> (a * n)) & full for a in range(n))
 
 
 def enumerate_relations(carrier: FinLattice) -> Iterator[ProtoSubAlg]:
@@ -98,7 +98,7 @@ def random_relations(carrier: FinLattice, samples: int, seed: int,
             for b in range(n):
                 if rng.random() < d:
                     rows[a] |= 1 << b
-        out.append(ProtoSubAlg(carrier, SubordRel(n, rows)))
+        out.append(ProtoSubAlg(carrier, rows))
     return out
 
 

@@ -335,6 +335,9 @@ def verify_check(spec: CheckSpec, inst: Instance) -> tuple[str, Optional[dict]]:
 def _select_checks(names: Optional[Iterable[str]]) -> list[CheckSpec]:
     if names is None:
         return list(CATALOG)
+    if isinstance(names, str):
+        raise InputFormatError(
+            f"check_names must be a sequence of check names, not a str: {names!r}")
     out = []
     for name in names:
         if name not in CHECKS_BY_NAME:

@@ -1,7 +1,8 @@
 """Proto-subordination algebras: a carrier order plus a binary relation.
 
-The relation ``prec`` is stored as one bitmask row per element
-(``rows[a]`` holds the heads ``x`` with ``a prec x``).  This module
+A ``ProtoSubAlg`` is one object: the carrier and the relation ``prec``,
+held as one bitmask row per element (``rows[a]`` holds the heads ``x``
+with ``a prec x``), with its columns built on first use.  This module
 provides the full first-order property checker (SI, WO, AND, OR, CT, T,
 D, DD, UD, S6, S9, SL1, SL2, inclusion and properness conditions), the
 named-class classifier, and least-fixpoint closure under the Horn rules,
@@ -110,106 +111,62 @@ _NEEDS_MEET_JOIN = {Property.AND, Property.OR, Property.CT,
 _NEEDS_BOUNDS = {Property.BOT, Property.TOP, Property.PROPER}
 
 
-class SubordRel:
-    """Binary relation over carrier indices, one bitmask row per element."""
+class ProtoSubAlg:
+    """A carrier order with a binary relation on it, one bitmask row per
+    element: ``rows[a]`` holds the heads ``x`` with ``a prec x``."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("carrier", "poset", "lattice", "n", "rows", "_cols")
 
-    def __init__(self, n: int, rows: Sequence[int]):
+    def __init__(self, carrier: Carrier, rows: Sequence[int]):
+        n = carrier.n
         if len(rows) != n:
             raise InputFormatError("relation must have one row per element")
         full = (1 << n) - 1
         if any(r & ~full for r in rows):
             raise InputFormatError("relation indices out of carrier range")
+        self.carrier = carrier
+        if isinstance(carrier, FinLattice):
+            self.poset, self.lattice = carrier.poset, carrier
+        else:
+            self.poset, self.lattice = carrier, None
         self.n = n
         self.rows = tuple(rows)
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "SubordRel":
-        rows = [0] * n
-        for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise InputFormatError(f"relation pair {(a, b)} out of range")
-            rows[a] |= 1 << b
-        return cls(n, rows)
-
-    def has(self, a: int, b: int) -> bool:
-        return bool(self.rows[a] >> b & 1)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in range(self.n) for b in bits(self.rows[a])]
-
-    def columns(self) -> tuple[int, ...]:
-        cols = [0] * self.n
-        for a in range(self.n):
-            for b in bits(self.rows[a]):
-                cols[b] |= 1 << a
-        return tuple(cols)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SubordRel) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"SubordRel({self.pairs()!r})"
-
-
-class ProtoSubAlg:
-    """Carrier order with a subordination-style relation on it."""
-
-    __slots__ = ("carrier", "prec", "_cols")
-
-    def __init__(self, carrier: Carrier, prec: SubordRel):
-        n = carrier.n
-        if prec.n != n:
-            raise InputFormatError("carrier and relation sizes differ")
-        self.carrier = carrier
-        self.prec = prec
         self._cols = None
 
     @classmethod
     def from_pairs(cls, carrier: Carrier,
                    pairs: Iterable[tuple[int, int]]) -> "ProtoSubAlg":
         n = carrier.n
-        return cls(carrier, SubordRel.from_pairs(n, pairs))
-
-    @property
-    def poset(self) -> FinPoset:
-        c = self.carrier
-        return c.poset if isinstance(c, FinLattice) else c
-
-    @property
-    def lattice(self) -> Optional[FinLattice]:
-        return self.carrier if isinstance(self.carrier, FinLattice) else None
-
-    @property
-    def n(self) -> int:
-        return self.prec.n
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return self.prec.rows
+        rows = [0] * n
+        for a, b in pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise InputFormatError(f"relation pair {(a, b)} out of range")
+            rows[a] |= 1 << b
+        return cls(carrier, rows)
 
     @property
     def cols(self) -> tuple[int, ...]:
+        """``cols[b]`` holds the tails ``a`` with ``a prec b``."""
         if self._cols is None:
-            self._cols = self.prec.columns()
+            cols = [0] * self.n
+            for a, r in enumerate(self.rows):
+                for b in bits(r):
+                    cols[b] |= 1 << a
+            self._cols = tuple(cols)
         return self._cols
 
-    def with_rows(self, rows: Sequence[int]) -> "ProtoSubAlg":
-        return ProtoSubAlg(self.carrier, SubordRel(self.n, rows))
+    def pairs(self) -> list[tuple[int, int]]:
+        return [(a, b) for a, r in enumerate(self.rows) for b in bits(r)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ProtoSubAlg)
-                and self.prec == other.prec and self.carrier == other.carrier)
+                and self.rows == other.rows and self.carrier == other.carrier)
 
     def __hash__(self) -> int:
-        return hash((self.prec, self.n))
+        return hash(self.rows)
 
     def __repr__(self) -> str:
-        return f"ProtoSubAlg(n={self.n}, prec={self.prec.pairs()!r})"
+        return f"ProtoSubAlg(n={self.n}, prec={self.pairs()!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +195,7 @@ def _require(S: ProtoSubAlg, prop: Property) -> None:
 
 def missing_flags(carrier: Carrier) -> int:
     """The flags whose property needs structure the carrier lacks."""
-    S = ProtoSubAlg(carrier, SubordRel(carrier.n, [0] * carrier.n))
+    S = ProtoSubAlg(carrier, [0] * carrier.n)
     out = 0
     for i, prop in enumerate(FLAG_PROPERTIES):
         try:
@@ -538,7 +495,7 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     guard = n * n + 2
     if top and si and wo and and_:
         d = _close_diamond(lat, [lat.meet_all(r) for r in rows], or_, ct, t, guard)
-        return S.with_rows([up[x] for x in d])
+        return ProtoSubAlg(S.carrier, [up[x] for x in d])
     filters = lat is not None and wo and and_
     strict_up = [list(bits(up[a] ^ (1 << a))) for a in range(n)] if si else None
     for _ in range(guard + 1):
@@ -596,7 +553,7 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
             break
     else:
         raise AssertionError("closure failed to converge within the pair bound")
-    return S.with_rows(rows)
+    return ProtoSubAlg(S.carrier, rows)
 
 
 def _diamond_shape(lat: FinLattice) -> tuple[tuple, Optional[tuple]]:
@@ -699,4 +656,4 @@ def subalg_from_json(obj: dict, base_dir: Optional[str] = None) -> ProtoSubAlg:
 def subalg_to_json(S: ProtoSubAlg) -> dict:
     lat = S.lattice
     alg = lattice_to_json(lat) if lat is not None else poset_to_json(S.poset)
-    return {"algebra": alg, "prec": [list(p) for p in S.prec.pairs()]}
+    return {"algebra": alg, "prec": [list(p) for p in S.pairs()]}

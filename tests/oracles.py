@@ -958,7 +958,7 @@ def law_dia_bound_reflects_oracle(inst, sigma) -> bool:
         sk = sigma[k]
         for b in range(inst.n):
             if d.leq(sk, embed[b]):
-                if not any(d.leq(k, embed[a]) and inst.S.prec.has(a, b)
+                if not any(d.leq(k, embed[a]) and inst.S.rows[a] >> b & 1
                            for a in range(inst.n)):
                     return False
     return True
@@ -972,7 +972,7 @@ def law_dia_open_bound_reflects_oracle(inst, sigma) -> bool:
         for o in bits(ext.open):
             if d.leq(sk, o):
                 if not any(d.leq(k, embed[a]) and d.leq(embed[b], o)
-                           and inst.S.prec.has(a, b)
+                           and inst.S.rows[a] >> b & 1
                            for a in range(inst.n) for b in range(inst.n)):
                     return False
     return True
@@ -985,7 +985,7 @@ def law_box_bound_reflects_oracle(inst, pi) -> bool:
         po = pi[o]
         for a in range(inst.n):
             if d.leq(embed[a], po):
-                if not any(d.leq(embed[b], o) and inst.S.prec.has(a, b)
+                if not any(d.leq(embed[b], o) and inst.S.rows[a] >> b & 1
                            for b in range(inst.n)):
                     return False
     return True
@@ -999,7 +999,7 @@ def law_box_closed_bound_reflects_oracle(inst, pi) -> bool:
         for k in bits(ext.closed):
             if d.leq(k, po):
                 if not any(d.leq(k, embed[a]) and d.leq(embed[b], o)
-                           and inst.S.prec.has(a, b)
+                           and inst.S.rows[a] >> b & 1
                            for a in range(inst.n) for b in range(inst.n)):
                     return False
     return True
@@ -1052,14 +1052,14 @@ def law_rel_bounds_oracle(inst) -> bool:
 def law_dia_detects_oracle(inst) -> bool:
     ext = dm_completion(inst.ctx.lat)
     d, embed = ext.delta, ext.embed
-    return all((d.leq(inst.dia[a], embed[b])) == inst.S.prec.has(a, b)
+    return all((d.leq(inst.dia[a], embed[b])) == bool(inst.S.rows[a] >> b & 1)
                for a in range(inst.n) for b in range(inst.n))
 
 
 def law_box_detects_oracle(inst) -> bool:
     ext = dm_completion(inst.ctx.lat)
     d, embed = ext.delta, ext.embed
-    return all((d.leq(embed[a], inst.box[b])) == inst.S.prec.has(a, b)
+    return all((d.leq(embed[a], inst.box[b])) == bool(inst.S.rows[a] >> b & 1)
                for a in range(inst.n) for b in range(inst.n))
 
 

@@ -100,7 +100,7 @@ class TestClose:
                                  "--system", "2")
         assert code == 0
         S = subalg_from_json(payload)  # emitted JSON is accepted back
-        assert (1, 1) in S.prec.pairs()
+        assert (1, 1) in S.pairs()
         assert payload["added"] >= 4
 
     def test_rules_list(self, capsys, files):

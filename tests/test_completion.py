@@ -18,7 +18,7 @@ from subnorm.order import (
     validate_poset,
 )
 from subnorm.slanted import build_slanted, pi_extension, sigma_extension
-from subnorm.subordination import Property, ProtoSubAlg, SubordRel, close
+from subnorm.subordination import Property, ProtoSubAlg, close
 from oracles import (
     CutCompletion,
     cuts_oracle,
@@ -228,7 +228,7 @@ class TestLiftingOracle:
                 for _ in range(4):
                     rows = [mask_of(b for b in range(n) if rng.random() < 0.3)
                             for _ in range(n)]
-                    S = close(ProtoSubAlg(carrier, SubordRel(n, rows)),
+                    S = close(ProtoSubAlg(carrier, rows),
                               {Property.SI, Property.WO})
                     sa = build_slanted(S)
                     # the completion build_slanted makes is the one cut reads

@@ -184,4 +184,4 @@ class TestLambda:
                 for m2 in kap:
                     lhs = lat.leq(pi[m1], m2)
                     rhs = lat.leq(kap[m1], sig[kap[m2]])
-                    assert lhs == rhs, (S.prec.pairs(), m1, m2)
+                    assert lhs == rhs, (S.pairs(), m1, m2)

@@ -56,7 +56,6 @@ from subnorm.subordination import (
     LOCAL_FLAGS,
     Property,
     ProtoSubAlg,
-    SubordRel,
     close,
     close_i,
     flag_mask,
@@ -235,6 +234,43 @@ class TestClosureMemo:
         assert closure_generated(chain6) is not closure_generated(fdl2)
 
 
+class TestJsonCarriers:
+    """A JSON carrier is read as the file is now; while the file is
+    unchanged, every call returns the same lattice object."""
+
+    @staticmethod
+    def write(path, name):
+        path.write_text(json.dumps(lattice_to_json(load_carrier(name))))
+
+    def test_a_rewritten_file_is_read_again(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, instances in (("chain2", 16), ("chain3", 512), ("chain2", 16)):
+            self.write(tmp_path / "lat.json", name)
+            report = run_suite(GenConfig(carriers=("lat.json",)), ["bounds-of-related-pairs"])
+            assert report["summary"]["instances"] == instances, name
+
+    def test_one_name_in_two_directories(self, tmp_path, monkeypatch):
+        for name in ("chain2", "chain3"):
+            (tmp_path / name).mkdir()
+            self.write(tmp_path / name / "lat.json", name)
+        for name, n in (("chain2", 2), ("chain3", 3), ("chain2", 2)):
+            monkeypatch.chdir(tmp_path / name)
+            assert load_carrier("lat.json").n == n
+
+    def test_an_unchanged_file_is_one_lattice(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.write(tmp_path / "lat.json", "fdl2")
+        lat = load_carrier("lat.json")
+        assert load_carrier(str(tmp_path / "lat.json")) is lat
+        cfg = GenConfig(carriers=("lat.json",), samples=3)
+        assert all(S.carrier is lat for _, S in corpus_stream(cfg))
+        memos = len(generate._CLOSURES)
+        for _ in range(2):
+            run_suite(cfg, ["bounds-of-related-pairs"])
+        assert load_carrier("lat.json") is lat
+        assert len(generate._CLOSURES) == memos
+
+
 #: a test-owned fact: the diamond is not inflationary (``a <= <>a`` fails)
 NOT_INFLATIONARY = Fact(lambda inst: not _compile_inequality("a <= <>a").holds(inst))
 
@@ -296,7 +332,7 @@ class TestVerifyCheck:
                         except NotMonotone:
                             continue
                         exercised[spec.name] += 1
-                        assert has_flags(inst, spec.rhs) == all(want), (spec.name, S.prec.pairs())
+                        assert has_flags(inst, spec.rhs) == all(want), (spec.name, S.pairs())
         assert min(exercised.values()) >= 20, exercised
 
 
@@ -327,12 +363,12 @@ class TestProp41:
 
     def test_injected_fault_yields_witness_map(self, b4, b4_leq, monkeypatch):
         # the closure diamond loses information at the top: dia_i[3] = 1
-        S = ProtoSubAlg(fresh_copy(b4), b4_leq.prec)
+        S = ProtoSubAlg(fresh_copy(b4), b4_leq.rows)
 
         def lowered(T, j):
             rows = list(close_i(T, j).rows)
             rows[3] |= b4.poset.up[1]
-            return T.with_rows(rows)
+            return ProtoSubAlg(T.carrier, rows)
 
         monkeypatch.setattr(maximality, "close_i", lowered)
         for i in (1, 2, 3, 4):
@@ -344,7 +380,7 @@ class TestProp41:
         # the closure box rises at the bottom: box_i[0] = 2.  No relation
         # raises that box without lowering the diamond, so the planted
         # closure's columns disagree with its rows and only the box moves
-        S = ProtoSubAlg(fresh_copy(b4), b4_leq.prec)
+        S = ProtoSubAlg(fresh_copy(b4), b4_leq.rows)
 
         def raised(T, j):
             closed = close_i(T, j)
@@ -398,10 +434,10 @@ class TestProp41:
                     rows[a] ^= 1 << x
 
                     def planted(T, j, i=i, rows=rows):
-                        return T.with_rows(rows) if j == i else close_i(T, j)
+                        return ProtoSubAlg(T.carrier, rows) if j == i else close_i(T, j)
 
                     monkeypatch.setattr(maximality, "close_i", planted)
-                    T = ProtoSubAlg(fresh_copy(base), S.prec)
+                    T = ProtoSubAlg(fresh_copy(base), S.rows)
                     for j in (i, *(j for j in (1, 2, 3, 4) if j != i)):
                         want = extremality_oracle(T, j, close=planted) is None
                         assert extremal(T, j) == want, (S, i, j, mode, a, x)
@@ -424,7 +460,7 @@ class TestProp41:
         outcomes = {True: 0, False: 0}
         for base in (chain4, b4):
             for S in directed_sample(base, 100, seed=45):
-                T = ProtoSubAlg(fresh_copy(base), S.prec)
+                T = ProtoSubAlg(fresh_copy(base), S.rows)
                 for i in (1, 2, 3, 4):
                     want = extremality_oracle(T, i, **laws) is None
                     assert extremal(T, i) == want, (S, i)
@@ -450,7 +486,7 @@ class TestProp41:
                                                cols=tuple(1 << y for y in h))
 
                     monkeypatch.setattr(maximality, "close_i", planted)
-                    T = ProtoSubAlg(fresh_copy(lat), S.prec)
+                    T = ProtoSubAlg(fresh_copy(lat), S.rows)
                     for j in (1, 2):
                         want = extremality_oracle(T, j, close=planted) is None
                         assert extremal(T, j) == want, (S, h, j)
@@ -466,7 +502,7 @@ class TestProp41:
             # test_injected_fault_yields_witness_map
             rows = list(close_i(T, j).rows)
             rows[3] |= lat.poset.up[1]
-            return T.with_rows(rows)
+            return ProtoSubAlg(T.carrier, rows)
 
         monkeypatch.setattr(maximality, "close_i", lowered)
         assert extremal(S, 1) is False
@@ -499,7 +535,7 @@ class TestProp41:
                 grown = [r | (rng.randrange(1 << n) & lat.poset.up[d])
                          for r, d in zip(rows, dia)]
                 groups[tuple(rows)] = [
-                    ProtoSubAlg(lat, SubordRel(n, v))
+                    ProtoSubAlg(lat, v)
                     for v in (rows, [1 << d for d in dia], grown)]
         for members in groups.values():
             for i in (1, 2, 3, 4):
@@ -542,7 +578,7 @@ class TestExtremalityFlags:
             ctx = CarrierContext("loosened", copy)
             by_dia = {}
             for S in rels:
-                T = ProtoSubAlg(copy, S.prec)
+                T = ProtoSubAlg(copy, S.rows)
                 want = [extremality_oracle(T, i, box_law=loose) is None for i in (1, 2, 3, 4)]
                 assert extremal_bits(Instance(ctx, T)) == want, S
                 dia, box = dia_box(T)
@@ -997,6 +1033,11 @@ class TestRunSuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(InputFormatError):
             run_suite(GenConfig(carriers=("chain2",)), check_names=["nope"])
+
+    def test_a_string_of_check_names_rejected(self):
+        # a string would be iterated as its characters ("b", "o", ...)
+        with pytest.raises(InputFormatError, match="not a str"):
+            run_suite(GenConfig(carriers=("chain2",)), check_names="bounds-of-related-pairs")
 
     def test_determinism_modulo_timing(self):
         cfg = GenConfig(carriers=("chain2", "fdl2"), samples=6, seed=7)

@@ -21,7 +21,6 @@ from subnorm.subordination import (
     SYSTEM_RULES,
     Property,
     ProtoSubAlg,
-    SubordRel,
     check_property,
     classify,
     close,
@@ -143,7 +142,7 @@ def test_local_witnesses_on_every_row_and_column(name, request):
             by_row = [m if b == a else up[b] for b in range(n)]
             by_col = [up[b] & ~(1 << a) | (m >> b & 1) << a for b in range(n)]
             for rows in (by_row, by_col):
-                S = ProtoSubAlg(carrier, SubordRel(n, rows))
+                S = ProtoSubAlg(carrier, rows)
                 flags = table and local_flags(S, table)
                 for q in props:
                     want = LOCAL_WITNESS_ORACLES[q.value](S)
@@ -224,7 +223,7 @@ class TestLocalFlags:
 
     def test_missing_flags_match_property_holds(self, chain3, b4, v_poset):
         for carrier in (chain3, b4, b4.poset, v_poset):
-            S = ProtoSubAlg(carrier, SubordRel(carrier.n, [0] * carrier.n))
+            S = ProtoSubAlg(carrier, [0] * carrier.n)
             want = 0
             for q in P:
                 try:
@@ -284,23 +283,23 @@ def reversed_indices(p):
 class TestClose:
     def test_top_rule_only(self, chain3):
         S = ProtoSubAlg.from_pairs(chain3, [])
-        assert close(S, [P.TOP]).prec.pairs() == [(2, 2)]
+        assert close(S, [P.TOP]).pairs() == [(2, 2)]
 
     def test_si_wo_example(self, b4):
         S = ProtoSubAlg.from_pairs(b4, [(1, 1)])
         got = close(S, [P.SI, P.WO])
-        assert sorted(got.prec.pairs()) == [(0, 1), (0, 3), (1, 1), (1, 3)]
+        assert sorted(got.pairs()) == [(0, 1), (0, 3), (1, 1), (1, 3)]
 
     def test_six_rule_example(self, b4):
         S = ProtoSubAlg.from_pairs(b4, [(1, 1), (2, 2)])
         got = close(S, [P.BOT, P.TOP, P.SI, P.WO, P.AND, P.OR])
-        assert sorted(got.prec.pairs()) == [
+        assert sorted(got.pairs()) == [
             (0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 3),
             (2, 2), (2, 3), (3, 3)]
 
     def test_close_i_nesting(self, b4):
         S = ProtoSubAlg.from_pairs(b4, [(1, 1)])
-        sets = {i: set(close_i(S, i).prec.pairs()) for i in (1, 2, 3, 4)}
+        sets = {i: set(close_i(S, i).pairs()) for i in (1, 2, 3, 4)}
         assert sets[1] <= sets[2] <= sets[4]
         assert sets[1] <= sets[3] <= sets[4]
 
@@ -348,9 +347,9 @@ class TestClose:
         assert len(rulesets) == 256
         for packed in range(1 << 4):
             S = ProtoSubAlg(chain2, relation_from_int(2, packed))
-            pairs = set(S.prec.pairs())
+            pairs = set(S.pairs())
             for rules in rulesets:
-                got = set(close(S, rules).prec.pairs())
+                got = set(close(S, rules).pairs())
                 names = {q.value for q in rules}
                 assert got == closure_oracle(chain2, pairs, names), (packed, names)
 
@@ -363,9 +362,9 @@ class TestClose:
             n = p.n
             for packed in range(1 << (n * n)):
                 S = ProtoSubAlg(p, relation_from_int(n, packed))
-                pairs = set(S.prec.pairs())
+                pairs = set(S.pairs())
                 for rules in rulesets:
-                    got = set(close(S, rules).prec.pairs())
+                    got = set(close(S, rules).pairs())
                     names = {q.value for q in rules}
                     assert got == closure_oracle(p, pairs, names), (n, packed, names)
 
@@ -375,7 +374,7 @@ class TestClose:
             pairs = {(rng.randrange(3), rng.randrange(3))
                      for _ in range(rng.randrange(3))}
             S = ProtoSubAlg.from_pairs(chain3, pairs)
-            got = set(close(S, SYSTEM_RULES[2]).prec.pairs())
+            got = set(close(S, SYSTEM_RULES[2]).pairs())
             want = closure_oracle(chain3, pairs, {"TOP", "SI", "WO", "AND", "OR"})
             assert got == want, pairs
 
@@ -437,14 +436,62 @@ class TestClose:
         close(S, CLOSABLE_RULES)  # must not raise the convergence guard
 
 
+class TestProtoSubAlg:
+    """A relation is one object: the carrier, its order and lattice, and
+    the rows, checked once when built."""
+
+    def test_one_row_per_element(self, b4, v_poset):
+        for carrier in (b4, v_poset):
+            n = carrier.n
+            for rows in ([], [0] * (n - 1), [0] * (n + 1)):
+                with pytest.raises(InputFormatError, match="one row per element"):
+                    ProtoSubAlg(carrier, rows)
+
+    def test_every_head_within_the_carrier(self, b4, v_poset):
+        for carrier in (b4, v_poset):
+            n = carrier.n
+            for a in range(n):
+                for head in (1 << n, 1 << (n + 3) | 1, -1):
+                    rows = [0] * n
+                    rows[a] = head
+                    with pytest.raises(InputFormatError, match="out of carrier range"):
+                        ProtoSubAlg(carrier, rows)
+            assert ProtoSubAlg(carrier, [(1 << n) - 1] * n).pairs() == [
+                (a, b) for a in range(n) for b in range(n)]
+
+    def test_carrier_order_and_lattice(self, b4, v_poset):
+        bowtie = poset_from_hasse(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3),
+                                      (2, 4), (3, 5), (4, 5)])
+        for carrier, poset, lattice in ((b4, b4.poset, b4), (v_poset, v_poset, None),
+                                        (bowtie, bowtie, None)):
+            S = ProtoSubAlg(carrier, [0] * carrier.n)
+            assert S.carrier is carrier and S.poset is poset and S.lattice is lattice
+            assert S.n == carrier.n == poset.n
+
+    def test_rows_columns_pairs_and_equality(self, b4):
+        S = ProtoSubAlg(b4, [0b0110, 0, 0b1000, 0b0011])
+        assert S.rows == (0b0110, 0, 0b1000, 0b0011)
+        assert S.pairs() == [(0, 1), (0, 2), (2, 3), (3, 0), (3, 1)]
+        assert S.cols == (0b1000, 0b1001, 0b0001, 0b0100)
+        T = ProtoSubAlg.from_pairs(b4, reversed(S.pairs()))
+        assert T == S and hash(T) == hash(S)
+        assert T != ProtoSubAlg(b4.poset, S.rows)
+        assert repr(S) == "ProtoSubAlg(n=4, prec=[(0, 1), (0, 2), (2, 3), (3, 0), (3, 1)])"
+
+
 class TestJson:
     def test_roundtrip(self, b4_leq):
         again = subalg_from_json(subalg_to_json(b4_leq))
         assert again == b4_leq
 
-    def test_bad_pairs_rejected(self, b4):
+    def test_bad_pairs_rejected(self, b4, v_poset):
         with pytest.raises(InputFormatError):
-            SubordRel.from_pairs(4, [(0, 7)])
+            ProtoSubAlg.from_pairs(b4, [(0, 7)])
+        for carrier in (b4, v_poset):
+            n = carrier.n
+            for pair in ((0, n), (n, 0), (-1, 0), (0, -1)):
+                with pytest.raises(InputFormatError, match="out of range"):
+                    ProtoSubAlg.from_pairs(carrier, [(0, 0), pair])
 
     @pytest.mark.parametrize("hasse", [
         # bowtie 0 < a, b < c, d < 1: bounded, a and b have no join
@@ -457,7 +504,7 @@ class TestJson:
         S = subalg_from_json({"algebra": {"hasse": hasse}, "prec": [[0, 1]]})
         assert S.lattice is None
         assert S.poset == poset_from_hasse(n, hasse)
-        assert S.prec.pairs() == [(0, 1)]
+        assert S.pairs() == [(0, 1)]
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,9 +4,9 @@ that preconditions and check sides read, the closure-extremality verdict
 table, the runner's decision of a check from its flag bits, its memos
 and the replay path, what the runner keeps across calls (its shared
 plans and the closure-generated corpus), the table of set-bit lists,
-the property sweeps, the closure and its rule
-systems, the output operators d1..d4 of input/output logic, the term
-evaluator and modal validity.
+the property sweeps, the relation's range check, the cache of JSON
+carriers, the closure and its rule systems, the output operators d1..d4
+of input/output logic, the term evaluator and modal validity.
 
 Each mutant is one ``(file, old, new)`` patch.  The runner copies the
 repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -14,8 +14,9 @@ directory, applies the patch there and runs the ``FAST`` test subset
 against the copy; a failing run kills the mutant.  A patch whose ``old``
 text does not occur exactly once in its file is an error, so a list that
 has drifted from the code fails loudly instead of testing nothing.  The
-unpatched copy is run first and must pass.  The working tree is never
-touched.  Standard library only, and not part of the Tier-1 suite:
+unpatched copy is run first and must pass; then the mutants run two at
+a time (``JOBS``).  The working tree is never touched.  Standard library
+only, and not part of the Tier-1 suite:
 
     python tools/mutants.py            # every mutant
     python tools/mutants.py NAME ...   # the named ones
@@ -35,53 +36,63 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+#: mutants tested at once, each by one pytest process of about 100 MB
+JOBS = min(2, os.cpu_count() or 1)
 
-#: the tests each mutant runs against: the operators read in the carrier
-#: against the route through its completion, the directed-family and
-#: bound-reflection laws against their statements in the completion, with
-#: planted tables, every precondition against its stated oracle, the
-#: local table against the set-based oracles, the local sides against
-#: the per-instance bodies, each fact a check side
-#: reads decided once per instance, the extremality bits against the
-#: map enumeration and the verdict table's miss path, the forcing memo
-#: against asking for each mask in turn, the flag bitmasks against
-#: ``property_holds``, the runner's plans and memo against the naive
-#: loop, replayed counterexamples, the shared plans against fresh
-#: interpreters, the closure-generated corpus against closing every seed
-#: afresh, ``bits`` against its generator, the witness digest, the closure
-#: against its oracles, the closure digest, ``derive``, ``out`` and
-#: ``modal_output`` with the closure route against the semantics of
+#: the tests each mutant runs against: the relation object against its
+#: stated checks, JSON carriers against rewritten files, the operators
+#: read in the carrier against the route through its completion, the
+#: directed-family and bound-reflection laws against their statements in
+#: the completion, with planted tables, the extremality bits against the
+#: map enumeration and the verdict table's miss path, every precondition
+#: against its stated oracle, the local sides against the per-instance
+#: bodies, the runner's plans and memo against the naive loop, the
+#: witness digest, the closure against its oracles, ``derive``, ``out``
+#: and ``modal_output`` with the closure route against the semantics of
 #: out1..out4, the term evaluator against its scalar oracle, and modal
-#: validity with its lexicographically first witnesses (these two last:
-#: run first, they made each mutant that an earlier test kills about 2 s
-#: slower)
+#: validity with its lexicographically first witnesses; then the tests
+#: that each aim at a mutant one of those already kills: the forcing memo
+#: against asking for each mask in turn, each fact a check side reads
+#: decided once per instance, the flag bitmasks against
+#: ``property_holds``, the local table against the set-based oracles,
+#: replayed counterexamples, the shared plans against fresh interpreters,
+#: the closure-generated corpus against closing every seed afresh,
+#: ``bits`` against its generator and the closure digest.  A mutant stops
+#: at its first failing test, so the order is for speed alone: a test
+#: that first kills no mutant costs every mutant behind it, and these
+#: last ones (about 11 s) run only for the unpatched copy and a mutant
+#: that survives the rest
 FAST = (
+    "tests/test_subordination.py::TestProtoSubAlg",
+    "tests/test_harness.py::TestJsonCarriers",
     "tests/test_harness.py::TestCarrierIsItsOwnCompletion",
     "tests/test_harness.py::TestLawOracles",
     "tests/test_harness.py::TestExtremalityFlags",
-    "tests/test_harness.py::TestForcing",
     "tests/test_harness.py::TestPreconditions",
     "tests/test_harness.py::TestLocalSides",
+    "tests/test_harness.py::TestGroupedRunner",
+    "tests/test_witness_digest.py",
+    "tests/test_subordination.py::TestClose",
+    "tests/test_iologic.py::TestOutputOracle",
+    "tests/test_syntax.py::test_evaluate_matches_oracle_on_every_assignment",
+    "tests/test_slanted.py::TestValid",
+    "tests/test_harness.py::TestForcing",
     "tests/test_harness.py::TestCheckSides",
     "tests/test_subordination.py::TestLocalFlags",
     "tests/test_subordination.py::test_local_witnesses_on_every_row_and_column",
-    "tests/test_harness.py::TestGroupedRunner",
     "tests/test_harness.py::TestReplay",
     "tests/test_harness.py::TestSharedPlans",
     "tests/test_harness.py::TestClosureMemo",
     "tests/test_order.py::TestBits",
-    "tests/test_witness_digest.py",
-    "tests/test_subordination.py::TestClose",
     "tests/test_closure_digest.py",
-    "tests/test_iologic.py::TestOutputOracle",
-    "tests/test_syntax.py::test_evaluate_matches_oracle_on_every_assignment",
-    "tests/test_slanted.py::TestValid",
 )
 
+CARRIERS = "src/subnorm/harness/carriers.py"
 CATALOG = "src/subnorm/harness/catalog.py"
 IOLOGIC = "src/subnorm/iologic.py"
 MAXIMALITY = "src/subnorm/harness/maximality.py"
@@ -215,6 +226,15 @@ MUTANTS = (
     Mutant("sl1-early-stop-in-check-property", SUBORDINATION,
            "    witness = _sweep(S, prop)\n",
            "    witness = _sweep(S, prop, least=False)\n"),
+    # the relation object: every head within the carrier
+    Mutant("relation-head-range-unchecked", SUBORDINATION,
+           "        if any(r & ~full for r in rows):\n"
+           "            raise InputFormatError(\"relation indices out of carrier range\")\n",
+           ""),
+    # a JSON carrier is read as the file is now, not as it was when first read
+    Mutant("json-carrier-cached-by-path", CARRIERS,
+           "stamp = (st.st_mtime_ns, st.st_size)",
+           "stamp = ()"),
     # `subordination.close`: its rule dispatch and its row fixpoint
     Mutant("filter-shortcut-keeps-any-row", SUBORDINATION,
            "if r and up[(r & -r).bit_length() - 1] != r:",
@@ -321,19 +341,23 @@ def main(argv=None) -> int:
         if failure:
             print(f"error: the unpatched tree fails the fast subset: {failure}", file=sys.stderr)
             return 1
-        survived = []
-        for mutant, text in zip(chosen, patched):
+
+        def run(mutant: Mutant, text: str) -> tuple[Optional[str], float]:
             tree = Path(tmp) / mutant.name
             shutil.copytree(base, tree)
             (tree / mutant.file).write_text(text)
             t0 = time.perf_counter()
             failure = _run_fast(tree)
-            print(f"{'killed  ' if failure else 'SURVIVED'} {mutant.name} "
-                  f"({time.perf_counter() - t0:.1f} s){': ' + failure if failure else ''}",
-                  flush=True)
-            if not failure:
-                survived.append(mutant.name)
             shutil.rmtree(tree)
+            return failure, time.perf_counter() - t0
+
+        survived = []
+        with ThreadPoolExecutor(JOBS) as pool:
+            for mutant, (failure, secs) in zip(chosen, pool.map(run, chosen, patched)):
+                print(f"{'killed  ' if failure else 'SURVIVED'} {mutant.name} "
+                      f"({secs:.1f} s){': ' + failure if failure else ''}", flush=True)
+                if not failure:
+                    survived.append(mutant.name)
     print(f"{len(chosen) - len(survived)}/{len(chosen)} killed in "
           f"{time.perf_counter() - start:.0f} s")
     return 1 if survived else 0
