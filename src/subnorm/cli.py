@@ -217,17 +217,8 @@ def _cmd_completion(args) -> int:
     return 0
 
 
-_REL_CONDS = {
-    "reflexive": RelCondition.REFLEXIVE,
-    "transitive": RelCondition.TRANSITIVE,
-    "dense": RelCondition.DENSE,
-    "ct": RelCondition.CT_REL,
-    "s9fwd": RelCondition.S9_FWD_REL,
-    "s9bwd": RelCondition.S9_BWD_REL,
-    "sl1": RelCondition.SL1_REL,
-    "sl2": RelCondition.SL2_REL,
-    "proper": RelCondition.PROPER_REL,
-}
+#: the ``dual --check`` key of each relational condition: ``SL1_REL`` is ``sl1``
+_REL_CONDS = {c.name.lower().removesuffix("_rel").replace("_", ""): c for c in RelCondition}
 
 
 def _cmd_dual(args) -> int:
@@ -359,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", choices=("jirr", "primefilters"),
                    default="jirr")
     p.add_argument("--check", help="comma-separated relational conditions "
-                                   "(reflexive,transitive,dense,ct,s9fwd,"
-                                   "s9bwd,sl1,sl2,proper)")
+                                   f"({','.join(_REL_CONDS)})")
     p.set_defaults(fn=_cmd_dual)
 
     p = sub.add_parser("verify", help="run the verification suite")

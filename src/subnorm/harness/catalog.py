@@ -395,8 +395,7 @@ _BOX_DETECTS = _flags(Local("cols", lambda ctx, b, m, v: ctx.lat.poset.down[v] =
 
 
 def _union(rows, members: int) -> int:
-    """Union of the given rows (the image of ``members`` when ``rows`` are
-    the relation's rows, its preimage when they are its columns)."""
+    """Union of the rows of ``members``: their image under the relation."""
     acc = 0
     for a in bits(members):
         acc |= rows[a]
@@ -407,12 +406,6 @@ def _law_directed_image(inst) -> bool:
     t = subset_tables(inst.poset)
     directed, image = t["down-directed"], inst.image
     return all(directed[image[m]] for m in t["nonempty down-directed"])
-
-
-def _law_codirected_preimage(inst) -> bool:
-    t = subset_tables(inst.poset)
-    directed, preimage = t["up-directed"], inst.preimage
-    return all(directed[preimage[m]] for m in t["nonempty up-directed"])
 
 
 # The paper states the directed-family and bound-reflection laws in the
@@ -429,18 +422,10 @@ def _law_dia_of_meet(inst) -> bool:
                for m in subset_tables(inst.poset)["nonempty down-directed"])
 
 
-def _law_box_of_join(inst) -> bool:
-    # [] of an up-directed join is the join of the preimage (open, as all are)
-    join, preimage, box = inst.ctx.mask_join, inst.preimage, inst.box
-    return all(box[join(m)] == join(preimage[m])
-               for m in subset_tables(inst.poset)["nonempty up-directed"])
-
-
 # The bound-reflection laws ask for a rel-pair (a, b) with a above k and
 # b below o.  The heads reached from above k are the union of the rows of
-# the elements above k, the tails reaching below o the union of the
-# columns of those below o, so each law is one mask test per (k, b),
-# (k, o) or (o, a) family.
+# the elements above k, so each law is one mask test per (k, b) or (k, o)
+# family.
 
 def _law_dia_bound_reflects(inst) -> bool:
     # <>k <= b forces b into the heads reached from above k, every k closed
@@ -459,21 +444,17 @@ def _law_dia_open_bound_reflects(inst) -> bool:
     return True
 
 
-def _law_box_bound_reflects(inst) -> bool:
-    # a <= []o forces a into the tails reaching below o, every o open
-    cols, box, down = inst.S.cols, inst.box, inst.poset.down
-    return all(not down[box[o]] & ~_union(cols, down[o]) for o in range(inst.n))
+# On the order dual of the carrier, with the converse relation, the box
+# of the relation is the diamond of its converse (the join of a column is
+# the dual meet of a row of the converse), up-directed sets are
+# down-directed, preimages are images and open elements are closed ones.
+# So each box-side law is its diamond-side law read on the instance's
+# dual (``run.Instance.dual``).
 
-
-def _law_box_closed_bound_reflects(inst) -> bool:
-    # k <= []o forces a tail reaching below o above k, all k, o closed, open
-    cols, box, p = inst.S.cols, inst.box, inst.poset
-    up, down = p.up, p.down
-    for o in range(inst.n):
-        reach = _union(cols, down[o])
-        if any(not reach & up[k] for k in bits(down[box[o]])):
-            return False
-    return True
+def _on_dual(law: Callable) -> Callable:
+    """The box-side law of a diamond-side ``law``: ``law`` read on the
+    instance's dual."""
+    return lambda inst: law(inst.dual)
 
 
 # ---- dual-space sides -----------------------------------------------------
@@ -667,20 +648,20 @@ CATALOG: tuple[CheckSpec, ...] = (
               "under WO+UD+SI, preimages of up-directed sets are up-directed",
               "law",
               precondition=_flags(P.WO, P.UD, P.SI, _SMALL_ENOUGH_FOR_SUBSETS),
-              law=_law_codirected_preimage),
+              law=_on_dual(_law_directed_image)),
     CheckSpec("box-of-join",
               "under WO+UD+SI, [] of a directed join is the join over the preimage",
               "law",
               precondition=_flags(P.WO, P.UD, P.SI, _SMALL_ENOUGH_FOR_SUBSETS),
-              law=_law_box_of_join),
+              law=_on_dual(_law_dia_of_meet)),
     CheckSpec("box-bound-reflects",
               "under WO+UD+SI, a <= []o reveals a rel-pair below o",
               "law", precondition=_BOX_CLASS,
-              law=_law_box_bound_reflects),
+              law=_on_dual(_law_dia_bound_reflects)),
     CheckSpec("box-closed-bound-reflects",
               "under WO+UD+SI, k <= []o reveals a rel-pair across k, o",
               "law", precondition=_BOX_CLASS,
-              law=_law_box_closed_bound_reflects),
+              law=_on_dual(_law_dia_open_bound_reflects)),
     # -- order/relation characterizations --------------------------------
     CheckSpec("rel-below-order-iff-inflationary-diamond",
               "rel inside the order = a <= <>a",

@@ -47,20 +47,15 @@ def enumerate_relations(carrier: FinLattice) -> Iterator[ProtoSubAlg]:
         yield ProtoSubAlg(carrier, relation_from_int(n, packed))
 
 
-#: the corpora of ``closure_generated``: ``id(carrier)`` -> (the carrier,
-#: {seed pairs: corpus}); holding the carrier keeps its id from being reused
-_CLOSURES: dict[int, tuple[FinLattice, dict[int, tuple[ProtoSubAlg, ...]]]] = {}
-
-
 def closure_generated(carrier: FinLattice,
                       max_seed_pairs: int = 2) -> tuple[ProtoSubAlg, ...]:
     """Distinct closures under the six subordination rules of every seed
     relation with up to the given number of pairs, in seed order.
 
     They depend on the lattice and the seed count alone, so each corpus
-    is closed once per lattice object (``_CLOSURES``); every later call
-    returns the same tuple of instances."""
-    corpora = _CLOSURES.setdefault(id(carrier), (carrier, {}))[1]
+    is closed once per lattice object and kept with it, in its memo;
+    every later call returns the same tuple of instances."""
+    corpora = carrier._memo.setdefault("closures", {})
     if max_seed_pairs in corpora:
         return corpora[max_seed_pairs]
     n = carrier.n

@@ -80,7 +80,7 @@ from ..duality import (
     space_from_primefilters,
 )
 from ..errors import InputFormatError
-from ..order import FinLattice, check_negation_laws, mask_meet_join
+from ..order import FinLattice, check_negation_laws, mask_meet_join, opposite
 from ..slanted import (  # noqa: F401  (perfbench traces these bindings)
     build_slanted,
     pi_extension,
@@ -105,8 +105,7 @@ _MAX_STORED_COUNTEREXAMPLES = 10
 
 #: the stages timed under ``timing.layers``: the corpus stream, the
 #: carrier contexts, and the lazily built per-instance artefacts
-LAYERS = ("corpus", "context", "flags", "extremality", "sa", "space", "space_pf", "image",
-          "preimage")
+LAYERS = ("corpus", "context", "flags", "extremality", "sa", "space", "space_pf", "image")
 
 
 class LayerClock:
@@ -151,7 +150,10 @@ class CarrierContext:
     starts with known, the missing flags and the catalog's carrier
     conditions, and ``held`` those of them that hold
     (``catalog.carrier_bits``).  The points of the two dual spaces are
-    built on first use, once for every instance."""
+    built on first use, once for every instance, and so is ``dual``, the
+    context of the order dual (``order.opposite``) that the box-side laws
+    read: its mask meet is this mask join and the reverse, and it books
+    its builds to this context's clock."""
 
     def __init__(self, name: str, lat: FinLattice):
         self.name = name
@@ -161,6 +163,7 @@ class CarrierContext:
         self.missing = missing_flags(lat)
         self._jirr_points = None
         self._pf_points = None
+        self._dual = None
         self.neg_report = (check_negation_laws(lat, lat.neg)
                            if lat.neg is not None else None)
         self.local = local_tables(self)
@@ -178,6 +181,17 @@ class CarrierContext:
         if self._pf_points is None:
             self._pf_points = primefilter_points(self.lat)
         return space_from_primefilters(self._pf_points, rows)
+
+    @property
+    def dual(self) -> "CarrierContext":
+        if self._dual is None:
+            # no flag bit is decided on a dual instance, so the dual
+            # context settles none and builds no local table
+            dual = self._dual = object.__new__(CarrierContext)
+            dual.name, dual.lat, dual.clock = self.name, opposite(self.lat), self.clock
+            dual.mask_meet, dual.mask_join = self.mask_join, self.mask_meet
+            dual.settled = dual.held = 0
+        return self._dual
 
 
 def _unions(rows) -> list[int]:
@@ -206,14 +220,16 @@ class Instance:
     side above the table cap or a ``catalog.Fact``, from its owner's
     ``holds``), the operators ``dia``/``box`` (together, booked to the
     ``sa`` layer), the two dual spaces (read off the context's shared
-    points), and the ``image``/``preimage`` tables,
-    which give the union of the rows/columns of every one of the ``2^n``
-    subset masks (read by the directed-family checks, on carriers small
-    enough for subset tables).
+    points), and the ``image`` table, which gives the union of the rows
+    of every one of the ``2^n`` subset masks (read by the directed-family
+    checks, on carriers small enough for subset tables).  ``dual`` is the
+    converse relation on the order dual of the carrier (``ctx.dual``),
+    whose diamond is this box and whose box this diamond, taken from
+    this instance rather than recomputed; the box-side laws read it.
     """
 
     __slots__ = ("ctx", "S", "_known", "_true", "_operators", "_space", "_space_pf",
-                 "_image", "_preimage")
+                 "_image", "_dual")
 
     def __init__(self, ctx: CarrierContext, S: ProtoSubAlg):
         self.ctx = ctx
@@ -224,7 +240,7 @@ class Instance:
         self._space = None
         self._space_pf = None
         self._image = None
-        self._preimage = None
+        self._dual = None
 
     @property
     def n(self) -> int:
@@ -285,10 +301,12 @@ class Instance:
         return self._image
 
     @property
-    def preimage(self) -> list[int]:
-        if self._preimage is None:
-            self._preimage = self.ctx.clock.build("preimage", _unions, self.S.cols)
-        return self._preimage
+    def dual(self) -> "Instance":
+        if self._dual is None:
+            ctx = self.ctx.dual
+            self._dual = Instance(ctx, ProtoSubAlg(ctx.lat, self.S.cols))
+            self._dual._operators = self.operators[::-1]
+        return self._dual
 
     # The dual spaces are read only by checks whose precondition makes
     # the relation a subordination on a distributive lattice, so they are

@@ -14,7 +14,8 @@ join-closed), which the subordination rules WO, DD, UD, AND and OR
 demand of every row or column of a relation, and the four negation
 laws (``negation_law_failure``).  ``subset_tables`` tabulates the three
 order laws over every subset of a small carrier, and ``mask_meet_join``
-the meet and the join of every subset of a small lattice.
+the meet and the join of every subset of a small lattice.  ``opposite``
+is the order dual of a lattice.
 
 All structures are immutable after construction and safe to share
 between workers.
@@ -178,7 +179,7 @@ class FinLattice:
     """
 
     __slots__ = ("poset", "meet", "join", "bot", "top",
-                 "is_distributive", "is_boolean", "neg", "_shape")
+                 "is_distributive", "is_boolean", "neg", "_memo")
 
     def __init__(self, poset: FinPoset, meet, join, bot: int, top: int,
                  is_distributive: bool, is_boolean: bool,
@@ -191,7 +192,10 @@ class FinLattice:
         self.is_distributive = is_distributive
         self.is_boolean = is_boolean
         self.neg = tuple(neg) if neg is not None else None
-        self._shape = None  # lazy walk of subordination.close, see _diamond_shape there
+        # data derived from the lattice alone, built on first use and kept
+        # with it, so it goes when the lattice goes: the walk of
+        # subordination.close, the closure-generated corpora and the opposite
+        self._memo = {}
 
     @property
     def n(self) -> int:
@@ -294,7 +298,8 @@ def join_irreducibles(L: FinLattice) -> int:
     """Bitmask of non-bottom elements ``x`` with ``x = a v b  =>  x in {a, b}``.
 
     On a finite distributive lattice these coincide with the completely
-    join-prime elements.
+    join-prime elements.  The meet-irreducibles are the join-irreducibles
+    of ``opposite(L)``.
     """
     out = 0
     for x in range(L.n):
@@ -307,16 +312,17 @@ def join_irreducibles(L: FinLattice) -> int:
     return out
 
 
-def meet_irreducibles(L: FinLattice) -> int:
-    out = 0
-    for x in range(L.n):
-        if x == L.top:
-            continue
-        if all(x in (a, b)
-               for a in bits(L.poset.up[x]) for b in bits(L.poset.up[x])
-               if L.meet[a][b] == x):
-            out |= 1 << x
-    return out
+def opposite(L: FinLattice) -> FinLattice:
+    """The order dual of ``L``: the same elements with ``up``/``down``,
+    ``meet``/``join`` and ``bot``/``top`` swapped, keeping the flags and
+    the negation.  Built once and kept with ``L``; its opposite is ``L``
+    itself."""
+    if "opposite" not in L._memo:
+        dual = FinLattice(FinPoset(L.poset.down, L.poset.labels), L.join, L.meet,
+                          L.top, L.bot, L.is_distributive, L.is_boolean, L.neg)
+        dual._memo["opposite"] = L
+        L._memo["opposite"] = dual
+    return L._memo["opposite"]
 
 
 def is_filter(mask: int, L: FinLattice) -> bool:

@@ -566,7 +566,7 @@ def _diamond_shape(lat: FinLattice) -> tuple[tuple, Optional[tuple]]:
     ``below[a]`` lists the join-irreducibles under ``a``; elsewhere
     ``below`` is None.
     """
-    if lat._shape is None:
+    if "close walk" not in lat._memo:
         up, down = lat.poset.up, lat.poset.down
         walk = []
         for a in sorted(range(lat.n), key=lambda a: up[a].bit_count()):
@@ -576,8 +576,8 @@ def _diamond_shape(lat: FinLattice) -> tuple[tuple, Optional[tuple]]:
         if lat.is_distributive:
             irreducible = join_irreducibles(lat)
             below = tuple(list(bits(irreducible & d)) for d in down)
-        lat._shape = (tuple(walk), below)
-    return lat._shape
+        lat._memo["close walk"] = (tuple(walk), below)
+    return lat._memo["close walk"]
 
 
 def _close_diamond(lat: FinLattice, d: list[int], or_: bool, ct: bool, t: bool,

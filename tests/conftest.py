@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from subnorm.harness.carriers import load_carrier
-from subnorm.order import poset_from_hasse, validate_poset
+from subnorm.order import poset_from_hasse, to_lattice, validate_poset
 from subnorm.subordination import LOCAL_FLAGS, ProtoSubAlg
 from subnorm.syntax import BOT, TOP, tand, tnot, tor, var
 
@@ -45,6 +45,19 @@ def antichain2():
 @pytest.fixture(scope="session")
 def v_poset():
     return poset_from_hasse(3, [(0, 1), (0, 2)], ["z", "x", "y"])
+
+
+#: the pentagon N5 and the diamond M3 by their covers: the two lattices
+#: that are not distributive, both self-dual
+NON_DISTRIBUTIVE = {"n5": [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],
+                    "m3": [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]}
+
+
+def lattice(name: str):
+    """A built-in carrier by name, or N5 or M3 (``NON_DISTRIBUTIVE``)."""
+    if name in NON_DISTRIBUTIVE:
+        return to_lattice(poset_from_hasse(5, NON_DISTRIBUTIVE[name]))
+    return load_carrier(name)
 
 
 def leq_relation(lat) -> ProtoSubAlg:

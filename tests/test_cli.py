@@ -213,6 +213,21 @@ class TestDual:
                                  "--check", "reflexive")
         assert code == 1 and not payload["checks"]["reflexive"]["holds"]
 
+    def test_the_nine_condition_keys(self, capsys, files, monkeypatch):
+        keys = ["reflexive", "transitive", "dense", "ct", "s9fwd", "s9bwd", "sl1", "sl2",
+                "proper"]
+        assert list(cli._REL_CONDS) == keys
+        assert [c.name for c in cli._REL_CONDS.values()] == [
+            "REFLEXIVE", "TRANSITIVE", "DENSE", "CT_REL", "S9_FWD_REL", "S9_BWD_REL",
+            "SL1_REL", "SL2_REL", "PROPER_REL"]
+        code, payload = run_json(capsys, "dual", "--algebra", files["algebra"],
+                                 "--prec", files["prec"], "--check", ",".join(keys).upper())
+        assert code in (0, 1) and sorted(payload["checks"]) == sorted(keys)
+        monkeypatch.setenv("COLUMNS", "200")  # the help on one line
+        with pytest.raises(SystemExit):
+            main(["dual", "--help"])
+        assert "(" + ",".join(keys) + ")" in capsys.readouterr().out
+
     def test_primefilter_construction(self, capsys, files):
         code, payload = run_json(capsys, "dual", "--algebra", files["algebra"],
                                  "--prec", files["prec"],

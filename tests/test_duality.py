@@ -11,7 +11,7 @@ from subnorm.duality import (
     spaces_isomorphic,
 )
 from subnorm.errors import NotSubordinationLattice
-from subnorm.order import (bits, join_irreducibles, mask_of, meet_irreducibles, poset_from_hasse,
+from subnorm.order import (bits, join_irreducibles, mask_of, opposite, poset_from_hasse,
                            to_lattice)
 from subnorm.slanted import build_slanted, pi_extension, sigma_extension
 from subnorm.subordination import ProtoSubAlg, close
@@ -41,7 +41,7 @@ def kappa_pairing(lat) -> dict:
     """Each meet-irreducible to the least element not below it: on a
     finite distributive lattice, the inverse of ``lambda_pairing``."""
     return {m: lat.meet_all(mask_of(x for x in range(lat.n) if not lat.leq(x, m)))
-            for m in bits(meet_irreducibles(lat))}
+            for m in bits(join_irreducibles(opposite(lat)))}
 
 
 class TestSpaces:
@@ -160,7 +160,7 @@ class TestLambda:
         # isomorphism from the join- onto the meet-irreducibles
         lat = request.getfixturevalue(carrier)
         lam, kap = lambda_pairing(lat), kappa_pairing(lat)
-        assert set(lam.values()) == set(kap) == set(bits(meet_irreducibles(lat)))
+        assert set(lam.values()) == set(kap) == set(bits(join_irreducibles(opposite(lat))))
         assert all(kap[m] == j for j, m in lam.items())
         for j1, m1 in lam.items():
             for j2, m2 in lam.items():

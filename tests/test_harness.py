@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -49,8 +50,8 @@ from subnorm.harness.catalog import (
 )
 from subnorm.harness import generate
 from subnorm.harness.generate import SUBORDINATION_RULES, relation_from_int
-from subnorm.order import (FinLattice, FinPoset, bits, lattice_to_json, poset_from_hasse,
-                           subset_tables, to_lattice)
+from subnorm.order import (FinLattice, FinPoset, bits, lattice_to_json, opposite,
+                           poset_from_hasse, subset_tables, to_lattice)
 from subnorm.slanted import build_slanted, pi_extension, sigma_extension, valid
 from subnorm.subordination import (
     LOCAL_FLAGS,
@@ -264,11 +265,34 @@ class TestJsonCarriers:
         assert load_carrier(str(tmp_path / "lat.json")) is lat
         cfg = GenConfig(carriers=("lat.json",), samples=3)
         assert all(S.carrier is lat for _, S in corpus_stream(cfg))
-        memos = len(generate._CLOSURES)
+        corpus = closure_generated(lat)
+        closes = []
+        monkeypatch.setattr(generate, "close",
+                            lambda *args, close=generate.close: closes.append(1) or close(*args))
         for _ in range(2):
             run_suite(cfg, ["bounds-of-related-pairs"])
         assert load_carrier("lat.json") is lat
-        assert len(generate._CLOSURES) == memos
+        # the runs read the lattice's own corpus and close only their
+        # random relations
+        assert closure_generated(lat) is corpus
+        assert len(closes) == 2 * cfg.samples
+
+    def test_a_rewritten_file_leaves_no_old_lattice(self, tmp_path, monkeypatch):
+        # each rewrite names its elements apart, in a file of a new size,
+        # and a random-mode run over all checks builds the lattice's
+        # corpus, its tables and its opposite
+        monkeypatch.chdir(tmp_path)
+        for i in range(5):
+            obj = lattice_to_json(load_carrier(("fdl2", "b4")[i % 2]))
+            obj["elements"] = [f"rewrite{i}{'.' * i}:{label}" for label in obj["elements"]]
+            (tmp_path / "lat.json").write_text(json.dumps(obj))
+            run_suite(GenConfig(carriers=("lat.json",), mode="random", samples=3))
+        gc.collect()
+        alive = [o for o in gc.get_objects() if isinstance(o, FinLattice)
+                 and str(o.poset.labels).startswith("('rewrite")]
+        assert {o.poset.labels[0].partition(":")[0] for o in alive} == {"rewrite4...."}
+        lat = load_carrier("lat.json")
+        assert {id(o) for o in alive} == {id(lat), id(opposite(lat))}
 
 
 #: a test-owned fact: the diamond is not inflationary (``a <= <>a`` fails)
@@ -1048,8 +1072,10 @@ class TestRunSuite:
             json.dumps(strip_timing(b), sort_keys=True)
 
     def test_layer_timing(self, monkeypatch):
-        passes, sweeps, owned = [], [], []
+        passes, sweeps, owned, made = [], [], [], []
         real, sweep = runner.local_flags, runner._sweep
+        monkeypatch.setattr(Instance, "__init__", lambda self, *args, init=Instance.__init__:
+                            made.append(1) or init(self, *args))
         monkeypatch.setattr(runner, "local_flags",
                             lambda *args: passes.append(1) or real(*args))
         monkeypatch.setattr(runner, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
@@ -1060,12 +1086,19 @@ class TestRunSuite:
         timing, instances = report["timing"], report["summary"]["instances"]
         layers = timing["layers"]
         assert list(layers) == sorted(LAYERS)
-        # every artefact is built, and at most once per instance; the
-        # local flags and the catalog's local sides in one pass per
-        # instance, each other flag in its own sweep, and each of the 26
-        # facts that check sides read (15 inequalities, 2 monotonicity
-        # laws, 9 dual-space conditions) by its own test
-        assert all(0 < layers[k]["builds"] <= instances for k in LAYERS if k != "flags")
+        # every artefact is built, and at most once per instance: the
+        # image once per instance or dual instance (``Instance.dual``, on
+        # which the box-side laws read it), every other artefact once per
+        # instance of the corpus; the local flags and the catalog's local
+        # sides in one pass per instance, each other flag in its own
+        # sweep, and each of the 26 facts that check sides read (15
+        # inequalities, 2 monotonicity laws, 9 dual-space conditions) by
+        # its own test
+        duals = len(made) - instances
+        assert 0 < duals <= instances
+        assert 0 < layers["image"]["builds"] <= instances + duals
+        assert all(0 < layers[k]["builds"] <= instances for k in LAYERS
+                   if k not in ("flags", "image"))
         assert 0 < len(passes) <= instances
         swept = len(P) - bin(LOCAL_FLAGS).count("1")
         assert len(sweeps) <= instances * swept

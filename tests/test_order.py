@@ -20,7 +20,7 @@ from subnorm.order import (
     lattice_from_json,
     lattice_to_json,
     mask_of,
-    meet_irreducibles,
+    opposite,
     poset_from_hasse,
     poset_from_json,
     prime_filters,
@@ -29,6 +29,7 @@ from subnorm.order import (
     to_lattice,
     validate_poset,
 )
+from conftest import NON_DISTRIBUTIVE, lattice
 from oracles import (
     SUBSET_LAWS,
     is_down_directed_oracle,
@@ -157,7 +158,45 @@ class TestIrreducibles:
     def test_against_oracle(self, name, request):
         lat = request.getfixturevalue(name)
         assert members(join_irreducibles(lat)) == join_irreducibles_oracle(lat)
-        assert members(meet_irreducibles(lat)) == meet_irreducibles_oracle(lat)
+
+
+@pytest.fixture(params=["chain2", "chain3", "chain4", "chain5", "b4", "b8", "fdl2", "n5", "m3"])
+def any_lattice(request):
+    lat = lattice(request.param)
+    assert lat.is_distributive == (request.param not in NON_DISTRIBUTIVE)
+    return lat
+
+
+class TestOpposite:
+    """``opposite`` swaps the order, the lattice operations and the
+    bounds and keeps the flags and the negation; it is the lattice that
+    ``to_lattice`` builds from the reversed order, and the opposite of
+    the opposite is the lattice itself."""
+
+    def test_swaps_and_keeps(self, any_lattice):
+        lat, dual = any_lattice, opposite(any_lattice)
+        assert (dual.poset.up, dual.poset.down) == (lat.poset.down, lat.poset.up)
+        assert (dual.meet, dual.join) == (lat.join, lat.meet)
+        assert (dual.bot, dual.top) == (lat.top, lat.bot)
+        assert (dual.is_distributive, dual.is_boolean, dual.neg, dual.poset.labels) == \
+            (lat.is_distributive, lat.is_boolean, lat.neg, lat.poset.labels)
+
+    def test_is_the_lattice_of_the_reversed_order(self, any_lattice):
+        lat, n = any_lattice, any_lattice.n
+        reversed_order = to_lattice(validate_poset(
+            [[int(lat.leq(b, a)) for b in range(n)] for a in range(n)]))
+        dual = opposite(lat)
+        assert (dual.meet, dual.join, dual.bot, dual.top) == \
+            (reversed_order.meet, reversed_order.join, reversed_order.bot, reversed_order.top)
+        assert dual.is_distributive == reversed_order.is_distributive == lat.is_distributive
+
+    def test_twice_is_the_lattice(self, any_lattice):
+        assert opposite(any_lattice) is opposite(any_lattice)
+        assert opposite(opposite(any_lattice)) is any_lattice
+
+    def test_meet_irreducibles_are_the_join_irreducibles_of_the_opposite(self, any_lattice):
+        assert members(join_irreducibles(opposite(any_lattice))) == \
+            meet_irreducibles_oracle(any_lattice)
 
 
 class TestPrimeFilters:

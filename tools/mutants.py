@@ -1,4 +1,5 @@
-"""Code mutants of the operators read in the carrier, the bound-reflection
+"""Code mutants of the operators read in the carrier, the order dual and
+the dual instance that the box-side laws read, the bound-reflection
 laws, the local table, the local catalog sides, the flag bits
 that preconditions and check sides read, the closure-extremality verdict
 table, the runner's decision of a check from its flag bits, its memos
@@ -45,7 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 JOBS = min(2, os.cpu_count() or 1)
 
 #: the tests each mutant runs against: the relation object against its
-#: stated checks, JSON carriers against rewritten files, the operators
+#: stated checks, JSON carriers against rewritten files, the order dual
+#: against its swaps and the reversed order, the operators
 #: read in the carrier against the route through its completion, the
 #: directed-family and bound-reflection laws against their statements in
 #: the completion, with planted tables, the extremality bits against the
@@ -62,14 +64,16 @@ JOBS = min(2, os.cpu_count() or 1)
 #: ``property_holds``, the local table against the set-based oracles,
 #: replayed counterexamples, the shared plans against fresh interpreters,
 #: the closure-generated corpus against closing every seed afresh,
-#: ``bits`` against its generator and the closure digest.  A mutant stops
+#: ``bits`` against its generator, the closure digest and each check
+#: against its dual on the dual relation.  A mutant stops
 #: at its first failing test, so the order is for speed alone: a test
 #: that first kills no mutant costs every mutant behind it, and these
-#: last ones (about 11 s) run only for the unpatched copy and a mutant
+#: last ones (about 13 s) run only for the unpatched copy and a mutant
 #: that survives the rest
 FAST = (
     "tests/test_subordination.py::TestProtoSubAlg",
     "tests/test_harness.py::TestJsonCarriers",
+    "tests/test_order.py::TestOpposite",
     "tests/test_harness.py::TestCarrierIsItsOwnCompletion",
     "tests/test_harness.py::TestLawOracles",
     "tests/test_harness.py::TestExtremalityFlags",
@@ -90,6 +94,7 @@ FAST = (
     "tests/test_harness.py::TestClosureMemo",
     "tests/test_order.py::TestBits",
     "tests/test_closure_digest.py",
+    "tests/test_metamorphic.py",
 )
 
 CARRIERS = "src/subnorm/harness/carriers.py"
@@ -207,13 +212,33 @@ MUTANTS = (
            '("fail", {"lhs": rhs, "rhs": lhs})'),
     # what is kept across `run_suite` calls: the plans, shared per
     # selection, hold no per-call counts, and the closure-generated
-    # corpus is kept per lattice object
+    # corpus is kept with its lattice object and goes with it
     Mutant("plan-counts-on-shared-row", RUN,
            "    counts: dict[_Row, int] = {}  # the instances each row decided in this call\n",
            '    counts = _Row.__init__.__dict__.setdefault("counts", {})\n'),
     Mutant("closure-memo-keyed-on-n", GENERATE,
-           "_CLOSURES.setdefault(id(carrier), (carrier, {}))[1]",
-           "_CLOSURES.setdefault(carrier.n, (carrier, {}))[1]"),
+           'corpora = carrier._memo.setdefault("closures", {})',
+           "corpora = closure_generated.__dict__.setdefault(carrier.n, {})"),
+    Mutant("closure-memo-outlives-lattice", GENERATE,
+           'corpora = carrier._memo.setdefault("closures", {})',
+           "corpora = closure_generated.__dict__.setdefault(id(carrier), (carrier, {}))[1]"),
+    # the order dual (`order.opposite`), and the instance on it that the
+    # box-side laws read (`run.Instance.dual`)
+    Mutant("opposite-keeps-bounds", ORDER,
+           "L.top, L.bot, L.is_distributive",
+           "L.bot, L.top, L.is_distributive"),
+    Mutant("opposite-keeps-meet-and-join", ORDER,
+           "FinPoset(L.poset.down, L.poset.labels), L.join, L.meet,",
+           "FinPoset(L.poset.down, L.poset.labels), L.meet, L.join,"),
+    Mutant("dual-context-keeps-mask-meet", RUN,
+           "dual.mask_meet, dual.mask_join = self.mask_join, self.mask_meet",
+           "dual.mask_meet, dual.mask_join = self.mask_meet, self.mask_join"),
+    Mutant("dual-operators-unswapped", RUN,
+           "self._dual._operators = self.operators[::-1]",
+           "self._dual._operators = self.operators"),
+    Mutant("dual-relation-not-converse", RUN,
+           "Instance(ctx, ProtoSubAlg(ctx.lat, self.S.cols))",
+           "Instance(ctx, ProtoSubAlg(ctx.lat, self.S.rows))"),
     # the table of set-bit lists that `order.bits` reads
     Mutant("bits-table-one-bit-short", ORDER,
            "_BITS = _bit_lists(_TABLE_CAP)",
