@@ -109,6 +109,16 @@ def _comma_list(text: str, noun: str) -> list[str]:
     return items
 
 
+def _named_once(names: list[str], noun: str) -> None:
+    """Each of ``names`` (already case-normalised) may be named once: a
+    repeat would print its verdict twice in text but once in JSON."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise InputFormatError(f"{noun} {name!r} is named twice")
+        seen.add(name)
+
+
 def _parse_props(text: str) -> list[Property]:
     out = []
     for part in _comma_list(text, "property names"):
@@ -124,6 +134,7 @@ def _parse_props(text: str) -> list[Property]:
 def _cmd_check(args) -> int:
     S = _load_subalg(args)
     props = _parse_props(args.props) if args.props is not None else []
+    _named_once([prop.name for prop in props], "property")
     results = {}
     all_hold = True
     lines = []
@@ -230,6 +241,7 @@ def _cmd_dual(args) -> int:
             if key not in _REL_CONDS:
                 raise SubnormError(f"unknown condition {key!r}; known: "
                                    + ", ".join(sorted(_REL_CONDS)))
+        _named_once(keys, "condition")
     builder = (build_space_primefilters if args.construction == "primefilters"
                else build_space_jirr)
     sp = builder(S)

@@ -10,7 +10,13 @@ related when the direct image of one filter is contained in the other;
 the two presentations are isomorphic and both are built here.
 
 Relational counterparts of the first-order relation properties are
-checked verbatim over the points.  For the conditions involving the
+checked over the points by mask: each condition runs its outer
+quantifiers over the points in its stated order and decides its
+innermost existential by one test of the space's bitmasks (the order,
+the relation and their transposes), so it returns the first witness
+that a loop over every point meets first.  That loop, each existential
+over every point, is ``tests/oracles.py::check_relational_oracle``, the
+reference the mask form is held to.  For the conditions involving the
 box operator the bridge between points and the box goes through the
 standard pairing of join- with meet-irreducibles (each join-irreducible
 ``j`` with the largest element not above it); that pairing is
@@ -25,7 +31,8 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import NotSubordinationLattice
-from .order import FinLattice, bits, join_irreducibles, mask_of, prime_filters
+from .order import (FinLattice, bits, join_irreducibles, mask_of, prime_filters,
+                    transpose)
 from .slanted import build_slanted, sigma_extension
 from .subordination import ProtoSubAlg, is_subordination_algebra
 
@@ -33,18 +40,34 @@ from .subordination import ProtoSubAlg, is_subordination_algebra
 class SubordinationSpace:
     """Finite relational space: points with an order and a relation.
 
-    ``order[i]`` and ``R[i]`` are bitmasks over point *positions*.  The
-    ``points`` entries identify each position in its source structure
-    (completion element index, or prime-filter bitmask).
+    ``order[i]`` (the points above ``i``) and ``R[i]`` (the points ``i``
+    reaches) are bitmasks over point *positions*, and so are their
+    transposes ``below[j]`` (the points under ``j``) and ``inv[j]`` (the
+    points reaching ``j``), built on first use.  The ``points`` entries
+    identify each position in its source structure (completion element
+    index, or prime-filter bitmask).
     """
 
-    __slots__ = ("points", "labels", "order", "R")
+    __slots__ = ("points", "labels", "order", "R", "_below", "_inv")
 
     def __init__(self, points, labels, order, R):
         self.points = tuple(points)
         self.labels = tuple(labels)
         self.order = tuple(order)
         self.R = tuple(R)
+        self._below = self._inv = None
+
+    @property
+    def below(self) -> tuple[int, ...]:
+        if self._below is None:
+            self._below = transpose(self.order)
+        return self._below
+
+    @property
+    def inv(self) -> tuple[int, ...]:
+        if self._inv is None:
+            self._inv = transpose(self.R)
+        return self._inv
 
     @property
     def m(self) -> int:
@@ -169,10 +192,8 @@ def space_from_primefilters(points: SpacePoints, rows) -> SubordinationSpace:
 
 
 def _signature(sp: SubordinationSpace, i: int) -> tuple:
-    oc = sum(1 for j in range(sp.m) if sp.leq(j, i))
-    rc = sum(1 for j in range(sp.m) if sp.rel(j, i))
-    return (bin(sp.order[i]).count("1"), oc, bin(sp.R[i]).count("1"), rc,
-            sp.rel(i, i))
+    return (sp.order[i].bit_count(), sp.below[i].bit_count(), sp.R[i].bit_count(),
+            sp.inv[i].bit_count(), sp.rel(i, i))
 
 
 def spaces_isomorphic(s1: SubordinationSpace,
@@ -231,79 +252,91 @@ class RelCondition(Enum):
 
 def check_relational(sp: SubordinationSpace,
                      cond: RelCondition) -> tuple[bool, Optional[tuple]]:
-    """Evaluate a relational condition verbatim over the points; on
-    failure return the first witnessing tuple of point positions."""
-    m = sp.m
-    R, leq = sp.rel, sp.leq
+    """Evaluate a relational condition over the points, by mask (see the
+    module docstring); on failure return the first witnessing tuple of
+    point positions."""
+    m, R = sp.m, sp.R
 
     if cond is RelCondition.REFLEXIVE:
         for i in range(m):
-            if not R(i, i):
+            if not R[i] >> i & 1:
                 return False, (i,)
         return True, None
     if cond is RelCondition.TRANSITIVE:
         for i in range(m):
-            for j in bits(sp.R[i]):
-                for k in bits(sp.R[j]):
-                    if not R(i, k):
-                        return False, (i, j, k)
+            for j in bits(R[i]):
+                bad = R[j] & ~R[i]
+                if bad:
+                    return False, (i, j, next(bits(bad)))
         return True, None
+    inv = sp.inv
     if cond is RelCondition.DENSE:
+        # some k with i R k R j
         for i in range(m):
-            for j in bits(sp.R[i]):
-                if not any(R(i, k) and R(k, j) for k in range(m)):
+            for j in bits(R[i]):
+                if not R[i] & inv[j]:
                     return False, (i, j)
         return True, None
     if cond is RelCondition.CT_REL:
+        # some k <= j with j R k R i
+        below = sp.below
         for j in range(m):
-            for i in bits(sp.R[j]):
-                if not any(leq(k, j) and R(j, k) and R(k, i) for k in range(m)):
+            mid = below[j] & R[j]
+            for i in bits(R[j]):
+                if not mid & inv[i]:
                     return False, (j, i)
         return True, None
+    order = sp.order
+    # S9 relates (i3 R i1 and i3 R i2) to (some j >= i1 with i3 R j R i2):
+    # forward the first forces the second, backward the reverse
     if cond is RelCondition.S9_FWD_REL:
         for i3 in range(m):
-            for i1 in range(m):
-                for i2 in range(m):
-                    if R(i3, i1) and R(i3, i2):
-                        if not any(leq(i1, j) and R(j, i2) and R(i3, j)
-                                   for j in range(m)):
-                            return False, (i3, i1, i2)
+            r3 = R[i3]
+            for i1 in bits(r3):
+                mid = order[i1] & r3
+                for i2 in bits(r3):
+                    if not mid & inv[i2]:
+                        return False, (i3, i1, i2)
         return True, None
     if cond is RelCondition.S9_BWD_REL:
+        full = (1 << m) - 1
         for i3 in range(m):
+            r3 = R[i3]
             for i1 in range(m):
-                for i2 in range(m):
-                    if any(leq(i1, j) and R(j, i2) and R(i3, j) for j in range(m)):
-                        if not (R(i3, i1) and R(i3, i2)):
+                mid = order[i1] & r3
+                if mid:
+                    # only an i2 outside the row can fail once i1 is in it
+                    for i2 in bits(full & ~r3 if r3 >> i1 & 1 else full):
+                        if mid & inv[i2]:
                             return False, (i3, i1, i2)
         return True, None
     if cond is RelCondition.SL1_REL:
+        # some j above i1 and i2 with i3 R j
         for i4 in range(m):
-            for i1 in bits(sp.R[i4]):
-                for i2 in bits(sp.R[i4]):
-                    for i3 in range(m):
-                        if R(i3, i4):
-                            if not any(leq(i1, j) and leq(i2, j) and R(i3, j)
-                                       for j in range(m)):
-                                return False, (i4, i1, i2, i3)
+            for i1 in bits(R[i4]):
+                for i2 in bits(R[i4]):
+                    common = order[i1] & order[i2]
+                    for i3 in bits(inv[i4]):
+                        if not R[i3] & common:
+                            return False, (i4, i1, i2, i3)
         return True, None
     if cond is RelCondition.SL2_REL:
+        # some j below i1 and i2 with j R i3
+        below = sp.below
         for i4 in range(m):
-            for i1 in range(m):
-                for i2 in range(m):
-                    if R(i1, i4) and R(i2, i4):
-                        for i3 in bits(sp.R[i4]):
-                            if not any(leq(j, i1) and leq(j, i2) and R(j, i3)
-                                       for j in range(m)):
-                                return False, (i1, i2, i4, i3)
+            for i1 in bits(inv[i4]):
+                for i2 in bits(inv[i4]):
+                    common = below[i1] & below[i2]
+                    for i3 in bits(R[i4]):
+                        if not common & inv[i3]:
+                            return False, (i1, i2, i4, i3)
         return True, None
     if cond is RelCondition.PROPER_REL:
         full = (1 << m) - 1
         for y in range(full):  # proper up-sets only (y != full)
-            if any(sp.order[i] & ~y for i in bits(y)):
+            if any(order[i] & ~y for i in bits(y)):
                 continue
-            if all(sp.R[p] & y for p in range(m)):
+            if all(R[p] & y for p in range(m)):
                 return False, tuple(bits(y))
         return True, None
     raise AssertionError(cond)
-

@@ -314,17 +314,22 @@ def _compile_inequality(text: str) -> _Compiled:
     ineq = parse_inequality(text)
     names = tuple(term_variables(ineq.lhs, ineq.rhs))
 
-    def leq(lat, dia, box, valuation) -> bool:
+    def leq(lat, dia, box, valuation, memo=None) -> bool:
         """The inequality under every assignment of ``valuation``, with
-        ``dia``/``box`` as the operators' tables."""
+        ``dia``/``box`` as the operators' tables (``memo`` as in
+        ``syntax.evaluate``)."""
         unary = {"dia": dia, "box": box, "not": lat.neg}
         up = lat.poset.up
-        return all(up[u] >> v & 1 for u, v in zip(evaluate(ineq.lhs, valuation, lat, unary),
-                                                  evaluate(ineq.rhs, valuation, lat, unary)))
+        return all(up[u] >> v & 1
+                   for u, v in zip(evaluate(ineq.lhs, valuation, lat, unary, memo),
+                                   evaluate(ineq.rhs, valuation, lat, unary, memo)))
 
     def holds(inst) -> bool:
+        # every text with these variables has this valuation, so their
+        # subterms share one column per instance
         lat = inst.ctx.lat
-        return leq(lat, inst.dia, inst.box, dict(zip(names, _columns(lat.n, len(names)))))
+        return leq(lat, inst.dia, inst.box, dict(zip(names, _columns(lat.n, len(names)))),
+                   inst.terms.setdefault(names, {}))
 
     side = _local_side(ineq, names, leq) or Fact(holds)
     side.text = text

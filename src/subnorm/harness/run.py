@@ -226,10 +226,13 @@ class Instance:
     converse relation on the order dual of the carrier (``ctx.dual``),
     whose diamond is this box and whose box this diamond, taken from
     this instance rather than recomputed; the box-side laws read it.
+    ``terms`` holds the columns of the compiled inequalities' subterms,
+    one dict per variable tuple, so the texts share their common
+    subterms (``catalog._compile_inequality``).
     """
 
     __slots__ = ("ctx", "S", "_known", "_true", "_operators", "_space", "_space_pf",
-                 "_image", "_dual")
+                 "_image", "_dual", "terms")
 
     def __init__(self, ctx: CarrierContext, S: ProtoSubAlg):
         self.ctx = ctx
@@ -241,6 +244,7 @@ class Instance:
         self._space_pf = None
         self._image = None
         self._dual = None
+        self.terms = {}
 
     @property
     def n(self) -> int:

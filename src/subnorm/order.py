@@ -77,6 +77,16 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The transpose of a square bitmask matrix: bit ``i`` of entry ``j``
+    is bit ``j`` of ``rows[i]``."""
+    cols = [0] * len(rows)
+    for i, r in enumerate(rows):
+        for j in bits(r):
+            cols[j] |= 1 << i
+    return tuple(cols)
+
+
 class FinPoset:
     """Finite partial order.
 
@@ -90,11 +100,7 @@ class FinPoset:
     def __init__(self, up: Sequence[int], labels: Optional[Sequence[str]] = None):
         self.n = len(up)
         self.up = tuple(up)
-        down = [0] * self.n
-        for a in range(self.n):
-            for b in bits(self.up[a]):
-                down[b] |= 1 << a
-        self.down = tuple(down)
+        self.down = transpose(self.up)
         self.labels = tuple(labels) if labels is not None else None
         self._tables = None  # lazy per-carrier lookup tables, see subset_tables
 

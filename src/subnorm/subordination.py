@@ -32,6 +32,7 @@ carrier lacks.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputFormatError, MissingStructure, NotALattice, NotBounded
@@ -47,6 +48,7 @@ from .order import (
     poset_from_json,
     poset_to_json,
     subset_law_failure,
+    transpose,
 )
 
 Carrier = Union[FinPoset, FinLattice]
@@ -148,11 +150,7 @@ class ProtoSubAlg:
     def cols(self) -> tuple[int, ...]:
         """``cols[b]`` holds the tails ``a`` with ``a prec b``."""
         if self._cols is None:
-            cols = [0] * self.n
-            for a, r in enumerate(self.rows):
-                for b in bits(r):
-                    cols[b] |= 1 << a
-            self._cols = tuple(cols)
+            self._cols = transpose(self.rows)
         return self._cols
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -324,39 +322,46 @@ def _sweep(S: ProtoSubAlg, prop: Property, least: bool = True) -> Optional[tuple
         # are point sets: L is the union of the columns of a v c over
         # c prec b, R the down-closure of the joins a' v b'.  The witness
         # is (x, a, b) with the least x of the first (a, b) that fails.
+        # R is also the union over c prec b of the points below some
+        # a' v c with a' prec a, a mask per c built once per a.
         forward = prop is Property.S9_FWD
         join, cols, down = lat.join, S.cols, p.down
         for a in range(n):
-            join_a, pre_a = join[a], list(bits(cols[a]))
+            join_a = join[a]
+            right_of = [0] * n
+            for ap in bits(cols[a]):
+                right_of = [r | down[x] for r, x in zip(right_of, join[ap])]
             for b in range(n):
                 left = right = 0
                 for c in bits(cols[b]):
                     left |= cols[join_a[c]]
-                    for ap in pre_a:
-                        right |= down[join[ap][c]]
+                    right |= right_of[c]
                 bad = left & ~right if forward else right & ~left
                 if bad:
                     return (next(bits(bad)), a, b)
     elif prop is Property.SL1:
         # (a, b, c) with a prec b v c but no b' prec b, c' prec c with
-        # a prec b' v c'.  Per (b, c) the joins b' v c' form one mask.
-        # Only an a below the best witness so far can improve it, so
-        # each (b, c) tests just those predecessors of b v c.
+        # a prec b' v c'.  Per (b, c) the predecessors of the joins
+        # b' v c' form one mask: the union over c' prec c of those of
+        # b' v c' for every b' prec b, which is built once per b.  Only
+        # an a below the best witness so far can improve it, so each
+        # (b, c) tests just those predecessors of b v c.
         join, cols = lat.join, S.cols
         first, below = None, (1 << n) - 1
         for b in range(n):
-            pre_b = list(bits(cols[b]))
+            join_b = join[b]
+            reach_of = None
             for c in range(n):
-                candidates = cols[join[b][c]] & below
+                candidates = cols[join_b[c]] & below
                 if not candidates:
                     continue
-                joins = 0
-                for cp in bits(cols[c]):
-                    for bp in pre_b:
-                        joins |= 1 << join[bp][cp]
+                if reach_of is None:
+                    reach_of = [0] * n
+                    for bp in bits(cols[b]):
+                        reach_of = [r | cols[x] for r, x in zip(reach_of, join[bp])]
                 reach = 0
-                for j in bits(joins):
-                    reach |= cols[j]
+                for cp in bits(cols[c]):
+                    reach |= reach_of[cp]
                 bad = candidates & ~reach
                 if bad:
                     a = next(bits(bad))
@@ -371,16 +376,19 @@ def _sweep(S: ProtoSubAlg, prop: Property, least: bool = True) -> Optional[tuple
         # reading under which SL2 is equivalent to the diamond inequality
         # <>(<>a & <>b) <= <>(a & b) on directed carriers, verified
         # exhaustively by the test suite.  Per (b, c) the heads reached
-        # from the meets b' ^ c' form one mask.
+        # from the meets b' ^ c' form one mask, the union over c' of the
+        # heads reached from b' ^ c', which is built once per b.
         meet = lat.meet
         for b in range(n):
-            post_b = list(bits(rows[b]))
+            meet_b = meet[b]
+            reach_of = [0] * n
+            for bp in bits(rows[b]):
+                reach_of = [r | rows[x] for r, x in zip(reach_of, meet[bp])]
             for c in range(n):
                 reach = 0
                 for cp in bits(rows[c]):
-                    for bp in post_b:
-                        reach |= rows[meet[bp][cp]]
-                bad = rows[meet[b][c]] & ~reach
+                    reach |= reach_of[cp]
+                bad = rows[meet_b[c]] & ~reach
                 if bad:
                     return (b, c, next(bits(bad)))
     return None
@@ -471,13 +479,7 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     added pair is forced by some rule instance, so the result is the
     least rules-closed superset: extensive, monotone and idempotent.
     """
-    ruleset = frozenset(rules)
-    bad = ruleset - CLOSABLE_RULES
-    if bad:
-        raise MissingStructure(
-            "/".join(sorted(q.value for q in bad)), "a closable Horn rule")
-    # which rules are in the set is decided once, not in every pass
-    bot, top, si, wo, and_, or_, ct, t = map(ruleset.__contains__, _CLOSE_ORDER)
+    bot, top, si, wo, and_, or_, ct, t = _rules_in(frozenset(rules))
     lat = S.lattice
     if (and_ or or_ or ct) and lat is None:
         raise MissingStructure("AND/OR/CT closure", "lattice operations")
@@ -554,6 +556,17 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
     else:
         raise AssertionError("closure failed to converge within the pair bound")
     return ProtoSubAlg(S.carrier, rows)
+
+
+@lru_cache(maxsize=None)
+def _rules_in(ruleset: frozenset) -> tuple[bool, ...]:
+    """Which rules of ``_CLOSE_ORDER`` the rule set holds, decoded once
+    per distinct rule set, not in every ``close`` call or pass."""
+    bad = ruleset - CLOSABLE_RULES
+    if bad:
+        raise MissingStructure(
+            "/".join(sorted(q.value for q in bad)), "a closable Horn rule")
+    return tuple(map(ruleset.__contains__, _CLOSE_ORDER))
 
 
 def _diamond_shape(lat: FinLattice) -> tuple[tuple, Optional[tuple]]:

@@ -255,7 +255,8 @@ def term_variables(*terms: Term) -> list[str]:
 
 
 def evaluate(t: Term, valuation: Mapping[str, Sequence[int]], lat: FinLattice,
-             unary: Mapping[str, Optional[Sequence[int]]]) -> Sequence[int]:
+             unary: Mapping[str, Optional[Sequence[int]]],
+             memo: Optional[dict] = None) -> Sequence[int]:
     """Values of ``t`` as element indices of ``lat``, one per assignment.
 
     ``valuation`` maps each variable to its column, the variable's value
@@ -264,7 +265,10 @@ def evaluate(t: Term, valuation: Mapping[str, Sequence[int]], lat: FinLattice,
     ``valuation`` is empty.  Variables are read from ``valuation``;
     ``T F & |`` from ``lat``'s bounds and meet/join tables; ``~ <> []``
     from the tables ``unary`` holds under ``not``/``dia``/``box``;
-    ``a -> b`` is ``join(~a, b)``.
+    ``a -> b`` is ``join(~a, b)``.  ``memo``, when given, maps subterms
+    to their columns under this same valuation and these same tables:
+    each compound subterm is evaluated once and kept there, so terms
+    evaluated with one memo share their common subterms.
     """
     kind = t[0]
     if kind == "var":
@@ -272,18 +276,26 @@ def evaluate(t: Term, valuation: Mapping[str, Sequence[int]], lat: FinLattice,
             return valuation[t[1]]
         except KeyError:
             raise UnboundVariable(t[1]) from None
+    if memo is not None:
+        col = memo.get(t)
+        if col is not None:
+            return col
     if kind in ("top", "bot"):
         width = len(next(iter(valuation.values()))) if valuation else 1
-        return [getattr(lat, kind)] * width
-    if kind in ("not", "imp") and unary.get("not") is None:
+        col = [getattr(lat, kind)] * width
+    elif kind in ("not", "imp") and unary.get("not") is None:
         raise MissingNegation("~ and -> need a carrier negation")
-    if kind in ("not", "dia", "box"):
+    elif kind in ("not", "dia", "box"):
         table = unary[kind]
-        return [table[x] for x in evaluate(t[1], valuation, lat, unary)]
-    left = evaluate(t[1], valuation, lat, unary)
-    right = evaluate(t[2], valuation, lat, unary)
-    if kind == "imp":
-        neg = unary["not"]
-        left = [neg[x] for x in left]
-    op = lat.meet if kind == "and" else lat.join
-    return [op[x][y] for x, y in zip(left, right)]
+        col = [table[x] for x in evaluate(t[1], valuation, lat, unary, memo)]
+    else:
+        left = evaluate(t[1], valuation, lat, unary, memo)
+        right = evaluate(t[2], valuation, lat, unary, memo)
+        if kind == "imp":
+            neg = unary["not"]
+            left = [neg[x] for x in left]
+        op = lat.meet if kind == "and" else lat.join
+        col = [op[x][y] for x, y in zip(left, right)]
+    if memo is not None:
+        memo[t] = col
+    return col

@@ -18,13 +18,17 @@ the catalog's law oracles, which state each law in the completion that
 ``dm_completion`` builds for the instance's carrier.
 ``check_oracle`` decides one check on one instance by calling each of
 its parts, with no memo and no flag pattern, as the reference for the
-suite runner.
+suite runner.  ``check_relational_oracle`` and ``signature_oracle``
+read a dual space point by point through its ``leq``/``rel``, each
+existential a loop over every point, as the reference for the mask
+form of ``duality.check_relational`` and ``duality._signature``.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations, product
 
 from subnorm.completion import dm_completion
+from subnorm.duality import RelCondition as C
 from subnorm.errors import TooLarge
 from subnorm.order import (FinLattice, FinPoset, bits, free_boolean_algebra, mask_of,
                            subset_tables)
@@ -1087,3 +1091,93 @@ def check_oracle(mode: str, inst, precondition=None, lhs=None, rhs=None, law=Non
         return ("pass", None) if not left or rhs(inst) else ("fail", {"lhs": True, "rhs": False})
     right = bool(rhs(inst))
     return ("pass", None) if left == right else ("fail", {"lhs": left, "rhs": right})
+
+
+# ---- dual-space conditions, point by point --------------------------------
+
+def signature_oracle(sp, i: int) -> tuple:
+    """The invariants of point ``i`` that ``duality.spaces_isomorphic``
+    matches before its search, counted point by point."""
+    oc = sum(1 for j in range(sp.m) if sp.leq(j, i))
+    rc = sum(1 for j in range(sp.m) if sp.rel(j, i))
+    return (bin(sp.order[i]).count("1"), oc, bin(sp.R[i]).count("1"), rc,
+            sp.rel(i, i))
+
+
+def check_relational_oracle(sp, cond) -> tuple:
+    """A relational condition of ``duality.RelCondition`` evaluated
+    verbatim over the points, each existential a loop over every point;
+    on failure the first witnessing tuple of point positions."""
+    m = sp.m
+    R, leq = sp.rel, sp.leq
+
+    if cond is C.REFLEXIVE:
+        for i in range(m):
+            if not R(i, i):
+                return False, (i,)
+        return True, None
+    if cond is C.TRANSITIVE:
+        for i in range(m):
+            for j in bits(sp.R[i]):
+                for k in bits(sp.R[j]):
+                    if not R(i, k):
+                        return False, (i, j, k)
+        return True, None
+    if cond is C.DENSE:
+        for i in range(m):
+            for j in bits(sp.R[i]):
+                if not any(R(i, k) and R(k, j) for k in range(m)):
+                    return False, (i, j)
+        return True, None
+    if cond is C.CT_REL:
+        for j in range(m):
+            for i in bits(sp.R[j]):
+                if not any(leq(k, j) and R(j, k) and R(k, i) for k in range(m)):
+                    return False, (j, i)
+        return True, None
+    if cond is C.S9_FWD_REL:
+        for i3 in range(m):
+            for i1 in range(m):
+                for i2 in range(m):
+                    if R(i3, i1) and R(i3, i2):
+                        if not any(leq(i1, j) and R(j, i2) and R(i3, j)
+                                   for j in range(m)):
+                            return False, (i3, i1, i2)
+        return True, None
+    if cond is C.S9_BWD_REL:
+        for i3 in range(m):
+            for i1 in range(m):
+                for i2 in range(m):
+                    if any(leq(i1, j) and R(j, i2) and R(i3, j) for j in range(m)):
+                        if not (R(i3, i1) and R(i3, i2)):
+                            return False, (i3, i1, i2)
+        return True, None
+    if cond is C.SL1_REL:
+        for i4 in range(m):
+            for i1 in bits(sp.R[i4]):
+                for i2 in bits(sp.R[i4]):
+                    for i3 in range(m):
+                        if R(i3, i4):
+                            if not any(leq(i1, j) and leq(i2, j) and R(i3, j)
+                                       for j in range(m)):
+                                return False, (i4, i1, i2, i3)
+        return True, None
+    if cond is C.SL2_REL:
+        for i4 in range(m):
+            for i1 in range(m):
+                for i2 in range(m):
+                    if R(i1, i4) and R(i2, i4):
+                        for i3 in bits(sp.R[i4]):
+                            if not any(leq(j, i1) and leq(j, i2) and R(j, i3)
+                                       for j in range(m)):
+                                return False, (i1, i2, i4, i3)
+        return True, None
+    if cond is C.PROPER_REL:
+        full = (1 << m) - 1
+        for y in range(full):  # proper up-sets only (y != full)
+            if any(sp.order[i] & ~y for i in bits(y)):
+                continue
+            if all(sp.R[p] & y for p in range(m)):
+                return False, tuple(bits(y))
+        return True, None
+    raise AssertionError(cond)

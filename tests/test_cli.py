@@ -195,6 +195,21 @@ class TestCompletionCmd:
         assert payload["embed"] == [1, 2]
 
 
+@pytest.mark.parametrize("argv, noun", [
+    (["check", "--props", "SI,WO,si"], "property 'SI'"),
+    (["check", "--props", "SI,SI"], "property 'SI'"),
+    (["dual", "--check", "SL1,reflexive,sl1"], "condition 'sl1'"),
+])
+def test_repeated_property_or_condition_is_input_error(capsys, files, argv, noun):
+    # text would print the repeat's verdict twice, JSON once
+    for fmt in ("text", "json"):
+        code = main(["--format", fmt, argv[0], "--algebra", files["algebra"],
+                     "--prec", files["prec"], *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"{noun} is named twice" in err
+
+
 class TestDual:
     def test_space_and_checks(self, capsys, files):
         code, payload = run_json(capsys, "dual", "--algebra", files["algebra"],

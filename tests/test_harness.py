@@ -1232,6 +1232,44 @@ class TestCheckSides:
         assert bodies and all(spec.mode == "law" and callable(spec.law) for spec in bodies)
 
 
+class TestSharedSubterms:
+    """The compiled inequalities evaluated on one instance share one
+    column per distinct subterm and variable tuple (``Instance.terms``),
+    and each text still gets the verdict it gets on its own."""
+
+    #: texts whose variable tuples have one length but differ: ``b`` is
+    #: the second variable of ``(a, b)`` and the first of ``(b, c)``
+    EXTRA = ("<>b <= <>a", "<>b <= <>c", "[](a | b) <= []a", "[](b | c) <= []b",
+             "<>a & <>b <= <>(a & b)", "<>b & <>c <= <>(b & c)")
+
+    def test_each_text_keeps_its_verdict(self, b4, fdl2, b8):
+        catalog_texts = [o.text for o in catalog_facts() if o.text]
+        assert len(catalog_texts) == 15
+        verdicts = Counter()
+        for lat in (b4, fdl2, b8):
+            ctx = CarrierContext("test", lat)
+            rels = random_relations(lat, 12, seed=lat.n)
+            rels += [close(S, SUBORDINATION_RULES) for S in rels]
+            chosen = [t for t in (*catalog_texts, *self.EXTRA)
+                      if lat.neg is not None or "~" not in t]
+            for S in rels:
+                inst = Instance(ctx, S)
+                for text in chosen:
+                    got = _compile_inequality(text).holds(inst)
+                    assert got == _compile_inequality(text).holds(Instance(ctx, S)), (text, S)
+                    verdicts[text, got] += 1
+        assert all(verdicts[text, True] and verdicts[text, False] for text in self.EXTRA)
+
+    def test_a_converse_text_adds_no_column(self, b8):
+        inst = Instance(CarrierContext("b8", b8), close(ProtoSubAlg(b8, [0] * 8),
+                                                        SUBORDINATION_RULES))
+        _compile_inequality("<>(a | b) <= <>a | <>b").holds(inst)
+        shared = dict(inst.terms[("a", "b")])
+        assert len(shared) == 5
+        _compile_inequality("<>a | <>b <= <>(a | b)").holds(inst)
+        assert inst.terms == {("a", "b"): shared}
+
+
 #: a test-owned fact: 0 relates to nothing (``rows[0]`` is empty)
 FIRST_ROW_EMPTY = Fact(lambda inst: not inst.S.rows[0])
 

@@ -5,9 +5,10 @@ that preconditions and check sides read, the closure-extremality verdict
 table, the runner's decision of a check from its flag bits, its memos
 and the replay path, what the runner keeps across calls (its shared
 plans and the closure-generated corpus), the table of set-bit lists,
-the property sweeps, the relation's range check, the cache of JSON
-carriers, the closure and its rule systems, the output operators d1..d4
-of input/output logic, the term evaluator and modal validity.
+the property sweeps, the dual-space conditions, the subterms the
+compiled inequalities share, the relation's range check, the cache of
+JSON carriers, the closure and its rule systems, the output operators
+d1..d4 of input/output logic, the term evaluator and modal validity.
 
 Each mutant is one ``(file, old, new)`` patch.  The runner copies the
 repository's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
@@ -54,7 +55,9 @@ JOBS = min(2, os.cpu_count() or 1)
 #: map enumeration and the verdict table's miss path, every precondition
 #: against its stated oracle, the local sides against the per-instance
 #: bodies, the runner's plans and memo against the naive loop, the
-#: witness digest, the closure against its oracles, ``derive``, ``out``
+#: witness digest, the dual-space conditions against their point by point
+#: oracle and digest, the shared inequality subterms against each text
+#: evaluated alone, the closure against its oracles, ``derive``, ``out``
 #: and ``modal_output`` with the closure route against the semantics of
 #: out1..out4, the term evaluator against its scalar oracle, and modal
 #: validity with its lexicographically first witnesses; then the tests
@@ -81,6 +84,8 @@ FAST = (
     "tests/test_harness.py::TestLocalSides",
     "tests/test_harness.py::TestGroupedRunner",
     "tests/test_witness_digest.py",
+    "tests/test_space_digest.py",
+    "tests/test_harness.py::TestSharedSubterms",
     "tests/test_subordination.py::TestClose",
     "tests/test_iologic.py::TestOutputOracle",
     "tests/test_syntax.py::test_evaluate_matches_oracle_on_every_assignment",
@@ -99,6 +104,7 @@ FAST = (
 
 CARRIERS = "src/subnorm/harness/carriers.py"
 CATALOG = "src/subnorm/harness/catalog.py"
+DUALITY = "src/subnorm/duality.py"
 IOLOGIC = "src/subnorm/iologic.py"
 MAXIMALITY = "src/subnorm/harness/maximality.py"
 GENERATE = "src/subnorm/harness/generate.py"
@@ -181,6 +187,15 @@ MUTANTS = (
     Mutant("fact-known-never-true", CATALOG,
            "    def holds(self, inst) -> bool:\n        return self.test(inst)\n",
            "    def holds(self, inst) -> bool:\n        return self.test(inst) and False\n"),
+    # the compiled inequalities share their subterms' columns per
+    # variable tuple, not per number of variables
+    Mutant("term-memo-keyed-on-arity", CATALOG,
+           "inst.terms.setdefault(names, {})",
+           "inst.terms.setdefault(len(names), {})"),
+    # the dual-space conditions by mask (`duality.check_relational`)
+    Mutant("space-inv-from-order", DUALITY,
+           "self._inv = transpose(self.R)",
+           "self._inv = transpose(self.order)"),
     # the closure-extremality verdict table (`maximality._ExtremalityTables`)
     Mutant("extremality-index-ignores-box", MAXIMALITY,
            "index = sum(map(getitem, t.row_code, S.rows)) + sum(map(getitem, t.col_code, S.cols))",
@@ -247,6 +262,15 @@ MUTANTS = (
            "return _decide(spec, _Plan([spec]).key(inst)) or verify_check(spec, inst)",
            "return _decide(spec, _Plan([spec]).key(inst) | spec.precondition)"
            " or verify_check(spec, inst)"),
+    # the sweeps' unions hoisted out of their inner loops: S9's points
+    # below a' v c over a' prec a, SL2's heads reached from b' ^ c' over
+    # b prec b'
+    Mutant("s9-hoisted-right-reads-a", SUBORDINATION,
+           "right_of = [r | down[x] for r, x in zip(right_of, join[ap])]",
+           "right_of = [r | down[x] for r, x in zip(right_of, join[a])]"),
+    Mutant("sl2-hoisted-reach-drops-post-b", SUBORDINATION,
+           "reach_of = [r | rows[x] for r, x in zip(reach_of, meet[bp])]",
+           "reach_of = [r | rows[x] for r, x in zip(reach_of, meet[b])]"),
     # the sweeps: only a verdict may stop SL1 at its first counterexample
     Mutant("sl1-early-stop-in-check-property", SUBORDINATION,
            "    witness = _sweep(S, prop)\n",
