@@ -7,9 +7,9 @@ is *the* canonical extension; a finite lattice is (up to the identity)
 its own completion and is short-circuited as such.
 
 Closed and open elements are recorded as the image of the embedding:
-every nonempty down-directed subset of a finite poset has a minimum and
-every nonempty up-directed subset a maximum, so nonempty directed meets
-and joins never leave the image.  The degenerate empty family is treated
+in a finite poset a nonempty subset that is down-directed has a minimum
+and one that is up-directed a maximum, so nonempty directed meets and
+joins never leave the image.  The degenerate empty family is treated
 separately where it matters (an empty meet is the lattice top, an empty
 join its bottom).
 

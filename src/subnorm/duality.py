@@ -31,8 +31,8 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import NotSubordinationLattice
-from .order import (FinLattice, bits, join_irreducibles, mask_of, prime_filters,
-                    transpose)
+from .order import (FinLattice, bits, image, join_irreducibles, mask_of,
+                    prime_filters, transpose)
 from .slanted import build_slanted, sigma_extension
 from .subordination import ProtoSubAlg, is_subordination_algebra
 
@@ -181,11 +181,8 @@ def space_from_primefilters(points: SpacePoints, rows) -> SubordinationSpace:
     full = (1 << len(points.points)) - 1
     R = []
     for f in points.points:
-        img = 0
-        for a in bits(f):
-            img |= rows[a]
         reach = full
-        for b in bits(img):
+        for b in bits(image(rows, f)):
             reach &= holding[b]
         R.append(reach)
     return SubordinationSpace(points.points, points.labels, points.order, R)

@@ -58,7 +58,8 @@ from typing import Callable, NamedTuple, Optional, Union
 from .. import duality
 from ..completion import dm_completion, extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
-from ..order import bits, is_monotone, negation_law_failure, subset_law_failure, subset_tables
+from ..order import (bits, image, is_monotone, negation_law_failure, subset_law_failure,
+                     subset_tables)
 from ..subordination import (FLAG_PROPERTIES, LOCAL_FLAGS, LOCAL_TESTS, SUBORDINATION_RULES,
                              flag_mask)
 from ..subordination import Property as P
@@ -263,10 +264,17 @@ _SMALL_ENOUGH_FOR_SUBSETS = CarrierCondition(lambda ctx: ctx.lat.n <= _SUBSET_SC
 _SMALL_ENOUGH_FOR_MAPS = CarrierCondition(lambda ctx: ctx.lat.n <= _N_CAP)
 
 
+def _negation_obeys(p, neg, *laws: str) -> bool:
+    """``neg`` is a negation table on ``p`` obeying every law of ``laws``
+    (``order.negation_law_failure``)."""
+    return neg is not None and all(negation_law_failure(p, neg, law) is None for law in laws)
+
+
 def _involutive_adjoint_negation(ctx) -> bool:
-    rep = ctx.neg_report
-    return (rep is not None and rep.antitone and rep.involutive
-            and (rep.left_self_adjoint or rep.right_self_adjoint))
+    p, neg = ctx.lat.poset, ctx.lat.neg
+    return (_negation_obeys(p, neg, "antitone", "involutive")
+            and (_negation_obeys(p, neg, "left-self-adjunction")
+                 or _negation_obeys(p, neg, "right-self-adjunction")))
 
 
 _INVOLUTIVE_ADJOINT_NEGATION = CarrierCondition(_involutive_adjoint_negation)
@@ -278,8 +286,8 @@ _BOX_SERIAL = Local("cols", lambda ctx, b, m, v: m != 0)
 
 # ---- operator-side predicates -------------------------------------------
 
-_MONOTONE = {"dia": Fact(lambda inst: is_monotone(inst.dia, inst.poset, inst.poset)),
-             "box": Fact(lambda inst: is_monotone(inst.box, inst.poset, inst.poset))}
+_MONOTONE = {"dia": Fact(lambda inst: is_monotone(inst.dia, inst.S.poset, inst.S.poset)),
+             "box": Fact(lambda inst: is_monotone(inst.box, inst.S.poset, inst.S.poset))}
 
 
 def _monotone(*operators) -> int:
@@ -399,18 +407,10 @@ _DIA_DETECTS = _flags(Local("rows", lambda ctx, a, m, v: ctx.lat.poset.up[v] == 
 _BOX_DETECTS = _flags(Local("cols", lambda ctx, b, m, v: ctx.lat.poset.down[v] == m))
 
 
-def _union(rows, members: int) -> int:
-    """Union of the rows of ``members``: their image under the relation."""
-    acc = 0
-    for a in bits(members):
-        acc |= rows[a]
-    return acc
-
-
 def _law_directed_image(inst) -> bool:
-    t = subset_tables(inst.poset)
-    directed, image = t["down-directed"], inst.image
-    return all(directed[image[m]] for m in t["nonempty down-directed"])
+    t = subset_tables(inst.S.poset)
+    directed, img = t["down-directed"], inst.image
+    return all(directed[img[m]] for m in t["nonempty down-directed"])
 
 
 # The paper states the directed-family and bound-reflection laws in the
@@ -422,9 +422,9 @@ def _law_directed_image(inst) -> bool:
 
 def _law_dia_of_meet(inst) -> bool:
     # <> of a down-directed meet is the meet of the image (closed, as all are)
-    meet, image, dia = inst.ctx.mask_meet, inst.image, inst.dia
-    return all(dia[meet(m)] == meet(image[m])
-               for m in subset_tables(inst.poset)["nonempty down-directed"])
+    meet, img, dia = inst.ctx.mask_meet, inst.image, inst.dia
+    return all(dia[meet(m)] == meet(img[m])
+               for m in subset_tables(inst.S.poset)["nonempty down-directed"])
 
 
 # The bound-reflection laws ask for a rel-pair (a, b) with a above k and
@@ -434,16 +434,16 @@ def _law_dia_of_meet(inst) -> bool:
 
 def _law_dia_bound_reflects(inst) -> bool:
     # <>k <= b forces b into the heads reached from above k, every k closed
-    rows, dia, up = inst.S.rows, inst.dia, inst.poset.up
-    return all(not up[dia[k]] & ~_union(rows, up[k]) for k in range(inst.n))
+    rows, dia, up = inst.S.rows, inst.dia, inst.S.poset.up
+    return all(not up[dia[k]] & ~image(rows, up[k]) for k in range(inst.S.n))
 
 
 def _law_dia_open_bound_reflects(inst) -> bool:
     # <>k <= o forces a head reached from above k below o, all k, o closed, open
-    rows, dia, p = inst.S.rows, inst.dia, inst.poset
+    rows, dia, p = inst.S.rows, inst.dia, inst.S.poset
     up, down = p.up, p.down
-    for k in range(inst.n):
-        reach = _union(rows, up[k])
+    for k in range(inst.S.n):
+        reach = image(rows, up[k])
         if any(not reach & down[o] for o in bits(up[dia[k]])):
             return False
     return True
@@ -513,18 +513,14 @@ def _neg_lifting(lift, adjunction: str) -> dict:
     further law to carry over.)"""
     laws = ("antitone", adjunction)
 
-    def holds(p, neg, names) -> bool:
-        return all(negation_law_failure(p, neg, name) is None for name in names)
-
     def precondition(ctx) -> bool:
-        lat = ctx.lat
-        return lat.neg is not None and holds(lat.poset, lat.neg, laws)
+        return _negation_obeys(ctx.lat.poset, ctx.lat.neg, *laws)
 
     def law(inst) -> bool:
-        ctx = inst.ctx
-        ext = dm_completion(ctx.lat)
-        involutive = ("involutive",) if ctx.neg_report.involutive else ()
-        return holds(ext.delta.poset, lift(ext, ctx.lat.neg), laws + involutive)
+        lat = inst.ctx.lat
+        ext = dm_completion(lat)
+        involutive = ("involutive",) if _negation_obeys(lat.poset, lat.neg, "involutive") else ()
+        return _negation_obeys(ext.delta.poset, lift(ext, lat.neg), *laws, *involutive)
 
     return {"precondition": _flags(CarrierCondition(precondition)), "law": law}
 

@@ -80,7 +80,7 @@ from ..duality import (
     space_from_primefilters,
 )
 from ..errors import InputFormatError
-from ..order import FinLattice, check_negation_laws, mask_meet_join, opposite
+from ..order import FinLattice, mask_meet_join, opposite
 from ..slanted import (  # noqa: F401  (perfbench traces these bindings)
     build_slanted,
     pi_extension,
@@ -164,8 +164,6 @@ class CarrierContext:
         self._jirr_points = None
         self._pf_points = None
         self._dual = None
-        self.neg_report = (check_negation_laws(lat, lat.neg)
-                           if lat.neg is not None else None)
         self.local = local_tables(self)
         self.table_bits = self.local[0] if self.local else 0
         self.settled, self.held = carrier_bits(self)
@@ -245,18 +243,6 @@ class Instance:
         self._image = None
         self._dual = None
         self.terms = {}
-
-    @property
-    def n(self) -> int:
-        return self.S.n
-
-    @property
-    def lat(self):
-        return self.S.lattice
-
-    @property
-    def poset(self):
-        return self.S.poset
 
     def _compute(self, todo: int) -> None:
         """Compute the lowest flag of ``todo``: all of the carrier's

@@ -15,7 +15,9 @@ demand of every row or column of a relation, and the four negation
 laws (``negation_law_failure``).  ``subset_tables`` tabulates the three
 order laws over every subset of a small carrier, and ``mask_meet_join``
 the meet and the join of every subset of a small lattice.  ``opposite``
-is the order dual of a lattice.
+is the order dual of a lattice, ``prime_filters`` the principal filters
+of its join-irreducibles, and ``image`` the image of a subset under a
+relation given by bitmask rows.
 
 All structures are immutable after construction and safe to share
 between workers.
@@ -24,7 +26,6 @@ between workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -34,7 +35,6 @@ from .errors import (
     NotBounded,
     NotDistributive,
     PosetLawViolation,
-    TooLarge,
     TooManyVariables,
 )
 
@@ -87,6 +87,15 @@ def transpose(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def image(rows: Sequence[int], mask: int) -> int:
+    """The image of the subset ``mask`` under the bitmask rows ``rows``:
+    the union of the rows of its members."""
+    out = 0
+    for a in bits(mask):
+        out |= rows[a]
+    return out
+
+
 class FinPoset:
     """Finite partial order.
 
@@ -109,12 +118,6 @@ class FinPoset:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
-
-    def up_closure(self, mask: int) -> int:
-        out = 0
-        for x in bits(mask):
-            out |= self.up[x]
-        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FinPoset) and self.up == other.up
@@ -166,9 +169,7 @@ def poset_from_hasse(n: int, pairs: Iterable[tuple[int, int]],
     while changed:
         changed = False
         for a in range(n):
-            acc = up[a]
-            for b in bits(acc):
-                acc |= up[b]
+            acc = image(up, up[a])
             if acc != up[a]:
                 up[a] = acc
                 changed = True
@@ -331,34 +332,18 @@ def opposite(L: FinLattice) -> FinLattice:
     return L._memo["opposite"]
 
 
-def is_filter(mask: int, L: FinLattice) -> bool:
-    """Nonempty, up-closed and meet-closed."""
-    return mask != 0 and all(subset_law_failure(L, mask, law) is None
-                             for law in ("up-closed", "meet-closed"))
-
-
 def prime_filters(L: FinLattice) -> list[int]:
-    """All proper filters ``P`` with ``a v b in P  =>  a in P or b in P``.
+    """All proper filters ``P`` with ``a v b in P  =>  a in P or b in P``,
+    as bitmasks in ascending numeric order.
 
-    Enumerated directly over subsets (the carrier cap keeps this exact);
-    returned as bitmasks in ascending numeric order.
+    On a finite distributive lattice these are exactly the principal
+    filters ``up[j]`` of the join-irreducibles ``j`` (each prime filter
+    is the principal filter of its meet, which is join-prime); the
+    enumeration over all subsets is ``tests/oracles.py::prime_filters_oracle``.
     """
     if not L.is_distributive:
         raise NotDistributive("prime filters computed on distributive lattices only")
-    if L.n > 14:
-        raise TooLarge(f"subset enumeration on {L.n} elements")
-    full = (1 << L.n) - 1
-    out = []
-    for mask in range(1, full + 1):
-        if mask >> L.bot & 1:
-            continue  # contains bottom => improper
-        if not is_filter(mask, L):
-            continue
-        if all((mask >> a & 1) or (mask >> b & 1)
-               for a in range(L.n) for b in range(L.n)
-               if mask >> L.join[a][b] & 1):
-            out.append(mask)
-    return out
+    return sorted(L.poset.up[j] for j in bits(join_irreducibles(L)))
 
 
 def is_monotone(f: Sequence[int], dom: FinPoset, cod: FinPoset) -> bool:
@@ -405,9 +390,9 @@ def subset_tables(p: FinPoset) -> Optional[dict]:
 
     ``tables[law][m]`` says whether mask ``m`` obeys each of the
     ``ORDER_LAWS`` (``subset_law_failure`` decides each mask once), and
-    ``tables["nonempty " + law]`` lists the nonempty masks obeying the
-    two directedness laws in ascending order.  Other modules keep their
-    own per-carrier tables in the same dict.
+    ``tables["nonempty down-directed"]`` lists the nonempty down-directed
+    masks in ascending order.  Other modules keep their own per-carrier
+    tables in the same dict.
     """
     if p.n > _TABLE_CAP:
         return None
@@ -415,8 +400,7 @@ def subset_tables(p: FinPoset) -> Optional[dict]:
         masks = range(1 << p.n)
         t = p._tables = {law: [subset_law_failure(p, m, law) is None for m in masks]
                          for law in ORDER_LAWS}
-        for law in ORDER_LAWS[1:]:
-            t["nonempty " + law] = [m for m in masks[1:] if t[law][m]]
+        t["nonempty down-directed"] = [m for m in masks[1:] if t["down-directed"][m]]
     return p._tables
 
 
@@ -434,20 +418,6 @@ def mask_meet_join(lat: FinLattice) -> tuple[Callable[[int], int], Callable[[int
         tables["meet and join"] = (list(map(lat.meet_all, masks)).__getitem__,
                                    list(map(lat.join_all, masks)).__getitem__)
     return tables["meet and join"]
-
-
-@dataclass(frozen=True)
-class NegationReport:
-    """Verdicts of the four negation laws, in ``NEGATION_LAWS`` order."""
-
-    antitone: bool
-    involutive: bool
-    left_self_adjoint: bool
-    right_self_adjoint: bool
-
-
-NEGATION_LAWS = ("antitone", "involutive",
-                 "left-self-adjunction", "right-self-adjunction")
 
 
 def negation_law_failure(p: FinPoset, neg: Sequence[int],
@@ -475,13 +445,6 @@ def negation_law_failure(p: FinPoset, neg: Sequence[int],
     else:
         raise ValueError(f"unknown negation law {law!r}")
     return next(bad, None)
-
-
-def check_negation_laws(L: FinLattice, neg: Sequence[int]) -> NegationReport:
-    if len(neg) != L.n:
-        raise InputFormatError("negation table must be total")
-    return NegationReport(*(negation_law_failure(L.poset, neg, law) is None
-                            for law in NEGATION_LAWS))
 
 
 _FREE_BA_CAP = 3

@@ -40,6 +40,7 @@ from .order import (
     FinLattice,
     FinPoset,
     bits,
+    image,
     index_pairs,
     join_irreducibles,
     lattice_from_json,
@@ -290,10 +291,7 @@ def _sweep(S: ProtoSubAlg, prop: Property, least: bool = True) -> Optional[tuple
                     return (a, b, next(bits(bad)))
     elif prop is Property.D:
         for a in range(n):
-            reach = 0
-            for b in bits(rows[a]):
-                reach |= rows[b]
-            bad = rows[a] & ~reach
+            bad = rows[a] & ~image(rows, rows[a])
             if bad:
                 return (a, next(bits(bad)))
     elif prop is Property.T:
@@ -485,8 +483,7 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
         raise MissingStructure("AND/OR/CT closure", "lattice operations")
 
     n = S.n
-    p = S.poset
-    up = p.up
+    up = S.poset.up
     rows = list(S.rows)
     if bot or top:
         lo, hi = _bounds(S.carrier)
@@ -518,7 +515,7 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
         else:
             if wo:
                 for a in range(n):
-                    rows[a] = p.up_closure(rows[a])
+                    rows[a] = image(up, rows[a])
             if and_:
                 meet = lat.meet
                 for a in range(n):
@@ -547,10 +544,7 @@ def close(S: ProtoSubAlg, rules: Iterable[Property]) -> ProtoSubAlg:
                 rows[a] = acc
         if t:
             for a in range(n):
-                acc = rows[a]
-                for b in bits(rows[a]):
-                    acc |= rows[b]
-                rows[a] = acc
+                rows[a] |= image(rows, rows[a])
         if rows == before:
             break
     else:

@@ -53,6 +53,11 @@ NON_DISTRIBUTIVE = {"n5": [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],
                     "m3": [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]}
 
 
+#: the 16-element Boolean algebra by its covers: element ``m`` is the set
+#: of atoms ``m`` (four atoms, one bit each), covered by ``m`` plus an atom
+B16_HASSE = [(m, m | 1 << k) for m in range(16) for k in range(4) if not m >> k & 1]
+
+
 def lattice(name: str):
     """A built-in carrier by name, or N5 or M3 (``NON_DISTRIBUTIVE``)."""
     if name in NON_DISTRIBUTIVE:

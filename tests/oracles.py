@@ -4,12 +4,12 @@ Everything here recomputes results from first definitions using plain
 set/dict logic, deliberately avoiding the bitmask machinery of the
 package, so a bug in the fast paths cannot hide itself.  The
 exceptions are ``verify_dense`` and ``verify_compact``, which check a
-``completion.dm_completion`` result by enumerating the directed subsets
-of its base (``order.subset_tables``); ``close_fixpoint``, the pairwise
-closure that ``subordination.close`` is held to on carriers too large
-for the exhaustive ``closure_oracle``; ``closure_generated_oracle``,
-which closes every seed of the closure-generated corpus afresh with
-``close``; ``extremality_oracle``, which
+``completion.dm_completion`` result by enumerating the directed
+subsets of a base small enough for ``order.subset_tables``;
+``close_fixpoint``, the pairwise closure that ``subordination.close``
+is held to on carriers too large for the exhaustive ``closure_oracle``;
+``closure_generated_oracle``, which closes every seed of the
+closure-generated corpus afresh with ``close``; ``extremality_oracle``, which
 takes the closure it judges from ``close_i`` (held to those two) unless
 a test plants one; ``closure_output_oracle``, the closure route to
 input/output queries through ``free_boolean_algebra`` and ``close_i``,
@@ -190,10 +190,9 @@ def negation_liftable_oracle(p: FinPoset, neg, side: str) -> bool:
 
 def _directed_subsets(c, down: bool) -> list[int]:
     """Nonempty (down|up)-directed subsets of the base, as base bitmasks."""
-    tables = subset_tables(c.base)
-    if tables is None:
+    if subset_tables(c.base) is None:
         raise TooLarge(f"subset scan over {c.base.n} base elements")
-    return tables["nonempty down-directed" if down else "nonempty up-directed"]
+    return _directed_masks(c.base, down)
 
 
 def verify_dense(c) -> bool:
@@ -321,7 +320,7 @@ def close_fixpoint(S, ruleset: frozenset) -> list[int]:
                 rows[a] = acc
         if P.WO in ruleset:
             for a in range(n):
-                rows[a] = p.up_closure(rows[a])
+                rows[a] = _image_of(p.up, rows[a])
         if P.AND in ruleset:
             meet = lat.meet
             for a in range(n):
@@ -924,13 +923,13 @@ def _join_of_base(ext, m: int) -> int:
 
 
 def law_directed_image_oracle(inst) -> bool:
-    p = inst.poset
+    p = inst.S.poset
     return all(is_down_directed_oracle(p, _image_of(inst.S.rows, m))
                for m in _directed_masks(p, down=True))
 
 
 def law_codirected_preimage_oracle(inst) -> bool:
-    p = inst.poset
+    p = inst.S.poset
     return all(is_up_directed_oracle(p, _image_of(inst.S.cols, m))
                for m in _directed_masks(p, down=False))
 
@@ -938,7 +937,7 @@ def law_codirected_preimage_oracle(inst) -> bool:
 def law_dia_of_meet_oracle(inst, sigma) -> bool:
     ext = dm_completion(inst.ctx.lat)
     closed_eff = ext.closed | 1 << ext.delta.top
-    for m in _directed_masks(inst.poset, down=True):
+    for m in _directed_masks(inst.S.poset, down=True):
         want = _meet_of_base(ext, _image_of(inst.S.rows, m))
         if sigma[_meet_of_base(ext, m)] != want or not closed_eff >> want & 1:
             return False
@@ -948,7 +947,7 @@ def law_dia_of_meet_oracle(inst, sigma) -> bool:
 def law_box_of_join_oracle(inst, pi) -> bool:
     ext = dm_completion(inst.ctx.lat)
     open_eff = ext.open | 1 << ext.delta.bot
-    for m in _directed_masks(inst.poset, down=False):
+    for m in _directed_masks(inst.S.poset, down=False):
         want = _join_of_base(ext, _image_of(inst.S.cols, m))
         if pi[_join_of_base(ext, m)] != want or not open_eff >> want & 1:
             return False
@@ -960,10 +959,10 @@ def law_dia_bound_reflects_oracle(inst, sigma) -> bool:
     d, embed = ext.delta, ext.embed
     for k in bits(ext.closed):
         sk = sigma[k]
-        for b in range(inst.n):
+        for b in range(inst.S.n):
             if d.leq(sk, embed[b]):
                 if not any(d.leq(k, embed[a]) and inst.S.rows[a] >> b & 1
-                           for a in range(inst.n)):
+                           for a in range(inst.S.n)):
                     return False
     return True
 
@@ -977,7 +976,7 @@ def law_dia_open_bound_reflects_oracle(inst, sigma) -> bool:
             if d.leq(sk, o):
                 if not any(d.leq(k, embed[a]) and d.leq(embed[b], o)
                            and inst.S.rows[a] >> b & 1
-                           for a in range(inst.n) for b in range(inst.n)):
+                           for a in range(inst.S.n) for b in range(inst.S.n)):
                     return False
     return True
 
@@ -987,10 +986,10 @@ def law_box_bound_reflects_oracle(inst, pi) -> bool:
     d, embed = ext.delta, ext.embed
     for o in bits(ext.open):
         po = pi[o]
-        for a in range(inst.n):
+        for a in range(inst.S.n):
             if d.leq(embed[a], po):
                 if not any(d.leq(embed[b], o) and inst.S.rows[a] >> b & 1
-                           for b in range(inst.n)):
+                           for b in range(inst.S.n)):
                     return False
     return True
 
@@ -1004,7 +1003,7 @@ def law_box_closed_bound_reflects_oracle(inst, pi) -> bool:
             if d.leq(k, po):
                 if not any(d.leq(k, embed[a]) and d.leq(embed[b], o)
                            and inst.S.rows[a] >> b & 1
-                           for a in range(inst.n) for b in range(inst.n)):
+                           for a in range(inst.S.n) for b in range(inst.S.n)):
                     return False
     return True
 
@@ -1034,7 +1033,7 @@ def rel_bounds_dia_oracle(inst) -> bool:
     ext = dm_completion(inst.ctx.lat)
     d, embed = ext.delta, ext.embed
     return all(d.leq(inst.dia[a], embed[b])
-               for a in range(inst.n) for b in bits(inst.S.rows[a]))
+               for a in range(inst.S.n) for b in bits(inst.S.rows[a]))
 
 
 def rel_bounds_box_oracle(inst) -> bool:
@@ -1042,7 +1041,7 @@ def rel_bounds_box_oracle(inst) -> bool:
     ext = dm_completion(inst.ctx.lat)
     d, embed = ext.delta, ext.embed
     return all(d.leq(embed[a], inst.box[b])
-               for a in range(inst.n) for b in bits(inst.S.rows[a]))
+               for a in range(inst.S.n) for b in bits(inst.S.rows[a]))
 
 
 def law_rel_bounds_oracle(inst) -> bool:
@@ -1050,21 +1049,21 @@ def law_rel_bounds_oracle(inst) -> bool:
     ext = dm_completion(inst.ctx.lat)
     d, embed = ext.delta, ext.embed
     return all(d.leq(inst.dia[a], embed[b]) and d.leq(embed[a], inst.box[b])
-               for a in range(inst.n) for b in bits(inst.S.rows[a]))
+               for a in range(inst.S.n) for b in bits(inst.S.rows[a]))
 
 
 def law_dia_detects_oracle(inst) -> bool:
     ext = dm_completion(inst.ctx.lat)
     d, embed = ext.delta, ext.embed
     return all((d.leq(inst.dia[a], embed[b])) == bool(inst.S.rows[a] >> b & 1)
-               for a in range(inst.n) for b in range(inst.n))
+               for a in range(inst.S.n) for b in range(inst.S.n))
 
 
 def law_box_detects_oracle(inst) -> bool:
     ext = dm_completion(inst.ctx.lat)
     d, embed = ext.delta, ext.embed
     return all((d.leq(embed[a], inst.box[b])) == bool(inst.S.rows[a] >> b & 1)
-               for a in range(inst.n) for b in range(inst.n))
+               for a in range(inst.S.n) for b in range(inst.S.n))
 
 
 #: check name -> (oracle of the law, oracle of each side by "rows"/"cols")

@@ -8,6 +8,7 @@ from subnorm.errors import InputFormatError
 from subnorm.harness import GenConfig, run_suite
 from subnorm.order import lattice_from_json
 from subnorm.subordination import subalg_from_json
+from conftest import B16_HASSE
 
 
 @pytest.fixture()
@@ -248,6 +249,22 @@ class TestDual:
                                  "--prec", files["prec"],
                                  "--construction", "primefilters")
         assert code == 0 and len(payload["points"]) == 2
+
+    def test_constructions_agree_above_fourteen_elements(self, capsys, tmp_path):
+        # the order of the 16-element Boolean algebra, a subordination
+        (tmp_path / "b16.json").write_text(json.dumps({"hasse": B16_HASSE}))
+        sub = tmp_path / "sub.json"
+        sub.write_text(json.dumps({"algebra": "b16.json",
+                                   "prec": [[a, b] for a in range(16) for b in range(16)
+                                            if a & ~b == 0]}))
+        outcomes = {}
+        for construction in ("jirr", "primefilters"):
+            code = main(["--format", "json", "dual", "--input", str(sub),
+                         "--construction", construction, "--check", "reflexive"])
+            payload = json.loads(capsys.readouterr().out or "{}")
+            outcomes[construction] = code, len(payload.get("points", ())), payload.get("checks")
+        assert outcomes["jirr"] == outcomes["primefilters"] == (
+            0, 4, {"reflexive": {"holds": True, "witness": None}})
 
 
 class TestVerifyCmd:

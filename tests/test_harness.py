@@ -665,7 +665,7 @@ class TestLawOracles:
     def planted_tables(inst, table, rng):
         if table is None:
             return [None]
-        size = inst.n
+        size = inst.S.n
         out = [tuple(rng.randrange(size) for _ in range(size))]
         sa = build_slanted(inst.S)
         try:
@@ -834,7 +834,8 @@ PRECONDITIONS = {
 
 def precondition_oracle(name: str):
     """The check's precondition on an instance, from ``PRECONDITIONS``."""
-    return lambda inst: PRECONDITIONS[name](OracleFlags(inst.S), inst.S, carrier_facts(inst.lat))
+    return lambda inst: PRECONDITIONS[name](OracleFlags(inst.S), inst.S,
+                                            carrier_facts(inst.ctx.lat))
 
 
 #: algebra JSON of the carriers beyond the built-ins: a 12-element chain

@@ -380,7 +380,9 @@ def _generated_filter(lat, a, b):
                 for y in range(16):
                     if mask >> y & 1:
                         new |= 1 << lat.meet[x][y]
-        new = lat.poset.up_closure(new)
+        for x in range(16):
+            if new >> x & 1:
+                new |= lat.poset.up[x]
         if new == mask:
             return mask
         mask = new

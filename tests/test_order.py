@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subnorm.duality import build_space_jirr, build_space_primefilters, spaces_isomorphic
 from subnorm.errors import (
     NotALattice,
     NotDistributive,
@@ -11,15 +12,14 @@ from subnorm.errors import (
     TooManyVariables,
 )
 from subnorm.order import (
-    NegationReport,
     bits,
-    check_negation_laws,
     free_boolean_algebra,
-    is_filter,
+    image,
     join_irreducibles,
     lattice_from_json,
     lattice_to_json,
     mask_of,
+    negation_law_failure,
     opposite,
     poset_from_hasse,
     poset_from_json,
@@ -29,10 +29,9 @@ from subnorm.order import (
     to_lattice,
     validate_poset,
 )
-from conftest import NON_DISTRIBUTIVE, lattice
+from conftest import B16_HASSE, NON_DISTRIBUTIVE, lattice, leq_relation
 from oracles import (
     SUBSET_LAWS,
-    is_down_directed_oracle,
     join_irreducibles_oracle,
     meet_irreducibles_oracle,
     prime_filters_oracle,
@@ -199,6 +198,16 @@ class TestOpposite:
             meet_irreducibles_oracle(any_lattice)
 
 
+class TestImage:
+    def test_union_of_the_rows_of_the_members(self):
+        rng = random.Random(29)
+        for n in (1, 4, 12):  # 12 is above the table of set-bit lists
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            for mask in [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(40))]:
+                assert members(image(rows, mask)) == {
+                    b for a in members(mask) for b in range(n) if rows[a] >> b & 1}
+
+
 class TestPrimeFilters:
     def test_b4(self, b4):
         assert [members(f) for f in prime_filters(b4)] == [{1, 3}, {2, 3}]
@@ -218,6 +227,24 @@ class TestPrimeFilters:
         assert len(got) == len(jirr)
         assert got == {frozenset(members(lat.poset.up[j])) for j in jirr}
 
+    def test_sixteen_elements(self):
+        # the Boolean algebra of the subsets of four atoms: its prime
+        # filters are its ultrafilters, the sets holding one atom
+        b16 = to_lattice(poset_from_hasse(16, B16_HASSE))
+        filters = prime_filters(b16)
+        assert [members(f) for f in filters] == sorted(
+            ({m for m in range(16) if m >> k & 1} for k in range(4)), key=mask_of)
+        up, meet, join = b16.poset.up, b16.meet, b16.join
+        for f in filters:
+            inside = members(f)
+            assert inside and b16.bot not in inside  # proper
+            assert all(not up[x] & ~f for x in inside)  # up-closed
+            assert all(meet[x][y] in inside for x in inside for y in inside)
+            assert all(a in inside or b in inside
+                       for a in range(16) for b in range(16) if join[a][b] in inside)
+        S = leq_relation(b16)
+        assert spaces_isomorphic(build_space_jirr(S), build_space_primefilters(S))[0]
+
     def test_requires_distributive(self):
         m3 = to_lattice(poset_from_hasse(
             5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))
@@ -236,13 +263,6 @@ class TestDirectedness:
 
     def test_with_common_lower_bound(self, b4):
         assert subset_law_failure(b4.poset, mask_of([1, 3]), "down-directed") is None
-
-    @pytest.mark.parametrize("name", ["chain4", "b4"])
-    def test_filter_iff_upclosed_down_directed(self, name, request):
-        lat = request.getfixturevalue(name)
-        for mask in range(1, 1 << lat.n):
-            upclosed = lat.poset.up_closure(mask) == mask
-            assert is_filter(mask, lat) == (upclosed and is_down_directed_oracle(lat.poset, mask))
 
 
 class TestSubsetLaws:
@@ -266,9 +286,8 @@ class TestSubsetLaws:
                     assert subset_law_failure(p, m, law) == want, (m, law)
                     assert tables[law][m] == (want is None), (m, law)
         assert all(outcomes == {True, False} for outcomes in seen.values()), seen
-        for law in ("down-directed", "up-directed"):
-            assert tables["nonempty " + law] == [
-                m for m in masks[1:] if subset_law_oracle(p, m, law) is None]
+        assert tables["nonempty down-directed"] == [
+            m for m in masks[1:] if subset_law_oracle(p, m, "down-directed") is None]
 
     def test_witness_is_the_first_pair(self, b4):
         # b4 is 0 < x, y < 1 with x = 1, y = 2
@@ -284,26 +303,33 @@ class TestSubsetLaws:
             subset_law_failure(b4, 0, "closed")
 
 
+NEGATION_LAWS = ("antitone", "involutive", "left-self-adjunction", "right-self-adjunction")
+
+
+def negation_failures(lat, neg) -> dict:
+    """The first failure of each negation law, None where it holds."""
+    return {law: negation_law_failure(lat.poset, neg, law) for law in NEGATION_LAWS}
+
+
 class TestNegationLaws:
     def test_boolean_complement_all_laws(self, b4):
-        report = check_negation_laws(b4, b4.neg)
-        assert report == NegationReport(True, True, True, True)
+        assert negation_failures(b4, b4.neg) == dict.fromkeys(NEGATION_LAWS)
 
     def test_identity_not_antitone(self, b4):
-        report = check_negation_laws(b4, (0, 1, 2, 3))
-        assert not report.antitone
+        # 0 <= 1, yet ~1 = 1 is not below ~0 = 0
+        assert negation_failures(b4, (0, 1, 2, 3))["antitone"] == (0, 1)
 
     def test_constant_top_not_involutive(self, b4):
-        report = check_negation_laws(b4, (3, 3, 3, 3))
-        assert not report.involutive
+        # ~~0 = ~3 = 3
+        assert negation_failures(b4, (3, 3, 3, 3))["involutive"] == (0,)
 
     def test_b8_complement(self, b8):
-        assert check_negation_laws(b8, b8.neg) == NegationReport(True, True, True, True)
+        assert negation_failures(b8, b8.neg) == dict.fromkeys(NEGATION_LAWS)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_free_algebra_complement(self, k):
         lat, _ = free_boolean_algebra(k)
-        assert check_negation_laws(lat, lat.neg) == NegationReport(True, True, True, True)
+        assert negation_failures(lat, lat.neg) == dict.fromkeys(NEGATION_LAWS)
 
 
 class TestFreeBooleanAlgebra:

@@ -7,7 +7,8 @@ Writes ``BENCH_<label>.json`` in the repository root with:
   reference host speed of the benchmark (``perfbench/worker.py``'s
   ``calibrate`` loop, timed right before and right after each run),
   with their medians, the sorted sha256 of the report without
-  ``timing`` and the ``timing.layers`` table of the median run;
+  ``timing`` and the ``timing.layers`` table of the run whose measured
+  wall time is the median, the run that ``median_wall_s`` quotes;
 * ``tier1``: the wall time of the Tier-1 suite in a fresh interpreter,
   its exit code and summary line, and the duration of each acceptance test A1-A9
   (A8 sums its four tests);
@@ -80,7 +81,9 @@ def measure_verify() -> dict:
             out.append({"wall_s": round(wall, 3), "scaled_s": round(scaled, 3),
                         "sha256": _report_digest(report),
                         "layers": report["timing"]["layers"]})
-    median = sorted(out, key=lambda r: r["scaled_s"])[len(out) // 2]
+    # the run that median_wall_s quotes (RUNS is odd): scaled times move
+    # with the calibration loops, so the median scaled run may be another
+    median = sorted(out, key=lambda r: r["wall_s"])[len(out) // 2]
     return {
         "runs": [{k: r[k] for k in ("wall_s", "scaled_s")} for r in out],
         "median_wall_s": statistics.median(r["wall_s"] for r in out),

@@ -1,8 +1,9 @@
 """Code mutants of the operators read in the carrier, the order dual and
-the dual instance that the box-side laws read, the bound-reflection
-laws, the local table, the local catalog sides, the flag bits
-that preconditions and check sides read, the closure-extremality verdict
-table, the runner's decision of a check from its flag bits, its memos
+the dual instance that the box-side laws read, the image of a mask
+under rows, the prime filters, the bound-reflection laws, the involutive
+adjoint negation condition, the local table, the local catalog sides,
+the flag bits that preconditions and check sides read, the
+closure-extremality verdict table, the runner's decision of a check from its flag bits, its memos
 and the replay path, what the runner keeps across calls (its shared
 plans and the closure-generated corpus), the table of set-bit lists,
 the property sweeps, the dual-space conditions, the subterms the
@@ -48,7 +49,9 @@ JOBS = min(2, os.cpu_count() or 1)
 
 #: the tests each mutant runs against: the relation object against its
 #: stated checks, JSON carriers against rewritten files, the order dual
-#: against its swaps and the reversed order, the operators
+#: against its swaps and the reversed order, the image of a mask against
+#: the union of its rows, the prime filters against frozen lists, their
+#: enumeration and their laws, the operators
 #: read in the carrier against the route through its completion, the
 #: directed-family and bound-reflection laws against their statements in
 #: the completion, with planted tables, the extremality bits against the
@@ -77,6 +80,8 @@ FAST = (
     "tests/test_subordination.py::TestProtoSubAlg",
     "tests/test_harness.py::TestJsonCarriers",
     "tests/test_order.py::TestOpposite",
+    "tests/test_order.py::TestImage",
+    "tests/test_order.py::TestPrimeFilters",
     "tests/test_harness.py::TestCarrierIsItsOwnCompletion",
     "tests/test_harness.py::TestLawOracles",
     "tests/test_harness.py::TestExtremalityFlags",
@@ -254,6 +259,20 @@ MUTANTS = (
     Mutant("dual-relation-not-converse", RUN,
            "Instance(ctx, ProtoSubAlg(ctx.lat, self.S.cols))",
            "Instance(ctx, ProtoSubAlg(ctx.lat, self.S.rows))"),
+    # the image of a mask under rows (`order.image`), and the prime
+    # filters as the principal filters of the join-irreducibles
+    Mutant("image-keeps-last-row", ORDER,
+           "        out |= rows[a]",
+           "        out = rows[a]"),
+    Mutant("prime-filters-of-meet-irreducibles", ORDER,
+           "for j in bits(join_irreducibles(L)))",
+           "for j in bits(join_irreducibles(opposite(L))))"),
+    # a carrier's negation is an involutive adjoint one (`or` -> `and`
+    # between its two adjunctions is no mutant: an antitone involution
+    # satisfies both)
+    Mutant("involutive-adjoint-without-involution", CATALOG,
+           '_negation_obeys(p, neg, "antitone", "involutive")',
+           '_negation_obeys(p, neg, "antitone")'),
     # the table of set-bit lists that `order.bits` reads
     Mutant("bits-table-one-bit-short", ORDER,
            "_BITS = _bit_lists(_TABLE_CAP)",
