@@ -38,14 +38,14 @@ test and one column test), ``diamond-detects-rel`` (a row test) and
 ``box-detects-rel`` (a column test).  Each ``Local`` owns a flag bit.
 ``local_tables`` is the one local table of a carrier: one loop over
 every index and every one of the ``2^n`` masks tabulates the ten tests
-of ``subordination.LOCAL_TESTS`` and every ``Local`` side, so the runner
-decides the ten local flags and all these sides in one ``local_flags``
-pass of ``2n`` lookups per instance and each such side is a mask test,
-like a flag.  Above ``order._TABLE_CAP`` each side applies the same test
-to each row or column directly (``Local.holds``).  The four remaining local checks
-(``and-implies-downdirected``, ``or-implies-updirected``,
-``downdirected-iff-and-under-wo``, ``updirected-iff-or-under-si``) have
-only local-flag sides.
+of ``subordination.LOCAL_TESTS``, SI's column law and every ``Local``
+side, so the runner decides the ten local flags, SI and all these sides
+in one ``local_flags`` pass of ``2n`` lookups per instance and each such
+side is a mask test, like a flag.  Above ``order._TABLE_CAP`` each side
+applies the same test to each row or column directly (``Local.holds``).
+The four remaining local checks (``and-implies-downdirected``,
+``or-implies-updirected``, ``downdirected-iff-and-under-wo``,
+``updirected-iff-or-under-si``) have only local-flag sides.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from typing import Callable, NamedTuple, Optional, Union
 from .. import duality
 from ..completion import dm_completion, extend_negation_pi, extend_negation_sigma
 from ..duality import RelCondition
-from ..order import (bits, image, is_monotone, negation_law_failure, subset_law_failure,
-                     subset_tables)
+from ..order import (bits, image, is_monotone, negation_law_failure, opposite,
+                     subset_law_failure, subset_tables)
 from ..subordination import (FLAG_PROPERTIES, LOCAL_FLAGS, LOCAL_TESTS, SUBORDINATION_RULES,
                              flag_mask)
 from ..subordination import Property as P
@@ -192,6 +192,14 @@ class Local(FlagBit):
                    for a, m in enumerate(S.rows if self.side == "rows" else S.cols))
 
 
+#: a flag the local table decides beside ``subordination.LOCAL_TESTS``:
+#: SI holds exactly when every column is down-closed, WO's up-closed law
+#: read on the order dual.  Only the verdict is tabulated, so SI stays
+#: out of ``LOCAL_TESTS``: its witness, the first ``(a, b, x)``, is the
+#: one ``subordination._sweep`` finds.
+_TABLE_TESTS = {P.SI: ("cols", "down-closed")}
+
+
 def local_tables(ctx) -> Optional[tuple[int, tuple, tuple]]:
     """``(bits, rowsig, colsig)``: the local table of the context's
     lattice, built on first use and kept with its ``order.subset_tables``;
@@ -199,14 +207,16 @@ def local_tables(ctx) -> Optional[tuple[int, tuple, tuple]]:
 
     ``rowsig[a][m]`` holds the row-local bits that row mask ``m`` passes
     at index ``a``: the flags of ``subordination.LOCAL_TESTS`` and the
-    ``Local`` row sides; ``colsig`` the same for columns.  A subset law
-    is decided once per mask (read from the order-law tables where they
-    have it), a side that reads only the operator value once per (index,
-    value), every other test once per (index, mask).  Each entry also
-    holds every bit of the other side, so the AND of ``bits`` and the
-    entries of a relation's rows and columns (``local_flags``) is its
-    verdicts.  ``bits`` are the ten local flags and the sides stated
-    before the table was built."""
+    ``Local`` row sides; ``colsig`` the same for columns, with SI's bit
+    where the column mask is down-closed (``_TABLE_TESTS``).  A subset
+    law is decided once per mask (read from the order-law tables where
+    they have it; ``down-closed`` is ``up-closed`` on ``order.opposite``),
+    a side that reads only the operator value once per (index, value),
+    every other test once per (index, mask).  Each entry also holds every
+    bit of the other side, so the AND of ``bits`` and the entries of a
+    relation's rows and columns (``local_flags``) is its verdicts.
+    ``bits`` are the ten local flags, SI and the sides stated before the
+    table was built."""
     tables = subset_tables(ctx.lat.poset)
     if tables is None:
         return None
@@ -219,12 +229,12 @@ def _build_local_tables(ctx, tables: dict) -> tuple[int, tuple, tuple]:
     lat = ctx.lat
     up, ends, masks = lat.poset.up, (lat.bot, lat.top), range(1 << lat.n)
     sides = [s for s in FLAG_BITS if isinstance(s, Local)]
-    every = LOCAL_FLAGS | sum(s.bit for s in sides)
+    every = LOCAL_FLAGS | flag_mask(*_TABLE_TESTS) | sum(s.bit for s in sides)
     out = [every]
     for side in ("rows", "cols"):
-        flags = [(flag_mask(q), test) for q, (s, test) in LOCAL_TESTS.items() if s == side]
-        laws = [(bit, tables.get(law) or [subset_law_failure(lat, m, law) is None
-                                          for m in masks])
+        flags = [(flag_mask(q), test) for q, (s, test)
+                 in (*LOCAL_TESTS.items(), *_TABLE_TESTS.items()) if s == side]
+        laws = [(bit, tables.get(law) or _law_table(lat, law))
                 for bit, law in flags if isinstance(law, str)]
         tests = [(bit, test) for bit, test in flags if not isinstance(test, str)]
         mine = [s for s in sides if s.side == side]
@@ -244,6 +254,15 @@ def _build_local_tables(ctx, tables: dict) -> tuple[int, tuple, tuple]:
                 for m in masks))
         out.append(tuple(sigs))
     return tuple(out)
+
+
+def _law_table(lat, law: str) -> list[bool]:
+    """Whether each of the ``2^n`` subset masks obeys ``law``
+    (``order.subset_law_failure``); ``down-closed`` is ``up-closed`` on
+    the order dual."""
+    if law == "down-closed":
+        lat, law = opposite(lat), "up-closed"
+    return [subset_law_failure(lat, m, law) is None for m in range(1 << lat.n)]
 
 
 def local_flags(S, table: tuple[int, tuple, tuple]) -> int:
@@ -271,10 +290,10 @@ def _negation_obeys(p, neg, *laws: str) -> bool:
 
 
 def _involutive_adjoint_negation(ctx) -> bool:
+    # an antitone involution is self-adjoint on both sides: ~a <= b gives
+    # ~b <= ~~a = a, and dually
     p, neg = ctx.lat.poset, ctx.lat.neg
-    return (_negation_obeys(p, neg, "antitone", "involutive")
-            and (_negation_obeys(p, neg, "left-self-adjunction")
-                 or _negation_obeys(p, neg, "right-self-adjunction")))
+    return _negation_obeys(p, neg, "antitone", "involutive")
 
 
 _INVOLUTIVE_ADJOINT_NEGATION = CarrierCondition(_involutive_adjoint_negation)

@@ -17,11 +17,12 @@ table the first time the process meets the carrier), and each lazily
 built per-instance artefact, whichever check asked for it first.
 ``flags`` holds every flag bit an instance decides: the one
 ``catalog.local_flags`` pass per instance that reads that table
-(``catalog.local_tables``) for the ten local flags and the sides of the
-14 local checks (the ``Local`` laws and the inequalities ``a <= <>a``,
-``[]a <= a``, ``<>a <= a``, ``<>F <= F``, ``T <= []T``), each other
-property's sweep, and each ``catalog.Fact``: a compiled inequality, the
-monotonicity of an operator or a dual-space condition, so the time of
+(``catalog.local_tables``) for the ten local flags, SI (every column
+down-closed) and the sides of the 14 local checks (the ``Local`` laws
+and the inequalities ``a <= <>a``, ``[]a <= a``, ``<>a <= a``,
+``<>F <= F``, ``T <= []T``), each other property's sweep (SI's too,
+above the table cap), and each ``catalog.Fact``: a compiled inequality,
+the monotonicity of an operator or a dual-space condition, so the time of
 every ``iff``/``implies`` side is there, less the operators and dual
 spaces that a bit builds, which are booked to their own layers.
 ``extremality`` holds the four ``closure*-extremal`` bits, a flag group
@@ -146,14 +147,14 @@ class CarrierContext:
     ``flag_mask`` bits) whose property needs structure the carrier
     lacks, ``local`` the carrier's ``catalog.local_tables`` (None above
     the table cap, and shared by every context of one lattice object)
-    and ``table_bits`` the flags and ``Local`` sides it decides.  ``settled`` are the bits every instance
-    starts with known, the missing flags and the catalog's carrier
-    conditions, and ``held`` those of them that hold
-    (``catalog.carrier_bits``).  The points of the two dual spaces are
-    built on first use, once for every instance, and so is ``dual``, the
-    context of the order dual (``order.opposite``) that the box-side laws
-    read: its mask meet is this mask join and the reverse, and it books
-    its builds to this context's clock."""
+    and ``table_bits`` the flags (SI among them) and ``Local`` sides it
+    decides.  ``settled`` are the bits every instance starts with known,
+    the missing flags and the catalog's carrier conditions, and ``held``
+    those of them that hold (``catalog.carrier_bits``).  The points of
+    the two dual spaces are built on first use, once for every instance,
+    and so is ``dual``, the context of the order dual (``order.opposite``)
+    that the box-side laws read: its mask meet is this mask join and the
+    reverse, and it books its builds to this context's clock."""
 
     def __init__(self, name: str, lat: FinLattice):
         self.name = name
@@ -212,8 +213,8 @@ class Instance:
     Each artefact is built on first use through the carrier's
     ``LayerClock``: the flag bits (two bitmasks: the bits known so far,
     starting from the carrier's ``settled`` ones, and those of them that
-    are True; the ten local flags and the catalog's ``Local`` sides come
-    from one ``local_flags`` pass over the carrier's local table, each
+    are True; the ten local flags, SI and the catalog's ``Local`` sides
+    come from one ``local_flags`` pass over the carrier's local table, each
     other property flag from its sweep, and every other bit, such as a
     side above the table cap or a ``catalog.Fact``, from its owner's
     ``holds``), the operators ``dia``/``box`` (together, booked to the

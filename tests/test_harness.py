@@ -46,6 +46,7 @@ from subnorm.harness.catalog import (
     Local,
     _compile_inequality,
     _inequalities,
+    local_flags,
     local_tables,
 )
 from subnorm.harness import generate
@@ -57,6 +58,7 @@ from subnorm.subordination import (
     LOCAL_FLAGS,
     Property,
     ProtoSubAlg,
+    _sweep,
     close,
     close_i,
     flag_mask,
@@ -65,7 +67,7 @@ from subnorm.subordination import (
     subalg_to_json,
 )
 from subnorm.syntax import parse_inequality
-from conftest import has_flags, leq_relation
+from conftest import has_flags, lattice, leq_relation
 from oracles import (LAW_ORACLES, LOCAL_LAW_ORACLES, check_oracle, closure_generated_oracle,
                      extremality_oracle)
 
@@ -223,7 +225,9 @@ class TestClosureMemo:
         monkeypatch.setattr(generate, "close",
                             lambda *args, close=generate.close: calls.append(1) or close(*args))
         assert [(name, S.rows) for name, S in corpus_stream(cfg)] == first
-        assert len(calls) == len(cfg.carriers) * cfg.samples
+        # one close per distinct unclosed diamond of the random relations
+        assert len(calls) == sum(len(unclosed_diamonds(load_carrier(name), cfg))
+                                 for name in cfg.carriers)
 
     def test_keyed_by_the_lattice_not_its_size(self, fdl2):
         chain6 = to_lattice(poset_from_hasse(6, [(i, i + 1) for i in range(5)]))
@@ -233,6 +237,74 @@ class TestClosureMemo:
             assert [S.rows for S in got] == closure_generated_oracle(lat, 2)
             assert all(S.carrier is lat for S in got)
         assert closure_generated(chain6) is not closure_generated(fdl2)
+
+
+def unclosed_diamonds(lat, cfg: GenConfig) -> set:
+    """The distinct unclosed diamonds (the meet of each row) of the
+    random relations that ``cfg`` draws on ``lat``."""
+    return {tuple(map(lat.meet_all, S.rows))
+            for S in random_relations(lat, cfg.samples, cfg.seed)}
+
+
+def stream_reference(cfg: GenConfig) -> list:
+    """The random-mode corpus with every random relation closed afresh:
+    per carrier, the closure-generated corpus (its oracle), then each
+    random relation and its closure under the six rules, each relation
+    the first time its rows occur, as ``(carrier, rows)``."""
+    out = []
+    for name in cfg.carriers:
+        lat = load_carrier(name)
+        drawn = [rows for S in random_relations(lat, cfg.samples, cfg.seed)
+                 for rows in (S.rows, close(S, SUBORDINATION_RULES).rows)]
+        out += [(name, rows) for rows in dict.fromkeys(closure_generated_oracle(lat, 2) + drawn)]
+    return out
+
+
+class TestStreamClosures:
+    """The random stream closes each distinct unclosed diamond once per
+    call: the closure under the six rules depends on the meet of each
+    row alone (``TestProp41::test_closure_determined_by_diamond``)."""
+
+    @pytest.mark.parametrize("name", ["chain4", "b4", "fdl2", "b8"])
+    def test_matches_closing_every_random_relation(self, name):
+        repeats = 0
+        for seed in (1, 2, 3):
+            cfg = GenConfig(carriers=(name,), mode="random", samples=60, seed=seed)
+            got = [(carrier, S.rows) for carrier, S in corpus_stream(cfg)]
+            assert got == stream_reference(cfg), (name, seed)
+            repeats += cfg.samples - len(unclosed_diamonds(load_carrier(name), cfg))
+        # some diamond is drawn twice, so a closure is reused
+        assert repeats, name
+
+
+def si_verdicts(ctx, relations) -> set:
+    """SI's bit of the carrier's local table on each relation, asserted
+    equal to the verdict of ``subordination._sweep``; the verdicts seen."""
+    si = flag_mask(P.SI)
+    assert ctx.table_bits & si
+    seen = set()
+    for S in relations:
+        verdict = bool(local_flags(S, ctx.local) & si)
+        assert verdict is (_sweep(S, P.SI) is None), (ctx.name, S)
+        seen.add(verdict)
+    return seen
+
+
+class TestSiFromTheTable:
+    """SI holds exactly when every column is down-closed: the local table
+    decides it with the local flags, and ``_sweep`` keeps its witness."""
+
+    @pytest.mark.parametrize("name", ["chain2", "chain3", "b4"])
+    def test_every_relation(self, name):
+        lat = load_carrier(name)
+        assert si_verdicts(CarrierContext(name, lat), all_relations(lat)) == {True, False}
+
+    @pytest.mark.parametrize("name", ["fdl2", "b8", "n5", "m3"])
+    def test_seeded_relations_and_closures(self, name):
+        lat = lattice(name)
+        sample = random_relations(lat, 40, zlib.crc32(name.encode()))
+        closed = [close(S, SUBORDINATION_RULES) for S in sample]
+        assert si_verdicts(CarrierContext(name, lat), sample + closed) == {True, False}
 
 
 class TestJsonCarriers:
@@ -534,12 +606,13 @@ class TestProp41:
         assert extremality_oracle(S, 1, close=lowered) == ("diamond", (0, 1, 2, 1))
 
     @pytest.mark.parametrize("name, sample", [
-        ("chain3", None), ("b4", 300), ("fdl2", 300)])
+        ("chain3", None), ("b4", 300), ("fdl2", 300), ("n5", 300), ("m3", 300)])
     def test_closure_determined_by_diamond(self, name, sample):
-        # the lemma the per-diamond memo rests on: relations with the
+        # the lemma the per-diamond memos rest on: relations with the
         # same diamond (meet of each row, top for an empty row) have the
-        # same close_i rows
-        lat = load_carrier(name)
+        # same close_i rows, and the same closure under the six rules
+        # (the random stream's memo, ``generate.corpus_stream``)
+        lat = lattice(name)
         n = lat.n
         if sample is None:
             groups = {}
@@ -565,6 +638,7 @@ class TestProp41:
             for i in (1, 2, 3, 4):
                 closed = {close_i(S, i).rows for S in members}
                 assert len(closed) == 1, (members[0], i)
+            assert len({close(S, SUBORDINATION_RULES).rows for S in members}) == 1, members[0]
 
 
 def dia_box(S) -> tuple:

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,20 @@ class TestNegationLaws:
     def test_free_algebra_complement(self, k):
         lat, _ = free_boolean_algebra(k)
         assert negation_failures(lat, lat.neg) == dict.fromkeys(NEGATION_LAWS)
+
+    @pytest.mark.parametrize("name", ["chain2", "chain3", "chain4", "b4", "fdl2", "n5", "m3"])
+    def test_antitone_involutions_are_self_adjoint(self, name):
+        # ~a <= b gives ~b <= ~~a = a, and dually: so an antitone
+        # involution satisfies both self-adjunctions, and the catalog's
+        # involutive adjoint negation condition asks for neither
+        lat = lattice(name)
+        found = 0
+        for neg in permutations(range(lat.n)):
+            failures = negation_failures(lat, neg)
+            if failures["antitone"] is None and failures["involutive"] is None:
+                found += 1
+                assert failures == dict.fromkeys(NEGATION_LAWS), (name, neg)
+        assert found, name
 
 
 class TestFreeBooleanAlgebra:

@@ -5,7 +5,8 @@ adjoint negation condition, the local table, the local catalog sides,
 the flag bits that preconditions and check sides read, the
 closure-extremality verdict table, the runner's decision of a check from its flag bits, its memos
 and the replay path, what the runner keeps across calls (its shared
-plans and the closure-generated corpus), the table of set-bit lists,
+plans and the closure-generated corpus), the random stream's one
+closure per unclosed diamond, the table of set-bit lists,
 the property sweeps, the dual-space conditions, the subterms the
 compiled inequalities share, the relation's range check, the cache of
 JSON carriers, the closure and its rule systems, the output operators
@@ -48,7 +49,9 @@ ROOT = Path(__file__).resolve().parent.parent
 JOBS = min(2, os.cpu_count() or 1)
 
 #: the tests each mutant runs against: the relation object against its
-#: stated checks, JSON carriers against rewritten files, the order dual
+#: stated checks, JSON carriers against rewritten files, SI's bit of the
+#: local table against its sweep, the random stream against closing
+#: every random relation afresh, the order dual
 #: against its swaps and the reversed order, the image of a mask against
 #: the union of its rows, the prime filters against frozen lists, their
 #: enumeration and their laws, the operators
@@ -79,6 +82,8 @@ JOBS = min(2, os.cpu_count() or 1)
 FAST = (
     "tests/test_subordination.py::TestProtoSubAlg",
     "tests/test_harness.py::TestJsonCarriers",
+    "tests/test_harness.py::TestSiFromTheTable",
+    "tests/test_harness.py::TestStreamClosures",
     "tests/test_order.py::TestOpposite",
     "tests/test_order.py::TestImage",
     "tests/test_order.py::TestPrimeFilters",
@@ -139,11 +144,15 @@ MUTANTS = (
            "        other = every & ~sum(bit for bit, _ in flags) & ~sum(s.bit for s in mine)",
            "        other = every"),
     Mutant("table-laws-on-wrong-side", CATALOG,
-           "for q, (s, test) in LOCAL_TESTS.items() if s == side]",
-           "for q, (s, test) in LOCAL_TESTS.items() if (s == side) != isinstance(test, str)]"),
+           "in (*LOCAL_TESTS.items(), *_TABLE_TESTS.items()) if s == side]",
+           "in (*LOCAL_TESTS.items(), *_TABLE_TESTS.items())"
+           " if (s == side) != isinstance(test, str)]"),
     Mutant("table-laws-read-up-closed", CATALOG,
            "tables.get(law) or",
            "tables['up-closed'] or"),
+    Mutant("si-table-reads-up-closed", CATALOG,
+           '_TABLE_TESTS = {P.SI: ("cols", "down-closed")}',
+           '_TABLE_TESTS = {P.SI: ("cols", "up-closed")}'),
     Mutant("table-rows-read-join", CATALOG,
            "        values = list(map(_operator(ctx, side), masks))",
            "        values = list(map(ctx.mask_join, masks))"),
@@ -242,6 +251,13 @@ MUTANTS = (
     Mutant("closure-memo-outlives-lattice", GENERATE,
            'corpora = carrier._memo.setdefault("closures", {})',
            "corpora = closure_generated.__dict__.setdefault(id(carrier), (carrier, {}))[1]"),
+    # the random stream closes each unclosed diamond once (`corpus_stream`)
+    Mutant("stream-closure-keyed-on-one-row", GENERATE,
+           "dia = tuple(map(meet, S.rows))",
+           "dia = tuple(map(meet, S.rows[:1]))"),
+    Mutant("stream-closure-keyed-on-joins", GENERATE,
+           "meet = mask_meet_join(carrier)[0]",
+           "meet = mask_meet_join(carrier)[1]"),
     # the order dual (`order.opposite`), and the instance on it that the
     # box-side laws read (`run.Instance.dual`)
     Mutant("opposite-keeps-bounds", ORDER,
@@ -267,8 +283,8 @@ MUTANTS = (
     Mutant("prime-filters-of-meet-irreducibles", ORDER,
            "for j in bits(join_irreducibles(L)))",
            "for j in bits(join_irreducibles(opposite(L))))"),
-    # a carrier's negation is an involutive adjoint one (`or` -> `and`
-    # between its two adjunctions is no mutant: an antitone involution
+    # a carrier's negation is an involutive adjoint one (asking for
+    # either self-adjunction as well is no mutant: an antitone involution
     # satisfies both)
     Mutant("involutive-adjoint-without-involution", CATALOG,
            '_negation_obeys(p, neg, "antitone", "involutive")',
